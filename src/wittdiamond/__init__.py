@@ -19,7 +19,7 @@ from .exceptions import (
     VariableMismatch,
     ZeroVector,
 )
-from .scalars import Scalar, format_scalar, scalar
+from .scalars import Scalar, scalar
 
 __all__ = [
     "AlgebraError",
@@ -35,7 +35,6 @@ __all__ = [
     "UnsupportedVariable",
     "VariableMismatch",
     "ZeroVector",
-    "format_scalar",
     "scalar",
 ]
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .lie import FAMILIES, UEnvElement, bracket, gen
+from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
 from .poly import PolyRing, SparsePoly, monomials_within
-from .scalars import ONE, scalar
+from .scalars import ONE, ZERO, scalar
 
 
 def apply_uenv(module, u: UEnvElement, v: SparsePoly) -> SparsePoly:
@@ -38,30 +39,66 @@ class AxiomReport:
         return not self.violations
 
 
+def memoized_action(module):
+    """``act(g, v)`` computed as sum_e v[e] * image(g, e), linearly.
+
+    Each monomial image comes from ``module.act`` once and is kept in a dict
+    local to the returned function; nothing is stored on the module, so the
+    memo is freed with the function.
+    """
+    ring = module.ring
+    images: dict[tuple[Generator, tuple[int, ...]], dict] = {}
+
+    def act(g: Generator, v: SparsePoly) -> SparsePoly:
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e, c in v.terms.items():
+            image = images.get((g, e))
+            if image is None:
+                image = images[(g, e)] = module.act(g, SparsePoly(ring, {e: ONE})).terms
+            for k, ic in image.items():
+                nv = out.get(k, ZERO) + c * ic
+                if nv:
+                    out[k] = nv
+                else:
+                    out.pop(k, None)
+        return SparsePoly(ring, out)
+
+    return act
+
+
 def module_axiom_check(module, window: int, vectors) -> AxiomReport:
+    """x(y v) - y(x v) = [x, y] v for all generator pairs in the window.
+
+    The check runs on a per-call memoized action.  So that a memo cannot make
+    a non-linear ``act`` pass, the memoized x v is first compared with
+    ``module.act(x, v)`` for every window generator x and sample vector v; a
+    mismatch is reported as the violation ``(x, "linearity", index of v)``.
+    """
     if window < 1:
         raise ValueError("window must be at least 1")
+    if not vectors:
+        raise ValueError("at least one sample vector is required")
     gens = [gen(f, n) for f in FAMILIES for n in range(-window, window + 1)]
     report = AxiomReport(window=window, vectors=len(vectors))
+    act = memoized_action(module)
+    first = {}
+    for x in gens:
+        for idx, v in enumerate(vectors):
+            first[x, idx] = act(x, v)
+            if first[x, idx] != module.act(x, v):
+                report.violations.append((str(x), "linearity", idx))
     for i, x in enumerate(gens):
         for y in gens[i:]:
             br = bracket(x, y)
             for idx, v in enumerate(vectors):
                 report.pairs_checked += 1
-                lhs = module.act(x, module.act(y, v)) - module.act(y, module.act(x, v))
+                lhs = act(x, first[y, idx]) - act(y, first[x, idx])
                 rhs = module.ring.zero()
                 for g2, c in br.terms.items():
-                    rhs = rhs + module.act(g2, v) * c
+                    rhs = rhs + act(g2, v) * c
                 if lhs != rhs:
                     report.violations.append((str(x), str(y), idx))
     return report
-
-
-def basis_monomials(ring: PolyRing, max_total_degree: int) -> list[SparsePoly]:
-    return [
-        SparsePoly(ring, {exps: ONE})
-        for exps in monomials_within(ring, max_total_degree)
-    ]
 
 
 def random_vector(

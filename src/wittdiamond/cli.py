@@ -13,6 +13,7 @@ import itertools
 import json
 import random
 import sys
+from fractions import Fraction
 
 from .axioms import apply_uenv, random_vector
 from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
@@ -98,9 +99,19 @@ def _load_spec(path: str) -> dict:
     return obj
 
 
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return scalar(text)
+    except ValueError as exc:
+        raise InvalidSpec(f"{option}: {exc}") from None
+
+
 def _parse_g_poly(text: str) -> tuple:
     ring = PolyRing(("t",), (False,))
-    p = parse_poly(ring, text)
+    try:
+        p = parse_poly(ring, text)
+    except (ValueError, AlgebraError) as exc:
+        raise InvalidSpec(f"--g: {exc}") from None
     deg = p.var_degree("t")
     if deg is None:
         return ()
@@ -137,13 +148,13 @@ def cmd_verify_brackets(args) -> int:
 def _build_phi(args):
     if args.map == "ab":
         cls = CorruptedPhiAB if args.corrupted else PhiAB
-        return cls(scalar(args.alpha), scalar(args.beta))
+        return cls(_rational(args.alpha, "--alpha"), _rational(args.beta, "--beta"))
     if args.corrupted:
         raise InvalidSpec("the negative control exists for the ab map only")
     return PhiABGG(
-        scalar(args.alpha),
-        scalar(args.beta),
-        scalar(args.gamma if args.gamma is not None else "0"),
+        _rational(args.alpha, "--alpha"),
+        _rational(args.beta, "--beta"),
+        _rational(args.gamma if args.gamma is not None else "0", "--gamma"),
         _parse_g_poly(args.g if args.g is not None else "0"),
     )
 
@@ -318,7 +329,7 @@ def cmd_simplicity(args) -> int:
 
 def cmd_det_lemma(args) -> int:
     rep = Report("det-lemma")
-    alphas = tuple(scalar(a) for a in args.alphas.split(","))
+    alphas = tuple(_rational(a, "--alphas") for a in args.alphas.split(","))
     specs = 0
     mismatches = []
     naive_checked = 0
@@ -469,6 +480,21 @@ def cmd_iso(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low, so that no sweep can be empty."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittdiamond",
@@ -478,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-brackets", help="antisymmetry and Jacobi sweep")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_int_at_least(1), default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_brackets)
 
@@ -488,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma")
     p.add_argument("--g", help="polynomial in t, e.g. 't^2 + 1'")
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_int_at_least(1), default=3)
     p.add_argument("--corrupted", action="store_true",
                    help="negative control: drop the index-linear term of d[n]")
     p.add_argument("--out")
@@ -512,9 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simplicity)
 
     p = sub.add_parser("det-lemma", help="generalized Vandermonde determinant sweep")
-    p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--max-s", type=int, default=3)
-    p.add_argument("--max-r", type=int, default=2)
+    p.add_argument("--max-m", type=_int_at_least(1), default=3)
+    p.add_argument("--max-s", type=_int_at_least(1), default=3)
+    p.add_argument("--max-r", type=_int_at_least(0), default=2)
     p.add_argument("--alphas", default="1,2,3,5,7,-2")
     p.add_argument("--naive-limit", type=int, default=6)
     p.add_argument("--out")

@@ -254,18 +254,6 @@ class OperatorElement:
     __repr__ = __str__
 
 
-def weyl_mul(u: OperatorElement, v: OperatorElement) -> OperatorElement:
-    return u * v
-
-
-def diffop_mul(u: OperatorElement, v: OperatorElement) -> OperatorElement:
-    return u * v
-
-
-def ub_mul(u: OperatorElement, v: OperatorElement) -> OperatorElement:
-    return u * v
-
-
 class TensorElement:
     """Sum of pure tensors A (x) B with both sides normal-ordered."""
 
@@ -376,10 +364,6 @@ class TensorElement:
         return out
 
     __repr__ = __str__
-
-
-def tensor_mul(u: TensorElement, v: TensorElement) -> TensorElement:
-    return u * v
 
 
 def commutator(u, v):

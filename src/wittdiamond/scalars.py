@@ -31,10 +31,6 @@ def scalar(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def format_scalar(x: Fraction) -> str:
-    return str(x)
-
-
 def falling(x: Fraction | int, k: int) -> Fraction:
     """Falling factorial x(x-1)...(x-k+1), valid for any rational x."""
     if k < 0:

@@ -1,0 +1,124 @@
+"""The representation-property check: its memoized action and its failure modes."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from wittdiamond.axioms import memoized_action, module_axiom_check, sample_vectors
+from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
+from wittdiamond.lie import FAMILIES, bracket, gen
+from wittdiamond.omega import OmegaModule, OmegaParams
+from wittdiamond.tensor import TensorModule
+
+WINDOW_2 = [gen(f, n) for f in FAMILIES for n in range(-2, 3)]
+
+
+def _omega_params(lam):
+    return OmegaParams(F(1, 2), F(3), F(-1), lam, (F(1), F(0), F(2)))
+
+
+SIX_FAMILIES = {
+    "F(M,C_eps)": lambda: FModule(F(1, 2), F(3), MFactor(F(0)), MFactor(F(1, 2)), OneDim(F(2))),
+    "F(Omega,C_eps)": lambda: FModule(F(1), F(2), OmegaFactor(F(2)), OmegaFactor(F(3)),
+                                      OneDim(F(1))),
+    "F(M,Whittaker)": lambda: FModule(F(-1), F(2), MFactor(F(1, 3)), MFactor(F(2)), Whittaker()),
+    "F(P0xM,C_eps)": lambda: FModule(F(2), F(-2), OmegaFactor(F(3)), MFactor(F(1, 4)),
+                                     OneDim(F(-1, 3))),
+    "Omega": lambda: OmegaModule(_omega_params(F(2))),
+    "T(m=2)": lambda: TensorModule([_omega_params(F(2)), _omega_params(F(-3))]),
+}
+
+
+class Counting:
+    """Forwards to a module and counts calls of ``act``."""
+
+    def __init__(self, base):
+        self.base, self.ring, self.calls = base, base.ring, 0
+
+    def act(self, g, v):
+        self.calls += 1
+        return self.base.act(g, v)
+
+
+class PerturbedImage:
+    """A linear action with one generator's image of one monomial changed."""
+
+    def __init__(self, base, g, exps, extra):
+        self.base, self.ring, self.g, self.exps, self.extra = base, base.ring, g, exps, extra
+
+    def act(self, h, v):
+        out = self.base.act(h, v)
+        c = v.coefficient(self.exps)
+        if h == self.g and c:
+            out = out + self.extra * c
+        return out
+
+
+class AddsConstant:
+    """Not linear: every action adds the unit vector."""
+
+    def __init__(self, base):
+        self.base, self.ring = base, base.ring
+
+    def act(self, g, v):
+        return self.base.act(g, v) + self.ring.one()
+
+
+@pytest.mark.parametrize("name", sorted(SIX_FAMILIES))
+def test_memoized_action_equals_module_act(name):
+    module = SIX_FAMILIES[name]()
+    rng = random.Random(f"memo:{name}")
+    act = memoized_action(module)
+    gens = [gen(f, n) for f in FAMILIES for n in range(-3, 4)]
+    for v in sample_vectors(module.ring, rng, count=3, max_total_degree=3):
+        for g in gens:
+            assert act(g, v) == module.act(g, v), (name, str(g), str(v))
+            w = module.act(gen("L", 1), v)
+            assert act(g, w) == module.act(g, w), (name, str(g), str(w))
+
+
+def test_memoized_action_acts_once_per_generator_and_monomial():
+    module = Counting(SIX_FAMILIES["Omega"]())
+    act = memoized_action(module)
+    v = module.ring.from_terms([((1, 0), F(2)), ((0, 2), F(-1, 3)), ((0, 0), F(1))])
+    first = act(gen("d", 1), v)
+    assert module.calls == 3
+    assert act(gen("d", 1), v * 5) == first * 5
+    assert module.calls == 3
+    act(gen("d", 2), v)
+    assert module.calls == 6
+    # A fresh memo starts empty: nothing is kept on the module.
+    memoized_action(module)(gen("d", 1), v)
+    assert module.calls == 9
+
+
+def test_empty_vector_list_is_a_usage_error():
+    module = SIX_FAMILIES["Omega"]()
+    with pytest.raises(ValueError):
+        module_axiom_check(module, 2, [])
+    with pytest.raises(ValueError):
+        module_axiom_check(module, 0, [module.one()])
+
+
+@pytest.mark.parametrize("name,perturbed", [("Omega", gen("a", 1)), ("F(M,C_eps)", gen("b", -1))])
+def test_perturbed_generator_image_is_caught(name, perturbed):
+    base = SIX_FAMILIES[name]()
+    zero = (0,) * base.ring.nvars
+    module = PerturbedImage(base, perturbed, zero, base.ring.one())
+    report = module_axiom_check(module, 2, [base.one()])
+    assert report.violations
+    assert not any(y == "linearity" for _, y, _ in report.violations)
+    assert any(str(perturbed) in (x, y) for x, y, _ in report.violations)
+    by_name = {str(g): g for g in WINDOW_2}
+    for x, y, _ in report.violations:
+        involved = {x, y} | {str(g) for g in bracket(by_name[x], by_name[y]).terms}
+        assert str(perturbed) in involved, (x, y)
+
+
+def test_nonlinear_act_is_caught_by_the_linearity_cross_check():
+    base = SIX_FAMILIES["T(m=2)"]()
+    report = module_axiom_check(AddsConstant(base), 1, [base.one() * 2])
+    window_1 = {str(gen(f, n)) for f in FAMILIES for n in (-1, 0, 1)}
+    linearity = {(x, idx) for x, y, idx in report.violations if y == "linearity"}
+    assert linearity == {(g, 0) for g in window_1}

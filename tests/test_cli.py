@@ -170,3 +170,35 @@ def test_reports_are_deterministic(write_json, tmp_path):
     assert main(["simplicity", "--spec", spec, "--samples", "2", "--seed", "7",
                  "--out", out2]) == 0
     assert json.loads(open(out1).read()) == json.loads(open(out2).read())
+
+
+def _exit_code(argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+HOM = ["verify-hom", "--map", "ab", "--beta", "1"]
+ABGG = ["verify-hom", "--map", "abgg", "--alpha", "1", "--beta", "1", "--window", "1"]
+DET = ["det-lemma", "--max-m", "1", "--max-s", "1", "--max-r", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    HOM + ["--alpha", "1", "--window", "0"],
+    HOM + ["--alpha", "1", "--window", "x"],
+    HOM + ["--alpha", "foo"],
+    HOM + ["--alpha", "1/0"],
+    ABGG + ["--gamma", "bar"],
+    ABGG + ["--g", "x^2"],
+    ["verify-brackets", "--window", "0"],
+    ["verify-brackets", "--window", "-2"],
+    ["det-lemma", "--max-m", "0"],
+    ["det-lemma", "--max-s", "0"],
+    ["det-lemma", "--max-r", "-1"],
+    DET + ["--alphas", "1,bar"],
+], ids=" ".join)
+def test_bad_usage_exits_2(argv, capsys):
+    assert _exit_code(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err

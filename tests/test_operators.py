@@ -139,19 +139,6 @@ def test_algebra_mismatch():
         )
 
 
-def test_named_product_helpers():
-    from wittdiamond.operators import diffop_mul, tensor_mul, ub_mul, weyl_mul
-
-    u, v = weyl(R2, (1, 0), (1, 0)), weyl(R2, (2, 0), (0, 0))
-    assert weyl_mul(u, v) == u * v
-    s, t = weyl(DIFFOP, (1,), (1,)), weyl(DIFFOP, (0,), (1,))
-    assert diffop_mul(s, t) == s * t
-    assert ub_mul(ub(0, 1), ub(1, 0)) == ub(0, 1) * ub(1, 0)
-    a = TensorElement.pure(u, ub(1, 0))
-    b = TensorElement.pure(v, ub(0, 1))
-    assert tensor_mul(a, b) == a * b
-
-
 def test_operator_text_format():
     assert str(weyl(R2, (2, -1), (1, 0))) == "x0^2 x1^-1 dx0"
     assert str(weyl(DIFFOP, (1,), (2,))) == "t dt^2"
