@@ -189,7 +189,10 @@ def cmd_act(args) -> int:
     rep = Report("act")
     module = module_from_spec(_load_spec(args.spec))
     expr_text = Q_EXPRESSION if args.expr.strip() == "Q" else args.expr
-    u = parse_uenv(expr_text)
+    try:
+        u = parse_uenv(expr_text)
+    except (ValueError, AlgebraError) as exc:
+        raise InvalidSpec(f"--expr: {exc}") from None
     v = parse_poly(module.ring, args.vector)
     result = apply_uenv(module, u, v)
     rep.add(
@@ -529,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplicity", help="certificates plus closure oracle")
     p.add_argument("--spec", required=True)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--window", type=int, default=2)
@@ -542,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-s", type=_int_at_least(1), default=3)
     p.add_argument("--max-r", type=_int_at_least(0), default=2)
     p.add_argument("--alphas", default="1,2,3,5,7,-2")
-    p.add_argument("--naive-limit", type=int, default=6)
+    p.add_argument("--naive-limit", type=_int_at_least(1), default=6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_det_lemma)
 

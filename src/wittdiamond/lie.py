@@ -171,10 +171,6 @@ class UEnvElement:
     def from_word(cls, word: Sequence[Generator], coef=ONE) -> "UEnvElement":
         return pbw_normalize(word).scaled(coef)
 
-    @classmethod
-    def from_lelement(cls, e: LElement) -> "UEnvElement":
-        return cls({(g,): c for g, c in e.terms.items()})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

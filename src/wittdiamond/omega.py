@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import CertStep, Certificate
-from .exceptions import NotAModule, UnsupportedOperation, ZeroVector
+from .exceptions import InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination, exact_nullspace
 from .poly import PolyRing, SparsePoly
@@ -51,7 +51,7 @@ class OmegaParams:
         object.__setattr__(self, "lam", scalar(self.lam))
         object.__setattr__(self, "g", _normalize_coeffs(self.g))
         if self.beta == 0 or self.lam == 0:
-            raise ValueError("beta and lambda must be nonzero")
+            raise InvalidSpec("beta and lambda must be nonzero")
 
     @property
     def g_degree(self) -> int | None:

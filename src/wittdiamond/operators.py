@@ -13,18 +13,73 @@ Three kinds of algebra share one element class:
   and reordering uses e h = (h - 1) e.
 * Tensor products of a Weyl-type algebra with a second algebra, stored as
   sums of pure tensors with both sides normal-ordered eagerly.
+
+The product of two monomials has integer coefficients in both kinds of
+algebra, whatever the parameters of the maps into them.  ``weyl_product``
+and ``ub_product`` compute it as a tuple of (key, int) pairs and cache it
+per key pair, so each structure constant is worked out once per process.
+Element products scale a table entry by one rational per pair of terms and
+skip the multiplication where the constant is 1, as most of them are.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
 from .exceptions import AlgebraMismatch
 from .poly import PolyRing, SparsePoly
-from .scalars import ONE, ZERO, binomial, falling, scalar
+from .scalars import ONE, ZERO, scalar
+
+
+@functools.cache
+def weyl_product(k1, k2) -> tuple:
+    """Normal-ordered product of two Weyl monomials, as (key, int) pairs.
+
+    (x^a d^b)(x^c d^e) = sum over k of prod_i C(b_i, k_i) (c_i)_(k_i)
+    x^(a+c-k) d^(b+e-k).  The falling factorial (c_i)_(k_i) of an integer
+    is an integer, for negative (Laurent) c_i too; for 0 <= c_i < k_i it
+    vanishes, and so does every later factor.  Distinct k give distinct
+    keys, so no two pairs share a key.
+    """
+    (a, b), (c, e) = k1, k2
+    per_coordinate = []
+    for bi, ci in zip(b, c):
+        choices, fall = [], 1
+        for k in range(bi + 1):
+            if not fall:
+                break
+            choices.append((k, math.comb(bi, k) * fall))
+            fall *= ci - k
+        per_coordinate.append(choices)
+    out = []
+    for choice in itertools.product(*per_coordinate):
+        ks = [k for k, _ in choice]
+        key = (
+            tuple(ai + ci - k for ai, ci, k in zip(a, c, ks)),
+            tuple(bi + ei - k for bi, ei, k in zip(b, e, ks)),
+        )
+        out.append((key, math.prod(ck for _, ck in choice)))
+    return tuple(out)
+
+
+@functools.cache
+def ub_product(k1, k2) -> tuple:
+    """Normal-ordered product of two U(b) monomials, as (key, int) pairs.
+
+    e^j h = (h - j) e^j, so h^i1 e^j1 h^i2 e^j2 = h^i1 (h - j1)^i2 e^(j1+j2)
+    = sum over r of C(i2, r) (-j1)^(i2-r) h^(i1+r) e^(j1+j2).
+    """
+    (i1, j1), (i2, j2) = k1, k2
+    return tuple(
+        ((i1 + r, j1 + j2), math.comb(i2, r) * (-j1) ** (i2 - r))
+        for r in range(i2 + 1)
+        if j1 or r == i2
+    )
 
 
 @dataclass(frozen=True)
@@ -37,33 +92,9 @@ class WeylAlgebra:
         z = (0,) * len(self.names)
         return (z, z)
 
-    def mul_keys(self, k1, k2) -> dict:
-        """Normal-ordered product of two monomials.
-
-        (x^a d^b)(x^c d^e) = sum over k of prod_i C(b_i, k_i) (c_i)_(k_i)
-        x^(a+c-k) d^(b+e-k), with falling factorials handling negative c_i.
-        """
-        (a, b), (c, e) = k1, k2
-        out: dict = {}
-        for k in itertools.product(*(range(bi + 1) for bi in b)):
-            coef = ONE
-            for i, ki in enumerate(k):
-                if ki:
-                    coef *= binomial(b[i], ki) * falling(c[i], ki)
-                if coef == 0:
-                    break
-            if coef == 0:
-                continue
-            key = (
-                tuple(ai + ci - ki for ai, ci, ki in zip(a, c, k)),
-                tuple(bi + ei - ki for bi, ei, ki in zip(b, e, k)),
-            )
-            nv = out.get(key, ZERO) + coef
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return out
+    def mul_keys(self, k1, k2) -> tuple:
+        """Normal-ordered product of two monomials; see ``weyl_product``."""
+        return weyl_product(k1, k2)
 
     def format_key(self, key) -> str:
         xexp, dexp = key
@@ -115,21 +146,9 @@ class UbAlgebra:
     def one_key(self):
         return (0, 0)
 
-    def mul_keys(self, k1, k2) -> dict:
-        (i1, j1), (i2, j2) = k1, k2
-        # e^j h = (h - j) e^j, so h^i1 e^j1 h^i2 e^j2 = h^i1 (h - j1)^i2 e^(j1+j2).
-        out: dict = {}
-        for r in range(i2 + 1):
-            coef = scalar(binomial(i2, r)) * Fraction(-j1) ** (i2 - r)
-            if coef == 0:
-                continue
-            key = (i1 + r, j1 + j2)
-            nv = out.get(key, ZERO) + coef
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-        return out
+    def mul_keys(self, k1, k2) -> tuple:
+        """Normal-ordered product of two monomials; see ``ub_product``."""
+        return ub_product(k1, k2)
 
     def format_key(self, key) -> str:
         i, j = key
@@ -206,14 +225,18 @@ class OperatorElement:
             return self.scaled(other)
         self._check(other)
         out: dict = {}
+        mul_keys = self.algebra.mul_keys
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                for k3, c3 in self.algebra.mul_keys(k1, k2).items():
-                    nv = out.get(k3, ZERO) + c1 * c2 * c3
+                c12 = c1 * c2
+                for k3, c3 in mul_keys(k1, k2):
+                    term = c12 if c3 == 1 else c12 * c3
+                    prev = out.get(k3)
+                    nv = term if prev is None else prev + term
                     if nv:
                         out[k3] = nv
                     else:
-                        out.pop(k3, None)
+                        del out[k3]
         return OperatorElement(self.algebra, out)
 
     def __rmul__(self, other):
@@ -321,18 +344,22 @@ class TensorElement:
             return self.scaled(other)
         self._check(other)
         out: dict = {}
+        left_mul, right_mul = self.left_algebra.mul_keys, self.right_algebra.mul_keys
         for (l1, r1), c1 in self.terms.items():
             for (l2, r2), c2 in other.terms.items():
-                lf = self.left_algebra.mul_keys(l1, l2)
-                rf = self.right_algebra.mul_keys(r1, r2)
-                for kl, cl in lf.items():
-                    for kr, cr in rf.items():
+                c12 = c1 * c2
+                rf = right_mul(r1, r2)
+                for kl, cl in left_mul(l1, l2):
+                    for kr, cr in rf:
                         key = (kl, kr)
-                        nv = out.get(key, ZERO) + c1 * c2 * cl * cr
+                        n = cl * cr
+                        term = c12 if n == 1 else c12 * n
+                        prev = out.get(key)
+                        nv = term if prev is None else prev + term
                         if nv:
                             out[key] = nv
                         else:
-                            out.pop(key, None)
+                            del out[key]
         return TensorElement(self.left_algebra, self.right_algebra, out)
 
     def __rmul__(self, other):

@@ -31,17 +31,6 @@ def scalar(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def falling(x: Fraction | int, k: int) -> Fraction:
-    """Falling factorial x(x-1)...(x-k+1), valid for any rational x."""
-    if k < 0:
-        raise ValueError("falling factorial requires k >= 0")
-    out = ONE
-    xf = Fraction(x)
-    for i in range(k):
-        out *= xf - i
-    return out
-
-
 def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0

@@ -183,6 +183,12 @@ def _exit_code(argv):
 HOM = ["verify-hom", "--map", "ab", "--beta", "1"]
 ABGG = ["verify-hom", "--map", "abgg", "--alpha", "1", "--beta", "1", "--window", "1"]
 DET = ["det-lemma", "--max-m", "1", "--max-s", "1", "--max-r", "0"]
+# Spec files a row names by these placeholders are written before the run.
+BAD_USAGE_SPECS = {
+    "omega.json": OMEGA_SPEC,
+    "omega-beta0.json": {**OMEGA_SPEC, "beta": "0"},
+    "omega-lambda0.json": {**OMEGA_SPEC, "lambda": "0"},
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,7 +204,13 @@ DET = ["det-lemma", "--max-m", "1", "--max-s", "1", "--max-r", "0"]
     ["det-lemma", "--max-s", "0"],
     ["det-lemma", "--max-r", "-1"],
     DET + ["--alphas", "1,bar"],
+    DET + ["--naive-limit", "-1"],
+    ["act", "--spec", "omega.json", "--expr", "L[x]", "--vector", "1"],
+    ["simplicity", "--spec", "omega.json", "--samples", "0"],
+    ["rank", "--spec", "omega-beta0.json"],
+    ["rank", "--spec", "omega-lambda0.json"],
 ], ids=" ".join)
-def test_bad_usage_exits_2(argv, capsys):
+def test_bad_usage_exits_2(argv, write_json, capsys):
+    argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else a for a in argv]
     assert _exit_code(argv) == 2
     assert "Traceback" not in capsys.readouterr().err

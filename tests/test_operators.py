@@ -1,11 +1,15 @@
 """Normal-ordered operator algebras and their faithful-action oracles."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from wittdiamond.exceptions import AlgebraMismatch
+from wittdiamond.homomorphisms import PhiAB, PhiABGG, verify_hom
+from wittdiamond.lie import FAMILIES
 from wittdiamond.operators import (
     DIFFOP,
     R0,
@@ -14,6 +18,8 @@ from wittdiamond.operators import (
     OperatorElement,
     TensorElement,
     commutator,
+    ub_product,
+    weyl_product,
 )
 from wittdiamond.poly import PolyRing, SparsePoly
 
@@ -145,3 +151,119 @@ def test_operator_text_format():
     assert str(ub(2, 1)) == "h^2 e"
     elem = TensorElement.pure(weyl(R2, (0, 1), (0, 0)), ub(0, 1))
     assert str(elem) == "(x1)(x)(e)"
+
+
+def _fraction_weyl_product(k1, k2):
+    """The product formula evaluated in Fractions, term by term."""
+    (a, b), (c, e) = k1, k2
+    out = {}
+    for k in itertools.product(*(range(bi + 1) for bi in b)):
+        coef = F(1)
+        for bi, ci, ki in zip(b, c, k):
+            falling = F(1)
+            for i in range(ki):
+                falling *= F(ci) - i
+            coef *= math.comb(bi, ki) * falling
+        if coef:
+            key = (
+                tuple(ai + ci - ki for ai, ci, ki in zip(a, c, k)),
+                tuple(bi + ei - ki for bi, ei, ki in zip(b, e, k)),
+            )
+            out[key] = out.get(key, F(0)) + coef
+    return {key: v for key, v in out.items() if v}
+
+
+def _fraction_ub_product(k1, k2):
+    (i1, j1), (i2, j2) = k1, k2
+    out = {}
+    for r in range(i2 + 1):
+        coef = F(math.comb(i2, r)) * F(-j1) ** (i2 - r)
+        if coef:
+            out[(i1 + r, j1 + j2)] = coef
+    return out
+
+
+def _random_weyl_key(rng, algebra):
+    low = -3 if algebra.laurent[0] else 0
+    n = len(algebra.names)
+    return (tuple(rng.randint(low, 3) for _ in range(n)),
+            tuple(rng.randint(0, 3) for _ in range(n)))
+
+
+def _check_table(table, reference, pairs):
+    for k1, k2 in pairs:
+        entry = table(k1, k2)
+        assert isinstance(entry, tuple)
+        assert all(type(c) is int and c for _, c in entry)
+        assert len({key for key, _ in entry}) == len(entry)
+        assert dict(entry) == reference(k1, k2), (k1, k2)
+
+
+def test_integer_tables_match_fraction_formula():
+    rng = random.Random(11)
+    for algebra in (R2, R0, DIFFOP):
+        pairs = [(_random_weyl_key(rng, algebra), _random_weyl_key(rng, algebra))
+                 for _ in range(150)]
+        if algebra.laurent[0]:
+            # Negative exponents on the right factor reach the Laurent falling factorials.
+            assert any(min(k2[0]) < 0 and max(k1[1]) > 0 for k1, k2 in pairs)
+        _check_table(algebra.mul_keys, _fraction_weyl_product, pairs)
+    ub_pairs = [((i1, j1), (i2, j2))
+                for i1, j1, i2, j2 in itertools.product(range(3), range(4), range(4), range(2))]
+    assert any(k1[1] > 0 and k2[0] > 0 for k1, k2 in ub_pairs)
+    _check_table(UB.mul_keys, _fraction_ub_product, ub_pairs)
+
+
+def _random_tensor(rng):
+    out = TensorElement(R2, UB)
+    for _ in range(4):
+        left = OperatorElement.monomial(R2, _random_weyl_key(rng, R2),
+                                        F(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+        out = out + TensorElement.pure(left, ub(rng.randint(0, 2), rng.randint(0, 2)))
+    return out
+
+
+def test_repeated_products_agree_and_leave_tables_unchanged():
+    rng = random.Random(12)
+    u, v = _random_tensor(rng), _random_tensor(rng)
+    x = weyl(R2, (-2, 1), (2, 1), F(3, 2)) + weyl(R2, (0, -1), (1, 1), F(1, 3))
+    y = weyl(R2, (-1, 3), (1, 0), F(-2, 5)) + weyl(R2, (2, -2), (0, 2), 7)
+    weyl_pairs = [(l1, l2) for l1, _ in u.terms for l2, _ in v.terms]
+    weyl_pairs += [(k1, k2) for k1 in x.terms for k2 in y.terms]
+    ub_pairs = [(r1, r2) for _, r1 in u.terms for _, r2 in v.terms]
+
+    def tables():
+        return [weyl_product(*p) for p in weyl_pairs], [ub_product(*p) for p in ub_pairs]
+
+    for left, right in ((u, v), (x, y)):
+        first = left * right
+        before = tables()
+        first_terms = dict(first.terms)
+        first.terms.clear()  # a caller mutating its product must not reach the tables
+        assert (left * right).terms == first_terms
+        assert tables() == before
+
+
+class _Perturbed:
+    """A generator table whose images of one family carry an extra 1 (x) 1."""
+
+    def __init__(self, phi, family):
+        self.phi, self.family = phi, family
+        self.left_algebra, self.right_algebra = phi.left_algebra, phi.right_algebra
+
+    def image(self, g):
+        out = self.phi.image(g)
+        return out + self.phi.one() if g.family == self.family else out
+
+
+@pytest.mark.parametrize("phi", [
+    PhiAB(F(1, 2), F(3)),
+    PhiABGG(F(1, 2), F(3), F(2), (F(1), F(0), F(1))),
+], ids=["ab", "abgg"])
+def test_verify_hom_flags_each_perturbed_family(phi):
+    assert verify_hom(phi, 1).ok
+    for family in FAMILIES:
+        report = verify_hom(_Perturbed(phi, family), 1)
+        assert not report.ok, family
+        named = {name.split("[")[0] for pair in report.violations for name in pair}
+        assert family in named, (family, report.violations)
