@@ -8,6 +8,7 @@ exact over the rationals.
 from .exceptions import (
     AlgebraError,
     AlgebraMismatch,
+    CertificateError,
     InvalidGenerator,
     InvalidSpec,
     NotAModule,
@@ -24,6 +25,7 @@ from .scalars import Scalar, scalar
 __all__ = [
     "AlgebraError",
     "AlgebraMismatch",
+    "CertificateError",
     "InvalidGenerator",
     "InvalidSpec",
     "NotAModule",

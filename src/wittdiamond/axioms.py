@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
 from .poly import PolyRing, SparsePoly, monomials_within
-from .scalars import ONE, ZERO, scalar
+from .scalars import ONE, add_scaled, scalar
 
 
 def apply_uenv(module, u: UEnvElement, v: SparsePoly) -> SparsePoly:
@@ -55,13 +55,8 @@ def memoized_action(module):
             image = images.get((g, e))
             if image is None:
                 image = images[(g, e)] = module.act(g, SparsePoly(ring, {e: ONE})).terms
-            for k, ic in image.items():
-                nv = out.get(k, ZERO) + c * ic
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-        return SparsePoly(ring, out)
+            add_scaled(out, image, c)
+        return v._like(out)
 
     return act
 

@@ -14,11 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exceptions import CertificateError
 from .lie import Generator, gen
 from .poly import SparsePoly
 from .scalars import scalar
 
 Word = tuple[Generator, ...]
+
+
+def require(ok: bool, what: str) -> None:
+    """Raise CertificateError unless a step or replay check holds.
+
+    Unlike ``assert``, the check stays in place under ``python -O``.
+    """
+    if not ok:
+        raise CertificateError(what)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .homomorphisms import (
 from .lie import FAMILIES, bracket, gen, jacobi_residual, parse_uenv
 from .omega import OmegaModule, classify_rank1, omega_reduce_to_one, uh_rank, Degenerate
 from .oracle import ClosureReport, TruncationPolicy, naive_det, truncated_closure
-from .poly import PolyRing, parse_poly
+from .poly import PolyRing, SparsePoly, parse_poly
 from .specs import (
     module_from_spec,
     rank1_data_from_json,
@@ -106,12 +106,15 @@ def _rational(text: str, option: str) -> Fraction:
         raise InvalidSpec(f"{option}: {exc}") from None
 
 
-def _parse_g_poly(text: str) -> tuple:
-    ring = PolyRing(("t",), (False,))
+def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
     try:
-        p = parse_poly(ring, text)
+        return parse_poly(ring, text)
     except (ValueError, AlgebraError) as exc:
-        raise InvalidSpec(f"--g: {exc}") from None
+        raise InvalidSpec(f"{option}: {exc}") from None
+
+
+def _parse_g_poly(text: str) -> tuple:
+    p = _parse_poly_option(PolyRing(("t",), (False,)), text, "--g")
     deg = p.var_degree("t")
     if deg is None:
         return ()
@@ -193,7 +196,7 @@ def cmd_act(args) -> int:
         u = parse_uenv(expr_text)
     except (ValueError, AlgebraError) as exc:
         raise InvalidSpec(f"--expr: {exc}") from None
-    v = parse_poly(module.ring, args.vector)
+    v = _parse_poly_option(module.ring, args.vector, "--vector")
     result = apply_uenv(module, u, v)
     rep.add(
         "act",
@@ -372,6 +375,8 @@ def cmd_rank(args) -> int:
     rep = Report("rank")
     module = module_from_spec(_load_spec(args.spec))
     if isinstance(module, OmegaModule):
+        if not module.params.g:
+            raise InvalidSpec("rank on an Omega spec needs a nonzero g")
         result = uh_rank(module)
         rep.add(
             "uh-rank",
@@ -388,7 +393,11 @@ def cmd_rank(args) -> int:
             certificate=[w.to_jsonable() for w in result.generation],
         )
     elif isinstance(module, TensorModule):
-        v = parse_poly(module.ring, args.vector) if args.vector else module.one()
+        v = module.one()
+        if args.vector:
+            v = _parse_poly_option(module.ring, args.vector, "--vector")
+        if v.is_zero:
+            raise InvalidSpec("--vector: the zero vector has no orbit rank")
         value = r_g(module, v)
         in_bottom = all(not any(e[: module.m]) for e in v.terms)
         expected_equality = value == module.m + 1
@@ -534,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--max-steps", type=int, default=64)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=4)
+    p.add_argument("--window", type=_int_at_least(1), default=2)
+    p.add_argument("--max-steps", type=_int_at_least(1), default=64)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simplicity)
 
@@ -557,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="identify rank-one action data")
     p.add_argument("--data", required=True)
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=_int_at_least(1), default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 

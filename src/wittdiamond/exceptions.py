@@ -45,6 +45,10 @@ class NotAModule(AlgebraError):
         super().__init__(msg)
 
 
+class CertificateError(AlgebraError):
+    """A certificate step or replay did not reproduce the vector it claims."""
+
+
 class RequiresSimple(AlgebraError):
     """Operation defined only for simple modules."""
 

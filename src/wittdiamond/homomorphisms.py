@@ -17,7 +17,7 @@ from typing import Sequence
 from .exceptions import InvalidSpec
 from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
 from .operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement, commutator
-from .scalars import ONE, scalar
+from .scalars import ONE, add_scaled, scalar
 
 
 def _weyl(algebra, xexp, dexp, coef=ONE) -> OperatorElement:
@@ -173,21 +173,17 @@ class PhiABGG:
 
     def g_of_a0(self) -> UEnvElement:
         """The polynomial g evaluated at a[0] inside the enveloping algebra."""
-        out = UEnvElement()
-        for k, c in enumerate(self.g):
-            if c:
-                out = out + UEnvElement.from_word((gen("a", 0),) * k, c)
-        return out
+        return UEnvElement({(gen("a", 0),) * k: c for k, c in enumerate(self.g)})
 
 
 def _apply(phi, u: UEnvElement) -> TensorElement:
-    total = TensorElement(phi.left_algebra, phi.right_algebra)
+    total: dict = {}
     for word, c in u.terms.items():
         acc = phi.one()
         for letter in word:
             acc = acc * phi.image(letter)
-        total = total + acc.scaled(c)
-    return total
+        add_scaled(total, acc.terms, c)
+    return TensorElement(phi.left_algebra, phi.right_algebra)._like(total)
 
 
 @dataclass
@@ -214,18 +210,19 @@ def verify_hom(phi, window: int) -> HomReport:
         raise ValueError("window must be at least 1")
     gens = [gen(f, n) for f in FAMILIES for n in range(-window, window + 1)]
     images = {g: phi.image(g) for g in gens}
+    zero = TensorElement(phi.left_algebra, phi.right_algebra)
     violations = []
     checked = 0
     for i, x in enumerate(gens):
         for y in gens[i:]:
             checked += 1
             lhs = commutator(images[x], images[y])
-            rhs = TensorElement(phi.left_algebra, phi.right_algebra)
+            rhs: dict = {}
             for g, c in bracket(x, y).terms.items():
                 if g not in images:
                     images[g] = phi.image(g)
-                rhs = rhs + images[g].scaled(c)
-            if lhs != rhs:
+                add_scaled(rhs, images[g].terms, c)
+            if lhs != zero._like(rhs):
                 violations.append((str(x), str(y)))
     return HomReport(window=window, pairs_checked=checked, violations=violations)
 

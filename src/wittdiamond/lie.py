@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exceptions import InvalidGenerator
-from .scalars import ONE, ZERO, scalar
+from .scalars import ONE, LinComb, add_scaled, scalar
 
 FAMILIES = ("L", "a", "b", "c", "d")
 _RANK = {f: i for i, f in enumerate(FAMILIES)}
@@ -55,53 +55,16 @@ def parse_generator(text: str) -> Generator:
     return Generator(m.group(1), int(m.group(2)))
 
 
-class LElement:
+class LElement(LinComb):
     """Finite rational linear combination of generators."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Generator, Fraction] | None = None):
         self.terms = {g: c for g, c in (terms or {}).items() if c}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LElement") -> "LElement":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            nv = out.get(g, ZERO) + c
-            if nv:
-                out[g] = nv
-            else:
-                out.pop(g, None)
-        return LElement(out)
-
-    def __neg__(self):
-        return LElement({g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "LElement":
-        c = scalar(c)
-        return LElement({g: cv * c for g, cv in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, LElement) and self.terms == other.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for g in sorted(self.terms, key=Generator.sort_key):
-            c = self.terms[g]
-            bits.append(f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else str(abs(c)) + ' '}{g}")
-        first = bits[0]
-        out = ("-" if first[0] == "-" else "") + first[2:]
-        return out + (" " + " ".join(bits[1:]) if len(bits) > 1 else "")
-
-    __repr__ = __str__
+    def _sort_key(self, g: Generator):
+        return g.sort_key()
 
 
 def bracket(x: Generator, y: Generator) -> LElement:
@@ -133,10 +96,10 @@ def bracket(x: Generator, y: Generator) -> LElement:
 
 
 def bracket_gen_elem(x: Generator, e: LElement) -> LElement:
-    out = LElement()
+    out: dict[Generator, Fraction] = {}
     for g, c in e.terms.items():
-        out = out + bracket(x, g).scaled(c)
-    return out
+        add_scaled(out, bracket(x, g).terms, c)
+    return e._like(out)
 
 
 def jacobi_residual(x: Generator, y: Generator, z: Generator) -> LElement:
@@ -151,14 +114,14 @@ def jacobi_residual(x: Generator, y: Generator, z: Generator) -> LElement:
 Word = tuple[Generator, ...]
 
 
-class UEnvElement:
+class UEnvElement(LinComb):
     """Element of the enveloping algebra in PBW-normal coordinates.
 
     Keys are words (tuples of generators) that are non-decreasing under
     the fixed total order; the empty word is the unit.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Word, Fraction] | None = None):
         self.terms = {w: c for w, c in (terms or {}).items() if c}
@@ -171,59 +134,16 @@ class UEnvElement:
     def from_word(cls, word: Sequence[Generator], coef=ONE) -> "UEnvElement":
         return pbw_normalize(word).scaled(coef)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nv = out.get(w, ZERO) + c
-            if nv:
-                out[w] = nv
-            else:
-                out.pop(w, None)
-        return UEnvElement(out)
-
-    def __neg__(self):
-        return UEnvElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "UEnvElement":
-        c = scalar(c)
-        return UEnvElement({w: cv * c for w, cv in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return uenv_mul(self, other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
+    def _sort_key(self, w: Word):
+        return (len(w), [g.sort_key() for g in w])
 
-    def __eq__(self, other):
-        return isinstance(other, UEnvElement) and self.terms == other.terms
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), [g.sort_key() for g in w])):
-            c = self.terms[w]
-            body = " ".join(str(g) for g in w) if w else "1"
-            coefstr = "" if abs(c) == 1 and w else f"{abs(c)} "
-            bits.append(("-" if c < 0 else "+", f"{coefstr}{body}"))
-        sign0, body0 = bits[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    __repr__ = __str__
+    def _format_key(self, w: Word) -> str:
+        return " ".join(str(g) for g in w)
 
 
 def _first_inversion(word: Word) -> int | None:
@@ -246,11 +166,7 @@ def pbw_normalize(word: Sequence[Generator]) -> UEnvElement:
         w, c = stack.pop()
         i = _first_inversion(w)
         if i is None:
-            nv = acc.get(w, ZERO) + c
-            if nv:
-                acc[w] = nv
-            else:
-                acc.pop(w, None)
+            add_scaled(acc, {w: c})
             continue
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
         stack.append((swapped, c))
@@ -260,11 +176,11 @@ def pbw_normalize(word: Sequence[Generator]) -> UEnvElement:
 
 
 def uenv_mul(u: UEnvElement, v: UEnvElement) -> UEnvElement:
-    out = UEnvElement()
+    out: dict[Word, Fraction] = {}
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
-            out = out + pbw_normalize(w1 + w2).scaled(c1 * c2)
-    return out
+            add_scaled(out, pbw_normalize(w1 + w2).terms, c1 * c2)
+    return u._like(out)
 
 
 _UENV_TERM_SPLIT = re.compile(r"(?=[+-])")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Hashable, Mapping, Sequence
 
-from .scalars import ONE, ZERO, scalar
+from .scalars import ONE, ZERO, add_scaled, scalar
 
 Row = Sequence[Fraction]
 
@@ -137,14 +137,8 @@ class SpanBasis:
         v = {k: c for k, c in vec.items() if c}
         for pk in [k for k in v if k in self._rows]:
             c = v.get(pk)
-            if not c:
-                continue
-            for k2, c2 in self._rows[pk].items():
-                nv = v.get(k2, ZERO) - c * c2
-                if nv:
-                    v[k2] = nv
-                else:
-                    v.pop(k2, None)
+            if c:
+                add_scaled(v, self._rows[pk], -c)
         return v
 
     def contains(self, vec: Mapping[Hashable, Fraction]) -> bool:
@@ -161,12 +155,7 @@ class SpanBasis:
         for orow in self._rows.values():
             c = orow.get(pk)
             if c:
-                for k2, c2 in row.items():
-                    nv = orow.get(k2, ZERO) - c * c2
-                    if nv:
-                        orow[k2] = nv
-                    else:
-                        orow.pop(k2, None)
+                add_scaled(orow, row, -c)
         self._rows[pk] = row
         return True
 

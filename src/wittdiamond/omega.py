@@ -21,12 +21,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certificates import CertStep, Certificate
-from .exceptions import InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
+from .certificates import CertStep, Certificate, require
+from .exceptions import CertificateError, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination, exact_nullspace
 from .poly import PolyRing, SparsePoly
-from .scalars import ONE, ZERO, scalar
+from .scalars import ONE, ZERO, LinComb, add_scaled, binomial, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -125,9 +125,9 @@ def _solve_step(
         if combo is not None:
             terms = tuple((c, word) for c, word in zip(combo, words) if c)
             cs = CertStep(terms)
-            assert cs.apply(module, v) == target
+            require(cs.apply(module, v) == target, "extraction step does not reach its target")
             return cs
-    raise AssertionError("extraction window exhausted; bound violated")
+    raise CertificateError("extraction window exhausted; bound violated")
 
 
 def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
@@ -156,16 +156,16 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     dt_step = CertStep(tuple(dt_combo))
     while (v.var_degree("t") or 0) > 0:
         nxt = dt_step.apply(module, v)
-        assert nxt == v.derive("t")
+        require(nxt == v.derive("t"), "derivative step is not d/dt")
         steps.append(dt_step)
         v = nxt
     const = v.coefficient((0, 0))
-    assert const != 0
+    require(const != 0, "reduction ends at zero")
     if const != 1:
         steps.append(CertStep(((1 / const, ()),)))
         v = v * (1 / const)
     cert = Certificate(steps)
-    assert cert.replay(module, f) == module.one()
+    require(cert.replay(module, f) == module.one(), "reduction replay does not end at 1")
     return cert
 
 
@@ -181,8 +181,9 @@ def omega_generate(module: OmegaModule, s_exp: int, t_exp: int) -> Certificate:
         return Certificate([])
     word = (gen("L", 0),) * s_exp + (gen("a", 0),) * t_exp
     cert = Certificate([CertStep(((ONE, word),))])
-    assert cert.replay(module, module.one()) == module.ring.monomial(
-        {"s": s_exp, "t": t_exp}
+    require(
+        cert.replay(module, module.one()) == module.ring.monomial({"s": s_exp, "t": t_exp}),
+        "generation replay does not reach the monomial",
     )
     return cert
 
@@ -260,32 +261,17 @@ def uh_rank(module: OmegaModule, max_power: int | None = None,
     for j in range(N + 1):
         exprs.append([{0: ONE} if i == j else {} for i in range(N + 1)])
 
-    def d0_mul(poly: dict[int, Fraction]) -> dict[int, Fraction]:
-        return {p + 1: c for p, c in poly.items()}
-
-    def scale(poly: dict[int, Fraction], c: Fraction) -> dict[int, Fraction]:
-        return {p: cv * c for p, cv in poly.items()} if c else {}
-
-    def add(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        out = dict(a)
-        for p, c in b.items():
-            nv = out.get(p, ZERO) + c
-            if nv:
-                out[p] = nv
-            else:
-                out.pop(p, None)
-        return out
-
     gN = par.g[-1]
     for s in range(top - N):
-        # t^(N+1+s)
-        row = [scale(add(scale(d0_mul(exprs[s][i]), par.beta),
-                         scale(exprs[s][i], -(par.beta * s + par.gamma))), 1 / gN)
-               for i in range(N + 1)]
+        # t^(N+1+s), divided through by g_N
+        row = []
+        for e in exprs[s]:
+            r = add_scaled({}, {p + 1: c for p, c in e.items()}, par.beta / gN)
+            row.append(add_scaled(r, e, -(par.beta * s + par.gamma) / gN))
         for k in range(N):
-            if par.g[k]:
-                row = [add(ri, scale(exprs[k + 1 + s][i], -par.g[k] / gN))
-                       for i, ri in enumerate(row)]
+            c = -par.g[k] / gN
+            for r, e in zip(row, exprs[k + 1 + s]):
+                add_scaled(r, e, c)
         exprs.append(row)
 
     witnesses = []
@@ -356,58 +342,34 @@ class Degenerate:
     submodule: str
 
 
-class ShiftDiffOp:
+class ShiftDiffOp(LinComb):
     """Exact operators f |-> sum G_{n,k}(L0,a0) (da0^k f)(L0 - n, a0).
 
-    Composition stays in this class, so bracket relations can be checked
-    as coefficient identities rather than on sample vectors.
+    Keys are (n, k) and coefficients the polynomials G_{n,k}.  Composition
+    stays in this class, so bracket relations can be checked as coefficient
+    identities rather than on sample vectors.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[tuple[int, int], SparsePoly] | None = None):
-        self.terms = {k: p for k, p in (terms or {}).items() if not p.is_zero}
+        self.terms = {k: p for k, p in (terms or {}).items() if p}
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            q = out.get(k)
-            np = p if q is None else q + p
-            if np.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = np
-        return ShiftDiffOp(out)
-
-    def __neg__(self):
-        return ShiftDiffOp({k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "ShiftDiffOp":
-        c = scalar(c)
-        return ShiftDiffOp({k: p * c for k, p in self.terms.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, ShiftDiffOp) and self.terms == other.terms
+    __str__ = __repr__ = object.__repr__
 
     def compose(self, other: "ShiftDiffOp") -> "ShiftDiffOp":
         out: dict[tuple[int, int], SparsePoly] = {}
         for (n1, k1), g1 in self.terms.items():
             for (n2, k2), g2 in other.terms.items():
                 for r in range(k1 + 1):
-                    coef = _binom(k1, r)
                     g2r = g2
                     for _ in range(r):
                         g2r = g2r.derive("a0")
                     if g2r.is_zero:
                         continue
-                    piece = g1 * g2r.shift("L0", n1) * coef
+                    piece = g1 * g2r.shift("L0", n1)
+                    if r:
+                        piece = piece * binomial(k1, r)
                     key = (n1 + n2, k1 + k2 - r)
                     q = out.get(key)
                     np = piece if q is None else q + piece
@@ -415,16 +377,10 @@ class ShiftDiffOp:
                         out.pop(key, None)
                     else:
                         out[key] = np
-        return ShiftDiffOp(out)
+        return self._like(out)
 
     def commutator(self, other: "ShiftDiffOp") -> "ShiftDiffOp":
         return self.compose(other) - other.compose(self)
-
-
-def _binom(n: int, k: int) -> Fraction:
-    from .scalars import binomial
-
-    return scalar(binomial(n, k))
 
 
 def _candidate_operator(data: Rank1ActionData, g: Generator) -> ShiftDiffOp:
@@ -479,10 +435,10 @@ def classify_rank1(data: Rank1ActionData, window: int = 2) -> OmegaParams | Dege
         return ops[g]
 
     def bracket_op(x: Generator, y: Generator) -> ShiftDiffOp:
-        out = ShiftDiffOp()
+        out: dict = {}
         for g2, c in bracket(x, y).terms.items():
-            out = out + op(g2).scaled(c)
-        return out
+            add_scaled(out, op(g2).terms, c)
+        return ShiftDiffOp()._like(out)
 
     idx = range(-window, window + 1)
     named = [

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-from .exceptions import AlgebraMismatch
 from .poly import PolyRing, SparsePoly
-from .scalars import ONE, ZERO, scalar
+from .scalars import ONE, LinComb, scalar
 
 
 @functools.cache
@@ -111,9 +110,9 @@ class WeylAlgebra:
         """Apply a normal-ordered monomial to a (Laurent) polynomial."""
         xexp, dexp = key
         out = p
-        for i, k in enumerate(dexp):
+        for name, k in zip(self.names, dexp):
             for _ in range(k):
-                out = _formal_derive(out, i)
+                out = out.derive(name)
         for name, k in zip(self.names, xexp):
             if k:
                 out = out.mul_var(name, k)
@@ -121,21 +120,6 @@ class WeylAlgebra:
 
     def poly_ring(self) -> PolyRing:
         return PolyRing(self.names, self.laurent)
-
-
-def _formal_derive(p: SparsePoly, i: int) -> SparsePoly:
-    # Laurent-aware d/dx on coordinate i: x^n -> n x^(n-1) for n in Z.
-    out: dict = {}
-    for e, c in p.terms.items():
-        if e[i] == 0:
-            continue
-        key = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        nv = out.get(key, ZERO) + c * e[i]
-        if nv:
-            out[key] = nv
-        else:
-            out.pop(key, None)
-    return SparsePoly(p.ring, out)
 
 
 @dataclass(frozen=True)
@@ -174,14 +158,26 @@ DIFFOP = WeylAlgebra(("t",), (False,))
 UB = UbAlgebra()
 
 
-class OperatorElement:
+class OperatorElement(LinComb):
     """Normal-ordered element of a single operator algebra."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms: Mapping[Hashable, Fraction] | None = None):
         self.algebra = algebra
         self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def _like(self, terms):
+        new = object.__new__(OperatorElement)
+        new.algebra = self.algebra
+        new.terms = terms
+        return new
+
+    def _space(self):
+        return self.algebra
+
+    def _format_key(self, key) -> str:
+        return self.algebra.format_key(key)
 
     @classmethod
     def one(cls, algebra) -> "OperatorElement":
@@ -190,35 +186,6 @@ class OperatorElement:
     @classmethod
     def monomial(cls, algebra, key, coef=ONE) -> "OperatorElement":
         return cls(algebra, {key: scalar(coef)})
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatch("operator elements belong to different algebras")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nv = out.get(k, ZERO) + c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return OperatorElement(self.algebra, out)
-
-    def __neg__(self):
-        return OperatorElement(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "OperatorElement":
-        c = scalar(c)
-        return OperatorElement(self.algebra, {k: cv * c for k, cv in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -237,19 +204,7 @@ class OperatorElement:
                         out[k3] = nv
                     else:
                         del out[k3]
-        return OperatorElement(self.algebra, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatorElement)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
+        return self._like(out)
 
     def act(self, p: SparsePoly) -> SparsePoly:
         out = p.ring.zero()
@@ -257,35 +212,30 @@ class OperatorElement:
             out = out + self.algebra.act_key(k, p) * c
         return out
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            body = self.algebra.format_key(k)
-            coefstr = "" if abs(c) == 1 and body != "1" else f"{abs(c)} "
-            if abs(c) == 1 and body == "1":
-                coefstr, body = "1", ""
-            bits.append(("-" if c < 0 else "+", (coefstr + body).strip()))
-        sign0, body0 = bits[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
 
-    __repr__ = __str__
-
-
-class TensorElement:
+class TensorElement(LinComb):
     """Sum of pure tensors A (x) B with both sides normal-ordered."""
 
-    __slots__ = ("left_algebra", "right_algebra", "terms")
+    __slots__ = ("left_algebra", "right_algebra")
 
     def __init__(self, left_algebra, right_algebra, terms=None):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
         self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def _like(self, terms):
+        new = object.__new__(TensorElement)
+        new.left_algebra = self.left_algebra
+        new.right_algebra = self.right_algebra
+        new.terms = terms
+        return new
+
+    def _space(self):
+        return (self.left_algebra, self.right_algebra)
+
+    def _format_key(self, key) -> str:
+        kl, kr = key
+        return f"({self.left_algebra.format_key(kl)})(x)({self.right_algebra.format_key(kr)})"
 
     @classmethod
     def one(cls, left_algebra, right_algebra) -> "TensorElement":
@@ -297,47 +247,10 @@ class TensorElement:
 
     @classmethod
     def pure(cls, left: OperatorElement, right: OperatorElement) -> "TensorElement":
-        terms: dict = {}
-        for kl, cl in left.terms.items():
-            for kr, cr in right.terms.items():
-                terms[(kl, kr)] = terms.get((kl, kr), ZERO) + cl * cr
+        terms = {
+            (kl, kr): cl * cr for kl, cl in left.terms.items() for kr, cr in right.terms.items()
+        }
         return cls(left.algebra, right.algebra, terms)
-
-    def _check(self, other):
-        if (
-            self.left_algebra != other.left_algebra
-            or self.right_algebra != other.right_algebra
-        ):
-            raise AlgebraMismatch("tensor elements live in different tensor algebras")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nv = out.get(k, ZERO) + c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return TensorElement(self.left_algebra, self.right_algebra, out)
-
-    def __neg__(self):
-        return TensorElement(
-            self.left_algebra, self.right_algebra, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, c) -> "TensorElement":
-        c = scalar(c)
-        return TensorElement(
-            self.left_algebra, self.right_algebra, {k: cv * c for k, cv in self.terms.items()}
-        )
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -360,37 +273,7 @@ class TensorElement:
                             out[key] = nv
                         else:
                             del out[key]
-        return TensorElement(self.left_algebra, self.right_algebra, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.left_algebra == other.left_algebra
-            and self.right_algebra == other.right_algebra
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for kl, kr in sorted(self.terms):
-            c = self.terms[(kl, kr)]
-            body = f"({self.left_algebra.format_key(kl)})(x)({self.right_algebra.format_key(kr)})"
-            coefstr = "" if abs(c) == 1 else f"{abs(c)} "
-            bits.append(("-" if c < 0 else "+", coefstr + body))
-        sign0, body0 = bits[0]
-        out = ("-" if sign0 == "-" else "") + body0
-        for sign, body in bits[1:]:
-            out += f" {sign} {body}"
-        return out
-
-    __repr__ = __str__
+        return self._like(out)
 
 
 def commutator(u, v):

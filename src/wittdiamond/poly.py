@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .exceptions import UnsupportedVariable, VariableMismatch
-from .scalars import ONE, ZERO, binomial, scalar
+from .scalars import ONE, ZERO, LinComb, add_scaled, binomial, scalar
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,16 @@ class PolyRing:
         acc: dict[tuple[int, ...], Fraction] = {}
         for exps, c in terms:
             c = scalar(c)
-            if c == 0:
-                continue
-            key = tuple(exps)
-            nv = acc.get(key, ZERO) + c
-            if nv:
-                acc[key] = nv
-            else:
-                acc.pop(key, None)
+            if c:
+                add_scaled(acc, {tuple(exps): c})
         return SparsePoly(self, acc)
 
 
-class SparsePoly:
+class SparsePoly(LinComb):
     """A finite rational linear combination of monomials in a fixed ring."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
+    _mismatch = VariableMismatch
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
         for exps in terms:
@@ -98,46 +93,32 @@ class SparsePoly:
         self.ring = ring
         self.terms = terms
 
+    def _like(self, terms):
+        new = object.__new__(SparsePoly)
+        new.ring = self.ring
+        new.terms = terms
+        return new
+
+    def _space(self):
+        return self.ring
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.ring.const(other)
+        return other
+
     # -- ring operations ------------------------------------------------
 
-    def _check(self, other: "SparsePoly") -> None:
-        if self.ring != other.ring:
-            raise VariableMismatch(
-                f"signatures differ: {self.ring.names} vs {other.ring.names}"
-            )
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            nv = out.get(exps, ZERO) + c
-            if nv:
-                out[exps] = nv
-            else:
-                out.pop(exps, None)
-        return SparsePoly(self.ring, out)
+        # SparsePoly's own function, so that perfbench/tracer.py counts
+        # polynomial sums apart from the other linear combinations.
+        return LinComb.__add__(self, other)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return SparsePoly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = scalar(other)
-            if c == 0:
-                return self.ring.zero()
-            return SparsePoly(self.ring, {e: cv * c for e, cv in self.terms.items()})
+            return self.scaled(other)
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -148,7 +129,7 @@ class SparsePoly:
                     out[key] = nv
                 else:
                     out.pop(key, None)
-        return SparsePoly(self.ring, out)
+        return self._like(out)
 
     __rmul__ = __mul__
 
@@ -163,20 +144,6 @@ class SparsePoly:
             base = base * base
             n >>= 1
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- structure ------------------------------------------------------
 
@@ -209,7 +176,7 @@ class SparsePoly:
             if e[i] == k:
                 key = e[:i] + (0,) + e[i + 1 :]
                 out[key] = c
-        return SparsePoly(self.ring, out)
+        return self._like(out)
 
     def shift(self, name: str, offset) -> "SparsePoly":
         """Substitute ``name`` by ``name - offset`` (binomial expansion)."""
@@ -232,20 +199,14 @@ class SparsePoly:
                     out[key] = nv
                 else:
                     out.pop(key, None)
-        return SparsePoly(self.ring, out)
+        return self._like(out)
 
     def derive(self, name: str) -> "SparsePoly":
-        """Formal derivative in a polynomial-flagged variable."""
+        """Formal derivative: x^n -> n x^(n-1), for every integer n on a Laurent variable."""
         i = self.ring.index(name)
-        if self.ring.laurent[i]:
-            raise UnsupportedVariable(f"cannot derive Laurent variable {name!r}")
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            key = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[key] = c * e[i]
-        return SparsePoly(self.ring, out)
+        return self._like(
+            {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in self.terms.items() if e[i]}
+        )
 
     def mul_var(self, name: str, power: int = 1) -> "SparsePoly":
         """Multiply by ``name ** power``; Laurent variables accept any sign."""
@@ -257,38 +218,17 @@ class SparsePoly:
 
     # -- display --------------------------------------------------------
 
-    def __str__(self):
-        return format_poly(self)
+    def _sort_key(self, exps):
+        # Lexicographically largest exponent vector first.
+        return tuple(-e for e in exps)
+
+    def _format_key(self, exps) -> str:
+        return " ".join(
+            name if e == 1 else f"{name}^{e}" for name, e in zip(self.ring.names, exps) if e
+        )
 
     def __repr__(self):
-        return f"SparsePoly({format_poly(self)!r})"
-
-
-def format_poly(p: SparsePoly) -> str:
-    if not p.terms:
-        return "0"
-    chunks = []
-    for exps in sorted(p.terms, reverse=True):
-        c = p.terms[exps]
-        factors = []
-        for name, e in zip(p.ring.names, exps):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^{e}")
-        body = " ".join(factors)
-        if not body:
-            piece = str(abs(c))
-        elif abs(c) == 1:
-            piece = body
-        else:
-            piece = f"{abs(c)} {body}"
-        sign = "-" if c < 0 else "+"
-        chunks.append((sign, piece))
-    sign0, piece0 = chunks[0]
-    out = ("-" if sign0 == "-" else "") + piece0
-    for sign, piece in chunks[1:]:
-        out += f" {sign} {piece}"
-    return out
+        return f"SparsePoly({str(self)!r})"
 
 
 _TERM_SPLIT = re.compile(r"(?<!\^)(?=[+-])")

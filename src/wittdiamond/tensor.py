@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .certificates import CertStep, Certificate
-from .exceptions import InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
+from .certificates import CertStep, Certificate, require
+from .exceptions import CertificateError, InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
 from .lie import FAMILIES, Generator, gen
 from .linalg import SpanBasis, combination, exact_det
 from .omega import OmegaParams, omega_factor_act
@@ -185,9 +185,9 @@ def _solve_in_orbit(module: TensorModule, family: str, v: SparsePoly,
         combo = combination(columns, dict(target.terms))
         if combo is not None:
             cs = CertStep(tuple((c, word) for c, word in zip(combo, words) if c))
-            assert cs.apply(module, v) == target
+            require(cs.apply(module, v) == target, "extraction step does not reach its target")
             return cs
-    raise AssertionError("extraction window exhausted; Vandermonde bound violated")
+    raise CertificateError("extraction window exhausted; Vandermonde bound violated")
 
 
 def _shifted_target(module: TensorModule, g: SparsePoly, which: int, k: int) -> SparsePoly:
@@ -263,8 +263,8 @@ def tensor_reduce_to_bottom(module: TensorModule,
         else:
             break
     cert = Certificate(steps)
-    assert cert.replay(module, g) == v
-    assert not v.is_zero and set(v.terms) == {(0,) * (2 * m)}
+    require(cert.replay(module, g) == v, "reduction replay does not reach the bottom vector")
+    require(set(v.terms) == {(0,) * (2 * m)}, "reduction does not end at a nonzero constant")
     return cert, v
 
 
@@ -322,9 +322,9 @@ def _derivative_step(module: TensorModule, v: SparsePoly,
                 for cw, word in chains[n]:
                     terms.append((c * cw, word))
         step = CertStep(tuple(terms))
-        assert step.apply(module, v) == target
+        require(step.apply(module, v) == target, "derivative step is not d/dt")
         return step, target
-    raise AssertionError("derivative step window exhausted")
+    raise CertificateError("derivative step window exhausted")
 
 
 def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certificate:
@@ -350,7 +350,10 @@ def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certifica
             steps.append(_solve_in_orbit(module, "a", v, target, base))
             v = target
     cert = Certificate(steps)
-    assert cert.replay(module, module.one()) == SparsePoly(module.ring, {exps: ONE})
+    require(
+        cert.replay(module, module.one()) == SparsePoly(module.ring, {exps: ONE}),
+        "generation replay does not reach the monomial",
+    )
     return cert
 
 

@@ -129,14 +129,17 @@ def test_rank_commands(write_json, tmp_path):
                  "--vector", "s1 t2"]) == 0
 
 
+ACTION_DATA = {
+    "lambda": "2",
+    "p": [[[0, 0], "1/2"]],
+    "B0": [[[0, 2], "1"]],
+    "C0": [[[0, 0], "-3"]],
+    "D0": [[[0, 3], "1/3"]],
+}
+
+
 def test_classify_commands(write_json, tmp_path):
-    good = {
-        "lambda": "2",
-        "p": [[[0, 0], "1/2"]],
-        "B0": [[[0, 2], "1"]],
-        "C0": [[[0, 0], "-3"]],
-        "D0": [[[0, 3], "1/3"]],
-    }
+    good = ACTION_DATA
     out = str(tmp_path / "r.json")
     assert main(["classify", "--data", write_json("d.json", good), "--out", out]) == 0
     doc = _check_report(out)
@@ -188,7 +191,12 @@ BAD_USAGE_SPECS = {
     "omega.json": OMEGA_SPEC,
     "omega-beta0.json": {**OMEGA_SPEC, "beta": "0"},
     "omega-lambda0.json": {**OMEGA_SPEC, "lambda": "0"},
+    "omega-g0.json": {**OMEGA_SPEC, "g": []},
+    "t.json": T_SPEC,
+    "data.json": ACTION_DATA,
 }
+SIMPLICITY = ["simplicity", "--spec", "omega.json", "--samples", "1"]
+ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,8 +217,26 @@ BAD_USAGE_SPECS = {
     ["simplicity", "--spec", "omega.json", "--samples", "0"],
     ["rank", "--spec", "omega-beta0.json"],
     ["rank", "--spec", "omega-lambda0.json"],
+    SIMPLICITY + ["--max-degree", "0"],
+    SIMPLICITY + ["--window", "0"],
+    SIMPLICITY + ["--max-steps", "0"],
+    ["classify", "--data", "data.json", "--window", "0"],
+    ACT + ["z"],
+    ACT + ["s^-1"],
+    ["rank", "--spec", "t.json", "--vector", "z"],
+    ["rank", "--spec", "t.json", "--vector", "0"],
+    ["rank", "--spec", "omega-g0.json"],
 ], ids=" ".join)
 def test_bad_usage_exits_2(argv, write_json, capsys):
     argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else a for a in argv]
     assert _exit_code(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_certificate_error_exits_1(write_json, monkeypatch, capsys):
+    from wittdiamond import omega
+
+    monkeypatch.setattr(omega, "combination", lambda columns, target: None)
+    spec = write_json("omega.json", OMEGA_SPEC)
+    assert main(["simplicity", "--spec", spec, "--samples", "1"]) == 1
+    assert "window exhausted" in capsys.readouterr().err

@@ -104,6 +104,13 @@ def test_generator_parsing():
         gen("x", 0)
 
 
+def test_uenv_unit_prints_as_its_coefficient():
+    assert str(UEnvElement.one()) == "1"
+    assert str(parse_uenv("2 + a[0]")) == "2 + a[0]"
+    assert str(parse_uenv("a[0] - 3/2")) == "-3/2 + a[0]"
+    assert str(UEnvElement()) == "0"
+
+
 def test_parse_uenv_q_expression():
     q = parse_uenv("b[0] a[0] + c[0] d[0]")
     manual = uenv_mul(
