@@ -375,6 +375,8 @@ def cmd_rank(args) -> int:
     rep = Report("rank")
     module = module_from_spec(_load_spec(args.spec))
     if isinstance(module, OmegaModule):
+        if args.vector is not None:
+            raise InvalidSpec("--vector applies to rank on a T spec, not an Omega spec")
         if not module.params.g:
             raise InvalidSpec("rank on an Omega spec needs a nonzero g")
         result = uh_rank(module)
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="free rank over the Cartan pair, or orbit rank")
     p.add_argument("--spec", required=True)
-    p.add_argument("--vector")
+    p.add_argument("--vector", help="start vector of the orbit rank (T specs only)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 

@@ -183,7 +183,8 @@ def uenv_mul(u: UEnvElement, v: UEnvElement) -> UEnvElement:
     return u._like(out)
 
 
-_UENV_TERM_SPLIT = re.compile(r"(?=[+-])")
+# A sign starts a term unless it sits inside a bracketed index, as in d[-1].
+_UENV_TERM_SPLIT = re.compile(r"(?=[+-](?![^\[\]]*\]))")
 
 
 def parse_uenv(text: str) -> UEnvElement:

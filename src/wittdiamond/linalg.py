@@ -17,7 +17,11 @@ Row = Sequence[Fraction]
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    The pivot row is zero left of its pivot column, so normalising and
+    eliminating touch only its nonzero columns to the right.
+    """
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -28,12 +32,18 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[col]
+        support = [(j, prow[j] / pv) for j in range(col + 1, ncols) if prow[j] != 0]
+        prow[col] = ONE
+        for j, b in support:
+            prow[j] = b
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f != 0:
+                row[col] = ZERO
+                for j, b in support:
+                    row[j] = row[j] - f * b
         pivots.append(col)
         r += 1
         if r == len(rows):

@@ -18,7 +18,7 @@ all return replayable exact witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certificates import CertStep, Certificate, require
@@ -43,6 +43,9 @@ class OmegaParams:
     gamma: Fraction
     lam: Fraction
     g: tuple[Fraction, ...]
+    # g / beta and gamma / beta, the coefficients of the d[n] action.
+    g_over_beta: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    gamma_over_beta: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", scalar(self.alpha))
@@ -52,6 +55,8 @@ class OmegaParams:
         object.__setattr__(self, "g", _normalize_coeffs(self.g))
         if self.beta == 0 or self.lam == 0:
             raise InvalidSpec("beta and lambda must be nonzero")
+        object.__setattr__(self, "g_over_beta", tuple(c / self.beta for c in self.g))
+        object.__setattr__(self, "gamma_over_beta", self.gamma / self.beta)
 
     @property
     def g_degree(self) -> int | None:
@@ -64,29 +69,35 @@ class OmegaParams:
 def omega_factor_act(
     par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: Generator, f: SparsePoly
 ) -> SparsePoly:
-    """One-factor action in an ambient ring (shared with tensor products)."""
+    """One-factor action in an ambient ring (shared with tensor products).
+
+    The input is scaled once, before the shift: by -beta lam^n for c, and by
+    lam^n for the other families when n != 0.
+    """
     n = g.index
-    sh = f.shift(svar, n) if n else f
-    lam_n = par.lam**n
-    if g.family == "L":
-        return (sh.mul_var(svar) + sh * (n * par.alpha)) * lam_n
-    if g.family == "d":
-        out = _mul_g(par, ring, tvar, sh).mul_var(tvar) + sh * par.gamma
-        out = out * (1 / par.beta)
-        out = out + sh.derive(tvar).mul_var(tvar)
-        return out * lam_n
-    if g.family == "a":
-        return sh.mul_var(tvar) * lam_n
-    if g.family == "b":
-        return (_mul_g(par, ring, tvar, sh) + sh.derive(tvar) * par.beta) * lam_n
     if g.family == "c":
-        return sh * (-par.beta * lam_n)
+        f = f * (-par.beta * par.lam**n)
+    elif n:
+        f = f * par.lam**n
+    sh = f.shift(svar, n) if n else f
+    if g.family == "L":
+        return sh.mul_var(svar) + sh * (n * par.alpha)
+    if g.family == "d":
+        out = _mul_g(par.g_over_beta, ring, tvar, sh).mul_var(tvar) + sh * par.gamma_over_beta
+        return out + sh.derive(tvar).mul_var(tvar)
+    if g.family == "a":
+        return sh.mul_var(tvar)
+    if g.family == "b":
+        return _mul_g(par.g, ring, tvar, sh) + sh.derive(tvar) * par.beta
+    if g.family == "c":
+        return sh
     raise ValueError(f"unknown generator family {g.family!r}")
 
 
-def _mul_g(par: OmegaParams, ring: PolyRing, tvar: str, f: SparsePoly) -> SparsePoly:
+def _mul_g(coeffs: tuple[Fraction, ...], ring: PolyRing, tvar: str, f: SparsePoly) -> SparsePoly:
+    """sum_k coeffs[k] t^k f."""
     out = ring.zero()
-    for k, c in enumerate(par.g):
+    for k, c in enumerate(coeffs):
         if c:
             out = out + f.mul_var(tvar, k) * c
     return out
@@ -150,9 +161,9 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
         steps.append(cs)
         v = target
     dt_combo = [(1 / par.beta, (gen("b", 0),))]
-    for k, c in enumerate(par.g):
+    for k, c in enumerate(par.g_over_beta):
         if c:
-            dt_combo.append((-c / par.beta, (gen("a", 0),) * k))
+            dt_combo.append((-c, (gen("a", 0),) * k))
     dt_step = CertStep(tuple(dt_combo))
     while (v.var_degree("t") or 0) > 0:
         nxt = dt_step.apply(module, v)

@@ -12,6 +12,7 @@ order, so extracting the degree of a vector is a single max() scan.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +76,19 @@ class PolyRing:
             if c:
                 add_scaled(acc, {tuple(exps): c})
         return SparsePoly(self, acc)
+
+
+@functools.cache
+def _shift_row(k: int, off: int | Fraction) -> tuple[tuple[int, int | Fraction], ...]:
+    """The expansion of x^k under x -> x - off: pairs (j, binomial(k, j) (-off)^(k-j)).
+
+    ``off`` is nonzero, so every coefficient is; an integer offset is passed
+    as an int, so its row holds ints and a term costs one Fraction-by-int
+    multiply.  The row is a tuple, so no caller can change what the cache
+    hands to the next.
+    """
+    m = -off
+    return tuple((j, binomial(k, j) * m ** (k - j)) for j in range(k + 1))
 
 
 class SparsePoly(LinComb):
@@ -186,19 +200,24 @@ class SparsePoly(LinComb):
         off = scalar(offset)
         if off == 0:
             return self
+        if off.denominator == 1:
+            off = off.numerator
         out: dict[tuple[int, ...], Fraction] = {}
+        get = out.get
         for e, c in self.terms.items():
-            k = e[i]
-            for j in range(k + 1):
-                coef = c * binomial(k, j) * (-off) ** (k - j)
-                if coef == 0:
-                    continue
-                key = e[:i] + (j,) + e[i + 1 :]
-                nv = out.get(key, ZERO) + coef
-                if nv:
-                    out[key] = nv
+            head, tail = e[:i], e[i + 1 :]
+            for j, b in _shift_row(e[i], off):
+                key = head + (j,) + tail
+                v = c * b
+                prev = get(key)
+                if prev is None:
+                    out[key] = v
                 else:
-                    out.pop(key, None)
+                    v = prev + v
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
         return self._like(out)
 
     def derive(self, name: str) -> "SparsePoly":

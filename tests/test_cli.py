@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from wittdiamond.cli import main
-from wittdiamond.specs import load_schema
+from wittdiamond.lie import gen
+from wittdiamond.specs import load_schema, module_from_spec, vector_report
 
 F_SPEC = {
     "family": "F",
@@ -92,6 +93,18 @@ def test_act_q_is_scalar_eps(write_json, tmp_path):
     doc = _check_report(out)
     detail = doc["checks"][0]["detail"]
     assert detail["result"]["terms"] == [[[2, -1], "5/2"]]
+
+
+def test_act_composes_negative_index_generators(write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main(["act", "--spec", write_json("t.json", T_SPEC), "--expr", "L[1] d[-1]",
+                 "--vector", "1", "--out", out]) == 0
+    detail = _check_report(out)["checks"][0]["detail"]
+    module = module_from_spec(T_SPEC)
+    expected = module.act(gen("L", 1), module.act(gen("d", -1), module.one()))
+    assert not expected.is_zero
+    assert detail["expression"] == "L[1] d[-1]"
+    assert detail["result"] == vector_report(expected)
 
 
 def test_simplicity_commands(write_json):
@@ -192,6 +205,9 @@ BAD_USAGE_SPECS = {
     "omega-beta0.json": {**OMEGA_SPEC, "beta": "0"},
     "omega-lambda0.json": {**OMEGA_SPEC, "lambda": "0"},
     "omega-g0.json": {**OMEGA_SPEC, "g": []},
+    "omega-beta-minus0.json": {**OMEGA_SPEC, "beta": "-0"},
+    "t-lambda-0over3.json": {**T_SPEC, "factors": [T_SPEC["factors"][0],
+                                                   {**T_SPEC["factors"][1], "lambda": "0/3"}]},
     "t.json": T_SPEC,
     "data.json": ACTION_DATA,
 }
@@ -226,6 +242,9 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["rank", "--spec", "t.json", "--vector", "z"],
     ["rank", "--spec", "t.json", "--vector", "0"],
     ["rank", "--spec", "omega-g0.json"],
+    ["rank", "--spec", "omega.json", "--vector", "zz"],
+    ["rank", "--spec", "omega-beta-minus0.json"],
+    ["simplicity", "--spec", "t-lambda-0over3.json", "--samples", "1"],
 ], ids=" ".join)
 def test_bad_usage_exits_2(argv, write_json, capsys):
     argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else a for a in argv]

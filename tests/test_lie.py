@@ -119,3 +119,17 @@ def test_parse_uenv_q_expression():
         UEnvElement.from_word([gen("c", 0)]), UEnvElement.from_word([gen("d", 0)])
     )
     assert q == manual
+
+
+def test_parse_uenv_negative_indices_are_not_term_signs():
+    d = gen("d", -1)
+    assert parse_uenv("d[-1]") == UEnvElement.from_word([d])
+    assert parse_uenv("-d[-1]") == UEnvElement.from_word([d], -1)
+    assert parse_uenv("L[1] d[-1] - 2 a[-3]") == (
+        UEnvElement.from_word([gen("L", 1), d]) - UEnvElement.from_word([gen("a", -3)], 2)
+    )
+    assert parse_uenv("L[-2]-L[2]+c[-1]") == (
+        UEnvElement.from_word([gen("L", -2)])
+        - UEnvElement.from_word([gen("L", 2)])
+        + UEnvElement.from_word([gen("c", -1)])
+    )

@@ -70,6 +70,85 @@ def test_nullspace_vectors_are_in_kernel():
                 assert sum(a * x for a, x in zip(row, v)) == 0
 
 
+def sparse_matrix(rng, nrows, ncols):
+    """At least half zeros, one zero row, one zero column and a repeated row."""
+    m = [
+        [F(rng.randint(-4, 4) or 1, rng.randint(1, 3)) if rng.random() < 0.4 else F(0)
+         for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    zero_row, *copy = rng.sample(range(nrows), min(nrows, 3))
+    m[zero_row] = [F(0)] * ncols
+    zero_col = rng.randrange(ncols)
+    for row in m:
+        row[zero_col] = F(0)
+    if copy[1:]:
+        m[copy[1]] = [x * F(-3, 2) for x in m[copy[0]]]
+    return m
+
+
+def dense_rref(rows):
+    """Textbook Gauss-Jordan on a copy: every entry of every row, every step."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for col in range(len(rows[0])):
+        p = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                rows[i] = [a - rows[i][col] * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def test_sparse_matrices_rank_kernel_and_solutions():
+    rng = random.Random(83)
+    for trial in range(80):
+        small = trial < 40
+        nrows, ncols = (rng.randint(2, 4), rng.randint(2, 5)) if small else (
+            rng.randint(5, 12), rng.randint(5, 14))
+        m = sparse_matrix(rng, nrows, ncols)
+        assert sum(x == 0 for row in m for x in row) * 2 >= nrows * ncols
+        red, pivots = dense_rref(m)
+        rank = exact_rank(m)
+        assert rank == len(pivots)
+        if small:
+            assert rank == minor_rank(m)
+        basis = exact_nullspace(m)
+        assert len(basis) == ncols - rank
+        assert exact_rank(basis or [[F(0)]]) == len(basis)
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+        # the kernel basis is the one the reduced rows give, entry for entry
+        free = [c for c in range(ncols) if c not in pivots]
+        for v, fc in zip(basis, free):
+            assert v == [F(c == fc) if c not in pivots else -red[pivots.index(c)][fc]
+                         for c in range(ncols)]
+
+        columns = [[m[i][j] for i in range(nrows)] for j in range(ncols)]
+        x0 = [F(rng.randint(-2, 2)) if rng.random() < 0.5 else F(0) for _ in range(ncols)]
+        target = [sum(m[i][j] * x0[j] for j in range(ncols)) for i in range(nrows)]
+        x = solve_exact(columns, target)
+        assert [sum(m[i][j] * x[j] for j in range(ncols)) for i in range(nrows)] == target
+        assert all(x[c] == 0 for c in free)
+        red_aug, piv_aug = dense_rref([row + [t] for row, t in zip(m, target)])
+        assert x == [red_aug[piv_aug.index(c)][ncols] if c in piv_aug else F(0)
+                     for c in range(ncols)]
+        # a target with a 1 in the zero row is out of the column span
+        zero_row = next(i for i, row in enumerate(m) if not any(row))
+        off = list(target)
+        off[zero_row] = F(1)
+        assert solve_exact(columns, off) is None
+        keyed = [{(i,): c for i, c in enumerate(col) if c} for col in columns]
+        assert combination(keyed, {(i,): c for i, c in enumerate(target) if c}) is not None
+
+
 def test_exact_det_matches_naive():
     rng = random.Random(3)
     for _ in range(60):

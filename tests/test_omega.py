@@ -7,7 +7,7 @@ import pytest
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule, UnsupportedOperation, ZeroVector
-from wittdiamond.lie import gen
+from wittdiamond.lie import FAMILIES, gen
 from wittdiamond.omega import (
     Degenerate,
     OmegaModule,
@@ -15,11 +15,13 @@ from wittdiamond.omega import (
     RANK1_RING,
     Rank1ActionData,
     classify_rank1,
+    omega_factor_act,
     omega_generate,
     omega_reduce_to_one,
     rank1_data_from_omega,
     uh_rank,
 )
+from wittdiamond.poly import PolyRing
 
 
 def module(alpha=F(1, 2), beta=F(3), gamma=F(0), lam=F(2), g=(F(1), F(0), F(1))):
@@ -36,6 +38,58 @@ def test_action_examples():
     # c_n f = -lam^n beta f(s - n, t)
     f = s * t
     assert M.act(gen("c", 2), f) == (s - 2) * t * (-4)
+
+
+def docstring_action(par, ring, svar, tvar, g, f):
+    """The module docstring's formula for g f, with f(s - n, t) by substitution."""
+    n, lam_n = g.index, par.lam**g.index
+    s, t = ring.var(svar), ring.var(tvar)
+    i = ring.index(svar)
+    fs = ring.zero()
+    for e, c in f.terms.items():
+        fs = fs + ring.from_terms([(e[:i] + (0,) + e[i + 1 :], c)]) * (s - n) ** e[i]
+    j = ring.index(tvar)
+    dt_fs = ring.from_terms(
+        (e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in fs.terms.items() if e[j]
+    )
+    g_t = ring.zero()
+    for k, c in enumerate(par.g):
+        g_t = g_t + t**k * c
+    if g.family == "L":
+        return (s + n * par.alpha) * fs * lam_n
+    if g.family == "d":
+        return (t * g_t + par.gamma) * fs * (lam_n / par.beta) + t * dt_fs * lam_n
+    if g.family == "a":
+        return t * fs * lam_n
+    if g.family == "b":
+        return g_t * fs * lam_n + dt_fs * (lam_n * par.beta)
+    return fs * (-lam_n * par.beta)
+
+
+def test_factor_action_matches_docstring_formulas_all_families():
+    # Every family at n in -3..3 with g of degree 0, 1 and 2, on the module's
+    # own ring and on the second factor of a two-factor ambient ring.
+    rng = random.Random(61)
+    ambient = PolyRing(("s1", "s2", "t1", "t2"), (False,) * 4)
+    for g_degree in range(3):
+        for lam in (F(2), F(-1), F(1, 2), F(-2, 3)):
+            g_coeffs = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(g_degree))
+            par = OmegaParams(
+                F(rng.randint(-3, 3), rng.randint(1, 3)),
+                F(rng.choice([1, -1, 2, -3]), rng.randint(1, 3)),
+                F(rng.randint(-2, 2), rng.randint(1, 2)),
+                lam,
+                g_coeffs + (F(rng.choice([1, -2, 3])),),
+            )
+            M = OmegaModule(par)
+            f = random_vector(M.ring, rng, max_total_degree=3, terms=3)
+            v = random_vector(ambient, rng, max_total_degree=3, terms=4)
+            for family in FAMILIES:
+                for n in range(-3, 4):
+                    x = gen(family, n)
+                    assert M.act(x, f) == docstring_action(par, M.ring, "s", "t", x, f), (x, par)
+                    got = omega_factor_act(par, ambient, "s2", "t2", x, v)
+                    assert got == docstring_action(par, ambient, "s2", "t2", x, v), (x, par)
 
 
 def test_axioms_random_parameters():

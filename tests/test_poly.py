@@ -1,5 +1,7 @@
 """Sparse polynomial arithmetic: ring axioms, shift, derive, parsing."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +61,52 @@ def test_shift_examples():
     assert (s * s).shift("s", 1) == s * s - 2 * s + RING.one()
     assert (t ** 3).derive("t") == 3 * t * t
     assert (s * t).shift("s", 2) == s * t - 2 * t
+
+
+RING3 = PolyRing(("x", "y", "z"), (False, False, True))
+
+
+def shift_by_formula(p, i, off):
+    """sum_j c binomial(k, j) (-off)^(k-j) on each term c x^e with e_i = k."""
+    out = {}
+    for e, c in p.terms.items():
+        k = e[i]
+        for j in range(k + 1):
+            key = e[:i] + (j,) + e[i + 1 :]
+            out[key] = out.get(key, 0) + c * math.comb(k, j) * F(-off) ** (k - j)
+    return {key: c for key, c in out.items() if c}
+
+
+def test_shift_matches_binomial_formula_on_seeded_grid():
+    # y is polynomial and sits between x and a Laurent z; offsets are ints
+    # of both signs, Fractions with denominator 1 and proper Fractions.
+    rng = random.Random(47)
+    offsets = [1, -1, 2, -3, 5, F(4), F(-6, 2), F(1, 2), F(-2, 3), F(7, 5)]
+    for _ in range(30):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            e = (rng.randint(0, 3), rng.randint(0, 5), rng.randint(-2, 2))
+            terms[e] = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+        p = RING3.from_terms(terms.items())
+        for off in offsets:
+            assert p.shift("y", off).terms == shift_by_formula(p, 1, off), (p, off)
+            assert p.shift("x", off).terms == shift_by_formula(p, 0, off), (p, off)
+    # (y + 1)^2 under y -> y - 1 cancels down to y^2.
+    q = RING3.from_terms([((0, 2, 0), F(1)), ((0, 1, 0), F(2)), ((0, 0, 0), F(1))])
+    assert q.shift("y", 1) == RING3.var("y") ** 2
+    assert q.shift("y", F(-1)) == (RING3.var("y") + 2) ** 2
+
+
+def test_shift_results_are_independent_of_each_other():
+    p = RING3.from_terms([((1, 3, -1), F(2, 3)), ((0, 2, 0), F(-1))])
+    before = dict(p.terms)
+    first = p.shift("y", -2)
+    expected = dict(first.terms)
+    first.terms.clear()
+    second = p.shift("y", -2)
+    second.terms[(9, 9, 9)] = F(1)
+    assert p.shift("y", -2).terms == expected == shift_by_formula(p, 1, -2)
+    assert p.terms == before
 
 
 def test_laurent_restrictions():

@@ -76,6 +76,30 @@ def test_schema_rejects_bad_specs_with_pointer():
         validate_module_spec({"family": "T", "factors": []})
 
 
+T_FACTOR = {k: v for k, v in OMEGA_SPEC.items() if k != "family"}
+
+
+@pytest.mark.parametrize("zero", ["0", "-0", "0/3"])
+@pytest.mark.parametrize("spec_with", [
+    pytest.param(lambda z: dict(OMEGA_SPEC, beta=z), id="Omega-beta"),
+    pytest.param(lambda z: dict(OMEGA_SPEC, **{"lambda": z}), id="Omega-lambda"),
+    pytest.param(lambda z: {"family": "T", "factors": [dict(T_FACTOR, beta=z)]}, id="T-beta"),
+    pytest.param(lambda z: {"family": "T", "factors": [T_FACTOR, dict(T_FACTOR, **{"lambda": z})]},
+                 id="T-lambda"),
+    pytest.param(lambda z: dict(F_SPEC, beta=z), id="F-beta"),
+    pytest.param(lambda z: dict(
+        F_SPEC, P={"kind": "P0xM", "P0": {"kind": "Omega", "lambda": z}, "w": "1"}),
+        id="F-Omega-factor-lambda"),
+    pytest.param(lambda z: dict(F_SPEC, P={"kind": "Omega", "lambda": ["2", z]}),
+                 id="F-Omega-pair-lambda"),
+])
+def test_schema_rejects_zero_where_constructors_need_nonzero(spec_with, zero):
+    # The same spec with 1 in that field is valid, so the schema rejects the zero.
+    module_from_spec(spec_with("1"))
+    with pytest.raises(InvalidSpec):
+        validate_module_spec(spec_with(zero))
+
+
 def test_poly_json_round_trip():
     module = module_from_spec(OMEGA_SPEC)
     p = module.ring.from_terms([((1, 2), F(3, 2)), ((0, 0), F(-1))])
