@@ -28,7 +28,14 @@ from .homomorphisms import (
     verify_hom,
 )
 from .lie import FAMILIES, bracket, gen, jacobi_residual, parse_uenv
-from .omega import OmegaModule, classify_rank1, omega_reduce_to_one, uh_rank, Degenerate
+from .omega import (
+    Degenerate,
+    OmegaModule,
+    classify_rank1,
+    omega_reduce_to_one,
+    rank1_grid,
+    uh_rank,
+)
 from .oracle import ClosureReport, TruncationPolicy, naive_det, truncated_closure
 from .poly import PolyRing, SparsePoly, parse_poly
 from .specs import (
@@ -321,6 +328,8 @@ def cmd_simplicity(args) -> int:
                     "note": decision.note,
                     "basis_size": inv.basis_size,
                     "images_checked": inv.images_checked,
+                    "complete": True,
+                    "max_index_degree": inv.max_index_degree,
                     "escapes": inv.escapes[:10],
                 },
             )
@@ -423,19 +432,24 @@ def cmd_classify(args) -> int:
     with open(args.data) as fh:
         data = rank1_data_from_json(json.load(fh))
     try:
-        result = classify_rank1(data, window=args.window)
+        result = classify_rank1(data)
     except NotAModule as exc:
         rep.add("classify", False, {"rejected": True, "relation": exc.relation,
                                     "detail": exc.detail})
         return rep.finish(args.out)
+    grid = {
+        "complete": True,
+        "commutators_checked": sum((d_m + 1) * (d_n + 1) for *_, d_m, d_n in rank1_grid(data)),
+    }
     if isinstance(result, Degenerate):
-        rep.add("classify", True, {"degenerate": True, "submodule": result.submodule})
+        rep.add("classify", True, {"degenerate": True, "submodule": result.submodule, **grid})
     else:
         rep.add(
             "classify",
             True,
             {
                 "degenerate": False,
+                **grid,
                 "alpha": str(result.alpha),
                 "beta": str(result.beta),
                 "gamma": str(result.gamma),
@@ -568,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="identify rank-one action data")
     p.add_argument("--data", required=True)
-    p.add_argument("--window", type=_int_at_least(1), default=2)
     p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 

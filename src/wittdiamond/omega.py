@@ -99,7 +99,8 @@ def _mul_g(coeffs: tuple[Fraction, ...], ring: PolyRing, tvar: str, f: SparsePol
     out = ring.zero()
     for k, c in enumerate(coeffs):
         if c:
-            out = out + f.mul_var(tvar, k) * c
+            term = f.mul_var(tvar, k) if k else f
+            out = out + (term if c == 1 else term * c)
     return out
 
 
@@ -428,11 +429,50 @@ def rank1_data_from_omega(par: OmegaParams) -> Rank1ActionData:
     )
 
 
-def classify_rank1(data: Rank1ActionData, window: int = 2) -> OmegaParams | Degenerate:
+_NAMED_RELATIONS = (
+    ("(1) [b_m, c_n] = 0", "b", "c"),
+    ("(2) [L_m, b_n] = n b_{m+n}", "L", "b"),
+    ("(3) [b_m, d_n] = b_{m+n}", "b", "d"),
+)
+
+
+def rank1_grid(data: Rank1ActionData) -> list[tuple[str, str, str, int, int]]:
+    """(relation, x, y, D_m, D_n) per family pair, the named relations first.
+
+    The defect of [x_m, y_n] is lam^(m+n) times one operator with shift
+    m + n whose coefficients are polynomials in (m, n).  In x_m y_n the
+    coefficients of y are shifted by L0 -> L0 - m, so the m-degree is at
+    most D_m = e_x + l_y, where e is a family's index degree (1 for the
+    n p of L, else 0) and l the L0-degree of its coefficients; likewise
+    D_n = e_y + l_x.  The bracket side c(m, n) op_z(m+n) needs no more:
+    c has degree 1 in m only when y = L and in n only when x = L, e_z = 1
+    only for [L, L], and l_L >= 1.  A polynomial of these degrees that
+    vanishes on {0..D_m} x {0..D_n} vanishes on all of Z^2.
+    """
+    def l0_degree(*polys: SparsePoly) -> int:
+        return max(p.var_degree("L0") or 0 for p in polys)
+
+    ell = {
+        "L": max(1, l0_degree(data.p)),
+        "a": 0,
+        "b": l0_degree(data.B0, data.C0),
+        "c": l0_degree(data.C0),
+        "d": l0_degree(data.D0),
+    }
+    e = {"L": 1, "a": 0, "b": 0, "c": 0, "d": 0}
+    named = {(fx, fy): name for name, fx, fy in _NAMED_RELATIONS}
+    pairs = list(named) + [(fx, fy) for fx in FAMILIES for fy in FAMILIES
+                           if (fx, fy) not in named]
+    return [(named.get((fx, fy), f"[{fx}_m, {fy}_n]"), fx, fy, e[fx] + ell[fy], e[fy] + ell[fx])
+            for fx, fy in pairs]
+
+
+def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     """Decide which concrete module a candidate action table presents.
 
-    The bracket relations are checked as exact operator identities over
-    the index window; the named checks (1) [b,c] = 0, (2) [L,b] = n b and
+    Every bracket relation [x_m, y_n] is checked as an exact operator
+    identity on the minimal grid of ``rank1_grid``, which proves it for all
+    (m, n) in Z^2.  The named checks (1) [b,c] = 0, (2) [L,b] = n b and
     (3) [b,d] = b run first so corruptions are reported at the relation
     that pins them down.  Consistent data with c[0]-image zero presents a
     module with an obvious proper submodule and is reported Degenerate;
@@ -451,25 +491,12 @@ def classify_rank1(data: Rank1ActionData, window: int = 2) -> OmegaParams | Dege
             add_scaled(out, op(g2).terms, c)
         return ShiftDiffOp()._like(out)
 
-    idx = range(-window, window + 1)
-    named = [
-        ("(1) [b_m, c_n] = 0", "b", "c"),
-        ("(2) [L_m, b_n] = n b_{m+n}", "L", "b"),
-        ("(3) [b_m, d_n] = b_{m+n}", "b", "d"),
-    ]
-    for name, fx, fy in named:
-        for m in idx:
-            for n in idx:
+    for name, fx, fy, d_m, d_n in rank1_grid(data):
+        for m in range(d_m + 1):
+            for n in range(d_n + 1):
                 x, y = gen(fx, m), gen(fy, n)
                 if not (op(x).commutator(op(y)) - bracket_op(x, y)).is_zero:
                     raise NotAModule(name, f"at (m, n) = ({m}, {n})")
-    for fx in FAMILIES:
-        for fy in FAMILIES:
-            for m in idx:
-                for n in idx:
-                    x, y = gen(fx, m), gen(fy, n)
-                    if not (op(x).commutator(op(y)) - bracket_op(x, y)).is_zero:
-                        raise NotAModule(f"[{fx}_m, {fy}_n]", f"at (m, n) = ({m}, {n})")
 
     c0 = _constant_value(data.C0, "C0")
     if c0 == 0:

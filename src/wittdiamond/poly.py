@@ -228,12 +228,17 @@ class SparsePoly(LinComb):
         )
 
     def mul_var(self, name: str, power: int = 1) -> "SparsePoly":
-        """Multiply by ``name ** power``; Laurent variables accept any sign."""
+        """Multiply by ``name ** power``; Laurent variables accept any sign.
+
+        The result is always a fresh element.  Only a negative power of a
+        polynomial-flagged variable goes through the validating constructor,
+        which rejects a negative exponent in the result.
+        """
         i = self.ring.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            out[e[:i] + (e[i] + power,) + e[i + 1 :]] = c
-        return SparsePoly(self.ring, out)
+        out = {e[:i] + (e[i] + power,) + e[i + 1 :]: c for e, c in self.terms.items()}
+        if power < 0 and not self.ring.laurent[i]:
+            return SparsePoly(self.ring, out)
+        return self._like(out)
 
     # -- display --------------------------------------------------------
 

@@ -30,12 +30,14 @@ def load_schema(name: str) -> dict:
 
 
 def validate_module_spec(obj) -> None:
-    """Schema-check a module spec; errors carry a JSON-pointer location."""
-    schema = load_schema("module_spec.schema.json")
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(obj), key=lambda e: len(list(e.absolute_path)))
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
+    """Schema-check a module spec; errors carry a JSON-pointer location.
+
+    The schema dispatches on ``family`` (and on each ``kind``) before it
+    validates a branch, so an error names the offending field, e.g. /beta.
+    """
+    validator = jsonschema.Draft202012Validator(load_schema("module_spec.schema.json"))
+    best = jsonschema.exceptions.best_match(validator.iter_errors(obj))
+    if best is not None:
         pointer = "/" + "/".join(str(p) for p in best.absolute_path)
         raise InvalidSpec(best.message, pointer=pointer)
 

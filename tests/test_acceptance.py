@@ -322,7 +322,7 @@ def test_criterion_11_tensor_simplicity():
                 module.ring, {max(v.terms): F(1)}
             )
     equal = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))])
-    report = w_invariance_check(equal, 1, 2, max_total_degree=6, window=3)
+    report = w_invariance_check(equal, 1, 2, max_total_degree=6)
     assert report.ok and report.escapes == []
     _report(11, "replay-exact reduction + generation for m=2,3; "
                 f"witness subspace exactly invariant ({report.images_checked} images, 0 escapes)")

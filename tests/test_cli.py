@@ -107,7 +107,7 @@ def test_act_composes_negative_index_generators(write_json, tmp_path):
     assert detail["result"] == vector_report(expected)
 
 
-def test_simplicity_commands(write_json):
+def test_simplicity_commands(write_json, tmp_path):
     assert main(["simplicity", "--spec", write_json("f.json", F_SPEC),
                  "--max-degree", "3"]) == 0
     non_simple = dict(
@@ -123,8 +123,14 @@ def test_simplicity_commands(write_json):
                  "--samples", "2", "--max-degree", "3"]) == 0
     assert main(["simplicity", "--spec", write_json("t.json", T_SPEC),
                  "--samples", "2"]) == 0
+    out = str(tmp_path / "r.json")
     assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL),
-                 "--max-degree", "3"]) == 0
+                 "--max-degree", "3", "--out", out]) == 0
+    detail = _check_report(out)["checks"][0]["detail"]
+    # 84 witness vectors up to degree 6, index-complete grids of 1134 images.
+    assert detail["escapes"] == [] and detail["complete"] is True
+    assert detail["basis_size"] == 84 and detail["images_checked"] == 1134
+    assert detail["max_index_degree"] == 7
 
 
 def test_det_lemma_small():
@@ -158,6 +164,7 @@ def test_classify_commands(write_json, tmp_path):
     doc = _check_report(out)
     detail = doc["checks"][0]["detail"]
     assert detail["beta"] == "3" and detail["lambda"] == "2"
+    assert detail["complete"] is True and detail["commutators_checked"] == 57
     bad = dict(good, p=[[[0, 1], "1"]])
     assert main(["classify", "--data", write_json("bad.json", bad)]) == 1
 

@@ -7,21 +7,25 @@ import pytest
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule, UnsupportedOperation, ZeroVector
-from wittdiamond.lie import FAMILIES, gen
+from wittdiamond.lie import FAMILIES, bracket, gen
 from wittdiamond.omega import (
     Degenerate,
     OmegaModule,
     OmegaParams,
     RANK1_RING,
     Rank1ActionData,
+    ShiftDiffOp,
+    _candidate_operator,
     classify_rank1,
     omega_factor_act,
     omega_generate,
     omega_reduce_to_one,
     rank1_data_from_omega,
+    rank1_grid,
     uh_rank,
 )
 from wittdiamond.poly import PolyRing
+from wittdiamond.scalars import add_scaled
 
 
 def module(alpha=F(1, 2), beta=F(3), gamma=F(0), lam=F(2), g=(F(1), F(0), F(1))):
@@ -241,11 +245,118 @@ def test_classify_rejects_l0_dependent_c():
 
 
 def test_classify_rejects_inconsistent_gamma():
-    # D0 with an L0 term violates [c_m, d_n] = 0 inside the full sweep
+    # D0 with an L0 term violates (3) [b_m, d_n] = b_{m+n}
     base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1),)))
     bad = Rank1ActionData(
         lam=base.lam, p=base.p, B0=base.B0, C0=base.C0,
         D0=base.D0 + RANK1_RING.var("L0"),
     )
-    with pytest.raises(NotAModule):
+    with pytest.raises(NotAModule) as err:
         classify_rank1(bad)
+    assert err.value.relation.startswith("(3)")
+
+
+def _window_classify(data, window=2):
+    """The former fixed-window sweep: every relation at (m, n) in [-window, window]^2."""
+    ops = {}
+
+    def op(g):
+        if g not in ops:
+            ops[g] = _candidate_operator(data, g)
+        return ops[g]
+
+    def bracket_op(x, y):
+        out = {}
+        for g2, c in bracket(x, y).terms.items():
+            add_scaled(out, op(g2).terms, c)
+        return ShiftDiffOp()._like(out)
+
+    idx = range(-window, window + 1)
+    named = [
+        ("(1) [b_m, c_n] = 0", "b", "c"),
+        ("(2) [L_m, b_n] = n b_{m+n}", "L", "b"),
+        ("(3) [b_m, d_n] = b_{m+n}", "b", "d"),
+    ]
+    sweep = [(f"[{fx}_m, {fy}_n]", fx, fy) for fx in FAMILIES for fy in FAMILIES]
+    for name, fx, fy in named + sweep:
+        for m in idx:
+            for n in idx:
+                x, y = gen(fx, m), gen(fy, n)
+                if not (op(x).commutator(op(y)) - bracket_op(x, y)).is_zero:
+                    raise NotAModule(name, f"at (m, n) = ({m}, {n})")
+    # Past the relations the two share the parameter extraction.
+    return classify_rank1(data)
+
+
+def _verdict(classify, data):
+    try:
+        return classify(data)
+    except NotAModule as exc:
+        return ("rejected", exc.relation)
+
+
+def _with(data, **changes):
+    fields = {k: getattr(data, k) for k in ("lam", "p", "B0", "C0", "D0")}
+    return Rank1ActionData(**{**fields, **changes})
+
+
+def _agreement_cases():
+    rng = random.Random(23)
+    for _ in range(6):
+        yield rank1_data_from_omega(OmegaParams(
+            F(rng.randint(-4, 4), rng.randint(1, 3)),
+            F(rng.randint(1, 5)) * rng.choice([1, -1]),
+            F(rng.randint(-4, 4), rng.randint(1, 2)),
+            F(rng.randint(1, 5)) * rng.choice([1, -1]),
+            tuple(F(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))),
+        ))
+    yield Rank1ActionData(lam=F(2), p=RANK1_RING.const(F(1, 2)), B0=RANK1_RING.zero(),
+                          C0=RANK1_RING.zero(), D0=RANK1_RING.const(F(5)))
+    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1))))
+    yield _with(base, p=RANK1_RING.var("a0"))
+    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1),)))
+    yield _with(base, C0=RANK1_RING.var("L0"))
+    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1),)))
+    yield _with(base, D0=base.D0 + RANK1_RING.var("L0"))
+
+
+def test_classify_grid_agrees_with_window_oracle():
+    verdicts = []
+    for data in _agreement_cases():
+        verdict = _verdict(classify_rank1, data)
+        assert verdict == _verdict(_window_classify, data)
+        verdicts.append(verdict)
+    assert all(isinstance(v, OmegaParams) for v in verdicts[:6])
+    assert isinstance(verdicts[6], Degenerate)
+    assert [v[1][:3] for v in verdicts[7:]] == ["(2)", "(1)", "(3)"]
+
+
+def test_rank1_grid_degrees_on_omega_data():
+    data = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1))))
+    grid = rank1_grid(data)
+    assert [row[0][:3] for row in grid[:3]] == ["(1)", "(2)", "(3)"]
+    assert len({(fx, fy) for _, fx, fy, _, _ in grid}) == len(grid) == 25
+    sizes = {(fx, fy): (d_m, d_n) for _, fx, fy, d_m, d_n in grid}
+    assert sizes[("L", "L")] == (2, 2)
+    assert sizes[("L", "b")] == sizes[("d", "L")] == (1, 1)
+    assert sizes[("b", "c")] == sizes[("a", "d")] == (0, 0)
+    assert sum((d_m + 1) * (d_n + 1) for d_m, d_n in sizes.values()) == 57
+    # An L0^2 term in C0 raises l_b and l_c to 2, and with them the grids.
+    sizes = {(fx, fy): (d_m, d_n) for _, fx, fy, d_m, d_n in
+             rank1_grid(_with(data, C0=data.C0 + RANK1_RING.var("L0", 2)))}
+    assert sizes[("b", "c")] == (2, 2) and sizes[("L", "b")] == (3, 1)
+
+
+@pytest.mark.parametrize("field", ["p", "B0", "C0", "D0"])
+@pytest.mark.parametrize("l0_power", [1, 2])
+@pytest.mark.parametrize("a0_power", [0, 1])
+def test_classify_grid_catches_top_l0_degree_mutations(field, l0_power, a0_power):
+    # The perturbation sets the L0-degree the bound reads off the data, so it
+    # is a term of the top degree the grid allows; a bracket relation, not the
+    # parameter extraction, must reject it.
+    data = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1))))
+    term = RANK1_RING.monomial({"L0": l0_power, "a0": a0_power}, F(5, 7))
+    bad = _with(data, **{field: getattr(data, field) + term})
+    with pytest.raises(NotAModule) as err:
+        classify_rank1(bad)
+    assert err.value.relation in {row[0] for row in rank1_grid(bad)}

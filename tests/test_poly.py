@@ -109,6 +109,21 @@ def test_shift_results_are_independent_of_each_other():
     assert p.terms == before
 
 
+def test_mul_var_returns_fresh_terms_and_keeps_negative_power_rejection():
+    p = MIXED.from_terms([((-1, 2), F(2, 3)), ((1, 0), F(-1))])
+    before = dict(p.terms)
+    for name, power in (("x0", 0), ("h", 0), ("x0", -2), ("x0", 3), ("h", 1)):
+        q = p.mul_var(name, power)
+        assert q.terms is not p.terms
+        q.terms[(9, 9)] = F(1)
+        assert p.terms == before
+    with pytest.raises(UnsupportedVariable):
+        p.mul_var("h", -1)
+    q = MIXED.from_terms([((-1, 2), F(2, 3))])
+    assert q.mul_var("h", -2) == MIXED.from_terms([((-1, 0), F(2, 3))])
+    assert q.mul_var("h", -2).terms is not q.terms
+
+
 def test_laurent_restrictions():
     p = LRING.var("x0")
     with pytest.raises(UnsupportedVariable):

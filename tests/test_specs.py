@@ -100,6 +100,26 @@ def test_schema_rejects_zero_where_constructors_need_nonzero(spec_with, zero):
         validate_module_spec(spec_with(zero))
 
 
+@pytest.mark.parametrize("spec, pointer", [
+    (dict(OMEGA_SPEC, beta="x"), "/beta"),
+    (dict(OMEGA_SPEC, beta="0"), "/beta"),
+    (dict(OMEGA_SPEC, **{"lambda": "0"}), "/lambda"),
+    (dict(OMEGA_SPEC, gamma="1.5"), "/gamma"),
+    (dict(F_SPEC, alpha="x"), "/alpha"),
+    (dict(F_SPEC, P={"kind": "P0xM", "P0": {"kind": "Omega", "lambda": "0"}, "w": "1"}),
+     "/P/P0/lambda"),
+    (dict(F_SPEC, P={"kind": "P0xM", "P0": {"kind": "M", "w": "x"}, "w": "1"}), "/P/P0/w"),
+    (dict(F_SPEC, P={"kind": "P0xM", "P0": {"kind": "Q", "w": "1"}, "w": "1"}), "/P/P0/kind"),
+    (dict(F_SPEC, P={"kind": "Omega", "lambda": ["2", "0"]}), "/P/lambda/1"),
+    (dict(F_SPEC, V={"kind": "C_eps", "eps": "x"}), "/V/eps"),
+    ({**OMEGA_SPEC, "family": "X"}, "/family"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_schema_error_names_the_field_of_the_chosen_branch(spec, pointer):
+    with pytest.raises(InvalidSpec) as err:
+        validate_module_spec(spec)
+    assert err.value.pointer == pointer
+
+
 def test_poly_json_round_trip():
     module = module_from_spec(OMEGA_SPEC)
     p = module.ring.from_terms([((1, 2), F(3, 2)), ((0, 0), F(-1))])

@@ -8,7 +8,8 @@ import pytest
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import InvalidSpec, NotApplicable, RequiresSimple
-from wittdiamond.lie import gen
+from wittdiamond.lie import FAMILIES, gen
+from wittdiamond.linalg import SpanBasis
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
 from wittdiamond.oracle import naive_det
 from wittdiamond.poly import SparsePoly
@@ -26,6 +27,7 @@ from wittdiamond.tensor import (
     tensor_generate,
     tensor_reduce_to_bottom,
     w_invariance_check,
+    w_witness_basis,
 )
 
 A = OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1)))
@@ -217,7 +219,7 @@ def test_w_invariance_explicit_action():
     out = T.act(gen("L", 1), w)
     expected = (s1 + s2 + (F(1) + F(3))) * (s1 + s2 - 1) ** 2 * lam
     assert out == expected
-    report = w_invariance_check(T, 1, 2, max_total_degree=4, window=2)
+    report = w_invariance_check(T, 1, 2, max_total_degree=4)
     assert report.ok
 
 
@@ -268,3 +270,82 @@ def test_iso_requires_simple():
     T = TensorModule([A, OmegaParams(F(1), F(1), F(0), A.lam, (F(1),))])
     with pytest.raises(RequiresSimple):
         iso_check(T, T)
+
+
+def _window_invariance(module, i, j, max_total_degree, window=3):
+    """The former fixed-window sweep: every X[n] with n in [-window, window]."""
+    bump = 1 + max(len(f.g) for f in module.factors)
+    extended = SpanBasis()
+    for w in w_witness_basis(module, i, j, max_total_degree + bump):
+        extended.add(w.terms)
+    return [f"{fam}[{n}] on {w}"
+            for w in w_witness_basis(module, i, j, max_total_degree)
+            for fam in FAMILIES
+            for n in range(-window, window + 1)
+            if not extended.contains(module.act(gen(fam, n), w).terms)]
+
+
+class _PlantedDefect(TensorModule):
+    """X[n] w gains lam^n n (n - 1) ... (n - D + 1) s1 for one family X.
+
+    D = max_k p_k + [X = L] is the top n-degree the grid allows for w with
+    s-profile p when all lambdas are equal, and the defect vanishes at every
+    grid point n = 0..D except the last; s1 lies outside the witness space.
+    """
+
+    def __init__(self, factors, family):
+        super().__init__(factors)
+        self.family = family
+
+    def act(self, g, v):
+        out = super().act(g, v)
+        if g.family != self.family:
+            return out
+        top = max(self.s_profile(v)) + (g.family == "L")
+        c = self.factors[0].lam ** g.index
+        for j in range(top):
+            c *= g.index - j
+        return out + self.ring.var("s1") * c
+
+
+def _equal_lambda_modules():
+    rng = random.Random(31)
+    for m in (2, 2, 3):
+        lam = F(rng.choice([2, -3, 1, F(1, 2)]))
+        lams = [lam, lam] + [lam * 5] * (m - 2)
+        yield TensorModule([
+            OmegaParams(F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.choice([1, -2, 3])),
+                        F(rng.randint(-2, 2)), la,
+                        tuple(F(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))))
+            for la in lams
+        ])
+
+
+def test_w_invariance_grid_agrees_with_window_oracle():
+    for module in _equal_lambda_modules():
+        degree = 3 if module.m == 2 else 1
+        report = w_invariance_check(module, 1, 2, max_total_degree=degree)
+        assert report.ok and _window_invariance(module, 1, 2, degree) == []
+    planted = _PlantedDefect([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))], "a")
+    assert w_invariance_check(planted, 1, 2, max_total_degree=2).escapes
+    assert _window_invariance(planted, 1, 2, 2)
+
+
+@pytest.mark.parametrize("family", ["L", "a", "d"])
+def test_w_invariance_grid_catches_top_degree_defect(family):
+    module = _PlantedDefect([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))], family)
+    report = w_invariance_check(module, 1, 2, max_total_degree=3)
+    top = 1 if family == "L" else 0
+    # Only the last grid point n = D sees the defect, for every basis vector.
+    assert report.escapes == [f"{family}[{max(module.s_profile(w)) + top}] on {w}"
+                              for w in w_witness_basis(module, 1, 2, 3)]
+    assert report.max_index_degree == 3 + 1
+
+
+def test_w_invariance_grid_size_and_degree():
+    # m = 2, one lambda class: a basis vector (s1 + s2)^p t1^q1 t2^q2 needs
+    # p + 2 images of L and p + 1 of each other family.
+    T = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))])
+    report = w_invariance_check(T, 1, 2, max_total_degree=6)
+    assert report.ok and report.basis_size == 84
+    assert report.images_checked == 1134 and report.max_index_degree == 7
