@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
+from .lie import Generator, UEnvElement, bracket, generators_in_window
 from .poly import PolyRing, SparsePoly, monomials_within
 from .scalars import ONE, add_scaled, scalar
 
@@ -73,7 +73,7 @@ def module_axiom_check(module, window: int, vectors) -> AxiomReport:
         raise ValueError("window must be at least 1")
     if not vectors:
         raise ValueError("at least one sample vector is required")
-    gens = [gen(f, n) for f in FAMILIES for n in range(-window, window + 1)]
+    gens = generators_in_window(window)
     report = AxiomReport(window=window, vectors=len(vectors))
     act = memoized_action(module)
     first = {}

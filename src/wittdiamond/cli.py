@@ -27,7 +27,7 @@ from .homomorphisms import (
     surjectivity_witnesses,
     verify_hom,
 )
-from .lie import FAMILIES, bracket, gen, jacobi_residual, parse_uenv
+from .lie import bracket, generators_in_window, jacobi_residual, parse_uenv
 from .omega import (
     Degenerate,
     OmegaModule,
@@ -133,7 +133,7 @@ def _parse_g_poly(text: str) -> tuple:
 
 def cmd_verify_brackets(args) -> int:
     rep = Report("verify-brackets")
-    gens = [gen(f, n) for f in FAMILIES for n in range(-args.window, args.window + 1)]
+    gens = generators_in_window(args.window)
     anti = [
         (str(x), str(y))
         for x in gens
@@ -345,6 +345,8 @@ def cmd_simplicity(args) -> int:
 def cmd_det_lemma(args) -> int:
     rep = Report("det-lemma")
     alphas = tuple(_rational(a, "--alphas") for a in args.alphas.split(","))
+    if args.max_m > len(alphas):
+        raise InvalidSpec(f"--max-m {args.max_m} exceeds the {len(alphas)} values of --alphas")
     specs = 0
     mismatches = []
     naive_checked = 0
@@ -420,6 +422,8 @@ def cmd_rank(args) -> int:
                 "lower_bound": module.m + 1,
                 "vector": vector_report(v),
                 "equality_iff_t_only": in_bottom,
+                "complete": True,
+                "orbit_points": module.orbit_points("a", v),
             },
         )
     else:
@@ -602,7 +606,7 @@ def main(argv=None) -> int:
     except InvalidSpec as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

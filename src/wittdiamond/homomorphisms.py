@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import InvalidSpec
-from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
+from .lie import Generator, UEnvElement, bracket, gen, generators_in_window
 from .operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement, commutator
 from .scalars import ONE, add_scaled, scalar
 
@@ -208,7 +208,7 @@ def verify_hom(phi, window: int) -> HomReport:
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    gens = [gen(f, n) for f in FAMILIES for n in range(-window, window + 1)]
+    gens = generators_in_window(window)
     images = {g: phi.image(g) for g in gens}
     zero = TensorElement(phi.left_algebra, phi.right_algebra)
     violations = []

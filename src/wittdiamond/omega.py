@@ -119,34 +119,53 @@ class OmegaModule:
         return self.ring.from_terms(((0, k), c) for k, c in enumerate(self.params.g))
 
 
-def _solve_step(
-    module, family: str, v: SparsePoly, target: SparsePoly, base_window: int
-) -> CertStep:
-    """Find target = kappa*v + sum_n kappa_n X[n] v as a certificate step.
+def index_degrees(lams, profile, family: str) -> dict[Fraction, int]:
+    """Bounds D_lam on the n-degree of X[n] v = sum_lam lam^n P_lam(n).
 
-    The base window comes from the generalized-Vandermonde bound; it is
-    grown a few times before giving up so the bound never has to be tight.
+    ``lams`` are the factors' scales and ``profile`` the s-degree of v in
+    each factor.  X[n] shifts s_k -> s_k - n, which contributes n^p_k, and
+    L's n alpha adds one more, so D_lam = max{p_k + [X = L] : lam_k = lam}.
     """
-    for w in range(max(base_window, 1), base_window + 6):
-        columns = [dict(v.terms)]
-        words: list[tuple[Generator, ...]] = [()]
-        for n in range(w):
-            columns.append(dict(module.act(gen(family, n), v).terms))
-            words.append((gen(family, n),))
-        combo = combination(columns, dict(target.terms))
-        if combo is not None:
-            terms = tuple((c, word) for c, word in zip(combo, words) if c)
-            cs = CertStep(terms)
-            require(cs.apply(module, v) == target, "extraction step does not reach its target")
-            return cs
-    raise CertificateError("extraction window exhausted; bound violated")
+    e = 1 if family == "L" else 0
+    degrees: dict[Fraction, int] = {}
+    for lam, p in zip(lams, profile):
+        degrees[lam] = max(degrees.get(lam, 0), p + e)
+    return degrees
+
+
+def orbit_points(degrees: dict[Fraction, int]) -> int:
+    """N = sum_lam (D_lam + 1) for the bounds of ``index_degrees``.
+
+    The rows n = 0..N-1 of the functions n^x lam^n (x <= D_lam) form the
+    generalized Vandermonde matrix of ``tensor.det_r`` at r = 0, which is
+    invertible; so these N images determine every n-coefficient of every
+    P_lam, and span{X[n] v : n < N} = span{X[n] v : n in Z}.
+    """
+    return sum(d + 1 for d in degrees.values())
+
+
+def solve_in_orbit(module, family: str, v: SparsePoly, target: SparsePoly,
+                   points: int) -> CertStep:
+    """target = kappa*v + sum_{n < points} kappa_n X[n] v as a certificate step.
+
+    With ``points`` from ``orbit_points`` the columns span v and its whole
+    X-orbit, so a target they miss lies outside span{v, X[n] v : n in Z}.
+    """
+    words: list[tuple[Generator, ...]] = [()] + [(gen(family, n),) for n in range(points)]
+    columns = [dict(v.terms)] + [dict(module.act(g, v).terms) for (g,) in words[1:]]
+    combo = combination(columns, dict(target.terms))
+    if combo is None:
+        raise CertificateError(f"target lies outside the {family}-orbit span of the vector")
+    step = CertStep(tuple((c, word) for c, word in zip(combo, words) if c))
+    require(step.apply(module, v) == target, "extraction step does not reach its target")
+    return step
 
 
 def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     """Certificate carrying a nonzero vector to exactly 1.
 
     Stage 1 extracts the top-s coefficient (a nonzero polynomial in t)
-    through a window of c-actions; stage 2 repeatedly applies
+    from the c-orbit at s-degree + 1 points; stage 2 repeatedly applies
     beta^-1 (b[0] - g(a[0])), which realizes d/dt on C[t]; stage 3
     rescales.  Every step is verified during construction.
     """
@@ -158,8 +177,8 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     sdeg = v.var_degree("s")
     if sdeg and sdeg > 0:
         target = v.extract_var_power("s", sdeg)
-        cs = _solve_step(module, "c", v, target, sdeg + 1)
-        steps.append(cs)
+        points = orbit_points(index_degrees((par.lam,), (sdeg,), "c"))
+        steps.append(solve_in_orbit(module, "c", v, target, points))
         v = target
     dt_combo = [(1 / par.beta, (gen("b", 0),))]
     for k, c in enumerate(par.g_over_beta):

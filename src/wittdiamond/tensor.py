@@ -19,7 +19,7 @@ from .certificates import CertStep, Certificate, require
 from .exceptions import CertificateError, InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
 from .lie import FAMILIES, Generator, gen
 from .linalg import SpanBasis, combination, exact_det
-from .omega import OmegaParams, omega_factor_act
+from .omega import OmegaParams, index_degrees, omega_factor_act, orbit_points, solve_in_orbit
 from .poly import PolyRing, SparsePoly
 from .scalars import ONE, scalar, superfactorial
 
@@ -73,6 +73,11 @@ class TensorModule:
             for k in range(self.m):
                 prof[k] = max(prof[k], exps[k])
         return prof
+
+    def orbit_points(self, family: str, v: SparsePoly) -> int:
+        """The point count N of ``omega.orbit_points`` for the X-orbit of v."""
+        lams = [f.lam for f in self.factors]
+        return orbit_points(index_degrees(lams, self.s_profile(v), family))
 
 
 # -- the generalized Vandermonde determinant --------------------------------
@@ -139,55 +144,22 @@ def det_r(spec: DetSpec) -> DetResult:
 # -- spans and extractions ---------------------------------------------------
 
 
-def span_NXg(module: TensorModule, family: str, g: SparsePoly,
-             stable_growths: int | None = None) -> tuple[list[SparsePoly], int]:
+def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[SparsePoly], int]:
     """Basis and dimension of span{g, X_n g : n in Z} for X in {L, a}.
 
-    Consecutive windows starting at the Vandermonde bound are grown until
-    the dimension is stable for m consecutive growths; stabilization is
-    then certified by the invertibility of the coefficient system.
+    The images at n < ``module.orbit_points(family, g)`` already span every
+    X_n g, so one pass over them gives the span exactly.
     """
     if family not in ("L", "a"):
         raise ValueError("the span is defined for the L and a families")
     if g.is_zero:
         raise ZeroVector("span of the zero vector")
-    per_factor = 2 if family == "L" else 1
-    base = sum(p + per_factor for p in module.s_profile(g)) + 1
-    needed = stable_growths if stable_growths is not None else max(2, module.m)
     basis = SpanBasis()
     basis.add(g.terms)
-    n = 0
-    stable = 0
-    window = base
-    while True:
-        while n < window:
-            basis.add(module.act(gen(family, n), g).terms)
-            n += 1
-        dim_before = basis.dim
-        window += 1
+    for n in range(module.orbit_points(family, g)):
         basis.add(module.act(gen(family, n), g).terms)
-        n += 1
-        stable = stable + 1 if basis.dim == dim_before else 0
-        if stable >= needed:
-            break
     vectors = [SparsePoly(module.ring, dict(v)) for v in basis.vectors()]
     return vectors, basis.dim
-
-
-def _solve_in_orbit(module: TensorModule, family: str, v: SparsePoly,
-                    target: SparsePoly, base_window: int) -> CertStep:
-    for w in range(max(base_window, 1), base_window + module.m + 6):
-        columns = [dict(v.terms)]
-        words: list[tuple[Generator, ...]] = [()]
-        for n in range(w):
-            columns.append(dict(module.act(gen(family, n), v).terms))
-            words.append((gen(family, n),))
-        combo = combination(columns, dict(target.terms))
-        if combo is not None:
-            cs = CertStep(tuple((c, word) for c, word in zip(combo, words) if c))
-            require(cs.apply(module, v) == target, "extraction step does not reach its target")
-            return cs
-    raise CertificateError("extraction window exhausted; Vandermonde bound violated")
 
 
 def _shifted_target(module: TensorModule, g: SparsePoly, which: int, k: int) -> SparsePoly:
@@ -224,10 +196,8 @@ def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
     if not 1 <= k <= module.m:
         raise ValueError("factor index out of range")
     family = "L" if which == 9 else "a"
-    per_factor = 2 if which == 9 else 1
-    base = sum(p + per_factor for p in module.s_profile(g))
     target = _shifted_target(module, g, which, k)
-    step = _solve_in_orbit(module, family, g, target, base)
+    step = solve_in_orbit(module, family, g, target, module.orbit_points(family, g))
     return target, Certificate([step])
 
 
@@ -253,8 +223,7 @@ def tensor_reduce_to_bottom(module: TensorModule,
         if any(p_part):
             k = next(i for i, p in enumerate(p_part) if p) + 1
             target = _shifted_target(module, v, 11, k)
-            base = sum(p + 1 for p in module.s_profile(v))
-            steps.append(_solve_in_orbit(module, "a", v, target, base))
+            steps.append(solve_in_orbit(module, "a", v, target, module.orbit_points("a", v)))
             v = target
         elif any(q_part):
             k = next(i for i, q in enumerate(q_part) if q) + 1
@@ -279,7 +248,7 @@ def _t_power_words(module: TensorModule, v: SparsePoly, k: int,
     current = v
     for _ in range(max_power):
         target = current.mul_var(module.tvar(k))
-        step = _solve_in_orbit(module, "a", current, target, module.m)
+        step = solve_in_orbit(module, "a", current, target, module.orbit_points("a", current))
         flattened = []
         for c2, w2 in step.combo:
             for c1, w1 in chains[-1]:
@@ -294,37 +263,28 @@ def _derivative_step(module: TensorModule, v: SparsePoly,
     """d/dt_k on an s-free vector, as a b-orbit plus t-power combination."""
     par = module.factors[k - 1]
     target = v.derive(module.tvar(k))
-    gdeg = len(par.g) - 1 if par.g else -1
-    chains = _t_power_words(module, v, k, max(gdeg, 0))
-    for w in range(module.m, 2 * module.m + 6):
-        columns = []
-        owners: list[tuple[str, int]] = []
-        for n in range(w):
-            columns.append(dict(module.act(gen("b", n), v).terms))
-            owners.append(("b", n))
-        tpowers = [v]
-        for j in range(1, max(gdeg, 0) + 1):
-            tpowers.append(tpowers[-1].mul_var(module.tvar(k)))
-        for j, tp in enumerate(tpowers):
-            columns.append(dict(tp.terms))
-            owners.append(("t", j))
-        combo = combination(columns, dict(target.terms))
-        if combo is None:
-            continue
-        terms: list[tuple[Fraction, tuple[Generator, ...]]] = []
-        for c, owner in zip(combo, owners):
-            if not c:
-                continue
-            kind, n = owner
-            if kind == "b":
-                terms.append((c, (gen("b", n),)))
-            else:
-                for cw, word in chains[n]:
-                    terms.append((c * cw, word))
-        step = CertStep(tuple(terms))
-        require(step.apply(module, v) == target, "derivative step is not d/dt")
-        return step, target
-    raise CertificateError("derivative step window exhausted")
+    gdeg = max(len(par.g) - 1, 0)
+    chains = _t_power_words(module, v, k, gdeg)
+    # On an s-free v, b[n] v = sum_k lam_k^n (g_k(t_k) v + beta_k d/dt_k v),
+    # so the b-orbit is spanned at one point per distinct lambda.
+    columns = []
+    expansions = []
+    for n in range(module.orbit_points("b", v)):
+        columns.append(dict(module.act(gen("b", n), v).terms))
+        expansions.append([(ONE, (gen("b", n),))])
+    tpowers = [v]
+    for _ in range(gdeg):
+        tpowers.append(tpowers[-1].mul_var(module.tvar(k)))
+    columns += [dict(tp.terms) for tp in tpowers]
+    expansions += chains
+    combo = combination(columns, dict(target.terms))
+    if combo is None:
+        raise CertificateError("d/dt lies outside the span of the b-orbit and t-powers")
+    terms = tuple((c * cw, word) for c, words in zip(combo, expansions) if c
+                  for cw, word in words)
+    step = CertStep(terms)
+    require(step.apply(module, v) == target, "derivative step is not d/dt")
+    return step, target
 
 
 def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certificate:
@@ -340,14 +300,12 @@ def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certifica
     for k in range(1, m + 1):
         for _ in range(exps[k - 1]):
             target = v.mul_var(module.svar(k))
-            base = sum(p + 2 for p in module.s_profile(v))
-            steps.append(_solve_in_orbit(module, "L", v, target, base))
+            steps.append(solve_in_orbit(module, "L", v, target, module.orbit_points("L", v)))
             v = target
     for k in range(1, m + 1):
         for _ in range(exps[m + k - 1]):
             target = v.mul_var(module.tvar(k))
-            base = sum(p + 1 for p in module.s_profile(v))
-            steps.append(_solve_in_orbit(module, "a", v, target, base))
+            steps.append(solve_in_orbit(module, "a", v, target, module.orbit_points("a", v)))
             v = target
     cert = Certificate(steps)
     require(
@@ -358,29 +316,19 @@ def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certifica
 
 
 def r_g(module: TensorModule, g: SparsePoly) -> int:
-    """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g."""
+    """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g.
+
+    a and c share their index degrees, so the images at n below
+    ``module.orbit_points("a", g)`` span both orbits exactly.
+    """
     if g.is_zero:
         raise ZeroVector("rank of the zero vector")
-    base = sum(p + 1 for p in module.s_profile(g))
-    needed = max(2, module.m)
     basis = SpanBasis()
     basis.add(g.terms)
-    n = 0
-    window = max(base, 1)
-    stable = 0
-    while True:
-        while n < window:
-            basis.add(module.act(gen("a", n), g).terms)
-            basis.add(module.act(gen("c", n), g).terms)
-            n += 1
-        before = basis.dim
-        window += 1
+    for n in range(module.orbit_points("a", g)):
         basis.add(module.act(gen("a", n), g).terms)
         basis.add(module.act(gen("c", n), g).terms)
-        n += 1
-        stable = stable + 1 if basis.dim == before else 0
-        if stable >= needed:
-            return basis.dim
+    return basis.dim
 
 
 # -- simplicity and isomorphism ----------------------------------------------
@@ -444,13 +392,11 @@ def w_invariance_check(module: TensorModule, i: int, j: int,
                        max_total_degree: int = 6) -> WInvarianceReport:
     """Invariance of the witness subspace under every generator X[n], n in Z.
 
-    For a basis vector w with s-profile p, X[n] w = sum_lam lam^n P_lam(n)
-    with P_lam of n-degree at most D_lam = max{p_k + [X = L] : lam_k = lam}:
-    the shift s_k -> s_k - n contributes n^p_k and L's n alpha one more.
-    The N = sum_lam (D_lam + 1) rows n = 0..N-1 of the functions n^x lam^n
-    form the matrix of ``det_r`` at r = 0, which is invertible, so the
-    images at those n span every n-coefficient of every P_lam.  Checking
-    them is exact for all n; only the total degree of w is truncated.
+    For a basis vector w, X[n] w = sum_lam lam^n P_lam(n) with the degree
+    bounds D_lam of ``omega.index_degrees``, and the images at the
+    N = sum_lam (D_lam + 1) points n = 0..N-1 span every n-coefficient of
+    every P_lam (see ``omega.orbit_points``).  Checking them is exact for all
+    n; only the total degree of w is truncated.
     Images are tested against the witness space spanned up to the bumped
     degree, which holds every image, so there is no truncation loss there.
     """
@@ -462,14 +408,10 @@ def w_invariance_check(module: TensorModule, i: int, j: int,
     report = WInvarianceReport(pair=(i, j), basis_size=0, images_checked=0)
     for w in w_witness_basis(module, i, j, max_total_degree):
         report.basis_size += 1
-        profile = module.s_profile(w)
         for fam in FAMILIES:
-            e = 1 if fam == "L" else 0
-            degrees: dict[Fraction, int] = {}
-            for lam, p in zip(lams, profile):
-                degrees[lam] = max(degrees.get(lam, 0), p + e)
+            degrees = index_degrees(lams, module.s_profile(w), fam)
             report.max_index_degree = max(report.max_index_degree, *degrees.values())
-            for n in range(sum(d + 1 for d in degrees.values())):
+            for n in range(orbit_points(degrees)):
                 image = module.act(gen(fam, n), w)
                 report.images_checked += 1
                 if not extended.contains(image.terms):

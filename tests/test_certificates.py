@@ -46,10 +46,16 @@ def _reduce_tensor():
     tensor.tensor_reduce_to_bottom(T, T.ring.monomial({"s1": 1, "t2": 1}))
 
 
-@pytest.mark.parametrize("where, reduce", [(omega, _reduce_omega), (tensor, _reduce_tensor)],
-                         ids=["omega", "tensor"])
-def test_corrupted_step_raises_certificate_error(monkeypatch, where, reduce):
-    """A step whose combination is off by one copy of v fails its replay check."""
+# The omega reduction and the tensor extractions share omega's orbit solver;
+# the tensor derivative step makes its own combination call.
+@pytest.mark.parametrize("where, reduce, replay_error", [
+    (omega, _reduce_omega, "does not reach its target"),
+    (omega, _reduce_tensor, "does not reach its target"),
+    (tensor, _reduce_tensor, "derivative step is not d/dt"),
+], ids=["omega", "tensor", "tensor-derivative"])
+def test_corrupted_step_raises_certificate_error(monkeypatch, where, reduce, replay_error):
+    """A step whose combination is off by one copy of v fails its replay check,
+    and a target outside the orbit span raises CertificateError."""
     solve = where.combination
 
     def off_by_v(columns, target):
@@ -58,8 +64,8 @@ def test_corrupted_step_raises_certificate_error(monkeypatch, where, reduce):
 
     reduce()
     monkeypatch.setattr(where, "combination", off_by_v)
-    with pytest.raises(CertificateError, match="does not reach its target"):
+    with pytest.raises(CertificateError, match=replay_error):
         reduce()
     monkeypatch.setattr(where, "combination", lambda columns, target: None)
-    with pytest.raises(CertificateError, match="window exhausted"):
+    with pytest.raises(CertificateError, match="outside the"):
         reduce()

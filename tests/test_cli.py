@@ -143,9 +143,15 @@ def test_rank_commands(write_json, tmp_path):
     assert main(["rank", "--spec", write_json("om.json", OMEGA_SPEC), "--out", out]) == 0
     doc = _check_report(out)
     assert doc["checks"][0]["detail"]["rank"] == 3
-    assert main(["rank", "--spec", write_json("t.json", T_SPEC)]) == 0
+    assert main(["rank", "--spec", write_json("t.json", T_SPEC), "--out", out]) == 0
+    detail = _check_report(out)["checks"][0]["detail"]
+    # On 1 the a- and c-orbits are spanned at one point per distinct lambda.
+    assert detail["value"] == 3 and detail["complete"] is True and detail["orbit_points"] == 2
     assert main(["rank", "--spec", write_json("t.json", T_SPEC),
-                 "--vector", "s1 t2"]) == 0
+                 "--vector", "s1 t2", "--out", out]) == 0
+    detail = _check_report(out)["checks"][0]["detail"]
+    # s-profile (1, 0): D = 1 for lambda_1 and 0 for lambda_2.
+    assert detail["complete"] is True and detail["orbit_points"] == 3
 
 
 ACTION_DATA = {
@@ -206,7 +212,8 @@ def _exit_code(argv):
 HOM = ["verify-hom", "--map", "ab", "--beta", "1"]
 ABGG = ["verify-hom", "--map", "abgg", "--alpha", "1", "--beta", "1", "--window", "1"]
 DET = ["det-lemma", "--max-m", "1", "--max-s", "1", "--max-r", "0"]
-# Spec files a row names by these placeholders are written before the run.
+# Spec files a row names by these placeholders are written before the run;
+# DIR names a directory and bin.json a file that is not UTF-8.
 BAD_USAGE_SPECS = {
     "omega.json": OMEGA_SPEC,
     "omega-beta0.json": {**OMEGA_SPEC, "beta": "0"},
@@ -252,9 +259,17 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["rank", "--spec", "omega.json", "--vector", "zz"],
     ["rank", "--spec", "omega-beta-minus0.json"],
     ["simplicity", "--spec", "t-lambda-0over3.json", "--samples", "1"],
+    ["rank", "--spec", "DIR"],
+    ["classify", "--data", "DIR"],
+    ["rank", "--spec", "bin.json"],
+    ["act", "--spec", "bin.json", "--expr", "Q", "--vector", "1"],
+    ["det-lemma", "--alphas", "1", "--max-m", "2", "--max-s", "1", "--max-r", "0"],
 ], ids=" ".join)
-def test_bad_usage_exits_2(argv, write_json, capsys):
-    argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else a for a in argv]
+def test_bad_usage_exits_2(argv, write_json, tmp_path, capsys):
+    (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00")  # not UTF-8
+    files = {"DIR": str(tmp_path), "bin.json": str(tmp_path / "bin.json")}
+    argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else files.get(a, a)
+            for a in argv]
     assert _exit_code(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
@@ -265,4 +280,4 @@ def test_certificate_error_exits_1(write_json, monkeypatch, capsys):
     monkeypatch.setattr(omega, "combination", lambda columns, target: None)
     spec = write_json("omega.json", OMEGA_SPEC)
     assert main(["simplicity", "--spec", spec, "--samples", "1"]) == 1
-    assert "window exhausted" in capsys.readouterr().err
+    assert "outside the c-orbit span" in capsys.readouterr().err

@@ -7,15 +7,24 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
+from wittdiamond.certificates import CertStep
 from wittdiamond.exceptions import InvalidSpec, NotApplicable, RequiresSimple
 from wittdiamond.lie import FAMILIES, gen
-from wittdiamond.linalg import SpanBasis
-from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
+from wittdiamond.linalg import SpanBasis, combination
+from wittdiamond.omega import (
+    OmegaModule,
+    OmegaParams,
+    index_degrees,
+    omega_reduce_to_one,
+    orbit_points,
+    solve_in_orbit,
+)
 from wittdiamond.oracle import naive_det
 from wittdiamond.poly import SparsePoly
 from wittdiamond.tensor import (
     DetSpec,
     TensorModule,
+    _shifted_target,
     canonical_form,
     det_matrix,
     det_r,
@@ -349,3 +358,102 @@ def test_w_invariance_grid_size_and_degree():
     report = w_invariance_check(T, 1, 2, max_total_degree=6)
     assert report.ok and report.basis_size == 84
     assert report.images_checked == 1134 and report.max_index_degree == 7
+
+
+# -- the former window-growth loops, kept as oracles for the exact orbits ----
+
+
+def _grown_span(module, families, g, window):
+    """The former loop of span_NXg and r_g: add X[n] g for n < window, then
+    one index at a time until the dimension is stable for max(2, m) growths."""
+    basis = SpanBasis()
+    basis.add(g.terms)
+
+    def add(n):
+        for fam in families:
+            basis.add(module.act(gen(fam, n), g).terms)
+
+    for n in range(window):
+        add(n)
+    n, stable = window, 0
+    while stable < max(2, module.m):
+        before = basis.dim
+        add(n)
+        n += 1
+        stable = stable + 1 if basis.dim == before else 0
+    return basis
+
+
+def _grown_solve(module, family, v, target, base_window, growths):
+    """The former extraction solvers: windows from base_window on, growths tries
+    (m + 6 in the tensor solver, 6 in the omega one)."""
+    for w in range(max(base_window, 1), base_window + growths):
+        words = [()] + [(gen(family, n),) for n in range(w)]
+        columns = [dict(v.terms)] + [dict(module.act(gen(family, n), v).terms)
+                                     for n in range(w)]
+        combo = combination(columns, dict(target.terms))
+        if combo is not None:
+            return CertStep(tuple((c, word) for c, word in zip(combo, words) if c))
+    return None
+
+
+def _seeded_modules(seed, repeated):
+    """T modules for m = 1..3; with ``repeated`` factors 1 and 2 share lambda."""
+    rng = random.Random(seed)
+    for m in (1, 2, 2, 3, 3):
+        lams = rng.sample([F(2), F(-3), F(1, 2), F(5), F(-1, 3)], m)
+        if repeated and m > 1:
+            lams[1] = lams[0]
+        yield TensorModule([
+            OmegaParams(F(rng.randint(-3, 3), rng.randint(1, 2)), F(rng.choice([1, -2, 3])),
+                        F(rng.randint(-2, 2)), lam,
+                        tuple(F(rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))))
+            for lam in lams
+        ]), rng
+
+
+@pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
+def test_exact_orbit_spans_agree_with_growth_oracle(repeated):
+    for module, rng in _seeded_modules(41 + repeated, repeated):
+        for _ in range(4):
+            g = random_vector(module.ring, rng, max_total_degree=2, terms=3)
+            profile = module.s_profile(g)
+            for family, per_factor in (("L", 2), ("a", 1)):
+                vectors, dim = span_NXg(module, family, g)
+                oracle = _grown_span(module, [family], g, sum(p + per_factor for p in profile) + 1)
+                assert dim == oracle.dim
+                assert [dict(v.terms) for v in vectors] == oracle.vectors()
+            oracle = _grown_span(module, ["a", "c"], g, max(sum(p + 1 for p in profile), 1))
+            assert r_g(module, g) == oracle.dim
+
+
+def test_orbit_solver_agrees_with_growth_oracle():
+    for module, rng in _seeded_modules(43, repeated=False):
+        for _ in range(3):
+            v = random_vector(module.ring, rng, max_total_degree=2, terms=3)
+            profile = module.s_profile(v)
+            k = rng.randint(1, module.m)
+            cases = [("L", 9, sum(p + 2 for p in profile)), ("a", 10, sum(p + 1 for p in profile))]
+            if profile[k - 1]:
+                cases.append(("a", 11, sum(p + 1 for p in profile)))
+            for family, which, base in cases:
+                target = _shifted_target(module, v, which, k)
+                step = solve_in_orbit(module, family, v, target, module.orbit_points(family, v))
+                assert step == _grown_solve(module, family, v, target, base, module.m + 6)
+                assert step.apply(module, v) == target
+    M = OmegaModule(A)
+    for p in (1, 2, 4):
+        v = M.ring.monomial({"s": p, "t": 1}) + M.ring.monomial({"s": 1})
+        target = v.extract_var_power("s", p)
+        points = orbit_points(index_degrees((A.lam,), (p,), "c"))
+        step = solve_in_orbit(M, "c", v, target, points)
+        assert step == _grown_solve(M, "c", v, target, p + 1, 6)
+
+
+def test_orbit_points_counts_one_block_per_lambda():
+    T = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),)), B])
+    v = T.ring.monomial({"s1": 2, "s2": 1, "s3": 1, "t3": 2})
+    # lambda classes {1, 2} and {3}: D = max(2, 1) + [X = L] and 1 + [X = L].
+    assert T.orbit_points("L", v) == (3 + 1) + (2 + 1)
+    assert T.orbit_points("a", v) == T.orbit_points("c", v) == (2 + 1) + (1 + 1)
+    assert T.orbit_points("b", T.ring.var("t1")) == 2
