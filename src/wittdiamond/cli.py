@@ -406,6 +406,8 @@ def cmd_rank(args) -> int:
             certificate=[w.to_jsonable() for w in result.generation],
         )
     elif isinstance(module, TensorModule):
+        if not module.distinct_lambdas():
+            raise InvalidSpec("rank on a T spec needs pairwise distinct lambdas")
         v = module.one()
         if args.vector:
             v = _parse_poly_option(module.ring, args.vector, "--vector")

@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Everything here is deterministic and exact: Gaussian elimination over
-Fraction entries for rank / kernel / solving, and a fraction-free
-Bareiss elimination (after clearing row denominators) for determinants.
+Everything here is deterministic and exact.  One sparse eliminator,
+:class:`SpanBasis`, answers every span question: membership, dimension,
+solutions (``combination``) and relations (``exact_nullspace``).  The two
+queries tag each input vector with its own unit vector, so the reduced rows
+carry the coefficients that built them.  Determinants are a separate
+operation: a fraction-free Bareiss elimination after clearing row
+denominators.
 """
 
 from __future__ import annotations
@@ -14,87 +18,6 @@ from typing import Hashable, Mapping, Sequence
 from .scalars import ONE, ZERO, add_scaled, scalar
 
 Row = Sequence[Fraction]
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
-
-    The pivot row is zero left of its pivot column, so normalising and
-    eliminating touch only its nonzero columns to the right.
-    """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        pv = prow[col]
-        support = [(j, prow[j] / pv) for j in range(col + 1, ncols) if prow[j] != 0]
-        prow[col] = ONE
-        for j, b in support:
-            prow[j] = b
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f != 0:
-                row[col] = ZERO
-                for j, b in support:
-                    row[j] = row[j] - f * b
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _copy(rows: Sequence[Row]) -> list[list[Fraction]]:
-    return [[scalar(x) for x in row] for row in rows]
-
-
-def exact_rank(rows: Sequence[Row]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(_copy(rows))
-    return len(pivots)
-
-
-def exact_nullspace(rows: Sequence[Row]) -> list[list[Fraction]]:
-    """Basis of the right kernel; empty input has empty kernel basis."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = _rref(_copy(rows))
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve_exact(columns: Sequence[Row], target: Row) -> list[Fraction] | None:
-    """One exact solution x of sum_j x_j * columns[j] = target, or None.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[scalar(columns[j][i]) for j in range(ncols)] + [scalar(target[i])] for i in range(nrows)]
-    red, pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def exact_det(matrix: Sequence[Row]) -> Fraction:
@@ -173,15 +96,44 @@ class SpanBasis:
         return [dict(row) for _, row in sorted(self._rows.items())]
 
 
+def _tagged_span(vectors: Sequence[Mapping[Hashable, Fraction]]) -> SpanBasis:
+    """SpanBasis of the vectors v_j, each extended by the unit vector e_j.
+
+    Coordinates are keyed (1, k) and tags (0, j); tags sort below every
+    coordinate, so a row's pivot is a coordinate while its coordinate part is
+    nonzero.  A vector that depends on v_0..v_{j-1} is therefore left as the
+    relation e_j - sum_i x_i e_i, pivoted on its own tag (0, j), with x_i
+    nonzero only on the greedy basis of independent earlier vectors.
+    """
+    basis = SpanBasis()
+    for j, v in enumerate(vectors):
+        tagged = {(1, k): scalar(c) for k, c in v.items()}
+        tagged[(0, j)] = ONE
+        basis.add(tagged)
+    return basis
+
+
 def combination(
     vectors: Sequence[Mapping[Hashable, Fraction]],
     target: Mapping[Hashable, Fraction],
 ) -> list[Fraction] | None:
-    """Coefficients expressing target as a combination of vectors, or None."""
-    keys: set[Hashable] = set(target)
-    for v in vectors:
-        keys.update(v)
-    order = sorted(keys)
-    columns = [[v.get(k, ZERO) for k in order] for v in vectors]
-    goal = [target.get(k, ZERO) for k in order]
-    return solve_exact(columns, goal)
+    """Coefficients expressing target as a combination of vectors, or None.
+
+    Only vectors independent of the earlier ones get nonzero coefficients,
+    so the answer is deterministic.
+    """
+    rest = _tagged_span(vectors).reduce({(1, k): scalar(c) for k, c in target.items()})
+    if any(key[0] for key in rest):
+        return None
+    return [-rest.get((0, j), ZERO) for j in range(len(vectors))]
+
+
+def exact_nullspace(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[list[Fraction]]:
+    """Basis of the relations x with sum_j x_j vectors[j] = 0, as dense lists.
+
+    One basis vector per vector that depends on the earlier ones, in index
+    order, with coefficient 1 on that vector.
+    """
+    n = len(vectors)
+    return [[row.get((0, j), ZERO) for j in range(n)]
+            for row in _tagged_span(vectors).vectors() if max(row)[0] == 0]

@@ -17,7 +17,6 @@ all return replayable exact witnesses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .exceptions import CertificateError, InvalidSpec, NotAModule, UnsupportedOp
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination, exact_nullspace
 from .poly import PolyRing, SparsePoly
-from .scalars import ONE, ZERO, LinComb, add_scaled, binomial, scalar
+from .scalars import ONE, LinComb, add_scaled, binomial, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -325,10 +324,8 @@ def uh_rank(module: OmegaModule, max_power: int | None = None,
                     vec = module.act(gen("d", 0), vec)
                 for _ in range(i):
                     vec = module.act(gen("L", 0), vec)
-                columns.append(dict(vec.terms))
-    keys = sorted(set(itertools.chain.from_iterable(columns)))
-    rows = [[col.get(k2, ZERO) for col in columns] for k2 in keys]
-    independence_ok = not exact_nullspace(rows)
+                columns.append(vec.terms)
+    independence_ok = not exact_nullspace(columns)
 
     return UhRankReport(
         rank=rank,

@@ -223,6 +223,7 @@ BAD_USAGE_SPECS = {
     "t-lambda-0over3.json": {**T_SPEC, "factors": [T_SPEC["factors"][0],
                                                    {**T_SPEC["factors"][1], "lambda": "0/3"}]},
     "t.json": T_SPEC,
+    "t-equal.json": T_EQUAL,
     "data.json": ACTION_DATA,
 }
 SIMPLICITY = ["simplicity", "--spec", "omega.json", "--samples", "1"]
@@ -264,6 +265,7 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["rank", "--spec", "bin.json"],
     ["act", "--spec", "bin.json", "--expr", "Q", "--vector", "1"],
     ["det-lemma", "--alphas", "1", "--max-m", "2", "--max-s", "1", "--max-r", "0"],
+    ["rank", "--spec", "t-equal.json"],
 ], ids=" ".join)
 def test_bad_usage_exits_2(argv, write_json, tmp_path, capsys):
     (tmp_path / "bin.json").write_bytes(b"\xff\xfe\x00")  # not UTF-8

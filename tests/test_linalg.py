@@ -4,15 +4,11 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from wittdiamond.linalg import (
-    SpanBasis,
-    combination,
-    exact_det,
-    exact_nullspace,
-    exact_rank,
-    solve_exact,
-)
+from wittdiamond import omega, tensor
+from wittdiamond.linalg import SpanBasis, combination, exact_det, exact_nullspace
+from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one, uh_rank
 from wittdiamond.oracle import naive_det
+from wittdiamond.tensor import TensorModule, tensor_generate, tensor_reduce_to_bottom
 
 
 def minor_rank(matrix):
@@ -28,17 +24,32 @@ def minor_rank(matrix):
     return 0
 
 
-def test_rank_examples():
-    assert exact_rank([[F(1), F(1)], [F(2), F(3)]]) == 2
-    assert exact_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert exact_rank([]) == 0
+def sparse(entries):
+    """A dense list as a sparse vector keyed by position."""
+    return {i: x for i, x in enumerate(entries) if x}
+
+
+def columns_of(matrix):
+    """The columns of a dense matrix as sparse vectors keyed by row index."""
+    return [sparse(col) for col in zip(*matrix)]
+
+
+def span_dim(vectors):
+    basis = SpanBasis()
+    for v in vectors:
+        basis.add(v)
+    return basis.dim
+
+
+def assert_rank(matrix, rank):
+    """SpanBasis.dim of the rows and columns - relations both give ``rank``."""
+    columns = columns_of(matrix)
+    assert span_dim(sparse(row) for row in matrix) == rank
+    assert len(columns) - len(exact_nullspace(columns)) == rank
 
 
 def test_nullspace_proportional_rows():
-    basis = exact_nullspace([[F(1), F(2)], [F(2), F(4)]])
-    assert len(basis) == 1
-    (v,) = basis
-    assert v[0] * 1 + v[1] * 2 == 0
+    assert exact_nullspace([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]) == [[F(-2), F(1)]]
     assert exact_nullspace([]) == []
 
 
@@ -46,7 +57,7 @@ def test_rank_matches_minor_oracle_2x2_exhaustive():
     vals = [F(v) for v in range(-3, 4)]
     for a, b, c, d in itertools.product(vals, repeat=4):
         m = [[a, b], [c, d]]
-        assert exact_rank(m) == minor_rank(m)
+        assert_rank(m, minor_rank(m))
 
 
 def test_rank_matches_minor_oracle_random_3x3_4x4():
@@ -54,7 +65,7 @@ def test_rank_matches_minor_oracle_random_3x3_4x4():
     for _ in range(120):
         n = rng.choice([3, 4])
         m = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        assert exact_rank(m) == minor_rank(m)
+        assert_rank(m, minor_rank(m))
 
 
 def test_nullspace_vectors_are_in_kernel():
@@ -63,8 +74,8 @@ def test_nullspace_vectors_are_in_kernel():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 5)
         m = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)] for _ in range(rows)]
-        basis = exact_nullspace(m)
-        assert exact_rank(m) + len(basis) == cols
+        basis = exact_nullspace(columns_of(m))
+        assert span_dim(sparse(row) for row in m) + len(basis) == cols
         for v in basis:
             for row in m:
                 assert sum(a * x for a, x in zip(row, v)) == 0
@@ -116,37 +127,97 @@ def test_sparse_matrices_rank_kernel_and_solutions():
         m = sparse_matrix(rng, nrows, ncols)
         assert sum(x == 0 for row in m for x in row) * 2 >= nrows * ncols
         red, pivots = dense_rref(m)
-        rank = exact_rank(m)
-        assert rank == len(pivots)
+        assert_rank(m, len(pivots))
         if small:
-            assert rank == minor_rank(m)
-        basis = exact_nullspace(m)
-        assert len(basis) == ncols - rank
-        assert exact_rank(basis or [[F(0)]]) == len(basis)
+            assert len(pivots) == minor_rank(m)
+        columns = columns_of(m)
+        basis = exact_nullspace(columns)
+        assert span_dim(sparse(v) for v in basis) == len(basis)
         for v in basis:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
         # the kernel basis is the one the reduced rows give, entry for entry
         free = [c for c in range(ncols) if c not in pivots]
+        assert len(basis) == len(free)
         for v, fc in zip(basis, free):
             assert v == [F(c == fc) if c not in pivots else -red[pivots.index(c)][fc]
                          for c in range(ncols)]
 
-        columns = [[m[i][j] for i in range(nrows)] for j in range(ncols)]
         x0 = [F(rng.randint(-2, 2)) if rng.random() < 0.5 else F(0) for _ in range(ncols)]
         target = [sum(m[i][j] * x0[j] for j in range(ncols)) for i in range(nrows)]
-        x = solve_exact(columns, target)
+        x = combination(columns, sparse(target))
         assert [sum(m[i][j] * x[j] for j in range(ncols)) for i in range(nrows)] == target
         assert all(x[c] == 0 for c in free)
+        # the solution with free variables zero, entry for entry
         red_aug, piv_aug = dense_rref([row + [t] for row, t in zip(m, target)])
         assert x == [red_aug[piv_aug.index(c)][ncols] if c in piv_aug else F(0)
                      for c in range(ncols)]
         # a target with a 1 in the zero row is out of the column span
         zero_row = next(i for i, row in enumerate(m) if not any(row))
-        off = list(target)
+        off = sparse(target)
         off[zero_row] = F(1)
-        assert solve_exact(columns, off) is None
-        keyed = [{(i,): c for i, c in enumerate(col) if c} for col in columns]
-        assert combination(keyed, {(i,): c for i, c in enumerate(target) if c}) is not None
+        assert combination(columns, off) is None
+
+
+def test_repeated_and_zero_vectors_get_coefficient_zero():
+    vs = [{"a": F(1)}, {}, {"a": F(1)}, {"b": F(-2)}]
+    assert combination(vs, {"a": F(2), "b": F(3)}) == [F(2), F(0), F(0), F(-3, 2)]
+    assert combination(vs, {}) == [F(0)] * 4
+    assert combination(vs, {"c": F(1)}) is None
+    assert combination(vs, {"a": F(1), "c": F(1)}) is None
+    assert exact_nullspace(vs) == [[F(0), F(1), F(0), F(0)], [F(-1), F(0), F(1), F(0)]]
+
+
+def dense_solve(vectors, target):
+    """One x with sum_j x_j vectors[j] = target, free variables zero, or None."""
+    keys = sorted(set(target).union(*vectors))
+    n = len(vectors)
+    if not keys:
+        return [F(0)] * n
+    red, pivots = dense_rref([[v.get(k, F(0)) for v in vectors] + [target.get(k, F(0))]
+                              for k in keys])
+    if n in pivots:
+        return None
+    return [red[pivots.index(c)][n] if c in pivots else F(0) for c in range(n)]
+
+
+def dense_kernel(vectors):
+    """The kernel basis the reduced rows give: one vector per free column."""
+    keys = sorted(set().union(*vectors))
+    n = len(vectors)
+    if not keys:
+        return [[F(c == fc) for c in range(n)] for fc in range(n)]
+    red, pivots = dense_rref([[v.get(k, F(0)) for v in vectors] for k in keys])
+    return [[F(c == fc) if c not in pivots else -red[pivots.index(c)][fc] for c in range(n)]
+            for fc in range(n) if fc not in pivots]
+
+
+def test_certificate_paths_agree_with_dense_oracle(monkeypatch):
+    """Every solve and kernel the certificate builders ask for, checked against
+    textbook Gauss-Jordan on the same system, entry for entry."""
+    calls = {"omega": 0, "tensor": 0, "nullspace": 0}
+
+    def checked(where, solve, oracle):
+        def wrapped(*args):
+            answer = solve(*args)
+            assert answer == oracle(*args)
+            calls[where] += 1
+            return answer
+        return wrapped
+
+    monkeypatch.setattr(omega, "combination", checked("omega", omega.combination, dense_solve))
+    monkeypatch.setattr(tensor, "combination", checked("tensor", tensor.combination, dense_solve))
+    monkeypatch.setattr(omega, "exact_nullspace",
+                        checked("nullspace", omega.exact_nullspace, dense_kernel))
+
+    M = OmegaModule(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1))))
+    f = M.ring.from_terms([((2, 1), F(3)), ((1, 2), F(-1, 2)), ((0, 0), F(1))])
+    assert omega_reduce_to_one(M, f).replay(M, f) == M.one()
+    assert uh_rank(M).independence_ok
+    T = TensorModule([OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1))),
+                      OmegaParams(F(1), F(1), F(1), F(3), (F(2),))])
+    tensor_generate(T, (1, 1, 2, 0))
+    tensor_reduce_to_bottom(T, T.ring.monomial({"s1": 1, "t1": 1, "t2": 2}))
+    assert all(calls.values()), calls
 
 
 def test_exact_det_matches_naive():
@@ -160,13 +231,6 @@ def test_exact_det_matches_naive():
     assert naive_det([[F(1), F(2)], [F(1), F(2)]]) == 0
 
 
-def test_solve_exact():
-    cols = [[F(1), F(0)], [F(1), F(1)]]
-    x = solve_exact(cols, [F(3), F(2)])
-    assert x == [F(1), F(2)]
-    assert solve_exact([[F(1), F(2)]], [F(0), F(1)]) is None
-
-
 def test_combination_and_span_basis():
     vs = [{(0,): F(1), (1,): F(2)}, {(1,): F(1)}]
     target = {(0,): F(2), (1,): F(1)}
@@ -177,5 +241,6 @@ def test_combination_and_span_basis():
     assert sb.add(vs[1])
     assert not sb.add(target)
     assert sb.dim == 2
+    assert SpanBasis().dim == 0
     assert sb.contains({(0,): F(5)})
     assert not sb.contains({(2,): F(1)})

@@ -171,6 +171,16 @@ def test_uh_rank_examples():
             assert len(report.generation) == 3 * report.rank + 1
 
 
+def test_uh_rank_independence_check_can_fail(monkeypatch):
+    """With L[0] acting as zero, L0 d0^j t^k = 0 is a relation the check must find."""
+    _, M = module()
+    act = M.act
+    monkeypatch.setattr(M, "act", lambda g, f: M.ring.zero() if g == gen("L", 0) else act(g, f))
+    report = uh_rank(M)
+    assert report.independence_ok is False
+    assert report.generation_ok and report.recursion_matches_d0
+
+
 def test_uh_rank_degree_law():
     # deg(d0^m f) = deg f + m (deg g + 1)
     M = OmegaModule(OmegaParams(F(1), F(1), F(0), F(2), (F(0), F(0), F(1))))
