@@ -3,10 +3,10 @@
 Everything here is deterministic and exact.  One sparse eliminator,
 :class:`SpanBasis`, answers every span question: membership, dimension,
 solutions (``combination``) and relations (``exact_nullspace``).  The two
-queries tag each input vector with its own unit vector, so the reduced rows
-carry the coefficients that built them.  Determinants are a separate
-operation: a fraction-free Bareiss elimination after clearing row
-denominators.
+queries insert the coordinate rows of the matrix whose columns are the input
+vectors, so the reduced rows are its reduced row echelon form.  Determinants
+are a separate operation: a fraction-free Bareiss elimination over Python
+ints after clearing row denominators.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
     m: list[list[int]] = []
-    scale = ONE
+    scale = 1
     for row in matrix:
         fr = [scalar(x) for x in row]
         mult = lcm(*(f.denominator for f in fr)) if fr else 1
         scale *= mult
-        m.append([int(f * mult) for f in fr])
+        m.append([f.numerator * (mult // f.denominator) for f in fr])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -48,7 +48,7 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 class SpanBasis:
@@ -96,21 +96,27 @@ class SpanBasis:
         return [dict(row) for _, row in sorted(self._rows.items())]
 
 
-def _tagged_span(vectors: Sequence[Mapping[Hashable, Fraction]]) -> SpanBasis:
-    """SpanBasis of the vectors v_j, each extended by the unit vector e_j.
+def _coordinate_span(
+    vectors: Sequence[Mapping[Hashable, Fraction]],
+    target: Mapping[Hashable, Fraction],
+) -> dict[int, dict[int, Fraction]]:
+    """Reduced rows of the matrix [v_0 .. v_{n-1} | target], keyed by pivot.
 
-    Coordinates are keyed (1, k) and tags (0, j); tags sort below every
-    coordinate, so a row's pivot is a coordinate while its coordinate part is
-    nonzero.  A vector that depends on v_0..v_{j-1} is therefore left as the
-    relation e_j - sum_i x_i e_i, pivoted on its own tag (0, j), with x_i
-    nonzero only on the greedy basis of independent earlier vectors.
+    Each coordinate k gives the row {-j: v_j[k]} plus {-n: target[k]}.
+    SpanBasis pivots on the largest key, so columns are taken in index order
+    and the result is the reduced row echelon form of the augmented matrix.
     """
-    basis = SpanBasis()
+    n = len(vectors)
+    rows: dict[Hashable, dict[int, Fraction]] = {}
     for j, v in enumerate(vectors):
-        tagged = {(1, k): scalar(c) for k, c in v.items()}
-        tagged[(0, j)] = ONE
-        basis.add(tagged)
-    return basis
+        for k, c in v.items():
+            rows.setdefault(k, {})[-j] = scalar(c)
+    for k, c in target.items():
+        rows.setdefault(k, {})[-n] = scalar(c)
+    basis = SpanBasis()
+    for row in rows.values():
+        basis.add(row)
+    return basis._rows
 
 
 def combination(
@@ -119,21 +125,36 @@ def combination(
 ) -> list[Fraction] | None:
     """Coefficients expressing target as a combination of vectors, or None.
 
-    Only vectors independent of the earlier ones get nonzero coefficients,
-    so the answer is deterministic.
+    Only vectors independent of the earlier ones (the pivot columns) get
+    nonzero coefficients, so the answer is deterministic.
     """
-    rest = _tagged_span(vectors).reduce({(1, k): scalar(c) for k, c in target.items()})
-    if any(key[0] for key in rest):
+    n = len(vectors)
+    reduced = _coordinate_span(vectors, target)
+    if -n in reduced:
         return None
-    return [-rest.get((0, j), ZERO) for j in range(len(vectors))]
+    x = [ZERO] * n
+    for pivot, row in reduced.items():
+        x[-pivot] = row.get(-n, ZERO)
+    return x
 
 
 def exact_nullspace(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[list[Fraction]]:
     """Basis of the relations x with sum_j x_j vectors[j] = 0, as dense lists.
 
-    One basis vector per vector that depends on the earlier ones, in index
-    order, with coefficient 1 on that vector.
+    One basis vector per vector that depends on the earlier ones (a free
+    column), in index order, with coefficient 1 on that vector.
     """
     n = len(vectors)
-    return [[row.get((0, j), ZERO) for j in range(n)]
-            for row in _tagged_span(vectors).vectors() if max(row)[0] == 0]
+    reduced = _coordinate_span(vectors, {})
+    basis = []
+    for free in range(n):
+        if -free in reduced:
+            continue
+        x = [ZERO] * n
+        x[free] = ONE
+        for pivot, row in reduced.items():
+            c = row.get(-free)
+            if c:
+                x[-pivot] = -c
+        basis.append(x)
+    return basis

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exceptions import ZeroVector
 from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
@@ -146,28 +147,39 @@ def free_word_oracle(word) -> UEnvElement:
 
 
 def naive_det(matrix) -> Fraction:
-    """Cofactor expansion with minor memoization; oracle for small sizes."""
+    """Cofactor expansion with minor memoization; oracle for small sizes.
+
+    Each row is first multiplied by the lcm of its entries' denominators, so
+    the expansion runs over Python ints with an integer sign; the result is
+    divided by the product of those row scales once, at the end.
+    """
     n = len(matrix)
     if n == 0:
         return ONE
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    cache: dict[tuple[int, ...], Fraction] = {}
+    rows: list[list[int]] = []
+    scale = 1
+    for row in matrix:
+        entries = [Fraction(x) for x in row]
+        row_scale = lcm(*(x.denominator for x in entries))
+        scale *= row_scale
+        rows.append([x.numerator * row_scale // x.denominator for x in entries])
+    cache: dict[tuple[int, ...], int] = {}
 
-    def minor(row: int, cols: tuple[int, ...]) -> Fraction:
+    def minor(row: int, cols: tuple[int, ...]) -> int:
         if not cols:
-            return ONE
-        key = cols
-        if row == n - len(cols) and key in cache:
-            return cache[key]
-        total = ZERO
-        for sign_idx, col in enumerate(cols):
-            entry = matrix[row][col]
+            return 1
+        if cols in cache:
+            return cache[cols]
+        total = 0
+        sign = 1
+        for idx, col in enumerate(cols):
+            entry = rows[row][col]
             if entry:
-                sub = minor(row + 1, cols[:sign_idx] + cols[sign_idx + 1 :])
-                total += (-1) ** sign_idx * entry * sub
-        if row == n - len(cols):
-            cache[key] = total
+                total += sign * entry * minor(row + 1, cols[:idx] + cols[idx + 1 :])
+            sign = -sign
+        cache[cols] = total
         return total
 
-    return minor(0, tuple(range(n)))
+    return Fraction(minor(0, tuple(range(n))), scale)

@@ -105,15 +105,21 @@ class DetSpec:
 
 
 def det_matrix(spec: DetSpec) -> list[list[Fraction]]:
-    """Rows n = r .. r+s-1 of the functions n^x alpha_t^n, blocked by t."""
-    cols = []
-    for a, s in zip(spec.alphas, spec.sizes):
-        for x in range(s):
-            cols.append((a, x))
-    size = len(cols)
+    """Rows n = r .. r+s-1 of the functions n^x alpha_t^n, blocked by t.
+
+    Each row takes alpha_t^p once per block and p^x as a running integer
+    product, so row p = 0 starts from 0^0 = 1.
+    """
     rows = []
-    for p in range(spec.r, spec.r + size):
-        rows.append([scalar(p) ** x * a**p for (a, x) in cols])
+    for p in range(spec.r, spec.r + sum(spec.sizes)):
+        row = []
+        for a, s in zip(spec.alphas, spec.sizes):
+            ap = a**p
+            px = 1
+            for _ in range(s):
+                row.append(ap * px)
+                px *= p
+        rows.append(row)
     return rows
 
 
@@ -132,9 +138,7 @@ def det_r(spec: DetSpec) -> DetResult:
     computed = exact_det(det_matrix(spec))
     closed = ONE
     for a, s in zip(spec.alphas, spec.sizes):
-        e = s * (s + 2 * spec.r - 1)
-        assert e % 2 == 0
-        closed *= superfactorial(s - 1) * a ** (e // 2)
+        closed *= superfactorial(s - 1) * a ** (s * (s - 1) // 2 + spec.r * s)
     for i in range(len(spec.alphas)):
         for j in range(i + 1, len(spec.alphas)):
             closed *= (spec.alphas[j] - spec.alphas[i]) ** (spec.sizes[i] * spec.sizes[j])

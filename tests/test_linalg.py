@@ -226,6 +226,13 @@ def test_exact_det_matches_naive():
         n = rng.randint(1, 5)
         m = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         assert exact_det(m) == naive_det(m)
+    # each row over its own denominator, zeros included
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        dens = [rng.choice([1, 2, 3, 4, 5, 6, 7, 9, 12]) for _ in range(n)]
+        m = [[F(rng.randint(-6, 6), d * rng.randint(1, 2)) if rng.random() < 0.8 else F(0)
+              for _ in range(n)] for d in dens]
+        assert exact_det(m) == naive_det(m)
     assert naive_det([[F(1), F(1)], [F(2), F(3)]]) == 1
     assert naive_det([[F(1) if i == j else F(0) for j in range(4)] for i in range(4)]) == 1
     assert naive_det([[F(1), F(2)], [F(1), F(2)]]) == 0

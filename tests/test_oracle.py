@@ -8,6 +8,7 @@ import pytest
 from wittdiamond.exceptions import ZeroVector
 from wittdiamond.fock import FModule, MFactor, OneDim
 from wittdiamond.lie import gen, generators_in_window, pbw_normalize
+from wittdiamond.linalg import exact_det
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
 from wittdiamond.oracle import (
     ClosureReport,
@@ -101,3 +102,14 @@ def test_naive_det_small_examples():
     eye = [[F(int(i == j)) for j in range(4)] for i in range(4)]
     assert naive_det(eye) == 1
     assert naive_det([[F(2), F(5)], [F(2), F(5)]]) == 0
+
+
+def test_naive_det_hand_computed_3x3_with_row_denominators():
+    """Row lcms 6, 4 and 15; a zero in row 0 keeps the cofactor signs honest.
+
+    1/2 (1/3 - 1) - 0 + 2/3 (1/2 + 3/5) = -1/3 + 11/15 = 2/5.
+    """
+    m = [[F(1, 2), F(0), F(2, 3)],
+         [F(1, 4), F(-1), F(1, 2)],
+         [F(3, 5), F(2), F(-1, 3)]]
+    assert naive_det(m) == exact_det(m) == F(2, 5)

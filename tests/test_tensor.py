@@ -62,6 +62,20 @@ def test_det_spec_validation():
         DetSpec((F(2),), (0,), 0)
 
 
+def test_det_matrix_entries_are_fraction_powers():
+    """Row p, column (alpha, x) is p^x alpha^p, with 0^0 = 1 in row p = 0."""
+    alphas = (F(3), F(-2), F(1, 2), F(-2, 3))
+    for m in (1, 2, 3):
+        for subset in itertools.combinations(alphas, m):
+            for sizes in itertools.product((1, 3), repeat=m):
+                cols = [(a, x) for a, s in zip(subset, sizes) for x in range(s)]
+                for r in range(4):
+                    rows = det_matrix(DetSpec(subset, sizes, r))
+                    assert rows == [[F(p) ** x * a**p for a, x in cols]
+                                    for p in range(r, r + len(cols))]
+    assert det_matrix(DetSpec((F(-2, 3),), (3,), 0))[0] == [1, 0, 0]
+
+
 def test_det_sweep_small_with_naive_oracle():
     alphas = (F(1), F(2), F(-2))
     for m in (1, 2):
