@@ -48,7 +48,6 @@ from .tensor import (
     DetSpec,
     TensorModule,
     canonical_form,
-    det_matrix,
     det_r,
     iso_check,
     r_g,
@@ -364,7 +363,7 @@ def cmd_det_lemma(args) -> int:
                         )
                     if sum(sizes) <= args.naive_limit:
                         naive_checked += 1
-                        if naive_det(det_matrix(spec)) != result.computed:
+                        if naive_det(result.matrix) != result.computed:
                             naive_mismatches.append(
                                 {"alphas": [str(a) for a in subset], "sizes": sizes, "r": r}
                             )

@@ -20,6 +20,9 @@ and ``ub_product`` compute it as a tuple of (key, int) pairs and cache it
 per key pair, so each structure constant is worked out once per process.
 Element products scale a table entry by one rational per pair of terms and
 skip the multiplication where the constant is 1, as most of them are.
+Commutators of tensor elements use cached integer bracket tables in the
+same way (``tensor_bracket``): one pass over pairs of terms, in which a
+pair of commuting monomials costs no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -276,6 +279,48 @@ class TensorElement(LinComb):
         return self._like(out)
 
 
+@functools.cache
+def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
+    """[k1, k2] of two pure-tensor monomials, as (key, int) pairs with zeros dropped.
+
+    (l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, so the table is the difference
+    of the two products of integer tables; it is empty when the monomials
+    commute.
+    """
+    out: dict = {}
+    for sign, (a, b), (c, d) in ((1, k1, k2), (-1, k2, k1)):
+        rf = right_algebra.mul_keys(b, d)
+        for kl, cl in left_algebra.mul_keys(a, c):
+            for kr, cr in rf:
+                key = (kl, kr)
+                out[key] = out.get(key, 0) + sign * cl * cr
+    return tuple((key, n) for key, n in out.items() if n)
+
+
 def commutator(u, v):
-    """uv - vu in whichever algebra u and v share."""
-    return u * v - v * u
+    """uv - vu in whichever algebra u and v share.
+
+    Tensor elements take one pass over pairs of terms: each pair scales its
+    cached ``tensor_bracket`` table by c1 c2, and a commuting pair costs no
+    rational arithmetic at all.
+    """
+    if not (isinstance(u, TensorElement) and isinstance(v, TensorElement)):
+        return u * v - v * u
+    u._check(v)
+    left, right = u.left_algebra, u.right_algebra
+    out: dict = {}
+    for k1, c1 in u.terms.items():
+        for k2, c2 in v.terms.items():
+            table = tensor_bracket(left, right, k1, k2)
+            if not table:
+                continue
+            c12 = c1 * c2
+            for key, n in table:
+                term = c12 if n == 1 else c12 * n
+                prev = out.get(key)
+                nv = term if prev is None else prev + term
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+    return u._like(out)

@@ -127,6 +127,7 @@ def det_matrix(spec: DetSpec) -> list[list[Fraction]]:
 class DetResult:
     computed: Fraction
     closed_form: Fraction
+    matrix: list[list[Fraction]] = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -135,14 +136,15 @@ class DetResult:
 
 def det_r(spec: DetSpec) -> DetResult:
     """Exact determinant against its closed-form product."""
-    computed = exact_det(det_matrix(spec))
+    matrix = det_matrix(spec)
+    computed = exact_det(matrix)
     closed = ONE
     for a, s in zip(spec.alphas, spec.sizes):
         closed *= superfactorial(s - 1) * a ** (s * (s - 1) // 2 + spec.r * s)
     for i in range(len(spec.alphas)):
         for j in range(i + 1, len(spec.alphas)):
             closed *= (spec.alphas[j] - spec.alphas[i]) ** (spec.sizes[i] * spec.sizes[j])
-    return DetResult(computed=computed, closed_form=closed)
+    return DetResult(computed=computed, closed_form=closed, matrix=matrix)
 
 
 # -- spans and extractions ---------------------------------------------------

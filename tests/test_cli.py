@@ -138,6 +138,29 @@ def test_det_lemma_small():
                  "--alphas", "1,2,-2"]) == 0
 
 
+def test_det_lemma_builds_each_matrix_once(monkeypatch, tmp_path):
+    from wittdiamond import cli, tensor
+
+    built = []
+    original = tensor.det_matrix
+
+    def counted(spec):
+        built.append(spec)
+        return original(spec)
+
+    # Every binding is patched, so a by-name import would be counted too.
+    for module in (tensor, cli):
+        if hasattr(module, "det_matrix"):
+            monkeypatch.setattr(module, "det_matrix", counted)
+    out = str(tmp_path / "r.json")
+    assert main(["det-lemma", "--max-m", "2", "--max-s", "2", "--max-r", "1",
+                 "--alphas", "1,2,-2", "--out", out]) == 0
+    detail = {c["check"]: c["detail"] for c in _check_report(out)["checks"]}
+    specs = detail["determinant-closed-form"]["specs"]
+    assert detail["naive-det-agreement"]["checked"] == specs
+    assert len(built) == specs
+
+
 def test_rank_commands(write_json, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["rank", "--spec", write_json("om.json", OMEGA_SPEC), "--out", out]) == 0

@@ -56,10 +56,12 @@ def test_phi_abgg_is_homomorphism_random_tuples():
         assert report.ok, (alpha, beta, gamma, g, report.violations[:3])
 
 
-def test_corrupted_map_fails_at_d_a_pair():
-    report = verify_hom(CorruptedPhiAB(F(1, 2), F(3)), 1)
+def test_corrupted_map_fails_at_d_a_pair(reference_violations):
+    phi = CorruptedPhiAB(F(1, 2), F(3))
+    report = verify_hom(phi, 1)
     assert not report.ok
     assert ("a[0]", "d[1]") in report.violations
+    assert verify_hom(phi, 2).violations == reference_violations(phi, 2)
 
 
 def test_image_witnesses_round_trip():

@@ -18,6 +18,7 @@ from wittdiamond.operators import (
     OperatorElement,
     TensorElement,
     commutator,
+    tensor_bracket,
     ub_product,
     weyl_product,
 )
@@ -143,6 +144,12 @@ def test_algebra_mismatch():
         TensorElement.pure(weyl(R2, (0, 0), (0, 0)), ub(0, 0)) + TensorElement.pure(
             weyl(R0, (0,), (0,)), ub(0, 0)
         )
+    a = TensorElement.pure(weyl(R2, (1, -1), (1, 0)), ub(1, 1))
+    b = TensorElement.pure(weyl(R0, (-2,), (1,)), weyl(DIFFOP, (1,), (1,)))
+    for u, v in ((a, b), (b, a), (TensorElement(R2, UB), TensorElement(R0, DIFFOP)),
+                 (a, weyl(R2, (0, 0), (0, 0)))):
+        with pytest.raises(AlgebraMismatch):
+            commutator(u, v)
 
 
 def test_operator_text_format():
@@ -260,10 +267,60 @@ class _Perturbed:
     PhiAB(F(1, 2), F(3)),
     PhiABGG(F(1, 2), F(3), F(2), (F(1), F(0), F(1))),
 ], ids=["ab", "abgg"])
-def test_verify_hom_flags_each_perturbed_family(phi):
+def test_verify_hom_flags_each_perturbed_family(phi, reference_violations):
     assert verify_hom(phi, 1).ok
+    assert verify_hom(phi, 2).violations == reference_violations(phi, 2) == []
     for family in FAMILIES:
-        report = verify_hom(_Perturbed(phi, family), 1)
+        perturbed = _Perturbed(phi, family)
+        report = verify_hom(perturbed, 1)
         assert not report.ok, family
         named = {name.split("[")[0] for pair in report.violations for name in pair}
         assert family in named, (family, report.violations)
+        assert verify_hom(perturbed, 2).violations == reference_violations(perturbed, 2), family
+
+
+def _seeded_tensor(rng, left, right):
+    """A tensor element with rational coefficients; Laurent sides get negative exponents."""
+    out = {}
+    for _ in range(5):
+        kl = _random_weyl_key(rng, left)
+        kr = (rng.randint(0, 2), rng.randint(0, 2)) if right is UB else _random_weyl_key(rng, right)
+        out[(kl, kr)] = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+    return TensorElement(left, right, out)
+
+
+@pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
+def test_tensor_commutator_equals_uv_minus_vu(left, right):
+    rng = random.Random(14)
+    pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
+             for _ in range(40)]
+    assert any(min(kl[0]) < 0 for u, _ in pairs for kl, _ in u.terms)
+    for u, v in pairs:
+        tables = [tensor_bracket(left, right, k1, k2) for k1 in u.terms for k2 in v.terms]
+        assert all(type(n) is int and n for table in tables for _, n in table)
+        got = commutator(u, v)
+        assert got == u * v - v * u
+        assert all(got.terms.values())
+        assert commutator(u, u).terms == {}
+        assert commutator(u, u.scaled(F(-3, 2))).terms == {}
+        assert commutator(v, u) == -got
+
+
+@pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
+def test_commuting_monomials_have_empty_bracket_tables(left, right):
+    rng = random.Random(15)
+    one_right = right.one_key
+    n = len(left.names)
+
+    def coordinates():
+        # Coordinate powers alone commute, negative exponents included.
+        return TensorElement(left, right, {
+            ((tuple(rng.randint(-3, 3) for _ in range(n)), (0,) * n), one_right):
+                F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            for _ in range(4)
+        })
+
+    for _ in range(20):
+        u, v = coordinates(), coordinates()
+        assert all(tensor_bracket(left, right, k1, k2) == () for k1 in u.terms for k2 in v.terms)
+        assert commutator(u, v).terms == {}
