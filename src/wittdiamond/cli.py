@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -318,6 +319,7 @@ def cmd_simplicity(args) -> int:
             )
         else:
             inv = decision.invariance
+            i = decision.witness_pair[0]
             rep.add(
                 "simplicity",
                 inv.ok,
@@ -325,18 +327,14 @@ def cmd_simplicity(args) -> int:
                     "simple": False,
                     "witness_pair": decision.witness_pair,
                     "note": decision.note,
-                    "basis_size": inv.basis_size,
-                    "images_checked": inv.images_checked,
                     "complete": True,
+                    "probes": inv.probes,
+                    "images_checked": inv.images_checked,
                     "max_index_degree": inv.max_index_degree,
+                    "basis_size": inv.basis_size,
                     "escapes": inv.escapes[:10],
+                    "proper_witness": {"in_W": "1", "not_in_W": f"s{i}", "holds": inv.proper},
                 },
-            )
-            closure = truncated_closure(module, module.one(), policy)
-            rep.add(
-                "closure-oracle",
-                closure.verdict == ClosureReport.PROPER,
-                _closure_detail(closure),
             )
     return rep.finish(args.out)
 
@@ -599,9 +597,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may be a negative rational: argparse reads a separate
+# word such as "-2/3" or "-2,3" as an option, so it is joined to its option.
+_RATIONAL_OPTIONS = ("--alpha", "--beta", "--gamma", "--alphas")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[0-9.]", word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InvalidSpec as exc:

@@ -322,10 +322,11 @@ def test_criterion_11_tensor_simplicity():
                 module.ring, {max(v.terms): F(1)}
             )
     equal = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))])
-    report = w_invariance_check(equal, 1, 2, max_total_degree=6)
-    assert report.ok and report.escapes == []
-    _report(11, "replay-exact reduction + generation for m=2,3; "
-                f"witness subspace exactly invariant ({report.images_checked} images, 0 escapes)")
+    report = w_invariance_check(equal, 1, 2)
+    assert report.ok and report.escapes == [] and report.proper
+    _report(11, "replay-exact reduction + generation for m=2,3; witness subspace "
+                f"invariant for every n and degree ({report.probes} probes, "
+                f"{report.images_checked} images, 0 escapes) and proper")
 
 
 def test_criterion_12_orbit_rank_bound():

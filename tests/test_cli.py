@@ -78,6 +78,22 @@ def test_verify_hom_both_maps(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("joined, separate", [
+    (["verify-hom", "--map", "ab", "--alpha=-2/3", "--beta=5", "--window", "1"],
+     ["verify-hom", "--map", "ab", "--alpha", "-2/3", "--beta", "5", "--window", "1"]),
+    (["verify-hom", "--map", "abgg", "--alpha=1/2", "--beta=-3", "--gamma=-1/4", "--window", "1"],
+     ["verify-hom", "--map", "abgg", "--alpha", "1/2", "--beta", "-3", "--gamma", "-1/4",
+      "--window", "1"]),
+    (["det-lemma", "--alphas=-2,3", "--max-m", "2", "--max-s", "2", "--max-r", "1"],
+     ["det-lemma", "--alphas", "-2,3", "--max-m", "2", "--max-s", "2", "--max-r", "1"]),
+], ids=["ab", "abgg", "det-lemma"])
+def test_negative_rationals_as_separate_words(joined, separate, tmp_path):
+    out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    assert main(joined + ["--out", out1]) == 0
+    assert main(separate + ["--out", out2]) == 0
+    assert _check_report(out1) == _check_report(out2)
+
+
 def test_verify_hom_corrupted_control_fails():
     assert main([
         "verify-hom", "--map", "ab", "--alpha", "1/2", "--beta", "3",
@@ -126,11 +142,28 @@ def test_simplicity_commands(write_json, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL),
                  "--max-degree", "3", "--out", out]) == 0
-    detail = _check_report(out)["checks"][0]["detail"]
-    # 84 witness vectors up to degree 6, index-complete grids of 1134 images.
+    doc = _check_report(out)
+    # One check: the probes 1, t1, t2 on index-complete grids of 18 images.
+    assert [c["check"] for c in doc["checks"]] == ["simplicity"]
+    detail = doc["checks"][0]["detail"]
+    assert detail["simple"] is False and detail["witness_pair"] == [1, 2]
     assert detail["escapes"] == [] and detail["complete"] is True
-    assert detail["basis_size"] == 84 and detail["images_checked"] == 1134
-    assert detail["max_index_degree"] == 7
+    assert detail["probes"] == 3 and detail["images_checked"] == 18
+    assert detail["max_index_degree"] == 1
+    assert detail["proper_witness"] == {"in_W": "1", "not_in_W": "s1", "holds": True}
+
+
+def test_report_schema_pins_the_equal_lambda_detail(write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL), "--out", out]) == 0
+    doc = _check_report(out)
+    validator = jsonschema.Draft202012Validator(load_schema("report.schema.json"))
+    detail = doc["checks"][0]["detail"]
+    for key, bad in (("probes", 18), ("complete", False), ("proper_witness", {"in_W": "s1"})):
+        assert not validator.is_valid({**doc, "checks": [{**doc["checks"][0],
+                                                          "detail": {**detail, key: bad}}]})
+        missing = {k: v for k, v in detail.items() if k != key}
+        assert not validator.is_valid({**doc, "checks": [{**doc["checks"][0], "detail": missing}]})
 
 
 def test_det_lemma_small():
@@ -258,6 +291,9 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     HOM + ["--alpha", "1", "--window", "x"],
     HOM + ["--alpha", "foo"],
     HOM + ["--alpha", "1/0"],
+    HOM + ["--alpha"],
+    HOM + ["--alpha", "--window", "1"],
+    HOM + ["--alpha", "-"],
     ABGG + ["--gamma", "bar"],
     ABGG + ["--g", "x^2"],
     ["verify-brackets", "--window", "0"],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,9 +15,12 @@ from wittdiamond.linalg import SpanBasis, combination
 from wittdiamond.omega import (
     OmegaModule,
     OmegaParams,
+    _candidate_operator,
     index_degrees,
+    omega_factor_act,
     omega_reduce_to_one,
     orbit_points,
+    rank1_data_from_omega,
     solve_in_orbit,
 )
 from wittdiamond.oracle import naive_det
@@ -242,8 +246,8 @@ def test_w_invariance_explicit_action():
     out = T.act(gen("L", 1), w)
     expected = (s1 + s2 + (F(1) + F(3))) * (s1 + s2 - 1) ** 2 * lam
     assert out == expected
-    report = w_invariance_check(T, 1, 2, max_total_degree=4)
-    assert report.ok
+    report = w_invariance_check(T, 1, 2)
+    assert report.ok and report.proper
 
 
 def test_m1_always_simple():
@@ -295,6 +299,49 @@ def test_iso_requires_simple():
         iso_check(T, T)
 
 
+@dataclass
+class _SweepReport:
+    pair: tuple[int, int]
+    basis_size: int
+    images_checked: int
+    max_index_degree: int = 0
+    escapes: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.escapes
+
+
+def _degree_sweep(module, i, j, max_total_degree=6):
+    """The former degree-grid sweep of w_invariance_check, kept as an oracle.
+
+    For a basis vector w, X[n] w = sum_lam lam^n P_lam(n) with the degree
+    bounds D_lam of ``omega.index_degrees``, and the images at the
+    N = sum_lam (D_lam + 1) points n = 0..N-1 span every n-coefficient of
+    every P_lam (see ``omega.orbit_points``).  Checking them is exact for all
+    n; only the total degree of w is truncated.
+    Images are tested against the witness space spanned up to the bumped
+    degree, which holds every image, so there is no truncation loss there.
+    """
+    bump = 1 + max((len(f.g) for f in module.factors), default=1)
+    extended = SpanBasis()
+    for w in w_witness_basis(module, i, j, max_total_degree + bump):
+        extended.add(w.terms)
+    lams = [f.lam for f in module.factors]
+    report = _SweepReport(pair=(i, j), basis_size=0, images_checked=0)
+    for w in w_witness_basis(module, i, j, max_total_degree):
+        report.basis_size += 1
+        for fam in FAMILIES:
+            degrees = index_degrees(lams, module.s_profile(w), fam)
+            report.max_index_degree = max(report.max_index_degree, *degrees.values())
+            for n in range(orbit_points(degrees)):
+                image = module.act(gen(fam, n), w)
+                report.images_checked += 1
+                if not extended.contains(image.terms):
+                    report.escapes.append(f"{fam}[{n}] on {w}")
+    return report
+
+
 def _window_invariance(module, i, j, max_total_degree, window=3):
     """The former fixed-window sweep: every X[n] with n in [-window, window]."""
     bump = 1 + max(len(f.g) for f in module.factors)
@@ -331,6 +378,27 @@ class _PlantedDefect(TensorModule):
         return out + self.ring.var("s1") * c
 
 
+class _Mutated(TensorModule):
+    """Factor k's X[n] f gains lam_k^n s_k^power f(s_k - n) for one family X.
+
+    The action keeps the form (A_k + B_k d/dt_k) o tau_k^n that
+    w_invariance_check assumes, but A_k gains an s_k-part that the other
+    factor of the witness pair does not match, so W is no longer invariant.
+    """
+
+    def __init__(self, factors, family, k, power):
+        super().__init__(factors)
+        self.family, self.k, self.power = family, k, power
+
+    def act(self, g, v):
+        out = super().act(g, v)
+        if g.family != self.family:
+            return out
+        s = self.svar(self.k)
+        shifted = v.shift(s, g.index) if g.index else v
+        return out + shifted.mul_var(s, self.power) * self.factors[self.k - 1].lam ** g.index
+
+
 def _equal_lambda_modules():
     rng = random.Random(31)
     for m in (2, 2, 3):
@@ -347,31 +415,127 @@ def _equal_lambda_modules():
 def test_w_invariance_grid_agrees_with_window_oracle():
     for module in _equal_lambda_modules():
         degree = 3 if module.m == 2 else 1
-        report = w_invariance_check(module, 1, 2, max_total_degree=degree)
+        report = w_invariance_check(module, 1, 2)
         assert report.ok and _window_invariance(module, 1, 2, degree) == []
     planted = _PlantedDefect([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))], "a")
-    assert w_invariance_check(planted, 1, 2, max_total_degree=2).escapes
+    assert w_invariance_check(planted, 1, 2).escapes
     assert _window_invariance(planted, 1, 2, 2)
 
 
 @pytest.mark.parametrize("family", ["L", "a", "d"])
 def test_w_invariance_grid_catches_top_degree_defect(family):
     module = _PlantedDefect([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))], family)
-    report = w_invariance_check(module, 1, 2, max_total_degree=3)
+    report = _degree_sweep(module, 1, 2, max_total_degree=3)
     top = 1 if family == "L" else 0
     # Only the last grid point n = D sees the defect, for every basis vector.
     assert report.escapes == [f"{family}[{max(module.s_profile(w)) + top}] on {w}"
                               for w in w_witness_basis(module, 1, 2, 3)]
     assert report.max_index_degree == 3 + 1
+    # The probes have s-profile zero, so their grids end at n = [X = L].
+    probes = w_invariance_check(module, 1, 2)
+    assert probes.escapes == [f"{family}[{top}] on {v}" for v in ("1", "t1", "t2")]
+    assert probes.max_index_degree == 1
 
 
 def test_w_invariance_grid_size_and_degree():
     # m = 2, one lambda class: a basis vector (s1 + s2)^p t1^q1 t2^q2 needs
     # p + 2 images of L and p + 1 of each other family.
     T = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))])
-    report = w_invariance_check(T, 1, 2, max_total_degree=6)
+    report = _degree_sweep(T, 1, 2, max_total_degree=6)
     assert report.ok and report.basis_size == 84
     assert report.images_checked == 1134 and report.max_index_degree == 7
+    # The probes 1, t1, t2 need 2 images of L and 1 of each other family.
+    probes = w_invariance_check(T, 1, 2)
+    assert probes.ok and probes.probes == 3
+    assert probes.images_checked == 18 and probes.max_index_degree == 1
+    T3 = TensorModule([*T.factors, B])
+    probes = w_invariance_check(T3, 1, 2)
+    assert probes.ok and probes.images_checked == 36 and probes.max_index_degree == 1
+
+
+def _probe_modules():
+    """Seeded T modules with lambda_1 = lambda_2, for m = 2, 3 and deg g = 0, 1, 2."""
+    rng = random.Random(97)
+    for m in (2, 3):
+        for g_degree in (0, 1, 2):
+            lam = rng.choice([F(2), F(-3), F(1, 2)])
+            lams = [lam, lam] + [lam * 5] * (m - 2)
+            factors = []
+            for la in lams:
+                g = [F(rng.randint(-2, 2)) for _ in range(g_degree)] + [F(rng.choice([1, -1, 2]))]
+                factors.append(OmegaParams(F(rng.randint(-3, 3), rng.randint(1, 2)),
+                                           F(rng.choice([1, -2, 3])), F(rng.randint(-2, 2)),
+                                           la, tuple(g)))
+            yield factors
+
+
+_MUTATIONS = {
+    "s_i in d": lambda fs: _Mutated(fs, "d", 1, 1),
+    "s_i in b": lambda fs: _Mutated(fs, "b", 1, 1),
+    "s_i^2 in L": lambda fs: _Mutated(fs, "L", 1, 2),
+    "lambda_j perturbed": lambda fs: TensorModule(
+        [fs[0], replace(fs[1], lam=fs[1].lam + 1), *fs[2:]]),
+}
+
+
+def test_w_invariance_probes_agree_with_degree_sweep():
+    for factors in _probe_modules():
+        degree = 3 if len(factors) == 2 else 2
+        for module in [TensorModule(factors)] + [mutate(factors) for mutate in _MUTATIONS.values()]:
+            probes = w_invariance_check(module, 1, 2)
+            assert probes.proper
+            assert probes.ok == _degree_sweep(module, 1, 2, degree).ok, (module, factors)
+
+
+@pytest.mark.parametrize("mutation", list(_MUTATIONS))
+def test_w_invariance_probes_catch_mutation(mutation):
+    for factors in _probe_modules():
+        report = w_invariance_check(_MUTATIONS[mutation](factors), 1, 2)
+        assert not report.ok and report.escapes, (mutation, factors)
+
+
+def test_w_invariance_proper_witness():
+    T = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),)), B])
+    basis = SpanBasis()
+    for w in w_witness_basis(T, 1, 2, 1):
+        basis.add(w.terms)
+    assert basis.contains(T.one().terms) and not basis.contains(T.ring.var("s1").terms)
+    assert basis.contains((T.ring.var("s1") + T.ring.var("s2")).terms)
+    assert w_invariance_check(T, 1, 2).proper
+
+
+def _apply_symbol(op, module, f):
+    """sum G_{n,k}(s, t) (d^k f / dt^k)(s - n, t), with (L0, a0) read as (s, t)."""
+    out = module.ring.zero()
+    for (n, k), coeff in op.terms.items():
+        h = f
+        for _ in range(k):
+            h = h.derive("t")
+        out = out + SparsePoly(module.ring, dict(coeff.terms)) * h.shift("s", n)
+    return out
+
+
+def test_factor_action_is_the_rank_one_symbol():
+    """The structural assumption of w_invariance_check, read off the code.
+
+    Each family's symbol is first order in d/dt with shift n and coefficients
+    of s-degree at most 1, and omega_factor_act applies exactly that symbol.
+    """
+    rng = random.Random(59)
+    for par in (A, B, C, OmegaParams(F(2), F(-1, 2), F(3), F(-3), ())):
+        M = OmegaModule(par)
+        data = rank1_data_from_omega(par)
+        vectors = [M.one(), M.ring.var("t"), M.ring.var("t", 3) + M.ring.var("t") * F(2, 3)]
+        vectors += [random_vector(M.ring, rng, max_total_degree=2, terms=3) for _ in range(2)]
+        for fam in FAMILIES:
+            for n in (-2, -1, 0, 1, 3):
+                op = _candidate_operator(data, gen(fam, n))
+                assert {key[0] for key in op.terms} == {n}
+                assert all(k <= 1 and (c.var_degree("L0") or 0) <= 1
+                           for (_, k), c in op.terms.items())
+                for f in vectors:
+                    assert (omega_factor_act(par, M.ring, "s", "t", gen(fam, n), f)
+                            == _apply_symbol(op, M, f)), (par, fam, n, f)
 
 
 # -- the former window-growth loops, kept as oracles for the exact orbits ----
