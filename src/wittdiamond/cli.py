@@ -217,12 +217,16 @@ def cmd_act(args) -> int:
     return rep.finish(args.out)
 
 
+# The closure bounds of `simplicity`: option, argparse dest, TruncationPolicy field.
+_CLOSURE_OPTIONS = (("--max-degree", "max_degree", "max_total_degree"),
+                    ("--window", "window", "generator_window"),
+                    ("--max-steps", "max_steps", "max_steps"))
+
+
 def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(
-        max_total_degree=args.max_degree,
-        generator_window=args.window,
-        max_steps=args.max_steps,
-    )
+    """The closure bounds given on the command line, TruncationPolicy's defaults elsewhere."""
+    given = {field: getattr(args, dest) for _, dest, field in _CLOSURE_OPTIONS}
+    return TruncationPolicy(**{k: v for k, v in given.items() if v is not None})
 
 
 def _closure_detail(report: ClosureReport) -> dict:
@@ -240,6 +244,11 @@ def cmd_simplicity(args) -> int:
     rep = Report("simplicity", seed=args.seed)
     spec = _load_spec(args.spec)
     module = module_from_spec(spec)
+    if isinstance(module, TensorModule):
+        for option, dest, _ in _CLOSURE_OPTIONS:
+            if getattr(args, dest) is not None:
+                raise InvalidSpec(f"{option} bounds the closure of simplicity on F and Omega "
+                                  "specs; no closure runs on a T spec")
     rng = random.Random(args.seed)
     policy = _policy(args)
 
@@ -562,9 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--samples", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=_int_at_least(1), default=4)
-    p.add_argument("--window", type=_int_at_least(1), default=2)
-    p.add_argument("--max-steps", type=_int_at_least(1), default=64)
+    for option, _, field in _CLOSURE_OPTIONS:
+        p.add_argument(option, type=_int_at_least(1),
+                       help=f"closure {field.replace('_', ' ')}, F and Omega specs only "
+                       f"(default {getattr(TruncationPolicy, field)})")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simplicity)
 

@@ -61,6 +61,39 @@ def add_scaled(out: dict, terms: Mapping, c=None) -> dict:
     return out
 
 
+def clear_denominators(terms: Mapping) -> tuple[dict, int]:
+    """``terms`` as integer numerators over one denominator: ``(nums, den)``.
+
+    ``den`` is the lcm of the values' denominators (1 for no terms) and
+    ``nums[k] == terms[k] * den`` for every key, so ``nums[k] / den`` gives
+    back each value exactly.
+    """
+    den = 1
+    for c in terms.values():
+        den = math.lcm(den, c.denominator)
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def integer_combination(parts: list) -> tuple[dict, int]:
+    """``sum(scale * nums / den)`` over the parts ``(scale, den, nums)``, in Python ints.
+
+    ``scale`` and the values of ``nums`` are ints and ``den`` is a positive
+    int.  Returns ``(out, common)``: ``common`` is the lcm of the parts'
+    denominators and ``out`` holds the nonzero numerators of the sum over
+    ``common``, so the sum is zero exactly when ``out`` is empty.
+    """
+    common = 1
+    for _, den, _ in parts:
+        common = math.lcm(common, den)
+    out: dict = {}
+    get = out.get
+    for scale, den, nums in parts:
+        s = scale * (common // den)
+        for k, n in nums.items():
+            out[k] = get(k, 0) + s * n
+    return {k: n for k, n in out.items() if n}, common
+
+
 class LinComb:
     """A finite linear combination: ``terms`` maps basis keys to nonzero coefficients.
 

@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from wittdiamond.axioms import memoized_action, module_axiom_check, sample_vectors
+from wittdiamond.axioms import AxiomReport, memoized_action, module_axiom_check, sample_vectors
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
-from wittdiamond.lie import FAMILIES, bracket, gen
+from wittdiamond.lie import FAMILIES, bracket, gen, generators_in_window
 from wittdiamond.omega import OmegaModule, OmegaParams
+from wittdiamond.poly import SparsePoly, monomials_within
+from wittdiamond.scalars import ONE, add_scaled
 from wittdiamond.tensor import TensorModule
 
 WINDOW_2 = [gen(f, n) for f in FAMILIES for n in range(-2, 3)]
@@ -122,3 +124,93 @@ def test_nonlinear_act_is_caught_by_the_linearity_cross_check():
     window_1 = {str(gen(f, n)) for f in FAMILIES for n in (-1, 0, 1)}
     linearity = {(x, idx) for x, y, idx in report.violations if y == "linearity"}
     assert linearity == {(g, 0) for g in window_1}
+
+
+def _fraction_axiom_check(module, window, vectors):
+    """Oracle: the representation-property check with Fraction arithmetic throughout.
+
+    The same per-call memo of monomial images, held as Fractions and summed
+    with ``add_scaled``; for each pair the lhs and rhs are built as
+    ``SparsePoly``s and compared.
+    """
+    ring = module.ring
+    images = {}
+
+    def act(g, v):
+        out = {}
+        for e, c in v.terms.items():
+            image = images.get((g, e))
+            if image is None:
+                image = images[(g, e)] = module.act(g, SparsePoly(ring, {e: ONE})).terms
+            add_scaled(out, image, c)
+        return v._like(out)
+
+    gens = generators_in_window(window)
+    report = AxiomReport(window=window, vectors=len(vectors))
+    first = {}
+    for x in gens:
+        for idx, v in enumerate(vectors):
+            first[x, idx] = act(x, v)
+            if first[x, idx] != module.act(x, v):
+                report.violations.append((str(x), "linearity", idx))
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            br = bracket(x, y)
+            for idx, v in enumerate(vectors):
+                report.pairs_checked += 1
+                lhs = act(x, first[y, idx]) - act(y, first[x, idx])
+                rhs = module.ring.zero()
+                for g2, c in br.terms.items():
+                    rhs = rhs + act(g2, v) * c
+                if lhs != rhs:
+                    report.violations.append((str(x), str(y), idx))
+    return report
+
+
+def _vectors(ring, rng):
+    """The unit and three random vectors with coefficient denominators up to 7."""
+    pool = list(monomials_within(ring, 2))
+    vecs = [ring.one()]
+    for _ in range(3):
+        vecs.append(SparsePoly(ring, {e: F(rng.choice([-5, -3, -1, 1, 2, 4]), rng.randint(1, 7))
+                                      for e in rng.sample(pool, 3)}))
+    return vecs
+
+
+def _first_variable(ring, c):
+    return SparsePoly(ring, {(1,) + (0,) * (ring.nvars - 1): c})
+
+
+ORACLE_MODULES = {
+    **{name: (make, 2) for name, make in SIX_FAMILIES.items()},
+    "PerturbedImage": (lambda: PerturbedImage(SIX_FAMILIES["Omega"](), gen("b", 2), (0, 0),
+                                              SIX_FAMILIES["Omega"]().ring.one()), 2),
+    "AddsConstant": (lambda: AddsConstant(SIX_FAMILIES["F(M,Whittaker)"]()), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_report_equals_the_fraction_oracle(name):
+    make, window = ORACLE_MODULES[name]
+    module = make()
+    vectors = _vectors(module.ring, random.Random(f"oracle:{name}"))
+    report = module_axiom_check(module, window, vectors)
+    assert report == _fraction_axiom_check(module, window, vectors)
+    n_gens = 5 * (2 * window + 1)
+    assert report.pairs_checked == n_gens * (n_gens + 1) // 2 * len(vectors)
+    assert report.ok == (name in SIX_FAMILIES)
+
+
+@pytest.mark.parametrize("name,perturbed", [("Omega", gen("d", 1)), ("T(m=2)", gen("a", -1)),
+                                            ("F(M,C_eps)", gen("L", 2))])
+def test_one_seventh_defect_is_caught_at_the_oracle_pairs(name, perturbed):
+    # One image gains (1/7) times a monomial: the image's common denominator
+    # grows by 7, so a path that truncated coefficients to ints would lose it.
+    base = SIX_FAMILIES[name]()
+    zero = (0,) * base.ring.nvars
+    module = PerturbedImage(base, perturbed, zero, _first_variable(base.ring, F(1, 7)))
+    vectors = _vectors(base.ring, random.Random(f"seventh:{name}"))
+    report = module_axiom_check(module, 2, vectors)
+    assert report.violations
+    assert not any(y == "linearity" for _, y, _ in report.violations)
+    assert report == _fraction_axiom_check(module, 2, vectors)

@@ -140,8 +140,7 @@ def test_simplicity_commands(write_json, tmp_path):
     assert main(["simplicity", "--spec", write_json("t.json", T_SPEC),
                  "--samples", "2"]) == 0
     out = str(tmp_path / "r.json")
-    assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL),
-                 "--max-degree", "3", "--out", out]) == 0
+    assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL), "--out", out]) == 0
     doc = _check_report(out)
     # One check: the probes 1, t1, t2 on index-complete grids of 18 images.
     assert [c["check"] for c in doc["checks"]] == ["simplicity"]
@@ -151,6 +150,16 @@ def test_simplicity_commands(write_json, tmp_path):
     assert detail["probes"] == 3 and detail["images_checked"] == 18
     assert detail["max_index_degree"] == 1
     assert detail["proper_witness"] == {"in_W": "1", "not_in_W": "s1", "holds": True}
+
+
+@pytest.mark.parametrize("spec", ["t.json", "teq.json"])
+@pytest.mark.parametrize("option", ["--max-degree", "--window", "--max-steps"])
+def test_closure_options_on_a_t_spec_exit_2(option, spec, write_json, capsys):
+    # No closure runs on a T spec, so a closure bound there would be ignored.
+    path = write_json(spec, {"t.json": T_SPEC, "teq.json": T_EQUAL}[spec])
+    assert main(["simplicity", "--spec", path, option, "3"]) == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
 
 
 def test_report_schema_pins_the_equal_lambda_detail(write_json, tmp_path):

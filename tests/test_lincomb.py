@@ -1,4 +1,4 @@
-"""The shared linear-combination core: add_scaled and LinComb."""
+"""The shared linear-combination core: add_scaled, LinComb and the integer helpers."""
 
 from fractions import Fraction as F
 
@@ -9,7 +9,24 @@ from wittdiamond.lie import LElement, UEnvElement, gen
 from wittdiamond.omega import RANK1_RING, ShiftDiffOp
 from wittdiamond.operators import DIFFOP, R0, UB, OperatorElement, TensorElement
 from wittdiamond.poly import PolyRing
-from wittdiamond.scalars import add_scaled
+from wittdiamond.scalars import add_scaled, clear_denominators, integer_combination
+
+
+def test_clear_denominators_round_trips_coprime_denominators():
+    terms = {"x": F(1, 2), "y": F(1, 3), "z": F(-5, 6), "w": F(4)}
+    nums, den = clear_denominators(terms)
+    assert (nums, den) == ({"x": 3, "y": 2, "z": -5, "w": 24}, 6)
+    assert all(type(n) is int for n in nums.values())
+    assert {k: F(n, den) for k, n in nums.items()} == terms
+    assert clear_denominators({}) == ({}, 1)
+
+
+def test_integer_combination_cancels_only_over_the_common_denominator():
+    # 1/2 + 1/3 - 5/6 = 0, but the numerators 1 + 1 - 5 alone do not cancel.
+    parts = [(1, 2, {"x": 1}), (1, 3, {"x": 1}), (-5, 6, {"x": 1})]
+    assert integer_combination(parts) == ({}, 6)
+    # (3/2) * (2 x + y) / 3 - y / 2 = x.
+    assert integer_combination([(3, 6, {"x": 2, "y": 1}), (-1, 2, {"y": 1})]) == ({"x": 6}, 6)
 
 
 def test_add_scaled_drops_zeros_in_place():
