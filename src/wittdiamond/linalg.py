@@ -6,7 +6,8 @@ solutions (``combination``) and relations (``exact_nullspace``).  The two
 queries insert the coordinate rows of the matrix whose columns are the input
 vectors, so the reduced rows are its reduced row echelon form.  Determinants
 are a separate operation: a fraction-free Bareiss elimination over Python
-ints after clearing row denominators.
+ints.  Its entries may be ints or Fractions; each row is cleared to ints by
+reading the entries' numerators and denominators, with no per-entry coercion.
 """
 
 from __future__ import annotations
@@ -17,11 +18,17 @@ from typing import Hashable, Mapping, Sequence
 
 from .scalars import ONE, ZERO, add_scaled, scalar
 
-Row = Sequence[Fraction]
+Row = Sequence[int | Fraction]
 
 
 def exact_det(matrix: Sequence[Row]) -> Fraction:
-    """Determinant via fraction-free Bareiss after clearing denominators."""
+    """Determinant via fraction-free Bareiss after clearing row denominators.
+
+    Entries may be ints or Fractions: each is read through its
+    ``numerator`` and ``denominator``, with no per-entry coercion, so a
+    matrix of ints is eliminated as it is.  The input rows are not modified.
+    Any other entry type raises ``TypeError``.
+    """
     n = len(matrix)
     if n == 0:
         return ONE
@@ -30,24 +37,30 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
     m: list[list[int]] = []
     scale = 1
     for row in matrix:
-        fr = [scalar(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
+        try:
+            mult = lcm(*[x.denominator for x in row])
+            m.append([x.numerator * (mult // x.denominator) for x in row])
+        except AttributeError as exc:
+            raise TypeError(f"determinant entries must be ints or Fractions: {exc}") from None
         scale *= mult
-        m.append([f.numerator * (mult // f.denominator) for f in fr])
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        pivot_row = m[k]
+        if pivot_row[k] == 0:
             swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if swap is None:
                 return ZERO
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+            pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
     return Fraction(sign * m[n - 1][n - 1], scale)
 
 

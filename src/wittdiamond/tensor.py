@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .certificates import CertStep, Certificate, require
@@ -83,6 +84,10 @@ class TensorModule:
 # -- the generalized Vandermonde determinant --------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DetSpec:
     alphas: tuple[Fraction, ...]
@@ -91,60 +96,101 @@ class DetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(scalar(a) for a in self.alphas))
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(self.sizes))
         if len(self.alphas) != len(self.sizes):
             raise InvalidSpec("one size per alpha required")
         if any(a == 0 for a in self.alphas):
             raise InvalidSpec("alphas must be nonzero")
         if len(set(self.alphas)) != len(self.alphas):
             raise InvalidSpec("alphas must be pairwise distinct")
+        if not all(_is_int(s) for s in self.sizes):
+            raise InvalidSpec("sizes must be integers")
         if any(s < 1 for s in self.sizes):
             raise InvalidSpec("sizes must be at least 1")
-        if self.r < 0:
+        if not _is_int(self.r) or self.r < 0:
             raise InvalidSpec("row offset must be a natural number")
 
 
-def det_matrix(spec: DetSpec) -> list[list[Fraction]]:
-    """Rows n = r .. r+s-1 of the functions n^x alpha_t^n, blocked by t.
+def det_rows(spec: DetSpec) -> tuple[list[list[int]], list[int]]:
+    """Integer rows n = r .. r+s-1 of the functions n^x alpha_t^n, and their scales.
 
-    Each row takes alpha_t^p once per block and p^x as a running integer
-    product, so row p = 0 starts from 0^0 = 1.
+    Row p is the rational row times ``D_p = lcm_t den(alpha_t)^p = L^p`` with
+    ``L = lcm_t den(alpha_t)``, so entry (p, (t, x)) is the integer
+    ``c_t^p * p^x`` with ``c_t = num(alpha_t) * (L // den(alpha_t))``.  The
+    powers ``c_t^p`` and ``L^p`` are running products over the rows, and p^x a
+    running product along the block, so row p = 0 starts from 0^0 = 1.
     """
+    scale = lcm(*(a.denominator for a in spec.alphas))
+    bases = [a.numerator * (scale // a.denominator) for a in spec.alphas]
+    powers = [c**spec.r for c in bases]
+    denominator = scale**spec.r
     rows = []
+    denominators = []
     for p in range(spec.r, spec.r + sum(spec.sizes)):
         row = []
-        for a, s in zip(spec.alphas, spec.sizes):
-            ap = a**p
-            px = 1
+        for t, s in enumerate(spec.sizes):
+            px = powers[t]
             for _ in range(s):
-                row.append(ap * px)
+                row.append(px)
                 px *= p
+            powers[t] *= bases[t]
         rows.append(row)
-    return rows
+        denominators.append(denominator)
+        denominator *= scale
+    return rows, denominators
+
+
+def _rational_rows(rows: list[list[int]], denominators: list[int]) -> list[list[Fraction]]:
+    return [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
+
+
+def det_matrix(spec: DetSpec) -> list[list[Fraction]]:
+    """The rational rows n^x alpha_t^n of ``det_rows``, each divided by its scale."""
+    return _rational_rows(*det_rows(spec))
 
 
 @dataclass
 class DetResult:
     computed: Fraction
     closed_form: Fraction
-    matrix: list[list[Fraction]] = field(compare=False, repr=False)
+    rows: list[list[int]] = field(compare=False, repr=False)
+    denominators: list[int] = field(compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.computed == self.closed_form
 
+    @property
+    def matrix(self) -> list[list[Fraction]]:
+        """The rational matrix of ``det_rows``, rebuilt from the stored integer rows."""
+        return _rational_rows(self.rows, self.denominators)
+
 
 def det_r(spec: DetSpec) -> DetResult:
-    """Exact determinant against its closed-form product."""
-    matrix = det_matrix(spec)
-    computed = exact_det(matrix)
-    closed = ONE
-    for a, s in zip(spec.alphas, spec.sizes):
-        closed *= superfactorial(s - 1) * a ** (s * (s - 1) // 2 + spec.r * s)
-    for i in range(len(spec.alphas)):
-        for j in range(i + 1, len(spec.alphas)):
-            closed *= (spec.alphas[j] - spec.alphas[i]) ** (spec.sizes[i] * spec.sizes[j])
-    return DetResult(computed=computed, closed_form=closed, matrix=matrix)
+    """Exact determinant against its closed-form product.
+
+    The determinant is taken on the integer rows of ``det_rows`` and divided
+    by the product of their scales.  The closed form
+    ``prod_t sf(s_t - 1) alpha_t^(s_t(s_t-1)/2 + r s_t)
+    * prod_{i<j} (alpha_j - alpha_i)^(s_i s_j)`` is accumulated as an integer
+    numerator and denominator and becomes one Fraction at the end.
+    """
+    rows, denominators = det_rows(spec)
+    computed = exact_det(rows) / prod(denominators)
+    num = den = 1
+    alphas = spec.alphas
+    for a, s in zip(alphas, spec.sizes):
+        e = s * (s - 1) // 2 + spec.r * s
+        num *= superfactorial(s - 1) * a.numerator**e
+        den *= a.denominator**e
+    for i in range(len(alphas)):
+        for j in range(i + 1, len(alphas)):
+            e = spec.sizes[i] * spec.sizes[j]
+            ai, aj = alphas[i], alphas[j]
+            num *= (aj.numerator * ai.denominator - ai.numerator * aj.denominator) ** e
+            den *= (ai.denominator * aj.denominator) ** e
+    return DetResult(computed=computed, closed_form=Fraction(num, den),
+                     rows=rows, denominators=denominators)
 
 
 # -- spans and extractions ---------------------------------------------------

@@ -184,16 +184,24 @@ def test_det_lemma_builds_each_matrix_once(monkeypatch, tmp_path):
     from wittdiamond import cli, tensor
 
     built = []
-    original = tensor.det_matrix
+    rational = []
+    original_rows = tensor.det_rows
+    original_matrix = tensor.det_matrix
 
-    def counted(spec):
+    def counted_rows(spec):
         built.append(spec)
-        return original(spec)
+        return original_rows(spec)
+
+    def counted_matrix(spec):
+        rational.append(spec)
+        return original_matrix(spec)
 
     # Every binding is patched, so a by-name import would be counted too.
     for module in (tensor, cli):
+        if hasattr(module, "det_rows"):
+            monkeypatch.setattr(module, "det_rows", counted_rows)
         if hasattr(module, "det_matrix"):
-            monkeypatch.setattr(module, "det_matrix", counted)
+            monkeypatch.setattr(module, "det_matrix", counted_matrix)
     out = str(tmp_path / "r.json")
     assert main(["det-lemma", "--max-m", "2", "--max-s", "2", "--max-r", "1",
                  "--alphas", "1,2,-2", "--out", out]) == 0
@@ -201,6 +209,8 @@ def test_det_lemma_builds_each_matrix_once(monkeypatch, tmp_path):
     specs = detail["determinant-closed-form"]["specs"]
     assert detail["naive-det-agreement"]["checked"] == specs
     assert len(built) == specs
+    # The naive oracle reads the rows det_r built; no spec is rebuilt.
+    assert rational == []
 
 
 def test_rank_commands(write_json, tmp_path):

@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from wittdiamond import omega, tensor
 from wittdiamond.linalg import SpanBasis, combination, exact_det, exact_nullspace
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one, uh_rank
@@ -236,6 +238,45 @@ def test_exact_det_matches_naive():
     assert naive_det([[F(1), F(1)], [F(2), F(3)]]) == 1
     assert naive_det([[F(1) if i == j else F(0) for j in range(4)] for i in range(4)]) == 1
     assert naive_det([[F(1), F(2)], [F(1), F(2)]]) == 0
+
+
+def test_exact_det_on_int_rows_equals_fraction_rows_and_naive():
+    rng = random.Random(11)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.8 else 0 for _ in range(n)]
+             for _ in range(n)]
+        det = exact_det(m)
+        assert det == exact_det([[F(x) for x in row] for row in m]) == naive_det(m)
+        assert isinstance(det, F)
+    rows, _ = tensor.det_rows(tensor.DetSpec((F(1, 2), F(-2, 3), F(3)), (2, 2, 2), 1))
+    assert exact_det(rows) == naive_det(rows)
+    # The same integer matrix with bool entries and with mixed int/Fraction rows.
+    assert exact_det([[True, 2], [3, False]]) == -6
+    assert exact_det([[1, F(1, 2)], [F(2, 3), 4]]) == F(11, 3)
+
+
+def test_exact_det_leaves_its_input_rows_unchanged():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = [[rng.choice([0, rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))])
+              for _ in range(n)] for _ in range(n)]
+        rows = [list(row) for row in m]
+        ids = [id(row) for row in m]
+        exact_det(m)
+        assert m == rows and [id(row) for row in m] == ids
+    # A zero pivot forces a row swap; the caller's row order stays as it was.
+    m = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    assert exact_det(m) == -3 and m == [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+
+
+def test_exact_det_rejects_non_rational_entries():
+    for bad in (1.5, "1/2", None):
+        with pytest.raises(TypeError):
+            exact_det([[1, 2], [bad, 3]])
+        with pytest.raises(TypeError):
+            exact_det([[bad]])
 
 
 def test_combination_and_span_basis():

@@ -1,6 +1,7 @@
 """Tensor products: determinant lemma, spans, certificates, rank, iso."""
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
@@ -32,6 +33,7 @@ from wittdiamond.tensor import (
     canonical_form,
     det_matrix,
     det_r,
+    det_rows,
     iso_check,
     lemma42_extract,
     r_g,
@@ -64,6 +66,12 @@ def test_det_spec_validation():
         DetSpec((F(0),), (1,), 0)
     with pytest.raises(InvalidSpec):
         DetSpec((F(2),), (0,), 0)
+    # Sizes and the row offset are integers, never truncated or bools.
+    for sizes, r in [((1.5,), 0), ((F(2),), 0), (("2",), 0), ((True,), 0),
+                     ((2,), 1.5), ((2,), F(1)), ((2,), "1"), ((2,), True), ((2,), -1)]:
+        with pytest.raises(InvalidSpec):
+            DetSpec((F(2),), sizes, r)
+    assert DetSpec((F(2),), (2,), 1).sizes == (2,)
 
 
 def test_det_matrix_entries_are_fraction_powers():
@@ -80,6 +88,27 @@ def test_det_matrix_entries_are_fraction_powers():
     assert det_matrix(DetSpec((F(-2, 3),), (3,), 0))[0] == [1, 0, 0]
 
 
+def test_det_rows_are_integer_multiples_of_det_matrix():
+    """Row p is D_p = lcm_t den(alpha_t)^p times row p of det_matrix, in ints."""
+    alphas = (F(3), F(-2), F(1, 2), F(-2, 3))
+    for m in (1, 2, 3):
+        for subset in itertools.combinations(alphas, m):
+            for sizes in itertools.product((1, 3), repeat=m):
+                for r in range(4):
+                    spec = DetSpec(subset, sizes, r)
+                    rows, denominators = det_rows(spec)
+                    matrix = det_matrix(spec)
+                    assert len(rows) == len(denominators) == len(matrix)
+                    for p, row, d, rational in zip(itertools.count(r), rows, denominators,
+                                                   matrix):
+                        assert d == math.lcm(*(a.denominator**p for a in subset))
+                        assert all(type(x) is int for x in row)
+                        assert row == [d * x for x in rational]
+    rows, denominators = det_rows(DetSpec((F(-2, 3), F(1, 2)), (3, 1), 0))
+    assert denominators[0] == 1 and rows[0] == [1, 0, 0, 1]
+    assert denominators[1] == 6 and rows[1] == [-4, -4, -4, 3]
+
+
 def test_det_sweep_small_with_naive_oracle():
     alphas = (F(1), F(2), F(-2))
     for m in (1, 2):
@@ -90,6 +119,7 @@ def test_det_sweep_small_with_naive_oracle():
                     result = det_r(spec)
                     assert result.ok, spec
                     assert naive_det(det_matrix(spec)) == result.computed
+                    assert result.matrix == det_matrix(spec)
 
 
 def test_leibniz_action_matches_single_factor():
