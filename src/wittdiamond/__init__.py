@@ -20,7 +20,7 @@ from .exceptions import (
     VariableMismatch,
     ZeroVector,
 )
-from .scalars import Scalar, scalar
+from .scalars import scalar
 
 __all__ = [
     "AlgebraError",
@@ -32,7 +32,6 @@ __all__ = [
     "NotApplicable",
     "NotWeight",
     "RequiresSimple",
-    "Scalar",
     "UnsupportedOperation",
     "UnsupportedVariable",
     "VariableMismatch",

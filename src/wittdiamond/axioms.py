@@ -76,22 +76,6 @@ def _fractions(v: tuple[dict, int]) -> dict:
     return {k: Fraction(n, den) for k, n in nums.items()}
 
 
-def memoized_action(module):
-    """``act(g, v)`` computed as sum_e v[e] * image(g, e), linearly.
-
-    A thin conversion around the integer kernel of ``module_axiom_check``:
-    ``v`` is cleared to integers, acted on, and converted back to a
-    ``SparsePoly``.  The memo of monomial images is local to the returned
-    function.
-    """
-    kernel = _integer_action(module)
-
-    def act(g: Generator, v: SparsePoly) -> SparsePoly:
-        return v._like(_fractions(kernel(g, clear_denominators(v.terms))))
-
-    return act
-
-
 def module_axiom_check(module, window: int, vectors) -> AxiomReport:
     """x(y v) - y(x v) = [x, y] v for all generator pairs in the window.
 

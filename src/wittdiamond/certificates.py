@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .exceptions import CertificateError
 from .lie import Generator, gen
@@ -56,10 +55,6 @@ class CertStep:
             (scalar(coef), tuple(gen(f, i) for f, i in word)) for coef, word in data
         )
         return cls(combo)
-
-
-def step(*terms: tuple[Fraction | int | str, Sequence[Generator]]) -> CertStep:
-    return CertStep(tuple((scalar(c), tuple(w)) for c, w in terms))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
 from .axioms import apply_uenv, random_vector
 from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
@@ -39,12 +40,7 @@ from .omega import (
 )
 from .oracle import ClosureReport, TruncationPolicy, naive_det, truncated_closure
 from .poly import PolyRing, SparsePoly, parse_poly
-from .specs import (
-    module_from_spec,
-    rank1_data_from_json,
-    validate_module_spec,
-    vector_report,
-)
+from .specs import module_from_spec, rank1_data_from_json, vector_report
 from .tensor import (
     DetSpec,
     TensorModule,
@@ -100,10 +96,9 @@ class Report:
 
 
 def _load_spec(path: str) -> dict:
+    """The JSON of a spec file; ``module_from_spec`` validates it."""
     with open(path) as fh:
-        obj = json.load(fh)
-    validate_module_spec(obj)
-    return obj
+        return json.load(fh)
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -249,6 +244,12 @@ def cmd_simplicity(args) -> int:
             if getattr(args, dest) is not None:
                 raise InvalidSpec(f"{option} bounds the closure of simplicity on F and Omega "
                                   "specs; no closure runs on a T spec")
+    sampled = isinstance(module, OmegaModule) or (isinstance(module, TensorModule)
+                                                  and module.distinct_lambdas())
+    if args.samples is not None and not sampled:
+        raise InvalidSpec("--samples sets the certificate count of simplicity on Omega specs "
+                          "and T specs with distinct lambdas; nothing is sampled here")
+    samples = 5 if args.samples is None else args.samples
     rng = random.Random(args.seed)
     policy = _policy(args)
 
@@ -297,15 +298,15 @@ def cmd_simplicity(args) -> int:
             )
     elif isinstance(module, OmegaModule):
         replays = 0
-        for _ in range(args.samples):
+        for _ in range(samples):
             v = random_vector(module.ring, rng, max_total_degree=3, terms=3)
             cert = omega_reduce_to_one(module, v)
             if cert.replay(module, v) == module.one():
                 replays += 1
         rep.add(
             "reduction-certificates",
-            replays == args.samples,
-            {"replayed": replays, "samples": args.samples},
+            replays == samples,
+            {"replayed": replays, "samples": samples},
         )
         closure = truncated_closure(module, module.one(), policy)
         rep.add(
@@ -314,7 +315,7 @@ def cmd_simplicity(args) -> int:
             _closure_detail(closure),
         )
     else:
-        decision = simplicity_decision(module, seed=args.seed, samples=args.samples)
+        decision = simplicity_decision(module, seed=args.seed, samples=samples)
         if decision.simple:
             rep.add(
                 "simplicity",
@@ -370,7 +371,8 @@ def cmd_det_lemma(args) -> int:
                         )
                     if sum(sizes) <= args.naive_limit:
                         naive_checked += 1
-                        if naive_det(result.matrix) != result.computed:
+                        # The rows are scaled by their denominators, and so is the determinant.
+                        if naive_det(result.rows) != result.computed * prod(result.denominators):
                             naive_mismatches.append(
                                 {"alphas": [str(a) for a in subset], "sizes": sizes, "r": r}
                             )
@@ -569,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplicity", help="certificates plus closure oracle")
     p.add_argument("--spec", required=True)
-    p.add_argument("--samples", type=_int_at_least(1), default=5)
+    p.add_argument("--samples", type=_int_at_least(1),
+                   help="certificate samples, Omega and distinct-lambda T specs only (default 5)")
     p.add_argument("--seed", type=int, default=0)
     for option, _, field in _CLOSURE_OPTIONS:
         p.add_argument(option, type=_int_at_least(1),

@@ -108,9 +108,6 @@ class FModule:
     def one(self) -> SparsePoly:
         return self.ring.one()
 
-    def zero(self) -> SparsePoly:
-        return self.ring.zero()
-
     # -- coordinate-factor primitives ------------------------------------
 
     def _xpow(self, i: int, n: int, p: SparsePoly) -> SparsePoly:

@@ -114,8 +114,9 @@ class OmegaModule:
     def act(self, g: Generator, f: SparsePoly) -> SparsePoly:
         return omega_factor_act(self.params, self.ring, "s", "t", g, f)
 
-    def g_poly(self) -> SparsePoly:
-        return self.ring.from_terms(((0, k), c) for k, c in enumerate(self.params.g))
+    def orbit_points(self, family: str, v: SparsePoly) -> int:
+        """The point count N of ``orbit_points`` for the X-orbit of v."""
+        return orbit_points(index_degrees((self.params.lam,), (v.var_degree("s") or 0,), family))
 
 
 def index_degrees(lams, profile, family: str) -> dict[Fraction, int]:
@@ -143,13 +144,13 @@ def orbit_points(degrees: dict[Fraction, int]) -> int:
     return sum(d + 1 for d in degrees.values())
 
 
-def solve_in_orbit(module, family: str, v: SparsePoly, target: SparsePoly,
-                   points: int) -> CertStep:
-    """target = kappa*v + sum_{n < points} kappa_n X[n] v as a certificate step.
+def solve_in_orbit(module, family: str, v: SparsePoly, target: SparsePoly) -> CertStep:
+    """target = kappa*v + sum_{n < N} kappa_n X[n] v as a certificate step.
 
-    With ``points`` from ``orbit_points`` the columns span v and its whole
-    X-orbit, so a target they miss lies outside span{v, X[n] v : n in Z}.
+    N is ``module.orbit_points(family, v)``, so the columns span v and its
+    whole X-orbit, and a target they miss lies outside span{v, X[n] v : n in Z}.
     """
+    points = module.orbit_points(family, v)
     words: list[tuple[Generator, ...]] = [()] + [(gen(family, n),) for n in range(points)]
     columns = [dict(v.terms)] + [dict(module.act(g, v).terms) for (g,) in words[1:]]
     combo = combination(columns, dict(target.terms))
@@ -176,8 +177,7 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     sdeg = v.var_degree("s")
     if sdeg and sdeg > 0:
         target = v.extract_var_power("s", sdeg)
-        points = orbit_points(index_degrees((par.lam,), (sdeg,), "c"))
-        steps.append(solve_in_orbit(module, "c", v, target, points))
+        steps.append(solve_in_orbit(module, "c", v, target))
         v = target
     dt_combo = [(1 / par.beta, (gen("b", 0),))]
     for k, c in enumerate(par.g_over_beta):
@@ -255,9 +255,11 @@ class UhRankReport:
     recursion_matches_d0: bool
 
 
-def uh_rank(module: OmegaModule, max_power: int | None = None,
-            coeff_degree: int = 3) -> UhRankReport:
+def uh_rank(module: OmegaModule) -> UhRankReport:
     """Free rank over C[L0, d0], with generation and independence witnesses.
+
+    Generation is witnessed for t^0 .. t^(3 rank), independence for
+    coefficients of degree at most 3 in L0 and in d0.
 
     The generation recursion used is the derived form
 
@@ -272,7 +274,7 @@ def uh_rank(module: OmegaModule, max_power: int | None = None,
         raise UnsupportedOperation("free-rank computation needs g != 0")
     N = par.g_degree
     rank = N + 1
-    top = 3 * rank if max_power is None else max_power
+    top = 3 * rank
 
     # recursion vs direct action
     recursion_ok = True
@@ -312,13 +314,13 @@ def uh_rank(module: OmegaModule, max_power: int | None = None,
         if w.replay(module) != module.ring.monomial({"t": j}):
             generation_ok = False
 
-    # independence: the only low-degree C[L0,d0]-combination of the basis
-    # that vanishes is zero
+    # independence: the only C[L0,d0]-combination of the basis with
+    # coefficients of degree <= 3 that vanishes is zero
     columns = []
     for k in range(N + 1):
         base = module.ring.monomial({"t": k})
-        for i in range(coeff_degree + 1):
-            for j in range(coeff_degree + 1):
+        for i in range(4):
+            for j in range(4):
                 vec = base
                 for _ in range(j):
                     vec = module.act(gen("d", 0), vec)

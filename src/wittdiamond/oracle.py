@@ -149,9 +149,10 @@ def free_word_oracle(word) -> UEnvElement:
 def naive_det(matrix) -> Fraction:
     """Cofactor expansion with minor memoization; oracle for small sizes.
 
-    Each row is first multiplied by the lcm of its entries' denominators, so
-    the expansion runs over Python ints with an integer sign; the result is
-    divided by the product of those row scales once, at the end.
+    Entries are ints or Fractions (any other type raises ``TypeError``); the
+    input is not modified.  Each row is multiplied by the lcm of its entries'
+    denominators, so the expansion runs over Python ints with an integer sign;
+    the result is divided by the product of those row scales once, at the end.
     """
     n = len(matrix)
     if n == 0:
@@ -161,10 +162,12 @@ def naive_det(matrix) -> Fraction:
     rows: list[list[int]] = []
     scale = 1
     for row in matrix:
-        entries = [Fraction(x) for x in row]
-        row_scale = lcm(*(x.denominator for x in entries))
+        try:
+            row_scale = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * row_scale // x.denominator for x in row])
+        except AttributeError:
+            raise TypeError("determinant entries must be ints or Fractions") from None
         scale *= row_scale
-        rows.append([x.numerator * row_scale // x.denominator for x in entries])
     cache: dict[tuple[int, ...], int] = {}
 
     def minor(row: int, cols: tuple[int, ...]) -> int:

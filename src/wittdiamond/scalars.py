@@ -17,8 +17,6 @@ from typing import Mapping
 
 from .exceptions import AlgebraMismatch
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -140,13 +140,10 @@ def det_rows(spec: DetSpec) -> tuple[list[list[int]], list[int]]:
     return rows, denominators
 
 
-def _rational_rows(rows: list[list[int]], denominators: list[int]) -> list[list[Fraction]]:
-    return [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
-
-
 def det_matrix(spec: DetSpec) -> list[list[Fraction]]:
     """The rational rows n^x alpha_t^n of ``det_rows``, each divided by its scale."""
-    return _rational_rows(*det_rows(spec))
+    rows, denominators = det_rows(spec)
+    return [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
 
 
 @dataclass
@@ -159,11 +156,6 @@ class DetResult:
     @property
     def ok(self) -> bool:
         return self.computed == self.closed_form
-
-    @property
-    def matrix(self) -> list[list[Fraction]]:
-        """The rational matrix of ``det_rows``, rebuilt from the stored integer rows."""
-        return _rational_rows(self.rows, self.denominators)
 
 
 def det_r(spec: DetSpec) -> DetResult:
@@ -247,10 +239,15 @@ def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
         raise ZeroVector("extraction from the zero vector")
     if not 1 <= k <= module.m:
         raise ValueError("factor index out of range")
-    family = "L" if which == 9 else "a"
-    target = _shifted_target(module, g, which, k)
-    step = solve_in_orbit(module, family, g, target, module.orbit_points(family, g))
+    step, target = _extraction(module, g, which, k)
     return target, Certificate([step])
+
+
+def _extraction(module: TensorModule, v: SparsePoly, which: int,
+                k: int) -> tuple[CertStep, SparsePoly]:
+    """The step of ``lemma42_extract`` from v, and the target it reaches."""
+    target = _shifted_target(module, v, which, k)
+    return solve_in_orbit(module, "L" if which == 9 else "a", v, target), target
 
 
 def tensor_reduce_to_bottom(module: TensorModule,
@@ -274,15 +271,13 @@ def tensor_reduce_to_bottom(module: TensorModule,
         p_part, q_part = deg[:m], deg[m:]
         if any(p_part):
             k = next(i for i, p in enumerate(p_part) if p) + 1
-            target = _shifted_target(module, v, 11, k)
-            steps.append(solve_in_orbit(module, "a", v, target, module.orbit_points("a", v)))
-            v = target
+            step, v = _extraction(module, v, 11, k)
         elif any(q_part):
             k = next(i for i, q in enumerate(q_part) if q) + 1
             step, v = _derivative_step(module, v, k)
-            steps.append(step)
         else:
             break
+        steps.append(step)
     cert = Certificate(steps)
     require(cert.replay(module, g) == v, "reduction replay does not reach the bottom vector")
     require(set(v.terms) == {(0,) * (2 * m)}, "reduction does not end at a nonzero constant")
@@ -299,14 +294,12 @@ def _t_power_words(module: TensorModule, v: SparsePoly, k: int,
     chains = [[(ONE, ())]]
     current = v
     for _ in range(max_power):
-        target = current.mul_var(module.tvar(k))
-        step = solve_in_orbit(module, "a", current, target, module.orbit_points("a", current))
+        step, current = _extraction(module, current, 10, k)
         flattened = []
         for c2, w2 in step.combo:
             for c1, w1 in chains[-1]:
                 flattened.append((c2 * c1, w2 + w1))
         chains.append(flattened)
-        current = target
     return chains
 
 
@@ -349,16 +342,12 @@ def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certifica
         raise ValueError("expected a natural exponent vector of length 2m")
     steps: list[CertStep] = []
     v = module.one()
-    for k in range(1, m + 1):
-        for _ in range(exps[k - 1]):
-            target = v.mul_var(module.svar(k))
-            steps.append(solve_in_orbit(module, "L", v, target, module.orbit_points("L", v)))
-            v = target
-    for k in range(1, m + 1):
-        for _ in range(exps[m + k - 1]):
-            target = v.mul_var(module.tvar(k))
-            steps.append(solve_in_orbit(module, "a", v, target, module.orbit_points("a", v)))
-            v = target
+    # s-powers from the L-orbit first, then t-powers from the a-orbit.
+    for which, offset in ((9, 0), (10, m)):
+        for k in range(1, m + 1):
+            for _ in range(exps[offset + k - 1]):
+                step, v = _extraction(module, v, which, k)
+                steps.append(step)
     cert = Certificate(steps)
     require(
         cert.replay(module, module.one()) == SparsePoly(module.ring, {exps: ONE}),
@@ -508,7 +497,7 @@ class SimplicityResult:
 
 
 def simplicity_decision(module: TensorModule, seed: int = 0,
-                        samples: int = 5, max_degree: int = 2) -> SimplicityResult:
+                        samples: int = 5) -> SimplicityResult:
     """Certificate-based simplicity evidence, or an exact invariant subspace.
 
     With pairwise distinct lambdas the decision is backed by replayable
@@ -523,7 +512,7 @@ def simplicity_decision(module: TensorModule, seed: int = 0,
         rng = random.Random(seed)
         evidence = []
         for _ in range(samples):
-            v = random_vector(module.ring, rng, max_total_degree=max_degree, terms=3)
+            v = random_vector(module.ring, rng, max_total_degree=2, terms=3)
             cert, bottom = tensor_reduce_to_bottom(module, v)
             target = max(v.terms)
             up = tensor_generate(module, target)

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from wittdiamond.axioms import AxiomReport, memoized_action, module_axiom_check, sample_vectors
+from wittdiamond.axioms import AxiomReport, _integer_action, module_axiom_check, sample_vectors
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import FAMILIES, bracket, gen, generators_in_window
 from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.poly import SparsePoly, monomials_within
-from wittdiamond.scalars import ONE, add_scaled
+from wittdiamond.scalars import ONE, add_scaled, clear_denominators
 from wittdiamond.tensor import TensorModule
 
 WINDOW_2 = [gen(f, n) for f in FAMILIES for n in range(-2, 3)]
@@ -65,6 +65,17 @@ class AddsConstant:
 
     def act(self, g, v):
         return self.base.act(g, v) + self.ring.one()
+
+
+def memoized_action(module):
+    """The integer kernel of the check, with ``SparsePoly`` in and out."""
+    kernel = _integer_action(module)
+
+    def act(g, v):
+        nums, den = kernel(g, clear_denominators(v.terms))
+        return v._like({e: F(n, den) for e, n in nums.items()})
+
+    return act
 
 
 @pytest.mark.parametrize("name", sorted(SIX_FAMILIES))

@@ -213,6 +213,38 @@ def test_det_lemma_builds_each_matrix_once(monkeypatch, tmp_path):
     assert rational == []
 
 
+def test_det_lemma_naive_agreement_is_live(monkeypatch, tmp_path):
+    from wittdiamond import cli
+
+    original = cli.naive_det
+    monkeypatch.setattr(cli, "naive_det", lambda matrix: original(matrix) + 1)
+    out = str(tmp_path / "r.json")
+    assert main(["det-lemma", "--max-m", "1", "--max-s", "2", "--max-r", "0", "--out", out]) == 1
+    status = {c["check"]: c["status"] for c in _check_report(out)["checks"]}
+    assert status == {"determinant-closed-form": "pass", "naive-det-agreement": "fail"}
+
+
+def test_each_spec_is_validated_once(write_json, monkeypatch):
+    from wittdiamond import cli, specs
+
+    calls = []
+    original = specs.validate_module_spec
+
+    def counted(obj):
+        calls.append(obj)
+        return original(obj)
+
+    # Every binding is patched, so a by-name import would be counted too.
+    for module in (specs, cli):
+        if hasattr(module, "validate_module_spec"):
+            monkeypatch.setattr(module, "validate_module_spec", counted)
+    omega = write_json("omega.json", OMEGA_SPEC)
+    assert main(["rank", "--spec", omega]) == 0
+    assert len(calls) == 1
+    assert main(["iso", "--left", write_json("t.json", T_SPEC), "--right", omega]) == 0
+    assert len(calls) == 3
+
+
 def test_rank_commands(write_json, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["rank", "--spec", write_json("om.json", OMEGA_SPEC), "--out", out]) == 0
@@ -290,6 +322,7 @@ DET = ["det-lemma", "--max-m", "1", "--max-s", "1", "--max-r", "0"]
 # Spec files a row names by these placeholders are written before the run;
 # DIR names a directory and bin.json a file that is not UTF-8.
 BAD_USAGE_SPECS = {
+    "f.json": F_SPEC,
     "omega.json": OMEGA_SPEC,
     "omega-beta0.json": {**OMEGA_SPEC, "beta": "0"},
     "omega-lambda0.json": {**OMEGA_SPEC, "lambda": "0"},
@@ -338,6 +371,8 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["rank", "--spec", "omega.json", "--vector", "zz"],
     ["rank", "--spec", "omega-beta-minus0.json"],
     ["simplicity", "--spec", "t-lambda-0over3.json", "--samples", "1"],
+    ["simplicity", "--spec", "f.json", "--samples", "9"],
+    ["simplicity", "--spec", "t-equal.json", "--samples", "9"],
     ["rank", "--spec", "DIR"],
     ["classify", "--data", "DIR"],
     ["rank", "--spec", "bin.json"],

@@ -104,6 +104,23 @@ def test_naive_det_small_examples():
     assert naive_det([[F(2), F(5)], [F(2), F(5)]]) == 0
 
 
+def test_naive_det_reads_ints_as_fractions_and_keeps_its_input():
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rows = [list(row) for row in m]
+        det = naive_det(m)
+        assert isinstance(det, F) and det == naive_det([[F(x) for x in row] for row in m])
+        assert m == rows
+    m = [[F(1, 2), 3], [F(-2, 3), F(5, 4)]]
+    naive_det(m)
+    assert m == [[F(1, 2), 3], [F(-2, 3), F(5, 4)]]
+    for bad in (1.5, "1/2"):
+        with pytest.raises(TypeError):
+            naive_det([[1, 2], [bad, 3]])
+
+
 def test_naive_det_hand_computed_3x3_with_row_denominators():
     """Row lcms 6, 4 and 15; a zero in row 0 keeps the cofactor signs honest.
 
