@@ -126,16 +126,34 @@ def _parse_g_poly(text: str) -> tuple:
 # -- subcommands -------------------------------------------------------------
 
 
+# Index grid of verify-brackets: {-1, 0, 1}, three points per index.
+BRACKET_WINDOW = 1
+
+
 def cmd_verify_brackets(args) -> int:
+    """Antisymmetry and the Jacobi identity, for every index in Z.
+
+    The bracket table has no index-specific case: ``[x_l, y_m]`` is
+    ``c(l, m) w_{l+m}`` with ``c`` of degree at most 1 in each index.  So the
+    antisymmetry defect has degree at most 1 in each index, and each
+    coefficient of the Jacobi residual at ``l+m+n``, a sum of products
+    ``c(m, n) c'(l, m+n)``, has degree at most 2 in each of l, m and n (as in
+    ``[L_l, [L_m, L_n]] = (n-m)(m+n-l) L_{l+m+n}``).  A polynomial of degree at
+    most d in each variable that vanishes on d+1 points per variable is zero
+    (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1), so the three
+    indices {-1, 0, 1} settle both identities on Z.
+    """
     rep = Report("verify-brackets")
-    gens = generators_in_window(args.window)
+    gens = generators_in_window(BRACKET_WINDOW)
+    grid = {"complete": True, "indices": list(range(-BRACKET_WINDOW, BRACKET_WINDOW + 1))}
     anti = [
         (str(x), str(y))
         for x in gens
         for y in gens
         if not (bracket(x, y) + bracket(y, x)).is_zero
     ]
-    rep.add("antisymmetry", not anti, {"window": args.window, "violations": anti[:10]})
+    rep.add("antisymmetry", not anti, {**grid, "max_index_degree": 1,
+                                       "pairs": len(gens) ** 2, "violations": anti[:10]})
     jac = []
     for x in gens:
         for y in gens:
@@ -145,13 +163,16 @@ def cmd_verify_brackets(args) -> int:
     rep.add(
         "jacobi",
         not jac,
-        {"window": args.window, "triples": len(gens) ** 3, "violations": jac[:10]},
+        {**grid, "max_index_degree": 2, "triples": len(gens) ** 3, "violations": jac[:10]},
     )
     return rep.finish(args.out)
 
 
 def _build_phi(args):
     if args.map == "ab":
+        for option, value in (("--gamma", args.gamma), ("--g", args.g)):
+            if value is not None:
+                raise InvalidSpec(f"{option} is a parameter of the abgg map; the ab map has none")
         cls = CorruptedPhiAB if args.corrupted else PhiAB
         return cls(_rational(args.alpha, "--alpha"), _rational(args.beta, "--beta"))
     if args.corrupted:
@@ -167,13 +188,15 @@ def _build_phi(args):
 def cmd_verify_hom(args) -> int:
     rep = Report("verify-hom")
     phi = _build_phi(args)
-    hom = verify_hom(phi, args.window)
+    hom = verify_hom(phi)
     rep.add(
         "homomorphism",
         hom.ok,
         {
             "map": args.map,
-            "window": args.window,
+            "complete": True,
+            "window": hom.window,
+            "max_index_degree": 2,
             "pairs": hom.pairs_checked,
             "violations": hom.violations[:10],
             "corrupted": bool(args.corrupted),
@@ -236,7 +259,6 @@ def _closure_detail(report: ClosureReport) -> dict:
 
 
 def cmd_simplicity(args) -> int:
-    rep = Report("simplicity", seed=args.seed)
     spec = _load_spec(args.spec)
     module = module_from_spec(spec)
     if isinstance(module, TensorModule):
@@ -246,11 +268,16 @@ def cmd_simplicity(args) -> int:
                                   "specs; no closure runs on a T spec")
     sampled = isinstance(module, OmegaModule) or (isinstance(module, TensorModule)
                                                   and module.distinct_lambdas())
-    if args.samples is not None and not sampled:
-        raise InvalidSpec("--samples sets the certificate count of simplicity on Omega specs "
-                          "and T specs with distinct lambdas; nothing is sampled here")
+    if not sampled:
+        for option, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                raise InvalidSpec(f"{option} applies to the sampled certificates of simplicity "
+                                  "on Omega specs and T specs with distinct lambdas; "
+                                  "nothing is sampled here")
     samples = 5 if args.samples is None else args.samples
-    rng = random.Random(args.seed)
+    seed = 0 if args.seed is None else args.seed
+    rep = Report("simplicity", seed=seed if sampled else None)
+    rng = random.Random(seed)
     policy = _policy(args)
 
     if isinstance(module, FModule):
@@ -315,7 +342,7 @@ def cmd_simplicity(args) -> int:
             _closure_detail(closure),
         )
     else:
-        decision = simplicity_decision(module, seed=args.seed, samples=samples)
+        decision = simplicity_decision(module, seed=seed, samples=samples)
         if decision.simple:
             rep.add(
                 "simplicity",
@@ -350,6 +377,7 @@ def cmd_simplicity(args) -> int:
 
 
 def cmd_det_lemma(args) -> int:
+    """The closed form of ``det_r`` at r = 0, which settles every r >= 0 (see ``det_r``)."""
     rep = Report("det-lemma")
     alphas = tuple(_rational(a, "--alphas") for a in args.alphas.split(","))
     if args.max_m > len(alphas):
@@ -361,25 +389,20 @@ def cmd_det_lemma(args) -> int:
     for m in range(1, args.max_m + 1):
         for subset in itertools.permutations(alphas, m):
             for sizes in itertools.product(range(1, args.max_s + 1), repeat=m):
-                for r in range(args.max_r + 1):
-                    spec = DetSpec(subset, sizes, r)
-                    result = det_r(spec)
-                    specs += 1
-                    if not result.ok:
-                        mismatches.append(
-                            {"alphas": [str(a) for a in subset], "sizes": sizes, "r": r}
-                        )
-                    if sum(sizes) <= args.naive_limit:
-                        naive_checked += 1
-                        # The rows are scaled by their denominators, and so is the determinant.
-                        if naive_det(result.rows) != result.computed * prod(result.denominators):
-                            naive_mismatches.append(
-                                {"alphas": [str(a) for a in subset], "sizes": sizes, "r": r}
-                            )
+                result = det_r(DetSpec(subset, sizes, 0))
+                specs += 1
+                case = {"alphas": [str(a) for a in subset], "sizes": sizes}
+                if not result.ok:
+                    mismatches.append(case)
+                if sum(sizes) <= args.naive_limit:
+                    naive_checked += 1
+                    # The rows are scaled by their denominators, and so is the determinant.
+                    if naive_det(result.rows) != result.computed * prod(result.denominators):
+                        naive_mismatches.append(case)
     rep.add(
         "determinant-closed-form",
         not mismatches,
-        {"specs": specs, "mismatches": mismatches[:5]},
+        {"specs": specs, "complete": True, "r": 0, "mismatches": mismatches[:5]},
     )
     rep.add(
         "naive-det-agreement",
@@ -546,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-brackets", help="antisymmetry and Jacobi sweep")
-    p.add_argument("--window", type=_int_at_least(1), default=3)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_brackets)
 
@@ -556,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma")
     p.add_argument("--g", help="polynomial in t, e.g. 't^2 + 1'")
-    p.add_argument("--window", type=_int_at_least(1), default=3)
     p.add_argument("--corrupted", action="store_true",
                    help="negative control: drop the index-linear term of d[n]")
     p.add_argument("--out")
@@ -573,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--samples", type=_int_at_least(1),
                    help="certificate samples, Omega and distinct-lambda T specs only (default 5)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed of the sampled vectors, Omega and distinct-lambda T specs only "
+                   "(default 0)")
     for option, _, field in _CLOSURE_OPTIONS:
         p.add_argument(option, type=_int_at_least(1),
                        help=f"closure {field.replace('_', ' ')}, F and Omega specs only "
@@ -584,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det-lemma", help="generalized Vandermonde determinant sweep")
     p.add_argument("--max-m", type=_int_at_least(1), default=3)
     p.add_argument("--max-s", type=_int_at_least(1), default=3)
-    p.add_argument("--max-r", type=_int_at_least(0), default=2)
     p.add_argument("--alphas", default="1,2,3,5,7,-2")
     p.add_argument("--naive-limit", type=_int_at_least(1), default=6)
     p.add_argument("--out")

@@ -3,9 +3,10 @@
 ``PhiAB`` sends the algebra into (degree-2 Laurent Weyl algebra) (x) U(b);
 ``PhiABGG`` sends it onto (degree-1 Laurent Weyl algebra) (x) (polynomial
 differential operators).  Both are defined on generators and extended to
-PBW words multiplicatively; ``verify_hom`` re-checks that this respects
-every bracket on a finite index window, and the witness lists exhibit
-preimages of the standard generating operators, each replayable exactly.
+PBW words multiplicatively; ``verify_hom`` checks that this respects
+every bracket, on an index window that a degree bound proves complete, and
+the witness lists exhibit preimages of the standard generating operators,
+each replayable exactly.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ class HomReport:
         return not self.violations
 
 
-def verify_hom(phi, window: int) -> HomReport:
+def verify_hom(phi, window: int = 1) -> HomReport:
     """Check the bracket compatibility of the generator table.
 
     For every generator pair with indices in [-window, window], the
@@ -205,6 +206,18 @@ def verify_hom(phi, window: int) -> HomReport:
     bracket is a linear combination of generators and the map is linear,
     so its image is the same combination of generator images; images of
     bracket indices outside the window are added to the table on demand.
+
+    The default window 1 settles every index pair in Z for the tables of
+    this module.  Each image of ``x[n]`` is ``x0^n`` times an operator whose
+    coefficients have degree at most 1 in n, and each of its terms has
+    ``d/dx0``-order at most 1 (only ``L`` carries ``x0^(n+1) dx0``).  Moving
+    ``x0^n`` past ``d/dx0`` adds one factor linear in n, and the integer
+    structure constants of both target algebras do not depend on the index.
+    So ``[phi(x_m), phi(y_n)] - phi([x_m, y_n])``, divided by ``x0^(m+n)``,
+    has coefficients of degree at most 2 in m and in n, and three indices
+    per variable decide whether it vanishes on Z (a polynomial of degree at
+    most d in each variable that vanishes on d+1 points per variable is
+    zero; Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1).
     """
     if window < 1:
         raise ValueError("window must be at least 1")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exceptions import InvalidGenerator
 from .scalars import ONE, LinComb, add_scaled, scalar
@@ -213,5 +213,5 @@ def parse_uenv(text: str) -> UEnvElement:
     return total
 
 
-def generators_in_window(window: int, families: Iterable[str] = FAMILIES) -> list[Generator]:
-    return [gen(f, n) for f in families for n in range(-window, window + 1)]
+def generators_in_window(window: int) -> list[Generator]:
+    return [gen(f, n) for f in FAMILIES for n in range(-window, window + 1)]

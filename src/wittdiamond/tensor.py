@@ -166,6 +166,13 @@ def det_r(spec: DetSpec) -> DetResult:
     ``prod_t sf(s_t - 1) alpha_t^(s_t(s_t-1)/2 + r s_t)
     * prod_{i<j} (alpha_j - alpha_i)^(s_i s_j)`` is accumulated as an integer
     numerator and denominator and becomes one Fraction at the end.
+
+    The case r = 0 settles every r >= 0.  With n = p + r,
+    ``(p+r)^x alpha^(p+r) = alpha^r sum_{y<=x} C(x, y) r^(x-y) p^y alpha^p``,
+    so ``M_r = M_0 B`` with B block-diagonal, block t being ``alpha_t^r``
+    times an upper unitriangular matrix.  Hence
+    ``det_r = det_0 * prod_t alpha_t^(r s_t)``, which is exactly how the
+    closed form depends on r.
     """
     rows, denominators = det_rows(spec)
     computed = exact_det(rows) / prod(denominators)

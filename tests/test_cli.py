@@ -6,7 +6,9 @@ import jsonschema
 import pytest
 
 from wittdiamond.cli import main
-from wittdiamond.lie import gen
+from wittdiamond.homomorphisms import PhiABGG
+from wittdiamond.lie import LElement, bracket, gen
+from wittdiamond.operators import OperatorElement, TensorElement
 from wittdiamond.specs import load_schema, module_from_spec, vector_report
 
 F_SPEC = {
@@ -59,33 +61,106 @@ def _check_report(path):
 
 def test_verify_brackets(tmp_path):
     out = str(tmp_path / "r.json")
-    assert main(["verify-brackets", "--window", "2", "--out", out]) == 0
+    assert main(["verify-brackets", "--out", out]) == 0
     doc = _check_report(out)
     assert doc["status"] == "pass"
-    assert {c["check"] for c in doc["checks"]} == {"antisymmetry", "jacobi"}
+    detail = {c["check"]: c["detail"] for c in doc["checks"]}
+    assert set(detail) == {"antisymmetry", "jacobi"}
+    assert detail["jacobi"]["complete"] is True and detail["jacobi"]["triples"] == 3375
+    assert detail["jacobi"]["indices"] == [-1, 0, 1]
+    assert detail["jacobi"]["max_index_degree"] == 2
+    assert detail["antisymmetry"]["max_index_degree"] == 1
+
+
+def _planted_bracket(x, y):
+    """The bracket table with [L_m, z_n] = n (1 + m) z_{m+n} for z in {a, b, c, d}.
+
+    Its Jacobi residual on (L_l, L_m, z_n) is l m n (m - l) z_{l+m+n}: degree 2
+    in l and in m, zero whenever the indices lie in {0, 1}.
+    """
+    if x.family == "L" and y.family != "L":
+        return LElement({gen(y.family, x.index + y.index): y.index * (1 + x.index)})
+    if y.family == "L" and x.family != "L":
+        return _planted_bracket(y, x).scaled(-1)
+    return bracket(x, y)
+
+
+def test_verify_brackets_grid_catches_a_degree_2_residual(monkeypatch, tmp_path):
+    from wittdiamond import cli, lie
+
+    for module in (lie, cli):
+        monkeypatch.setattr(module, "bracket", _planted_bracket)
+    out = str(tmp_path / "r.json")
+    assert main(["verify-brackets", "--out", out]) == 1
+    checks = {c["check"]: c for c in _check_report(out)["checks"]}
+    assert checks["antisymmetry"]["status"] == "pass"
+    assert checks["jacobi"]["status"] == "fail"
+    # l m n (m - l) is nonzero only for L indices {-1, 1} and a nonzero third index.
+    for triple in checks["jacobi"]["detail"]["violations"]:
+        indices = {name: int(name[2:-1]) for name in triple}
+        assert sorted(i for name, i in indices.items() if name[0] == "L") == [-1, 1], triple
+        assert all(i for name, i in indices.items() if name[0] != "L"), triple
 
 
 def test_verify_hom_both_maps(tmp_path):
     out = str(tmp_path / "r.json")
     assert main([
-        "verify-hom", "--map", "ab", "--alpha", "1/2", "--beta", "3",
-        "--window", "2", "--out", out,
+        "verify-hom", "--map", "ab", "--alpha", "1/2", "--beta", "3", "--out", out,
     ]) == 0
-    assert _check_report(out)["status"] == "pass"
+    doc = _check_report(out)
+    assert doc["status"] == "pass"
+    detail = doc["checks"][0]["detail"]
+    assert detail["complete"] is True and detail["pairs"] == 120
+    assert detail["window"] == 1 and detail["max_index_degree"] == 2
     assert main([
         "verify-hom", "--map", "abgg", "--alpha", "1/2", "--beta", "3",
-        "--gamma", "2", "--g", "t^2 + 1", "--window", "2", "--out", out,
+        "--gamma", "2", "--g", "t^2 + 1", "--out", out,
     ]) == 0
+    assert _check_report(out)["checks"][0]["detail"]["pairs"] == 120
+
+
+class _PlantedPhi:
+    """PhiABGG with L[m] -> phi(L[m]) + m^2 x0^m (x) 1.
+
+    The defect of (L_m, L_n) is -m n (n - m) x0^(m+n) (x) 1: degree 2 in m
+    and in n, zero whenever the indices lie in {0, 1}.  The added term
+    commutes with every other image, so no other pair has a defect.
+    """
+
+    def __init__(self, alpha, beta, gamma, g):
+        self.phi = PhiABGG(alpha, beta, gamma, g)
+        self.left_algebra, self.right_algebra = self.phi.left_algebra, self.phi.right_algebra
+
+    def image(self, g):
+        out = self.phi.image(g)
+        if g.family != "L" or not g.index:
+            return out
+        x0m = OperatorElement.monomial(self.left_algebra, ((g.index,), (0,)), g.index**2)
+        return out + TensorElement.pure(x0m, OperatorElement.one(self.right_algebra))
+
+    def __getattr__(self, name):
+        return getattr(self.phi, name)
+
+
+def test_verify_hom_grid_catches_a_degree_2_defect(monkeypatch, tmp_path):
+    from wittdiamond import cli
+
+    monkeypatch.setattr(cli, "PhiABGG", _PlantedPhi)
+    out = str(tmp_path / "r.json")
+    assert main(["verify-hom", "--map", "abgg", "--alpha", "1/2", "--beta", "3",
+                 "--gamma", "2", "--out", out]) == 1
+    detail = _check_report(out)["checks"][0]["detail"]
+    assert detail["pairs"] == 120
+    assert detail["violations"] == [["L[-1]", "L[1]"]]
 
 
 @pytest.mark.parametrize("joined, separate", [
-    (["verify-hom", "--map", "ab", "--alpha=-2/3", "--beta=5", "--window", "1"],
-     ["verify-hom", "--map", "ab", "--alpha", "-2/3", "--beta", "5", "--window", "1"]),
-    (["verify-hom", "--map", "abgg", "--alpha=1/2", "--beta=-3", "--gamma=-1/4", "--window", "1"],
-     ["verify-hom", "--map", "abgg", "--alpha", "1/2", "--beta", "-3", "--gamma", "-1/4",
-      "--window", "1"]),
-    (["det-lemma", "--alphas=-2,3", "--max-m", "2", "--max-s", "2", "--max-r", "1"],
-     ["det-lemma", "--alphas", "-2,3", "--max-m", "2", "--max-s", "2", "--max-r", "1"]),
+    (["verify-hom", "--map", "ab", "--alpha=-2/3", "--beta=5"],
+     ["verify-hom", "--map", "ab", "--alpha", "-2/3", "--beta", "5"]),
+    (["verify-hom", "--map", "abgg", "--alpha=1/2", "--beta=-3", "--gamma=-1/4"],
+     ["verify-hom", "--map", "abgg", "--alpha", "1/2", "--beta", "-3", "--gamma", "-1/4"]),
+    (["det-lemma", "--alphas=-2,3", "--max-m", "2", "--max-s", "2"],
+     ["det-lemma", "--alphas", "-2,3", "--max-m", "2", "--max-s", "2"]),
 ], ids=["ab", "abgg", "det-lemma"])
 def test_negative_rationals_as_separate_words(joined, separate, tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
@@ -96,8 +171,7 @@ def test_negative_rationals_as_separate_words(joined, separate, tmp_path):
 
 def test_verify_hom_corrupted_control_fails():
     assert main([
-        "verify-hom", "--map", "ab", "--alpha", "1/2", "--beta", "3",
-        "--window", "1", "--corrupted",
+        "verify-hom", "--map", "ab", "--alpha", "1/2", "--beta", "3", "--corrupted",
     ]) == 1
 
 
@@ -162,6 +236,39 @@ def test_closure_options_on_a_t_spec_exit_2(option, spec, write_json, capsys):
     assert option in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["simplicity", "--spec", "f.json", "--seed", "5"], "--seed"),
+    (["simplicity", "--spec", "teq.json", "--seed", "5"], "--seed"),
+    (["verify-hom", "--map", "ab", "--alpha", "1", "--beta", "1", "--gamma", "2"], "--gamma"),
+    (["verify-hom", "--map", "ab", "--alpha", "1", "--beta", "1", "--g", "t"], "--g"),
+], ids=["seed-f", "seed-teq", "gamma-ab", "g-ab"])
+def test_options_that_would_be_ignored_exit_2(argv, option, write_json, capsys):
+    specs = {"f.json": F_SPEC, "teq.json": T_EQUAL}
+    argv = [write_json(a, specs[a]) if a in specs else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-brackets", "--window", "3"],
+    ["verify-hom", "--map", "ab", "--alpha", "1", "--beta", "1", "--window", "3"],
+    ["det-lemma", "--max-r", "2"],
+], ids=["verify-brackets", "verify-hom", "det-lemma"])
+def test_index_window_options_are_gone(argv, capsys):
+    # Each check runs on the one grid its degree bound proves complete.
+    assert _exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_seed_is_recorded_where_vectors_are_sampled(write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    # Omega and distinct-lambda T specs record the default seed 0; nothing is sampled elsewhere.
+    for spec, seed in ((OMEGA_SPEC, 0), (T_SPEC, 0), (F_SPEC, None), (T_EQUAL, None)):
+        assert main(["simplicity", "--spec", write_json("s.json", spec), "--out", out]) == 0
+        assert _check_report(out).get("seed") == seed
+
+
 def test_report_schema_pins_the_equal_lambda_detail(write_json, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL), "--out", out]) == 0
@@ -175,9 +282,13 @@ def test_report_schema_pins_the_equal_lambda_detail(write_json, tmp_path):
         assert not validator.is_valid({**doc, "checks": [{**doc["checks"][0], "detail": missing}]})
 
 
-def test_det_lemma_small():
-    assert main(["det-lemma", "--max-m", "2", "--max-s", "2", "--max-r", "1",
-                 "--alphas", "1,2,-2"]) == 0
+def test_det_lemma_small(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main(["det-lemma", "--max-m", "2", "--max-s", "2", "--alphas", "1,2,-2",
+                 "--out", out]) == 0
+    detail = _check_report(out)["checks"][0]["detail"]
+    # 3 alphas and 2 sizes, then 6 ordered pairs and 4 size pairs, all at r = 0.
+    assert detail == {"specs": 30, "complete": True, "r": 0, "mismatches": []}
 
 
 def test_det_lemma_builds_each_matrix_once(monkeypatch, tmp_path):
@@ -203,7 +314,7 @@ def test_det_lemma_builds_each_matrix_once(monkeypatch, tmp_path):
         if hasattr(module, "det_matrix"):
             monkeypatch.setattr(module, "det_matrix", counted_matrix)
     out = str(tmp_path / "r.json")
-    assert main(["det-lemma", "--max-m", "2", "--max-s", "2", "--max-r", "1",
+    assert main(["det-lemma", "--max-m", "2", "--max-s", "2",
                  "--alphas", "1,2,-2", "--out", out]) == 0
     detail = {c["check"]: c["detail"] for c in _check_report(out)["checks"]}
     specs = detail["determinant-closed-form"]["specs"]
@@ -219,7 +330,7 @@ def test_det_lemma_naive_agreement_is_live(monkeypatch, tmp_path):
     original = cli.naive_det
     monkeypatch.setattr(cli, "naive_det", lambda matrix: original(matrix) + 1)
     out = str(tmp_path / "r.json")
-    assert main(["det-lemma", "--max-m", "1", "--max-s", "2", "--max-r", "0", "--out", out]) == 1
+    assert main(["det-lemma", "--max-m", "1", "--max-s", "2", "--out", out]) == 1
     status = {c["check"]: c["status"] for c in _check_report(out)["checks"]}
     assert status == {"determinant-closed-form": "pass", "naive-det-agreement": "fail"}
 
@@ -317,8 +428,8 @@ def _exit_code(argv):
 
 
 HOM = ["verify-hom", "--map", "ab", "--beta", "1"]
-ABGG = ["verify-hom", "--map", "abgg", "--alpha", "1", "--beta", "1", "--window", "1"]
-DET = ["det-lemma", "--max-m", "1", "--max-s", "1", "--max-r", "0"]
+ABGG = ["verify-hom", "--map", "abgg", "--alpha", "1", "--beta", "1"]
+DET = ["det-lemma", "--max-m", "1", "--max-s", "1"]
 # Spec files a row names by these placeholders are written before the run;
 # DIR names a directory and bin.json a file that is not UTF-8.
 BAD_USAGE_SPECS = {
@@ -339,20 +450,18 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
 
 
 @pytest.mark.parametrize("argv", [
-    HOM + ["--alpha", "1", "--window", "0"],
-    HOM + ["--alpha", "1", "--window", "x"],
     HOM + ["--alpha", "foo"],
     HOM + ["--alpha", "1/0"],
     HOM + ["--alpha"],
-    HOM + ["--alpha", "--window", "1"],
+    HOM + ["--alpha", "--corrupted"],
     HOM + ["--alpha", "-"],
     ABGG + ["--gamma", "bar"],
     ABGG + ["--g", "x^2"],
-    ["verify-brackets", "--window", "0"],
-    ["verify-brackets", "--window", "-2"],
+    HOM + ["--alpha", "1", "--gamma", "2"],
+    HOM + ["--alpha", "1", "--g", "t"],
+    HOM + ["--alpha", "1", "--gamma", "foo", "--g", "zz^"],
     ["det-lemma", "--max-m", "0"],
     ["det-lemma", "--max-s", "0"],
-    ["det-lemma", "--max-r", "-1"],
     DET + ["--alphas", "1,bar"],
     DET + ["--naive-limit", "-1"],
     ["act", "--spec", "omega.json", "--expr", "L[x]", "--vector", "1"],
@@ -362,7 +471,6 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     SIMPLICITY + ["--max-degree", "0"],
     SIMPLICITY + ["--window", "0"],
     SIMPLICITY + ["--max-steps", "0"],
-    ["classify", "--data", "data.json", "--window", "0"],
     ACT + ["z"],
     ACT + ["s^-1"],
     ["rank", "--spec", "t.json", "--vector", "z"],
@@ -373,11 +481,13 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["simplicity", "--spec", "t-lambda-0over3.json", "--samples", "1"],
     ["simplicity", "--spec", "f.json", "--samples", "9"],
     ["simplicity", "--spec", "t-equal.json", "--samples", "9"],
+    ["simplicity", "--spec", "f.json", "--seed", "5"],
+    ["simplicity", "--spec", "t-equal.json", "--seed", "5"],
     ["rank", "--spec", "DIR"],
     ["classify", "--data", "DIR"],
     ["rank", "--spec", "bin.json"],
     ["act", "--spec", "bin.json", "--expr", "Q", "--vector", "1"],
-    ["det-lemma", "--alphas", "1", "--max-m", "2", "--max-s", "1", "--max-r", "0"],
+    ["det-lemma", "--alphas", "1", "--max-m", "2", "--max-s", "1"],
     ["rank", "--spec", "t-equal.json"],
 ], ids=" ".join)
 def test_bad_usage_exits_2(argv, write_json, tmp_path, capsys):
@@ -386,7 +496,9 @@ def test_bad_usage_exits_2(argv, write_json, tmp_path, capsys):
     argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else files.get(a, a)
             for a in argv]
     assert _exit_code(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # An option the parser does not know would exit 2 without testing anything.
+    assert "Traceback" not in err and "unrecognized arguments" not in err
 
 
 def test_certificate_error_exits_1(write_json, monkeypatch, capsys):

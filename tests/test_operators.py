@@ -268,11 +268,13 @@ class _Perturbed:
     PhiABGG(F(1, 2), F(3), F(2), (F(1), F(0), F(1))),
 ], ids=["ab", "abgg"])
 def test_verify_hom_flags_each_perturbed_family(phi, reference_violations):
-    assert verify_hom(phi, 1).ok
+    # The default window is the grid of the verify-hom subcommand.
+    report = verify_hom(phi)
+    assert report.ok and report.window == 1
     assert verify_hom(phi, 2).violations == reference_violations(phi, 2) == []
     for family in FAMILIES:
         perturbed = _Perturbed(phi, family)
-        report = verify_hom(perturbed, 1)
+        report = verify_hom(perturbed)
         assert not report.ok, family
         named = {name.split("[")[0] for pair in report.violations for name in pair}
         assert family in named, (family, report.violations)

@@ -59,6 +59,19 @@ def test_det_spec_examples():
     assert r3.computed == r3.closed_form == 125
 
 
+def test_det_r_factors_through_r_zero():
+    """det_r = det_0 * prod_t alpha_t^(r s_t), the identity that lets det-lemma check r = 0 only."""
+    alphas = (F(-2, 3), F(1, 2), F(3), F(-5))
+    for m in (1, 2, 3):
+        for subset in itertools.permutations(alphas, m):
+            for sizes in itertools.product((1, 2), repeat=m):
+                det_0 = det_r(DetSpec(subset, sizes, 0)).computed
+                assert det_0 != 0
+                for r in range(4):
+                    scale = math.prod(a ** (r * s) for a, s in zip(subset, sizes))
+                    assert det_r(DetSpec(subset, sizes, r)).computed == det_0 * scale
+
+
 def test_det_spec_validation():
     with pytest.raises(InvalidSpec):
         DetSpec((F(2), F(2)), (1, 1), 0)
