@@ -1,9 +1,17 @@
-"""Shared test oracles."""
+"""Shared test oracles and the shipped JSON schemas."""
+
+import json
+from importlib import resources
 
 import pytest
 
 from wittdiamond.lie import bracket, generators_in_window
 from wittdiamond.operators import TensorElement
+
+
+def load_schema(name: str) -> dict:
+    """A JSON schema shipped with the package, read from its installed file."""
+    return json.loads(resources.files("wittdiamond").joinpath("schemas", name).read_text())
 
 
 def _reference_violations(phi, window):

@@ -1,15 +1,19 @@
 """End-to-end CLI behavior: exit codes, reports, schema validation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
+from conftest import load_schema
 
 from wittdiamond.cli import main
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
-from wittdiamond.specs import load_schema, module_from_spec, vector_report
+from wittdiamond.specs import module_from_spec, vector_report
 
 F_SPEC = {
     "family": "F",
@@ -391,6 +395,26 @@ def test_classify_commands(write_json, tmp_path):
     assert detail["complete"] is True and detail["commutators_checked"] == 57
     bad = dict(good, p=[[[0, 1], "1"]])
     assert main(["classify", "--data", write_json("bad.json", bad)]) == 1
+
+
+@pytest.mark.parametrize("data, pointer", [
+    (dict(ACTION_DATA, p=[[[0], "1"]]), "/p/0/0"),
+    (dict(ACTION_DATA, p=[[[0, -1], "1"]]), "/p/0/0/1"),
+], ids=["exponent-arity", "negative-exponent"])
+def test_malformed_action_data_exits_2_with_pointer(data, pointer, write_json, capsys):
+    assert main(["classify", "--data", write_json("bad.json", data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and f"(at {pointer})" in err
+
+
+def test_no_module_imports_jsonschema_at_run_time():
+    import wittdiamond
+
+    src = os.path.dirname(os.path.dirname(wittdiamond.__file__))
+    code = "import sys, wittdiamond.cli; sys.exit('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0
 
 
 def test_iso_commands(write_json):

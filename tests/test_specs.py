@@ -1,8 +1,12 @@
-"""JSON module specs: schema validation, construction, serialization."""
+"""JSON module specs: the reader, its agreement with the shipped schema, serialization."""
 
+import copy
 from fractions import Fraction as F
 
+import jsonschema
 import pytest
+from conftest import load_schema
+from hypothesis import given, settings, strategies as st
 
 from wittdiamond.exceptions import InvalidSpec
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
@@ -100,7 +104,9 @@ def test_schema_rejects_zero_where_constructors_need_nonzero(spec_with, zero):
         validate_module_spec(spec_with(zero))
 
 
-@pytest.mark.parametrize("spec, pointer", [
+# Broken specs with the pointer of the field the reader names; the first
+# eleven pin the branch chosen by "family" and each "kind".
+BROKEN_SPECS = [
     (dict(OMEGA_SPEC, beta="x"), "/beta"),
     (dict(OMEGA_SPEC, beta="0"), "/beta"),
     (dict(OMEGA_SPEC, **{"lambda": "0"}), "/lambda"),
@@ -113,7 +119,30 @@ def test_schema_rejects_zero_where_constructors_need_nonzero(spec_with, zero):
     (dict(F_SPEC, P={"kind": "Omega", "lambda": ["2", "0"]}), "/P/lambda/1"),
     (dict(F_SPEC, V={"kind": "C_eps", "eps": "x"}), "/V/eps"),
     ({**OMEGA_SPEC, "family": "X"}, "/family"),
-], ids=lambda x: x if isinstance(x, str) else None)
+    (dict(OMEGA_SPEC, g=[[True, "1"]]), "/g/0/0"),
+    (dict(OMEGA_SPEC, g=[[1.5, "1"]]), "/g/0/0"),
+    (dict(OMEGA_SPEC, g=[[-1, "1"]]), "/g/0/0"),
+    (dict(OMEGA_SPEC, g=[[0, "1"], [1, 2]]), "/g/1/1"),
+    (dict(OMEGA_SPEC, g=[[0, "1", "2"]]), "/g/0"),
+    (dict(OMEGA_SPEC, g={"0": "1"}), "/g"),
+    (dict(OMEGA_SPEC, w="1"), "/w"),
+    ({k: v for k, v in OMEGA_SPEC.items() if k != "gamma"}, "/gamma"),
+    ({"family": "T", "factors": [T_FACTOR, dict(T_FACTOR, family="T")]}, "/factors/1/family"),
+    ({"family": "T", "factors": []}, "/factors"),
+    ({"family": "T", "factors": [T_FACTOR], "alpha": "1"}, "/alpha"),
+    (dict(F_SPEC, P={"kind": "M", "w": ["0"]}), "/P/w"),
+    (dict(F_SPEC, P={"kind": "M", "lambda": ["1", "2"]}), "/P/lambda"),
+    (dict(F_SPEC, V={"kind": "Whittaker", "eps": "1"}), "/V/eps"),
+    (dict(F_SPEC, V={"eps": "1"}), "/V/kind"),
+    (dict(F_SPEC, beta=3), "/beta"),
+    (dict(F_SPEC, beta=True), "/beta"),
+    ({"alpha": "1"}, "/family"),
+    ([OMEGA_SPEC], ""),
+]
+
+
+@pytest.mark.parametrize("spec, pointer", BROKEN_SPECS,
+                         ids=lambda x: x if isinstance(x, str) else None)
 def test_schema_error_names_the_field_of_the_chosen_branch(spec, pointer):
     with pytest.raises(InvalidSpec) as err:
         validate_module_spec(spec)
@@ -140,3 +169,118 @@ def test_rank1_data_json():
     assert data.C0.coefficient((0, 0)) == -3
     with pytest.raises(InvalidSpec):
         rank1_data_from_json({"lambda": "2"})
+
+
+ACTION_DATA = {"lambda": "2", "p": [[[0, 0], "1/2"]], "B0": [[[0, 2], "1"]],
+               "C0": [[[0, 0], "-3"]], "D0": [[[0, 3], "1/3"]]}
+
+
+@pytest.mark.parametrize("data, pointer", [
+    (dict(ACTION_DATA, p=[[[0], "1"]]), "/p/0/0"),
+    (dict(ACTION_DATA, p=[[[0, -1], "1"]]), "/p/0/0/1"),
+    (dict(ACTION_DATA, p=[[[0, 0, 0], "1"]]), "/p/0/0"),
+    (dict(ACTION_DATA, B0=[[[0, 1.5], "1"]]), "/B0/0/0/1"),
+    (dict(ACTION_DATA, C0=[[[0, 0], "x"]]), "/C0/0/1"),
+    (dict(ACTION_DATA, D0=[[0, "1"]]), "/D0/0/0"),
+    (dict(ACTION_DATA, **{"lambda": "0"}), "/lambda"),
+    (dict(ACTION_DATA, extra=[]), "/extra"),
+    ({k: v for k, v in ACTION_DATA.items() if k != "D0"}, "/D0"),
+    ("not an object", ""),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_action_data_error_names_the_field(data, pointer):
+    with pytest.raises(InvalidSpec) as err:
+        rank1_data_from_json(data)
+    assert err.value.pointer == pointer
+
+
+# -- agreement with the shipped schema ----------------------------------------
+
+SCHEMA = jsonschema.Draft202012Validator(load_schema("module_spec.schema.json"))
+
+# One valid spec per family and kind, with the edge cases of the schema's
+# types: a float integer power, a repeated power, leading zeros, "-0".
+VALID_SPECS = [
+    F_SPEC,
+    dict(F_SPEC, P={"kind": "Omega", "lambda": ["2", "-3/4"]}, V={"kind": "Whittaker"}),
+    dict(F_SPEC, P={"kind": "P0xM", "P0": {"kind": "M", "w": "-0"}, "w": "1/3"}),
+    dict(F_SPEC, P={"kind": "P0xM", "P0": {"kind": "Omega", "lambda": "007"}, "w": "0/5"}),
+    OMEGA_SPEC,
+    dict(OMEGA_SPEC, g=[]),
+    dict(OMEGA_SPEC, g=[[1.0, "1/2"], [1, "-1/2"], [0, "-03/4"]], beta="-05/2"),
+    {"family": "T", "factors": [T_FACTOR]},
+    {"family": "T", "factors": [dict(T_FACTOR, family="Omega"), dict(T_FACTOR, **{"lambda": "3"})]},
+]
+
+
+def _reader_accepts(spec) -> bool:
+    try:
+        validate_module_spec(spec)
+    except InvalidSpec:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("spec", VALID_SPECS + [spec for spec, _ in BROKEN_SPECS])
+def test_reader_and_schema_agree_on_the_hand_corpus(spec):
+    assert _reader_accepts(spec) == SCHEMA.is_valid(spec)
+
+
+def test_valid_corpus_passes_the_schema():
+    # With the agreement above, the reader accepts these and rejects BROKEN_SPECS.
+    assert all(SCHEMA.is_valid(spec) for spec in VALID_SPECS)
+
+
+BAD_VALUES = ["x", "1.5", "+1", "1/0", "", "0", "-0", "0/3", "1", True, False, 0, -1, 1.0, 1.5,
+              None, [], {}]
+KINDS = ["F", "Omega", "T", "M", "P0xM", "C_eps", "Whittaker", "Q"]
+KEYS = ["family", "kind", "alpha", "beta", "gamma", "lambda", "g", "w", "P", "P0", "V", "eps",
+        "factors", "x"]
+
+
+def _locations(node, path=()):
+    """(path, node) for every value inside a spec, the spec itself first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _locations(child, path + (key,))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A valid spec with one or two keys deleted or added, kinds swapped or values replaced."""
+    spec = copy.deepcopy(draw(st.sampled_from(VALID_SPECS)))
+    for _ in range(draw(st.integers(1, 2))):
+        path, node = draw(st.sampled_from(list(_locations(spec))))
+        parent = spec
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(["delete", "add", "kind", "value"]))
+        value = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        if how == "delete" and path:
+            del parent[path[-1]]
+        elif how == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = value
+        elif how == "add" and isinstance(node, list):
+            node.append(value)
+        elif how == "kind" and isinstance(node, dict):
+            node["kind" if "kind" in node else "family"] = draw(st.sampled_from(KINDS))
+        elif path:
+            parent[path[-1]] = value
+    return spec
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_specs())
+def test_reader_and_schema_agree_on_mutated_specs(spec):
+    assert _reader_accepts(spec) == SCHEMA.is_valid(spec)
+
+
+def test_trailing_newline_is_the_one_divergence_from_python_jsonschema():
+    # python-jsonschema matches "^...$" with re.search, where "$" also matches
+    # before a final newline; ECMA-262 "$" does not, and the reader uses fullmatch.
+    spec = dict(OMEGA_SPEC, alpha="1\n")
+    assert SCHEMA.is_valid(spec)
+    with pytest.raises(InvalidSpec) as err:
+        validate_module_spec(spec)
+    assert err.value.pointer == "/alpha"
