@@ -424,17 +424,17 @@ def cmd_rank(args) -> int:
         result = uh_rank(module)
         rep.add(
             "uh-rank",
-            result.generation_ok and result.independence_ok and result.recursion_matches_d0,
+            result.ok,
             {
                 "rank": result.rank,
-                "generation_targets": len(result.generation),
-                "generation_ok": result.generation_ok,
-                "independence_ok": result.independence_ok,
-                "recursion_matches_d0": result.recursion_matches_d0,
-                "recursion_note": "derived form: g_N t^(N+1+s) = "
-                "(beta d0 - beta s - gamma) t^s - sum_{k<N} g_k t^(k+1+s)",
+                "complete": True,
+                "probes": ["1", "t"],
+                "operators": {name: {"A": str(a), "B": str(b)}
+                              for name, (a, b) in result.operators.items()},
+                "facts": result.facts,
             },
-            certificate=[w.to_jsonable() for w in result.generation],
+            certificate=[{"operator": name, "probe": str(probe), "image": vector_report(image)}
+                         for name, probe, image in result.images],
         )
     elif isinstance(module, TensorModule):
         if not module.distinct_lambdas():

@@ -10,9 +10,10 @@ on f(s, t) are
     b[n] f = lam^n g(t) f(s - n, t) + lam^n beta dt f(s - n, t)
     c[n] f = -lam^n beta f(s - n, t)
 
-Everything here is certificate-producing: reductions to 1, generation
-from 1, and the free-rank computation over the Cartan pair (L[0], d[0])
-all return replayable exact witnesses.
+Everything here is certificate-producing: reductions to 1 and generation
+from 1 return replayable exact witnesses, and the free rank over the
+Cartan pair (L[0], d[0]) is proved from four probe images that a checker
+can recompute.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from .certificates import CertStep, Certificate, require
 from .exceptions import CertificateError, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
 from .lie import FAMILIES, Generator, bracket, gen
-from .linalg import combination, exact_nullspace
+from .linalg import combination
 from .poly import PolyRing, SparsePoly
 from .scalars import ONE, LinComb, add_scaled, binomial, scalar
 
@@ -219,123 +220,68 @@ def omega_generate(module: OmegaModule, s_exp: int, t_exp: int) -> Certificate:
 
 
 @dataclass
-class GenerationWitness:
-    """t^target as a C[d0]-combination of the basis monomials t^i."""
-
-    target: int
-    terms: list[tuple[int, dict[int, Fraction]]]
-
-    def replay(self, module: OmegaModule) -> SparsePoly:
-        out = module.ring.zero()
-        for i, poly_in_d0 in self.terms:
-            base = module.ring.monomial({"t": i})
-            for power, coef in poly_in_d0.items():
-                w = base
-                for _ in range(power):
-                    w = module.act(gen("d", 0), w)
-                out = out + w * coef
-        return out
-
-    def to_jsonable(self):
-        return {
-            "target": self.target,
-            "terms": [
-                [i, [[p, str(c)] for p, c in sorted(cs.items())]]
-                for i, cs in self.terms
-            ],
-        }
-
-
-@dataclass
 class UhRankReport:
-    rank: int
-    generation: list[GenerationWitness]
-    generation_ok: bool
-    independence_ok: bool
-    recursion_matches_d0: bool
+    """The probe images of L[0] and d[0], the operators they fix, and the verdict."""
+
+    images: list[tuple[str, SparsePoly, SparsePoly]]  # (operator, probe, image)
+    operators: dict[str, tuple[SparsePoly, SparsePoly]]  # operator -> (A, B)
+    facts: dict[str, bool]
+
+    @property
+    def ok(self) -> bool:
+        return all(self.facts.values())
+
+    @property
+    def rank(self) -> int | None:
+        """deg_t A_d, the free rank once every fact holds."""
+        return self.operators["d[0]"][0].var_degree("t") if self.ok else None
 
 
 def uh_rank(module: OmegaModule) -> UhRankReport:
-    """Free rank over C[L0, d0], with generation and independence witnesses.
+    """Free rank over C[L0, d0], proved in every degree from four probe images.
 
-    Generation is witnessed for t^0 .. t^(3 rank), independence for
-    coefficients of degree at most 3 in L0 and in d0.
+    By the operator form of ``tensor.w_invariance_check`` (there is no shift
+    at n = 0), L[0] and d[0] act on C[s, t] as X = A_X + B_X d/dt with A_X,
+    B_X in C[s, t].  So X 1 = A_X and X t - t X 1 = B_X: the images of the
+    probes 1 and t fix both operators.  The verdict checks four facts:
 
-    The generation recursion used is the derived form
+    1. A_L = s and B_L = 0, so L0 is multiplication by s;
+    2. A_d and B_d are free of s, so d0 maps C[t] into itself and commutes
+       with multiplication by s;
+    3. r = deg_t A_d >= 1;
+    4. deg_t B_d <= r.
 
-        g_N t^(N+1+s) = (beta d0 - beta s - gamma) t^s - sum_{k<N} g_k t^(k+1+s)
-
-    (leading factor g_N and the term beta*s; both differ from the usual
-    informal normalization to g_N = 1, beta = 1).  It is cross-checked
-    against the direct d[0] action for 0 <= s <= 6.
+    Then d0 t^q = A_d t^q + q B_d t^(q-1), and the second term has degree
+    below q + r, so d0^j t^k has leading monomial a^j t^(k + j r), where a
+    is the leading coefficient of A_d.  For k < r the exponents k + j r run
+    over every natural number exactly once, so the vectors
+    L0^i d0^j t^k = s^i d0^j t^k are a triangular basis change of the
+    monomials s^i t^q.  That proves, at once and in every degree, that
+    t^0 .. t^(r-1) generate C[s, t] over C[L0, d0] and are independent over
+    it: the module is free of rank r.  The rank is read from the action;
+    for the paper's module A_d = (t g(t) + gamma)/beta and B_d = t, so
+    r = deg g + 1.  With g = 0, d0 keeps the t-degree and C[s, t] is not
+    finitely generated over C[L0, d0], so the module is rejected up front.
     """
-    par = module.params
-    if not par.g:
+    if not module.params.g:
         raise UnsupportedOperation("free-rank computation needs g != 0")
-    N = par.g_degree
-    rank = N + 1
-    top = 3 * rank
-
-    # recursion vs direct action
-    recursion_ok = True
-    for s in range(7):
-        ts = module.ring.monomial({"t": s})
-        lhs = module.act(gen("d", 0), ts) * par.beta
-        rhs = module.ring.zero()
-        for k, c in enumerate(par.g):
-            rhs = rhs + module.ring.monomial({"t": k + 1 + s}, c)
-        rhs = rhs + ts * (par.beta * s + par.gamma)
-        if lhs != rhs:
-            recursion_ok = False
-
-    # expressions t^j = sum_i P_{ji}(d0) t^i, built by the recursion
-    exprs: list[list[dict[int, Fraction]]] = []
-    for j in range(N + 1):
-        exprs.append([{0: ONE} if i == j else {} for i in range(N + 1)])
-
-    gN = par.g[-1]
-    for s in range(top - N):
-        # t^(N+1+s), divided through by g_N
-        row = []
-        for e in exprs[s]:
-            r = add_scaled({}, {p + 1: c for p, c in e.items()}, par.beta / gN)
-            row.append(add_scaled(r, e, -(par.beta * s + par.gamma) / gN))
-        for k in range(N):
-            c = -par.g[k] / gN
-            for r, e in zip(row, exprs[k + 1 + s]):
-                add_scaled(r, e, c)
-        exprs.append(row)
-
-    witnesses = []
-    generation_ok = True
-    for j in range(top + 1):
-        w = GenerationWitness(j, [(i, cs) for i, cs in enumerate(exprs[j]) if cs])
-        witnesses.append(w)
-        if w.replay(module) != module.ring.monomial({"t": j}):
-            generation_ok = False
-
-    # independence: the only C[L0,d0]-combination of the basis with
-    # coefficients of degree <= 3 that vanishes is zero
-    columns = []
-    for k in range(N + 1):
-        base = module.ring.monomial({"t": k})
-        for i in range(4):
-            for j in range(4):
-                vec = base
-                for _ in range(j):
-                    vec = module.act(gen("d", 0), vec)
-                for _ in range(i):
-                    vec = module.act(gen("L", 0), vec)
-                columns.append(vec.terms)
-    independence_ok = not exact_nullspace(columns)
-
-    return UhRankReport(
-        rank=rank,
-        generation=witnesses,
-        generation_ok=generation_ok,
-        independence_ok=independence_ok,
-        recursion_matches_d0=recursion_ok,
-    )
+    one, t = module.one(), module.ring.var("t")
+    images = []
+    operators = {}
+    for name, g in (("L[0]", gen("L", 0)), ("d[0]", gen("d", 0))):
+        on_one, on_t = module.act(g, one), module.act(g, t)
+        images += [(name, one, on_one), (name, t, on_t)]
+        operators[name] = (on_one, on_t - on_one.mul_var("t"))
+    (a_l, b_l), (a_d, b_d) = operators["L[0]"], operators["d[0]"]
+    deg_a = a_d.var_degree("t")
+    deg_b = b_d.var_degree("t")
+    facts = {
+        "L0_is_s": a_l == module.ring.var("s") and b_l.is_zero,
+        "d0_free_of_s": not a_d.var_degree("s") and not b_d.var_degree("s"),
+        "A_d_raises_t_degree": deg_a is not None and deg_a >= 1,
+        "B_d_within_A_d": deg_b is None or deg_a is not None and deg_b <= deg_a,
+    }
+    return UhRankReport(images=images, operators=operators, facts=facts)
 
 
 # -- classification of rank-one action data --------------------------------

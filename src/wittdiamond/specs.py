@@ -28,6 +28,8 @@ from .tensor import TensorModule
 _RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _NONZERO_RATIONAL = re.compile(r"-?0*[1-9][0-9]*(/[1-9][0-9]*)?")
 _OMEGA_KEYS = ("alpha", "beta", "gamma", "lambda", "g")
+# The largest power of t in g; g is stored densely, so this bounds its size.
+MAX_G_POWER = 1000
 _ACTION_POLYS = ("p", "B0", "C0", "D0")
 
 
@@ -89,22 +91,27 @@ def _rational(value, pointer: str, nonzero: bool = False) -> Fraction:
     return Fraction(value)
 
 
-def _integer(value, pointer: str, minimum: int | None = 0) -> int:
+def _integer(value, pointer: str, minimum: int | None = 0, maximum: int | None = None) -> int:
     """A JSON integer: an int that is not a bool, or a float with no fractional part."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise InvalidSpec(f"{value!r} is not an integer", pointer)
     if minimum is not None and value < minimum:
         raise InvalidSpec(f"{value!r} is below the minimum {minimum}", pointer)
+    if maximum is not None and value > maximum:
+        raise InvalidSpec(f"{value!r} is above the maximum {maximum}", pointer)
     return int(value)
 
 
 def _coeffs(value, pointer: str) -> tuple:
-    """Dense coefficients of g from [[power, "coef"], ...] pairs; a repeated power adds up."""
+    """Dense coefficients of g from [[power, "coef"], ...] pairs; a repeated power adds up.
+
+    A power above ``MAX_G_POWER`` is rejected before anything is allocated.
+    """
     out: dict[int, Fraction] = {}
     for pair, at in _items(value, pointer):
         (power, power_at), (coef, coef_at) = _items(pair, at, 2)
-        power = _integer(power, power_at)
+        power = _integer(power, power_at, maximum=MAX_G_POWER)
         out[power] = out.get(power, ZERO) + _rational(coef, coef_at)
     top = max(out, default=-1)
     return tuple(out.get(k, ZERO) for k in range(top + 1))

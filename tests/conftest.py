@@ -1,11 +1,14 @@
 """Shared test oracles and the shipped JSON schemas."""
 
 import json
+import random
+from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 
-from wittdiamond.lie import bracket, generators_in_window
+from wittdiamond.lie import bracket, gen, generators_in_window
+from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.operators import TensorElement
 
 
@@ -32,3 +35,45 @@ def _reference_violations(phi, window):
 @pytest.fixture
 def reference_violations():
     return _reference_violations
+
+
+def criterion_08_modules():
+    """(g, module) pairs of acceptance criterion 8: two seeded (beta, gamma) per g."""
+    rng = random.Random(505)
+
+    def rational(lo, hi, nonzero=False):
+        while True:
+            val = F(rng.randint(lo, hi), rng.randint(1, 4))
+            if val or not nonzero:
+                return val
+
+    out = []
+    for g in [(F(1), F(1)), (F(0), F(0), F(1)), (F(0), F(1), F(0), F(2))]:
+        for _ in range(2):
+            beta = rational(1, 4, nonzero=True) * rng.choice([1, -1])
+            gamma = rational(-3, 3)
+            out.append((g, OmegaModule(OmegaParams(F(1), beta, gamma, F(3), g))))
+    return out
+
+
+RANK_DEFECTS = ("L0-zero", "d0-gains-s", "d0-loses-t-g")
+
+
+def planted_rank_defect(act, defect):
+    """``act(module, g, f)`` of an Omega module with one defect planted in L[0] or d[0].
+
+    L0-zero: L[0] acts as zero.  d0-gains-s: d[0] f gains the term s f.
+    d0-loses-t-g: d[0] f loses its t g(t) f / beta part, so d[0] keeps the t-degree.
+    """
+    def planted(module, g, f):
+        out = act(module, g, f)
+        ring, par = module.ring, module.params
+        if defect == "L0-zero" and g == gen("L", 0):
+            return ring.zero()
+        if defect == "d0-gains-s" and g == gen("d", 0):
+            return out + ring.var("s") * f
+        if defect == "d0-loses-t-g" and g == gen("d", 0):
+            return out - ring.from_terms(((0, k + 1), c / par.beta) for k, c in enumerate(par.g)) * f
+        return out
+
+    return planted

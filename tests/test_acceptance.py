@@ -9,6 +9,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+from conftest import criterion_08_modules
+
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule
 from wittdiamond.fock import (
@@ -239,19 +241,12 @@ def test_criterion_07_reduction_certificates():
 
 
 def test_criterion_08_uh_rank():
-    rng = random.Random(505)
-    gs = [(F(1), F(1)), (F(0), F(0), F(1)), (F(0), F(1), F(0), F(2))]
-    for g in gs:
-        for _ in range(2):
-            beta = _random_rational(rng, 1, 4, nonzero=True) * rng.choice([1, -1])
-            gamma = _random_rational(rng, -3, 3)
-            module = OmegaModule(OmegaParams(F(1), beta, gamma, F(3), g))
-            report = uh_rank(module)
-            assert report.rank == len(g)
-            assert report.generation_ok and report.independence_ok
-            assert report.recursion_matches_d0
-            assert len(report.generation) == 3 * len(g) + 1
-    _report(8, "free rank = deg(g)+1 with replay-exact generation and exact independence")
+    for g, module in criterion_08_modules():
+        report = uh_rank(module)
+        assert report.ok and report.rank == len(g)
+        assert [(name, str(probe)) for name, probe, _ in report.images] == [
+            ("L[0]", "1"), ("L[0]", "t"), ("d[0]", "1"), ("d[0]", "t")]
+    _report(8, "free rank = deg(g)+1 proved in every degree from four probe images")
 
 
 def test_criterion_09_classification():

@@ -7,13 +7,14 @@ import sys
 
 import jsonschema
 import pytest
-from conftest import load_schema
+from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
 from wittdiamond.cli import main
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
-from wittdiamond.specs import module_from_spec, vector_report
+from wittdiamond.omega import OmegaModule
+from wittdiamond.specs import MAX_G_POWER, module_from_spec, poly_from_json, vector_report
 
 F_SPEC = {
     "family": "F",
@@ -364,7 +365,23 @@ def test_rank_commands(write_json, tmp_path):
     out = str(tmp_path / "r.json")
     assert main(["rank", "--spec", write_json("om.json", OMEGA_SPEC), "--out", out]) == 0
     doc = _check_report(out)
-    assert doc["checks"][0]["detail"]["rank"] == 3
+    check = doc["checks"][0]
+    assert check["check"] == "uh-rank"
+    assert check["detail"]["rank"] == 3 and check["detail"]["complete"] is True
+    assert check["detail"]["operators"] == {"L[0]": {"A": "s", "B": "0"},
+                                            "d[0]": {"A": "1/3 t^3 + 1/3 t", "B": "t"}}
+    # The certificate is the four probe images; replay them from the action.
+    module = module_from_spec(OMEGA_SPEC)
+    for entry in check["certificate"]:
+        probe = module.ring.var("t") if entry["probe"] == "t" else module.one()
+        image = module.act(gen(entry["operator"][0], 0), probe)
+        assert poly_from_json(module.ring, entry["image"]["terms"]) == image
+    # The schema pins the uh-rank detail: a pass needs a rank >= 1 and "complete": true.
+    validator = jsonschema.Draft202012Validator(load_schema("report.schema.json"))
+    for key, value in (("rank", 0), ("rank", None), ("complete", False)):
+        broken = json.loads(json.dumps(doc))
+        broken["checks"][0]["detail"][key] = value
+        assert not validator.is_valid(broken)
     assert main(["rank", "--spec", write_json("t.json", T_SPEC), "--out", out]) == 0
     detail = _check_report(out)["checks"][0]["detail"]
     # On 1 the a- and c-orbits are spanned at one point per distinct lambda.
@@ -463,6 +480,7 @@ BAD_USAGE_SPECS = {
     "omega-lambda0.json": {**OMEGA_SPEC, "lambda": "0"},
     "omega-g0.json": {**OMEGA_SPEC, "g": []},
     "omega-beta-minus0.json": {**OMEGA_SPEC, "beta": "-0"},
+    "omega-g-power.json": {**OMEGA_SPEC, "g": [[0, "1"], [MAX_G_POWER + 1, "1"]]},
     "t-lambda-0over3.json": {**T_SPEC, "factors": [T_SPEC["factors"][0],
                                                    {**T_SPEC["factors"][1], "lambda": "0/3"}]},
     "t.json": T_SPEC,
@@ -502,6 +520,7 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["rank", "--spec", "omega-g0.json"],
     ["rank", "--spec", "omega.json", "--vector", "zz"],
     ["rank", "--spec", "omega-beta-minus0.json"],
+    ["rank", "--spec", "omega-g-power.json"],
     ["simplicity", "--spec", "t-lambda-0over3.json", "--samples", "1"],
     ["simplicity", "--spec", "f.json", "--samples", "9"],
     ["simplicity", "--spec", "t-equal.json", "--samples", "9"],
@@ -523,6 +542,15 @@ def test_bad_usage_exits_2(argv, write_json, tmp_path, capsys):
     err = capsys.readouterr().err
     # An option the parser does not know would exit 2 without testing anything.
     assert "Traceback" not in err and "unrecognized arguments" not in err
+
+
+@pytest.mark.parametrize("defect", RANK_DEFECTS)
+def test_rank_exits_1_on_a_planted_defect(defect, write_json, tmp_path, monkeypatch):
+    monkeypatch.setattr(OmegaModule, "act", planted_rank_defect(OmegaModule.act, defect))
+    out = str(tmp_path / "r.json")
+    assert main(["rank", "--spec", write_json("om.json", OMEGA_SPEC), "--out", out]) == 1
+    detail = _check_report(out)["checks"][0]["detail"]
+    assert detail["rank"] is None and not all(detail["facts"].values())
 
 
 def test_certificate_error_exits_1(write_json, monkeypatch, capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from wittdiamond import omega, tensor
 from wittdiamond.linalg import SpanBasis, combination, exact_det, exact_nullspace
-from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one, uh_rank
+from wittdiamond.lie import gen
+from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
 from wittdiamond.oracle import naive_det
 from wittdiamond.tensor import TensorModule, tensor_generate, tensor_reduce_to_bottom
 
@@ -208,13 +209,22 @@ def test_certificate_paths_agree_with_dense_oracle(monkeypatch):
 
     monkeypatch.setattr(omega, "combination", checked("omega", omega.combination, dense_solve))
     monkeypatch.setattr(tensor, "combination", checked("tensor", tensor.combination, dense_solve))
-    monkeypatch.setattr(omega, "exact_nullspace",
-                        checked("nullspace", omega.exact_nullspace, dense_kernel))
+    nullspace = checked("nullspace", exact_nullspace, dense_kernel)
 
     M = OmegaModule(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1))))
     f = M.ring.from_terms([((2, 1), F(3)), ((1, 2), F(-1, 2)), ((0, 0), F(1))])
     assert omega_reduce_to_one(M, f).replay(M, f) == M.one()
-    assert uh_rank(M).independence_ok
+    # The vectors L0^i d0^j t^k of the free-rank oracle, plus one repeat.
+    columns = []
+    for k in range(3):
+        for i in range(2):
+            for j in range(3):
+                vec = M.ring.monomial({"s": i, "t": k})
+                for _ in range(j):
+                    vec = M.act(gen("d", 0), vec)
+                columns.append(vec.terms)
+    assert nullspace(columns) == []
+    assert len(nullspace(columns + columns[-1:])) == 1
     T = TensorModule([OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1))),
                       OmegaParams(F(1), F(1), F(1), F(3), (F(2),))])
     tensor_generate(T, (1, 1, 2, 0))

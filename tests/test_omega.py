@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import criterion_08_modules, planted_rank_defect
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule, UnsupportedOperation, ZeroVector
 from wittdiamond.lie import FAMILIES, bracket, gen
+from wittdiamond.linalg import exact_nullspace
 from wittdiamond.omega import (
     Degenerate,
     OmegaModule,
@@ -164,21 +166,127 @@ def test_uh_rank_examples():
             gamma = F(rng.randint(-3, 3), rng.randint(1, 2))
             M = OmegaModule(OmegaParams(F(1), beta, gamma, F(3), g))
             report = uh_rank(M)
-            assert report.rank == len(g)
-            assert report.generation_ok
-            assert report.independence_ok
-            assert report.recursion_matches_d0
-            assert len(report.generation) == 3 * report.rank + 1
+            assert report.ok and report.rank == len(g)
+            a_d, b_d = report.operators["d[0]"]
+            assert b_d == M.ring.var("t") and a_d.var_degree("t") == len(g)
+            assert report.operators["L[0]"] == (M.ring.var("s"), M.ring.zero())
+            for name, probe, image in report.images:
+                assert M.act(gen(name[0], 0), probe) == image
+
+
+# -- the sampled free-rank evidence, kept as an agreement oracle ---------------
+
+def recursion_matches_d0(M):
+    """beta d0 t^s = sum_k g_k t^(k+1+s) + (beta s + gamma) t^s for 0 <= s <= 6."""
+    par = M.params
+    for s in range(7):
+        ts = M.ring.monomial({"t": s})
+        rhs = ts * (par.beta * s + par.gamma)
+        for k, c in enumerate(par.g):
+            rhs = rhs + M.ring.monomial({"t": k + 1 + s}, c)
+        if M.act(gen("d", 0), ts) * par.beta != rhs:
+            return False
+    return True
+
+
+def generation_replays(M):
+    """t^0 .. t^(3 rank) as C[d0]-combinations of t^0 .. t^N, N = deg g, replayed.
+
+    The expressions come from the recursion of ``recursion_matches_d0`` solved
+    for its top term, g_N t^(N+1+s) = (beta d0 - beta s - gamma) t^s - ...
+    """
+    par = M.params
+    N = par.g_degree
+    top = 3 * (N + 1)
+    exprs = [[{0: F(1)} if i == j else {} for i in range(N + 1)] for j in range(N + 1)]
+    gN = par.g[-1]
+    for s in range(top - N):
+        row = []
+        for e in exprs[s]:
+            r = add_scaled({}, {p + 1: c for p, c in e.items()}, par.beta / gN)
+            row.append(add_scaled(r, e, -(par.beta * s + par.gamma) / gN))
+        for k in range(N):
+            for r, e in zip(row, exprs[k + 1 + s]):
+                add_scaled(r, e, -par.g[k] / gN)
+        exprs.append(row)
+    for j, expr in enumerate(exprs):
+        out = M.ring.zero()
+        for i, poly_in_d0 in enumerate(expr):
+            for power, coef in poly_in_d0.items():
+                w = M.ring.monomial({"t": i})
+                for _ in range(power):
+                    w = M.act(gen("d", 0), w)
+                out = out + w * coef
+        if out != M.ring.monomial({"t": j}):
+            return False
+    return True
+
+
+def independent_to_degree_3(M):
+    """No C[L0, d0]-relation among t^0 .. t^N with coefficients of degree <= 3."""
+    columns = []
+    for k in range(M.params.g_degree + 1):
+        for i in range(4):
+            for j in range(4):
+                vec = M.ring.monomial({"t": k})
+                for _ in range(j):
+                    vec = M.act(gen("d", 0), vec)
+                for _ in range(i):
+                    vec = M.act(gen("L", 0), vec)
+                columns.append(vec.terms)
+    return not exact_nullspace(columns)
+
+
+def sampled_rank_evidence(M):
+    return recursion_matches_d0(M), generation_replays(M), independent_to_degree_3(M)
+
+
+def seeded_rank_modules():
+    """Two seeded modules for each deg g from 1 to 4, with a random g."""
+    rng = random.Random(41)
+    out = []
+    for degree in range(1, 5):
+        for _ in range(2):
+            g = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(degree)]
+            g.append(F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)))
+            beta = F(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice([1, -1])
+            par = OmegaParams(F(rng.randint(-2, 2), 2), beta, F(rng.randint(-3, 3), 2),
+                              F(rng.choice([-3, 2, 5])), tuple(g))
+            out.append((tuple(g), OmegaModule(par)))
+    return out
+
+
+def test_uh_rank_agrees_with_the_sampled_evidence():
+    modules = criterion_08_modules() + seeded_rank_modules()
+    assert sorted({len(g) - 1 for g, _ in modules}) == [1, 2, 3, 4]
+    for g, M in modules:
+        report = uh_rank(M)
+        assert report.ok and report.rank == len(g)
+        assert sampled_rank_evidence(M) == (True, True, True)
 
 
 def test_uh_rank_independence_check_can_fail(monkeypatch):
-    """With L[0] acting as zero, L0 d0^j t^k = 0 is a relation the check must find."""
+    """With L[0] acting as zero, L0 d0^j t^k = 0 is a relation the oracle finds."""
     _, M = module()
-    act = M.act
-    monkeypatch.setattr(M, "act", lambda g, f: M.ring.zero() if g == gen("L", 0) else act(g, f))
+    monkeypatch.setattr(OmegaModule, "act", planted_rank_defect(OmegaModule.act, "L0-zero"))
     report = uh_rank(M)
-    assert report.independence_ok is False
-    assert report.generation_ok and report.recursion_matches_d0
+    assert [name for name, holds in report.facts.items() if not holds] == ["L0_is_s"]
+    assert not report.ok and report.rank is None
+    assert sampled_rank_evidence(M) == (True, True, False)
+
+
+@pytest.mark.parametrize("defect, failed, evidence", [
+    ("d0-gains-s", ["d0_free_of_s"], (False, False, True)),
+    # A_d = gamma / beta now has t-degree 0, below deg_t B_d = 1.
+    ("d0-loses-t-g", ["A_d_raises_t_degree", "B_d_within_A_d"], (False, False, False)),
+])
+def test_uh_rank_catches_planted_defects(monkeypatch, defect, failed, evidence):
+    monkeypatch.setattr(OmegaModule, "act", planted_rank_defect(OmegaModule.act, defect))
+    for _, M in criterion_08_modules()[::2]:
+        report = uh_rank(M)
+        assert [name for name, holds in report.facts.items() if not holds] == failed
+        assert not report.ok and report.rank is None
+        assert sampled_rank_evidence(M) == evidence
 
 
 def test_uh_rank_degree_law():
@@ -199,15 +307,8 @@ def test_uh_rank_rejects_zero_g():
 
 def test_corrected_recursion_direct_check():
     # beta d0 t^s = sum_k g_k t^(k+1+s) + (beta s + gamma) t^s, all 0 <= s <= 6
-    par = OmegaParams(F(1), F(5, 2), F(-1, 3), F(2), (F(2), F(-1), F(3)))
-    M = OmegaModule(par)
-    for s in range(7):
-        ts = M.ring.monomial({"t": s})
-        lhs = M.act(gen("d", 0), ts) * par.beta
-        rhs = ts * (par.beta * s + par.gamma)
-        for k, c in enumerate(par.g):
-            rhs = rhs + M.ring.monomial({"t": k + 1 + s}, c)
-        assert lhs == rhs
+    assert recursion_matches_d0(OmegaModule(OmegaParams(F(1), F(5, 2), F(-1, 3), F(2),
+                                                        (F(2), F(-1), F(3)))))
 
 
 def test_classify_round_trip_ten_instances():

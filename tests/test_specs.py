@@ -12,6 +12,7 @@ from wittdiamond.exceptions import InvalidSpec
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.omega import OmegaModule
 from wittdiamond.specs import (
+    MAX_G_POWER,
     module_from_spec,
     poly_from_json,
     poly_to_json,
@@ -138,6 +139,10 @@ BROKEN_SPECS = [
     (dict(F_SPEC, beta=True), "/beta"),
     ({"alpha": "1"}, "/family"),
     ([OMEGA_SPEC], ""),
+    # g is stored densely, so its powers are bounded.
+    (dict(OMEGA_SPEC, g=[[0, "1"], [MAX_G_POWER + 1, "1"]]), "/g/1/0"),
+    (dict(OMEGA_SPEC, g=[[10**6 * 1.0, "1"]]), "/g/0/0"),
+    ({"family": "T", "factors": [dict(T_FACTOR, g=[[10**12, "1"]])]}, "/factors/0/g/0/0"),
 ]
 
 
@@ -207,6 +212,7 @@ VALID_SPECS = [
     OMEGA_SPEC,
     dict(OMEGA_SPEC, g=[]),
     dict(OMEGA_SPEC, g=[[1.0, "1/2"], [1, "-1/2"], [0, "-03/4"]], beta="-05/2"),
+    dict(OMEGA_SPEC, g=[[MAX_G_POWER, "1"]]),
     {"family": "T", "factors": [T_FACTOR]},
     {"family": "T", "factors": [dict(T_FACTOR, family="Omega"), dict(T_FACTOR, **{"lambda": "3"})]},
 ]
@@ -223,6 +229,11 @@ def _reader_accepts(spec) -> bool:
 @pytest.mark.parametrize("spec", VALID_SPECS + [spec for spec, _ in BROKEN_SPECS])
 def test_reader_and_schema_agree_on_the_hand_corpus(spec):
     assert _reader_accepts(spec) == SCHEMA.is_valid(spec)
+
+
+def test_schema_bounds_g_powers_by_the_reader_maximum():
+    power = load_schema("module_spec.schema.json")["$defs"]["polyCoeffs"]["items"]["prefixItems"][0]
+    assert power["maximum"] == MAX_G_POWER
 
 
 def test_valid_corpus_passes_the_schema():
