@@ -40,7 +40,7 @@ from .omega import (
 )
 from .oracle import ClosureReport, TruncationPolicy, naive_det, truncated_closure
 from .poly import PolyRing, SparsePoly, parse_poly
-from .specs import module_from_spec, rank1_data_from_json, vector_report
+from .specs import MAX_G_POWER, module_from_spec, rank1_data_from_json, vector_report
 from .tensor import (
     DetSpec,
     TensorModule,
@@ -115,11 +115,32 @@ def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
         raise InvalidSpec(f"{option}: {exc}") from None
 
 
+# Bound on |n| of each generator index as written in `act --expr` (the brackets
+# met in normalizing a word can raise an index further) and on |e| of an exponent
+# in `act --vector` and `rank --vector`.  lam^n and the binomial rows of
+# s -> s - n grow with n and e, so an eleven-digit index or a six-digit exponent
+# would exhaust memory or run for minutes before any check is made.
+MAX_INPUT_POWER = 1000
+
+
+def _parse_vector(ring: PolyRing, text: str) -> SparsePoly:
+    v = _parse_poly_option(ring, text, "--vector")
+    for exps in v.terms:
+        for name, e in zip(ring.names, exps):
+            if abs(e) > MAX_INPUT_POWER:
+                raise InvalidSpec(f"--vector: the exponent {e} of {name} is above the bound "
+                                  f"{MAX_INPUT_POWER} on its size")
+    return v
+
+
 def _parse_g_poly(text: str) -> tuple:
     p = _parse_poly_option(PolyRing(("t",), (False,)), text, "--g")
     deg = p.var_degree("t")
     if deg is None:
         return ()
+    if deg > MAX_G_POWER:
+        raise InvalidSpec(f"--g: the power {deg} of t is above the bound {MAX_G_POWER} "
+                          "that a spec's g obeys")
     return tuple(p.coefficient((k,)) for k in range(deg + 1))
 
 
@@ -217,11 +238,15 @@ def cmd_act(args) -> int:
     rep = Report("act")
     module = module_from_spec(_load_spec(args.spec))
     expr_text = Q_EXPRESSION if args.expr.strip() == "Q" else args.expr
+    for m in re.finditer(r"[Labcd]\[(-?\d+)\]", expr_text):
+        if abs(int(m.group(1))) > MAX_INPUT_POWER:
+            raise InvalidSpec(f"--expr: the index of {m.group(0)} is above the bound "
+                              f"{MAX_INPUT_POWER} on its size")
     try:
         u = parse_uenv(expr_text)
     except (ValueError, AlgebraError) as exc:
         raise InvalidSpec(f"--expr: {exc}") from None
-    v = _parse_poly_option(module.ring, args.vector, "--vector")
+    v = _parse_vector(module.ring, args.vector)
     result = apply_uenv(module, u, v)
     rep.add(
         "act",
@@ -441,7 +466,7 @@ def cmd_rank(args) -> int:
             raise InvalidSpec("rank on a T spec needs pairwise distinct lambdas")
         v = module.one()
         if args.vector:
-            v = _parse_poly_option(module.ring, args.vector, "--vector")
+            v = _parse_vector(module.ring, args.vector)
         if v.is_zero:
             raise InvalidSpec("--vector: the zero vector has no orbit rank")
         value = r_g(module, v)

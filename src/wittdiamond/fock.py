@@ -42,8 +42,8 @@ from fractions import Fraction
 
 from .exceptions import InvalidGenerator, InvalidSpec, NotWeight, UnsupportedOperation
 from .lie import Generator, gen
-from .poly import PolyRing, SparsePoly, monomials_within
-from .scalars import ZERO, scalar
+from .poly import PolyRing, SparsePoly, act_by_rules, monomials_within
+from .scalars import ONE, ZERO, clear_denominators, scalar
 
 
 @dataclass(frozen=True)
@@ -105,73 +105,51 @@ class FModule:
             raise InvalidSpec(f"unknown V kind {type(v_space).__name__}")
         self.ring = PolyRing(tuple(names), tuple(flags))
 
+        # alpha, beta, eps, w_0, w_1 (0 if absent) as ints over one D; x^m: M raises, Omega shifts.
+        eps = v_space.eps if isinstance(v_space, OneDim) else 0
+        ws = [f.weight if isinstance(f, MFactor) else 0 for f in self.factors]
+        nums, den = clear_denominators(dict(enumerate((self.alpha, self.beta, eps, *ws))))
+        self._ints = (den, *nums.values())
+        self._x = [(1, 0, ONE) if isinstance(f, MFactor) else (0, 1, f.lam) for f in self.factors]
+
     def one(self) -> SparsePoly:
         return self.ring.one()
 
-    # -- coordinate-factor primitives ------------------------------------
-
-    def _xpow(self, i: int, n: int, p: SparsePoly) -> SparsePoly:
-        if n == 0 or p.is_zero:
-            return p
-        f = self.factors[i]
-        if isinstance(f, MFactor):
-            return p.mul_var(f"x{i}", n)
-        return p.shift(f"d{i}", n) * f.lam**n
-
-    def _euler(self, i: int, p: SparsePoly) -> SparsePoly:
-        """The operator x_i d/dx_i on the i-th factor."""
-        f = self.factors[i]
-        if isinstance(f, OmegaFactor):
-            return p.mul_var(f"d{i}")
-        idx = self.ring.index(f"x{i}")
-        out = {}
-        for exps, c in p.terms.items():
-            nv = c * (f.weight + exps[idx])
-            if nv:
-                out[exps] = nv
-        return SparsePoly(self.ring, out)
-
-    # -- U(b)-factor primitives -------------------------------------------
-
-    def _h(self, p: SparsePoly) -> SparsePoly:
-        if isinstance(self.v_space, OneDim):
-            return p * self.v_space.eps
-        return p.mul_var("h")
-
-    def _e(self, p: SparsePoly) -> SparsePoly:
-        if isinstance(self.v_space, OneDim):
-            return self.ring.zero()
-        return p.shift("h", 1)
-
-    # -- the action --------------------------------------------------------
-
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
-        n = g.index
-        whittaker = isinstance(self.v_space, Whittaker)
+        """g v by the docstring's table, as ``poly.act_by_rules`` rules built per call:
+        a rule (c, c1, i, r0, r1, h) puts c + c1 e_i on x^e, raises the factors'
+        exponents by r0 and r1 and applies the h-ops h (H: times h, S: h -> h - 1,
+        the action of e).  The Euler operator x_i d/dx_i is w + e_i on M(w) and a
+        raise of d_i on Omega.  x0^n and x1^k (k = 1 for a, -1 for b) follow:
+        they raise x_i on M and shift d_i -> d_i - n, times l^n, on Omega(l).
+        """
+        (D, A, B, E, *W), n = self._ints, g.index
+        whittaker, H, S = isinstance(self.v_space, Whittaker), ((2, 1, 0),), ((2, 0, 1),)
+
+        def euler(i, c):
+            if isinstance(self.factors[i], MFactor):
+                return (c * W[i], c * D, i, 0, 0, ())
+            return (c * D, 0, 0, 1 - i, i, ())
+
+        k, den = 0, D
         if g.family == "L":
-            out = self._xpow(0, n, self._euler(0, v) + v * (n * self.alpha))
-            if whittaker and n:
-                out = out + self._xpow(0, n, self._h(v)) * n
-            return out
-        if g.family == "d":
-            out = self._xpow(0, n, self._euler(1, v))
-            if n:
-                out = out + self._xpow(0, n, self._e(v)) * n
-            return out
-        if g.family == "a":
-            weyl = self._xpow(0, n, self._xpow(1, 1, self._euler(1, v))) * self.beta
-            ub = self._h(v)
-            if n:
-                ub = ub - self._e(v) * n
-            ub = self._xpow(0, n, self._xpow(1, 1, ub))
-            if whittaker:
-                return weyl - ub * self.beta
-            return weyl + ub
-        if g.family == "b":
-            return self._xpow(0, n, self._xpow(1, -1, v))
-        if g.family == "c":
-            return self._xpow(0, n, v) * (-self.beta)
-        raise InvalidGenerator(f"unknown generator family {g.family!r}")
+            rules = [euler(0, 1), (n * A, 0, 0, 0, 0, ())] + whittaker * [(n * D, 0, 0, 0, 0, H)]
+        elif g.family == "d":
+            rules = [euler(1, 1)] + whittaker * [(n * D, 0, 0, 0, 0, S)]
+        elif g.family == "a":
+            k, den = 1, D * D
+            ub = [(-B * D, 0, 0, 0, 0, H), (n * B * D, 0, 0, 0, 0, S)]
+            rules = [euler(1, B)] + (ub if whittaker else [(E * D, 0, 0, 0, 0, ())])
+        elif g.family == "b":
+            k, den, rules = -1, 1, [(1, 0, 0, 0, 0, ())]
+        elif g.family == "c":
+            rules = [(-B, 0, 0, 0, 0, ())]
+        else:
+            raise InvalidGenerator(f"unknown generator family {g.family!r}")
+        (a0, s0, l0), (a1, s1, l1) = self._x
+        ops = [(c, c1, i, ((0, r0 + a0 * n, s0 * n), (1, r1 + a1 * k, s1 * k)) + h)
+               for c, c1, i, r0, r1, h in rules]
+        return act_by_rules(v, ops, den, (l0, n), (l1, k))
 
 
 def q_action(module: FModule, v: SparsePoly) -> SparsePoly:

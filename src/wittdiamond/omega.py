@@ -22,11 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certificates import CertStep, Certificate, require
-from .exceptions import CertificateError, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
+from .exceptions import (
+    CertificateError, InvalidGenerator, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
+)
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
-from .poly import PolyRing, SparsePoly
-from .scalars import ONE, LinComb, add_scaled, binomial, scalar
+from .poly import PolyRing, SparsePoly, act_by_rules
+from .scalars import ONE, LinComb, add_scaled, binomial, clear_denominators, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -43,9 +45,9 @@ class OmegaParams:
     gamma: Fraction
     lam: Fraction
     g: tuple[Fraction, ...]
-    # g / beta and gamma / beta, the coefficients of the d[n] action.
+    # g / beta, and (D, alpha D, beta D, gamma D, g_0 D, ...) over one denominator D.
     g_over_beta: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    gamma_over_beta: Fraction = field(init=False, repr=False, compare=False)
+    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", scalar(self.alpha))
@@ -56,7 +58,8 @@ class OmegaParams:
         if self.beta == 0 or self.lam == 0:
             raise InvalidSpec("beta and lambda must be nonzero")
         object.__setattr__(self, "g_over_beta", tuple(c / self.beta for c in self.g))
-        object.__setattr__(self, "gamma_over_beta", self.gamma / self.beta)
+        nums, d = clear_denominators(dict(enumerate((self.alpha, self.beta, self.gamma, *self.g))))
+        object.__setattr__(self, "ints", (d, *nums.values()))
 
     @property
     def g_degree(self) -> int | None:
@@ -71,37 +74,32 @@ def omega_factor_act(
 ) -> SparsePoly:
     """One-factor action in an ambient ring (shared with tensor products).
 
-    The input is scaled once, before the shift: by -beta lam^n for c, and by
-    lam^n for the other families when n != 0.
+    X[n] s^p t^q is lam^n times these rules, with S_d = (s - n)^(p+d):
+
+        L[n]:  S_1 t^q + n (alpha + 1) S_0 t^q
+        d[n]:  (gamma/beta + q) S_0 t^q + sum_k g_k/beta S_0 t^(q+k+1)
+        a[n]:  S_0 t^(q+1)
+        b[n]:  sum_k g_k S_0 t^(q+k) + beta q S_0 t^(q-1)
+        c[n]:  -beta S_0 t^q
+
+    (L's s (s - n)^p is S_1 + n S_0.)  The rules are built per call from ``par.ints``.
     """
-    n = g.index
-    if g.family == "c":
-        f = f * (-par.beta * par.lam**n)
-    elif n:
-        f = f * par.lam**n
-    sh = f.shift(svar, n) if n else f
+    (D, A, B, G, *gs), n = par.ints, g.index
     if g.family == "L":
-        return sh.mul_var(svar) + sh * (n * par.alpha)
-    if g.family == "d":
-        out = _mul_g(par.g_over_beta, ring, tvar, sh).mul_var(tvar) + sh * par.gamma_over_beta
-        return out + sh.derive(tvar).mul_var(tvar)
-    if g.family == "a":
-        return sh.mul_var(tvar)
-    if g.family == "b":
-        return _mul_g(par.g, ring, tvar, sh) + sh.derive(tvar) * par.beta
-    if g.family == "c":
-        return sh
-    raise ValueError(f"unknown generator family {g.family!r}")
-
-
-def _mul_g(coeffs: tuple[Fraction, ...], ring: PolyRing, tvar: str, f: SparsePoly) -> SparsePoly:
-    """sum_k coeffs[k] t^k f."""
-    out = ring.zero()
-    for k, c in enumerate(coeffs):
-        if c:
-            term = f.mul_var(tvar, k) if k else f
-            out = out + (term if c == 1 else term * c)
-    return out
+        den, rules = D, [(D, 0, 1, 0), (n * (A + D), 0, 0, 0)]
+    elif g.family == "d":
+        den, rules = B, [(G, B, 0, 0)] + [(c, 0, 0, k + 1) for k, c in enumerate(gs)]
+    elif g.family == "a":
+        den, rules = 1, [(1, 0, 0, 1)]
+    elif g.family == "b":
+        den, rules = D, [(c, 0, 0, k) for k, c in enumerate(gs)] + [(0, B, 0, -1)]
+    elif g.family == "c":
+        den, rules = D, [(-B, 0, 0, 0)]
+    else:
+        raise InvalidGenerator(f"unknown generator family {g.family!r}")
+    i, j = ring.index(svar), ring.index(tvar)
+    ops = [(k, kq, j, ((i, ds, n), (j, dt, 0))) for k, kq, ds, dt in rules]
+    return act_by_rules(f, ops, den, (par.lam, n))
 
 
 class OmegaModule:

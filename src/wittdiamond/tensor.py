@@ -22,7 +22,7 @@ from .lie import FAMILIES, Generator, gen
 from .linalg import SpanBasis, combination, exact_det
 from .omega import OmegaParams, index_degrees, omega_factor_act, orbit_points, solve_in_orbit
 from .poly import PolyRing, SparsePoly
-from .scalars import ONE, scalar, superfactorial
+from .scalars import ONE, add_scaled, scalar, superfactorial
 
 
 class TensorModule:
@@ -35,6 +35,7 @@ class TensorModule:
             f"t{k}" for k in range(1, m + 1)
         )
         self.ring = PolyRing(names, (False,) * (2 * m))
+        self._factor_vars = tuple((par, f"s{k}", f"t{k}") for k, par in enumerate(self.factors, 1))
 
     @property
     def m(self) -> int:
@@ -50,10 +51,10 @@ class TensorModule:
         return f"t{k}"
 
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
-        out = self.ring.zero()
-        for k, par in enumerate(self.factors, start=1):
-            out = out + omega_factor_act(par, self.ring, self.svar(k), self.tvar(k), g, v)
-        return out
+        out: dict = {}
+        for par, svar, tvar in self._factor_vars:
+            add_scaled(out, omega_factor_act(par, self.ring, svar, tvar, g, v).terms)
+        return v._like(out)
 
     def distinct_lambdas(self) -> bool:
         lams = [f.lam for f in self.factors]

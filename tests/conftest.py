@@ -77,3 +77,32 @@ def planted_rank_defect(act, defect):
         return out
 
     return planted
+
+
+def docstring_action(par, ring, svar, tvar, g, f):
+    """The omega module docstring's formula for g f on the factor (svar, tvar) of ring.
+
+    f(s - n, t) is formed by substitution, so no code of the action is reused.
+    """
+    n, lam_n = g.index, par.lam**g.index
+    s, t = ring.var(svar), ring.var(tvar)
+    i = ring.index(svar)
+    fs = ring.zero()
+    for e, c in f.terms.items():
+        fs = fs + ring.from_terms([(e[:i] + (0,) + e[i + 1 :], c)]) * (s - n) ** e[i]
+    j = ring.index(tvar)
+    dt_fs = ring.from_terms(
+        (e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in fs.terms.items() if e[j]
+    )
+    g_t = ring.zero()
+    for k, c in enumerate(par.g):
+        g_t = g_t + t**k * c
+    if g.family == "L":
+        return (s + n * par.alpha) * fs * lam_n
+    if g.family == "d":
+        return (t * g_t + par.gamma) * fs * (lam_n / par.beta) + t * dt_fs * lam_n
+    if g.family == "a":
+        return t * fs * lam_n
+    if g.family == "b":
+        return g_t * fs * lam_n + dt_fs * (lam_n * par.beta)
+    return fs * (-lam_n * par.beta)

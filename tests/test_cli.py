@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
-from wittdiamond.cli import main
+from wittdiamond.cli import MAX_INPUT_POWER, main
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
@@ -542,6 +542,43 @@ def test_bad_usage_exits_2(argv, write_json, tmp_path, capsys):
     err = capsys.readouterr().err
     # An option the parser does not know would exit 2 without testing anything.
     assert "Traceback" not in err and "unrecognized arguments" not in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["act", "--spec", "t.json", "--expr", "L[99999999999]", "--vector", "s1^3"], "--expr"),
+    (["act", "--spec", "t.json", "--expr", f"c[0] d[-{MAX_INPUT_POWER + 1}]", "--vector", "1"],
+     "--expr"),
+    (["act", "--spec", "omega.json", "--expr", "L[1]", "--vector", "s^100000"], "--vector"),
+    (["act", "--spec", "f.json", "--expr", "L[1]", "--vector", f"x1^-{MAX_INPUT_POWER + 1}"],
+     "--vector"),
+    (["rank", "--spec", "t.json", "--vector", f"t1 + t2^{MAX_INPUT_POWER + 1}"], "--vector"),
+    (ABGG + ["--g", f"1 + t^{MAX_G_POWER + 1}"], "--g"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_oversized_index_or_exponent_exits_2(argv, option, write_json, capsys):
+    argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else a for a in argv]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{option}: " in err and "above the bound" in err
+
+
+def test_index_and_exponent_at_the_bound_are_accepted(write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main(["act", "--spec", write_json("omega.json", OMEGA_SPEC), "--expr",
+                 f"L[{MAX_INPUT_POWER}] a[-{MAX_INPUT_POWER}]", "--vector",
+                 f"s t^{MAX_INPUT_POWER}", "--out", out]) == 0
+    # a[-N] raises the t-degree by one; L[N] keeps it.
+    assert f"t^{MAX_INPUT_POWER + 1}" in _check_report(out)["checks"][0]["detail"]["result"]["text"]
+
+
+def test_expr_bound_reads_the_indices_as_written(write_json, tmp_path, capsys):
+    # a[600] L[600] is out of PBW order: normalizing it adds a bracket term of
+    # index 1200, which the bound on the written indices does not reject.
+    spec, out = write_json("omega.json", OMEGA_SPEC), str(tmp_path / "r.json")
+    assert main(["act", "--spec", spec, "--expr", "a[600] L[600]", "--vector", "t",
+                 "--out", out]) == 0
+    assert _exit_code(["act", "--spec", spec, "--expr", f"a[600] L[{MAX_INPUT_POWER + 1}]",
+                       "--vector", "t"]) == 2
+    assert f"--expr: the index of L[{MAX_INPUT_POWER + 1}] is above" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("defect", RANK_DEFECTS)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond.axioms import apply_uenv, module_axiom_check, sample_vectors
-from wittdiamond.exceptions import NotWeight, UnsupportedOperation
+from wittdiamond.exceptions import InvalidGenerator, NotWeight, UnsupportedOperation
 from wittdiamond.fock import (
     FModule,
     MFactor,
@@ -17,9 +17,11 @@ from wittdiamond.fock import (
     q_action,
     weight_decomposition,
 )
-from wittdiamond.lie import gen
+from wittdiamond.lie import Generator, gen
+from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.oracle import ClosureReport, TruncationPolicy, truncated_closure
 from wittdiamond.poly import PolyRing
+from wittdiamond.tensor import TensorModule
 
 
 def weight_module(alpha=F(1, 2), beta=F(3), w0=F(0), w1=F(1, 2), eps=F(2)):
@@ -47,6 +49,85 @@ def test_shift_action_table():
     assert out == expected
     out_c = M.act(gen("c", 1), f)
     assert out_c == (M.ring.var("d0") - 1) * (-2) * 2
+
+
+# -- the module docstring's tables, composed from SparsePoly operations --------
+
+
+def _x(module, i, k, p):
+    """x_i^k on the i-th Weyl-type factor: x_i^k times p on M, l^k p(d_i - k) on Omega."""
+    f = module.factors[i]
+    if isinstance(f, MFactor):
+        return p.mul_var(f"x{i}", k)
+    return p.shift(f"d{i}", k) * f.lam**k
+
+
+def _euler(module, i, p):
+    """x_i d/dx_i: the eigenvalue w + exponent on M, multiplication by d_i on Omega."""
+    f = module.factors[i]
+    if isinstance(f, OmegaFactor):
+        return p.mul_var(f"d{i}")
+    j = module.ring.index(f"x{i}")
+    return module.ring.from_terms((e, c * (f.weight + e[j])) for e, c in p.terms.items())
+
+
+def table_action(module, g, p):
+    """g p by the C_eps or the Whittaker table of the fock module docstring."""
+    n, alpha, beta = g.index, module.alpha, module.beta
+
+    def x0n(q):
+        return _x(module, 0, n, q)
+
+    weyl = {
+        "L": x0n(_euler(module, 0, p) + p * (n * alpha)),
+        "d": x0n(_euler(module, 1, p)),
+        "a": x0n(_x(module, 1, 1, _euler(module, 1, p))) * beta,
+        "b": x0n(_x(module, 1, -1, p)),
+        "c": x0n(p) * -beta,
+    }[g.family]
+    if isinstance(module.v_space, OneDim):
+        if g.family == "a":
+            return weyl + x0n(_x(module, 1, 1, p)) * module.v_space.eps
+        return weyl
+    h, e = p.mul_var("h"), p.shift("h", 1)
+    ub = {
+        "L": x0n(h) * n,
+        "d": x0n(e) * n,
+        "a": x0n(_x(module, 1, 1, h - e * n)) * -beta,
+    }
+    return weyl + ub[g.family] if g.family in ub else weyl
+
+
+def random_f_vector(ring, rng, terms=3):
+    """Random vector with Laurent exponents in -3..3 on the x variables."""
+    out = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(-3, 3) if laurent else rng.randint(0, 3)
+                     for laurent in ring.laurent)
+        out[exps] = F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+    return ring.from_terms(out.items())
+
+
+@pytest.mark.parametrize("kind0", ["M", "Omega"])
+@pytest.mark.parametrize("kind1", ["M", "Omega"])
+@pytest.mark.parametrize("v_space", ["C_eps", "C_0", "Whittaker"])
+def test_action_matches_docstring_tables(kind0, kind1, v_space):
+    rng = random.Random(f"{kind0}-{kind1}-{v_space}")
+
+    def factor(kind):
+        return MFactor(F(rng.randint(-3, 3), rng.randint(1, 3))) if kind == "M" else \
+            OmegaFactor(_nonzero(rng))
+
+    for _ in range(2):
+        v = {"C_eps": OneDim(_nonzero(rng)), "C_0": OneDim(F(0)), "Whittaker": Whittaker()}
+        module = FModule(F(rng.randint(-3, 3), rng.randint(1, 3)), _nonzero(rng),
+                         factor(kind0), factor(kind1), v[v_space])
+        vectors = [module.one()] + [random_f_vector(module.ring, rng) for _ in range(3)]
+        for fam in "Ldabc":
+            for n in range(-3, 4):
+                for p in vectors:
+                    x = gen(fam, n)
+                    assert module.act(x, p) == table_action(module, x, p), (module, x, p)
 
 
 def test_c0_is_minus_beta():
@@ -185,11 +266,14 @@ def test_weight_decomposition_rejects_shift_type():
         weight_decomposition(module, 1)
 
 
-def test_unknown_generator_family_rejected():
-    from wittdiamond.exceptions import InvalidGenerator
-    from wittdiamond.lie import Generator
-
-    module = weight_module()
+@pytest.mark.parametrize("build", [
+    weight_module,
+    lambda: OmegaModule(OmegaParams(F(1), F(2), F(0), F(3), (F(1),))),
+    lambda: TensorModule([OmegaParams(F(1), F(2), F(0), F(3), (F(1),)),
+                          OmegaParams(F(0), F(1), F(1), F(2), ())]),
+], ids=["F", "Omega", "T"])
+def test_unknown_generator_family_rejected(build):
+    module = build()
     with pytest.raises(InvalidGenerator):
         module.act(Generator("x", 0), module.one())
 

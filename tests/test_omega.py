@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import criterion_08_modules, planted_rank_defect
+from conftest import criterion_08_modules, docstring_action, planted_rank_defect
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule, UnsupportedOperation, ZeroVector
@@ -44,32 +44,6 @@ def test_action_examples():
     # c_n f = -lam^n beta f(s - n, t)
     f = s * t
     assert M.act(gen("c", 2), f) == (s - 2) * t * (-4)
-
-
-def docstring_action(par, ring, svar, tvar, g, f):
-    """The module docstring's formula for g f, with f(s - n, t) by substitution."""
-    n, lam_n = g.index, par.lam**g.index
-    s, t = ring.var(svar), ring.var(tvar)
-    i = ring.index(svar)
-    fs = ring.zero()
-    for e, c in f.terms.items():
-        fs = fs + ring.from_terms([(e[:i] + (0,) + e[i + 1 :], c)]) * (s - n) ** e[i]
-    j = ring.index(tvar)
-    dt_fs = ring.from_terms(
-        (e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in fs.terms.items() if e[j]
-    )
-    g_t = ring.zero()
-    for k, c in enumerate(par.g):
-        g_t = g_t + t**k * c
-    if g.family == "L":
-        return (s + n * par.alpha) * fs * lam_n
-    if g.family == "d":
-        return (t * g_t + par.gamma) * fs * (lam_n / par.beta) + t * dt_fs * lam_n
-    if g.family == "a":
-        return t * fs * lam_n
-    if g.family == "b":
-        return g_t * fs * lam_n + dt_fs * (lam_n * par.beta)
-    return fs * (-lam_n * par.beta)
 
 
 def test_factor_action_matches_docstring_formulas_all_families():

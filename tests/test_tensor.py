@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction as F
 
 import pytest
+from conftest import docstring_action
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.certificates import CertStep
@@ -148,6 +149,18 @@ def test_leibniz_action_matches_single_factor():
                 out = T1.act(gen(fam, n), v)
                 expected = M.act(gen(fam, n), mv)
                 assert dict(out.terms) == dict(expected.terms)
+    # m = 2 and 3: factor k's part is the docstring formula on (s_k, t_k).
+    for factors in ((A, B), (A, B, C)):
+        T = TensorModule(factors)
+        for v in sample_vectors(T.ring, random.Random(len(factors)), count=3, max_total_degree=2):
+            for fam in FAMILIES:
+                for n in (-2, -1, 0, 1, 3):
+                    x = gen(fam, n)
+                    parts = [docstring_action(par, T.ring, f"s{k}", f"t{k}", x, v)
+                             for k, par in enumerate(factors, start=1)]
+                    for k, (par, part) in enumerate(zip(factors, parts), start=1):
+                        assert omega_factor_act(par, T.ring, f"s{k}", f"t{k}", x, v) == part
+                    assert T.act(x, v) == sum(parts, T.ring.zero()), (x, v)
 
 
 def test_action_examples_m2():
