@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from math import prod
 
-from .axioms import apply_uenv, random_vector
+from .axioms import random_vector
 from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
 from .fock import FModule, MFactor, OneDim, Whittaker, epsilon_simplicity
 from .homomorphisms import (
@@ -131,6 +131,33 @@ def _parse_vector(ring: PolyRing, text: str) -> SparsePoly:
                 raise InvalidSpec(f"--vector: the exponent {e} of {name} is above the bound "
                                   f"{MAX_INPUT_POWER} on its size")
     return v
+
+
+# Bound on the work of `act`: the sum, over the letters applied, of the terms
+# of the vector each letter acts on, each weighted by its total degree plus 1
+# (a letter expands a power of a shifted variable into that many terms).  It
+# is checked before each letter starts, so no letter runs past it.
+# `L[1000] a[-1000]` on `s t^1000`, every index and exponent at its bound,
+# counts 3007; `L[1] L[1]` on `s1^d s2^d` of a two-factor T spec, whose time
+# grows about as d^3, reaches the bound near d = 180, in under a second.
+MAX_ACT_WORK = 100_000
+
+
+def _bounded_action(module, u, v: SparsePoly) -> SparsePoly:
+    """``axioms.apply_uenv(module, u, v)``, refused once its work passes ``MAX_ACT_WORK``."""
+    out = module.ring.zero()
+    work = 0
+    for word, c in u.terms.items():
+        w = v
+        for g in reversed(word):
+            work += sum(1 + sum(map(abs, e)) for e in w.terms)
+            if work > MAX_ACT_WORK:
+                raise InvalidSpec("--expr/--vector: acting with the expression on the vector "
+                                  f"is above the bound {MAX_ACT_WORK} on its work (terms times "
+                                  "degree of each vector a letter acts on, summed over the letters)")
+            w = module.act(g, w)
+        out = out + w * c
+    return out
 
 
 def _parse_g_poly(text: str) -> tuple:
@@ -247,7 +274,7 @@ def cmd_act(args) -> int:
     except (ValueError, AlgebraError) as exc:
         raise InvalidSpec(f"--expr: {exc}") from None
     v = _parse_vector(module.ring, args.vector)
-    result = apply_uenv(module, u, v)
+    result = _bounded_action(module, u, v)
     rep.add(
         "act",
         True,

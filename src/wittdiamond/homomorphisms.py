@@ -17,8 +17,8 @@ from typing import Sequence
 
 from .exceptions import InvalidSpec
 from .lie import Generator, UEnvElement, bracket, gen, generators_in_window
-from .operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement, commutator
-from .scalars import ONE, add_scaled, scalar
+from .operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement, integer_commutator
+from .scalars import ONE, add_scaled, clear_denominators, integer_combination, scalar
 
 
 def _weyl(algebra, xexp, dexp, coef=ONE) -> OperatorElement:
@@ -207,6 +207,16 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     so its image is the same combination of generator images; images of
     bracket indices outside the window are added to the table on demand.
 
+    The check does no rational arithmetic per pair.  Each image is cleared
+    once to integer numerators over one denominator
+    (``scalars.clear_denominators``); the commutator of two images is
+    summed in Python ints from the cached integer tables of
+    ``operators.integer_commutator``, over the product of their
+    denominators; and ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is one
+    ``scalars.integer_combination`` over a common denominator, with the
+    numerator and denominator of each bracket coefficient c_g folded in,
+    which is zero exactly when the pair passes.
+
     The default window 1 settles every index pair in Z for the tables of
     this module.  Each image of ``x[n]`` is ``x0^n`` times an operator whose
     coefficients have degree at most 1 in n, and each of its terms has
@@ -222,20 +232,22 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     if window < 1:
         raise ValueError("window must be at least 1")
     gens = generators_in_window(window)
-    images = {g: phi.image(g) for g in gens}
-    zero = TensorElement(phi.left_algebra, phi.right_algebra)
+    left, right = phi.left_algebra, phi.right_algebra
+    images = {g: clear_denominators(phi.image(g).terms) for g in gens}
     violations = []
     checked = 0
     for i, x in enumerate(gens):
+        x_nums, x_den = images[x]
         for y in gens[i:]:
             checked += 1
-            lhs = commutator(images[x], images[y])
-            rhs: dict = {}
+            y_nums, y_den = images[y]
+            parts = [(1, x_den * y_den, integer_commutator(left, right, x_nums, y_nums))]
             for g, c in bracket(x, y).terms.items():
-                if g not in images:
-                    images[g] = phi.image(g)
-                add_scaled(rhs, images[g].terms, c)
-            if lhs != zero._like(rhs):
+                image = images.get(g)
+                if image is None:
+                    image = images[g] = clear_denominators(phi.image(g).terms)
+                parts.append((-c.numerator, c.denominator * image[1], image[0]))
+            if integer_combination(parts)[0]:
                 violations.append((str(x), str(y)))
     return HomReport(window=window, pairs_checked=checked, violations=violations)
 

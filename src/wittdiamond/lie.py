@@ -17,6 +17,7 @@ total order (family L < a < b < c < d, then index ascending).
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -68,7 +69,20 @@ class LElement(LinComb):
 
 
 def bracket(x: Generator, y: Generator) -> LElement:
-    """Structure constants of the algebra; see the module docstring."""
+    """Structure constants of the algebra; see the module docstring.
+
+    The constants are integers that depend on the two generators alone, so
+    ``_structure_constants`` works each pair out once per process, like the
+    product tables of ``operators``.  Every call returns a fresh element, so
+    a caller that changes it reaches no cache; an unknown family raises
+    ``InvalidGenerator`` on every call, as exceptions are not cached.
+    """
+    e = _structure_constants(x, y)
+    return e._like(dict(e.terms))
+
+
+@functools.cache
+def _structure_constants(x: Generator, y: Generator) -> LElement:
     fx, m = x.family, x.index
     fy, n = y.family, y.index
     for f in (fx, fy):
@@ -79,7 +93,7 @@ def bracket(x: Generator, y: Generator) -> LElement:
     if fx == "L":
         return LElement({gen(fy, m + n): Fraction(n)})
     if fy == "L":
-        return bracket(y, x).scaled(-1)
+        return _structure_constants(y, x).scaled(-1)
     if fx == "a" and fy == "b":
         return LElement({gen("c", m + n): ONE})
     if fx == "b" and fy == "a":

@@ -20,9 +20,10 @@ and ``ub_product`` compute it as a tuple of (key, int) pairs and cache it
 per key pair, so each structure constant is worked out once per process.
 Element products scale a table entry by one rational per pair of terms and
 skip the multiplication where the constant is 1, as most of them are.
-Commutators of tensor elements use cached integer bracket tables in the
-same way (``tensor_bracket``): one pass over pairs of terms, in which a
-pair of commuting monomials costs no rational arithmetic.
+The commutator of two tensor monomials is cached the same way as an
+integer table (``tensor_bracket``), and ``integer_commutator`` sums those
+tables over integer numerators, so a bracket check needs no rational
+arithmetic; ``commutator`` is ``uv - vu`` for every kind of element.
 """
 
 from __future__ import annotations
@@ -280,13 +281,23 @@ class TensorElement(LinComb):
 
 
 @functools.cache
+def _bracket_tables(left_algebra, right_algebra) -> dict:
+    """The ``tensor_bracket`` tables of one pair of algebras by (k1, k2), filled on demand."""
+    return {}
+
+
 def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
     """[k1, k2] of two pure-tensor monomials, as (key, int) pairs with zeros dropped.
 
     (l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, so the table is the difference
     of the two products of integer tables; it is empty when the monomials
-    commute.
+    commute.  Each table is worked out once per process and kept in
+    ``_bracket_tables``.
     """
+    tables = _bracket_tables(left_algebra, right_algebra)
+    table = tables.get((k1, k2))
+    if table is not None:
+        return table
     out: dict = {}
     for sign, (a, b), (c, d) in ((1, k1, k2), (-1, k2, k1)):
         rf = right_algebra.mul_keys(b, d)
@@ -294,33 +305,34 @@ def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
             for kr, cr in rf:
                 key = (kl, kr)
                 out[key] = out.get(key, 0) + sign * cl * cr
-    return tuple((key, n) for key, n in out.items() if n)
+    table = tables[k1, k2] = tuple((key, n) for key, n in out.items() if n)
+    return table
+
+
+def integer_commutator(left_algebra, right_algebra, u: Mapping, v: Mapping) -> dict:
+    """[u, v] of two tensor elements given as integer numerators, in Python ints.
+
+    ``u`` and ``v`` map pure-tensor keys to ints, as ``scalars.clear_denominators``
+    gives them; the result maps keys to the nonzero ints of
+    ``sum n1 n2 tensor_bracket(k1, k2)``, the commutator over the product of
+    the two denominators.  A pair of commuting monomials has an empty table
+    and costs nothing.
+    """
+    tables = _bracket_tables(left_algebra, right_algebra)
+    out: dict = {}
+    get = out.get
+    for k1, n1 in u.items():
+        for k2, n2 in v.items():
+            table = tables.get((k1, k2))
+            if table is None:
+                table = tensor_bracket(left_algebra, right_algebra, k1, k2)
+            if table:
+                n12 = n1 * n2
+                for key, n in table:
+                    out[key] = get(key, 0) + n12 * n
+    return {key: n for key, n in out.items() if n}
 
 
 def commutator(u, v):
-    """uv - vu in whichever algebra u and v share.
-
-    Tensor elements take one pass over pairs of terms: each pair scales its
-    cached ``tensor_bracket`` table by c1 c2, and a commuting pair costs no
-    rational arithmetic at all.
-    """
-    if not (isinstance(u, TensorElement) and isinstance(v, TensorElement)):
-        return u * v - v * u
-    u._check(v)
-    left, right = u.left_algebra, u.right_algebra
-    out: dict = {}
-    for k1, c1 in u.terms.items():
-        for k2, c2 in v.terms.items():
-            table = tensor_bracket(left, right, k1, k2)
-            if not table:
-                continue
-            c12 = c1 * c2
-            for key, n in table:
-                term = c12 if n == 1 else c12 * n
-                prev = out.get(key)
-                nv = term if prev is None else prev + term
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-    return u._like(out)
+    """uv - vu in whichever algebra u and v share."""
+    return u * v - v * u

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
-from wittdiamond.cli import MAX_INPUT_POWER, main
+from wittdiamond.cli import MAX_ACT_WORK, MAX_INPUT_POWER, main
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
@@ -579,6 +580,24 @@ def test_expr_bound_reads_the_indices_as_written(write_json, tmp_path, capsys):
     assert _exit_code(["act", "--spec", spec, "--expr", f"a[600] L[{MAX_INPUT_POWER + 1}]",
                        "--vector", "t"]) == 2
     assert f"--expr: the index of L[{MAX_INPUT_POWER + 1}] is above" in capsys.readouterr().err
+
+
+def test_act_work_above_the_bound_exits_2_before_it_runs(write_json, tmp_path, capsys):
+    # L[1] L[1] on s1^d s2^d grows about as d^3; d = 1000 keeps every index and
+    # exponent within MAX_INPUT_POWER but would run for minutes in over 1 GB.
+    spec, out = write_json("t.json", T_SPEC), str(tmp_path / "r.json")
+    start = time.perf_counter()
+    assert _exit_code(["act", "--spec", spec, "--expr", "L[1] L[1]",
+                       "--vector", "s1^1000 s2^1000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "--expr/--vector: " in err and f"above the bound {MAX_ACT_WORK}" in err
+    assert main(["act", "--spec", spec, "--expr", "L[1] L[1]", "--vector", "s1^100 s2^100",
+                 "--out", out]) == 0
+    module = module_from_spec(T_SPEC)
+    v = module.ring.var("s1") ** 100 * module.ring.var("s2") ** 100
+    want = module.act(gen("L", 1), module.act(gen("L", 1), v))
+    assert _check_report(out)["checks"][0]["detail"]["result"] == vector_report(want)
 
 
 @pytest.mark.parametrize("defect", RANK_DEFECTS)

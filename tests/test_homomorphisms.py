@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from wittdiamond.homomorphisms import (
     CorruptedPhiAB,
     PhiAB,
@@ -12,8 +14,9 @@ from wittdiamond.homomorphisms import (
     surjectivity_witnesses,
     verify_hom,
 )
-from wittdiamond.lie import UEnvElement, gen, generators_in_window, uenv_mul
+from wittdiamond.lie import FAMILIES, UEnvElement, gen, generators_in_window, uenv_mul
 from wittdiamond.operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement
+from wittdiamond.scalars import clear_denominators
 
 
 def weyl2(xexp, dexp, coef=1):
@@ -62,6 +65,37 @@ def test_corrupted_map_fails_at_d_a_pair(reference_violations):
     assert not report.ok
     assert ("a[0]", "d[1]") in report.violations
     assert verify_hom(phi, 2).violations == reference_violations(phi, 2)
+
+
+class _Scaled:
+    """A generator table whose image of one generator is divided by p."""
+
+    def __init__(self, phi, target, p):
+        self.phi, self.target, self.p = phi, target, p
+        self.left_algebra, self.right_algebra = phi.left_algebra, phi.right_algebra
+
+    def image(self, g):
+        out = self.phi.image(g)
+        return out.scaled(F(1, self.p)) if g == self.target else out
+
+
+# beta = -3/5, gamma = 2/7, g = 1/7 t^2 + 1/11: pairwise coprime denominators.
+COPRIME_ABGG = PhiABGG(F(1, 2), F(-3, 5), F(2, 7), (F(1, 11), F(0), F(1, 7)))
+
+
+@pytest.mark.parametrize("phi", [PhiAB(F(1, 2), F(3)), COPRIME_ABGG], ids=["ab", "abgg"])
+def test_an_image_scaled_by_1_over_p_is_caught(phi, reference_violations):
+    assert verify_hom(phi, 2).violations == reference_violations(phi, 2) == []
+    for family in FAMILIES:
+        target = gen(family, 1)
+        scaled = _Scaled(phi, target, 13)
+        # Only the denominator of the cleared image moves, so a check that
+        # dropped a denominator would pass this table.
+        before, after = clear_denominators(phi.image(target).terms), clear_denominators(
+            scaled.image(target).terms)
+        assert after == (before[0], 13 * before[1]), family
+        violations = verify_hom(scaled, 2).violations
+        assert violations and violations == reference_violations(scaled, 2), family
 
 
 def test_image_witnesses_round_trip():

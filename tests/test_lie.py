@@ -8,6 +8,7 @@ import pytest
 
 from wittdiamond.exceptions import InvalidGenerator
 from wittdiamond.lie import (
+    Generator,
     LElement,
     UEnvElement,
     bracket,
@@ -30,6 +31,30 @@ def test_bracket_table_examples():
     assert bracket(gen("a", 1), gen("b", 2)) == LElement({gen("c", 3): F(1)})
     assert bracket(gen("d", 0), gen("a", -2)) == LElement({gen("a", -2): F(1)})
     assert bracket(gen("L", 2), gen("a", 0)).is_zero
+
+
+def test_brackets_do_not_leak_into_the_cache():
+    pairs = [(gen("L", 1), gen("L", 2)), (gen("a", -1), gen("L", 2)), (gen("b", 0), gen("d", 3))]
+    for x, y in pairs:
+        first = bracket(x, y)
+        want = LElement(dict(first.terms))
+        assert want
+        # A caller changing the returned element must not reach the cached table.
+        first.terms.clear()
+        second = bracket(x, y)
+        assert second == want and second is not first
+        second.terms[gen("c", 9)] = F(5)
+        assert bracket(x, y) == want
+        assert bracket(y, x) == want.scaled(-1)
+
+
+def test_unknown_family_raises_on_every_call():
+    # Exceptions are not cached: each call checks the families again.
+    bad = Generator("z", 0)
+    for _ in range(3):
+        for x, y in ((bad, gen("L", 1)), (gen("L", 1), bad), (bad, bad)):
+            with pytest.raises(InvalidGenerator):
+                bracket(x, y)
 
 
 def test_antisymmetry_window3():

@@ -18,11 +18,13 @@ from wittdiamond.operators import (
     OperatorElement,
     TensorElement,
     commutator,
+    integer_commutator,
     tensor_bracket,
     ub_product,
     weyl_product,
 )
 from wittdiamond.poly import PolyRing, SparsePoly
+from wittdiamond.scalars import clear_denominators
 
 
 def weyl(alg, xexp, dexp, coef=1):
@@ -293,6 +295,10 @@ def _seeded_tensor(rng, left, right):
 
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
 def test_tensor_commutator_equals_uv_minus_vu(left, right):
+    def bracket_nums(a, b):
+        return integer_commutator(left, right, clear_denominators(a.terms)[0],
+                                  clear_denominators(b.terms)[0])
+
     rng = random.Random(14)
     pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
              for _ in range(40)]
@@ -300,12 +306,16 @@ def test_tensor_commutator_equals_uv_minus_vu(left, right):
     for u, v in pairs:
         tables = [tensor_bracket(left, right, k1, k2) for k1 in u.terms for k2 in v.terms]
         assert all(type(n) is int and n for table in tables for _, n in table)
-        got = commutator(u, v)
-        assert got == u * v - v * u
-        assert all(got.terms.values())
-        assert commutator(u, u).terms == {}
-        assert commutator(u, u.scaled(F(-3, 2))).terms == {}
-        assert commutator(v, u) == -got
+        (u_nums, u_den), (v_nums, v_den) = clear_denominators(u.terms), clear_denominators(v.terms)
+        got = integer_commutator(left, right, u_nums, v_nums)
+        assert all(type(n) is int and n for n in got.values())
+        want = u * v - v * u
+        # The kernel's numerators over the product of the denominators are uv - vu.
+        assert TensorElement(left, right, {k: F(n, u_den * v_den) for k, n in got.items()}) == want
+        assert commutator(u, v) == want
+        assert bracket_nums(u, u) == {}
+        assert bracket_nums(u, u.scaled(F(-3, 2))) == {}
+        assert bracket_nums(v, u) == {k: -n for k, n in got.items()}
 
 
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
@@ -326,3 +336,5 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
         u, v = coordinates(), coordinates()
         assert all(tensor_bracket(left, right, k1, k2) == () for k1 in u.terms for k2 in v.terms)
         assert commutator(u, v).terms == {}
+        nums = clear_denominators(u.terms)[0], clear_denominators(v.terms)[0]
+        assert integer_commutator(left, right, *nums) == {}
