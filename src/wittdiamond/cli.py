@@ -29,7 +29,7 @@ from .homomorphisms import (
     surjectivity_witnesses,
     verify_hom,
 )
-from .lie import bracket, generators_in_window, jacobi_residual, parse_uenv
+from .lie import bracket, generators_in_window, jacobi_residual, parse_words
 from .omega import (
     Degenerate,
     OmegaModule,
@@ -143,11 +143,15 @@ def _parse_vector(ring: PolyRing, text: str) -> SparsePoly:
 MAX_ACT_WORK = 100_000
 
 
-def _bounded_action(module, u, v: SparsePoly) -> SparsePoly:
-    """``axioms.apply_uenv(module, u, v)``, refused once its work passes ``MAX_ACT_WORK``."""
+def _bounded_action(module, words, v: SparsePoly) -> SparsePoly:
+    """The sum of c times the letters of each word applied to v, rightmost first.
+
+    The letters act as written, with no PBW straightening, so ``MAX_ACT_WORK``
+    bounds all of the work; the result is refused once the work passes it.
+    """
     out = module.ring.zero()
     work = 0
-    for word, c in u.terms.items():
+    for c, word in words:
         w = v
         for g in reversed(word):
             work += sum(1 + sum(map(abs, e)) for e in w.terms)
@@ -270,11 +274,11 @@ def cmd_act(args) -> int:
             raise InvalidSpec(f"--expr: the index of {m.group(0)} is above the bound "
                               f"{MAX_INPUT_POWER} on its size")
     try:
-        u = parse_uenv(expr_text)
+        words = parse_words(expr_text)
     except (ValueError, AlgebraError) as exc:
         raise InvalidSpec(f"--expr: {exc}") from None
     v = _parse_vector(module.ring, args.vector)
-    result = _bounded_action(module, u, v)
+    result = _bounded_action(module, words, v)
     rep.add(
         "act",
         True,
@@ -420,7 +424,6 @@ def cmd_simplicity(args) -> int:
                     "probes": inv.probes,
                     "images_checked": inv.images_checked,
                     "max_index_degree": inv.max_index_degree,
-                    "basis_size": inv.basis_size,
                     "escapes": inv.escapes[:10],
                     "proper_witness": {"in_W": "1", "not_in_W": f"s{i}", "holds": inv.proper},
                 },

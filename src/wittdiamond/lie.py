@@ -201,12 +201,12 @@ def uenv_mul(u: UEnvElement, v: UEnvElement) -> UEnvElement:
 _UENV_TERM_SPLIT = re.compile(r"(?=[+-](?![^\[\]]*\]))")
 
 
-def parse_uenv(text: str) -> UEnvElement:
-    """Parse expressions like "b[0] a[0] - 3/2 c[-1] d[1] + 2"."""
+def parse_words(text: str) -> list[tuple[Fraction, Word]]:
+    """The terms of "b[0] a[0] - 3/2 c[-1] d[1] + 2" as (coefficient, letters), as written."""
     text = text.strip()
     if not text or text == "0":
-        return UEnvElement()
-    total = UEnvElement()
+        return []
+    words = []
     for raw in _UENV_TERM_SPLIT.split(text.replace("*", " ")):
         raw = raw.strip()
         if not raw:
@@ -223,6 +223,14 @@ def parse_uenv(text: str) -> UEnvElement:
                 letters.append(parse_generator(tok))
             else:
                 coef *= scalar(tok)
+        words.append((coef, tuple(letters)))
+    return words
+
+
+def parse_uenv(text: str) -> UEnvElement:
+    """The sum of the words of ``parse_words``, straightened into the PBW basis."""
+    total = UEnvElement()
+    for coef, letters in parse_words(text):
         total = total + UEnvElement.from_word(letters, coef)
     return total
 

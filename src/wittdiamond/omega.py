@@ -45,8 +45,7 @@ class OmegaParams:
     gamma: Fraction
     lam: Fraction
     g: tuple[Fraction, ...]
-    # g / beta, and (D, alpha D, beta D, gamma D, g_0 D, ...) over one denominator D.
-    g_over_beta: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # (D, alpha D, beta D, gamma D, g_0 D, ...) over one denominator D.
     ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,7 +56,6 @@ class OmegaParams:
         object.__setattr__(self, "g", _normalize_coeffs(self.g))
         if self.beta == 0 or self.lam == 0:
             raise InvalidSpec("beta and lambda must be nonzero")
-        object.__setattr__(self, "g_over_beta", tuple(c / self.beta for c in self.g))
         nums, d = clear_denominators(dict(enumerate((self.alpha, self.beta, self.gamma, *self.g))))
         object.__setattr__(self, "ints", (d, *nums.values()))
 
@@ -83,6 +81,18 @@ def omega_factor_act(
         c[n]:  -beta S_0 t^q
 
     (L's s (s - n)^p is S_1 + n S_0.)  The rules are built per call from ``par.ints``.
+
+    Operator form.  Every rule moves s only through the shift tau^n: s -> s - n
+    and is first order in t (the q and beta q t^(q-1) parts are t d/dt and
+    beta d/dt), so on C[s, t]
+
+        X[n] = (A + B d/dt) o tau^n,  A = X[n] 1,  B = X[n] t - t X[n] 1,
+
+    with A and B in C[s, t]; tau^n fixes 1 and t, so the images of these two
+    probes fix the operator.  Here A_L = lam^n (s + n alpha), A_d = lam^n
+    (t g(t) + gamma) / beta, B_d = lam^n t, A_a = lam^n t, A_b = lam^n g(t),
+    B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a and c.  In a
+    tensor product factor k acts in this form on (s_k, t_k) alone.
     """
     (D, A, B, G, *gs), n = par.ints, g.index
     if g.family == "L":
@@ -179,9 +189,9 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
         steps.append(solve_in_orbit(module, "c", v, target))
         v = target
     dt_combo = [(1 / par.beta, (gen("b", 0),))]
-    for k, c in enumerate(par.g_over_beta):
+    for k, c in enumerate(par.g):
         if c:
-            dt_combo.append((-c, (gen("a", 0),) * k))
+            dt_combo.append((-c / par.beta, (gen("a", 0),) * k))
     dt_step = CertStep(tuple(dt_combo))
     while (v.var_degree("t") or 0) > 0:
         nxt = dt_step.apply(module, v)
@@ -238,10 +248,9 @@ class UhRankReport:
 def uh_rank(module: OmegaModule) -> UhRankReport:
     """Free rank over C[L0, d0], proved in every degree from four probe images.
 
-    By the operator form of ``tensor.w_invariance_check`` (there is no shift
-    at n = 0), L[0] and d[0] act on C[s, t] as X = A_X + B_X d/dt with A_X,
-    B_X in C[s, t].  So X 1 = A_X and X t - t X 1 = B_X: the images of the
-    probes 1 and t fix both operators.  The verdict checks four facts:
+    By the operator form of ``omega_factor_act`` (tau^0 is the identity),
+    L[0] and d[0] act on C[s, t] as X = A_X + B_X d/dt, and the images of
+    the probes 1 and t fix A_X and B_X.  The verdict checks four facts:
 
     1. A_L = s and B_L = 0, so L0 is multiplication by s;
     2. A_d and B_d are free of s, so d0 maps C[t] into itself and commutes
@@ -375,20 +384,24 @@ def _candidate_operator(data: Rank1ActionData, g: Generator) -> ShiftDiffOp:
     raise ValueError(f"unknown generator family {g.family!r}")
 
 
-def rank1_data_from_omega(par: OmegaParams) -> Rank1ActionData:
-    """Read the index-zero structure functions off a concrete module."""
-    a0 = RANK1_RING.var("a0")
-    g_at_a0 = RANK1_RING.zero()
-    for k, c in enumerate(par.g):
-        if c:
-            g_at_a0 = g_at_a0 + a0**k * c
-    return Rank1ActionData(
-        lam=par.lam,
-        p=RANK1_RING.const(par.alpha),
-        B0=g_at_a0,
-        C0=RANK1_RING.const(-par.beta),
-        D0=(a0 * g_at_a0 + RANK1_RING.const(par.gamma)) * (1 / par.beta),
-    )
+def rank1_data_from_action(module: OmegaModule) -> Rank1ActionData:
+    """Read the structure functions off the images of the probe 1, with (s, t) as (L0, a0).
+
+    By the operator form of ``omega_factor_act`` these images are the A-parts:
+    L[1] 1 = lam (s + p), so lam is its s-coefficient, and b[0] 1, c[0] 1 and
+    d[0] 1 are B0, C0 and D0.
+    """
+    one = module.one()
+
+    def image(family: str, n: int) -> SparsePoly:
+        return SparsePoly(RANK1_RING, dict(module.act(gen(family, n), one).terms))
+
+    l1 = image("L", 1)
+    lam = l1.coefficient((1, 0))
+    if lam == 0:
+        raise NotAModule("round-trip", "L[1] 1 has no L0 term to read lambda from")
+    return Rank1ActionData(lam=lam, p=(l1 - RANK1_RING.var("L0") * lam) * (1 / lam),
+                           B0=image("b", 0), C0=image("c", 0), D0=image("d", 0))
 
 
 _NAMED_RELATIONS = (
@@ -438,7 +451,9 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     (3) [b,d] = b run first so corruptions are reported at the relation
     that pins them down.  Consistent data with c[0]-image zero presents a
     module with an obvious proper submodule and is reported Degenerate;
-    otherwise the five parameters are extracted and round-tripped.
+    otherwise the five parameters are extracted, and the data that
+    ``rank1_data_from_action`` reads off their module's action must be the
+    data given.
     """
     ops: dict[Generator, ShiftDiffOp] = {}
 
@@ -470,7 +485,7 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     gamma_poly = -(a0 * data.B0 - data.D0 * beta)
     gamma = _constant_value(gamma_poly, "a0 B0 - beta D0")
     params = OmegaParams(alpha=alpha, beta=beta, gamma=gamma, lam=data.lam, g=g_coeffs)
-    if rank1_data_from_omega(params) != data:
+    if rank1_data_from_action(OmegaModule(params)) != data:
         raise NotAModule("round-trip", "extracted parameters do not reproduce the data")
     return params
 

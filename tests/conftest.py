@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from wittdiamond.lie import bracket, gen, generators_in_window
-from wittdiamond.omega import OmegaModule, OmegaParams
+from wittdiamond.omega import RANK1_RING, OmegaModule, OmegaParams, Rank1ActionData
 from wittdiamond.operators import TensorElement
 
 
@@ -57,13 +57,18 @@ def criterion_08_modules():
 
 
 RANK_DEFECTS = ("L0-zero", "d0-gains-s", "d0-loses-t-g")
+# Defects in the images of the probe 1 that ``omega.rank1_data_from_action`` reads.
+CLASSIFY_DEFECTS = ("L1-zero", "L1-gains-t", "b0-gains-s", "c0-gains-f",
+                    "d0-gains-s", "d0-loses-t-g")
 
 
 def planted_rank_defect(act, defect):
-    """``act(module, g, f)`` of an Omega module with one defect planted in L[0] or d[0].
+    """``act(module, g, f)`` of an Omega module with one defect planted in one generator.
 
     L0-zero: L[0] acts as zero.  d0-gains-s: d[0] f gains the term s f.
     d0-loses-t-g: d[0] f loses its t g(t) f / beta part, so d[0] keeps the t-degree.
+    L1-zero: L[1] acts as zero, so no lambda can be read.  L1-gains-t: L[1] f
+    gains t f.  b0-gains-s: b[0] f gains s f.  c0-gains-f: c[0] f gains f.
     """
     def planted(module, g, f):
         out = act(module, g, f)
@@ -74,9 +79,29 @@ def planted_rank_defect(act, defect):
             return out + ring.var("s") * f
         if defect == "d0-loses-t-g" and g == gen("d", 0):
             return out - ring.from_terms(((0, k + 1), c / par.beta) for k, c in enumerate(par.g)) * f
+        if defect == "L1-zero" and g == gen("L", 1):
+            return ring.zero()
+        if defect == "L1-gains-t" and g == gen("L", 1):
+            return out + ring.var("t") * f
+        if defect == "b0-gains-s" and g == gen("b", 0):
+            return out + ring.var("s") * f
+        if defect == "c0-gains-f" and g == gen("c", 0):
+            return out + f
         return out
 
     return planted
+
+
+def formula_rank1_data(par):
+    """Rank-one action data of an Omega module, written from its defining formulas.
+
+    p = alpha, B0 = g(a0), C0 = -beta and D0 = (a0 g(a0) + gamma) / beta; no
+    code of the action is reused.
+    """
+    g = RANK1_RING.from_terms(((0, k), c) for k, c in enumerate(par.g))
+    return Rank1ActionData(lam=par.lam, p=RANK1_RING.const(par.alpha), B0=g,
+                           C0=RANK1_RING.const(-par.beta),
+                           D0=(RANK1_RING.var("a0") * g + par.gamma) * (1 / par.beta))
 
 
 def docstring_action(par, ring, svar, tvar, g, f):

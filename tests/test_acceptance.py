@@ -41,7 +41,7 @@ from wittdiamond.omega import (
     Rank1ActionData,
     classify_rank1,
     omega_reduce_to_one,
-    rank1_data_from_omega,
+    rank1_data_from_action,
     uh_rank,
 )
 from wittdiamond.oracle import (
@@ -259,7 +259,7 @@ def test_criterion_09_classification():
             _random_rational(rng, 1, 5, nonzero=True) * rng.choice([1, -1]),
             tuple(_random_rational(rng, -2, 2) for _ in range(rng.randint(0, 3))),
         )
-        assert classify_rank1(rank1_data_from_omega(par)) == par
+        assert classify_rank1(rank1_data_from_action(OmegaModule(par))) == par
     degenerate = classify_rank1(
         Rank1ActionData(
             lam=F(2),
@@ -270,7 +270,7 @@ def test_criterion_09_classification():
         )
     )
     assert isinstance(degenerate, Degenerate)
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1))))
+    base = rank1_data_from_action(OmegaModule(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1)))))
     bad = Rank1ActionData(lam=base.lam, p=RANK1_RING.var("a0"),
                           B0=base.B0, C0=base.C0, D0=base.D0)
     try:

@@ -572,14 +572,31 @@ def test_index_and_exponent_at_the_bound_are_accepted(write_json, tmp_path):
 
 
 def test_expr_bound_reads_the_indices_as_written(write_json, tmp_path, capsys):
-    # a[600] L[600] is out of PBW order: normalizing it adds a bracket term of
-    # index 1200, which the bound on the written indices does not reject.
+    # The bound reads the indices as written, and the letters act as written:
+    # a[600] L[600] is out of PBW order, but no word is straightened, so no
+    # bracket term of index 1200 is ever formed.
     spec, out = write_json("omega.json", OMEGA_SPEC), str(tmp_path / "r.json")
     assert main(["act", "--spec", spec, "--expr", "a[600] L[600]", "--vector", "t",
                  "--out", out]) == 0
     assert _exit_code(["act", "--spec", spec, "--expr", f"a[600] L[{MAX_INPUT_POWER + 1}]",
                        "--vector", "t"]) == 2
     assert f"--expr: the index of L[{MAX_INPUT_POWER + 1}] is above" in capsys.readouterr().err
+
+
+def test_act_applies_a_reversed_word_as_written(write_json, tmp_path):
+    # L[12] ... L[1] is in reverse PBW order; straightening it first would take
+    # tens of seconds, while letter by letter it stays inside MAX_ACT_WORK.
+    expr = " ".join(f"L[{k}]" for k in range(12, 0, -1))
+    out = str(tmp_path / "r.json")
+    start = time.perf_counter()
+    assert main(["act", "--spec", write_json("omega.json", OMEGA_SPEC), "--expr", expr,
+                 "--vector", "1", "--out", out]) == 0
+    assert time.perf_counter() - start < 1
+    module = module_from_spec(OMEGA_SPEC)
+    want = module.one()
+    for k in range(1, 13):
+        want = module.act(gen("L", k), want)
+    assert _check_report(out)["checks"][0]["detail"]["result"] == vector_report(want)
 
 
 def test_act_work_above_the_bound_exits_2_before_it_runs(write_json, tmp_path, capsys):

@@ -4,7 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import criterion_08_modules, docstring_action, planted_rank_defect
+from conftest import (
+    CLASSIFY_DEFECTS,
+    criterion_08_modules,
+    docstring_action,
+    formula_rank1_data,
+    planted_rank_defect,
+)
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule, UnsupportedOperation, ZeroVector
@@ -22,12 +28,17 @@ from wittdiamond.omega import (
     omega_factor_act,
     omega_generate,
     omega_reduce_to_one,
-    rank1_data_from_omega,
+    rank1_data_from_action,
     rank1_grid,
     uh_rank,
 )
 from wittdiamond.poly import PolyRing
 from wittdiamond.scalars import add_scaled
+
+
+def _action_data(*params):
+    """The rank-one data that rank1_data_from_action reads off OmegaModule(OmegaParams(*params))."""
+    return rank1_data_from_action(OmegaModule(OmegaParams(*params)))
 
 
 def module(alpha=F(1, 2), beta=F(3), gamma=F(0), lam=F(2), g=(F(1), F(0), F(1))):
@@ -285,18 +296,39 @@ def test_corrected_recursion_direct_check():
                                                         (F(2), F(-1), F(3)))))
 
 
+def _seeded_params(rng):
+    return OmegaParams(
+        F(rng.randint(-4, 4), rng.randint(1, 3)),
+        F(rng.randint(1, 5)) * rng.choice([1, -1]),
+        F(rng.randint(-4, 4), rng.randint(1, 2)),
+        F(rng.randint(1, 5)) * rng.choice([1, -1]),
+        tuple(F(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))),
+    )
+
+
 def test_classify_round_trip_ten_instances():
     rng = random.Random(17)
     for _ in range(10):
-        par = OmegaParams(
-            F(rng.randint(-4, 4), rng.randint(1, 3)),
-            F(rng.randint(1, 5)) * rng.choice([1, -1]),
-            F(rng.randint(-4, 4), rng.randint(1, 2)),
-            F(rng.randint(1, 5)) * rng.choice([1, -1]),
-            tuple(F(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))),
-        )
-        data = rank1_data_from_omega(par)
+        par = _seeded_params(rng)
+        data = rank1_data_from_action(OmegaModule(par))
         assert classify_rank1(data) == par
+
+
+def test_rank1_data_from_action_matches_the_defining_formulas():
+    rng = random.Random(41)
+    for _ in range(200):
+        par = _seeded_params(rng)
+        assert rank1_data_from_action(OmegaModule(par)) == formula_rank1_data(par), par
+
+
+@pytest.mark.parametrize("defect", CLASSIFY_DEFECTS)
+def test_classify_round_trip_reads_the_action(monkeypatch, defect):
+    """A defect in an image the reader probes fails the round trip of formula data."""
+    monkeypatch.setattr(OmegaModule, "act", planted_rank_defect(OmegaModule.act, defect))
+    for g, M in criterion_08_modules():
+        with pytest.raises(NotAModule) as err:
+            classify_rank1(formula_rank1_data(M.params))
+        assert err.value.relation == "round-trip", (defect, g)
 
 
 def test_classify_case_two_degenerate():
@@ -313,7 +345,7 @@ def test_classify_case_two_degenerate():
 
 
 def test_classify_rejects_nonconstant_p_at_relation_two():
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1))))
+    base = _action_data(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1)))
     bad = Rank1ActionData(lam=base.lam, p=RANK1_RING.var("a0"), B0=base.B0, C0=base.C0, D0=base.D0)
     with pytest.raises(NotAModule) as err:
         classify_rank1(bad)
@@ -321,7 +353,7 @@ def test_classify_rejects_nonconstant_p_at_relation_two():
 
 
 def test_classify_rejects_l0_dependent_c():
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1),)))
+    base = _action_data(F(1, 2), F(3), F(0), F(2), (F(1),))
     bad = Rank1ActionData(
         lam=base.lam, p=base.p, B0=base.B0, C0=RANK1_RING.var("L0"), D0=base.D0
     )
@@ -331,7 +363,7 @@ def test_classify_rejects_l0_dependent_c():
 
 def test_classify_rejects_inconsistent_gamma():
     # D0 with an L0 term violates (3) [b_m, d_n] = b_{m+n}
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1),)))
+    base = _action_data(F(1, 2), F(3), F(1), F(2), (F(1),))
     bad = Rank1ActionData(
         lam=base.lam, p=base.p, B0=base.B0, C0=base.C0,
         D0=base.D0 + RANK1_RING.var("L0"),
@@ -388,20 +420,14 @@ def _with(data, **changes):
 def _agreement_cases():
     rng = random.Random(23)
     for _ in range(6):
-        yield rank1_data_from_omega(OmegaParams(
-            F(rng.randint(-4, 4), rng.randint(1, 3)),
-            F(rng.randint(1, 5)) * rng.choice([1, -1]),
-            F(rng.randint(-4, 4), rng.randint(1, 2)),
-            F(rng.randint(1, 5)) * rng.choice([1, -1]),
-            tuple(F(rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))),
-        ))
+        yield rank1_data_from_action(OmegaModule(_seeded_params(rng)))
     yield Rank1ActionData(lam=F(2), p=RANK1_RING.const(F(1, 2)), B0=RANK1_RING.zero(),
                           C0=RANK1_RING.zero(), D0=RANK1_RING.const(F(5)))
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1))))
+    base = _action_data(F(1, 2), F(3), F(0), F(2), (F(0), F(0), F(1)))
     yield _with(base, p=RANK1_RING.var("a0"))
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1),)))
+    base = _action_data(F(1, 2), F(3), F(0), F(2), (F(1),))
     yield _with(base, C0=RANK1_RING.var("L0"))
-    base = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1),)))
+    base = _action_data(F(1, 2), F(3), F(1), F(2), (F(1),))
     yield _with(base, D0=base.D0 + RANK1_RING.var("L0"))
 
 
@@ -417,7 +443,7 @@ def test_classify_grid_agrees_with_window_oracle():
 
 
 def test_rank1_grid_degrees_on_omega_data():
-    data = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1))))
+    data = _action_data(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1)))
     grid = rank1_grid(data)
     assert [row[0][:3] for row in grid[:3]] == ["(1)", "(2)", "(3)"]
     assert len({(fx, fy) for _, fx, fy, _, _ in grid}) == len(grid) == 25
@@ -439,7 +465,7 @@ def test_classify_grid_catches_top_l0_degree_mutations(field, l0_power, a0_power
     # The perturbation sets the L0-degree the bound reads off the data, so it
     # is a term of the top degree the grid allows; a bracket relation, not the
     # parameter extraction, must reject it.
-    data = rank1_data_from_omega(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1))))
+    data = _action_data(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1)))
     term = RANK1_RING.monomial({"L0": l0_power, "a0": a0_power}, F(5, 7))
     bad = _with(data, **{field: getattr(data, field) + term})
     with pytest.raises(NotAModule) as err:

@@ -22,7 +22,7 @@ from wittdiamond.omega import (
     omega_factor_act,
     omega_reduce_to_one,
     orbit_points,
-    rank1_data_from_omega,
+    rank1_data_from_action,
     solve_in_orbit,
 )
 from wittdiamond.oracle import naive_det
@@ -43,7 +43,6 @@ from wittdiamond.tensor import (
     tensor_generate,
     tensor_reduce_to_bottom,
     w_invariance_check,
-    w_witness_basis,
 )
 
 A = OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1)))
@@ -356,6 +355,71 @@ def test_iso_requires_simple():
         iso_check(T, T)
 
 
+def w_witness_basis(module: TensorModule, i: int, j: int,
+                    max_total_degree: int) -> list[SparsePoly]:
+    """Basis of the invariant witness subspace up to a total degree.
+
+    Elements are (s_i + s_j)^p t_i^{qi} t_j^{qj} times arbitrary monomials
+    in the remaining factors; each basis vector is homogeneous, so degree
+    truncation respects the subspace.
+    """
+    m = module.m
+    others = [k for k in range(1, m + 1) if k not in (i, j)]
+    out = []
+
+    def monos(budget: int, vars_left: list[str]):
+        if not vars_left:
+            yield {}
+            return
+        v = vars_left[0]
+        for e in range(budget + 1):
+            for rest in monos(budget - e, vars_left[1:]):
+                d = dict(rest)
+                if e:
+                    d[v] = e
+                yield d
+
+    other_vars = [module.svar(k) for k in others] + [module.tvar(k) for k in others]
+    si = module.ring.var(module.svar(i))
+    sj = module.ring.var(module.svar(j))
+    for p in range(max_total_degree + 1):
+        core = (si + sj) ** p
+        for qi in range(max_total_degree - p + 1):
+            for qj in range(max_total_degree - p - qi + 1):
+                head = core.mul_var(module.tvar(i), qi).mul_var(module.tvar(j), qj)
+                budget = max_total_degree - p - qi - qj
+                for d in monos(budget, other_vars):
+                    w = head
+                    for name, e in d.items():
+                        w = w.mul_var(name, e)
+                    out.append(w)
+    return out
+
+
+def _span_membership_probes(module, i, j):
+    """The former membership test of w_invariance_check, kept as an oracle.
+
+    Each probe image is tested against ``w_witness_basis`` eliminated up to
+    the images' top degree; returns (escapes, proper).
+    """
+    lams = [f.lam for f in module.factors]
+    probes = [module.one(), module.ring.var(module.tvar(i)), module.ring.var(module.tvar(j))]
+    images = []
+    for fam in FAMILIES:
+        degrees = index_degrees(lams, [0] * module.m, fam)
+        for v in probes:
+            for n in range(orbit_points(degrees)):
+                images.append((f"{fam}[{n}] on {v}", module.act(gen(fam, n), v)))
+    witness = SpanBasis()
+    top = max(1, *(image.total_degree() or 0 for _, image in images))
+    for w in w_witness_basis(module, i, j, top):
+        witness.add(w.terms)
+    escapes = [name for name, image in images if not witness.contains(image.terms)]
+    proper = (witness.contains(module.one().terms)
+              and not witness.contains(module.ring.var(module.svar(i)).terms))
+    return escapes, proper
+
+
 @dataclass
 class _SweepReport:
     pair: tuple[int, int]
@@ -544,6 +608,18 @@ def test_w_invariance_probes_agree_with_degree_sweep():
             assert probes.ok == _degree_sweep(module, 1, 2, degree).ok, (module, factors)
 
 
+def test_w_invariance_derivative_test_agrees_with_span_membership():
+    for factors in _probe_modules():
+        for module in [TensorModule(factors)] + [mutate(factors) for mutate in _MUTATIONS.values()]:
+            report = w_invariance_check(module, 1, 2)
+            assert (report.escapes, report.proper) == _span_membership_probes(module, 1, 2)
+    for family in FAMILIES:
+        module = _PlantedDefect([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))], family)
+        report = w_invariance_check(module, 1, 2)
+        assert report.escapes
+        assert (report.escapes, report.proper) == _span_membership_probes(module, 1, 2)
+
+
 @pytest.mark.parametrize("mutation", list(_MUTATIONS))
 def test_w_invariance_probes_catch_mutation(mutation):
     for factors in _probe_modules():
@@ -581,7 +657,7 @@ def test_factor_action_is_the_rank_one_symbol():
     rng = random.Random(59)
     for par in (A, B, C, OmegaParams(F(2), F(-1, 2), F(3), F(-3), ())):
         M = OmegaModule(par)
-        data = rank1_data_from_omega(par)
+        data = rank1_data_from_action(OmegaModule(par))
         vectors = [M.one(), M.ring.var("t"), M.ring.var("t", 3) + M.ring.var("t") * F(2, 3)]
         vectors += [random_vector(M.ring, rng, max_total_degree=2, terms=3) for _ in range(2)]
         for fam in FAMILIES:
