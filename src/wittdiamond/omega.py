@@ -153,18 +153,32 @@ def orbit_points(degrees: dict[Fraction, int]) -> int:
     return sum(d + 1 for d in degrees.values())
 
 
+def operator_form(module, g: Generator, tvar: str = "t") -> tuple[SparsePoly, SparsePoly]:
+    """(A, B) = (g 1, g t - t g 1), the operator form of ``omega_factor_act`` read from two probes.
+
+    In a tensor product, A sums every factor's A and B is the B of the factor of ``tvar``.
+    """
+    a = module.act(g, module.one())
+    return a, module.act(g, module.ring.var(tvar)) - a.mul_var(tvar)
+
+
+def orbit(module, family: str, v: SparsePoly) -> list[tuple[Generator, SparsePoly]]:
+    """(X[n], X[n] v) for n < N = ``module.orbit_points(family, v)``: they span the X-orbit."""
+    gens = [gen(family, n) for n in range(module.orbit_points(family, v))]
+    return [(g, module.act(g, v)) for g in gens]
+
+
 def solve_in_orbit(module, family: str, v: SparsePoly, target: SparsePoly) -> CertStep:
     """target = kappa*v + sum_{n < N} kappa_n X[n] v as a certificate step.
 
-    N is ``module.orbit_points(family, v)``, so the columns span v and its
-    whole X-orbit, and a target they miss lies outside span{v, X[n] v : n in Z}.
+    The columns are v and its ``orbit`` images, so a target they miss lies
+    outside span{v, X[n] v : n in Z}.
     """
-    points = module.orbit_points(family, v)
-    words: list[tuple[Generator, ...]] = [()] + [(gen(family, n),) for n in range(points)]
-    columns = [dict(v.terms)] + [dict(module.act(g, v).terms) for (g,) in words[1:]]
-    combo = combination(columns, dict(target.terms))
+    images = orbit(module, family, v)
+    combo = combination([dict(v.terms)] + [dict(x.terms) for _, x in images], dict(target.terms))
     if combo is None:
         raise CertificateError(f"target lies outside the {family}-orbit span of the vector")
+    words = [()] + [(g,) for g, _ in images]
     step = CertStep(tuple((c, word) for c, word in zip(combo, words) if c))
     require(step.apply(module, v) == target, "extraction step does not reach its target")
     return step
@@ -248,9 +262,9 @@ class UhRankReport:
 def uh_rank(module: OmegaModule) -> UhRankReport:
     """Free rank over C[L0, d0], proved in every degree from four probe images.
 
-    By the operator form of ``omega_factor_act`` (tau^0 is the identity),
-    L[0] and d[0] act on C[s, t] as X = A_X + B_X d/dt, and the images of
-    the probes 1 and t fix A_X and B_X.  The verdict checks four facts:
+    ``operator_form`` reads L[0] and d[0] as X = A_X + B_X d/dt (tau^0 is
+    the identity), and the probe images are A_X and t A_X + B_X.  The
+    verdict checks four facts:
 
     1. A_L = s and B_L = 0, so L0 is multiplication by s;
     2. A_d and B_d are free of s, so d0 maps C[t] into itself and commutes
@@ -273,12 +287,9 @@ def uh_rank(module: OmegaModule) -> UhRankReport:
     if not module.params.g:
         raise UnsupportedOperation("free-rank computation needs g != 0")
     one, t = module.one(), module.ring.var("t")
-    images = []
-    operators = {}
-    for name, g in (("L[0]", gen("L", 0)), ("d[0]", gen("d", 0))):
-        on_one, on_t = module.act(g, one), module.act(g, t)
-        images += [(name, one, on_one), (name, t, on_t)]
-        operators[name] = (on_one, on_t - on_one.mul_var("t"))
+    operators = {name: operator_form(module, gen(name[0], 0)) for name in ("L[0]", "d[0]")}
+    images = [entry for name, (a, b) in operators.items()
+              for entry in ((name, one, a), (name, t, a.mul_var("t") + b))]
     (a_l, b_l), (a_d, b_d) = operators["L[0]"], operators["d[0]"]
     deg_a = a_d.var_degree("t")
     deg_b = b_d.var_degree("t")
@@ -385,23 +396,26 @@ def _candidate_operator(data: Rank1ActionData, g: Generator) -> ShiftDiffOp:
 
 
 def rank1_data_from_action(module: OmegaModule) -> Rank1ActionData:
-    """Read the structure functions off the images of the probe 1, with (s, t) as (L0, a0).
+    """Read the structure functions off ``operator_form``, with (s, t) as (L0, a0).
 
-    By the operator form of ``omega_factor_act`` these images are the A-parts:
-    L[1] 1 = lam (s + p), so lam is its s-coefficient, and b[0] 1, c[0] 1 and
-    d[0] 1 are B0, C0 and D0.
+    L[1] has A = lam (s + p), so lam is its s-coefficient, and b[0], c[0]
+    and d[0] have A = B0, C0 and D0.  Both parts of L[0], L[1] and a, b, c, d
+    at index 0 must then equal the (n, 0) and (n, 1) coefficients of
+    ``_candidate_operator``; B is -C0 for b, a0 for d and zero otherwise.
     """
-    one = module.one()
-
-    def image(family: str, n: int) -> SparsePoly:
-        return SparsePoly(RANK1_RING, dict(module.act(gen(family, n), one).terms))
-
-    l1 = image("L", 1)
+    gens = [gen("L", 1), *(gen(f, 0) for f in "bcdLa")]
+    forms = [[SparsePoly(RANK1_RING, dict(p.terms)) for p in operator_form(module, g)]
+             for g in gens]
+    l1, b0, c0, d0 = (a for a, _ in forms[:4])
     lam = l1.coefficient((1, 0))
     if lam == 0:
         raise NotAModule("round-trip", "L[1] 1 has no L0 term to read lambda from")
-    return Rank1ActionData(lam=lam, p=(l1 - RANK1_RING.var("L0") * lam) * (1 / lam),
-                           B0=image("b", 0), C0=image("c", 0), D0=image("d", 0))
+    data = Rank1ActionData(lam=lam, p=(l1 - RANK1_RING.var("L0") * lam) * (1 / lam),
+                           B0=b0, C0=c0, D0=d0)
+    for g, (a, b) in zip(gens, forms):
+        if ShiftDiffOp({(g.index, 0): a, (g.index, 1): b}) != _candidate_operator(data, g):
+            raise NotAModule("round-trip", f"{g} does not act as its rank-one symbol")
+    return data
 
 
 _NAMED_RELATIONS = (

@@ -18,9 +18,9 @@ from typing import Sequence
 
 from .certificates import CertStep, Certificate, require
 from .exceptions import CertificateError, InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
-from .lie import FAMILIES, Generator, gen
+from .lie import FAMILIES, Generator
 from .linalg import SpanBasis, combination, exact_det
-from .omega import OmegaParams, index_degrees, omega_factor_act, orbit_points, solve_in_orbit
+from .omega import OmegaParams, index_degrees, omega_factor_act, orbit, orbit_points, solve_in_orbit
 from .poly import PolyRing, SparsePoly
 from .scalars import ONE, add_scaled, scalar, superfactorial
 
@@ -76,10 +76,13 @@ class TensorModule:
                 prof[k] = max(prof[k], exps[k])
         return prof
 
+    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
+        """The bounds D_lam of ``omega.index_degrees`` for the X-orbit of v."""
+        return index_degrees([f.lam for f in self.factors], self.s_profile(v), family)
+
     def orbit_points(self, family: str, v: SparsePoly) -> int:
         """The point count N of ``omega.orbit_points`` for the X-orbit of v."""
-        lams = [f.lam for f in self.factors]
-        return orbit_points(index_degrees(lams, self.s_profile(v), family))
+        return orbit_points(self.index_degrees(family, v))
 
 
 # -- the generalized Vandermonde determinant --------------------------------
@@ -199,8 +202,8 @@ def det_r(spec: DetSpec) -> DetResult:
 def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[SparsePoly], int]:
     """Basis and dimension of span{g, X_n g : n in Z} for X in {L, a}.
 
-    The images at n < ``module.orbit_points(family, g)`` already span every
-    X_n g, so one pass over them gives the span exactly.
+    The ``omega.orbit`` images already span every X_n g, so one pass over
+    them gives the span exactly.
     """
     if family not in ("L", "a"):
         raise ValueError("the span is defined for the L and a families")
@@ -208,8 +211,8 @@ def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[Spa
         raise ZeroVector("span of the zero vector")
     basis = SpanBasis()
     basis.add(g.terms)
-    for n in range(module.orbit_points(family, g)):
-        basis.add(module.act(gen(family, n), g).terms)
+    for _, image in orbit(module, family, g):
+        basis.add(image.terms)
     vectors = [SparsePoly(module.ring, dict(v)) for v in basis.vectors()]
     return vectors, basis.dim
 
@@ -320,16 +323,10 @@ def _derivative_step(module: TensorModule, v: SparsePoly,
     chains = _t_power_words(module, v, k, gdeg)
     # On an s-free v, b[n] v = sum_k lam_k^n (g_k(t_k) v + beta_k d/dt_k v),
     # so the b-orbit is spanned at one point per distinct lambda.
-    columns = []
-    expansions = []
-    for n in range(module.orbit_points("b", v)):
-        columns.append(dict(module.act(gen("b", n), v).terms))
-        expansions.append([(ONE, (gen("b", n),))])
-    tpowers = [v]
-    for _ in range(gdeg):
-        tpowers.append(tpowers[-1].mul_var(module.tvar(k)))
-    columns += [dict(tp.terms) for tp in tpowers]
-    expansions += chains
+    images = orbit(module, "b", v)
+    columns = [dict(image.terms) for _, image in images]
+    columns += [dict(v.mul_var(module.tvar(k), j).terms) for j in range(gdeg + 1)]
+    expansions = [[(ONE, (g,))] for g, _ in images] + chains
     combo = combination(columns, dict(target.terms))
     if combo is None:
         raise CertificateError("d/dt lies outside the span of the b-orbit and t-powers")
@@ -367,16 +364,15 @@ def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certifica
 def r_g(module: TensorModule, g: SparsePoly) -> int:
     """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g.
 
-    a and c share their index degrees, so the images at n below
-    ``module.orbit_points("a", g)`` span both orbits exactly.
+    The ``omega.orbit`` images of a and c span both orbits exactly.
     """
     if g.is_zero:
         raise ZeroVector("rank of the zero vector")
     basis = SpanBasis()
     basis.add(g.terms)
-    for n in range(module.orbit_points("a", g)):
-        basis.add(module.act(gen("a", n), g).terms)
-        basis.add(module.act(gen("c", n), g).terms)
+    for family in ("a", "c"):
+        for _, image in orbit(module, family, g):
+            basis.add(image.terms)
     return basis.dim
 
 
@@ -402,10 +398,9 @@ class WInvarianceReport:
 def w_invariance_check(module: TensorModule, i: int, j: int) -> WInvarianceReport:
     """Exact invariance of W = C[u, t_i, t_j] (x) C[rest], u = s_i + s_j.
 
-    Factor k acts in the operator form of ``omega_factor_act``,
-    X[n] = (A_k + B_k d/dt_k) o tau_k^n with tau_k^n the shift s_k -> s_k - n
-    (``tests/test_tensor.py`` ties it to the rank-one symbol
-    ``omega._candidate_operator``).  Then:
+    Factor k acts as X[n] = (A_k + B_k d/dt_k) o tau_k^n, with tau_k^n the
+    shift s_k -> s_k - n, in the form that ``omega.operator_form`` reads.
+    Then:
 
     - factors outside {i, j} touch only their own variables, so
       X_rest[n] (F(u) h) = F(u) X_rest[n] h, and X_rest[n] maps
@@ -416,29 +411,27 @@ def w_invariance_check(module: TensorModule, i: int, j: int) -> WInvarianceRepor
       X_ij[n] h = h X_ij[n] 1 + sum_{k = i, j} (dh/dt_k) (X[n] t_k - t_k X[n] 1).
 
     W is a ring holding 1, t_i and t_j, so W is invariant under X[n] exactly
-    when the probe images X[n] 1, X[n] t_i and X[n] t_j lie in W.  The
-    probes have s-profile zero, so the images at the n < N of
-    ``omega.orbit_points`` settle every n in Z.  Membership is exact: in the
-    coordinates u and v = s_j, d/dv = d/ds_j - d/ds_i, so over Q a polynomial
-    f lies in W exactly when df/ds_i = df/ds_j.  W is proper: 1 lies in W
-    and s_i does not.
+    when the probe images X[n] 1, X[n] t_i and X[n] t_j lie in W, and the
+    ``omega.orbit`` of each probe settles every n in Z.  Membership is
+    exact: in the coordinates u and v = s_j, d/dv = d/ds_j - d/ds_i, so over
+    Q a polynomial f lies in W exactly when df/ds_i = df/ds_j.  W is proper:
+    1 lies in W and s_i does not.
     """
     si, sj = module.svar(i), module.svar(j)
 
     def in_w(f: SparsePoly) -> bool:
         return f.derive(si) == f.derive(sj)
 
-    lams = [f.lam for f in module.factors]
     probes = [module.one(), module.ring.var(module.tvar(i)), module.ring.var(module.tvar(j))]
     report = WInvarianceReport(pair=(i, j), probes=len(probes))
     for fam in FAMILIES:
-        degrees = index_degrees(lams, [0] * module.m, fam)
-        report.max_index_degree = max(report.max_index_degree, *degrees.values())
         for v in probes:
-            for n in range(orbit_points(degrees)):
+            report.max_index_degree = max(report.max_index_degree,
+                                          *module.index_degrees(fam, v).values())
+            for g, image in orbit(module, fam, v):
                 report.images_checked += 1
-                if not in_w(module.act(gen(fam, n), v)):
-                    report.escapes.append(f"{fam}[{n}] on {v}")
+                if not in_w(image):
+                    report.escapes.append(f"{g} on {v}")
     report.proper = in_w(module.one()) and not in_w(module.ring.var(si))
     return report
 

@@ -57,9 +57,10 @@ def criterion_08_modules():
 
 
 RANK_DEFECTS = ("L0-zero", "d0-gains-s", "d0-loses-t-g")
-# Defects in the images of the probe 1 that ``omega.rank1_data_from_action`` reads.
+# Defects in the operator forms (A, B) that ``omega.rank1_data_from_action`` reads:
+# six in an A part, three in a d/dt (B) part.
 CLASSIFY_DEFECTS = ("L1-zero", "L1-gains-t", "b0-gains-s", "c0-gains-f",
-                    "d0-gains-s", "d0-loses-t-g")
+                    "d0-gains-s", "d0-loses-t-g", "b0-gains-dt", "d0-loses-t-dt", "a0-gains-dt")
 
 
 def planted_rank_defect(act, defect):
@@ -69,6 +70,8 @@ def planted_rank_defect(act, defect):
     d0-loses-t-g: d[0] f loses its t g(t) f / beta part, so d[0] keeps the t-degree.
     L1-zero: L[1] acts as zero, so no lambda can be read.  L1-gains-t: L[1] f
     gains t f.  b0-gains-s: b[0] f gains s f.  c0-gains-f: c[0] f gains f.
+    b0-gains-dt: b[0] f gains df/dt.  d0-loses-t-dt: d[0] f loses t df/dt.
+    a0-gains-dt: a[0] f gains df/dt.  The last three change B and leave A alone.
     """
     def planted(module, g, f):
         out = act(module, g, f)
@@ -87,6 +90,12 @@ def planted_rank_defect(act, defect):
             return out + ring.var("s") * f
         if defect == "c0-gains-f" and g == gen("c", 0):
             return out + f
+        if defect == "b0-gains-dt" and g == gen("b", 0):
+            return out + f.derive("t")
+        if defect == "d0-loses-t-dt" and g == gen("d", 0):
+            return out - ring.var("t") * f.derive("t")
+        if defect == "a0-gains-dt" and g == gen("a", 0):
+            return out + f.derive("t")
         return out
 
     return planted
