@@ -153,13 +153,10 @@ def orbit_points(degrees: dict[Fraction, int]) -> int:
     return sum(d + 1 for d in degrees.values())
 
 
-def operator_form(module, g: Generator, tvar: str = "t") -> tuple[SparsePoly, SparsePoly]:
-    """(A, B) = (g 1, g t - t g 1), the operator form of ``omega_factor_act`` read from two probes.
-
-    In a tensor product, A sums every factor's A and B is the B of the factor of ``tvar``.
-    """
+def operator_form(module, g: Generator) -> tuple[SparsePoly, SparsePoly]:
+    """(A, B) = (g 1, g t - t g 1), the operator form of ``omega_factor_act`` read from two probes."""
     a = module.act(g, module.one())
-    return a, module.act(g, module.ring.var(tvar)) - a.mul_var(tvar)
+    return a, module.act(g, module.ring.var("t")) - a.mul_var("t")
 
 
 def orbit(module, family: str, v: SparsePoly) -> list[tuple[Generator, SparsePoly]]:
@@ -288,6 +285,7 @@ def uh_rank(module: OmegaModule) -> UhRankReport:
         raise UnsupportedOperation("free-rank computation needs g != 0")
     one, t = module.one(), module.ring.var("t")
     operators = {name: operator_form(module, gen(name[0], 0)) for name in ("L[0]", "d[0]")}
+    # The image of t is rebuilt as t A + B, one product and sum spent on the shared reader.
     images = [entry for name, (a, b) in operators.items()
               for entry in ((name, one, a), (name, t, a.mul_var("t") + b))]
     (a_l, b_l), (a_d, b_d) = operators["L[0]"], operators["d[0]"]
@@ -396,26 +394,18 @@ def _candidate_operator(data: Rank1ActionData, g: Generator) -> ShiftDiffOp:
 
 
 def rank1_data_from_action(module: OmegaModule) -> Rank1ActionData:
-    """Read the structure functions off ``operator_form``, with (s, t) as (L0, a0).
+    """Read the structure functions off the A parts of ``operator_form``, with (s, t) as (L0, a0).
 
     L[1] has A = lam (s + p), so lam is its s-coefficient, and b[0], c[0]
-    and d[0] have A = B0, C0 and D0.  Both parts of L[0], L[1] and a, b, c, d
-    at index 0 must then equal the (n, 0) and (n, 1) coefficients of
-    ``_candidate_operator``; B is -C0 for b, a0 for d and zero otherwise.
+    and d[0] have A = B0, C0 and D0.
     """
-    gens = [gen("L", 1), *(gen(f, 0) for f in "bcdLa")]
-    forms = [[SparsePoly(RANK1_RING, dict(p.terms)) for p in operator_form(module, g)]
-             for g in gens]
-    l1, b0, c0, d0 = (a for a, _ in forms[:4])
+    l1, b0, c0, d0 = (SparsePoly(RANK1_RING, dict(operator_form(module, g)[0].terms))
+                      for g in (gen("L", 1), *(gen(f, 0) for f in "bcd")))
     lam = l1.coefficient((1, 0))
     if lam == 0:
         raise NotAModule("round-trip", "L[1] 1 has no L0 term to read lambda from")
-    data = Rank1ActionData(lam=lam, p=(l1 - RANK1_RING.var("L0") * lam) * (1 / lam),
+    return Rank1ActionData(lam=lam, p=(l1 - RANK1_RING.var("L0") * lam) * (1 / lam),
                            B0=b0, C0=c0, D0=d0)
-    for g, (a, b) in zip(gens, forms):
-        if ShiftDiffOp({(g.index, 0): a, (g.index, 1): b}) != _candidate_operator(data, g):
-            raise NotAModule("round-trip", f"{g} does not act as its rank-one symbol")
-    return data
 
 
 _NAMED_RELATIONS = (
@@ -465,9 +455,10 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     (3) [b,d] = b run first so corruptions are reported at the relation
     that pins them down.  Consistent data with c[0]-image zero presents a
     module with an obvious proper submodule and is reported Degenerate;
-    otherwise the five parameters are extracted, and the data that
-    ``rank1_data_from_action`` reads off their module's action must be the
-    data given.
+    otherwise the five parameters are extracted, and both parts of the
+    ``operator_form`` of L[1] and of a, b, c, d, L at index 0 in their
+    module must equal the (n, 0) and (n, 1) coefficients of the data's
+    symbol.
     """
     ops: dict[Generator, ShiftDiffOp] = {}
 
@@ -499,8 +490,11 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     gamma_poly = -(a0 * data.B0 - data.D0 * beta)
     gamma = _constant_value(gamma_poly, "a0 B0 - beta D0")
     params = OmegaParams(alpha=alpha, beta=beta, gamma=gamma, lam=data.lam, g=g_coeffs)
-    if rank1_data_from_action(OmegaModule(params)) != data:
-        raise NotAModule("round-trip", "extracted parameters do not reproduce the data")
+    module = OmegaModule(params)
+    for g in (gen("L", 1), *(gen(f, 0) for f in FAMILIES)):
+        a, b = (SparsePoly(RANK1_RING, dict(x.terms)) for x in operator_form(module, g))
+        if ShiftDiffOp({(g.index, 0): a, (g.index, 1): b}) != op(g):
+            raise NotAModule("round-trip", "extracted parameters do not reproduce the data")
     return params
 
 

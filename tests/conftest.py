@@ -57,8 +57,8 @@ def criterion_08_modules():
 
 
 RANK_DEFECTS = ("L0-zero", "d0-gains-s", "d0-loses-t-g")
-# Defects in the operator forms (A, B) that ``omega.rank1_data_from_action`` reads:
-# six in an A part, three in a d/dt (B) part.
+# Defects in the operator forms (A, B) that ``omega.classify_rank1`` checks in its
+# round trip: six in an A part, three in a d/dt (B) part.
 CLASSIFY_DEFECTS = ("L1-zero", "L1-gains-t", "b0-gains-s", "c0-gains-f",
                     "d0-gains-s", "d0-loses-t-g", "b0-gains-dt", "d0-loses-t-dt", "a0-gains-dt")
 

@@ -323,7 +323,7 @@ def test_rank1_data_from_action_matches_the_defining_formulas():
 
 @pytest.mark.parametrize("defect", CLASSIFY_DEFECTS)
 def test_classify_round_trip_reads_the_action(monkeypatch, defect):
-    """A defect in either part of an operator form the reader probes fails the round trip."""
+    """A defect in either part of an operator form the round trip probes fails it."""
     monkeypatch.setattr(OmegaModule, "act", planted_rank_defect(OmegaModule.act, defect))
     for g, M in criterion_08_modules():
         with pytest.raises(NotAModule) as err:
