@@ -138,6 +138,15 @@ def random_vector(
     return SparsePoly(ring, out)
 
 
+def simplicity_samples(ring: PolyRing, max_total_degree: int) -> list[SparsePoly]:
+    """The five vectors behind sampled simplicity evidence, drawn from ``random.Random(0)``.
+
+    The seed and the count are fixed, so every report built on them reproduces.
+    """
+    rng = random.Random(0)
+    return [random_vector(ring, rng, max_total_degree) for _ in range(5)]
+
+
 def sample_vectors(ring: PolyRing, rng: random.Random, count: int = 4,
                    max_total_degree: int = 3) -> list[SparsePoly]:
     """A spread of test vectors: the unit, a few monomials, random mixes."""

@@ -3,7 +3,9 @@
 Every subcommand runs a named list of checks, prints one PASS/FAIL line
 per check, optionally writes a JSON report, and exits 0 only if all
 checks passed (1 on mathematical failure, 2 on usage or spec errors).
-All randomness is seeded; the default seed is fixed so runs reproduce.
+The commands take inputs only: every bound on the sampled or truncated
+evidence is fixed or derived from the spec, so each report reproduces byte
+for byte.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import random
 import re
 import sys
 from fractions import Fraction
 from math import prod
 
-from .axioms import random_vector
+from .axioms import simplicity_samples
 from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
 from .fock import FModule, MFactor, OneDim, Whittaker, epsilon_simplicity
 from .homomorphisms import (
@@ -56,9 +57,8 @@ Q_EXPRESSION = "b[0] a[0] + c[0] d[0]"
 
 
 class Report:
-    def __init__(self, command: str, seed: int | None = None):
+    def __init__(self, command: str):
         self.command = command
-        self.seed = seed
         self.checks: list[dict] = []
 
     def add(self, name: str, ok: bool, detail=None, certificate=None) -> None:
@@ -84,8 +84,6 @@ class Report:
             "status": "pass" if self.ok else "fail",
             "checks": self.checks,
         }
-        if self.seed is not None:
-            doc["seed"] = self.seed
         if out_path:
             with open(out_path, "w") as fh:
                 json.dump(doc, fh, indent=2, default=str)
@@ -291,50 +289,28 @@ def cmd_act(args) -> int:
     return rep.finish(args.out)
 
 
-# The closure bounds of `simplicity`: option, argparse dest, TruncationPolicy field.
-_CLOSURE_OPTIONS = (("--max-degree", "max_degree", "max_total_degree"),
-                    ("--window", "window", "generator_window"),
-                    ("--max-steps", "max_steps", "max_steps"))
+def _closure_check(rep: Report, module, start: SparsePoly, expected: str,
+                   policy: TruncationPolicy = TruncationPolicy(), **note) -> None:
+    """Add the ``closure-oracle`` check: the truncated closure of start ends as expected.
 
-
-def _policy(args) -> TruncationPolicy:
-    """The closure bounds given on the command line, TruncationPolicy's defaults elsewhere."""
-    given = {field: getattr(args, dest) for _, dest, field in _CLOSURE_OPTIONS}
-    return TruncationPolicy(**{k: v for k, v in given.items() if v is not None})
-
-
-def _closure_detail(report: ClosureReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "reached": report.reached_dim,
-        "ambient": report.ambient_dim,
-        "overflow": report.overflow_count,
-        "rounds": report.rounds,
-        "exact_invariant": report.exact_invariant,
-    }
+    A ``note`` keyword, if given, leads the detail.
+    """
+    closure = truncated_closure(module, start, policy)
+    rep.add("closure-oracle", closure.verdict == expected, {
+        **note,
+        "expected": expected,
+        "verdict": closure.verdict,
+        "reached": closure.reached_dim,
+        "ambient": closure.ambient_dim,
+        "overflow": closure.overflow_count,
+        "rounds": closure.rounds,
+        "exact_invariant": closure.exact_invariant,
+    })
 
 
 def cmd_simplicity(args) -> int:
-    spec = _load_spec(args.spec)
-    module = module_from_spec(spec)
-    if isinstance(module, TensorModule):
-        for option, dest, _ in _CLOSURE_OPTIONS:
-            if getattr(args, dest) is not None:
-                raise InvalidSpec(f"{option} bounds the closure of simplicity on F and Omega "
-                                  "specs; no closure runs on a T spec")
-    sampled = isinstance(module, OmegaModule) or (isinstance(module, TensorModule)
-                                                  and module.distinct_lambdas())
-    if not sampled:
-        for option, value in (("--samples", args.samples), ("--seed", args.seed)):
-            if value is not None:
-                raise InvalidSpec(f"{option} applies to the sampled certificates of simplicity "
-                                  "on Omega specs and T specs with distinct lambdas; "
-                                  "nothing is sampled here")
-    samples = 5 if args.samples is None else args.samples
-    seed = 0 if args.seed is None else args.seed
-    rep = Report("simplicity", seed=seed if sampled else None)
-    rng = random.Random(seed)
-    policy = _policy(args)
+    rep = Report("simplicity")
+    module = module_from_spec(_load_spec(args.spec))
 
     if isinstance(module, FModule):
         one_dim = isinstance(module.v_space, OneDim)
@@ -351,54 +327,33 @@ def cmd_simplicity(args) -> int:
                 },
             )
             if verdict.simple:
-                start = module.one()
+                _closure_check(rep, module, module.one(), ClosureReport.FILLS)
             else:
-                if abs(verdict.witness) >= policy.max_total_degree:
-                    policy = TruncationPolicy(
-                        max_total_degree=abs(verdict.witness) + 2,
-                        generator_window=policy.generator_window,
-                        max_steps=policy.max_steps,
-                    )
-                start = module.ring.monomial({"x1": verdict.witness})
-            closure = truncated_closure(module, start, policy)
-            expected = ClosureReport.FILLS if verdict.simple else ClosureReport.PROPER
-            rep.add(
-                "closure-oracle",
-                closure.verdict == expected,
-                {"expected": expected, **_closure_detail(closure)},
-            )
+                # The closure from the barrier x1^n runs in a box two degrees above it and
+                # takes up to 2|n| + 3 rounds: one per x1-level from n down to -n - 2, and
+                # one that finds nothing new (measured for n = 4 to 80).
+                n = abs(verdict.witness)
+                box = TruncationPolicy(max_total_degree=n + 2 if n >= 4 else 4,
+                                       max_steps=max(64, 2 * n + 3))
+                _closure_check(rep, module, module.ring.monomial({"x1": verdict.witness}),
+                               ClosureReport.PROPER, box)
         else:
             kind = "Whittaker V" if isinstance(module.v_space, Whittaker) else "shift-type x1"
-            closure = truncated_closure(module, module.one(), policy)
-            rep.add(
-                "closure-oracle",
-                closure.verdict == ClosureReport.FILLS,
-                {
-                    "note": f"{kind}: simple for every parameter choice; "
-                    "closure gives desk-scale evidence",
-                    **_closure_detail(closure),
-                },
-            )
+            _closure_check(rep, module, module.one(), ClosureReport.FILLS,
+                           note=f"{kind}: simple for every parameter choice; "
+                           "closure gives desk-scale evidence")
     elif isinstance(module, OmegaModule):
-        replays = 0
-        for _ in range(samples):
-            v = random_vector(module.ring, rng, max_total_degree=3, terms=3)
-            cert = omega_reduce_to_one(module, v)
-            if cert.replay(module, v) == module.one():
-                replays += 1
+        vectors = simplicity_samples(module.ring, max_total_degree=3)
+        replays = sum(omega_reduce_to_one(module, v).replay(module, v) == module.one()
+                      for v in vectors)
         rep.add(
             "reduction-certificates",
-            replays == samples,
-            {"replayed": replays, "samples": samples},
+            replays == len(vectors),
+            {"replayed": replays, "samples": len(vectors)},
         )
-        closure = truncated_closure(module, module.one(), policy)
-        rep.add(
-            "closure-oracle",
-            closure.verdict == ClosureReport.FILLS,
-            _closure_detail(closure),
-        )
+        _closure_check(rep, module, module.one(), ClosureReport.FILLS)
     else:
-        decision = simplicity_decision(module, seed=seed, samples=samples)
+        decision = simplicity_decision(module)
         if decision.simple:
             rep.add(
                 "simplicity",
@@ -431,6 +386,10 @@ def cmd_simplicity(args) -> int:
     return rep.finish(args.out)
 
 
+# Blocks of at most this many rows are also expanded by cofactors (``naive_det``).
+NAIVE_LIMIT = 6
+
+
 def cmd_det_lemma(args) -> int:
     """The closed form of ``det_r`` at r = 0, which settles every r >= 0 (see ``det_r``)."""
     rep = Report("det-lemma")
@@ -449,7 +408,7 @@ def cmd_det_lemma(args) -> int:
                 case = {"alphas": [str(a) for a in subset], "sizes": sizes}
                 if not result.ok:
                     mismatches.append(case)
-                if sum(sizes) <= args.naive_limit:
+                if sum(sizes) <= NAIVE_LIMIT:
                     naive_checked += 1
                     # The rows are scaled by their denominators, and so is the determinant.
                     if naive_det(result.rows) != result.computed * prod(result.denominators):
@@ -462,7 +421,7 @@ def cmd_det_lemma(args) -> int:
     rep.add(
         "naive-det-agreement",
         not naive_mismatches,
-        {"checked": naive_checked, "limit": args.naive_limit,
+        {"checked": naive_checked, "limit": NAIVE_LIMIT,
          "mismatches": naive_mismatches[:5]},
     )
     return rep.finish(args.out)
@@ -647,15 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplicity", help="certificates plus closure oracle")
     p.add_argument("--spec", required=True)
-    p.add_argument("--samples", type=_int_at_least(1),
-                   help="certificate samples, Omega and distinct-lambda T specs only (default 5)")
-    p.add_argument("--seed", type=int,
-                   help="seed of the sampled vectors, Omega and distinct-lambda T specs only "
-                   "(default 0)")
-    for option, _, field in _CLOSURE_OPTIONS:
-        p.add_argument(option, type=_int_at_least(1),
-                       help=f"closure {field.replace('_', ' ')}, F and Omega specs only "
-                       f"(default {getattr(TruncationPolicy, field)})")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simplicity)
 
@@ -663,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=_int_at_least(1), default=3)
     p.add_argument("--max-s", type=_int_at_least(1), default=3)
     p.add_argument("--alphas", default="1,2,3,5,7,-2")
-    p.add_argument("--naive-limit", type=_int_at_least(1), default=6)
     p.add_argument("--out")
     p.set_defaults(func=cmd_det_lemma)
 

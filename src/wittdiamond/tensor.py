@@ -10,12 +10,12 @@ which is certified by the closed-form determinant of ``det_r``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
+from .axioms import simplicity_samples
 from .certificates import CertStep, Certificate, require
 from .exceptions import CertificateError, InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
 from .lie import FAMILIES, Generator
@@ -455,23 +455,19 @@ class SimplicityResult:
     note: str = ""
 
 
-def simplicity_decision(module: TensorModule, seed: int = 0,
-                        samples: int = 5) -> SimplicityResult:
+def simplicity_decision(module: TensorModule) -> SimplicityResult:
     """Certificate-based simplicity evidence, or an exact invariant subspace.
 
     With pairwise distinct lambdas the decision is backed by replayable
-    reduction and generation certificates from sampled vectors (desk-scale
-    evidence for the universal statement, not an exhaustive proof); with a
-    repeated lambda the witness subspace is proved invariant under every
-    X[n], n in Z, in every degree, and proper (see ``w_invariance_check``).
+    reduction and generation certificates from the five fixed sample vectors
+    of degree at most 2 (desk-scale evidence for the universal statement, not
+    an exhaustive proof); with a repeated lambda the witness subspace is
+    proved invariant under every X[n], n in Z, in every degree, and proper
+    (see ``w_invariance_check``).
     """
-    from .axioms import random_vector
-
     if module.distinct_lambdas():
-        rng = random.Random(seed)
         evidence = []
-        for _ in range(samples):
-            v = random_vector(module.ring, rng, max_total_degree=2, terms=3)
+        for v in simplicity_samples(module.ring, max_total_degree=2):
             cert, bottom = tensor_reduce_to_bottom(module, v)
             target = max(v.terms)
             up = tensor_generate(module, target)

@@ -204,8 +204,7 @@ def test_act_composes_negative_index_generators(write_json, tmp_path):
 
 
 def test_simplicity_commands(write_json, tmp_path):
-    assert main(["simplicity", "--spec", write_json("f.json", F_SPEC),
-                 "--max-degree", "3"]) == 0
+    assert main(["simplicity", "--spec", write_json("f.json", F_SPEC)]) == 0
     non_simple = dict(
         F_SPEC,
         alpha="0",
@@ -213,12 +212,9 @@ def test_simplicity_commands(write_json, tmp_path):
         P={"kind": "P0xM", "P0": {"kind": "M", "w": "1/3"}, "w": "2"},
         V={"kind": "C_eps", "eps": "-3"},
     )
-    assert main(["simplicity", "--spec", write_json("fn.json", non_simple),
-                 "--max-degree", "3"]) == 0
-    assert main(["simplicity", "--spec", write_json("om.json", OMEGA_SPEC),
-                 "--samples", "2", "--max-degree", "3"]) == 0
-    assert main(["simplicity", "--spec", write_json("t.json", T_SPEC),
-                 "--samples", "2"]) == 0
+    assert main(["simplicity", "--spec", write_json("fn.json", non_simple)]) == 0
+    assert main(["simplicity", "--spec", write_json("om.json", OMEGA_SPEC)]) == 0
+    assert main(["simplicity", "--spec", write_json("t.json", T_SPEC)]) == 0
     out = str(tmp_path / "r.json")
     assert main(["simplicity", "--spec", write_json("teq.json", T_EQUAL), "--out", out]) == 0
     doc = _check_report(out)
@@ -232,25 +228,22 @@ def test_simplicity_commands(write_json, tmp_path):
     assert detail["proper_witness"] == {"in_W": "1", "not_in_W": "s1", "holds": True}
 
 
-@pytest.mark.parametrize("spec", ["t.json", "teq.json"])
-@pytest.mark.parametrize("option", ["--max-degree", "--window", "--max-steps"])
-def test_closure_options_on_a_t_spec_exit_2(option, spec, write_json, capsys):
-    # No closure runs on a T spec, so a closure bound there would be ignored.
-    path = write_json(spec, {"t.json": T_SPEC, "teq.json": T_EQUAL}[spec])
-    assert main(["simplicity", "--spec", path, option, "3"]) == 2
-    err = capsys.readouterr().err
-    assert option in err and "Traceback" not in err
+def test_f_proper_closure_runs_as_many_rounds_as_the_witness_needs(write_json, tmp_path):
+    # The barrier x1^31 needs 2*31 + 3 = 65 closure rounds, one past the default 64.
+    spec = {"family": "F", "alpha": "1", "beta": "1", "P": {"kind": "M", "w": ["1/3", "0"]},
+            "V": {"kind": "C_eps", "eps": "-31"}}
+    out = str(tmp_path / "r.json")
+    assert main(["simplicity", "--spec", write_json("f31.json", spec), "--out", out]) == 0
+    criterion, closure = (c["detail"] for c in _check_report(out)["checks"])
+    assert criterion["witness"] == 31
+    assert closure["verdict"] == "proper-at-truncation" and closure["rounds"] == 65
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["simplicity", "--spec", "f.json", "--seed", "5"], "--seed"),
-    (["simplicity", "--spec", "teq.json", "--seed", "5"], "--seed"),
     (["verify-hom", "--map", "ab", "--alpha", "1", "--beta", "1", "--gamma", "2"], "--gamma"),
     (["verify-hom", "--map", "ab", "--alpha", "1", "--beta", "1", "--g", "t"], "--g"),
-], ids=["seed-f", "seed-teq", "gamma-ab", "g-ab"])
-def test_options_that_would_be_ignored_exit_2(argv, option, write_json, capsys):
-    specs = {"f.json": F_SPEC, "teq.json": T_EQUAL}
-    argv = [write_json(a, specs[a]) if a in specs else a for a in argv]
+], ids=["gamma-ab", "g-ab"])
+def test_options_that_would_be_ignored_exit_2(argv, option, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert option in err and "Traceback" not in err
@@ -260,19 +253,25 @@ def test_options_that_would_be_ignored_exit_2(argv, option, write_json, capsys):
     ["verify-brackets", "--window", "3"],
     ["verify-hom", "--map", "ab", "--alpha", "1", "--beta", "1", "--window", "3"],
     ["det-lemma", "--max-r", "2"],
-], ids=["verify-brackets", "verify-hom", "det-lemma"])
+    ["det-lemma", "--naive-limit", "3"],
+    *(["simplicity", "--spec", "omega.json", option, "2"]
+      for option in ("--samples", "--seed", "--max-degree", "--window", "--max-steps")),
+], ids=["verify-brackets", "verify-hom", "det-lemma", "det-lemma --naive-limit",
+        "simplicity --samples", "simplicity --seed", "simplicity --max-degree",
+        "simplicity --window", "simplicity --max-steps"])
 def test_index_window_options_are_gone(argv, capsys):
-    # Each check runs on the one grid its degree bound proves complete.
+    # Each check runs on the one grid its degree bound proves complete, and the
+    # sampled or truncated evidence of simplicity and det-lemma is fixed.
     assert _exit_code(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_seed_is_recorded_where_vectors_are_sampled(write_json, tmp_path):
+def test_no_report_records_a_seed(write_json, tmp_path):
     out = str(tmp_path / "r.json")
-    # Omega and distinct-lambda T specs record the default seed 0; nothing is sampled elsewhere.
-    for spec, seed in ((OMEGA_SPEC, 0), (T_SPEC, 0), (F_SPEC, None), (T_EQUAL, None)):
+    # The sampled vectors come from one fixed seed, so no report names it.
+    for spec in (OMEGA_SPEC, T_SPEC, F_SPEC, T_EQUAL):
         assert main(["simplicity", "--spec", write_json("s.json", spec), "--out", out]) == 0
-        assert _check_report(out).get("seed") == seed
+        assert "seed" not in _check_report(out)
 
 
 def test_report_schema_pins_the_equal_lambda_detail(write_json, tmp_path):
@@ -452,13 +451,13 @@ def test_usage_and_schema_errors(write_json, capsys):
 
 
 def test_reports_are_deterministic(write_json, tmp_path):
-    spec = write_json("t.json", T_SPEC)
-    out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-    assert main(["simplicity", "--spec", spec, "--samples", "2", "--seed", "7",
-                 "--out", out1]) == 0
-    assert main(["simplicity", "--spec", spec, "--samples", "2", "--seed", "7",
-                 "--out", out2]) == 0
-    assert json.loads(open(out1).read()) == json.loads(open(out2).read())
+    f_proper = dict(F_SPEC, beta="1", V={"kind": "C_eps", "eps": "-3/2"})
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    for spec in (OMEGA_SPEC, T_SPEC, f_proper):
+        path = write_json("s.json", spec)
+        assert main(["simplicity", "--spec", path, "--out", str(out1)]) == 0
+        assert main(["simplicity", "--spec", path, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def _exit_code(argv):
@@ -488,7 +487,6 @@ BAD_USAGE_SPECS = {
     "t-equal.json": T_EQUAL,
     "data.json": ACTION_DATA,
 }
-SIMPLICITY = ["simplicity", "--spec", "omega.json", "--samples", "1"]
 ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
 
 
@@ -506,14 +504,9 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["det-lemma", "--max-m", "0"],
     ["det-lemma", "--max-s", "0"],
     DET + ["--alphas", "1,bar"],
-    DET + ["--naive-limit", "-1"],
     ["act", "--spec", "omega.json", "--expr", "L[x]", "--vector", "1"],
-    ["simplicity", "--spec", "omega.json", "--samples", "0"],
     ["rank", "--spec", "omega-beta0.json"],
     ["rank", "--spec", "omega-lambda0.json"],
-    SIMPLICITY + ["--max-degree", "0"],
-    SIMPLICITY + ["--window", "0"],
-    SIMPLICITY + ["--max-steps", "0"],
     ACT + ["z"],
     ACT + ["s^-1"],
     ["rank", "--spec", "t.json", "--vector", "z"],
@@ -522,11 +515,7 @@ ACT = ["act", "--spec", "omega.json", "--expr", "L[0]", "--vector"]
     ["rank", "--spec", "omega.json", "--vector", "zz"],
     ["rank", "--spec", "omega-beta-minus0.json"],
     ["rank", "--spec", "omega-g-power.json"],
-    ["simplicity", "--spec", "t-lambda-0over3.json", "--samples", "1"],
-    ["simplicity", "--spec", "f.json", "--samples", "9"],
-    ["simplicity", "--spec", "t-equal.json", "--samples", "9"],
-    ["simplicity", "--spec", "f.json", "--seed", "5"],
-    ["simplicity", "--spec", "t-equal.json", "--seed", "5"],
+    ["simplicity", "--spec", "t-lambda-0over3.json"],
     ["rank", "--spec", "DIR"],
     ["classify", "--data", "DIR"],
     ["rank", "--spec", "bin.json"],
@@ -631,5 +620,5 @@ def test_certificate_error_exits_1(write_json, monkeypatch, capsys):
 
     monkeypatch.setattr(omega, "combination", lambda columns, target: None)
     spec = write_json("omega.json", OMEGA_SPEC)
-    assert main(["simplicity", "--spec", spec, "--samples", "1"]) == 1
+    assert main(["simplicity", "--spec", spec]) == 1
     assert "outside the c-orbit span" in capsys.readouterr().err

@@ -275,9 +275,9 @@ def test_r_g_dichotomy_random():
 
 def test_simplicity_distinct_lambdas():
     T = TensorModule([A, B])
-    result = simplicity_decision(T, seed=5, samples=3)
+    result = simplicity_decision(T)
     assert result.simple
-    assert len(result.evidence) == 3
+    assert len(result.evidence) == 5
     for ev in result.evidence:
         assert ev.bottom_coefficient != 0
 
@@ -308,8 +308,9 @@ def test_w_invariance_explicit_action():
 
 
 def test_m1_always_simple():
-    result = simplicity_decision(TensorModule([A]), seed=2, samples=2)
+    result = simplicity_decision(TensorModule([A]))
     assert result.simple
+    assert len(result.evidence) == 5
 
 
 def test_canonical_form_permutation_invariant():
