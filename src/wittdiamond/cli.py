@@ -120,6 +120,13 @@ def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
 # would exhaust memory or run for minutes before any check is made.
 MAX_INPUT_POWER = 1000
 
+# Bound on |n| of the epsilon-witness of an F spec whose proper submodule
+# `simplicity` cross-checks by a closure from x1^n.  The closure takes 2|n| + 3
+# rounds in a box of total degree |n| + 2, so its cost grows steeply: about
+# 3.3 s at |n| = 45 and 7.8 s at |n| = 64 on one Xeon core, and more than two
+# minutes at |n| = 160.  Above the bound the spec is refused before the closure.
+MAX_EPSILON_WITNESS = 64
+
 
 def _parse_vector(ring: PolyRing, text: str) -> SparsePoly:
     v = _parse_poly_option(ring, text, "--vector")
@@ -317,6 +324,9 @@ def cmd_simplicity(args) -> int:
         m_type_x1 = isinstance(module.factors[1], MFactor)
         if one_dim and m_type_x1:
             verdict = epsilon_simplicity(module)
+            if not verdict.simple and abs(verdict.witness) > MAX_EPSILON_WITNESS:
+                raise InvalidSpec(f"the epsilon-witness {verdict.witness} is above the bound "
+                                  f"{MAX_EPSILON_WITNESS} on its size")
             rep.add(
                 "epsilon-criterion",
                 True,

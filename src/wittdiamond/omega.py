@@ -13,7 +13,11 @@ on f(s, t) are
 Everything here is certificate-producing: reductions to 1 and generation
 from 1 return replayable exact witnesses, and the free rank over the
 Cartan pair (L[0], d[0]) is proved from four probe images that a checker
-can recompute.
+can recompute.  Every orbit step of a certificate, here and in ``tensor``,
+is an ``orbit_component``: the n^x lam^n part of an X-orbit, taken by one
+fixed combination of N images whose weights invert a generalized
+Vandermonde matrix; ``dt_step`` builds d/dt from the lam-parts of the b-
+and a-orbits.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certificates import CertStep, Certificate, require
-from .exceptions import (
-    CertificateError, InvalidGenerator, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
-)
+from .exceptions import InvalidGenerator, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
 from .poly import PolyRing, SparsePoly, act_by_rules
-from .scalars import ONE, LinComb, add_scaled, binomial, clear_denominators, scalar
+from .scalars import ONE, ZERO, LinComb, add_scaled, binomial, clear_denominators, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -123,9 +125,13 @@ class OmegaModule:
     def act(self, g: Generator, f: SparsePoly) -> SparsePoly:
         return omega_factor_act(self.params, self.ring, "s", "t", g, f)
 
+    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
+        """The bounds D_lam of ``index_degrees`` for the X-orbit of v."""
+        return index_degrees((self.params.lam,), (v.var_degree("s") or 0,), family)
+
     def orbit_points(self, family: str, v: SparsePoly) -> int:
         """The point count N of ``orbit_points`` for the X-orbit of v."""
-        return orbit_points(index_degrees((self.params.lam,), (v.var_degree("s") or 0,), family))
+        return orbit_points(self.index_degrees(family, v))
 
 
 def index_degrees(lams, profile, family: str) -> dict[Fraction, int]:
@@ -165,28 +171,62 @@ def orbit(module, family: str, v: SparsePoly) -> list[tuple[Generator, SparsePol
     return [(g, module.act(g, v)) for g in gens]
 
 
-def solve_in_orbit(module, family: str, v: SparsePoly, target: SparsePoly) -> CertStep:
-    """target = kappa*v + sum_{n < N} kappa_n X[n] v as a certificate step.
+def orbit_component(module, family: str, v: SparsePoly, lam: Fraction, x: int,
+                    scale: Fraction = ONE) -> CertStep:
+    """The n^x lam^n part of X[n] v, times scale, as the step scale * sum_{n < N} w_n X[n].
 
-    The columns are v and its ``orbit`` images, so a target they miss lies
-    outside span{v, X[n] v : n in Z}.
+    X[n] v = sum_mu sum_{y <= D_mu} n^y mu^n C_{mu,y} with D_mu from
+    ``module.index_degrees``, so w is row (lam, x) of the inverse of the
+    N x N generalized Vandermonde matrix with rows n^y mu^n (invertible, see
+    ``orbit_points``): sum_n w_n n^y mu^n is 1 at (mu, y) = (lam, x) and 0
+    elsewhere.  With Q(z) = sum_n w_n z^n and theta = z d/dz that sum is
+    (theta^y Q)(mu), so Q vanishes to order D_mu + 1 at each mu != lam:
+    Q = P R with P = prod_{mu != lam} (z - mu)^(D_mu + 1), and the
+    D_lam + 1 coefficients of R solve the conditions at lam, one small
+    solve.  w depends on v only through the index degrees, so one step
+    serves every vector of one s-profile.
     """
-    images = orbit(module, family, v)
-    combo = combination([dict(v.terms)] + [dict(x.terms) for _, x in images], dict(target.terms))
-    if combo is None:
-        raise CertificateError(f"target lies outside the {family}-orbit span of the vector")
-    words = [()] + [(g,) for g, _ in images]
-    step = CertStep(tuple((c, word) for c, word in zip(combo, words) if c))
-    require(step.apply(module, v) == target, "extraction step does not reach its target")
-    return step
+    degrees = module.index_degrees(family, v)
+    p = [ONE]  # the coefficients of P, constant term first
+    for mu, d in degrees.items():
+        for _ in range(d + 1 if mu != lam else 0):
+            p = [a - mu * b for a, b in zip([ZERO, *p], [*p, ZERO])]
+    top = degrees[lam] + 1  # the number of coefficients of R
+    # (theta^y (P z^i))(lam) = sum_j p_j (i + j)^y lam^(i + j)
+    parts = [[(i + j, c * lam ** (i + j)) for j, c in enumerate(p)] for i in range(top)]
+    r = combination([{y: sum(k**y * c for k, c in part) for y in range(top)} for part in parts],
+                    {x: ONE})
+    require(r is not None, f"no {family}-orbit combination isolates n^{x} ({lam})^n")
+    weights = [sum(r[i] * p[n - i] for i in range(top) if 0 <= n - i < len(p))
+               for n in range(len(p) + top - 1)]
+    return CertStep(tuple((scale * w, (gen(family, n),)) for n, w in enumerate(weights) if w))
+
+
+def dt_step(module, par: OmegaParams) -> CertStep:
+    """beta^-1 (b^(lam) - g(a^(lam))) for the factor ``par``, from ``orbit_component``.
+
+    On an s-free v the lam-parts of the b- and a-orbits are b^(lam) v =
+    g(t) v + beta dv/dt and a^(lam) v = t v (the other scales, if any, are
+    distinct), so the step is d/dt on C[t] (on C[t_1..t_m] in a tensor
+    product), whatever the vector.  With one scale both parts are the n = 0
+    images, and the step is beta^-1 (b[0] - sum_k g_k a[0]^k).
+    """
+    one = module.one()
+    combo = list(orbit_component(module, "b", one, par.lam, 0, 1 / par.beta).combo)
+    a_part = orbit_component(module, "a", one, par.lam, 0).combo
+    power = ((ONE, ()),)  # a^(lam) to the power k, as weighted words
+    for c in par.g:
+        combo += [(-c / par.beta * w, word) for w, word in power if c]
+        power = tuple((w1 * w2, x + y) for w1, x in a_part for w2, y in power)
+    return CertStep(tuple(combo))
 
 
 def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     """Certificate carrying a nonzero vector to exactly 1.
 
-    Stage 1 extracts the top-s coefficient (a nonzero polynomial in t)
-    from the c-orbit at s-degree + 1 points; stage 2 repeatedly applies
-    beta^-1 (b[0] - g(a[0])), which realizes d/dt on C[t]; stage 3
+    Stage 1 extracts the top-s coefficient (a nonzero polynomial in t): it
+    is (-1)^(p+1)/beta times the n^p lam^n part of the c-orbit, p the
+    s-degree; stage 2 repeatedly applies ``dt_step``, d/dt on C[t]; stage 3
     rescales.  Every step is verified during construction.
     """
     if f.is_zero:
@@ -197,17 +237,15 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     sdeg = v.var_degree("s")
     if sdeg and sdeg > 0:
         target = v.extract_var_power("s", sdeg)
-        steps.append(solve_in_orbit(module, "c", v, target))
+        step = orbit_component(module, "c", v, par.lam, sdeg, (-1) ** (sdeg + 1) / par.beta)
+        require(step.apply(module, v) == target, "extraction step does not reach its target")
+        steps.append(step)
         v = target
-    dt_combo = [(1 / par.beta, (gen("b", 0),))]
-    for k, c in enumerate(par.g):
-        if c:
-            dt_combo.append((-c / par.beta, (gen("a", 0),) * k))
-    dt_step = CertStep(tuple(dt_combo))
+    derivative = dt_step(module, par)
     while (v.var_degree("t") or 0) > 0:
-        nxt = dt_step.apply(module, v)
+        nxt = derivative.apply(module, v)
         require(nxt == v.derive("t"), "derivative step is not d/dt")
-        steps.append(dt_step)
+        steps.append(derivative)
         v = nxt
     const = v.coefficient((0, 0))
     require(const != 0, "reduction ends at zero")

@@ -5,7 +5,10 @@ k-th factor touches only (s_k, t_k).  Degrees are lexicographic on the
 exponent vector (p_1..p_m, q_1..q_m), with the zero vector below every
 degree.  All span extractions rest on the invertibility of generalized
 Vandermonde matrices with rows n^x lam_k^n over consecutive integers n,
-which is certified by the closed-form determinant of ``det_r``.
+which is certified by the closed-form determinant of ``det_r``: with
+distinct scales every certificate step is an ``omega.orbit_component``,
+the n^x lam_k^n part of an orbit as one fixed combination of its images,
+or the derivative step ``omega.dt_step`` built from two such parts.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ from typing import Sequence
 
 from .axioms import simplicity_samples
 from .certificates import CertStep, Certificate, require
-from .exceptions import CertificateError, InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
+from .exceptions import InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
 from .lie import FAMILIES, Generator
-from .linalg import SpanBasis, combination, exact_det
-from .omega import OmegaParams, index_degrees, omega_factor_act, orbit, orbit_points, solve_in_orbit
+from .linalg import SpanBasis, exact_det
+# Not called here; perfbench/selftest.py checks that its tracer rebinds this binding.
+from .linalg import combination  # noqa: F401
+from .omega import (
+    OmegaParams, dt_step, index_degrees, omega_factor_act, orbit, orbit_component, orbit_points
+)
 from .poly import PolyRing, SparsePoly
 from .scalars import ONE, add_scaled, scalar, superfactorial
 
@@ -256,9 +263,20 @@ def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
 
 def _extraction(module: TensorModule, v: SparsePoly, which: int,
                 k: int) -> tuple[CertStep, SparsePoly]:
-    """The step of ``lemma42_extract`` from v, and the target it reaches."""
+    """The step of ``lemma42_extract`` from v, and the target it reaches.
+
+    With distinct scales the lam_k-part of X[n] v comes from factor k alone,
+    where L[n] and a[n] act as lam_k^n (s_k + n alpha_k) tau_k^n and
+    lam_k^n t_k tau_k^n.  So s_k v and t_k v are the n^0 lam_k^n parts of the
+    L- and a-orbits, and t_k times the top s_k-slice is (-1)^p_k times the
+    n^p_k lam_k^n part of the a-orbit, p_k the s_k-degree of v.
+    """
     target = _shifted_target(module, v, which, k)
-    return solve_in_orbit(module, "L" if which == 9 else "a", v, target), target
+    x = module.s_profile(v)[k - 1] if which == 11 else 0
+    step = orbit_component(module, "L" if which == 9 else "a", v, module.factors[k - 1].lam,
+                           x, (-1) ** x)
+    require(step.apply(module, v) == target, "extraction step does not reach its target")
+    return step, target
 
 
 def tensor_reduce_to_bottom(module: TensorModule,
@@ -267,8 +285,8 @@ def tensor_reduce_to_bottom(module: TensorModule,
 
     The s-part of the leading exponent is peeled off by top-slice
     extractions (strictly degree-decreasing); once the vector lies in
-    C[t_1..t_m], derivative steps assembled from the b-orbit and t-power
-    words reduce the t-part to a constant.
+    C[t_1..t_m], the derivative steps of ``omega.dt_step`` reduce the t-part
+    to a constant.
     """
     if not module.distinct_lambdas():
         raise NotApplicable("requires pairwise distinct lambdas")
@@ -285,7 +303,9 @@ def tensor_reduce_to_bottom(module: TensorModule,
             step, v = _extraction(module, v, 11, k)
         elif any(q_part):
             k = next(i for i, q in enumerate(q_part) if q) + 1
-            step, v = _derivative_step(module, v, k)
+            step, target = dt_step(module, module.factors[k - 1]), v.derive(module.tvar(k))
+            require(step.apply(module, v) == target, "derivative step is not d/dt")
+            v = target
         else:
             break
         steps.append(step)
@@ -293,48 +313,6 @@ def tensor_reduce_to_bottom(module: TensorModule,
     require(cert.replay(module, g) == v, "reduction replay does not reach the bottom vector")
     require(set(v.terms) == {(0,) * (2 * m)}, "reduction does not end at a nonzero constant")
     return cert, v
-
-
-def _t_power_words(module: TensorModule, v: SparsePoly, k: int,
-                   max_power: int) -> list[list[tuple[Fraction, tuple[Generator, ...]]]]:
-    """Word combinations realizing t_k^j v for j = 0..max_power.
-
-    Valid for vectors with no s-dependence: each level is one a-orbit
-    extraction, and levels compose into words.
-    """
-    chains = [[(ONE, ())]]
-    current = v
-    for _ in range(max_power):
-        step, current = _extraction(module, current, 10, k)
-        flattened = []
-        for c2, w2 in step.combo:
-            for c1, w1 in chains[-1]:
-                flattened.append((c2 * c1, w2 + w1))
-        chains.append(flattened)
-    return chains
-
-
-def _derivative_step(module: TensorModule, v: SparsePoly,
-                     k: int) -> tuple[CertStep, SparsePoly]:
-    """d/dt_k on an s-free vector, as a b-orbit plus t-power combination."""
-    par = module.factors[k - 1]
-    target = v.derive(module.tvar(k))
-    gdeg = max(len(par.g) - 1, 0)
-    chains = _t_power_words(module, v, k, gdeg)
-    # On an s-free v, b[n] v = sum_k lam_k^n (g_k(t_k) v + beta_k d/dt_k v),
-    # so the b-orbit is spanned at one point per distinct lambda.
-    images = orbit(module, "b", v)
-    columns = [dict(image.terms) for _, image in images]
-    columns += [dict(v.mul_var(module.tvar(k), j).terms) for j in range(gdeg + 1)]
-    expansions = [[(ONE, (g,))] for g, _ in images] + chains
-    combo = combination(columns, dict(target.terms))
-    if combo is None:
-        raise CertificateError("d/dt lies outside the span of the b-orbit and t-powers")
-    terms = tuple((c * cw, word) for c, words in zip(combo, expansions) if c
-                  for cw, word in words)
-    step = CertStep(terms)
-    require(step.apply(module, v) == target, "derivative step is not d/dt")
-    return step, target
 
 
 def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certificate:

@@ -40,32 +40,42 @@ def _reduce_omega():
     omega_reduce_to_one(M, M.ring.monomial({"s": 2, "t": 1}) + M.ring.one())
 
 
+def _tensor():
+    return tensor.TensorModule([OmegaParams(F(1), F(2), F(0), F(3), (F(1),)),
+                                OmegaParams(F(1, 2), F(1), F(1), F(5), (F(2),))])
+
+
 def _reduce_tensor():
-    T = tensor.TensorModule([OmegaParams(F(1), F(2), F(0), F(3), (F(1),)),
-                             OmegaParams(F(1, 2), F(1), F(1), F(5), (F(2),))])
+    T = _tensor()
     tensor.tensor_reduce_to_bottom(T, T.ring.monomial({"s1": 1, "t2": 1}))
 
 
-# The omega reduction and the tensor extractions share omega's orbit solver;
-# the tensor derivative step makes its own combination call.
-@pytest.mark.parametrize("where, reduce, replay_error", [
-    (omega, _reduce_omega, "does not reach its target"),
-    (omega, _reduce_tensor, "does not reach its target"),
-    (tensor, _reduce_tensor, "derivative step is not d/dt"),
-], ids=["omega", "tensor", "tensor-derivative"])
-def test_corrupted_step_raises_certificate_error(monkeypatch, where, reduce, replay_error):
-    """A step whose combination is off by one copy of v fails its replay check,
-    and a target outside the orbit span raises CertificateError."""
-    solve = where.combination
+def _reduce_tensor_t_part():
+    T = _tensor()
+    tensor.tensor_reduce_to_bottom(T, T.ring.monomial({"t1": 1, "t2": 2}))
 
-    def off_by_v(columns, target):
+
+# Every step weighs orbit images through omega.orbit_component, whose weights
+# come from one combination call.  The Omega and the first tensor reduction
+# start with an extraction, the last one with a derivative step.
+@pytest.mark.parametrize("reduce, replay_error", [
+    (_reduce_omega, "extraction step does not reach its target"),
+    (_reduce_tensor, "extraction step does not reach its target"),
+    (_reduce_tensor_t_part, "derivative step is not d/dt"),
+], ids=["omega", "tensor", "tensor-derivative"])
+def test_corrupted_step_raises_certificate_error(monkeypatch, reduce, replay_error):
+    """Weights off by one on the first image fail the step's target check, and a
+    failed weight solve raises CertificateError."""
+    solve = omega.combination
+
+    def off_by_one(columns, target):
         combo = solve(columns, target)
         return None if combo is None else [combo[0] + 1] + combo[1:]
 
     reduce()
-    monkeypatch.setattr(where, "combination", off_by_v)
+    monkeypatch.setattr(omega, "combination", off_by_one)
     with pytest.raises(CertificateError, match=replay_error):
         reduce()
-    monkeypatch.setattr(where, "combination", lambda columns, target: None)
-    with pytest.raises(CertificateError, match="outside the"):
+    monkeypatch.setattr(omega, "combination", lambda columns, target: None)
+    with pytest.raises(CertificateError, match="orbit combination isolates n"):
         reduce()

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
-from wittdiamond.cli import MAX_ACT_WORK, MAX_INPUT_POWER, main
+from wittdiamond.cli import MAX_ACT_WORK, MAX_EPSILON_WITNESS, MAX_INPUT_POWER, main
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
@@ -237,6 +237,17 @@ def test_f_proper_closure_runs_as_many_rounds_as_the_witness_needs(write_json, t
     criterion, closure = (c["detail"] for c in _check_report(out)["checks"])
     assert criterion["witness"] == 31
     assert closure["verdict"] == "proper-at-truncation" and closure["rounds"] == 65
+
+
+@pytest.mark.parametrize("eps", ["-65", "65"])
+def test_f_proper_witness_above_the_bound_exits_2(eps, write_json, capsys):
+    spec = {"family": "F", "alpha": "1", "beta": "1", "P": {"kind": "M", "w": ["1/3", "0"]},
+            "V": {"kind": "C_eps", "eps": eps}}
+    start = time.perf_counter()
+    assert main(["simplicity", "--spec", write_json("f65.json", spec)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert f"epsilon-witness {-int(eps)} is above the bound {MAX_EPSILON_WITNESS}" in err
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -618,7 +629,9 @@ def test_rank_exits_1_on_a_planted_defect(defect, write_json, tmp_path, monkeypa
 def test_certificate_error_exits_1(write_json, monkeypatch, capsys):
     from wittdiamond import omega
 
-    monkeypatch.setattr(omega, "combination", lambda columns, target: None)
+    solve = omega.combination
+    monkeypatch.setattr(omega, "combination",
+                        lambda columns, target: [w * 2 for w in solve(columns, target)])
     spec = write_json("omega.json", OMEGA_SPEC)
     assert main(["simplicity", "--spec", spec]) == 1
-    assert "outside the c-orbit span" in capsys.readouterr().err
+    assert "does not reach its target" in capsys.readouterr().err

@@ -197,7 +197,7 @@ def dense_kernel(vectors):
 def test_certificate_paths_agree_with_dense_oracle(monkeypatch):
     """Every solve and kernel the certificate builders ask for, checked against
     textbook Gauss-Jordan on the same system, entry for entry."""
-    calls = {"omega": 0, "tensor": 0, "nullspace": 0}
+    calls = {"omega": 0, "nullspace": 0}
 
     def checked(where, solve, oracle):
         def wrapped(*args):
@@ -208,7 +208,6 @@ def test_certificate_paths_agree_with_dense_oracle(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(omega, "combination", checked("omega", omega.combination, dense_solve))
-    monkeypatch.setattr(tensor, "combination", checked("tensor", tensor.combination, dense_solve))
     nullspace = checked("nullspace", exact_nullspace, dense_kernel)
 
     M = OmegaModule(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1))))

@@ -21,10 +21,11 @@ from wittdiamond.omega import (
     index_degrees,
     omega_factor_act,
     omega_reduce_to_one,
+    dt_step,
     operator_form,
+    orbit_component,
     orbit_points,
     rank1_data_from_action,
-    solve_in_orbit,
 )
 from wittdiamond.oracle import naive_det
 from wittdiamond.poly import SparsePoly
@@ -749,7 +750,8 @@ def test_exact_orbit_spans_agree_with_growth_oracle(repeated):
             assert r_g(module, g) == oracle.dim
 
 
-def test_orbit_solver_agrees_with_growth_oracle():
+def test_orbit_components_agree_with_growth_oracle():
+    """Each extraction's component step and the former grown solve reach one target."""
     for module, rng in _seeded_modules(43, repeated=False):
         for _ in range(3):
             v = random_vector(module.ring, rng, max_total_degree=2, terms=3)
@@ -760,15 +762,95 @@ def test_orbit_solver_agrees_with_growth_oracle():
                 cases.append(("a", 11, sum(p + 1 for p in profile)))
             for family, which, base in cases:
                 target = _shifted_target(module, v, which, k)
-                step = solve_in_orbit(module, family, v, target)
-                assert step == _grown_solve(module, family, v, target, base, module.m + 6)
-                assert step.apply(module, v) == target
+                got, cert = lemma42_extract(module, v, k, which)
+                assert got == target and cert.replay(module, v) == target
+                assert _grown_solve(module, family, v, target, base, module.m + 6).apply(
+                    module, v) == target
     M = OmegaModule(A)
     for p in (1, 2, 4):
         v = M.ring.monomial({"s": p, "t": 1}) + M.ring.monomial({"s": 1})
         target = v.extract_var_power("s", p)
-        step = solve_in_orbit(M, "c", v, target)
-        assert step == _grown_solve(M, "c", v, target, p + 1, 6)
+        step = orbit_component(M, "c", v, A.lam, p, F((-1) ** (p + 1)) / A.beta)
+        assert step.apply(M, v) == target
+        assert _grown_solve(M, "c", v, target, p + 1, 6).apply(M, v) == target
+
+
+def _component_target(module, family, v, k, x):
+    """The n^x lam_k^n part of X[n] v in closed form, from the rules of ``omega_factor_act``.
+
+    tau_k^n v = sum_y n^y (-1)^y / y! d^y v / ds_k^y, and factor k applies
+    lam_k^n (s_k + n alpha), t_k, -beta, g(t_k) + beta d/dt_k or
+    (t_k g(t_k) + gamma) / beta + t_k d/dt_k to it.
+    """
+    par, s, t = module.factors[k - 1], module.svar(k), module.tvar(k)
+    tk = module.ring.var(t)
+    g = sum((tk ** j * c for j, c in enumerate(par.g)), module.ring.zero())
+
+    def part(y):
+        if y < 0:
+            return module.ring.zero()
+        w = v
+        for _ in range(y):
+            w = w.derive(s)
+        return w * F((-1) ** y, math.factorial(y))
+
+    if family == "L":
+        return part(x).mul_var(s) + part(x - 1) * par.alpha
+    if family == "a":
+        return part(x).mul_var(t)
+    if family == "b":
+        return g * part(x) + part(x).derive(t) * par.beta
+    if family == "c":
+        return part(x) * -par.beta
+    return (tk * g + par.gamma) * part(x) * (1 / par.beta) + part(x).derive(t).mul_var(t)
+
+
+def _vandermonde_row(degrees, lam, x):
+    """Row (lam, x) of the inverse of the N x N matrix with rows n^y mu^n, by one dense solve."""
+    columns = [(mu, y) for mu, d in degrees.items() for y in range(d + 1)]
+    rows = [{j: F(n**y) * mu**n for j, (mu, y) in enumerate(columns)} for n in range(len(columns))]
+    return combination(rows, {columns.index((lam, x)): F(1)})
+
+
+def test_orbit_component_is_one_step_per_profile():
+    """One component step per (family, s-profile, lam_k, x) has the weights of the
+    N x N generalized Vandermonde inverse and reaches the closed-form part on
+    several vectors of that profile; ``dt_step`` is d/dt_k on s-free ones."""
+    rng = random.Random(47)
+    for module, _ in _seeded_modules(47, repeated=False):
+        m = module.m
+        profile = [rng.randint(0, 2) for _ in range(m)]
+        top = module.ring.monomial({module.svar(k): p for k, p in enumerate(profile, 1)})
+
+        def vector(s_free=False):
+            v = top * F(rng.randint(1, 3)) if not s_free else module.ring.zero()
+            for _ in range(3):
+                exps = {module.tvar(k): rng.randint(0, 2) for k in range(1, m + 1)}
+                if not s_free:
+                    exps.update({module.svar(k): rng.randint(0, p)
+                                 for k, p in enumerate(profile, 1)})
+                v = v + module.ring.monomial(exps) * F(rng.randint(-3, 3), rng.randint(1, 2))
+            return v
+
+        vectors = [vector() for _ in range(3)]
+        assert all(module.s_profile(v) == profile for v in vectors)
+        for family in FAMILIES:
+            for k, par in enumerate(module.factors, 1):
+                for x in range(module.index_degrees(family, top)[par.lam] + 1):
+                    step = orbit_component(module, family, vectors[0], par.lam, x)
+                    row = _vandermonde_row(module.index_degrees(family, top), par.lam, x)
+                    assert step.combo == tuple((w, (gen(family, n),))
+                                               for n, w in enumerate(row) if w)
+                    for v in vectors:
+                        assert step.apply(module, v) == _component_target(module, family, v, k, x)
+        for k, par in enumerate(module.factors, 1):
+            step = dt_step(module, par)
+            for v in (vector(s_free=True) for _ in range(3)):
+                assert step.apply(module, v) == v.derive(module.tvar(k))
+    M = OmegaModule(A)
+    for q in range(4):
+        v = M.ring.monomial({"t": q}) * 3 + M.ring.var("t")
+        assert dt_step(M, A).apply(M, v) == v.derive("t")
 
 
 def test_orbit_points_counts_one_block_per_lambda():
