@@ -11,6 +11,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
@@ -93,10 +94,25 @@ class Report:
         return 0 if self.ok else 1
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses a key given twice in one JSON object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidSpec(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_spec(path: str) -> dict:
-    """The JSON of a spec file; ``module_from_spec`` validates it."""
+    """The JSON of an input file (``--spec``, ``--data``, ``--left``, ``--right``).
+
+    A key given twice in one object is a spec error rather than silently the
+    last value; the readers (``module_from_spec``, ``rank1_data_from_json``)
+    validate the rest.
+    """
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -490,8 +506,7 @@ def cmd_rank(args) -> int:
 
 def cmd_classify(args) -> int:
     rep = Report("classify")
-    with open(args.data) as fh:
-        data = rank1_data_from_json(json.load(fh))
+    data = rank1_data_from_json(_load_spec(args.data))
     try:
         result = classify_rank1(data)
     except NotAModule as exc:
@@ -537,8 +552,8 @@ def cmd_iso(args) -> int:
     try:
         result = iso_check(left, right)
     except RequiresSimple as exc:
-        rep.add("iso", False, {"error": str(exc)})
-        return rep.finish(args.out)
+        # As for rank: a repeated lambda is outside the command's domain, not a failed check.
+        raise InvalidSpec(f"iso needs pairwise distinct lambdas: {exc}") from None
 
     def form(module):
         return [
@@ -584,7 +599,15 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Building the eight subparsers costs far more than parsing with them, and
+    a parser keeps no state between ``parse_args`` calls, so repeated
+    ``main`` calls in one process reuse it.  It is not built at import, which
+    every importer of ``cli`` would pay for.
+    """
     parser = argparse.ArgumentParser(
         prog="wittdiamond",
         description="Exact verification suites for the Witt/loop-Diamond "

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
-from wittdiamond.cli import MAX_ACT_WORK, MAX_EPSILON_WITNESS, MAX_INPUT_POWER, main
+from wittdiamond.cli import MAX_ACT_WORK, MAX_EPSILON_WITNESS, MAX_INPUT_POWER, build_parser, main
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
@@ -435,6 +435,23 @@ def test_malformed_action_data_exits_2_with_pointer(data, pointer, write_json, c
     assert err.startswith("spec error:") and f"(at {pointer})" in err
 
 
+@pytest.mark.parametrize("argv, obj, field, again", [
+    (["simplicity", "--spec"], OMEGA_SPEC, '"g": [[0, "1"], [2, "1"]]', '"g": [[0, "2"]]'),
+    (["classify", "--data"], ACTION_DATA, '"lambda": "2"', '"lambda": "3"'),
+    (["iso", "--right", "t.json", "--left"], T_SPEC, '"lambda": "3"', '"lambda": "5"'),
+], ids=["spec", "data", "left-nested"])
+def test_duplicate_keys_exit_2(argv, obj, field, again, write_json, tmp_path, capsys):
+    # Without the check the reader would run on the last value and the command exit 0 or 1.
+    text = json.dumps(obj)
+    assert field in text
+    path = tmp_path / "dup.json"
+    path.write_text(text.replace(field, f"{field}, {again}", 1))
+    argv = [write_json(a, T_SPEC) if a == "t.json" else a for a in argv]
+    assert main(argv + [str(path)]) == 2
+    key = json.loads("{" + again + "}").popitem()[0]
+    assert capsys.readouterr().err == f"spec error: duplicate key {key!r}\n"
+
+
 def test_no_module_imports_jsonschema_at_run_time():
     import wittdiamond
 
@@ -445,12 +462,19 @@ def test_no_module_imports_jsonschema_at_run_time():
     assert proc.returncode == 0
 
 
-def test_iso_commands(write_json):
+def test_iso_commands(write_json, capsys):
     swapped = {"family": "T", "factors": list(reversed(T_SPEC["factors"]))}
     assert main(["iso", "--left", write_json("a.json", T_SPEC),
                  "--right", write_json("b.json", swapped)]) == 0
     assert main(["iso", "--left", write_json("a.json", T_SPEC),
                  "--right", write_json("o.json", OMEGA_SPEC)]) == 0
+    # A repeated lambda is outside iso's domain, as it is outside rank's: exit 2, not 1.
+    equal, distinct = write_json("e.json", T_EQUAL), write_json("a.json", T_SPEC)
+    for left, right in ((equal, distinct), (distinct, equal)):
+        capsys.readouterr()
+        assert main(["iso", "--left", left, "--right", right]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spec error:") and "pairwise distinct lambdas" in err
 
 
 def test_usage_and_schema_errors(write_json, capsys):
@@ -469,6 +493,27 @@ def test_reports_are_deterministic(write_json, tmp_path):
         assert main(["simplicity", "--spec", path, "--out", str(out1)]) == 0
         assert main(["simplicity", "--spec", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_the_parser_is_built_once_and_reused(write_json, tmp_path, capsys):
+    build_parser.cache_clear()
+    spec = write_json("om.json", OMEGA_SPEC)
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["rank", "--spec", spec, "--out", str(out1)]) == 0
+    first = capsys.readouterr().out.replace(str(out1), "OUT")
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--spec", spec, "--vector"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wittdiamond rank") and "expected one argument" in err
+    assert main(["rank", "--spec", spec, "--out", str(out2)]) == 0
+    assert capsys.readouterr().out.replace(str(out2), "OUT") == first
+    assert out1.read_bytes() == out2.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser.__wrapped__().format_help()
+    assert build_parser.cache_info().misses == 1
 
 
 def _exit_code(argv):
