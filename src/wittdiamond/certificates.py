@@ -6,17 +6,24 @@ w_j is a word in the algebra generators (the empty word is the identity,
 so pure rescaling is a one-term step).  Replaying a certificate from its
 start vector must reproduce the claimed result exactly; nothing about a
 certificate is trusted until it has been replayed.
+
+A builder records, with each step, the target that step must reach and the
+message of its check, without applying the step; one ``replay`` with those
+checks then applies every step exactly once and checks each image as it is
+made.  A wrong step fails at its own check, even when a later step would
+erase its error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .exceptions import CertificateError
 from .lie import Generator, gen
 from .poly import SparsePoly
-from .scalars import scalar
+from .scalars import add_scaled, scalar
 
 Word = tuple[Generator, ...]
 
@@ -35,13 +42,13 @@ class CertStep:
     combo: tuple[tuple[Fraction, Word], ...]
 
     def apply(self, module, v: SparsePoly) -> SparsePoly:
-        out = module.ring.zero()
+        out: dict = {}
         for coef, word in self.combo:
             w = v
             for g in reversed(word):
                 w = module.act(g, w)
-            out = out + w * coef
-        return out
+            add_scaled(out, w.terms, coef)
+        return v._like(out)
 
     def to_jsonable(self):
         return [
@@ -61,10 +68,20 @@ class CertStep:
 class Certificate:
     steps: list[CertStep]
 
-    def replay(self, module, start: SparsePoly) -> SparsePoly:
+    def replay(self, module, start: SparsePoly,
+               checks: Sequence[tuple[SparsePoly, str]] = ()) -> SparsePoly:
+        """The end vector, after applying each step once, in order, from start.
+
+        ``checks`` is empty or holds one (target, message) pair per step: the
+        image after step i must equal its target, or CertificateError(message)
+        is raised at step i.
+        """
+        require(not checks or len(checks) == len(self.steps), "one check per step")
         v = start
-        for s in self.steps:
-            v = s.apply(module, v)
+        for i, step in enumerate(self.steps):
+            v = step.apply(module, v)
+            if checks:
+                require(v == checks[i][0], checks[i][1])
         return v
 
     def __len__(self) -> int:
