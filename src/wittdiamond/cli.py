@@ -4,8 +4,7 @@ Every subcommand runs a named list of checks, prints one PASS/FAIL line
 per check, optionally writes a JSON report, and exits 0 only if all
 checks passed (1 on mathematical failure, 2 on usage or spec errors).
 The commands take inputs only: every bound on the sampled or truncated
-evidence is fixed or derived from the spec, so each report reproduces byte
-for byte.
+evidence is fixed, so each report reproduces byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +20,14 @@ from math import prod
 
 from .axioms import simplicity_samples
 from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
-from .fock import FModule, MFactor, OneDim, Whittaker, epsilon_simplicity
+from .fock import (
+    FModule,
+    MFactor,
+    OneDim,
+    Whittaker,
+    barrier_invariance_check,
+    epsilon_simplicity,
+)
 from .homomorphisms import (
     CorruptedPhiAB,
     PhiAB,
@@ -136,11 +142,8 @@ def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
 # would exhaust memory or run for minutes before any check is made.
 MAX_INPUT_POWER = 1000
 
-# Bound on |n| of the epsilon-witness of an F spec whose proper submodule
-# `simplicity` cross-checks by a closure from x1^n.  The closure takes 2|n| + 3
-# rounds in a box of total degree |n| + 2, so its cost grows steeply: about
-# 3.3 s at |n| = 45 and 7.8 s at |n| = 64 on one Xeon core, and more than two
-# minutes at |n| = 160.  Above the bound the spec is refused before the closure.
+# Bound on |n| of the epsilon-witness of an F spec, a bound on the input only:
+# the barrier x1^n is proved from the same number of probe images for every n.
 MAX_EPSILON_WITNESS = 64
 
 
@@ -312,13 +315,12 @@ def cmd_act(args) -> int:
     return rep.finish(args.out)
 
 
-def _closure_check(rep: Report, module, start: SparsePoly, expected: str,
-                   policy: TruncationPolicy = TruncationPolicy(), **note) -> None:
+def _closure_check(rep: Report, module, start: SparsePoly, expected: str, **note) -> None:
     """Add the ``closure-oracle`` check: the truncated closure of start ends as expected.
 
     A ``note`` keyword, if given, leads the detail.
     """
-    closure = truncated_closure(module, start, policy)
+    closure = truncated_closure(module, start, TruncationPolicy())
     rep.add("closure-oracle", closure.verdict == expected, {
         **note,
         "expected": expected,
@@ -343,26 +345,23 @@ def cmd_simplicity(args) -> int:
             if not verdict.simple and abs(verdict.witness) > MAX_EPSILON_WITNESS:
                 raise InvalidSpec(f"the epsilon-witness {verdict.witness} is above the bound "
                                   f"{MAX_EPSILON_WITNESS} on its size")
-            rep.add(
-                "epsilon-criterion",
-                True,
-                {
-                    "simple": verdict.simple,
-                    "witness": verdict.witness,
-                    "submodule": verdict.barrier,
-                },
-            )
+            criterion = {"simple": verdict.simple, "witness": verdict.witness,
+                         "submodule": verdict.barrier}
             if verdict.simple:
-                _closure_check(rep, module, module.one(), ClosureReport.FILLS)
-            else:
-                # The closure from the barrier x1^n runs in a box two degrees above it and
-                # takes up to 2|n| + 3 rounds: one per x1-level from n down to -n - 2, and
-                # one that finds nothing new (measured for n = 4 to 80).
-                n = abs(verdict.witness)
-                box = TruncationPolicy(max_total_degree=n + 2 if n >= 4 else 4,
-                                       max_steps=max(64, 2 * n + 3))
-                _closure_check(rep, module, module.ring.monomial({"x1": verdict.witness}),
-                               ClosureReport.PROPER, box)
+                criterion["crossing"] = str(verdict.crossing)
+            rep.add("epsilon-criterion", True, criterion)
+            if not verdict.simple:
+                n = verdict.witness
+                inv = barrier_invariance_check(module, n)
+                rep.add("barrier-invariance", inv.ok, {
+                    "complete": True,
+                    "probes": inv.probes,
+                    "images_checked": inv.images_checked,
+                    "max_index_degree": inv.max_index_degree,
+                    "escapes": inv.escapes[:10],
+                    "proper_witness": {"in_W": f"x1^{n}", "not_in_W": f"x1^{n + 1}",
+                                       "holds": inv.proper},
+                })
         else:
             kind = "Whittaker V" if isinstance(module.v_space, Whittaker) else "shift-type x1"
             _closure_check(rep, module, module.one(), ClosureReport.FILLS,
@@ -637,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("simplicity", help="certificates plus closure oracle")
+    p = sub.add_parser("simplicity", help="simplicity verdict and the evidence behind it")
     p.add_argument("--spec", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simplicity)

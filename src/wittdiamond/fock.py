@@ -37,11 +37,11 @@ so the split loses no generality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exceptions import InvalidGenerator, InvalidSpec, NotWeight, UnsupportedOperation
-from .lie import Generator, gen
+from .lie import FAMILIES, Generator, gen
 from .poly import PolyRing, SparsePoly, act_by_rules, monomials_within
 from .scalars import ONE, ZERO, clear_denominators, scalar
 
@@ -159,10 +159,27 @@ def q_action(module: FModule, v: SparsePoly) -> SparsePoly:
     )
 
 
+def _require_epsilon_branch(module: FModule) -> None:
+    """The one-dimensional V and the M-type x1 that the epsilon-criterion needs."""
+    if not isinstance(module.v_space, OneDim):
+        raise UnsupportedOperation("criterion applies to the one-dimensional V only")
+    if not isinstance(module.factors[1], MFactor):
+        raise UnsupportedOperation("criterion needs an M-type factor on x1")
+
+
 @dataclass
 class EpsilonSimplicity:
-    simple: bool
-    witness: int | None = None
+    """The crossing -eps/beta - w, the x1-level where a's coefficient vanishes."""
+
+    crossing: Fraction
+
+    @property
+    def simple(self) -> bool:
+        return self.crossing.denominator != 1
+
+    @property
+    def witness(self) -> int | None:
+        return None if self.simple else int(self.crossing)
 
     @property
     def barrier(self) -> str | None:
@@ -177,17 +194,80 @@ def epsilon_simplicity(module: FModule) -> EpsilonSimplicity:
     The module is simple iff beta*w + beta*n + eps is nonzero for every
     integer n; otherwise the level where the a-action dies is returned.
     a[m] kills x1-level n upward while b[m] always descends, so the proper
-    submodule is spanned by the x1-degrees <= n.
+    submodule is spanned by the x1-degrees <= n (proved by
+    ``barrier_invariance_check``).
     """
-    if not isinstance(module.v_space, OneDim):
-        raise UnsupportedOperation("criterion applies to the one-dimensional V only")
-    f1 = module.factors[1]
-    if not isinstance(f1, MFactor):
-        raise UnsupportedOperation("criterion needs an M-type factor on x1")
-    crossing = -module.v_space.eps / module.beta - f1.weight
-    if crossing.denominator == 1:
-        return EpsilonSimplicity(simple=False, witness=int(crossing))
-    return EpsilonSimplicity(simple=True)
+    _require_epsilon_branch(module)
+    return EpsilonSimplicity(-module.v_space.eps / module.beta - module.factors[1].weight)
+
+
+@dataclass
+class BarrierInvarianceReport:
+    """Probe images of the barrier W_n, and W_n's properness witness."""
+
+    probes: int = 0
+    images_checked: int = 0
+    max_index_degree: int = 0
+    escapes: list[str] = field(default_factory=list)
+    proper: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.proper and not self.escapes
+
+
+def barrier_invariance_check(module: FModule, n: int) -> BarrierInvarianceReport:
+    """Exact invariance of W_n = span{ x0^e x1^k : k <= n } under every X[m], m in Z.
+
+    Here x0^e stands for d0^e (e >= 0) when P0 is of Omega type.  With V =
+    C_eps and an M-type x1, every rule of ``FModule.act``'s table sends
+    x0^e x1^k to (k0 + k1 e_i) times x0^(e + m) x1^(k + delta), or, on an
+    Omega(l)-type P0, times l^m (d0 - m)^(e + r) x1^(k + delta) with r <= 1,
+    where k0 and k1 have degree [X = L] in m and delta is a constant of the
+    family: +1 for a, -1 for b and 0 for L, c and d.  So no family but a
+    raises the x1-degree, a raises it by one, and W_n is invariant exactly
+    when a[m] kills every x0^e x1^n.  The a-coefficient there is
+    beta (w + n) + eps, zero when n is the epsilon-witness.
+
+    The check reads the images of the probes x0^0 x1^n and x0^1 x1^n under
+    every family through ``module.act``, on the index grid m = 0..D, and
+    requires each image to lie in W_n.  That settles every m in Z and every
+    e, by the polynomial grid lemma (Alon 1999, Combinatorial
+    Nullstellensatz, Lemma 2.1: a polynomial of degree at most t_i in its
+    i-th variable that vanishes on a grid S_1 x ... x S_k with |S_i| > t_i
+    is zero):
+
+    - on an M-type P0 the part of X[m] x0^e x1^n outside W_n is
+      P(m, e) x0^(e + m) x1^(n + 1), with P of degree at most D = [X = L]
+      in m and 1 in e, so the grid {0..D} x {0, 1} decides it;
+    - on an Omega(l)-type P0, X[m] acts on C[d0] as l^m tau^m, with tau the
+      shift d0 -> d0 - m, after a first-order operator P + Q d/dd0, so it is
+      zero once it kills d0^0 and d0^1; and l^-m X[m] d0^e is a polynomial
+      in m of degree D = e + [X = L], as in ``omega.index_degrees``.
+
+    W_n is proper: x1^n lies in it and x1^(n + 1) does not.
+    """
+    _require_epsilon_branch(module)
+    x1 = module.ring.index("x1")
+    omega_p0 = isinstance(module.factors[0], OmegaFactor)
+
+    def in_w(f: SparsePoly) -> bool:
+        return all(exps[x1] <= n for exps in f.terms)
+
+    var0 = module.ring.names[0]
+    probes = [module.ring.monomial({var0: e, "x1": n}) for e in (0, 1)]
+    report = BarrierInvarianceReport(probes=len(probes))
+    for fam in FAMILIES:
+        for e, v in enumerate(probes):
+            degree = (fam == "L") + omega_p0 * e
+            report.max_index_degree = max(report.max_index_degree, degree)
+            for g in (gen(fam, m) for m in range(degree + 1)):
+                report.images_checked += 1
+                if not in_w(module.act(g, v)):
+                    report.escapes.append(f"{g} on {v}")
+    report.proper = (in_w(module.ring.monomial({"x1": n}))
+                     and not in_w(module.ring.monomial({"x1": n + 1})))
+    return report
 
 
 def weight_decomposition(

@@ -520,6 +520,16 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
             ops[g] = _candidate_operator(data, g)
         return ops[g]
 
+    commutators: dict[tuple[Generator, Generator], ShiftDiffOp] = {}
+
+    def commutator(x: Generator, y: Generator) -> ShiftDiffOp:
+        # [op(y), op(x)] = -[op(x), op(y)]: each unordered pair is composed once,
+        # and kept only until its other order is checked.
+        if (y, x) in commutators:
+            return -commutators.pop((y, x))
+        commutators[x, y] = c = op(x).commutator(op(y))
+        return c
+
     def bracket_op(x: Generator, y: Generator) -> ShiftDiffOp:
         out: dict = {}
         for g2, c in bracket(x, y).terms.items():
@@ -530,7 +540,7 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
         for m in range(d_m + 1):
             for n in range(d_n + 1):
                 x, y = gen(fx, m), gen(fy, n)
-                if not (op(x).commutator(op(y)) - bracket_op(x, y)).is_zero:
+                if not (commutator(x, y) - bracket_op(x, y)).is_zero:
                     raise NotAModule(name, f"at (m, n) = ({m}, {n})")
 
     c0 = _constant_value(data.C0, "C0")

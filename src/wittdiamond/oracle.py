@@ -91,7 +91,8 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
                 inside, spilled = _truncate(image, policy.max_total_degree)
                 if spilled:
                     overflow += 1
-                if inside.terms and basis.add(inside.terms):
+                # A full basis cannot grow, but overflow still counts every pair.
+                if inside.terms and basis.dim < ambient and basis.add(inside.terms):
                     new.append(inside)
         frontier = new
     if basis.dim >= ambient:

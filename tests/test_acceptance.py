@@ -19,6 +19,7 @@ from wittdiamond.fock import (
     OmegaFactor,
     OneDim,
     Whittaker,
+    barrier_invariance_check,
     epsilon_simplicity,
     q_action,
 )
@@ -183,43 +184,58 @@ def test_criterion_05_q_operator():
                f"non-proportional pair (1, {qv}) on the Whittaker family")
 
 
+# (beta, w, eps) with -eps/beta - w not an integer, and (beta, w, eps, witness).
+CRITERION_06_SIMPLE = [
+    (F(1), F(1, 2), F(0)),
+    (F(2), F(0), F(1)),
+    (F(1), F(-1, 3), F(0)),
+    (F(3), F(1, 4), F(1, 2)),
+    (F(-2), F(2, 3), F(1, 5)),
+]
+CRITERION_06_NON_SIMPLE = [
+    (beta, w, -beta * (w + n0), n0)
+    for beta, w, n0 in [(F(1), F(2), 1), (F(2), F(0), -2), (F(1), F(-1), 3), (F(-1), F(1), 0),
+                        (F(3), F(-2), -3)]
+]
+
+
+def _criterion_06_box(level: int) -> TruncationPolicy:
+    """A box reaching past x1-level k; inside the invariant subspace the closure would fill it."""
+    return TruncationPolicy(max_total_degree=max(3, abs(level) + 2), generator_window=2,
+                            max_steps=48)
+
+
 def test_criterion_06_epsilon_simplicity_vs_closure():
-    simple_cases = [
-        (F(1), F(1, 2), F(0)),
-        (F(2), F(0), F(1)),
-        (F(1), F(-1, 3), F(0)),
-        (F(3), F(1, 4), F(1, 2)),
-        (F(-2), F(2, 3), F(1, 5)),
-    ]
-    non_simple_cases = []
-    for beta, w, n0 in [
-        (F(1), F(2), 1),
-        (F(2), F(0), -2),
-        (F(1), F(-1), 3),
-        (F(-1), F(1), 0),
-        (F(3), F(-2), -3),
-    ]:
-        non_simple_cases.append((beta, w, -beta * (w + n0), n0))
     policy = TruncationPolicy(max_total_degree=3, generator_window=2, max_steps=48)
-    for beta, w, eps in simple_cases:
+    for beta, w, eps in CRITERION_06_SIMPLE:
         module = FModule(F(1, 3), beta, MFactor(F(1, 5)), MFactor(w), OneDim(eps))
         verdict = epsilon_simplicity(module)
         assert verdict.simple
         closure = truncated_closure(module, module.one(), policy)
         assert closure.verdict == ClosureReport.FILLS, (beta, w, eps, closure)
-    for beta, w, eps, n0 in non_simple_cases:
+    for beta, w, eps, n0 in CRITERION_06_NON_SIMPLE:
         module = FModule(F(1, 3), beta, MFactor(F(1, 5)), MFactor(w), OneDim(eps))
         verdict = epsilon_simplicity(module)
         assert not verdict.simple and verdict.witness == n0
-        # the truncation must reach past the barrier level, or the invariant
-        # subspace covers the whole box and the closure legitimately fills it
-        wide = TruncationPolicy(
-            max_total_degree=max(3, abs(n0) + 2), generator_window=2, max_steps=48
-        )
         start = module.ring.monomial({"x1": n0})
-        closure = truncated_closure(module, start, wide)
+        closure = truncated_closure(module, start, _criterion_06_box(n0))
         assert closure.verdict == ClosureReport.PROPER, (beta, w, eps, n0, closure)
     _report(6, "criterion verdict matches closure oracle on 5 simple + 5 non-simple tuples")
+
+
+def test_criterion_06_barrier_check_agrees_with_the_closure():
+    # The barrier check at level k is complete exactly when the closure from x1^k ends
+    # proper: at the witness and not one level above it, and at no level of a simple module.
+    levels = [(beta, w, eps, k) for beta, w, eps in CRITERION_06_SIMPLE for k in (0, 1)]
+    levels += [(beta, w, eps, k) for beta, w, eps, n0 in CRITERION_06_NON_SIMPLE
+               for k in (n0, n0 + 1)]
+    for beta, w, eps, k in levels:
+        module = FModule(F(1, 3), beta, MFactor(F(1, 5)), MFactor(w), OneDim(eps))
+        barrier = barrier_invariance_check(module, k)
+        closure = truncated_closure(module, module.ring.monomial({"x1": k}), _criterion_06_box(k))
+        assert barrier.ok == (closure.verdict == ClosureReport.PROPER), (beta, w, eps, k, closure)
+        assert barrier.ok == (epsilon_simplicity(module).witness == k)
+    _report(6, f"barrier check agrees with the closure oracle at {len(levels)} levels")
 
 
 def test_criterion_07_reduction_certificates():

@@ -11,6 +11,7 @@ import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
 from wittdiamond.cli import MAX_ACT_WORK, MAX_EPSILON_WITNESS, MAX_INPUT_POWER, build_parser, main
+from wittdiamond.fock import FModule
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
 from wittdiamond.operators import OperatorElement, TensorElement
@@ -228,15 +229,69 @@ def test_simplicity_commands(write_json, tmp_path):
     assert detail["proper_witness"] == {"in_W": "1", "not_in_W": "s1", "holds": True}
 
 
-def test_f_proper_closure_runs_as_many_rounds_as_the_witness_needs(write_json, tmp_path):
-    # The barrier x1^31 needs 2*31 + 3 = 65 closure rounds, one past the default 64.
-    spec = {"family": "F", "alpha": "1", "beta": "1", "P": {"kind": "M", "w": ["1/3", "0"]},
-            "V": {"kind": "C_eps", "eps": "-31"}}
+F_WITNESS_31 = {"family": "F", "alpha": "1", "beta": "1", "P": {"kind": "M", "w": ["1/3", "0"]},
+                "V": {"kind": "C_eps", "eps": "-31"}}
+
+
+def test_f_proper_barrier_is_proved_from_probe_images(write_json, tmp_path):
+    # Twelve probe images prove the barrier x1^31, where a closure from it takes 65
+    # rounds (tests/test_oracle.py keeps that closure as an oracle).
     out = str(tmp_path / "r.json")
-    assert main(["simplicity", "--spec", write_json("f31.json", spec), "--out", out]) == 0
-    criterion, closure = (c["detail"] for c in _check_report(out)["checks"])
-    assert criterion["witness"] == 31
-    assert closure["verdict"] == "proper-at-truncation" and closure["rounds"] == 65
+    assert main(["simplicity", "--spec", write_json("f31.json", F_WITNESS_31), "--out", out]) == 0
+    doc = _check_report(out)
+    assert [c["check"] for c in doc["checks"]] == ["epsilon-criterion", "barrier-invariance"]
+    criterion, barrier = (c["detail"] for c in doc["checks"])
+    assert criterion == {"simple": False, "witness": 31, "submodule": "span{ x1-degree <= 31 }"}
+    # L on {0, 1} x {0, 1}, every other family on {0} x {0, 1}.
+    assert barrier == {
+        "complete": True, "probes": 2, "images_checked": 12, "max_index_degree": 1,
+        "escapes": [], "proper_witness": {"in_W": "x1^31", "not_in_W": "x1^32", "holds": True},
+    }
+
+
+def test_f_simple_report_is_the_epsilon_criterion_with_its_crossing(write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main(["simplicity", "--spec", write_json("f.json", F_SPEC), "--out", out]) == 0
+    # -eps/beta - w = -0/3 - 1/2 is not an integer.
+    assert _check_report(out)["checks"] == [{"check": "epsilon-criterion", "status": "pass", "detail": {
+        "simple": True, "witness": None, "submodule": None, "crossing": "-1/2"}}]
+
+
+def _plant_x1_raise(act, family):
+    """FModule.act plus x0^m x1 p on the images of family[m]."""
+    def planted(self, g, v):
+        out = act(self, g, v)
+        if g.family == family:
+            out = out + self.ring.monomial({"x0": g.index, "x1": 1}) * v
+        return out
+    return planted
+
+
+@pytest.mark.parametrize("family, escape", [("a", "a[0] on x1^31"), ("L", "L[0] on x1^31")],
+                         ids=["a-coefficient-off-by-one", "x1-raising-term-in-L"])
+def test_f_barrier_exits_1_on_a_planted_defect(family, escape, write_json, tmp_path, monkeypatch):
+    # On a, x0^m x1 p moves the coefficient beta (w + k) + eps by one; on L it is a new raise.
+    monkeypatch.setattr(FModule, "act", _plant_x1_raise(FModule.act, family))
+    out = str(tmp_path / "r.json")
+    assert main(["simplicity", "--spec", write_json("f31.json", F_WITNESS_31), "--out", out]) == 1
+    barrier = _check_report(out)["checks"][1]
+    assert barrier["check"] == "barrier-invariance" and barrier["status"] == "fail"
+    assert escape in barrier["detail"]["escapes"]
+
+
+def test_report_schema_pins_the_barrier_detail(write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    assert main(["simplicity", "--spec", write_json("f31.json", F_WITNESS_31), "--out", out]) == 0
+    doc = _check_report(out)
+    validator = jsonschema.Draft202012Validator(load_schema("report.schema.json"))
+    entry = doc["checks"][1]
+    detail = entry["detail"]
+    for key, bad in (("probes", 12), ("complete", False), ("proper_witness", {"in_W": "1"})):
+        assert not validator.is_valid({**doc, "checks": [doc["checks"][0],
+                                                         {**entry, "detail": {**detail, key: bad}}]})
+        missing = {k: v for k, v in detail.items() if k != key}
+        assert not validator.is_valid({**doc, "checks": [doc["checks"][0],
+                                                         {**entry, "detail": missing}]})
 
 
 @pytest.mark.parametrize("eps", ["-65", "65"])

@@ -13,6 +13,7 @@ from wittdiamond.fock import (
     OmegaFactor,
     OneDim,
     Whittaker,
+    barrier_invariance_check,
     epsilon_simplicity,
     q_action,
     weight_decomposition,
@@ -239,6 +240,37 @@ def test_epsilon_simplicity_matches_closure_oracle():
             expected = ClosureReport.PROPER
         report = truncated_closure(module, start, policy)
         assert report.verdict == expected, (beta, w, eps, report)
+
+
+@pytest.mark.parametrize("p0, images, a_images, degree", [(MFactor(F(1, 5)), 12, 2, 1),
+                                                           (OmegaFactor(F(2)), 17, 3, 2)],
+                         ids=["M", "Omega"])
+def test_barrier_invariance_holds_exactly_at_the_witness(p0, images, a_images, degree):
+    # beta (w + n) + eps = 0 at n = 1.  On an Omega P0 the probe d0 adds one to each index degree.
+    module = FModule(F(1, 3), F(1), p0, MFactor(F(2)), OneDim(F(-3)))
+    report = barrier_invariance_check(module, 1)
+    assert report.ok and report.proper and report.escapes == []
+    assert (report.probes, report.images_checked, report.max_index_degree) == (2, images, degree)
+    for level in (0, 2):
+        # Off the witness a's coefficient is not zero, so every a-image escapes, and only those.
+        off = barrier_invariance_check(module, level)
+        assert not off.ok and off.proper
+        assert f"a[0] on {module.ring.monomial({'x1': level})}" in off.escapes
+        assert len(off.escapes) == a_images and all(e.startswith("a[") for e in off.escapes)
+
+
+def test_barrier_invariance_requires_the_epsilon_branch():
+    with pytest.raises(UnsupportedOperation):
+        barrier_invariance_check(
+            FModule(F(0), F(1), MFactor(F(0)), OmegaFactor(F(2)), OneDim(F(0))), 0)
+    with pytest.raises(UnsupportedOperation):
+        barrier_invariance_check(FModule(F(0), F(1), MFactor(F(0)), MFactor(F(0)), Whittaker()), 0)
+
+
+def test_epsilon_simplicity_reports_its_crossing():
+    module = FModule(F(0), F(3), MFactor(F(0)), MFactor(F(1, 2)), OneDim(F(1)))
+    verdict = epsilon_simplicity(module)
+    assert verdict.crossing == F(-1, 3) - F(1, 2) and verdict.simple and verdict.witness is None
 
 
 def test_weight_decomposition_eigenvalues():

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from wittdiamond import oracle
 from wittdiamond.exceptions import ZeroVector
 from wittdiamond.fock import FModule, MFactor, OneDim
 from wittdiamond.lie import gen, generators_in_window, pbw_normalize
-from wittdiamond.linalg import exact_det
+from wittdiamond.linalg import SpanBasis, exact_det
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
 from wittdiamond.oracle import (
     ClosureReport,
@@ -38,6 +39,42 @@ def test_closure_proper_below_barrier():
     # starting above the barrier the closure descends freely and fills
     report2 = truncated_closure(module, module.ring.var("x1", 2), policy)
     assert report2.verdict == ClosureReport.FILLS
+
+
+def test_f_proper_closure_runs_as_many_rounds_as_the_witness_needs():
+    # The barrier x1^31 needs 2*31 + 3 = 65 closure rounds, one past the default 64:
+    # one per x1-level from 31 down to -33, and one that finds nothing new, in a box
+    # two degrees above the barrier.
+    module = FModule(F(1), F(1), MFactor(F(1, 3)), MFactor(F(0)), OneDim(F(-31)))
+    box = TruncationPolicy(max_total_degree=31 + 2, max_steps=2 * 31 + 3)
+    report = truncated_closure(module, module.ring.monomial({"x1": 31}), box)
+    assert report.verdict == ClosureReport.PROPER and report.rounds == 65
+
+
+def test_full_closure_basis_is_not_grown_but_every_pair_is_still_acted_on(monkeypatch):
+    module = FModule(F(1, 3), F(1), MFactor(F(1, 5)), MFactor(F(1, 2)), OneDim(F(0)))
+    policy = TruncationPolicy(max_total_degree=3, generator_window=2, max_steps=32)
+    ambient = sum(1 for _ in oracle.monomials_within(module.ring, 3))
+    acts, adds_when_full, full_at = [], [], []
+
+    class CountingBasis(SpanBasis):
+        def add(self, terms):
+            adds_when_full.append(self.dim >= ambient)
+            grew = super().add(terms)
+            if self.dim >= ambient and not full_at:
+                full_at.append(len(acts))
+            return grew
+
+    act = FModule.act
+    monkeypatch.setattr(FModule, "act", lambda self, g, v: acts.append((g, v)) or act(self, g, v))
+    monkeypatch.setattr(oracle, "SpanBasis", CountingBasis)
+    report = truncated_closure(module, module.one(), policy)
+    assert report.verdict == ClosureReport.FILLS and report.reached_dim == ambient
+    assert not any(adds_when_full)
+    # The round that fills the box still acts on its remaining pairs, and counts their overflow.
+    assert len(acts) > full_at[0]
+    assert report.overflow_count == sum(
+        1 for g, v in acts if any(sum(map(abs, e)) > 3 for e in act(module, g, v).terms))
 
 
 def test_closure_fills_for_omega_from_one():
