@@ -40,9 +40,11 @@ from .homomorphisms import (
 from .lie import bracket, generators_in_window, jacobi_residual, parse_words
 from .omega import (
     Degenerate,
+    InvarianceReport,
     OmegaModule,
     classify_rank1,
     omega_reduce_to_one,
+    orbit_points,
     rank1_grid,
     uh_rank,
 )
@@ -114,11 +116,17 @@ def _load_spec(path: str) -> dict:
     """The JSON of an input file (``--spec``, ``--data``, ``--left``, ``--right``).
 
     A key given twice in one object is a spec error rather than silently the
-    last value; the readers (``module_from_spec``, ``rank1_data_from_json``)
-    validate the rest.
+    last value, and so is a number that Python will not convert (an integer
+    above its limit on digits); the readers (``module_from_spec``,
+    ``rank1_data_from_json``) validate the rest.
     """
     with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:  # an integer above Python's limit on the digits of an int string
+            raise InvalidSpec(f"{path}: a number with more digits than Python converts") from None
 
 
 def _rational(text: str, option: str) -> Fraction:
@@ -141,11 +149,6 @@ def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
 # s -> s - n grow with n and e, so an eleven-digit index or a six-digit exponent
 # would exhaust memory or run for minutes before any check is made.
 MAX_INPUT_POWER = 1000
-
-# Bound on |n| of the epsilon-witness of an F spec, a bound on the input only:
-# the barrier x1^n is proved from the same number of probe images for every n.
-MAX_EPSILON_WITNESS = 64
-
 
 def _parse_vector(ring: PolyRing, text: str) -> SparsePoly:
     v = _parse_poly_option(ring, text, "--vector")
@@ -333,6 +336,19 @@ def _closure_check(rep: Report, module, start: SparsePoly, expected: str, **note
     })
 
 
+def _invariance_detail(inv: InvarianceReport, in_w: str, not_in_w: str, **lead) -> dict:
+    """The detail of an invariant-subspace proof, led by the ``lead`` keywords, if any."""
+    return {
+        **lead,
+        "complete": True,
+        "probes": inv.probes,
+        "images_checked": inv.images_checked,
+        "max_index_degree": inv.max_index_degree,
+        "escapes": inv.escapes[:10],
+        "proper_witness": {"in_W": in_w, "not_in_W": not_in_w, "holds": inv.proper},
+    }
+
+
 def cmd_simplicity(args) -> int:
     rep = Report("simplicity")
     module = module_from_spec(_load_spec(args.spec))
@@ -342,9 +358,6 @@ def cmd_simplicity(args) -> int:
         m_type_x1 = isinstance(module.factors[1], MFactor)
         if one_dim and m_type_x1:
             verdict = epsilon_simplicity(module)
-            if not verdict.simple and abs(verdict.witness) > MAX_EPSILON_WITNESS:
-                raise InvalidSpec(f"the epsilon-witness {verdict.witness} is above the bound "
-                                  f"{MAX_EPSILON_WITNESS} on its size")
             criterion = {"simple": verdict.simple, "witness": verdict.witness,
                          "submodule": verdict.barrier}
             if verdict.simple:
@@ -353,15 +366,8 @@ def cmd_simplicity(args) -> int:
             if not verdict.simple:
                 n = verdict.witness
                 inv = barrier_invariance_check(module, n)
-                rep.add("barrier-invariance", inv.ok, {
-                    "complete": True,
-                    "probes": inv.probes,
-                    "images_checked": inv.images_checked,
-                    "max_index_degree": inv.max_index_degree,
-                    "escapes": inv.escapes[:10],
-                    "proper_witness": {"in_W": f"x1^{n}", "not_in_W": f"x1^{n + 1}",
-                                       "holds": inv.proper},
-                })
+                rep.add("barrier-invariance", inv.ok,
+                        _invariance_detail(inv, f"x1^{n}", f"x1^{n + 1}"))
         else:
             kind = "Whittaker V" if isinstance(module.v_space, Whittaker) else "shift-type x1"
             _closure_check(rep, module, module.one(), ClosureReport.FILLS,
@@ -392,22 +398,9 @@ def cmd_simplicity(args) -> int:
             )
         else:
             inv = decision.invariance
-            i = decision.witness_pair[0]
-            rep.add(
-                "simplicity",
-                inv.ok,
-                {
-                    "simple": False,
-                    "witness_pair": decision.witness_pair,
-                    "note": decision.note,
-                    "complete": True,
-                    "probes": inv.probes,
-                    "images_checked": inv.images_checked,
-                    "max_index_degree": inv.max_index_degree,
-                    "escapes": inv.escapes[:10],
-                    "proper_witness": {"in_W": "1", "not_in_W": f"s{i}", "holds": inv.proper},
-                },
-            )
+            rep.add("simplicity", inv.ok, _invariance_detail(
+                inv, "1", f"s{decision.witness_pair[0]}", simple=False,
+                witness_pair=decision.witness_pair, note=decision.note))
     return rep.finish(args.out)
 
 
@@ -495,7 +488,7 @@ def cmd_rank(args) -> int:
                 "vector": vector_report(v),
                 "equality_iff_t_only": in_bottom,
                 "complete": True,
-                "orbit_points": module.orbit_points("a", v),
+                "orbit_points": orbit_points(module.index_degrees("a", v)),
             },
         )
     else:

@@ -37,11 +37,12 @@ so the split loses no generality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidGenerator, InvalidSpec, NotWeight, UnsupportedOperation
-from .lie import FAMILIES, Generator, gen
+from .lie import Generator, gen
+from .omega import InvarianceReport, invariance_check
 from .poly import PolyRing, SparsePoly, act_by_rules, monomials_within
 from .scalars import ONE, ZERO, clear_denominators, scalar
 
@@ -151,6 +152,26 @@ class FModule:
                for c, c1, i, r0, r1, h in rules]
         return act_by_rules(v, ops, den, (l0, n), (l1, k))
 
+    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
+        """{scale: D}: X[n] v is scale^n times a polynomial in n of degree at most D.
+
+        Every rule of ``act`` carries x0^n: l^n times d0 -> d0 - n on an
+        Omega(l)-type P0 (scale l), a raise of x0 by n on an M-type one
+        (scale 1; the bound is on x0^-n X[n] v).  D = [X = L] (L's n alpha,
+        and its n h on the Whittaker V) + [V Whittaker and X in {a, d}]
+        (their n e) + the d0-degree p of v ((d0 - n)^p); x1 moves by a
+        power fixed by the family.  Grid lemma (Alon 1999, Combinatorial
+        Nullstellensatz, Lemma 2.1): a polynomial of degree at most D that
+        vanishes at D + 1 points is zero.  So modulo a subspace W stable
+        under powers of x0, the D + 1 images of ``omega.orbit`` settle
+        X[n] v for every n in Z.
+        """
+        p0 = self.factors[0]
+        omega_p0 = isinstance(p0, OmegaFactor)
+        degree = ((family == "L") + (isinstance(self.v_space, Whittaker) and family in ("a", "d"))
+                  + (omega_p0 and (v.var_degree("d0") or 0)))
+        return {p0.lam if omega_p0 else ONE: degree}
+
 
 def q_action(module: FModule, v: SparsePoly) -> SparsePoly:
     """Apply b[0] a[0] + c[0] d[0]."""
@@ -201,22 +222,7 @@ def epsilon_simplicity(module: FModule) -> EpsilonSimplicity:
     return EpsilonSimplicity(-module.v_space.eps / module.beta - module.factors[1].weight)
 
 
-@dataclass
-class BarrierInvarianceReport:
-    """Probe images of the barrier W_n, and W_n's properness witness."""
-
-    probes: int = 0
-    images_checked: int = 0
-    max_index_degree: int = 0
-    escapes: list[str] = field(default_factory=list)
-    proper: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.proper and not self.escapes
-
-
-def barrier_invariance_check(module: FModule, n: int) -> BarrierInvarianceReport:
+def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     """Exact invariance of W_n = span{ x0^e x1^k : k <= n } under every X[m], m in Z.
 
     Here x0^e stands for d0^e (e >= 0) when P0 is of Omega type.  With V =
@@ -229,45 +235,20 @@ def barrier_invariance_check(module: FModule, n: int) -> BarrierInvarianceReport
     when a[m] kills every x0^e x1^n.  The a-coefficient there is
     beta (w + n) + eps, zero when n is the epsilon-witness.
 
-    The check reads the images of the probes x0^0 x1^n and x0^1 x1^n under
-    every family through ``module.act``, on the index grid m = 0..D, and
-    requires each image to lie in W_n.  That settles every m in Z and every
-    e, by the polynomial grid lemma (Alon 1999, Combinatorial
-    Nullstellensatz, Lemma 2.1: a polynomial of degree at most t_i in its
-    i-th variable that vanishes on a grid S_1 x ... x S_k with |S_i| > t_i
-    is zero):
-
-    - on an M-type P0 the part of X[m] x0^e x1^n outside W_n is
-      P(m, e) x0^(e + m) x1^(n + 1), with P of degree at most D = [X = L]
-      in m and 1 in e, so the grid {0..D} x {0, 1} decides it;
-    - on an Omega(l)-type P0, X[m] acts on C[d0] as l^m tau^m, with tau the
-      shift d0 -> d0 - m, after a first-order operator P + Q d/dd0, so it is
-      zero once it kills d0^0 and d0^1; and l^-m X[m] d0^e is a polynomial
-      in m of degree D = e + [X = L], as in ``omega.index_degrees``.
-
+    The probes x0^0 x1^n and x0^1 x1^n settle every e: on an M-type P0
+    the part of X[m] x0^e x1^n outside W_n is P(m, e) x0^(e + m)
+    x1^(n + 1) with P affine in e; on an Omega(l)-type P0, X[m] acts on
+    C[d0] as l^m tau^m (tau: d0 -> d0 - m) after a first-order operator
+    P + Q d/dd0.  W_n is stable under powers of x0, so the grid lemma of
+    ``FModule.index_degrees`` settles every m from ``omega.orbit`` images.
     W_n is proper: x1^n lies in it and x1^(n + 1) does not.
     """
     _require_epsilon_branch(module)
     x1 = module.ring.index("x1")
-    omega_p0 = isinstance(module.factors[0], OmegaFactor)
-
-    def in_w(f: SparsePoly) -> bool:
-        return all(exps[x1] <= n for exps in f.terms)
-
     var0 = module.ring.names[0]
     probes = [module.ring.monomial({var0: e, "x1": n}) for e in (0, 1)]
-    report = BarrierInvarianceReport(probes=len(probes))
-    for fam in FAMILIES:
-        for e, v in enumerate(probes):
-            degree = (fam == "L") + omega_p0 * e
-            report.max_index_degree = max(report.max_index_degree, degree)
-            for g in (gen(fam, m) for m in range(degree + 1)):
-                report.images_checked += 1
-                if not in_w(module.act(g, v)):
-                    report.escapes.append(f"{g} on {v}")
-    report.proper = (in_w(module.ring.monomial({"x1": n}))
-                     and not in_w(module.ring.monomial({"x1": n + 1})))
-    return report
+    return invariance_check(module, probes, lambda f: all(exps[x1] <= n for exps in f.terms),
+                            module.ring.monomial({"x1": n}), module.ring.monomial({"x1": n + 1}))
 
 
 def weight_decomposition(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .certificates import CertStep, Certificate, require
 from .exceptions import InvalidGenerator, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
@@ -130,10 +131,6 @@ class OmegaModule:
         """The bounds D_lam of ``index_degrees`` for the X-orbit of v."""
         return index_degrees((self.params.lam,), (v.var_degree("s") or 0,), family)
 
-    def orbit_points(self, family: str, v: SparsePoly) -> int:
-        """The point count N of ``orbit_points`` for the X-orbit of v."""
-        return orbit_points(self.index_degrees(family, v))
-
 
 def index_degrees(lams, profile, family: str) -> dict[Fraction, int]:
     """Bounds D_lam on the n-degree of X[n] v = sum_lam lam^n P_lam(n).
@@ -167,9 +164,53 @@ def operator_form(module, g: Generator) -> tuple[SparsePoly, SparsePoly]:
 
 
 def orbit(module, family: str, v: SparsePoly) -> list[tuple[Generator, SparsePoly]]:
-    """(X[n], X[n] v) for n < N = ``module.orbit_points(family, v)``: they span the X-orbit."""
-    gens = [gen(family, n) for n in range(module.orbit_points(family, v))]
+    """(X[n], X[n] v) for n < N = ``orbit_points(module.index_degrees(family, v))``.
+
+    With X[n] v = sum_lam lam^n P_lam(n), deg P_lam <= D_lam, the
+    generalized Vandermonde lemma of ``orbit_points`` makes these N images
+    span the X-orbit of v over every n in Z (for an F module's x0-shift,
+    see ``FModule.index_degrees``).
+    """
+    gens = [gen(family, n) for n in range(orbit_points(module.index_degrees(family, v)))]
     return [(g, module.act(g, v)) for g in gens]
+
+
+@dataclass
+class InvarianceReport:
+    """Probe images of a subspace W, those that escape it, and W's properness witness."""
+
+    probes: int = 0
+    images_checked: int = 0
+    max_index_degree: int = 0
+    escapes: list[str] = field(default_factory=list)
+    proper: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.proper and not self.escapes
+
+
+def invariance_check(module, probes: list[SparsePoly], in_w: Callable[[SparsePoly], bool],
+                     inside: SparsePoly, outside: SparsePoly) -> InvarianceReport:
+    """Exact invariance of W under every X[n], n in Z, from the ``orbit`` of each probe.
+
+    Each caller proves that its W, tested by ``in_w``, is invariant once
+    every X[n] maps each probe into W; the probe's ``orbit`` images settle
+    every n (the Vandermonde span of ``orbit``, or for an F module's
+    x0-shift the grid lemma of ``FModule.index_degrees``).  W is proper
+    when ``inside`` lies in it and ``outside`` does not.
+    """
+    report = InvarianceReport(probes=len(probes))
+    for fam in FAMILIES:
+        for v in probes:
+            report.max_index_degree = max(report.max_index_degree,
+                                          *module.index_degrees(fam, v).values())
+            for g, image in orbit(module, fam, v):
+                report.images_checked += 1
+                if not in_w(image):
+                    report.escapes.append(f"{g} on {v}")
+    report.proper = in_w(inside) and not in_w(outside)
+    return report
 
 
 # The messages of the two kinds of certificate step check, here and in ``tensor``.

@@ -88,7 +88,10 @@ def _rational(value, pointer: str, nonzero: bool = False) -> Fraction:
     if not isinstance(value, str) or not pattern.fullmatch(value):
         what = "a nonzero rational" if nonzero else "a rational"
         raise InvalidSpec(f'{value!r} is not {what} "p" or "p/q"', pointer)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:  # above Python's limit on the digits of an int string
+        raise InvalidSpec("a rational with more digits than Python converts", pointer) from None
 
 
 def _integer(value, pointer: str, minimum: int | None = 0, maximum: int | None = None) -> int:

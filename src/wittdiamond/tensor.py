@@ -21,13 +21,13 @@ from typing import Sequence
 from .axioms import simplicity_samples
 from .certificates import CertStep, Certificate, require
 from .exceptions import InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
-from .lie import FAMILIES, Generator
+from .lie import Generator
 from .linalg import SpanBasis, exact_det
 # Not called here; perfbench/selftest.py checks that its tracer rebinds this binding.
 from .linalg import combination  # noqa: F401
 from .omega import (
-    DERIVATIVE_MISSED, EXTRACTION_MISSED, OmegaParams, dt_step, index_degrees, omega_factor_act,
-    orbit, orbit_component, orbit_points
+    DERIVATIVE_MISSED, EXTRACTION_MISSED, InvarianceReport, OmegaParams, dt_step, index_degrees,
+    invariance_check, omega_factor_act, orbit, orbit_component
 )
 from .poly import PolyRing, SparsePoly
 from .scalars import ONE, add_scaled, scalar, superfactorial
@@ -88,10 +88,6 @@ class TensorModule:
     def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
         """The bounds D_lam of ``omega.index_degrees`` for the X-orbit of v."""
         return index_degrees([f.lam for f in self.factors], self.s_profile(v), family)
-
-    def orbit_points(self, family: str, v: SparsePoly) -> int:
-        """The point count N of ``omega.orbit_points`` for the X-orbit of v."""
-        return orbit_points(self.index_degrees(family, v))
 
 
 # -- the generalized Vandermonde determinant --------------------------------
@@ -290,11 +286,11 @@ def tensor_reduce_to_bottom(module: TensorModule,
 
     The s-part of the leading exponent is peeled off by top-slice
     extractions (strictly degree-decreasing); once the vector lies in
-    C[t_1..t_m], the derivative steps of ``omega.dt_step`` reduce the t-part
-    to a constant.  Each step's target (the extraction's shifted slice, the
-    t_k-derivative) is computed directly while the chain is built; one
-    checked ``Certificate.replay`` then applies every step once and compares
-    each image with its target.
+    C[t_1..t_m], the derivative steps of ``omega.dt_step``, built once per
+    factor, reduce the t-part to a constant.  Each step's target (the
+    extraction's shifted slice, the t_k-derivative) is computed directly
+    while the chain is built; one checked ``Certificate.replay`` then
+    applies every step once and compares each image with its target.
     """
     if not module.distinct_lambdas():
         raise NotApplicable("requires pairwise distinct lambdas")
@@ -303,6 +299,7 @@ def tensor_reduce_to_bottom(module: TensorModule,
     m = module.m
     steps: list[CertStep] = []
     checks: list[tuple[SparsePoly, str]] = []
+    derivatives: dict[int, CertStep] = {}
     v = g
     while True:
         deg = v.degree()
@@ -313,7 +310,9 @@ def tensor_reduce_to_bottom(module: TensorModule,
             checks.append((v, EXTRACTION_MISSED))
         elif any(q_part):
             k = next(i for i, q in enumerate(q_part) if q) + 1
-            step, v = dt_step(module, module.factors[k - 1]), v.derive(module.tvar(k))
+            if k not in derivatives:
+                derivatives[k] = dt_step(module, module.factors[k - 1])
+            step, v = derivatives[k], v.derive(module.tvar(k))
             checks.append((v, DERIVATIVE_MISSED))
         else:
             break
@@ -372,23 +371,7 @@ def r_g(module: TensorModule, g: SparsePoly) -> int:
 # -- simplicity and isomorphism ----------------------------------------------
 
 
-@dataclass
-class WInvarianceReport:
-    """Probe images of the witness subspace W, and W's properness witness."""
-
-    pair: tuple[int, int]
-    probes: int = 0
-    images_checked: int = 0
-    max_index_degree: int = 0
-    escapes: list[str] = field(default_factory=list)
-    proper: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.proper and not self.escapes
-
-
-def w_invariance_check(module: TensorModule, i: int, j: int) -> WInvarianceReport:
+def w_invariance_check(module: TensorModule, i: int, j: int) -> InvarianceReport:
     """Exact invariance of W = C[u, t_i, t_j] (x) C[rest], u = s_i + s_j.
 
     Factor k acts as X[n] = (A_k + B_k d/dt_k) o tau_k^n, with tau_k^n the
@@ -405,29 +388,16 @@ def w_invariance_check(module: TensorModule, i: int, j: int) -> WInvarianceRepor
 
     W is a ring holding 1, t_i and t_j, so W is invariant under X[n] exactly
     when the probe images X[n] 1, X[n] t_i and X[n] t_j lie in W, and the
-    ``omega.orbit`` of each probe settles every n in Z.  Membership is
+    ``omega.orbit`` of each probe (s-profile zero, so D_lam = [X = L])
+    spans its X-orbit by the generalized Vandermonde lemma.  Membership is
     exact: in the coordinates u and v = s_j, d/dv = d/ds_j - d/ds_i, so over
     Q a polynomial f lies in W exactly when df/ds_i = df/ds_j.  W is proper:
     1 lies in W and s_i does not.
     """
     si, sj = module.svar(i), module.svar(j)
-
-    def in_w(f: SparsePoly) -> bool:
-        return f.derive(si) == f.derive(sj)
-
     probes = [module.one(), module.ring.var(module.tvar(i)), module.ring.var(module.tvar(j))]
-    report = WInvarianceReport(pair=(i, j), probes=len(probes))
-    for fam in FAMILIES:
-        # Every probe has s-profile zero, so one family shares one bound.
-        report.max_index_degree = max(report.max_index_degree,
-                                      *module.index_degrees(fam, module.one()).values())
-        for v in probes:
-            for g, image in orbit(module, fam, v):
-                report.images_checked += 1
-                if not in_w(image):
-                    report.escapes.append(f"{g} on {v}")
-    report.proper = in_w(module.one()) and not in_w(module.ring.var(si))
-    return report
+    return invariance_check(module, probes, lambda f: f.derive(si) == f.derive(sj),
+                            module.one(), module.ring.var(si))
 
 
 @dataclass
@@ -444,7 +414,7 @@ class SimplicityResult:
     simple: bool
     evidence: list[SimplicityEvidence] = field(default_factory=list)
     witness_pair: tuple[int, int] | None = None
-    invariance: WInvarianceReport | None = None
+    invariance: InvarianceReport | None = None
     note: str = ""
 
 

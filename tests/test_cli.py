@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
 
-from wittdiamond.cli import MAX_ACT_WORK, MAX_EPSILON_WITNESS, MAX_INPUT_POWER, build_parser, main
+from wittdiamond.cli import MAX_ACT_WORK, MAX_INPUT_POWER, build_parser, main
 from wittdiamond.fock import FModule
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import LElement, bracket, gen
@@ -294,15 +294,23 @@ def test_report_schema_pins_the_barrier_detail(write_json, tmp_path):
                                                          {**entry, "detail": missing}]})
 
 
-@pytest.mark.parametrize("eps", ["-65", "65"])
-def test_f_proper_witness_above_the_bound_exits_2(eps, write_json, capsys):
-    spec = {"family": "F", "alpha": "1", "beta": "1", "P": {"kind": "M", "w": ["1/3", "0"]},
+@pytest.mark.parametrize("eps", ["-65", "65", "-1000000000000", "1000000000000"])
+@pytest.mark.parametrize("p0", [{"kind": "M", "w": "1/3"}, {"kind": "Omega", "lambda": "2"}],
+                         ids=["M", "Omega"])
+def test_f_proper_witness_of_any_size_is_proved(eps, p0, write_json, tmp_path):
+    # The barrier x1^n is proved from the same 12 or 17 probe images for every n.
+    spec = {"family": "F", "alpha": "1", "beta": "1", "P": {"kind": "P0xM", "P0": p0, "w": "0"},
             "V": {"kind": "C_eps", "eps": eps}}
+    out = str(tmp_path / "r.json")
     start = time.perf_counter()
-    assert main(["simplicity", "--spec", write_json("f65.json", spec)]) == 2
+    assert main(["simplicity", "--spec", write_json("f.json", spec), "--out", out]) == 0
     assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert f"epsilon-witness {-int(eps)} is above the bound {MAX_EPSILON_WITNESS}" in err
+    criterion, barrier = (c["detail"] for c in _check_report(out)["checks"])
+    n = -int(eps)
+    assert criterion["witness"] == n and barrier["complete"] is True
+    assert barrier["images_checked"] == (12 if p0["kind"] == "M" else 17)
+    assert barrier["proper_witness"] == {"in_W": f"x1^{n}", "not_in_W": f"x1^{n + 1}",
+                                         "holds": True}
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -660,6 +668,25 @@ def test_oversized_index_or_exponent_exits_2(argv, option, write_json, capsys):
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert f"{option}: " in err and "above the bound" in err
+
+
+HUGE = "1" + "0" * 5000  # 5001 digits, above Python's default limit of 4300 on int strings
+
+
+@pytest.mark.parametrize("argv, text, pointer", [
+    (["rank", "--spec"], json.dumps({**OMEGA_SPEC, "alpha": HUGE}), "/alpha"),
+    (["rank", "--spec"], json.dumps({**OMEGA_SPEC, "alpha": f"1/{HUGE}"}), "/alpha"),
+    (["rank", "--spec"], json.dumps({**OMEGA_SPEC, "g": [[0, "1"]]}).replace("[0,", f"[{HUGE},"),
+     None),
+    (["classify", "--data"], json.dumps({**ACTION_DATA, "lambda": HUGE}), "/lambda"),
+], ids=["omega-alpha", "omega-alpha-denominator", "json-integer-g-power", "data-lambda"])
+def test_number_above_the_digit_limit_exits_2(argv, text, pointer, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert _exit_code(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "more digits than Python converts" in err
+    assert "Traceback" not in err and (pointer is None or f"(at {pointer})" in err)
 
 
 def test_index_and_exponent_at_the_bound_are_accepted(write_json, tmp_path):

@@ -12,6 +12,7 @@ from conftest import docstring_action
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.certificates import CertStep
 from wittdiamond.exceptions import InvalidSpec, NotApplicable, RequiresSimple
+from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import FAMILIES, gen
 from wittdiamond.linalg import SpanBasis, combination
 from wittdiamond.omega import (
@@ -29,6 +30,7 @@ from wittdiamond.omega import (
 )
 from wittdiamond.oracle import naive_det
 from wittdiamond.poly import SparsePoly
+from wittdiamond import tensor
 from wittdiamond.tensor import (
     DetSpec,
     TensorModule,
@@ -857,13 +859,89 @@ def test_orbit_points_counts_one_block_per_lambda():
     T = TensorModule([A, OmegaParams(F(1), F(1), F(1), A.lam, (F(2),)), B])
     v = T.ring.monomial({"s1": 2, "s2": 1, "s3": 1, "t3": 2})
     # lambda classes {1, 2} and {3}: D = max(2, 1) + [X = L] and 1 + [X = L].
-    assert T.orbit_points("L", v) == (3 + 1) + (2 + 1)
-    assert T.orbit_points("a", v) == T.orbit_points("c", v) == (2 + 1) + (1 + 1)
-    assert T.orbit_points("b", T.ring.var("t1")) == 2
+    assert orbit_points(T.index_degrees("L", v)) == (3 + 1) + (2 + 1)
+    assert (orbit_points(T.index_degrees("a", v)) == orbit_points(T.index_degrees("c", v))
+            == (2 + 1) + (1 + 1))
+    assert orbit_points(T.index_degrees("b", T.ring.var("t1"))) == 2
     # One lambda: s-degree + 1 points, and one more for L's n alpha.
     M = OmegaModule(A)
     for p in (0, 1, 3):
         v = M.ring.monomial({"s": p, "t": 2}) + M.ring.monomial({"t": 1})
         for family in ("a", "b", "c", "d"):
-            assert M.orbit_points(family, v) == p + 1
-        assert M.orbit_points("L", v) == p + 2
+            assert orbit_points(M.index_degrees(family, v)) == p + 1
+        assert orbit_points(M.index_degrees("L", v)) == p + 2
+
+
+def _check_index_bound(module, family, v, normalize=None, window=range(-4, 4)):
+    """prod_lam (E - lam)^(D_lam + 1), E the shift n -> n + 1, kills n -> X[n] v on the window.
+
+    ``normalize(w, n)`` first moves x0^(e + n) back to x0^e on an F module with an M-type P0.
+    """
+    q = [F(1)]  # the coefficients of prod_lam (z - lam)^(D_lam + 1), constant term first
+    for lam, d in module.index_degrees(family, v).items():
+        for _ in range(d + 1):
+            q = [a - lam * b for a, b in zip([F(0), *q], [*q, F(0)])]
+    images = {}
+    for n in range(window.start, window.stop + len(q)):
+        w = module.act(gen(family, n), v)
+        images[n] = normalize(w, n) if normalize else w
+    for n in window:
+        total = module.ring.zero()
+        for k, c in enumerate(q):
+            total = total + images[n + k] * c
+        assert total.is_zero, (family, v, n)
+
+
+def _f_modules():
+    """All eight F kinds: P0 and x1 each M or Omega, V one-dimensional or Whittaker."""
+    for p0, x1, v_space in itertools.product(
+            (MFactor(F(1, 5)), OmegaFactor(F(-2))), (MFactor(F(2, 3)), OmegaFactor(F(3))),
+            (OneDim(F(-7, 2)), Whittaker())):
+        yield FModule(F(1, 3), F(-2), p0, x1, v_space)
+
+
+def test_index_degrees_bound_every_orbit():
+    """Each family's ``index_degrees`` is a true bound, the premise of every complete grid."""
+    rng = random.Random(83)
+    for par in (A, B, C):
+        M = OmegaModule(par)
+        for p in (0, 1, 2):
+            v = M.ring.monomial({"s": p, "t": 2}) * 3 + M.ring.monomial({"s": rng.randint(0, p)})
+            for family in FAMILIES:
+                _check_index_bound(M, family, v)
+    repeated = OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))
+    for T in (TensorModule([A, B]), TensorModule([A, repeated]), TensorModule([A, repeated, B])):
+        for profile in itertools.product((0, 1, 2), repeat=T.m):
+            exps = {T.svar(k): p for k, p in enumerate(profile, 1)}
+            v = T.ring.monomial({**exps, "t1": 1}) + T.ring.monomial({T.tvar(T.m): 2}) * F(-1, 2)
+            for family in FAMILIES:
+                _check_index_bound(T, family, v)
+    for module in _f_modules():
+        var0, var1 = module.ring.names[:2]
+        omega_p0 = var0 == "d0"
+        normalize = None if omega_p0 else (lambda w, n: w.mul_var("x0", -n))
+        extra = {"h": 1} if "h" in module.ring.names else {}
+        for p in (0, 1, 2):
+            e0 = p if omega_p0 else rng.randint(-2, 2)
+            e1 = rng.randint(0, 2) if var1 == "d1" else rng.randint(-2, 2)
+            v = (module.ring.monomial({var0: e0, var1: e1, **extra})
+                 + module.ring.monomial({var1: e1 + 1}) * F(2, 3))
+            assert module.index_degrees("c", v) == {
+                module.factors[0].lam if omega_p0 else F(1): p if omega_p0 else 0}
+            for family in FAMILIES:
+                _check_index_bound(module, family, v, normalize)
+
+
+def test_reduction_builds_one_derivative_step_per_factor(monkeypatch):
+    T = TensorModule([A, B, C])
+    calls = []
+
+    def counting(module, par):
+        calls.append(par)
+        return dt_step(module, par)
+
+    monkeypatch.setattr(tensor, "dt_step", counting)
+    cert, _ = tensor_reduce_to_bottom(T, T.ring.monomial({"s1": 1, "t1": 2, "t3": 2}))
+    # One extraction to t1^3 t3^2, then d/dt1 three times and d/dt3 twice; factor 2 takes none.
+    assert calls == [A, C]
+    assert cert.steps[1:] == [dt_step(T, A)] * 3 + [dt_step(T, C)] * 2
