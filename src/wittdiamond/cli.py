@@ -42,6 +42,7 @@ from .omega import (
     Degenerate,
     InvarianceReport,
     OmegaModule,
+    RankOneProduct,
     classify_rank1,
     omega_reduce_to_one,
     orbit_points,
@@ -94,8 +95,11 @@ class Report:
             "checks": self.checks,
         }
         if out_path:
+            # Serialized before the file is opened, so a number that cannot be
+            # written (see ``main``) leaves no partial report.
+            text = json.dumps(doc, indent=2, default=str)
             with open(out_path, "w") as fh:
-                json.dump(doc, fh, indent=2, default=str)
+                fh.write(text)
             print(f"report written to {out_path}")
         print(f"{'OK' if self.ok else 'FAILED'}: {sum(c['status'] == 'pass' for c in self.checks)}"
               f"/{len(self.checks)} checks passed")
@@ -528,19 +532,18 @@ def cmd_classify(args) -> int:
     return rep.finish(args.out)
 
 
-def _as_tensor(spec: dict) -> TensorModule:
-    module = module_from_spec(spec)
-    if isinstance(module, OmegaModule):
-        return TensorModule([module.params])
-    if not isinstance(module, TensorModule):
+def _iso_module(path: str) -> RankOneProduct:
+    """The module of an Omega or T spec; an Omega module is its own one-factor product."""
+    module = module_from_spec(_load_spec(path))
+    if not isinstance(module, RankOneProduct):
         raise InvalidSpec("isomorphism classification applies to Omega and T specs")
     return module
 
 
 def cmd_iso(args) -> int:
     rep = Report("iso")
-    left = _as_tensor(_load_spec(args.left))
-    right = _as_tensor(_load_spec(args.right))
+    left = _iso_module(args.left)
+    right = _iso_module(args.right)
     try:
         result = iso_check(left, right)
     except RequiresSimple as exc:
@@ -693,6 +696,14 @@ def main(argv=None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # A spec number under the input limit of ``_load_spec`` can still give a
+        # report number (a power of lambda, a certificate weight) over the limit.
+        if "integer string conversion" not in str(exc):
+            raise
+        print("spec error: a report number has more digits than Python converts to text",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

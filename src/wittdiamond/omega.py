@@ -1,4 +1,4 @@
-"""Rank-one free modules on C[s, t] and their constructive certificates.
+"""Rank-one free modules on C[s, t], their products, and constructive certificates.
 
 An instance is determined by parameters (alpha, beta, gamma, lambda, g)
 with beta, lambda nonzero and g a polynomial in t.  The generator actions
@@ -10,24 +10,30 @@ on f(s, t) are
     b[n] f = lam^n g(t) f(s - n, t) + lam^n beta dt f(s - n, t)
     c[n] f = -lam^n beta f(s - n, t)
 
-Everything here is certificate-producing: reductions to 1 and generation
-from 1 return replayable exact witnesses, and the free rank over the
-Cartan pair (L[0], d[0]) is proved from four probe images that a checker
-can recompute.  Every orbit step of a certificate, here and in ``tensor``,
-is an ``orbit_component``: the n^x lam^n part of an X-orbit, taken by one
-fixed combination of N images whose weights invert a generalized
-Vandermonde matrix; ``dt_step`` builds d/dt from the lam-parts of the b-
-and a-orbits.
+``RankOneProduct`` is a product of such factors on C[s_1, t_1, ..., s_m,
+t_m], factor k acting on (s_k, t_k) alone; ``OmegaModule`` is its one-factor
+case on C[s, t], and ``tensor.TensorModule`` the general one.  Everything
+here is certificate-producing, and one reduction chain serves every m:
+``tensor_reduce_to_bottom`` carries a nonzero vector to a nonzero constant,
+and ``omega_reduce_to_one`` is that chain with one rescale step to 1.  Every
+orbit step of a certificate is an ``orbit_component``: the n^x lam^n part
+of an X-orbit, taken by one fixed combination of N images whose weights
+invert a generalized Vandermonde matrix; ``dt_step`` builds d/dt from the
+lam-parts of the b- and a-orbits.  The free rank over the Cartan pair
+(L[0], d[0]) is proved from four probe images that a checker can
+recompute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .certificates import CertStep, Certificate, require
-from .exceptions import InvalidGenerator, InvalidSpec, NotAModule, UnsupportedOperation, ZeroVector
+from .exceptions import (
+    InvalidGenerator, InvalidSpec, NotAModule, NotApplicable, UnsupportedOperation, ZeroVector
+)
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
 from .poly import PolyRing, SparsePoly, act_by_rules
@@ -115,39 +121,75 @@ def omega_factor_act(
     return act_by_rules(f, ops, den, (par.lam, n))
 
 
-class OmegaModule:
-    def __init__(self, params: OmegaParams):
-        self.params = params
-        self.ring = PolyRing(("s", "t"), (False, False))
+class RankOneProduct:
+    """A product of rank-one factors on C[s_1..s_m, t_1..t_m].
+
+    Factor k acts on (svar(k), tvar(k)) alone.  ``OmegaModule`` is the case
+    m = 1, on C[s, t], and ``tensor.TensorModule`` the general one; each
+    gives its variable names and its own ``act``.  The reduction chain, the
+    orbit steps and the weight memo below serve both.
+    """
+
+    def __init__(self, factors: Sequence[OmegaParams], svars: Sequence[str],
+                 tvars: Sequence[str]):
+        self.factors = tuple(factors)
+        self.ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
+        self._factor_vars = tuple(zip(self.factors, svars, tvars))
         self.orbit_weights: dict = {}  # ``orbit_component``'s weights, by (degrees, lam, x)
+
+    @property
+    def m(self) -> int:
+        return len(self.factors)
 
     def one(self) -> SparsePoly:
         return self.ring.one()
 
+    def svar(self, k: int) -> str:
+        return self.ring.names[k - 1]
+
+    def tvar(self, k: int) -> str:
+        return self.ring.names[self.m + k - 1]
+
+    def s_profile(self, v: SparsePoly) -> list[int]:
+        """Max s_k-exponent per factor over the support (0 if absent)."""
+        return [max((exps[k] for exps in v.terms), default=0) for k in range(self.m)]
+
+    def distinct_lambdas(self) -> bool:
+        return self.equal_lambda_pair() is None
+
+    def equal_lambda_pair(self) -> tuple[int, int] | None:
+        seen: dict[Fraction, int] = {}
+        for k, f in enumerate(self.factors, start=1):
+            if f.lam in seen:
+                return (seen[f.lam], k)
+            seen[f.lam] = k
+        return None
+
+    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
+        """Bounds D_lam on the n-degree of X[n] v = sum_lam lam^n P_lam(n).
+
+        X[n] shifts s_k -> s_k - n, which contributes n^p_k with p_k the
+        s_k-degree of v, and L's n alpha adds one more, so
+        D_lam = max{p_k + [X = L] : lam_k = lam}.
+        """
+        e = 1 if family == "L" else 0
+        degrees: dict[Fraction, int] = {}
+        for par, p in zip(self.factors, self.s_profile(v)):
+            degrees[par.lam] = max(degrees.get(par.lam, 0), p + e)
+        return degrees
+
+
+class OmegaModule(RankOneProduct):
+    def __init__(self, params: OmegaParams):
+        super().__init__((params,), ("s",), ("t",))
+        self.params = params
+
     def act(self, g: Generator, f: SparsePoly) -> SparsePoly:
         return omega_factor_act(self.params, self.ring, "s", "t", g, f)
 
-    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
-        """The bounds D_lam of ``index_degrees`` for the X-orbit of v."""
-        return index_degrees((self.params.lam,), (v.var_degree("s") or 0,), family)
-
-
-def index_degrees(lams, profile, family: str) -> dict[Fraction, int]:
-    """Bounds D_lam on the n-degree of X[n] v = sum_lam lam^n P_lam(n).
-
-    ``lams`` are the factors' scales and ``profile`` the s-degree of v in
-    each factor.  X[n] shifts s_k -> s_k - n, which contributes n^p_k, and
-    L's n alpha adds one more, so D_lam = max{p_k + [X = L] : lam_k = lam}.
-    """
-    e = 1 if family == "L" else 0
-    degrees: dict[Fraction, int] = {}
-    for lam, p in zip(lams, profile):
-        degrees[lam] = max(degrees.get(lam, 0), p + e)
-    return degrees
-
 
 def orbit_points(degrees: dict[Fraction, int]) -> int:
-    """N = sum_lam (D_lam + 1) for the bounds of ``index_degrees``.
+    """N = sum_lam (D_lam + 1) for the bounds of ``RankOneProduct.index_degrees``.
 
     The rows n = 0..N-1 of the functions n^x lam^n (x <= D_lam) form the
     generalized Vandermonde matrix of ``tensor.det_r`` at r = 0, which is
@@ -274,61 +316,114 @@ def dt_step(module, par: OmegaParams) -> CertStep:
     return CertStep(tuple(combo))
 
 
+def _shifted_target(module: RankOneProduct, g: SparsePoly, which: int, k: int) -> SparsePoly:
+    m = module.m
+    if which == 9:
+        return g.mul_var(module.svar(k))
+    if which == 10:
+        return g.mul_var(module.tvar(k))
+    if which == 11:
+        pk = module.s_profile(g)[k - 1]
+        out = {}
+        for exps, c in g.terms.items():
+            if exps[k - 1] == pk:
+                e = list(exps)
+                e[k - 1] = 0
+                e[m + k - 1] += 1
+                out[tuple(e)] = c
+        return SparsePoly(module.ring, out)
+    raise ValueError("which must be one of 9, 10, 11")
+
+
+def _extraction(module: RankOneProduct, v: SparsePoly, which: int,
+                k: int) -> tuple[CertStep, SparsePoly]:
+    """The step of ``tensor.lemma42_extract`` from v, and its target (not yet checked).
+
+    which = 9 multiplies by s_k, 10 by t_k, and 11 strips the top s_k-power
+    and bumps t_k.  With distinct scales the lam_k-part of X[n] v comes from
+    factor k alone, where L[n] and a[n] act as lam_k^n (s_k + n alpha_k)
+    tau_k^n and lam_k^n t_k tau_k^n.  So s_k v and t_k v are the n^0 lam_k^n
+    parts of the L- and a-orbits, and t_k times the top s_k-slice is
+    (-1)^p_k times the n^p_k lam_k^n part of the a-orbit, p_k the
+    s_k-degree of v.
+    """
+    target = _shifted_target(module, v, which, k)
+    x = module.s_profile(v)[k - 1] if which == 11 else 0
+    step = orbit_component(module, "L" if which == 9 else "a", v, module.factors[k - 1].lam,
+                           x, (-1) ** x)
+    return step, target
+
+
+def _reduction_chain(module: RankOneProduct, g: SparsePoly):
+    """The steps of ``tensor_reduce_to_bottom`` from g, their checks, and the constant reached.
+
+    No step is applied here; each check pairs a step with the target it
+    must reach, for one checked ``Certificate.replay``.
+    """
+    if not module.distinct_lambdas():
+        raise NotApplicable("requires pairwise distinct lambdas")
+    if g.is_zero:
+        raise ZeroVector("cannot reduce the zero vector")
+    m = module.m
+    steps: list[CertStep] = []
+    checks: list[tuple[SparsePoly, str]] = []
+    derivatives: dict[int, CertStep] = {}
+    v = g
+    while True:
+        deg = v.degree()
+        p_part, q_part = deg[:m], deg[m:]
+        if any(p_part):
+            k = next(i for i, p in enumerate(p_part) if p) + 1
+            step, v = _extraction(module, v, 11, k)
+            checks.append((v, EXTRACTION_MISSED))
+        elif any(q_part):
+            k = next(i for i, q in enumerate(q_part) if q) + 1
+            if k not in derivatives:
+                derivatives[k] = dt_step(module, module.factors[k - 1])
+            step, v = derivatives[k], v.derive(module.tvar(k))
+            checks.append((v, DERIVATIVE_MISSED))
+        else:
+            break
+        steps.append(step)
+    require(set(v.terms) == {(0,) * (2 * m)}, "reduction does not end at a nonzero constant")
+    return steps, checks, v
+
+
+def tensor_reduce_to_bottom(module: RankOneProduct,
+                            g: SparsePoly) -> tuple[Certificate, SparsePoly]:
+    """Certificate chain from g to a nonzero multiple of 1.
+
+    The s-part of the leading exponent (lexicographic on (p_1..p_m,
+    q_1..q_m)) is peeled off by top-slice extractions (strictly
+    degree-decreasing); once the vector lies in C[t_1..t_m], the derivative
+    steps of ``dt_step``, built once per factor, reduce the t-part to a
+    constant.  Each step's target (the extraction's shifted slice, the
+    t_k-derivative) is computed directly while the chain is built; one
+    checked ``Certificate.replay`` then applies every step once and compares
+    each image with its target.
+    """
+    steps, checks, v = _reduction_chain(module, g)
+    cert = Certificate(steps)
+    cert.replay(module, g, checks)
+    return cert, v
+
+
 def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     """Certificate carrying a nonzero vector to exactly 1.
 
-    Stage 1 extracts the top-s coefficient (a nonzero polynomial in t): it
-    is (-1)^(p+1)/beta times the n^p lam^n part of the c-orbit, p the
-    s-degree; stage 2 repeatedly applies ``dt_step``, d/dt on C[t]; stage 3
-    rescales.  Each step's target is computed directly (the top-s
-    coefficient, the t-derivative, 1) while the chain is built, and one
-    checked ``Certificate.replay`` applies every step once and compares its
-    image with that target.
+    The chain of ``tensor_reduce_to_bottom`` with m = 1: a-orbit top-slice
+    extractions take f into C[t], ``dt_step`` (d/dt on C[t]) takes it to a
+    nonzero constant, and one rescale step, if needed, takes that to 1.  One
+    checked ``Certificate.replay`` applies every step, the rescale included,
+    once and compares each image with its target.
     """
-    if f.is_zero:
-        raise ZeroVector("cannot reduce the zero vector")
-    par = module.params
-    steps: list[CertStep] = []
-    checks: list[tuple[SparsePoly, str]] = []
-    v = f
-    sdeg = v.var_degree("s")
-    if sdeg and sdeg > 0:
-        v = v.extract_var_power("s", sdeg)
-        steps.append(orbit_component(module, "c", f, par.lam, sdeg,
-                                     (-1) ** (sdeg + 1) / par.beta))
-        checks.append((v, EXTRACTION_MISSED))
-    derivative = dt_step(module, par)
-    while (v.var_degree("t") or 0) > 0:
-        v = v.derive("t")
-        steps.append(derivative)
-        checks.append((v, DERIVATIVE_MISSED))
+    steps, checks, v = _reduction_chain(module, f)
     const = v.coefficient((0, 0))
-    require(const != 0, "reduction ends at zero")
     if const != 1:
-        v = v * (1 / const)
         steps.append(CertStep(((1 / const, ()),)))
-        checks.append((v, "reduction replay does not end at 1"))
+        checks.append((module.one(), "reduction replay does not end at 1"))
     cert = Certificate(steps)
     require(cert.replay(module, f, checks) == module.one(), "reduction replay does not end at 1")
-    return cert
-
-
-def omega_generate(module: OmegaModule, s_exp: int, t_exp: int) -> Certificate:
-    """Certificate from 1 to the monomial s^p t^q.
-
-    L[0] and a[0] act as multiplication by s and t, so a single word
-    suffices; its replay is still checked.
-    """
-    if s_exp < 0 or t_exp < 0:
-        raise ValueError("exponents must be natural numbers")
-    if s_exp == 0 and t_exp == 0:
-        return Certificate([])
-    word = (gen("L", 0),) * s_exp + (gen("a", 0),) * t_exp
-    cert = Certificate([CertStep(((ONE, word),))])
-    require(
-        cert.replay(module, module.one()) == module.ring.monomial({"s": s_exp, "t": t_exp}),
-        "generation replay does not reach the monomial",
-    )
     return cert
 
 

@@ -208,16 +208,6 @@ class SparsePoly(LinComb):
             return None
         return max(sum(abs(x) for x in e) for e in self.terms)
 
-    def extract_var_power(self, name: str, k: int) -> "SparsePoly":
-        """Terms whose ``name``-exponent equals k, with that exponent zeroed."""
-        i = self.ring.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                key = e[:i] + (0,) + e[i + 1 :]
-                out[key] = c
-        return self._like(out)
-
     def shift(self, name: str, offset) -> "SparsePoly":
         """Substitute ``name`` by ``name - offset`` (binomial expansion)."""
         i = self.ring.index(name)

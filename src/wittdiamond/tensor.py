@@ -1,14 +1,17 @@
 """Tensor products of rank-one free modules on C[s_1, t_1, ..., s_m, t_m].
 
-Generators act by the Leibniz rule through the one-factor actions; the
-k-th factor touches only (s_k, t_k).  Degrees are lexicographic on the
-exponent vector (p_1..p_m, q_1..q_m), with the zero vector below every
-degree.  All span extractions rest on the invertibility of generalized
-Vandermonde matrices with rows n^x lam_k^n over consecutive integers n,
-which is certified by the closed-form determinant of ``det_r``: with
-distinct scales every certificate step is an ``omega.orbit_component``,
-the n^x lam_k^n part of an orbit as one fixed combination of its images,
-or the derivative step ``omega.dt_step`` built from two such parts.
+``TensorModule`` is the m-factor ``omega.RankOneProduct``: generators act by
+the Leibniz rule through the one-factor actions, and the k-th factor
+touches only (s_k, t_k).  The reduction chain ``tensor_reduce_to_bottom``
+lives in ``omega`` beside its step primitives and serves ``OmegaModule``
+(m = 1) too; generation, extraction, orbit ranks, the repeated-lambda
+witness subspace and isomorphism live here.  All span extractions rest on
+the invertibility of generalized Vandermonde matrices with rows n^x lam_k^n
+over consecutive integers n, which is certified by the closed-form
+determinant of ``det_r``: with distinct scales every certificate step is an
+``omega.orbit_component``, the n^x lam_k^n part of an orbit as one fixed
+combination of its images, or the derivative step ``omega.dt_step`` built
+from two such parts.
 """
 
 from __future__ import annotations
@@ -26,68 +29,26 @@ from .linalg import SpanBasis, exact_det
 # Not called here; perfbench/selftest.py checks that its tracer rebinds this binding.
 from .linalg import combination  # noqa: F401
 from .omega import (
-    DERIVATIVE_MISSED, EXTRACTION_MISSED, InvarianceReport, OmegaParams, dt_step, index_degrees,
-    invariance_check, omega_factor_act, orbit, orbit_component
+    EXTRACTION_MISSED, InvarianceReport, OmegaParams, RankOneProduct, _extraction,
+    invariance_check, omega_factor_act, orbit, tensor_reduce_to_bottom
 )
-from .poly import PolyRing, SparsePoly
+from .poly import SparsePoly
 from .scalars import ONE, add_scaled, scalar, superfactorial
 
 
-class TensorModule:
+class TensorModule(RankOneProduct):
     def __init__(self, factors: Sequence[OmegaParams]):
         if not factors:
             raise InvalidSpec("a tensor product needs at least one factor")
-        self.factors = tuple(factors)
-        m = len(self.factors)
-        names = tuple(f"s{k}" for k in range(1, m + 1)) + tuple(
-            f"t{k}" for k in range(1, m + 1)
-        )
-        self.ring = PolyRing(names, (False,) * (2 * m))
-        self._factor_vars = tuple((par, f"s{k}", f"t{k}") for k, par in enumerate(self.factors, 1))
-        self.orbit_weights: dict = {}  # ``omega.orbit_component``'s weights, by (degrees, lam, x)
-
-    @property
-    def m(self) -> int:
-        return len(self.factors)
-
-    def one(self) -> SparsePoly:
-        return self.ring.one()
-
-    def svar(self, k: int) -> str:
-        return f"s{k}"
-
-    def tvar(self, k: int) -> str:
-        return f"t{k}"
+        m = len(factors)
+        super().__init__(factors, [f"s{k}" for k in range(1, m + 1)],
+                         [f"t{k}" for k in range(1, m + 1)])
 
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
         out: dict = {}
         for par, svar, tvar in self._factor_vars:
             add_scaled(out, omega_factor_act(par, self.ring, svar, tvar, g, v).terms)
         return v._like(out)
-
-    def distinct_lambdas(self) -> bool:
-        lams = [f.lam for f in self.factors]
-        return len(set(lams)) == len(lams)
-
-    def equal_lambda_pair(self) -> tuple[int, int] | None:
-        seen: dict[Fraction, int] = {}
-        for k, f in enumerate(self.factors, start=1):
-            if f.lam in seen:
-                return (seen[f.lam], k)
-            seen[f.lam] = k
-        return None
-
-    def s_profile(self, v: SparsePoly) -> list[int]:
-        """Max s_k-exponent per factor over the support (0 if absent)."""
-        prof = [0] * self.m
-        for exps in v.terms:
-            for k in range(self.m):
-                prof[k] = max(prof[k], exps[k])
-        return prof
-
-    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
-        """The bounds D_lam of ``omega.index_degrees`` for the X-orbit of v."""
-        return index_degrees([f.lam for f in self.factors], self.s_profile(v), family)
 
 
 # -- the generalized Vandermonde determinant --------------------------------
@@ -204,41 +165,25 @@ def det_r(spec: DetSpec) -> DetResult:
 # -- spans and extractions ---------------------------------------------------
 
 
-def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[SparsePoly], int]:
-    """Basis and dimension of span{g, X_n g : n in Z} for X in {L, a}.
+def _orbit_span(module: TensorModule, g: SparsePoly, families: Sequence[str]) -> SpanBasis:
+    """span{g, X[n] g : X in families, n in Z}: the ``omega.orbit`` images span every X[n] g."""
+    basis = SpanBasis()
+    basis.add(g.terms)
+    for family in families:
+        for _, image in orbit(module, family, g):
+            basis.add(image.terms)
+    return basis
 
-    The ``omega.orbit`` images already span every X_n g, so one pass over
-    them gives the span exactly.
-    """
+
+def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[SparsePoly], int]:
+    """Basis and dimension of span{g, X_n g : n in Z} for X in {L, a}, from ``_orbit_span``."""
     if family not in ("L", "a"):
         raise ValueError("the span is defined for the L and a families")
     if g.is_zero:
         raise ZeroVector("span of the zero vector")
-    basis = SpanBasis()
-    basis.add(g.terms)
-    for _, image in orbit(module, family, g):
-        basis.add(image.terms)
+    basis = _orbit_span(module, g, (family,))
     vectors = [SparsePoly(module.ring, dict(v)) for v in basis.vectors()]
     return vectors, basis.dim
-
-
-def _shifted_target(module: TensorModule, g: SparsePoly, which: int, k: int) -> SparsePoly:
-    m = module.m
-    if which == 9:
-        return g.mul_var(module.svar(k))
-    if which == 10:
-        return g.mul_var(module.tvar(k))
-    if which == 11:
-        pk = module.s_profile(g)[k - 1]
-        out = {}
-        for exps, c in g.terms.items():
-            if exps[k - 1] == pk:
-                e = list(exps)
-                e[k - 1] = 0
-                e[m + k - 1] += 1
-                out[tuple(e)] = c
-        return SparsePoly(module.ring, out)
-    raise ValueError("which must be one of 9, 10, 11")
 
 
 def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
@@ -263,71 +208,12 @@ def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
     return target, cert
 
 
-def _extraction(module: TensorModule, v: SparsePoly, which: int,
-                k: int) -> tuple[CertStep, SparsePoly]:
-    """The step of ``lemma42_extract`` from v, and the target it must reach (not yet checked).
-
-    With distinct scales the lam_k-part of X[n] v comes from factor k alone,
-    where L[n] and a[n] act as lam_k^n (s_k + n alpha_k) tau_k^n and
-    lam_k^n t_k tau_k^n.  So s_k v and t_k v are the n^0 lam_k^n parts of the
-    L- and a-orbits, and t_k times the top s_k-slice is (-1)^p_k times the
-    n^p_k lam_k^n part of the a-orbit, p_k the s_k-degree of v.
-    """
-    target = _shifted_target(module, v, which, k)
-    x = module.s_profile(v)[k - 1] if which == 11 else 0
-    step = orbit_component(module, "L" if which == 9 else "a", v, module.factors[k - 1].lam,
-                           x, (-1) ** x)
-    return step, target
-
-
-def tensor_reduce_to_bottom(module: TensorModule,
-                            g: SparsePoly) -> tuple[Certificate, SparsePoly]:
-    """Certificate chain from g to a nonzero multiple of 1.
-
-    The s-part of the leading exponent is peeled off by top-slice
-    extractions (strictly degree-decreasing); once the vector lies in
-    C[t_1..t_m], the derivative steps of ``omega.dt_step``, built once per
-    factor, reduce the t-part to a constant.  Each step's target (the
-    extraction's shifted slice, the t_k-derivative) is computed directly
-    while the chain is built; one checked ``Certificate.replay`` then
-    applies every step once and compares each image with its target.
-    """
-    if not module.distinct_lambdas():
-        raise NotApplicable("requires pairwise distinct lambdas")
-    if g.is_zero:
-        raise ZeroVector("cannot reduce the zero vector")
-    m = module.m
-    steps: list[CertStep] = []
-    checks: list[tuple[SparsePoly, str]] = []
-    derivatives: dict[int, CertStep] = {}
-    v = g
-    while True:
-        deg = v.degree()
-        p_part, q_part = deg[:m], deg[m:]
-        if any(p_part):
-            k = next(i for i, p in enumerate(p_part) if p) + 1
-            step, v = _extraction(module, v, 11, k)
-            checks.append((v, EXTRACTION_MISSED))
-        elif any(q_part):
-            k = next(i for i, q in enumerate(q_part) if q) + 1
-            if k not in derivatives:
-                derivatives[k] = dt_step(module, module.factors[k - 1])
-            step, v = derivatives[k], v.derive(module.tvar(k))
-            checks.append((v, DERIVATIVE_MISSED))
-        else:
-            break
-        steps.append(step)
-    cert = Certificate(steps)
-    cert.replay(module, g, checks)
-    require(set(v.terms) == {(0,) * (2 * m)}, "reduction does not end at a nonzero constant")
-    return cert, v
-
-
-def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certificate:
+def tensor_generate(module: RankOneProduct, exponents: Sequence[int]) -> Certificate:
     """Certificate from 1 to the monomial with the given exponent vector.
 
     The extraction steps are built with their targets and checked by one
-    ``Certificate.replay``, as in ``tensor_reduce_to_bottom``.
+    ``Certificate.replay``, as in ``tensor_reduce_to_bottom``.  On an
+    ``OmegaModule`` the exponent vector is (p, q), for s^p t^q.
     """
     if not module.distinct_lambdas():
         raise NotApplicable("requires pairwise distinct lambdas")
@@ -354,18 +240,10 @@ def tensor_generate(module: TensorModule, exponents: Sequence[int]) -> Certifica
 
 
 def r_g(module: TensorModule, g: SparsePoly) -> int:
-    """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g.
-
-    The ``omega.orbit`` images of a and c span both orbits exactly.
-    """
+    """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g, from ``_orbit_span``."""
     if g.is_zero:
         raise ZeroVector("rank of the zero vector")
-    basis = SpanBasis()
-    basis.add(g.terms)
-    for family in ("a", "c"):
-        for _, image in orbit(module, family, g):
-            basis.add(image.terms)
-    return basis.dim
+    return _orbit_span(module, g, ("a", "c")).dim
 
 
 # -- simplicity and isomorphism ----------------------------------------------
@@ -463,7 +341,7 @@ def simplicity_decision(module: TensorModule) -> SimplicityResult:
     )
 
 
-def canonical_form(module: TensorModule) -> tuple:
+def canonical_form(module: RankOneProduct) -> tuple:
     """Factor parameter tuples sorted by (lambda, alpha, beta, gamma, g)."""
     return tuple(sorted(module.factors, key=OmegaParams.sort_key))
 
@@ -475,9 +353,10 @@ class IsoResult:
     invariant: str | None = None
 
 
-def iso_check(left: TensorModule, right: TensorModule) -> IsoResult:
+def iso_check(left: RankOneProduct, right: RankOneProduct) -> IsoResult:
     """Compare canonical forms; on a match return the factor permutation.
 
+    Either side may be an ``OmegaModule``, the one-factor product.
     The permutation sigma satisfies right.factors[i] = left.factors[sigma_i]
     (1-based).  Requires both modules simple, i.e. distinct lambdas.
     """

@@ -116,17 +116,17 @@ def _tensor_chain():
     return T, T.factors[0], v, lambda: tensor.tensor_reduce_to_bottom(T, v)[0], []
 
 
-@pytest.mark.parametrize("owner, chain", [(omega, _omega_chain), (tensor, _tensor_chain)],
-                         ids=["omega", "tensor"])
-def test_wrong_middle_step_fails_at_its_own_check(monkeypatch, owner, chain):
+@pytest.mark.parametrize("chain", [_omega_chain, _tensor_chain], ids=["omega", "tensor"])
+def test_wrong_middle_step_fails_at_its_own_check(monkeypatch, chain):
     """A derivative step off by a constant fails its own check, although the next
-    derivative step erases the error, so a check of the end vector alone would pass."""
+    derivative step erases the error, so a check of the end vector alone would pass.
+    Both chains are ``omega``'s one reduction chain, which builds its steps there."""
     module, par, v, reduce, tail = chain()
     end = reduce().replay(module, v)
-    wrong = _plus_second_derivative(owner.dt_step)(module, par)
-    assert wrong.apply(module, v) != owner.dt_step(module, par).apply(module, v)
+    wrong = _plus_second_derivative(omega.dt_step)(module, par)
+    assert wrong.apply(module, v) != omega.dt_step(module, par).apply(module, v)
     assert Certificate([wrong, wrong, *tail]).replay(module, v) == end
-    monkeypatch.setattr(owner, "dt_step", _plus_second_derivative(owner.dt_step))
+    monkeypatch.setattr(omega, "dt_step", _plus_second_derivative(omega.dt_step))
     with pytest.raises(CertificateError, match="derivative step is not d/dt"):
         reduce()
 

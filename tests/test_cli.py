@@ -48,6 +48,8 @@ T_EQUAL = {
     ],
 }
 
+T_ONE = {"family": "T", "factors": [{k: v for k, v in OMEGA_SPEC.items() if k != "family"}]}
+
 
 @pytest.fixture
 def write_json(tmp_path):
@@ -525,12 +527,19 @@ def test_no_module_imports_jsonschema_at_run_time():
     assert proc.returncode == 0
 
 
-def test_iso_commands(write_json, capsys):
+def test_iso_commands(write_json, tmp_path, capsys):
     swapped = {"family": "T", "factors": list(reversed(T_SPEC["factors"]))}
     assert main(["iso", "--left", write_json("a.json", T_SPEC),
                  "--right", write_json("b.json", swapped)]) == 0
     assert main(["iso", "--left", write_json("a.json", T_SPEC),
                  "--right", write_json("o.json", OMEGA_SPEC)]) == 0
+    # An Omega module is the one-factor product, so iso compares it with T directly.
+    omega, one = write_json("o.json", OMEGA_SPEC), write_json("t1.json", T_ONE)
+    out = str(tmp_path / "iso.json")
+    for left, right in ((omega, one), (one, omega)):
+        assert main(["iso", "--left", left, "--right", right, "--out", out]) == 0
+        detail = _check_report(out)["checks"][0]["detail"]
+        assert detail["isomorphic"] is True and detail["permutation"] == [1]
     # A repeated lambda is outside iso's domain, as it is outside rank's: exit 2, not 1.
     equal, distinct = write_json("e.json", T_EQUAL), write_json("a.json", T_SPEC)
     for left, right in ((equal, distinct), (distinct, equal)):
@@ -687,6 +696,19 @@ def test_number_above_the_digit_limit_exits_2(argv, text, pointer, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and "more digits than Python converts" in err
     assert "Traceback" not in err and (pointer is None or f"(at {pointer})" in err)
+
+
+def test_report_number_above_the_digit_limit_exits_2(write_json, tmp_path, capsys):
+    """A 3000-digit lambda is read, but a certificate weight of the report outgrows
+    the limit on int strings: one spec-error line, exit 2, and no report file."""
+    factors = [{**T_SPEC["factors"][0], "lambda": "1" + "0" * 2999}, T_SPEC["factors"][1]]
+    out = tmp_path / "r.json"
+    spec = write_json("big.json", {"family": "T", "factors": factors})
+    assert main(["simplicity", "--spec", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "more digits than Python converts" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_index_and_exponent_at_the_bound_are_accepted(write_json, tmp_path):

@@ -26,13 +26,13 @@ from wittdiamond.omega import (
     _candidate_operator,
     classify_rank1,
     omega_factor_act,
-    omega_generate,
     omega_reduce_to_one,
     rank1_data_from_action,
     rank1_grid,
     uh_rank,
 )
 from wittdiamond.poly import PolyRing
+from wittdiamond.tensor import tensor_generate
 from wittdiamond.scalars import add_scaled
 
 
@@ -139,7 +139,7 @@ def test_reduce_to_one_rejects_zero():
 def test_generate_examples():
     _, M = module()
     for p, q in [(0, 3), (1, 0), (2, 1), (0, 0)]:
-        cert = omega_generate(M, p, q)
+        cert = tensor_generate(M, (p, q))
         assert cert.replay(M, M.one()) == M.ring.monomial({"s": p, "t": q})
 
 

@@ -146,12 +146,6 @@ def test_degree_is_lexicographic():
     assert p.total_degree() == 6
 
 
-def test_extract_var_power():
-    p = RING.from_terms([((2, 1), F(3)), ((2, 0), F(1)), ((1, 4), F(5))])
-    top = p.extract_var_power("s", 2)
-    assert top == RING.from_terms([((0, 1), F(3)), ((0, 0), F(1))])
-
-
 def test_parse_and_format_round_trip():
     for text in ["2 x0^2 x1^-1 - 1/3 x1 + 4", "x0", "-x1^-2", "0"]:
         p = parse_poly(LRING, text)

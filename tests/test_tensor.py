@@ -18,8 +18,9 @@ from wittdiamond.linalg import SpanBasis, combination
 from wittdiamond.omega import (
     OmegaModule,
     OmegaParams,
+    RankOneProduct,
     _candidate_operator,
-    index_degrees,
+    _shifted_target,
     omega_factor_act,
     omega_reduce_to_one,
     dt_step,
@@ -30,11 +31,10 @@ from wittdiamond.omega import (
 )
 from wittdiamond.oracle import naive_det
 from wittdiamond.poly import SparsePoly
-from wittdiamond import tensor
+from wittdiamond import omega
 from wittdiamond.tensor import (
     DetSpec,
     TensorModule,
-    _shifted_target,
     canonical_form,
     det_matrix,
     det_r,
@@ -225,8 +225,11 @@ def test_lemma42_requires_distinct_lambdas():
 
 
 def test_reduce_to_bottom_m1_matches_single_module_route():
+    """Omega and its one-factor T share one chain: the same steps, words and weights,
+    then one rescale step when the chain ends at a constant other than 1."""
     T1 = TensorModule([A])
     M = OmegaModule(A)
+    assert isinstance(M, RankOneProduct) and not isinstance(M, TensorModule)
     rng = random.Random(6)
     for _ in range(5):
         v = random_vector(T1.ring, rng, max_total_degree=3, terms=2)
@@ -234,7 +237,10 @@ def test_reduce_to_bottom_m1_matches_single_module_route():
         assert cert.replay(T1, v) == bottom
         assert set(bottom.terms) == {(0, 0)}
         mv = SparsePoly(M.ring, dict(v.terms))
-        assert omega_reduce_to_one(M, mv).replay(M, mv) == M.one()
+        const = bottom.coefficient((0, 0))
+        m_cert = omega_reduce_to_one(M, mv)
+        assert m_cert.steps == cert.steps + ([] if const == 1 else [CertStep(((1 / const, ()),))])
+        assert m_cert.replay(M, mv) == M.one()
 
 
 def test_reduce_to_bottom_m2():
@@ -407,11 +413,10 @@ def _span_membership_probes(module, i, j):
     Each probe image is tested against ``w_witness_basis`` eliminated up to
     the images' top degree; returns (escapes, proper).
     """
-    lams = [f.lam for f in module.factors]
     probes = [module.one(), module.ring.var(module.tvar(i)), module.ring.var(module.tvar(j))]
     images = []
     for fam in FAMILIES:
-        degrees = index_degrees(lams, [0] * module.m, fam)
+        degrees = module.index_degrees(fam, module.one())
         for v in probes:
             for n in range(orbit_points(degrees)):
                 images.append((f"{fam}[{n}] on {v}", module.act(gen(fam, n), v)))
@@ -442,7 +447,7 @@ def _degree_sweep(module, i, j, max_total_degree=6):
     """The former degree-grid sweep of w_invariance_check, kept as an oracle.
 
     For a basis vector w, X[n] w = sum_lam lam^n P_lam(n) with the degree
-    bounds D_lam of ``omega.index_degrees``, and the images at the
+    bounds D_lam of ``RankOneProduct.index_degrees``, and the images at the
     N = sum_lam (D_lam + 1) points n = 0..N-1 span every n-coefficient of
     every P_lam (see ``omega.orbit_points``).  Checking them is exact for all
     n; only the total degree of w is truncated.
@@ -453,12 +458,11 @@ def _degree_sweep(module, i, j, max_total_degree=6):
     extended = SpanBasis()
     for w in w_witness_basis(module, i, j, max_total_degree + bump):
         extended.add(w.terms)
-    lams = [f.lam for f in module.factors]
     report = _SweepReport(pair=(i, j), basis_size=0, images_checked=0)
     for w in w_witness_basis(module, i, j, max_total_degree):
         report.basis_size += 1
         for fam in FAMILIES:
-            degrees = index_degrees(lams, module.s_profile(w), fam)
+            degrees = module.index_degrees(fam, w)
             report.max_index_degree = max(report.max_index_degree, *degrees.values())
             for n in range(orbit_points(degrees)):
                 image = module.act(gen(fam, n), w)
@@ -771,7 +775,7 @@ def test_orbit_components_agree_with_growth_oracle():
     M = OmegaModule(A)
     for p in (1, 2, 4):
         v = M.ring.monomial({"s": p, "t": 1}) + M.ring.monomial({"s": 1})
-        target = v.extract_var_power("s", p)
+        target = SparsePoly(M.ring, {(0, q): c for (e, q), c in v.terms.items() if e == p})
         step = orbit_component(M, "c", v, A.lam, p, F((-1) ** (p + 1)) / A.beta)
         assert step.apply(M, v) == target
         assert _grown_solve(M, "c", v, target, p + 1, 6).apply(M, v) == target
@@ -940,7 +944,7 @@ def test_reduction_builds_one_derivative_step_per_factor(monkeypatch):
         calls.append(par)
         return dt_step(module, par)
 
-    monkeypatch.setattr(tensor, "dt_step", counting)
+    monkeypatch.setattr(omega, "dt_step", counting)
     cert, _ = tensor_reduce_to_bottom(T, T.ring.monomial({"s1": 1, "t1": 2, "t3": 2}))
     # One extraction to t1^3 t3^2, then d/dt1 three times and d/dt3 twice; factor 2 takes none.
     assert calls == [A, C]
