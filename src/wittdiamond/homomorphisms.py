@@ -17,7 +17,16 @@ from typing import Sequence
 
 from .exceptions import InvalidSpec
 from .lie import Generator, UEnvElement, bracket, gen, generators_in_window
-from .operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement, integer_commutator
+from .operators import (
+    DIFFOP,
+    R0,
+    R2,
+    UB,
+    OperatorElement,
+    TensorElement,
+    integer_commutator,
+    key_id,
+)
 from .scalars import ONE, add_scaled, clear_denominators, integer_combination, scalar
 
 
@@ -209,8 +218,9 @@ def verify_hom(phi, window: int = 1) -> HomReport:
 
     The check does no rational arithmetic per pair.  Each image is cleared
     once to integer numerators over one denominator
-    (``scalars.clear_denominators``); the commutator of two images is
-    summed in Python ints from the cached integer tables of
+    (``scalars.clear_denominators``), keyed by the int ids of
+    ``operators.key_id``; the commutator of two images is summed in Python
+    ints from the cached integer tables of
     ``operators.integer_commutator``, over the product of their
     denominators; and ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is one
     ``scalars.integer_combination`` over a common denominator, with the
@@ -233,7 +243,11 @@ def verify_hom(phi, window: int = 1) -> HomReport:
         raise ValueError("window must be at least 1")
     gens = generators_in_window(window)
     left, right = phi.left_algebra, phi.right_algebra
-    images = {g: clear_denominators(phi.image(g).terms) for g in gens}
+
+    def cleared(g):
+        return clear_denominators({key_id(k): c for k, c in phi.image(g).terms.items()})
+
+    images = {g: cleared(g) for g in gens}
     violations = []
     checked = 0
     for i, x in enumerate(gens):
@@ -245,7 +259,7 @@ def verify_hom(phi, window: int = 1) -> HomReport:
             for g, c in bracket(x, y).terms.items():
                 image = images.get(g)
                 if image is None:
-                    image = images[g] = clear_denominators(phi.image(g).terms)
+                    image = images[g] = cleared(g)
                 parts.append((-c.numerator, c.denominator * image[1], image[0]))
             if integer_combination(parts)[0]:
                 violations.append((str(x), str(y)))

@@ -71,11 +71,11 @@ class LElement(LinComb):
 def bracket(x: Generator, y: Generator) -> LElement:
     """Structure constants of the algebra; see the module docstring.
 
-    The constants are integers that depend on the two generators alone, so
-    ``_structure_constants`` works each pair out once per process, like the
-    product tables of ``operators``.  Every call returns a fresh element, so
-    a caller that changes it reaches no cache; an unknown family raises
-    ``InvalidGenerator`` on every call, as exceptions are not cached.
+    The constants are Python ints that depend on the two generators alone,
+    so ``_structure_constants`` works each pair out once per process, like
+    the product tables of ``operators``.  Every call returns a fresh
+    element, so a caller that changes it reaches no cache; an unknown family
+    raises ``InvalidGenerator`` on every call, as exceptions are not cached.
     """
     e = _structure_constants(x, y)
     return e._like(dict(e.terms))
@@ -89,40 +89,40 @@ def _structure_constants(x: Generator, y: Generator) -> LElement:
         if f not in _RANK:
             raise InvalidGenerator(f"unknown generator family {f!r}")
     if fx == "L" and fy == "L":
-        return LElement({gen("L", m + n): Fraction(n - m)})
+        return LElement({gen("L", m + n): n - m})
     if fx == "L":
-        return LElement({gen(fy, m + n): Fraction(n)})
+        return LElement({gen(fy, m + n): n})
     if fy == "L":
-        return _structure_constants(y, x).scaled(-1)
+        return -_structure_constants(y, x)
     if fx == "a" and fy == "b":
-        return LElement({gen("c", m + n): ONE})
+        return LElement({gen("c", m + n): 1})
     if fx == "b" and fy == "a":
-        return LElement({gen("c", m + n): -ONE})
+        return LElement({gen("c", m + n): -1})
     if fx == "d" and fy == "a":
-        return LElement({gen("a", m + n): ONE})
+        return LElement({gen("a", m + n): 1})
     if fx == "a" and fy == "d":
-        return LElement({gen("a", m + n): -ONE})
+        return LElement({gen("a", m + n): -1})
     if fx == "d" and fy == "b":
-        return LElement({gen("b", m + n): -ONE})
+        return LElement({gen("b", m + n): -1})
     if fx == "b" and fy == "d":
-        return LElement({gen("b", m + n): ONE})
+        return LElement({gen("b", m + n): 1})
     return LElement()
 
 
-def bracket_gen_elem(x: Generator, e: LElement) -> LElement:
-    out: dict[Generator, Fraction] = {}
-    for g, c in e.terms.items():
-        add_scaled(out, bracket(x, g).terms, c)
-    return e._like(out)
-
-
 def jacobi_residual(x: Generator, y: Generator, z: Generator) -> LElement:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero when the table is consistent."""
-    return (
-        bracket_gen_elem(x, bracket(y, z))
-        + bracket_gen_elem(y, bracket(z, x))
-        + bracket_gen_elem(z, bracket(x, y))
-    )
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero when the table is consistent.
+
+    The three cyclic terms are summed into one dict in one pass, each
+    ``[a, sum_g k_g g]`` as ``sum_g k_g [a, g]``; under the real table every
+    constant is an int, so the sum is integer arithmetic.
+    """
+    out: dict = {}
+    get = out.get
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for g, k in bracket(b, c).terms.items():
+            for h, n in bracket(a, g).terms.items():
+                out[h] = get(h, 0) + k * n
+    return LElement(out)
 
 
 Word = tuple[Generator, ...]

@@ -20,10 +20,13 @@ and ``ub_product`` compute it as a tuple of (key, int) pairs and cache it
 per key pair, so each structure constant is worked out once per process.
 Element products scale a table entry by one rational per pair of terms and
 skip the multiplication where the constant is 1, as most of them are.
-The commutator of two tensor monomials is cached the same way as an
-integer table (``tensor_bracket``), and ``integer_commutator`` sums those
-tables over integer numerators, so a bracket check needs no rational
-arithmetic; ``commutator`` is ``uv - vu`` for every kind of element.
+Each pure-tensor key gets a process-wide int id (``key_id``; ``KEYS`` maps
+it back).  ``integer_commutator`` sums the commutator of two tensor elements
+over integer numerators keyed by those ids, from integer tables that it
+keeps by pair of ids per pair of algebras and that ``tensor_bracket``
+computes on first use, so a bracket check needs no rational arithmetic and
+hashes no nested key tuple; ``commutator`` is ``uv - vu`` for every kind of
+element.
 """
 
 from __future__ import annotations
@@ -280,10 +283,20 @@ class TensorElement(LinComb):
         return self._like(out)
 
 
-@functools.cache
-def _bracket_tables(left_algebra, right_algebra) -> dict:
-    """The ``tensor_bracket`` tables of one pair of algebras by (k1, k2), filled on demand."""
-    return {}
+# Process-wide ids of pure-tensor keys: KEYS[key_id(k)] == k.  An id names a
+# key alone, whatever its algebras; the tables that read ids are kept per
+# pair of algebras (``integer_commutator``).
+_KEY_IDS: dict = {}
+KEYS: list = []
+
+
+def key_id(key) -> int:
+    """The process-wide int id of a pure-tensor key, given on first sight."""
+    i = _KEY_IDS.get(key)
+    if i is None:
+        i = _KEY_IDS[key] = len(KEYS)
+        KEYS.append(key)
+    return i
 
 
 def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
@@ -291,13 +304,9 @@ def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
 
     (l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, so the table is the difference
     of the two products of integer tables; it is empty when the monomials
-    commute.  Each table is worked out once per process and kept in
-    ``_bracket_tables``.
+    commute.  Nothing is cached here: ``integer_commutator`` keeps each
+    table it asks for, by key ids.
     """
-    tables = _bracket_tables(left_algebra, right_algebra)
-    table = tables.get((k1, k2))
-    if table is not None:
-        return table
     out: dict = {}
     for sign, (a, b), (c, d) in ((1, k1, k2), (-1, k2, k1)):
         rf = right_algebra.mul_keys(b, d)
@@ -305,32 +314,40 @@ def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
             for kr, cr in rf:
                 key = (kl, kr)
                 out[key] = out.get(key, 0) + sign * cl * cr
-    table = tables[k1, k2] = tuple((key, n) for key, n in out.items() if n)
-    return table
+    return tuple((key, n) for key, n in out.items() if n)
+
+
+# (left algebra, right algebra) -> {(id1, id2): [id1, id2] as (id, int) pairs}.
+_ID_TABLES: dict = {}
 
 
 def integer_commutator(left_algebra, right_algebra, u: Mapping, v: Mapping) -> dict:
-    """[u, v] of two tensor elements given as integer numerators, in Python ints.
+    """[u, v] of two tensor elements given as integer numerators on key ids.
 
-    ``u`` and ``v`` map pure-tensor keys to ints, as ``scalars.clear_denominators``
-    gives them; the result maps keys to the nonzero ints of
-    ``sum n1 n2 tensor_bracket(k1, k2)``, the commutator over the product of
-    the two denominators.  A pair of commuting monomials has an empty table
-    and costs nothing.
+    ``u`` and ``v`` map the ids of pure-tensor keys (``key_id``) to ints, as
+    ``scalars.clear_denominators`` gives them; the result maps ids to the
+    nonzero ints of ``sum n1 n2 tensor_bracket(k1, k2)``, the commutator over
+    the product of the two denominators.  Each table is worked out once per
+    process and pair of algebras, and kept here by its pair of ids, so a
+    lookup hashes two ints.  A pair of commuting monomials has an empty
+    table and costs nothing.
     """
-    tables = _bracket_tables(left_algebra, right_algebra)
+    tables = _ID_TABLES.setdefault((left_algebra, right_algebra), {})
     out: dict = {}
     get = out.get
-    for k1, n1 in u.items():
-        for k2, n2 in v.items():
-            table = tables.get((k1, k2))
+    for i1, n1 in u.items():
+        for i2, n2 in v.items():
+            table = tables.get((i1, i2))
             if table is None:
-                table = tensor_bracket(left_algebra, right_algebra, k1, k2)
+                table = tables[i1, i2] = tuple(
+                    (key_id(key), n)
+                    for key, n in tensor_bracket(left_algebra, right_algebra, KEYS[i1], KEYS[i2])
+                )
             if table:
                 n12 = n1 * n2
-                for key, n in table:
-                    out[key] = get(key, 0) + n12 * n
-    return {key: n for key, n in out.items() if n}
+                for i, n in table:
+                    out[i] = get(i, 0) + n12 * n
+    return {i: n for i, n in out.items() if n}
 
 
 def commutator(u, v):

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from wittdiamond.lie import bracket, gen, generators_in_window
+from wittdiamond.lie import LElement, bracket, gen, generators_in_window
 from wittdiamond.omega import RANK1_RING, OmegaModule, OmegaParams, Rank1ActionData
 from wittdiamond.operators import TensorElement
 
@@ -30,6 +30,19 @@ def _reference_violations(phi, window):
             if u * v - v * u != rhs:
                 out.append((str(x), str(y)))
     return out
+
+
+def planted_bracket(x, y):
+    """The bracket table with [L_m, z_n] = n (1 + m) z_{m+n} for z in {a, b, c, d}.
+
+    Its Jacobi residual on (L_l, L_m, z_n) is l m n (m - l) z_{l+m+n}: degree 2
+    in l and in m, zero whenever the indices lie in {0, 1}.
+    """
+    if x.family == "L" and y.family != "L":
+        return LElement({gen(y.family, x.index + y.index): y.index * (1 + x.index)})
+    if y.family == "L" and x.family != "L":
+        return planted_bracket(y, x).scaled(-1)
+    return bracket(x, y)
 
 
 @pytest.fixture

@@ -8,12 +8,12 @@ import time
 
 import jsonschema
 import pytest
-from conftest import RANK_DEFECTS, load_schema, planted_rank_defect
+from conftest import RANK_DEFECTS, load_schema, planted_bracket, planted_rank_defect
 
 from wittdiamond.cli import MAX_ACT_WORK, MAX_INPUT_POWER, build_parser, main
 from wittdiamond.fock import FModule
 from wittdiamond.homomorphisms import PhiABGG
-from wittdiamond.lie import LElement, bracket, gen
+from wittdiamond.lie import gen
 from wittdiamond.operators import OperatorElement, TensorElement
 from wittdiamond.omega import OmegaModule
 from wittdiamond.specs import MAX_G_POWER, module_from_spec, poly_from_json, vector_report
@@ -81,24 +81,11 @@ def test_verify_brackets(tmp_path):
     assert detail["antisymmetry"]["max_index_degree"] == 1
 
 
-def _planted_bracket(x, y):
-    """The bracket table with [L_m, z_n] = n (1 + m) z_{m+n} for z in {a, b, c, d}.
-
-    Its Jacobi residual on (L_l, L_m, z_n) is l m n (m - l) z_{l+m+n}: degree 2
-    in l and in m, zero whenever the indices lie in {0, 1}.
-    """
-    if x.family == "L" and y.family != "L":
-        return LElement({gen(y.family, x.index + y.index): y.index * (1 + x.index)})
-    if y.family == "L" and x.family != "L":
-        return _planted_bracket(y, x).scaled(-1)
-    return bracket(x, y)
-
-
 def test_verify_brackets_grid_catches_a_degree_2_residual(monkeypatch, tmp_path):
     from wittdiamond import cli, lie
 
     for module in (lie, cli):
-        monkeypatch.setattr(module, "bracket", _planted_bracket)
+        monkeypatch.setattr(module, "bracket", planted_bracket)
     out = str(tmp_path / "r.json")
     assert main(["verify-brackets", "--out", out]) == 1
     checks = {c["check"]: c for c in _check_report(out)["checks"]}

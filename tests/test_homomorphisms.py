@@ -1,10 +1,15 @@
 """The two operator-algebra homomorphisms: tables, brackets, witnesses."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from wittdiamond import homomorphisms
 from wittdiamond.homomorphisms import (
     CorruptedPhiAB,
     PhiAB,
@@ -65,6 +70,44 @@ def test_corrupted_map_fails_at_d_a_pair(reference_violations):
     assert not report.ok
     assert ("a[0]", "d[1]") in report.violations
     assert verify_hom(phi, 2).violations == reference_violations(phi, 2)
+
+
+# The maps of one algebra pair each, R2 (x) U(b) and R0 (x) DIFFOP, and the
+# control, by class name and parameters; the abgg map has coprime denominators.
+ORDER_MAPS = [
+    ("PhiAB", ["1/2", "3"]),
+    ("PhiABGG", ["1/2", "-3/5", "2/7", ["1/11", "0", "1/7"]]),
+    ("CorruptedPhiAB", ["1/2", "3"]),
+]
+
+_ORDER_SCRIPT = """
+import json, sys
+from wittdiamond import homomorphisms
+from wittdiamond.operators import KEYS, key_id
+maps = json.loads(sys.argv[1])
+runs = [homomorphisms.verify_hom(getattr(homomorphisms, name)(*params), 2).violations
+        for name, params in maps + maps[::-1]]
+print(json.dumps({"runs": runs, "round_trip": all(key_id(k) == i for i, k in enumerate(KEYS))}))
+"""
+
+
+@pytest.mark.parametrize("order", [ORDER_MAPS, ORDER_MAPS[::-1]], ids=["forward", "reversed"])
+def test_key_ids_do_not_leak_between_algebra_pairs(order, reference_violations):
+    # One fresh process starts from empty id tables and checks the maps in one
+    # order and then in the other, so each map meets tables that the others filled.
+    src = os.path.dirname(os.path.dirname(homomorphisms.__file__))
+    proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT, json.dumps(order)],
+                          env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    got = json.loads(proc.stdout)
+    assert got["round_trip"]
+    want = []
+    for name, params in order + order[::-1]:
+        phi = getattr(homomorphisms, name)(*params)
+        want.append([list(pair) for pair in reference_violations(phi, 2)])
+    assert got["runs"] == want
+    assert any(want)  # the control fails, so the comparison is not of empty lists alone
 
 
 class _Scaled:

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import planted_bracket
 
+from wittdiamond import lie
 from wittdiamond.exceptions import InvalidGenerator
 from wittdiamond.lie import (
     Generator,
@@ -69,6 +71,42 @@ def test_jacobi_window3_full_sweep():
     assert len(gens) == 35
     for x, y, z in itertools.product(gens, repeat=3):
         assert jacobi_residual(x, y, z).is_zero
+
+
+def _summed_jacobi(x, y, z):
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]] as LElement sums of ``lie.bracket`` calls."""
+    total = LElement()
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for g, k in lie.bracket(b, c).terms.items():
+            total = total + lie.bracket(a, g).scaled(k)
+    return total
+
+
+def test_jacobi_residual_is_the_sum_of_the_three_nested_brackets():
+    gens = generators_in_window(1)
+    for x, y, z in itertools.product(gens, repeat=3):
+        assert jacobi_residual(x, y, z) == _summed_jacobi(x, y, z)
+
+
+def test_jacobi_residual_follows_a_patched_table(monkeypatch):
+    # Under the planted table [L_m, z_n] = n (1 + m) z_{m+n} the residual on
+    # (L_l, L_m, z_n) is l m n (m - l) z_{l+m+n}; the values must match the sum.
+    monkeypatch.setattr(lie, "bracket", planted_bracket)
+    gens = generators_in_window(1)
+    nonzero = 0
+    for x, y, z in itertools.product(gens, repeat=3):
+        got = jacobi_residual(x, y, z)
+        assert got.terms == _summed_jacobi(x, y, z).terms, (x, y, z)
+        nonzero += not got.is_zero
+    # l = -1, m = 1, n = 1: l m n (m - l) = -2.
+    assert jacobi_residual(gen("L", -1), gen("L", 1), gen("a", 1)) == LElement({gen("a", 1): F(-2)})
+    assert nonzero
+
+
+def test_structure_constants_are_ints():
+    gens = generators_in_window(2)
+    constants = [c for x in gens for y in gens for c in bracket(x, y).terms.values()]
+    assert constants and all(type(c) is int for c in constants)
 
 
 def test_pbw_examples():

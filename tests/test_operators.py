@@ -12,6 +12,7 @@ from wittdiamond.homomorphisms import PhiAB, PhiABGG, verify_hom
 from wittdiamond.lie import FAMILIES
 from wittdiamond.operators import (
     DIFFOP,
+    KEYS,
     R0,
     R2,
     UB,
@@ -19,6 +20,7 @@ from wittdiamond.operators import (
     TensorElement,
     commutator,
     integer_commutator,
+    key_id,
     tensor_bracket,
     ub_product,
     weyl_product,
@@ -293,11 +295,20 @@ def _seeded_tensor(rng, left, right):
     return TensorElement(left, right, out)
 
 
+def _id_numerators(element):
+    """``clear_denominators`` of a tensor element's terms, keyed by ``key_id``."""
+    return clear_denominators({key_id(k): c for k, c in element.terms.items()})
+
+
+def _by_key(id_nums):
+    """Numerators keyed by ids, mapped back to their keys through ``KEYS``."""
+    return {KEYS[i]: n for i, n in id_nums.items()}
+
+
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
 def test_tensor_commutator_equals_uv_minus_vu(left, right):
     def bracket_nums(a, b):
-        return integer_commutator(left, right, clear_denominators(a.terms)[0],
-                                  clear_denominators(b.terms)[0])
+        return integer_commutator(left, right, _id_numerators(a)[0], _id_numerators(b)[0])
 
     rng = random.Random(14)
     pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
@@ -306,16 +317,19 @@ def test_tensor_commutator_equals_uv_minus_vu(left, right):
     for u, v in pairs:
         tables = [tensor_bracket(left, right, k1, k2) for k1 in u.terms for k2 in v.terms]
         assert all(type(n) is int and n for table in tables for _, n in table)
-        (u_nums, u_den), (v_nums, v_den) = clear_denominators(u.terms), clear_denominators(v.terms)
+        (u_nums, u_den), (v_nums, v_den) = _id_numerators(u), _id_numerators(v)
         got = integer_commutator(left, right, u_nums, v_nums)
+        assert all(type(i) is int and key_id(KEYS[i]) == i for i in got)
         assert all(type(n) is int and n for n in got.values())
         want = u * v - v * u
         # The kernel's numerators over the product of the denominators are uv - vu.
-        assert TensorElement(left, right, {k: F(n, u_den * v_den) for k, n in got.items()}) == want
+        assert TensorElement(
+            left, right, {k: F(n, u_den * v_den) for k, n in _by_key(got).items()}
+        ) == want
         assert commutator(u, v) == want
         assert bracket_nums(u, u) == {}
         assert bracket_nums(u, u.scaled(F(-3, 2))) == {}
-        assert bracket_nums(v, u) == {k: -n for k, n in got.items()}
+        assert bracket_nums(v, u) == {i: -n for i, n in got.items()}
 
 
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
@@ -336,5 +350,4 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
         u, v = coordinates(), coordinates()
         assert all(tensor_bracket(left, right, k1, k2) == () for k1 in u.terms for k2 in v.terms)
         assert commutator(u, v).terms == {}
-        nums = clear_denominators(u.terms)[0], clear_denominators(v.terms)[0]
-        assert integer_commutator(left, right, *nums) == {}
+        assert integer_commutator(left, right, _id_numerators(u)[0], _id_numerators(v)[0]) == {}
