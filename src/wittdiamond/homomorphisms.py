@@ -11,6 +11,7 @@ each replayable exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,18 +25,19 @@ from .operators import (
     UB,
     OperatorElement,
     TensorElement,
+    bracket_tables,
     integer_commutator,
     key_id,
 )
-from .scalars import ONE, add_scaled, clear_denominators, integer_combination, scalar
+from .scalars import ONE, add_scaled, clear_denominators, scalar
 
 
-def _weyl(algebra, xexp, dexp, coef=ONE) -> OperatorElement:
-    return OperatorElement.monomial(algebra, (tuple(xexp), tuple(dexp)), coef)
+def _weyl(algebra, xexp, dexp) -> OperatorElement:
+    return OperatorElement.monomial(algebra, (tuple(xexp), tuple(dexp)))
 
 
-def _ub(i: int, j: int, coef=ONE) -> OperatorElement:
-    return OperatorElement.monomial(UB, (i, j), coef)
+def _ub(i: int, j: int) -> OperatorElement:
+    return OperatorElement.monomial(UB, (i, j))
 
 
 @dataclass(frozen=True)
@@ -80,30 +82,31 @@ class PhiAB:
         return TensorElement.one(R2, UB)
 
     def image(self, g: Generator) -> TensorElement:
-        n = g.index
-        ub1 = _ub(0, 0)
+        # Keys are ((x0, x1 exponents), (dx0, dx1 exponents)) (x) (h, e exponents);
+        # d0 = x0 dx0 and d1 = x1 dx1.  Zero coefficients (n = 0) are dropped.
+        n, alpha, beta = g.index, self.alpha, self.beta
+        one, h, e, no_d = (0, 0), (1, 0), (0, 1), (0, 0)
         if g.family == "L":
-            left = _weyl(R2, (n + 1, 0), (1, 0)) + _weyl(R2, (n, 0), (0, 0), n * self.alpha)
-            out = TensorElement.pure(left, ub1)
-            if n:
-                out = out + TensorElement.pure(_weyl(R2, (n, 0), (0, 0), n), _ub(1, 0))
-            return out
-        if g.family == "d":
-            out = TensorElement.pure(_weyl(R2, (n, 1), (0, 1)), ub1)
-            if n:
-                out = out + TensorElement.pure(_weyl(R2, (n, 0), (0, 0), n), _ub(0, 1))
-            return out
-        if g.family == "a":
-            out = TensorElement.pure(_weyl(R2, (n, 2), (0, 1), self.beta), ub1)
-            out = out + TensorElement.pure(_weyl(R2, (n, 1), (0, 0), -self.beta), _ub(1, 0))
-            if n:
-                out = out + TensorElement.pure(_weyl(R2, (n, 1), (0, 0), self.beta * n), _ub(0, 1))
-            return out
-        if g.family == "b":
-            return TensorElement.pure(_weyl(R2, (n, -1), (0, 0)), ub1)
-        if g.family == "c":
-            return TensorElement.pure(_weyl(R2, (n, 0), (0, 0), -self.beta), ub1)
-        raise InvalidSpec(f"no image for generator family {g.family!r}")
+            terms = {
+                (((n + 1, 0), (1, 0)), one): ONE,
+                (((n, 0), no_d), one): n * alpha,
+                (((n, 0), no_d), h): Fraction(n),
+            }
+        elif g.family == "d":
+            terms = {(((n, 1), (0, 1)), one): ONE, (((n, 0), no_d), e): Fraction(n)}
+        elif g.family == "a":
+            terms = {
+                (((n, 2), (0, 1)), one): beta,
+                (((n, 1), no_d), h): -beta,
+                (((n, 1), no_d), e): beta * n,
+            }
+        elif g.family == "b":
+            terms = {(((n, -1), no_d), one): ONE}
+        elif g.family == "c":
+            terms = {(((n, 0), no_d), one): -beta}
+        else:
+            raise InvalidSpec(f"no image for generator family {g.family!r}")
+        return TensorElement(R2, UB, terms)
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -115,7 +118,7 @@ class CorruptedPhiAB(PhiAB):
 
     def image(self, g: Generator) -> TensorElement:
         if g.family == "d":
-            return TensorElement.pure(_weyl(R2, (g.index, 1), (0, 1)), _ub(0, 0))
+            return TensorElement(R2, UB, {(((g.index, 1), (0, 1)), (0, 0)): ONE})
         return super().image(g)
 
 
@@ -123,8 +126,14 @@ class CorruptedPhiAB(PhiAB):
 class PhiABGG:
     """Generator table of the surjection onto (Weyl degree 1) (x) diff ops.
 
-    ``g`` is the coefficient tuple of a polynomial in the differential
-    variable, constant term first.
+    ``g`` is the coefficient tuple of a polynomial g(t) in the differential
+    variable, constant term first.  With d0 = x0 d/dx0 and dt = d/dt:
+
+        L[n] -> x0^n (d0 + n alpha) (x) 1
+        d[n] -> x0^n (x) ((t g(t) + gamma) / beta + t dt)
+        a[n] -> x0^n (x) t
+        b[n] -> x0^n (x) (g(t) + beta dt)
+        c[n] -> -beta x0^n (x) 1
     """
 
     alpha: Fraction
@@ -151,32 +160,27 @@ class PhiABGG:
     def one(self) -> TensorElement:
         return TensorElement.one(R0, DIFFOP)
 
-    def g_operator(self) -> OperatorElement:
-        return OperatorElement(DIFFOP, {((k,), (0,)): c for k, c in enumerate(self.g) if c})
-
     def image(self, g: Generator) -> TensorElement:
-        n = g.index
-        one_d = OperatorElement.one(DIFFOP)
+        # Keys are (x0 exponent, dx0 exponent) (x) (t exponent, dt exponent), each
+        # a one-tuple.  Zero coefficients (n = 0, gamma = 0, zeros in g) are dropped.
+        n, alpha, beta = g.index, self.alpha, self.beta
+        x0n, one = ((n,), (0,)), ((0,), (0,))
         if g.family == "L":
-            left = _weyl(R0, (n + 1,), (1,)) + _weyl(R0, (n,), (0,), n * self.alpha)
-            return TensorElement.pure(left, one_d)
-        x0n = _weyl(R0, (n,), (0,))
-        if g.family == "d":
-            op = OperatorElement(
-                DIFFOP,
-                {((k + 1,), (0,)): c / self.beta for k, c in enumerate(self.g) if c},
-            )
-            op = op + OperatorElement(DIFFOP, {((0,), (0,)): self.gamma / self.beta})
-            op = op + OperatorElement(DIFFOP, {((1,), (1,)): ONE})
-            return TensorElement.pure(x0n, op)
-        if g.family == "a":
-            return TensorElement.pure(x0n, OperatorElement.monomial(DIFFOP, ((1,), (0,))))
-        if g.family == "b":
-            op = self.g_operator() + OperatorElement(DIFFOP, {((0,), (1,)): self.beta})
-            return TensorElement.pure(x0n, op)
-        if g.family == "c":
-            return TensorElement.pure(_weyl(R0, (n,), (0,), -self.beta), one_d)
-        raise InvalidSpec(f"no image for generator family {g.family!r}")
+            terms = {(((n + 1,), (1,)), one): ONE, (x0n, one): n * alpha}
+        elif g.family == "d":
+            terms = {(x0n, ((k + 1,), (0,))): c / beta for k, c in enumerate(self.g)}
+            terms[x0n, one] = self.gamma / beta
+            terms[x0n, ((1,), (1,))] = ONE
+        elif g.family == "a":
+            terms = {(x0n, ((1,), (0,))): ONE}
+        elif g.family == "b":
+            terms = {(x0n, ((k,), (0,))): c for k, c in enumerate(self.g)}
+            terms[x0n, ((0,), (1,))] = beta
+        elif g.family == "c":
+            terms = {(x0n, one): -beta}
+        else:
+            raise InvalidSpec(f"no image for generator family {g.family!r}")
+        return TensorElement(R0, DIFFOP, terms)
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -219,13 +223,15 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     The check does no rational arithmetic per pair.  Each image is cleared
     once to integer numerators over one denominator
     (``scalars.clear_denominators``), keyed by the int ids of
-    ``operators.key_id``; the commutator of two images is summed in Python
-    ints from the cached integer tables of
-    ``operators.integer_commutator``, over the product of their
-    denominators; and ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is one
-    ``scalars.integer_combination`` over a common denominator, with the
-    numerator and denominator of each bracket coefficient c_g folded in,
-    which is zero exactly when the pair passes.
+    ``operators.key_id``, and the ``operators.bracket_tables`` of the two
+    target algebras are fetched once per call.  For each pair the commutator
+    of the two images is summed in Python ints by
+    ``operators.integer_commutator``, over the product ``den`` of their
+    denominators; then each bracket term ``c_g g`` is subtracted into that
+    same dict, over ``lcm(den, c_g.denominator * den_g)`` (the dict is
+    rescaled only when the lcm exceeds ``den``).  ``[phi(x), phi(y)] -
+    sum_g c_g phi(g)`` is zero, and the pair passes, exactly when every
+    value left is zero.
 
     The default window 1 settles every index pair in Z for the tables of
     this module.  Each image of ``x[n]`` is ``x0^n`` times an operator whose
@@ -242,7 +248,7 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     if window < 1:
         raise ValueError("window must be at least 1")
     gens = generators_in_window(window)
-    left, right = phi.left_algebra, phi.right_algebra
+    tables = bracket_tables(phi.left_algebra, phi.right_algebra)
 
     def cleared(g):
         return clear_denominators({key_id(k): c for k, c in phi.image(g).terms.items()})
@@ -255,13 +261,25 @@ def verify_hom(phi, window: int = 1) -> HomReport:
         for y in gens[i:]:
             checked += 1
             y_nums, y_den = images[y]
-            parts = [(1, x_den * y_den, integer_commutator(left, right, x_nums, y_nums))]
+            out = integer_commutator(tables, x_nums, y_nums)
+            den = x_den * y_den
             for g, c in bracket(x, y).terms.items():
                 image = images.get(g)
                 if image is None:
                     image = images[g] = cleared(g)
-                parts.append((-c.numerator, c.denominator * image[1], image[0]))
-            if integer_combination(parts)[0]:
+                g_nums, g_den = image
+                g_den *= c.denominator
+                common = math.lcm(den, g_den)
+                if common != den:
+                    up = common // den
+                    for k in out:
+                        out[k] *= up
+                    den = common
+                s = c.numerator * (common // g_den)
+                get = out.get
+                for k, n in g_nums.items():
+                    out[k] = get(k, 0) - s * n
+            if any(out.values()):
                 violations.append((str(x), str(y)))
     return HomReport(window=window, pairs_checked=checked, violations=violations)
 

@@ -74,11 +74,13 @@ def bracket(x: Generator, y: Generator) -> LElement:
     The constants are Python ints that depend on the two generators alone,
     so ``_structure_constants`` works each pair out once per process, like
     the product tables of ``operators``.  Every call returns a fresh
-    element, so a caller that changes it reaches no cache; an unknown family
-    raises ``InvalidGenerator`` on every call, as exceptions are not cached.
+    element, built in one step around a copy of the cached terms, so a
+    caller that changes it reaches no cache; an unknown family raises
+    ``InvalidGenerator`` on every call, as exceptions are not cached.
     """
-    e = _structure_constants(x, y)
-    return e._like(dict(e.terms))
+    new = object.__new__(LElement)
+    new.terms = _structure_constants(x, y).terms.copy()
+    return new
 
 
 @functools.cache

@@ -22,11 +22,12 @@ Element products scale a table entry by one rational per pair of terms and
 skip the multiplication where the constant is 1, as most of them are.
 Each pure-tensor key gets a process-wide int id (``key_id``; ``KEYS`` maps
 it back).  ``integer_commutator`` sums the commutator of two tensor elements
-over integer numerators keyed by those ids, from integer tables that it
-keeps by pair of ids per pair of algebras and that ``tensor_bracket``
-computes on first use, so a bracket check needs no rational arithmetic and
-hashes no nested key tuple; ``commutator`` is ``uv - vu`` for every kind of
-element.
+over integer numerators keyed by those ids, from the integer tables of one
+``BracketTables`` per pair of algebras (``bracket_tables``), which
+``tensor_bracket`` fills on first use by pair of ids; a bracket check fetches
+that dict once, needs no rational arithmetic and hashes no nested key tuple.
+The generator images of ``homomorphisms`` are literal tables of such keys.
+``commutator`` is ``uv - vu`` for every kind of element.
 """
 
 from __future__ import annotations
@@ -221,7 +222,11 @@ class OperatorElement(LinComb):
 
 
 class TensorElement(LinComb):
-    """Sum of pure tensors A (x) B with both sides normal-ordered."""
+    """Sum of pure tensors A (x) B with both sides normal-ordered.
+
+    The constructor drops zero coefficients, so a literal table of terms may
+    hold them.
+    """
 
     __slots__ = ("left_algebra", "right_algebra")
 
@@ -304,8 +309,8 @@ def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
 
     (l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, so the table is the difference
     of the two products of integer tables; it is empty when the monomials
-    commute.  Nothing is cached here: ``integer_commutator`` keeps each
-    table it asks for, by key ids.
+    commute.  Nothing is cached here: ``BracketTables`` keeps each table
+    that ``integer_commutator`` asks for, by key ids.
     """
     out: dict = {}
     for sign, (a, b), (c, d) in ((1, k1, k2), (-1, k2, k1)):
@@ -317,37 +322,75 @@ def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
     return tuple((key, n) for key, n in out.items() if n)
 
 
-# (left algebra, right algebra) -> {(id1, id2): [id1, id2] as (id, int) pairs}.
+class BracketTables(dict):
+    """The integer bracket tables of one pair of algebras, by pair of key ids.
+
+    ``tables[i1, i2]`` is ``tensor_bracket(KEYS[i1], KEYS[i2])`` with its keys
+    replaced by their ids; a pair not seen before is worked out on first use
+    and kept.
+    """
+
+    __slots__ = ("left_algebra", "right_algebra")
+
+    def __init__(self, left_algebra, right_algebra):
+        super().__init__()
+        self.left_algebra = left_algebra
+        self.right_algebra = right_algebra
+
+    def __missing__(self, ids):
+        i1, i2 = ids
+        table = self[ids] = tuple(
+            (key_id(key), n)
+            for key, n in tensor_bracket(self.left_algebra, self.right_algebra, KEYS[i1], KEYS[i2])
+        )
+        return table
+
+
+# (left algebra, right algebra) -> its BracketTables, one per process.
 _ID_TABLES: dict = {}
 
 
-def integer_commutator(left_algebra, right_algebra, u: Mapping, v: Mapping) -> dict:
+def bracket_tables(left_algebra, right_algebra) -> BracketTables:
+    """The one ``BracketTables`` of a pair of algebras in this process.
+
+    Looking it up hashes both algebras, so a caller that takes many
+    commutators in one pair of algebras fetches it once.
+    """
+    tables = _ID_TABLES.get((left_algebra, right_algebra))
+    if tables is None:
+        tables = _ID_TABLES[left_algebra, right_algebra] = BracketTables(
+            left_algebra, right_algebra
+        )
+    return tables
+
+
+def integer_commutator(tables: BracketTables, u: Mapping, v: Mapping) -> dict:
     """[u, v] of two tensor elements given as integer numerators on key ids.
 
     ``u`` and ``v`` map the ids of pure-tensor keys (``key_id``) to ints, as
-    ``scalars.clear_denominators`` gives them; the result maps ids to the
-    nonzero ints of ``sum n1 n2 tensor_bracket(k1, k2)``, the commutator over
-    the product of the two denominators.  Each table is worked out once per
-    process and pair of algebras, and kept here by its pair of ids, so a
-    lookup hashes two ints.  A pair of commuting monomials has an empty
-    table and costs nothing.
+    ``scalars.clear_denominators`` gives them, and ``tables`` is the
+    ``bracket_tables`` of their pair of algebras.  The result is a fresh dict
+    from ids to the ints of ``sum n1 n2 tensor_bracket(k1, k2)``, the
+    commutator over the product of the two denominators; terms that cancel
+    stay as zeros, so ``[u, v]`` is zero exactly when no value is nonzero.
+    Each lookup hashes two ints, and a pair of commuting monomials has an
+    empty table and costs nothing.
     """
-    tables = _ID_TABLES.setdefault((left_algebra, right_algebra), {})
     out: dict = {}
     get = out.get
+    get_table = tables.get
     for i1, n1 in u.items():
         for i2, n2 in v.items():
-            table = tables.get((i1, i2))
+            # ``get`` is the fast lookup on a dict subclass; a miss goes
+            # through ``__missing__``, which works the table out.
+            table = get_table((i1, i2))
             if table is None:
-                table = tables[i1, i2] = tuple(
-                    (key_id(key), n)
-                    for key, n in tensor_bracket(left_algebra, right_algebra, KEYS[i1], KEYS[i2])
-                )
+                table = tables[i1, i2]
             if table:
                 n12 = n1 * n2
                 for i, n in table:
                     out[i] = get(i, 0) + n12 * n
-    return {i: n for i, n in out.items() if n}
+    return out
 
 
 def commutator(u, v):

@@ -44,6 +44,73 @@ def test_phi_ab_generator_images():
     )
 
 
+def _weyl(algebra, xexp, dexp, coef=1):
+    return OperatorElement.monomial(algebra, (tuple(xexp), tuple(dexp)), F(coef))
+
+
+def _ub(i, j, coef=1):
+    return OperatorElement.monomial(UB, (i, j), F(coef))
+
+
+def operator_image(phi, g):
+    """The generator image built by operator arithmetic from the class docstrings' tables.
+
+    Sums of ``OperatorElement`` monomials and ``TensorElement.pure``; no code
+    of ``image`` is reused.
+    """
+    n, f = g.index, g.family
+    if isinstance(phi, PhiABGG):
+        x0n, one_d = _weyl(R0, (n,), (0,)), OperatorElement.one(DIFFOP)
+        t, dt = _weyl(DIFFOP, (1,), (0,)), _weyl(DIFFOP, (0,), (1,))
+        g_t = OperatorElement(DIFFOP)
+        for k, c in enumerate(phi.g):
+            g_t = g_t + _weyl(DIFFOP, (k,), (0,), c)
+        if f == "L":
+            left = _weyl(R0, (n + 1,), (1,)) + _weyl(R0, (n,), (0,), n * phi.alpha)
+            return TensorElement.pure(left, one_d)
+        if f == "d":
+            right = (t * g_t + one_d.scaled(phi.gamma)).scaled(1 / phi.beta) + t * dt
+            return TensorElement.pure(x0n, right)
+        if f == "a":
+            return TensorElement.pure(x0n, t)
+        if f == "b":
+            return TensorElement.pure(x0n, g_t + dt.scaled(phi.beta))
+        return TensorElement.pure(_weyl(R0, (n,), (0,), -phi.beta), one_d)
+    ub1, h, e = _ub(0, 0), _ub(1, 0), _ub(0, 1)
+    if f == "L":
+        left = _weyl(R2, (n + 1, 0), (1, 0)) + _weyl(R2, (n, 0), (0, 0), n * phi.alpha)
+        return TensorElement.pure(left, ub1) + TensorElement.pure(_weyl(R2, (n, 0), (0, 0), n), h)
+    if f == "d":
+        out = TensorElement.pure(_weyl(R2, (n, 1), (0, 1)), ub1)
+        if isinstance(phi, CorruptedPhiAB):
+            return out
+        return out + TensorElement.pure(_weyl(R2, (n, 0), (0, 0), n), e)
+    if f == "a":
+        x0n_x1 = _weyl(R2, (n, 1), (0, 0), phi.beta)
+        return (TensorElement.pure(_weyl(R2, (n, 2), (0, 1), phi.beta), ub1)
+                - TensorElement.pure(x0n_x1, h - e.scaled(n)))
+    if f == "b":
+        return TensorElement.pure(_weyl(R2, (n, -1), (0, 0)), ub1)
+    return TensorElement.pure(_weyl(R2, (n, 0), (0, 0), -phi.beta), ub1)
+
+
+@pytest.mark.parametrize("phi", [
+    PhiAB(F(1, 2), F(3)),
+    PhiAB(F(0), F(-5, 3)),
+    CorruptedPhiAB(F(1, 2), F(3)),
+    # An inner zero in g and gamma 0, whose terms the literal table must drop.
+    PhiABGG(F(1, 2), F(3), F(0), (F(1), F(0), F(2, 3))),
+    PhiABGG(F(-2, 3), F(-3, 5), F(2, 7), (F(1, 11), F(0), F(1, 7))),
+], ids=["ab", "ab-alpha0", "corrupted", "abgg-zeros", "abgg-coprime"])
+def test_literal_images_agree_with_operator_arithmetic(phi):
+    for family in FAMILIES:
+        for n in range(-6, 7):
+            got, want = phi.image(gen(family, n)), operator_image(phi, gen(family, n))
+            assert got.terms == want.terms, (family, n)
+            assert (got.left_algebra, got.right_algebra) == (want.left_algebra, want.right_algebra)
+            assert all(type(c) is F and c for c in got.terms.values()), (family, n)
+
+
 def test_phi_ab_is_homomorphism_random_tuples():
     rng = random.Random(1)
     for _ in range(5):
@@ -179,3 +246,28 @@ def test_multiplicativity_on_random_words():
             u = UEnvElement.from_word([rng.choice(pool) for _ in range(rng.randint(0, 3))])
             v = UEnvElement.from_word([rng.choice(pool) for _ in range(rng.randint(0, 3))])
             assert which.apply(uenv_mul(u, v)) == which.apply(u) * which.apply(v)
+
+
+def _half_lb(bracket):
+    """``bracket`` with [L_m, b_n] and [b_n, L_m] scaled by 1/2: a fractional constant."""
+    def planted(x, y):
+        out = bracket(x, y)
+        return out.scaled(F(1, 2)) if {x.family, y.family} == {"L", "b"} else out
+    return planted
+
+
+# alpha = 1/3 gives the L-images denominator 3, so the constant's denominator 2
+# raises the common denominator and the commutator's numerators are rescaled.
+@pytest.mark.parametrize("phi", [PhiAB(F(1, 3), F(3)), COPRIME_ABGG], ids=["ab", "abgg"])
+def test_a_fractional_bracket_constant_is_subtracted_over_the_lcm(phi, monkeypatch,
+                                                                  reference_violations):
+    import conftest
+
+    planted = _half_lb(homomorphisms.bracket)
+    monkeypatch.setattr(homomorphisms, "bracket", planted)
+    monkeypatch.setattr(conftest, "bracket", planted)
+    violations = verify_hom(phi, 2).violations
+    # [phi(L_m), phi(b_n)] = n phi(b_{m+n}) differs from n/2 phi(b_{m+n}) for n != 0.
+    assert len(violations) == 20
+    assert all(x[0] == "L" and y[0] == "b" and y != "b[0]" for x, y in violations)
+    assert violations == reference_violations(phi, 2)

@@ -18,6 +18,7 @@ from wittdiamond.operators import (
     UB,
     OperatorElement,
     TensorElement,
+    bracket_tables,
     commutator,
     integer_commutator,
     key_id,
@@ -305,22 +306,32 @@ def _by_key(id_nums):
     return {KEYS[i]: n for i, n in id_nums.items()}
 
 
+def _nonzero(id_nums):
+    """The nonzero values of an ``integer_commutator`` result, which keeps cancelled zeros."""
+    return {i: n for i, n in id_nums.items() if n}
+
+
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
 def test_tensor_commutator_equals_uv_minus_vu(left, right):
+    tables = bracket_tables(left, right)
+
     def bracket_nums(a, b):
-        return integer_commutator(left, right, _id_numerators(a)[0], _id_numerators(b)[0])
+        return _nonzero(integer_commutator(tables, _id_numerators(a)[0], _id_numerators(b)[0]))
 
     rng = random.Random(14)
     pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
              for _ in range(40)]
     assert any(min(kl[0]) < 0 for u, _ in pairs for kl, _ in u.terms)
+    assert bracket_tables(left, right) is tables
+    assert (tables.left_algebra, tables.right_algebra) == (left, right)
     for u, v in pairs:
-        tables = [tensor_bracket(left, right, k1, k2) for k1 in u.terms for k2 in v.terms]
-        assert all(type(n) is int and n for table in tables for _, n in table)
+        tensor_tables = [tensor_bracket(left, right, k1, k2) for k1 in u.terms for k2 in v.terms]
+        assert all(type(n) is int and n for table in tensor_tables for _, n in table)
         (u_nums, u_den), (v_nums, v_den) = _id_numerators(u), _id_numerators(v)
-        got = integer_commutator(left, right, u_nums, v_nums)
-        assert all(type(i) is int and key_id(KEYS[i]) == i for i in got)
-        assert all(type(n) is int and n for n in got.values())
+        raw = integer_commutator(tables, u_nums, v_nums)
+        assert all(type(i) is int and key_id(KEYS[i]) == i for i in raw)
+        assert all(type(n) is int for n in raw.values())
+        got = _nonzero(raw)
         want = u * v - v * u
         # The kernel's numerators over the product of the denominators are uv - vu.
         assert TensorElement(
@@ -350,4 +361,5 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
         u, v = coordinates(), coordinates()
         assert all(tensor_bracket(left, right, k1, k2) == () for k1 in u.terms for k2 in v.terms)
         assert commutator(u, v).terms == {}
-        assert integer_commutator(left, right, _id_numerators(u)[0], _id_numerators(v)[0]) == {}
+        tables = bracket_tables(left, right)
+        assert integer_commutator(tables, _id_numerators(u)[0], _id_numerators(v)[0]) == {}
