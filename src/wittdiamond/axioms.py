@@ -13,12 +13,11 @@ honest.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lie import Generator, UEnvElement, bracket, generators_in_window
 from .poly import PolyRing, SparsePoly, monomials_within
-from .scalars import ONE, clear_denominators, integer_combination, scalar
+from .scalars import ONE, Record, clear_denominators, integer_combination, scalar
 
 
 def apply_uenv(module, u: UEnvElement, v: SparsePoly) -> SparsePoly:
@@ -32,12 +31,15 @@ def apply_uenv(module, u: UEnvElement, v: SparsePoly) -> SparsePoly:
     return out
 
 
-@dataclass
-class AxiomReport:
-    window: int
-    vectors: int
-    pairs_checked: int = 0
-    violations: list[tuple[str, str, int]] = field(default_factory=list)
+class AxiomReport(Record):
+    _fields = ("window", "vectors", "pairs_checked", "violations")
+
+    def __init__(self, window: int, vectors: int, pairs_checked: int = 0,
+                 violations: list[tuple[str, str, int]] | None = None):
+        self.window = window
+        self.vectors = vectors
+        self.pairs_checked = pairs_checked
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

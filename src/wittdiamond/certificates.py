@@ -16,14 +16,13 @@ erase its error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import CertificateError
 from .lie import Generator, gen
 from .poly import SparsePoly
-from .scalars import add_scaled, scalar
+from .scalars import Frozen, Record, add_scaled, scalar
 
 Word = tuple[Generator, ...]
 
@@ -37,9 +36,11 @@ def require(ok: bool, what: str) -> None:
         raise CertificateError(what)
 
 
-@dataclass(frozen=True)
-class CertStep:
-    combo: tuple[tuple[Fraction, Word], ...]
+class CertStep(Frozen):
+    _fields = ("combo",)
+
+    def __init__(self, combo: tuple[tuple[Fraction, Word], ...]):
+        self._set(combo=combo)
 
     def apply(self, module, v: SparsePoly) -> SparsePoly:
         out: dict = {}
@@ -64,9 +65,11 @@ class CertStep:
         return cls(combo)
 
 
-@dataclass
-class Certificate:
-    steps: list[CertStep]
+class Certificate(Record):
+    _fields = ("steps",)
+
+    def __init__(self, steps: list[CertStep]):
+        self.steps = steps
 
     def replay(self, module, start: SparsePoly,
                checks: Sequence[tuple[SparsePoly, str]] = ()) -> SparsePoly:

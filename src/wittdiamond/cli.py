@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import prod
+from math import perm, prod
 
 from .axioms import simplicity_samples
 from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
@@ -411,6 +411,14 @@ def cmd_simplicity(args) -> int:
 # Blocks of at most this many rows are also expanded by cofactors (``naive_det``).
 NAIVE_LIMIT = 6
 
+# Bounds on the work of the det-lemma sweep, checked before any determinant:
+# the rows of its largest block, max_m * max_s, and its spec count, the sum
+# over m of P(len(alphas), m) * max_s^m.  The default sweep has blocks of at
+# most 9 rows and 3528 specs (about 0.5 s).  A sweep at both bounds takes a
+# few seconds; blocks of 80 rows ran for minutes.
+MAX_DET_ROWS = 24
+MAX_DET_SPECS = 10_000
+
 
 def cmd_det_lemma(args) -> int:
     """The closed form of ``det_r`` at r = 0, which settles every r >= 0 (see ``det_r``)."""
@@ -418,6 +426,14 @@ def cmd_det_lemma(args) -> int:
     alphas = tuple(_rational(a, "--alphas") for a in args.alphas.split(","))
     if args.max_m > len(alphas):
         raise InvalidSpec(f"--max-m {args.max_m} exceeds the {len(alphas)} values of --alphas")
+    rows = args.max_m * args.max_s
+    if rows > MAX_DET_ROWS:
+        raise InvalidSpec(f"--max-m/--max-s: the largest block, of {rows} rows, is above the "
+                          f"bound {MAX_DET_ROWS} on the rows of a block")
+    total = sum(perm(len(alphas), m) * args.max_s ** m for m in range(1, args.max_m + 1))
+    if total > MAX_DET_SPECS:
+        raise InvalidSpec(f"--alphas/--max-m/--max-s: the sweep's {total} specs are above the "
+                          f"bound {MAX_DET_SPECS} on its specs")
     specs = 0
     mismatches = []
     naive_checked = 0

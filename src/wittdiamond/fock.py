@@ -37,44 +37,40 @@ so the split loses no generality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidGenerator, InvalidSpec, NotWeight, UnsupportedOperation
 from .lie import Generator, gen
 from .omega import InvarianceReport, invariance_check
 from .poly import PolyRing, SparsePoly, act_by_rules, monomials_within
-from .scalars import ONE, ZERO, clear_denominators, scalar
+from .scalars import ONE, ZERO, Frozen, Record, clear_denominators, scalar
 
 
-@dataclass(frozen=True)
-class MFactor:
-    weight: Fraction
+class MFactor(Frozen):
+    _fields = ("weight",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", scalar(self.weight))
+    def __init__(self, weight: Fraction):
+        self._set(weight=scalar(weight))
 
 
-@dataclass(frozen=True)
-class OmegaFactor:
-    lam: Fraction
+class OmegaFactor(Frozen):
+    _fields = ("lam",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", scalar(self.lam))
-        if self.lam == 0:
+    def __init__(self, lam: Fraction):
+        lam = scalar(lam)
+        if lam == 0:
             raise InvalidSpec("shift-module parameter must be nonzero")
+        self._set(lam=lam)
 
 
-@dataclass(frozen=True)
-class OneDim:
-    eps: Fraction
+class OneDim(Frozen):
+    _fields = ("eps",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", scalar(self.eps))
+    def __init__(self, eps: Fraction):
+        self._set(eps=scalar(eps))
 
 
-@dataclass(frozen=True)
-class Whittaker:
+class Whittaker(Frozen):
     pass
 
 
@@ -188,11 +184,13 @@ def _require_epsilon_branch(module: FModule) -> None:
         raise UnsupportedOperation("criterion needs an M-type factor on x1")
 
 
-@dataclass
-class EpsilonSimplicity:
+class EpsilonSimplicity(Record):
     """The crossing -eps/beta - w, the x1-level where a's coefficient vanishes."""
 
-    crossing: Fraction
+    _fields = ("crossing",)
+
+    def __init__(self, crossing: Fraction):
+        self.crossing = crossing
 
     @property
     def simple(self) -> bool:

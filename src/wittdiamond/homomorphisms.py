@@ -12,7 +12,6 @@ each replayable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,7 +28,7 @@ from .operators import (
     integer_commutator,
     key_id,
 )
-from .scalars import ONE, add_scaled, clear_denominators, scalar
+from .scalars import ONE, Frozen, Record, add_scaled, clear_denominators, scalar
 
 
 def _weyl(algebra, xexp, dexp) -> OperatorElement:
@@ -40,8 +39,7 @@ def _ub(i: int, j: int) -> OperatorElement:
     return OperatorElement.monomial(UB, (i, j))
 
 
-@dataclass(frozen=True)
-class PhiAB:
+class PhiAB(Frozen):
     """Generator table of the map into (Weyl degree 2) (x) U(b).
 
     With d0 and d1 denoting the Euler operators x_i d/dx_i:
@@ -61,14 +59,13 @@ class PhiAB:
     and only eigenvalue -beta cancels it.
     """
 
-    alpha: Fraction
-    beta: Fraction
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", scalar(self.alpha))
-        object.__setattr__(self, "beta", scalar(self.beta))
-        if self.beta == 0:
+    def __init__(self, alpha: Fraction, beta: Fraction):
+        alpha, beta = scalar(alpha), scalar(beta)
+        if beta == 0:
             raise InvalidSpec("beta must be nonzero")
+        self._set(alpha=alpha, beta=beta)
 
     @property
     def left_algebra(self):
@@ -112,7 +109,6 @@ class PhiAB:
         return _apply(self, u)
 
 
-@dataclass(frozen=True)
 class CorruptedPhiAB(PhiAB):
     """Negative control: the image of d[n] is missing its n x0^n (x) e term."""
 
@@ -122,8 +118,7 @@ class CorruptedPhiAB(PhiAB):
         return super().image(g)
 
 
-@dataclass(frozen=True)
-class PhiABGG:
+class PhiABGG(Frozen):
     """Generator table of the surjection onto (Weyl degree 1) (x) diff ops.
 
     ``g`` is the coefficient tuple of a polynomial g(t) in the differential
@@ -136,18 +131,14 @@ class PhiABGG:
         c[n] -> -beta x0^n (x) 1
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    g: tuple[Fraction, ...]
+    _fields = ("alpha", "beta", "gamma", "g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", scalar(self.alpha))
-        object.__setattr__(self, "beta", scalar(self.beta))
-        object.__setattr__(self, "gamma", scalar(self.gamma))
-        object.__setattr__(self, "g", tuple(scalar(c) for c in self.g))
-        if self.beta == 0:
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, g: tuple[Fraction, ...]):
+        alpha, beta, gamma = scalar(alpha), scalar(beta), scalar(gamma)
+        g = tuple(scalar(c) for c in g)
+        if beta == 0:
             raise InvalidSpec("beta must be nonzero")
+        self._set(alpha=alpha, beta=beta, gamma=gamma, g=g)
 
     @property
     def left_algebra(self):
@@ -200,11 +191,13 @@ def _apply(phi, u: UEnvElement) -> TensorElement:
     return TensorElement(phi.left_algebra, phi.right_algebra)._like(total)
 
 
-@dataclass
-class HomReport:
-    window: int
-    pairs_checked: int
-    violations: list[tuple[str, str]]
+class HomReport(Record):
+    _fields = ("window", "pairs_checked", "violations")
+
+    def __init__(self, window: int, pairs_checked: int, violations: list[tuple[str, str]]):
+        self.window = window
+        self.pairs_checked = pairs_checked
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -284,12 +277,14 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     return HomReport(window=window, pairs_checked=checked, violations=violations)
 
 
-@dataclass
-class Witness:
+class Witness(Record):
     """A named target operator together with preimage(s) under the map."""
 
-    name: str
-    pairs: list[tuple[TensorElement, UEnvElement]]
+    _fields = ("name", "pairs")
+
+    def __init__(self, name: str, pairs: list[tuple[TensorElement, UEnvElement]]):
+        self.name = name
+        self.pairs = pairs
 
     def check(self, phi) -> bool:
         return all(phi.apply(pre) == target for target, pre in self.pairs)

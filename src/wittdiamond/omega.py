@@ -26,7 +26,6 @@ recompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -37,7 +36,8 @@ from .exceptions import (
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
 from .poly import PolyRing, SparsePoly, act_by_rules
-from .scalars import ONE, ZERO, LinComb, add_scaled, binomial, clear_denominators, scalar
+from .scalars import (ONE, ZERO, Frozen, LinComb, Record, add_scaled, binomial,
+                      clear_denominators, scalar)
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -47,26 +47,19 @@ def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class OmegaParams:
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    lam: Fraction
-    g: tuple[Fraction, ...]
-    # (D, alpha D, beta D, gamma D, g_0 D, ...) over one denominator D.
-    ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
+class OmegaParams(Frozen):
+    _fields = ("alpha", "beta", "gamma", "lam", "g")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", scalar(self.alpha))
-        object.__setattr__(self, "beta", scalar(self.beta))
-        object.__setattr__(self, "gamma", scalar(self.gamma))
-        object.__setattr__(self, "lam", scalar(self.lam))
-        object.__setattr__(self, "g", _normalize_coeffs(self.g))
-        if self.beta == 0 or self.lam == 0:
+    def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, lam: Fraction,
+                 g: tuple[Fraction, ...]):
+        alpha, beta, gamma, lam = scalar(alpha), scalar(beta), scalar(gamma), scalar(lam)
+        g = _normalize_coeffs(g)
+        if beta == 0 or lam == 0:
             raise InvalidSpec("beta and lambda must be nonzero")
-        nums, d = clear_denominators(dict(enumerate((self.alpha, self.beta, self.gamma, *self.g))))
-        object.__setattr__(self, "ints", (d, *nums.values()))
+        nums, d = clear_denominators(dict(enumerate((alpha, beta, gamma, *g))))
+        # ints: (D, alpha D, beta D, gamma D, g_0 D, ...) over one denominator D,
+        # outside _fields, so it takes no part in == or repr.
+        self._set(alpha=alpha, beta=beta, gamma=gamma, lam=lam, g=g, ints=(d, *nums.values()))
 
     @property
     def g_degree(self) -> int | None:
@@ -217,15 +210,18 @@ def orbit(module, family: str, v: SparsePoly) -> list[tuple[Generator, SparsePol
     return [(g, module.act(g, v)) for g in gens]
 
 
-@dataclass
-class InvarianceReport:
+class InvarianceReport(Record):
     """Probe images of a subspace W, those that escape it, and W's properness witness."""
 
-    probes: int = 0
-    images_checked: int = 0
-    max_index_degree: int = 0
-    escapes: list[str] = field(default_factory=list)
-    proper: bool = False
+    _fields = ("probes", "images_checked", "max_index_degree", "escapes", "proper")
+
+    def __init__(self, probes: int = 0, images_checked: int = 0, max_index_degree: int = 0,
+                 escapes: list[str] | None = None, proper: bool = False):
+        self.probes = probes
+        self.images_checked = images_checked
+        self.max_index_degree = max_index_degree
+        self.escapes = [] if escapes is None else escapes
+        self.proper = proper
 
     @property
     def ok(self) -> bool:
@@ -427,13 +423,16 @@ def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     return cert
 
 
-@dataclass
-class UhRankReport:
+class UhRankReport(Record):
     """The probe images of L[0] and d[0], the operators they fix, and the verdict."""
 
-    images: list[tuple[str, SparsePoly, SparsePoly]]  # (operator, probe, image)
-    operators: dict[str, tuple[SparsePoly, SparsePoly]]  # operator -> (A, B)
-    facts: dict[str, bool]
+    _fields = ("images", "operators", "facts")
+
+    def __init__(self, images: list[tuple[str, SparsePoly, SparsePoly]],
+                 operators: dict[str, tuple[SparsePoly, SparsePoly]], facts: dict[str, bool]):
+        self.images = images  # (operator, probe, image)
+        self.operators = operators  # operator -> (A, B)
+        self.facts = facts
 
     @property
     def ok(self) -> bool:
@@ -494,8 +493,7 @@ def uh_rank(module: OmegaModule) -> UhRankReport:
 RANK1_RING = PolyRing(("L0", "a0"), (False, False))
 
 
-@dataclass(frozen=True)
-class Rank1ActionData:
+class Rank1ActionData(Frozen):
     """Candidate structure functions of a rank-one free module on basis v.
 
     lam scales the index ladder; p gives L[n] v = lam^n (L0 + n p(a0)) v;
@@ -503,24 +501,24 @@ class Rank1ActionData:
     (L0, a0).  Higher-index data is generated by the lam^n scaling law.
     """
 
-    lam: Fraction
-    p: SparsePoly
-    B0: SparsePoly
-    C0: SparsePoly
-    D0: SparsePoly
+    _fields = ("lam", "p", "B0", "C0", "D0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", scalar(self.lam))
-        if self.lam == 0:
+    def __init__(self, lam: Fraction, p: SparsePoly, B0: SparsePoly, C0: SparsePoly,
+                 D0: SparsePoly):
+        lam = scalar(lam)
+        if lam == 0:
             raise ValueError("lambda must be nonzero")
-        for f in (self.p, self.B0, self.C0, self.D0):
+        for f in (p, B0, C0, D0):
             if f.ring != RANK1_RING:
                 raise ValueError("structure functions must live in C[L0, a0]")
+        self._set(lam=lam, p=p, B0=B0, C0=C0, D0=D0)
 
 
-@dataclass(frozen=True)
-class Degenerate:
-    submodule: str
+class Degenerate(Frozen):
+    _fields = ("submodule",)
+
+    def __init__(self, submodule: str):
+        self._set(submodule=submodule)
 
 
 class ShiftDiffOp(LinComb):

@@ -35,12 +35,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping
 
 from .poly import PolyRing, SparsePoly
-from .scalars import ONE, LinComb, scalar
+from .scalars import ONE, Frozen, LinComb, scalar
 
 
 @functools.cache
@@ -89,10 +88,11 @@ def ub_product(k1, k2) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class WeylAlgebra:
-    names: tuple[str, ...]
-    laurent: tuple[bool, ...]
+class WeylAlgebra(Frozen):
+    _fields = ("names", "laurent")
+
+    def __init__(self, names: tuple[str, ...], laurent: tuple[bool, ...]):
+        self._set(names=names, laurent=laurent)
 
     @property
     def one_key(self):
@@ -130,8 +130,7 @@ class WeylAlgebra:
         return PolyRing(self.names, self.laurent)
 
 
-@dataclass(frozen=True)
-class UbAlgebra:
+class UbAlgebra(Frozen):
     """U(b) for b = span{h, e} with [h, e] = e; normal form h^i e^j."""
 
     @property

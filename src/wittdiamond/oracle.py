@@ -9,7 +9,6 @@ only trusted once an oracle here agrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -17,33 +16,36 @@ from .exceptions import ZeroVector
 from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
 from .linalg import SpanBasis
 from .poly import SparsePoly, monomials_within
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Frozen, Record
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    max_total_degree: int = 4
-    generator_window: int = 2
-    max_steps: int = 64
+class TruncationPolicy(Frozen):
+    _fields = ("max_total_degree", "generator_window", "max_steps")
 
-    def __post_init__(self):
-        if self.max_total_degree < 1 or self.generator_window < 1 or self.max_steps < 1:
+    def __init__(self, max_total_degree: int = 4, generator_window: int = 2, max_steps: int = 64):
+        if max_total_degree < 1 or generator_window < 1 or max_steps < 1:
             raise ValueError("policy fields must be positive")
+        self._set(max_total_degree=max_total_degree, generator_window=generator_window,
+                  max_steps=max_steps)
 
 
-@dataclass
-class ClosureReport:
-    start: str
-    reached_dim: int
-    ambient_dim: int
-    verdict: str
-    overflow_count: int
-    rounds: int
-    exact_invariant: bool
+class ClosureReport(Record):
+    _fields = ("start", "reached_dim", "ambient_dim", "verdict", "overflow_count", "rounds",
+               "exact_invariant")
 
     FILLS = "fills-truncation"
     PROPER = "proper-at-truncation"
     INCONCLUSIVE = "inconclusive"
+
+    def __init__(self, start: str, reached_dim: int, ambient_dim: int, verdict: str,
+                 overflow_count: int, rounds: int, exact_invariant: bool):
+        self.start = start
+        self.reached_dim = reached_dim
+        self.ambient_dim = ambient_dim
+        self.verdict = verdict
+        self.overflow_count = overflow_count
+        self.rounds = rounds
+        self.exact_invariant = exact_invariant
 
 
 def _truncate(p: SparsePoly, max_degree: int) -> tuple[SparsePoly, bool]:

@@ -14,26 +14,24 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .exceptions import UnsupportedVariable, VariableMismatch
-from .scalars import ONE, ZERO, LinComb, add_scaled, binomial, clear_denominators, scalar
+from .scalars import ONE, ZERO, Frozen, LinComb, add_scaled, binomial, clear_denominators, scalar
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Frozen):
     """Variable signature: names plus a Laurent flag per variable."""
 
-    names: tuple[str, ...]
-    laurent: tuple[bool, ...]
+    _fields = ("names", "laurent")
 
-    def __post_init__(self):
-        if len(self.names) != len(self.laurent):
+    def __init__(self, names: tuple[str, ...], laurent: tuple[bool, ...]):
+        if len(names) != len(laurent):
             raise ValueError("names and laurent flags must have equal length")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
+        self._set(names=names, laurent=laurent)
 
     @property
     def nvars(self) -> int:

@@ -7,6 +7,9 @@ no floating point appears anywhere in the core.  Rationals serialize as
 
 Every element class of the package is a finite linear combination of
 basis keys, and :class:`LinComb` holds their shared linear structure.
+Every value type and result record is a plain class on :class:`Frozen` or
+:class:`Record`, which give it equality by class and fields (and, when
+frozen, a hash and blocked assignment) without generating any code.
 """
 
 from __future__ import annotations
@@ -90,6 +93,51 @@ def integer_combination(parts: list) -> tuple[dict, int]:
         for k, n in nums.items():
             out[k] = get(k, 0) + s * n
     return {k: n for k, n in out.items() if n}, common
+
+
+class Record:
+    """A plain record class: ``__init__`` sets the attributes named in ``_fields``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal; attributes outside ``_fields`` take no part in equality or in
+    the ``Name(field=value, ...)`` repr.  A record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """An immutable record that hashes by its fields; ``__init__`` sets its
+    attributes once, through ``_set``, and assigning one raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, **attributes) -> None:
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
 
 
 class LinComb:

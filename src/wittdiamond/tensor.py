@@ -16,7 +16,6 @@ from two such parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
@@ -33,7 +32,7 @@ from .omega import (
     invariance_check, omega_factor_act, orbit, tensor_reduce_to_bottom
 )
 from .poly import SparsePoly
-from .scalars import ONE, add_scaled, scalar, superfactorial
+from .scalars import ONE, Frozen, Record, add_scaled, scalar, superfactorial
 
 
 class TensorModule(RankOneProduct):
@@ -58,27 +57,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class DetSpec:
-    alphas: tuple[Fraction, ...]
-    sizes: tuple[int, ...]
-    r: int
+class DetSpec(Frozen):
+    _fields = ("alphas", "sizes", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(scalar(a) for a in self.alphas))
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        if len(self.alphas) != len(self.sizes):
+    def __init__(self, alphas: tuple[Fraction, ...], sizes: tuple[int, ...], r: int):
+        alphas = tuple(scalar(a) for a in alphas)
+        sizes = tuple(sizes)
+        if len(alphas) != len(sizes):
             raise InvalidSpec("one size per alpha required")
-        if any(a == 0 for a in self.alphas):
+        if any(a == 0 for a in alphas):
             raise InvalidSpec("alphas must be nonzero")
-        if len(set(self.alphas)) != len(self.alphas):
+        if len(set(alphas)) != len(alphas):
             raise InvalidSpec("alphas must be pairwise distinct")
-        if not all(_is_int(s) for s in self.sizes):
+        if not all(_is_int(s) for s in sizes):
             raise InvalidSpec("sizes must be integers")
-        if any(s < 1 for s in self.sizes):
+        if any(s < 1 for s in sizes):
             raise InvalidSpec("sizes must be at least 1")
-        if not _is_int(self.r) or self.r < 0:
+        if not _is_int(r) or r < 0:
             raise InvalidSpec("row offset must be a natural number")
+        self._set(alphas=alphas, sizes=sizes, r=r)
 
 
 def det_rows(spec: DetSpec) -> tuple[list[list[int]], list[int]]:
@@ -116,12 +113,15 @@ def det_matrix(spec: DetSpec) -> list[list[Fraction]]:
     return [[Fraction(x, d) for x in row] for row, d in zip(rows, denominators)]
 
 
-@dataclass
-class DetResult:
-    computed: Fraction
-    closed_form: Fraction
-    rows: list[list[int]] = field(compare=False, repr=False)
-    denominators: list[int] = field(compare=False, repr=False)
+class DetResult(Record):
+    _fields = ("computed", "closed_form")  # rows and denominators take no part in == or repr
+
+    def __init__(self, computed: Fraction, closed_form: Fraction, rows: list[list[int]],
+                 denominators: list[int]):
+        self.computed = computed
+        self.closed_form = closed_form
+        self.rows = rows
+        self.denominators = denominators
 
     @property
     def ok(self) -> bool:
@@ -278,22 +278,29 @@ def w_invariance_check(module: TensorModule, i: int, j: int) -> InvarianceReport
                             module.one(), module.ring.var(si))
 
 
-@dataclass
-class SimplicityEvidence:
-    start_terms: dict
-    reduction: Certificate
-    bottom_coefficient: Fraction
-    generation_target: tuple[int, ...]
-    generation: Certificate
+class SimplicityEvidence(Record):
+    _fields = ("start_terms", "reduction", "bottom_coefficient", "generation_target", "generation")
+
+    def __init__(self, start_terms: dict, reduction: Certificate, bottom_coefficient: Fraction,
+                 generation_target: tuple[int, ...], generation: Certificate):
+        self.start_terms = start_terms
+        self.reduction = reduction
+        self.bottom_coefficient = bottom_coefficient
+        self.generation_target = generation_target
+        self.generation = generation
 
 
-@dataclass
-class SimplicityResult:
-    simple: bool
-    evidence: list[SimplicityEvidence] = field(default_factory=list)
-    witness_pair: tuple[int, int] | None = None
-    invariance: InvarianceReport | None = None
-    note: str = ""
+class SimplicityResult(Record):
+    _fields = ("simple", "evidence", "witness_pair", "invariance", "note")
+
+    def __init__(self, simple: bool, evidence: list[SimplicityEvidence] | None = None,
+                 witness_pair: tuple[int, int] | None = None,
+                 invariance: InvarianceReport | None = None, note: str = ""):
+        self.simple = simple
+        self.evidence = [] if evidence is None else evidence
+        self.witness_pair = witness_pair
+        self.invariance = invariance
+        self.note = note
 
 
 def simplicity_decision(module: TensorModule) -> SimplicityResult:
@@ -346,11 +353,14 @@ def canonical_form(module: RankOneProduct) -> tuple:
     return tuple(sorted(module.factors, key=OmegaParams.sort_key))
 
 
-@dataclass
-class IsoResult:
-    isomorphic: bool
-    permutation: tuple[int, ...] | None = None
-    invariant: str | None = None
+class IsoResult(Record):
+    _fields = ("isomorphic", "permutation", "invariant")
+
+    def __init__(self, isomorphic: bool, permutation: tuple[int, ...] | None = None,
+                 invariant: str | None = None):
+        self.isomorphic = isomorphic
+        self.permutation = permutation
+        self.invariant = invariant
 
 
 def iso_check(left: RankOneProduct, right: RankOneProduct) -> IsoResult:

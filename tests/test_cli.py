@@ -10,7 +10,8 @@ import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_bracket, planted_rank_defect
 
-from wittdiamond.cli import MAX_ACT_WORK, MAX_INPUT_POWER, build_parser, main
+from wittdiamond.cli import (MAX_ACT_WORK, MAX_DET_ROWS, MAX_DET_SPECS, MAX_INPUT_POWER,
+                             build_parser, main)
 from wittdiamond.fock import FModule
 from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import gen
@@ -403,6 +404,37 @@ def test_det_lemma_naive_agreement_is_live(monkeypatch, tmp_path):
     assert status == {"determinant-closed-form": "pass", "naive-det-agreement": "fail"}
 
 
+class _SweepStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--alphas", "1,2", "--max-m", "2", "--max-s", "13"],
+     f"block, of 26 rows, is above the bound {MAX_DET_ROWS} on the rows"),
+    (["--alphas", "1,2", "--max-m", "2", "--max-s", "40"],
+     f"block, of 80 rows, is above the bound {MAX_DET_ROWS} on the rows"),
+    (["--max-m", "4", "--max-s", "3"], f"32688 specs are above the bound {MAX_DET_SPECS}"),
+    (["--alphas", "1,2", "--max-m", "2", "--max-s", "12"], None),
+    (["--max-m", "3", "--max-s", "3"], None),
+], ids=["rows-26", "rows-80", "specs-32688", "rows-24", "default"])
+def test_det_lemma_bounds_its_sweep_before_any_determinant(argv, refusal, monkeypatch, capsys):
+    """An oversized sweep exits 2 naming its bound; the default sweep (3528 specs
+    of at most 9 rows, the largest any documented command runs) is admitted."""
+    from wittdiamond import cli
+
+    def started(spec):
+        raise _SweepStarted
+
+    monkeypatch.setattr(cli, "det_r", started)
+    if refusal is None:
+        with pytest.raises(_SweepStarted):
+            main(["det-lemma", *argv])
+        return
+    assert main(["det-lemma", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and refusal in err
+
+
 def test_each_spec_is_validated_once(write_json, monkeypatch):
     from wittdiamond import cli, specs
 
@@ -509,6 +541,19 @@ def test_no_module_imports_jsonschema_at_run_time():
 
     src = os.path.dirname(os.path.dirname(wittdiamond.__file__))
     code = "import sys, wittdiamond.cli; sys.exit('jsonschema' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0
+
+
+def test_import_runs_no_generated_code():
+    """No module imports dataclasses, or inspect through it: the record classes are
+    plain classes, so import compiles and runs no generated method."""
+    import wittdiamond
+
+    src = os.path.dirname(os.path.dirname(wittdiamond.__file__))
+    code = ("import sys, wittdiamond.cli; "
+            "sys.exit(bool({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           timeout=60)
     assert proc.returncode == 0

@@ -3,7 +3,7 @@
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 import pytest
@@ -603,8 +603,8 @@ _MUTATIONS = {
     "s_i in d": lambda fs: _Mutated(fs, "d", 1, 1),
     "s_i in b": lambda fs: _Mutated(fs, "b", 1, 1),
     "s_i^2 in L": lambda fs: _Mutated(fs, "L", 1, 2),
-    "lambda_j perturbed": lambda fs: TensorModule(
-        [fs[0], replace(fs[1], lam=fs[1].lam + 1), *fs[2:]]),
+    "lambda_j perturbed": lambda fs: TensorModule([fs[0], OmegaParams(
+        fs[1].alpha, fs[1].beta, fs[1].gamma, fs[1].lam + 1, fs[1].g), *fs[2:]]),
 }
 
 
