@@ -11,39 +11,25 @@ The U(b)-factor V is either the one-dimensional module C_eps (e acts as
 zero, h as the scalar eps) or the Whittaker-type module C[h] (h acts by
 multiplication, e by the unit shift f(h) -> f(h-1); e is injective).
 
-The two V-kinds carry the two compatible twists of the action:
-
-* For C_eps the classical index-linear table is used,
-
-      L[n] p = x0^n (d0 + n alpha) p          a[n] p = beta x0^n x1 d1 p
-      d[n] p = x0^n d1 p                               + eps x0^n x1 p
-      b[n] p = x0^n x1^-1 p                   c[n] p = -beta x0^n p
-
-  which is a genuine representation because every index-linear defect is
-  a multiple of e v = 0.
-
-* For the Whittaker kind the actions are pulled back through the
-  corrected operator homomorphism (see homomorphisms.PhiAB):
-
-      L[n](p (x) v) = x0^n (d0 + n alpha) p (x) v + n x0^n p (x) h v
-      d[n](p (x) v) = x0^n d1 p (x) v + n x0^n p (x) e v
-      a[n](p (x) v) = beta x0^n x1 d1 p (x) v - beta x0^n x1 p (x) (h - n e) v
-      b[n](p (x) v) = x0^n x1^-1 p (x) v
-      c[n](p (x) v) = -beta x0^n p (x) v
-
-Over C_eps the two families coincide after reparametrizing (alpha, eps),
-so the split loses no generality.
+Every action is a pullback of the ab table (``homomorphisms.ab_table``, the
+generator images of ``PhiAB``) to P0 (x) P1 (x) V, each monomial acting
+factor by factor (``operators.pullback_rules``).  On the Whittaker V the map
+is PhiAB(alpha, beta).  On C_eps it is PhiAB(alpha + eps/beta, beta), with h
+acting as -eps/beta and e as 0: the classical index-linear table, where a[n]
+gains eps x0^n x1 and every index-linear defect is a multiple of e v = 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exceptions import InvalidGenerator, InvalidSpec, NotWeight, UnsupportedOperation
+from . import homomorphisms
+from .exceptions import InvalidSpec, NotWeight, UnsupportedOperation
 from .lie import Generator, gen
 from .omega import InvarianceReport, invariance_check
+from .operators import pullback_rules, scalar_factor, shift_factor, weight_factor, whittaker_factor
 from .poly import PolyRing, SparsePoly, act_by_rules, monomials_within
-from .scalars import ONE, ZERO, Frozen, Record, clear_denominators, scalar
+from .scalars import ONE, ZERO, Frozen, Record, scalar
 
 
 class MFactor(Frozen):
@@ -84,83 +70,52 @@ class FModule:
             raise InvalidSpec("beta must be nonzero")
         self.factors = (factor0, factor1)
         self.v_space = v_space
-        names = []
-        flags = []
+        kinds = []  # (name, Laurent flag, factor action) of each variable
         for i, f in enumerate(self.factors):
             if isinstance(f, MFactor):
-                names.append(f"x{i}")
-                flags.append(True)
+                kinds.append((f"x{i}", True, weight_factor(i, f.weight)))
             elif isinstance(f, OmegaFactor):
-                names.append(f"d{i}")
-                flags.append(False)
+                kinds.append((f"d{i}", False, shift_factor(i, f.lam)))
             else:
                 raise InvalidSpec(f"unknown factor kind {type(f).__name__}")
         if isinstance(v_space, Whittaker):
-            names.append("h")
-            flags.append(False)
+            kinds.append(("h", False, whittaker_factor(2)))
         elif not isinstance(v_space, OneDim):
             raise InvalidSpec(f"unknown V kind {type(v_space).__name__}")
+        names, flags, self._factor_actions = map(list, zip(*kinds))
         self.ring = PolyRing(tuple(names), tuple(flags))
-
-        # alpha, beta, eps, w_0, w_1 (0 if absent) as ints over one D; x^m: M raises, Omega shifts.
-        eps = v_space.eps if isinstance(v_space, OneDim) else 0
-        ws = [f.weight if isinstance(f, MFactor) else 0 for f in self.factors]
-        nums, den = clear_denominators(dict(enumerate((self.alpha, self.beta, eps, *ws))))
-        self._ints = (den, *nums.values())
-        self._x = [(1, 0, ONE) if isinstance(f, MFactor) else (0, 1, f.lam) for f in self.factors]
+        # On C_eps the ab table is read at alpha + eps/beta, and h acts as -eps/beta.
+        self._table_alpha = self.alpha
+        if isinstance(v_space, OneDim):
+            self._table_alpha += v_space.eps / self.beta
+            self._factor_actions.append(scalar_factor(self.alpha - self._table_alpha))
+        self.act_rules: dict = {}  # ``act``'s compiled rules, by generator
 
     def one(self) -> SparsePoly:
         return self.ring.one()
 
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
-        """g v by the docstring's table, as ``poly.act_by_rules`` rules built per call:
-        a rule (c, c1, i, r0, r1, h) puts c + c1 e_i on x^e, raises the factors'
-        exponents by r0 and r1 and applies the h-ops h (H: times h, S: h -> h - 1,
-        the action of e).  The Euler operator x_i d/dx_i is w + e_i on M(w) and a
-        raise of d_i on Omega.  x0^n and x1^k (k = 1 for a, -1 for b) follow:
-        they raise x_i on M and shift d_i -> d_i - n, times l^n, on Omega(l).
-        """
-        (D, A, B, E, *W), n = self._ints, g.index
-        whittaker, H, S = isinstance(self.v_space, Whittaker), ((2, 1, 0),), ((2, 0, 1),)
-
-        def euler(i, c):
-            if isinstance(self.factors[i], MFactor):
-                return (c * W[i], c * D, i, 0, 0, ())
-            return (c * D, 0, 0, 1 - i, i, ())
-
-        k, den = 0, D
-        if g.family == "L":
-            rules = [euler(0, 1), (n * A, 0, 0, 0, 0, ())] + whittaker * [(n * D, 0, 0, 0, 0, H)]
-        elif g.family == "d":
-            rules = [euler(1, 1)] + whittaker * [(n * D, 0, 0, 0, 0, S)]
-        elif g.family == "a":
-            k, den = 1, D * D
-            ub = [(-B * D, 0, 0, 0, 0, H), (n * B * D, 0, 0, 0, 0, S)]
-            rules = [euler(1, B)] + (ub if whittaker else [(E * D, 0, 0, 0, 0, ())])
-        elif g.family == "b":
-            k, den, rules = -1, 1, [(1, 0, 0, 0, 0, ())]
-        elif g.family == "c":
-            rules = [(-B, 0, 0, 0, 0, ())]
-        else:
-            raise InvalidGenerator(f"unknown generator family {g.family!r}")
-        (a0, s0, l0), (a1, s1, l1) = self._x
-        ops = [(c, c1, i, ((0, r0 + a0 * n, s0 * n), (1, r1 + a1 * k, s1 * k)) + h)
-               for c, c1, i, r0, r1, h in rules]
-        return act_by_rules(v, ops, den, (l0, n), (l1, k))
+        """g v by the pullback of the ab table (module docstring); rules kept in ``act_rules``."""
+        rules = self.act_rules.get(g)
+        if rules is None:
+            table = homomorphisms.ab_table(g.family, g.index, self._table_alpha, self.beta)
+            rules = self.act_rules[g] = pullback_rules(
+                (((*zip(*kl), kr), c) for (kl, kr), c in table.items()), self._factor_actions)
+        return act_by_rules(v, *rules)
 
     def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
         """{scale: D}: X[n] v is scale^n times a polynomial in n of degree at most D.
 
-        Every rule of ``act`` carries x0^n: l^n times d0 -> d0 - n on an
-        Omega(l)-type P0 (scale l), a raise of x0 by n on an M-type one
-        (scale 1; the bound is on x0^-n X[n] v).  D = [X = L] (L's n alpha,
-        and its n h on the Whittaker V) + [V Whittaker and X in {a, d}]
-        (their n e) + the d0-degree p of v ((d0 - n)^p); x1 moves by a
-        power fixed by the family.  Grid lemma (Alon 1999, Combinatorial
-        Nullstellensatz, Lemma 2.1): a polynomial of degree at most D that
-        vanishes at D + 1 points is zero.  So modulo a subspace W stable
-        under powers of x0, the D + 1 images of ``omega.orbit`` settle
-        X[n] v for every n in Z.
+        Every term of the ab table (``homomorphisms.ab_table``) carries x0^n:
+        l^n times d0 -> d0 - n on an Omega(l)-type P0 (scale l), a raise of
+        x0 by n on an M-type one (scale 1; the bound is on x0^-n X[n] v).
+        D = [X = L] (L's n alpha, and its n h on the Whittaker V) + [V
+        Whittaker and X in {a, d}] (their n e) + the d0-degree p of v
+        ((d0 - n)^p); x1 moves by a power fixed by the family.  Grid lemma
+        (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1): a polynomial of
+        degree at most D that vanishes at D + 1 points is zero.  So modulo a
+        subspace W stable under powers of x0, the D + 1 images of
+        ``omega.orbit`` settle X[n] v for every n in Z.
         """
         p0 = self.factors[0]
         omega_p0 = isinstance(p0, OmegaFactor)
@@ -224,8 +179,9 @@ def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     """Exact invariance of W_n = span{ x0^e x1^k : k <= n } under every X[m], m in Z.
 
     Here x0^e stands for d0^e (e >= 0) when P0 is of Omega type.  With V =
-    C_eps and an M-type x1, every rule of ``FModule.act``'s table sends
-    x0^e x1^k to (k0 + k1 e_i) times x0^(e + m) x1^(k + delta), or, on an
+    C_eps and an M-type x1, every term of the ab table (``FModule.act``
+    reads it with h = -eps/beta and e = 0) sends x0^e x1^k to
+    (k0 + k1 e_i) times x0^(e + m) x1^(k + delta), or, on an
     Omega(l)-type P0, times l^m (d0 - m)^(e + r) x1^(k + delta) with r <= 1,
     where k0 and k1 have degree [X = L] in m and delta is a constant of the
     family: +1 for a, -1 for b and 0 for L, c and d.  So no family but a

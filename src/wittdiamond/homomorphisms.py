@@ -2,11 +2,13 @@
 
 ``PhiAB`` sends the algebra into (degree-2 Laurent Weyl algebra) (x) U(b);
 ``PhiABGG`` sends it onto (degree-1 Laurent Weyl algebra) (x) (polynomial
-differential operators).  Both are defined on generators and extended to
-PBW words multiplicatively; ``verify_hom`` checks that this respects
-every bracket, on an index window that a degree bound proves complete, and
-the witness lists exhibit preimages of the standard generating operators,
-each replayable exactly.
+differential operators).  Both are defined on generators, by the tables
+``ab_table`` and ``abgg_table``, and extended to PBW words
+multiplicatively; ``verify_hom`` checks that the tables respect every
+bracket, on an index window that a degree bound proves complete, and the
+witness lists exhibit preimages of the standard generating operators, each
+replayable exactly.  The module actions of ``fock`` and ``omega`` are
+pullbacks of the same two tables.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exceptions import InvalidSpec
+from .exceptions import InvalidGenerator, InvalidSpec
 from .lie import Generator, UEnvElement, bracket, gen, generators_in_window
 from .operators import (
     DIFFOP,
@@ -39,8 +41,60 @@ def _ub(i: int, j: int) -> OperatorElement:
     return OperatorElement.monomial(UB, (i, j))
 
 
+def ab_table(family: str, n: int, alpha: Fraction, beta: Fraction) -> dict:
+    """family[n]'s image under ``PhiAB(alpha, beta)`` as {key: coefficient}, zeros kept.
+
+    Keys are ((x0, x1 exponents), (dx0, dx1 exponents)) (x) (h, e exponents).
+    """
+    one, h, e, no_d = (0, 0), (1, 0), (0, 1), (0, 0)
+    if family == "L":
+        return {
+            (((n + 1, 0), (1, 0)), one): ONE,
+            (((n, 0), no_d), one): n * alpha,
+            (((n, 0), no_d), h): Fraction(n),
+        }
+    if family == "d":
+        return {(((n, 1), (0, 1)), one): ONE, (((n, 0), no_d), e): Fraction(n)}
+    if family == "a":
+        return {
+            (((n, 2), (0, 1)), one): beta,
+            (((n, 1), no_d), h): -beta,
+            (((n, 1), no_d), e): beta * n,
+        }
+    if family == "b":
+        return {(((n, -1), no_d), one): ONE}
+    if family == "c":
+        return {(((n, 0), no_d), one): -beta}
+    raise InvalidGenerator(f"unknown generator family {family!r}")
+
+
+def abgg_table(family: str, n: int, alpha: Fraction, beta: Fraction, gamma: Fraction,
+               g: tuple[Fraction, ...]) -> dict:
+    """family[n]'s image under ``PhiABGG(alpha, beta, gamma, g)`` as {key: coefficient}, zeros kept.
+
+    Keys are (x0 exponent, dx0 exponent) (x) (t exponent, dt exponent), each a one-tuple.
+    """
+    x0n, one = ((n,), (0,)), ((0,), (0,))
+    if family == "L":
+        return {(((n + 1,), (1,)), one): ONE, (x0n, one): n * alpha}
+    if family == "d":
+        terms = {(x0n, ((k + 1,), (0,))): c / beta for k, c in enumerate(g)}
+        terms[x0n, one] = gamma / beta
+        terms[x0n, ((1,), (1,))] = ONE
+        return terms
+    if family == "a":
+        return {(x0n, ((1,), (0,))): ONE}
+    if family == "b":
+        terms = {(x0n, ((k,), (0,))): c for k, c in enumerate(g)}
+        terms[x0n, ((0,), (1,))] = beta
+        return terms
+    if family == "c":
+        return {(x0n, one): -beta}
+    raise InvalidGenerator(f"unknown generator family {family!r}")
+
+
 class PhiAB(Frozen):
-    """Generator table of the map into (Weyl degree 2) (x) U(b).
+    """The map into (Weyl degree 2) (x) U(b); its generator table is ``ab_table``.
 
     With d0 and d1 denoting the Euler operators x_i d/dx_i:
 
@@ -79,31 +133,7 @@ class PhiAB(Frozen):
         return TensorElement.one(R2, UB)
 
     def image(self, g: Generator) -> TensorElement:
-        # Keys are ((x0, x1 exponents), (dx0, dx1 exponents)) (x) (h, e exponents);
-        # d0 = x0 dx0 and d1 = x1 dx1.  Zero coefficients (n = 0) are dropped.
-        n, alpha, beta = g.index, self.alpha, self.beta
-        one, h, e, no_d = (0, 0), (1, 0), (0, 1), (0, 0)
-        if g.family == "L":
-            terms = {
-                (((n + 1, 0), (1, 0)), one): ONE,
-                (((n, 0), no_d), one): n * alpha,
-                (((n, 0), no_d), h): Fraction(n),
-            }
-        elif g.family == "d":
-            terms = {(((n, 1), (0, 1)), one): ONE, (((n, 0), no_d), e): Fraction(n)}
-        elif g.family == "a":
-            terms = {
-                (((n, 2), (0, 1)), one): beta,
-                (((n, 1), no_d), h): -beta,
-                (((n, 1), no_d), e): beta * n,
-            }
-        elif g.family == "b":
-            terms = {(((n, -1), no_d), one): ONE}
-        elif g.family == "c":
-            terms = {(((n, 0), no_d), one): -beta}
-        else:
-            raise InvalidSpec(f"no image for generator family {g.family!r}")
-        return TensorElement(R2, UB, terms)
+        return TensorElement(R2, UB, ab_table(g.family, g.index, self.alpha, self.beta))
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -119,7 +149,7 @@ class CorruptedPhiAB(PhiAB):
 
 
 class PhiABGG(Frozen):
-    """Generator table of the surjection onto (Weyl degree 1) (x) diff ops.
+    """The surjection onto (Weyl degree 1) (x) diff ops; its generator table is ``abgg_table``.
 
     ``g`` is the coefficient tuple of a polynomial g(t) in the differential
     variable, constant term first.  With d0 = x0 d/dx0 and dt = d/dt:
@@ -152,26 +182,8 @@ class PhiABGG(Frozen):
         return TensorElement.one(R0, DIFFOP)
 
     def image(self, g: Generator) -> TensorElement:
-        # Keys are (x0 exponent, dx0 exponent) (x) (t exponent, dt exponent), each
-        # a one-tuple.  Zero coefficients (n = 0, gamma = 0, zeros in g) are dropped.
-        n, alpha, beta = g.index, self.alpha, self.beta
-        x0n, one = ((n,), (0,)), ((0,), (0,))
-        if g.family == "L":
-            terms = {(((n + 1,), (1,)), one): ONE, (x0n, one): n * alpha}
-        elif g.family == "d":
-            terms = {(x0n, ((k + 1,), (0,))): c / beta for k, c in enumerate(self.g)}
-            terms[x0n, one] = self.gamma / beta
-            terms[x0n, ((1,), (1,))] = ONE
-        elif g.family == "a":
-            terms = {(x0n, ((1,), (0,))): ONE}
-        elif g.family == "b":
-            terms = {(x0n, ((k,), (0,))): c for k, c in enumerate(self.g)}
-            terms[x0n, ((0,), (1,))] = beta
-        elif g.family == "c":
-            terms = {(x0n, one): -beta}
-        else:
-            raise InvalidSpec(f"no image for generator family {g.family!r}")
-        return TensorElement(R0, DIFFOP, terms)
+        return TensorElement(R0, DIFFOP, abgg_table(g.family, g.index, self.alpha, self.beta,
+                                                     self.gamma, self.g))
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)

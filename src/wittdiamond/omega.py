@@ -1,14 +1,13 @@
 """Rank-one free modules on C[s, t], their products, and constructive certificates.
 
 An instance is determined by parameters (alpha, beta, gamma, lambda, g)
-with beta, lambda nonzero and g a polynomial in t.  The generator actions
-on f(s, t) are
-
-    L[n] f = lam^n (s + n alpha) f(s - n, t)
-    d[n] f = lam^n beta^-1 (t g(t) + gamma) f(s - n, t) + lam^n t dt f(s - n, t)
-    a[n] f = lam^n t f(s - n, t)
-    b[n] f = lam^n g(t) f(s - n, t) + lam^n beta dt f(s - n, t)
-    c[n] f = -lam^n beta f(s - n, t)
+with beta, lambda nonzero and g a polynomial in t.  Its action is the
+pullback of the abgg table (``homomorphisms.abgg_table``, the generator
+images of ``PhiABGG``) at PhiABGG(alpha + 1, beta, gamma, g) to
+Omega(lam) (x) C[t] on C[s, t]: x0^k acts as lam^k times s -> s - k, x0 d/dx0
+multiplies by s (``operators.shift_factor``), and t and d/dt act on C[t] as
+themselves (``operators.weight_factor`` at weight 0).  So L[n] f =
+lam^n (s + n alpha) f(s - n, t), c[n] f = -lam^n beta f(s - n, t), and so on.
 
 ``RankOneProduct`` is a product of such factors on C[s_1, t_1, ..., s_m,
 t_m], factor k acting on (s_k, t_k) alone; ``OmegaModule`` is its one-factor
@@ -29,15 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import homomorphisms
 from .certificates import CertStep, Certificate, require
-from .exceptions import (
-    InvalidGenerator, InvalidSpec, NotAModule, NotApplicable, UnsupportedOperation, ZeroVector
-)
+from .exceptions import InvalidSpec, NotAModule, NotApplicable, UnsupportedOperation, ZeroVector
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
+from .operators import pullback_rules, shift_factor, weight_factor
 from .poly import PolyRing, SparsePoly, act_by_rules
-from .scalars import (ONE, ZERO, Frozen, LinComb, Record, add_scaled, binomial,
-                      clear_denominators, scalar)
+from .scalars import ONE, ZERO, Frozen, LinComb, Record, add_scaled, binomial, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -56,10 +54,7 @@ class OmegaParams(Frozen):
         g = _normalize_coeffs(g)
         if beta == 0 or lam == 0:
             raise InvalidSpec("beta and lambda must be nonzero")
-        nums, d = clear_denominators(dict(enumerate((alpha, beta, gamma, *g))))
-        # ints: (D, alpha D, beta D, gamma D, g_0 D, ...) over one denominator D,
-        # outside _fields, so it takes no part in == or repr.
-        self._set(alpha=alpha, beta=beta, gamma=gamma, lam=lam, g=g, ints=(d, *nums.values()))
+        self._set(alpha=alpha, beta=beta, gamma=gamma, lam=lam, g=g)
 
     @property
     def g_degree(self) -> int | None:
@@ -69,49 +64,36 @@ class OmegaParams(Frozen):
         return (self.lam, self.alpha, self.beta, self.gamma, self.g, len(self.g))
 
 
-def omega_factor_act(
-    par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: Generator, f: SparsePoly
-) -> SparsePoly:
-    """One-factor action in an ambient ring (shared with tensor products).
+def omega_factor_act(par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: Generator,
+                     f: SparsePoly, rules: dict | None = None) -> SparsePoly:
+    """g f on the factor (svar, tvar) of ring (shared with tensor products).
 
-    X[n] s^p t^q is lam^n times these rules, with S_d = (s - n)^(p+d):
+    The abgg table's image of g at PhiABGG(alpha + 1, beta, gamma, g) acts on
+    Omega(lam) (x) C[t], with s = svar and t = tvar (module docstring).  Its
+    ``poly.act_by_rules`` rules are compiled on the first call for (svar, g)
+    and kept in ``rules``, the calling module's ``act_rules``; without one
+    they are compiled for this call alone.
 
-        L[n]:  S_1 t^q + n (alpha + 1) S_0 t^q
-        d[n]:  (gamma/beta + q) S_0 t^q + sum_k g_k/beta S_0 t^(q+k+1)
-        a[n]:  S_0 t^(q+1)
-        b[n]:  sum_k g_k S_0 t^(q+k) + beta q S_0 t^(q-1)
-        c[n]:  -beta S_0 t^q
-
-    (L's s (s - n)^p is S_1 + n S_0.)  The rules are built per call from ``par.ints``.
-
-    Operator form.  Every rule moves s only through the shift tau^n: s -> s - n
-    and is first order in t (the q and beta q t^(q-1) parts are t d/dt and
-    beta d/dt), so on C[s, t]
+    Operator form.  Every image is x0^n times an operator first order in d/dt
+    whose x0-part is d0 or 1, so on C[s, t]
 
         X[n] = (A + B d/dt) o tau^n,  A = X[n] 1,  B = X[n] t - t X[n] 1,
 
-    with A and B in C[s, t]; tau^n fixes 1 and t, so the images of these two
-    probes fix the operator.  Here A_L = lam^n (s + n alpha), A_d = lam^n
-    (t g(t) + gamma) / beta, B_d = lam^n t, A_a = lam^n t, A_b = lam^n g(t),
-    B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a and c.  In a
-    tensor product factor k acts in this form on (s_k, t_k) alone.
+    with tau^n: s -> s - n and A, B in C[s, t]; tau^n fixes 1 and t, so the
+    images of these two probes fix the operator.  Here A_L = lam^n (s + n alpha),
+    A_d = lam^n (t g(t) + gamma) / beta, B_d = lam^n t, A_a = lam^n t,
+    A_b = lam^n g(t), B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a
+    and c.  In a tensor product factor k acts in this form on (s_k, t_k) alone.
     """
-    (D, A, B, G, *gs), n = par.ints, g.index
-    if g.family == "L":
-        den, rules = D, [(D, 0, 1, 0), (n * (A + D), 0, 0, 0)]
-    elif g.family == "d":
-        den, rules = B, [(G, B, 0, 0)] + [(c, 0, 0, k + 1) for k, c in enumerate(gs)]
-    elif g.family == "a":
-        den, rules = 1, [(1, 0, 0, 1)]
-    elif g.family == "b":
-        den, rules = D, [(c, 0, 0, k) for k, c in enumerate(gs)] + [(0, B, 0, -1)]
-    elif g.family == "c":
-        den, rules = D, [(-B, 0, 0, 0)]
-    else:
-        raise InvalidGenerator(f"unknown generator family {g.family!r}")
-    i, j = ring.index(svar), ring.index(tvar)
-    ops = [(k, kq, j, ((i, ds, n), (j, dt, 0))) for k, kq, ds, dt in rules]
-    return act_by_rules(f, ops, den, (par.lam, n))
+    rules = {} if rules is None else rules
+    compiled = rules.get((svar, g))
+    if compiled is None:
+        table = homomorphisms.abgg_table(g.family, g.index, par.alpha + 1, par.beta, par.gamma,
+                                         par.g)
+        factors = (shift_factor(ring.index(svar), par.lam), weight_factor(ring.index(tvar), 0))
+        compiled = rules[svar, g] = pullback_rules(
+            (((*zip(*kl), *zip(*kr)), c) for (kl, kr), c in table.items()), factors)
+    return act_by_rules(f, *compiled)
 
 
 class RankOneProduct:
@@ -129,6 +111,7 @@ class RankOneProduct:
         self.ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
         self._factor_vars = tuple(zip(self.factors, svars, tvars))
         self.orbit_weights: dict = {}  # ``orbit_component``'s weights, by (degrees, lam, x)
+        self.act_rules: dict = {}  # ``omega_factor_act``'s compiled rules, by (svar, generator)
 
     @property
     def m(self) -> int:
@@ -178,7 +161,7 @@ class OmegaModule(RankOneProduct):
         self.params = params
 
     def act(self, g: Generator, f: SparsePoly) -> SparsePoly:
-        return omega_factor_act(self.params, self.ring, "s", "t", g, f)
+        return omega_factor_act(self.params, self.ring, "s", "t", g, f, self.act_rules)
 
 
 def orbit_points(degrees: dict[Fraction, int]) -> int:

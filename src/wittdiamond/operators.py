@@ -28,6 +28,9 @@ over integer numerators keyed by those ids, from the integer tables of one
 that dict once, needs no rational arithmetic and hashes no nested key tuple.
 The generator images of ``homomorphisms`` are literal tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
+The last section acts with monomials on the factors of the modules, and
+``pullback_rules`` compiles a table of ``homomorphisms`` into the rules of
+``poly.act_by_rules``: every module action is such a pullback.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import math
 from fractions import Fraction
 from typing import Hashable, Mapping
 
-from .poly import PolyRing, SparsePoly
 from .scalars import ONE, Frozen, LinComb, scalar
 
 
@@ -114,21 +116,6 @@ class WeylAlgebra(Frozen):
                 bits.append(f"d{name}" if p == 1 else f"d{name}^{p}")
         return " ".join(bits) if bits else "1"
 
-    def act_key(self, key, p: SparsePoly) -> SparsePoly:
-        """Apply a normal-ordered monomial to a (Laurent) polynomial."""
-        xexp, dexp = key
-        out = p
-        for name, k in zip(self.names, dexp):
-            for _ in range(k):
-                out = out.derive(name)
-        for name, k in zip(self.names, xexp):
-            if k:
-                out = out.mul_var(name, k)
-        return out
-
-    def poly_ring(self) -> PolyRing:
-        return PolyRing(self.names, self.laurent)
-
 
 class UbAlgebra(Frozen):
     """U(b) for b = span{h, e} with [h, e] = e; normal form h^i e^j."""
@@ -149,14 +136,6 @@ class UbAlgebra(Frozen):
         if j:
             bits.append("e" if j == 1 else f"e^{j}")
         return " ".join(bits) if bits else "1"
-
-    def act_key(self, key, p: SparsePoly) -> SparsePoly:
-        """Faithful action on C[h]: h multiplies, e shifts h by -1."""
-        i, j = key
-        out = p.shift("h", j) if j else p
-        if i:
-            out = out.mul_var("h", i)
-        return out
 
 
 R0 = WeylAlgebra(("x0",), (True,))
@@ -212,12 +191,6 @@ class OperatorElement(LinComb):
                     else:
                         del out[k3]
         return self._like(out)
-
-    def act(self, p: SparsePoly) -> SparsePoly:
-        out = p.ring.zero()
-        for k, c in self.terms.items():
-            out = out + self.algebra.act_key(k, p) * c
-        return out
 
 
 class TensorElement(LinComb):
@@ -395,3 +368,69 @@ def integer_commutator(tables: BracketTables, u: Mapping, v: Mapping) -> dict:
 def commutator(u, v):
     """uv - vu in whichever algebra u and v share."""
     return u * v - v * u
+
+
+# -- the action of monomials on the factors of the modules -------------------
+
+
+def falling(u: int, q: int, b: int) -> tuple:
+    """The int p, highest degree first, with p(y) / q^b = (y + w)(y + w - 1)...(y + w - b + 1)
+    for w = u/q."""
+    p = (1,)
+    for r in range(b):
+        p = tuple(q * hi + (u - r * q) * lo for hi, lo in zip((*p, 0), (0, *p)))
+    return p
+
+
+def weight_factor(j: int, w):
+    """M(w) on variable j, x^e standing for x^(w + e): x^a dx^b x^e = (w + e)...(w + e - b + 1)
+    x^(e + a - b).  M(0) on a polynomial variable is C[t]."""
+    u, q = w.numerator, w.denominator
+    return lambda a, b: [(1, q**b, ((j, falling(u, q, b)),) if b else (),
+                          ((j, a - b, 0),) if a != b else ())]
+
+
+def shift_factor(j: int, lam):
+    """Omega(lam) on variable y = y_j: x^k is lam^k (y -> y - k) and x dx is y, so x^a dx^b =
+    x^(a - b) y(y - 1)...(y - b + 1)."""
+    u, q = lam.numerator, lam.denominator
+
+    def act(a, b):
+        k = a - b
+        lam_num, lam_den = (u**k, q**k) if k >= 0 else (q**-k, u**-k)
+        return [(c * lam_num, lam_den, (), ((j, b - i, k),) if b - i or k else ())
+                for i, c in enumerate(falling(0, 1, b)) if c]
+    return act
+
+
+def whittaker_factor(j: int):
+    """C[h] on variable j: h multiplies and e is h -> h - 1, so h^a e^b = e^b (h + b)^a."""
+    return lambda a, b: [(math.comb(a, r) * b ** (a - r), 1, (), ((j, r, b),) if r or b else ())
+                         for r in range(a + 1)]
+
+
+def scalar_factor(eps):
+    """C_eps: h acts as eps and e as 0."""
+    u, q = eps.numerator, eps.denominator
+    return lambda a, b: [] if b else [(u**a, q**a, (), ())]
+
+
+def pullback_rules(terms, factors) -> tuple[list, int]:
+    """``(rules, den)`` for ``poly.act_by_rules``: the sum of c m over ``terms``, factor by factor.
+
+    ``terms`` yields (parts, c), the monomial m as one part (a, b) per factor
+    action in ``factors``: the exponents of x^a dx^b on a Weyl coordinate or
+    of h^a e^b in U(b).  An action maps its part to terms (u, q, polys, ops)
+    on its variable: u/q times the polys and ops of ``act_by_rules``.  One
+    term per factor makes a rule, and the coefficients are cleared to ints
+    over one denominator.
+    """
+    rules = []
+    for parts, c in terms:
+        choices = [(c.numerator, c.denominator, (), ())]
+        for act, part in zip(factors, parts):
+            choices = [(n * u, d * q, ps + p, os + o)
+                       for n, d, ps, os in choices for u, q, p, o in act(*part)]
+        rules += [rule for rule in choices if rule[0]]
+    den = math.lcm(*(d for _, d, _, _ in rules))
+    return [(n * (den // d), polys, ops) for n, d, polys, ops in rules], den

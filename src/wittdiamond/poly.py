@@ -89,30 +89,31 @@ def _shift_row(k: int, off: int | Fraction) -> tuple[tuple[int, int | Fraction],
     return tuple((j, binomial(k, j) * m ** (k - j)) for j in range(k + 1))
 
 
-def act_by_rules(f: "SparsePoly", rules, den: int, *powers) -> "SparsePoly":
-    """The product of x^m over the powers (x, m), over den, times the sum of (k + k1 e_i) c x^e
-    over the rules (k, k1, i, ops) and the terms c x^e of f, where each (j, d, n) in ops sends
-    x_j^e_j to (x_j - n)^(e_j + d).  k, k1 are ints: the sum is in ints, one Fraction per key.
+def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
+    """The sum over the rules (k, polys, ops) and the terms c x^e of f of k c prod p(e_j) over
+    (j, p) in polys, times x^e with x_j^e_j -> (x_j - n)^(e_j + d) for each (j, d, n) in ops, over
+    den.  k and the coefficients of each p (highest degree first) are ints, as
+    ``operators.pullback_rules`` gives them: the sum is in ints, one Fraction per key.
     """
-    num = 1
-    for x, m in powers:
-        p, q = (x.numerator, x.denominator) if m >= 0 else (x.denominator, x.numerator)
-        num, den = num * p ** abs(m), den * q ** abs(m)
     nums, f_den = clear_denominators(f.terms)
     acc: dict[tuple[int, ...], int] = {}
     for e, c in nums.items():
-        for k0, k1, i, ops in rules:
-            k = (k0 + k1 * e[i]) * c
+        for k, polys, ops in rules:
+            k *= c
+            for j, p in polys:
+                x, v = e[j], 0
+                for a in p:
+                    v = v * x + a
+                k *= v
             if k:
                 part = [(e, k)]
                 for j, d, n in ops:
-                    if d or n:
-                        row = _shift_row(e[j] + d, n) if n else ((e[j] + d, 1),)
-                        part = [(y[:j] + (x,) + y[j + 1 :], a * b) for y, a in part for x, b in row]
+                    row = _shift_row(e[j] + d, n) if n else ((e[j] + d, 1),)
+                    part = [(y[:j] + (x,) + y[j + 1 :], a * b) for y, a in part for x, b in row]
                 for y, a in part:
                     acc[y] = acc.get(y, 0) + a
     den *= f_den
-    return f._like({y: Fraction(a * num, den) for y, a in acc.items() if a})
+    return f._like({y: Fraction(a, den) for y, a in acc.items() if a})
 
 
 class SparsePoly(LinComb):

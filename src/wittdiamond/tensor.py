@@ -46,7 +46,8 @@ class TensorModule(RankOneProduct):
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
         out: dict = {}
         for par, svar, tvar in self._factor_vars:
-            add_scaled(out, omega_factor_act(par, self.ring, svar, tvar, g, v).terms)
+            image = omega_factor_act(par, self.ring, svar, tvar, g, v, self.act_rules)
+            add_scaled(out, image.terms)
         return v._like(out)
 
 

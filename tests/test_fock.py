@@ -18,11 +18,16 @@ from wittdiamond.fock import (
     q_action,
     weight_decomposition,
 )
-from wittdiamond.lie import Generator, gen
+from wittdiamond.homomorphisms import PhiAB, PhiABGG
+from wittdiamond.lie import Generator, gen, parse_uenv
 from wittdiamond.omega import OmegaModule, OmegaParams
+from wittdiamond.operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement
 from wittdiamond.oracle import ClosureReport, TruncationPolicy, truncated_closure
 from wittdiamond.poly import PolyRing
 from wittdiamond.tensor import TensorModule
+
+
+Q = parse_uenv("b[0] a[0] + c[0] d[0]")
 
 
 def weight_module(alpha=F(1, 2), beta=F(3), w0=F(0), w1=F(1, 2), eps=F(2)):
@@ -186,16 +191,30 @@ def test_q_non_scalar_on_whittaker():
     # qv proportional to v would force qv to be a constant multiple of 1
     assert qv == module.ring.monomial({"h": 1}, -module.beta)
     assert not any(qv == v * c for c in (F(0), F(1), F(-3), qv.coefficient((0, 0, 0))))
+    # Through the map itself: PhiAB(alpha, beta) sends Q to -beta (1 (x) h).
+    for alpha, beta in ((F(1, 2), F(3)), (F(-2), F(5, 3))):
+        assert PhiAB(alpha, beta).apply(Q) == TensorElement.pure(
+            OperatorElement.one(R2), OperatorElement.monomial(UB, (1, 0), -beta))
+
+
+def test_q_acts_as_beta_minus_gamma_on_omega():
+    # PhiABGG(alpha, beta, gamma, g) sends Q to (beta - gamma) (1 (x) 1), so Q is
+    # beta - gamma on the Omega module, its pullback at alpha + 1.
+    rng = random.Random(4)
+    for par in (OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1))),
+                OmegaParams(F(2), F(-2, 3), F(5), F(-1, 2), (F(0), F(2)))):
+        phi = PhiABGG(par.alpha + 1, par.beta, par.gamma, par.g)
+        assert phi.apply(Q) == TensorElement.one(R0, DIFFOP).scaled(par.beta - par.gamma)
+        module = OmegaModule(par)
+        for v in sample_vectors(module.ring, rng, count=3, max_total_degree=3):
+            assert q_action(module, v) == apply_uenv(module, Q, v) == v * (par.beta - par.gamma)
 
 
 def test_q_equals_parsed_expression():
-    from wittdiamond.lie import parse_uenv
-
     module = weight_module()
-    q = parse_uenv("b[0] a[0] + c[0] d[0]")
     rng = random.Random(1)
     for v in sample_vectors(module.ring, rng, count=3):
-        assert apply_uenv(module, q, v) == q_action(module, v)
+        assert apply_uenv(module, Q, v) == q_action(module, v)
 
 
 def test_epsilon_simplicity_examples():

@@ -10,6 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond import homomorphisms
+from wittdiamond.axioms import module_axiom_check, sample_vectors
+from wittdiamond.fock import FModule, MFactor, Whittaker
 from wittdiamond.homomorphisms import (
     CorruptedPhiAB,
     PhiAB,
@@ -20,6 +22,7 @@ from wittdiamond.homomorphisms import (
     verify_hom,
 )
 from wittdiamond.lie import FAMILIES, UEnvElement, gen, generators_in_window, uenv_mul
+from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement
 from wittdiamond.scalars import clear_denominators
 
@@ -150,6 +153,8 @@ ORDER_MAPS = [
 _ORDER_SCRIPT = """
 import json, sys
 from wittdiamond import homomorphisms
+from wittdiamond.axioms import module_axiom_check, sample_vectors
+from wittdiamond.fock import FModule, MFactor, Whittaker
 from wittdiamond.operators import KEYS, key_id
 maps = json.loads(sys.argv[1])
 runs = [homomorphisms.verify_hom(getattr(homomorphisms, name)(*params), 2).violations
@@ -271,3 +276,47 @@ def test_a_fractional_bracket_constant_is_subtracted_over_the_lcm(phi, monkeypat
     assert len(violations) == 20
     assert all(x[0] == "L" and y[0] == "b" and y != "b[0]" for x, y in violations)
     assert violations == reference_violations(phi, 2)
+
+
+def _drop_d_e_term(ab_table):
+    """The ab table without d[n]'s n x0^n (x) e term, the defect of ``CorruptedPhiAB``."""
+    def planted(family, n, alpha, beta):
+        table = ab_table(family, n, alpha, beta)
+        if family == "d":
+            del table[((n, 0), (0, 0)), (0, 1)]
+        return table
+    return planted
+
+
+def _double_b_dt(abgg_table):
+    """The abgg table with b[n]'s beta x0^n (x) dt doubled."""
+    def planted(family, n, alpha, beta, gamma, g):
+        table = abgg_table(family, n, alpha, beta, gamma, g)
+        if family == "b":
+            table[((n,), (0,)), ((0,), (1,))] *= 2
+        return table
+    return planted
+
+
+# The Whittaker F module is the pullback of PhiAB itself, and the Omega module
+# that of PhiABGG at alpha + 1.
+_PAR = OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1)))
+
+
+@pytest.mark.parametrize("table, plant, phi, module", [
+    ("ab_table", _drop_d_e_term, PhiAB(F(1, 2), F(3)),
+     lambda: FModule(F(1, 2), F(3), MFactor(F(1, 3)), MFactor(F(1, 2)), Whittaker())),
+    ("abgg_table", _double_b_dt, PhiABGG(_PAR.alpha + 1, _PAR.beta, _PAR.gamma, _PAR.g),
+     lambda: OmegaModule(_PAR)),
+], ids=["ab", "abgg"])
+def test_one_table_feeds_verify_hom_and_the_module_action(table, plant, phi, module, monkeypatch):
+    # One planted defect must reach both readers of the table.  The module built after
+    # the plant compiles its rules afresh: the memo lives in the module instance.
+    def readers_pass():
+        m = module()
+        vectors = sample_vectors(m.ring, random.Random(1), count=2, max_total_degree=2)
+        return verify_hom(phi).ok, module_axiom_check(m, 1, vectors).ok
+
+    assert readers_pass() == (True, True)
+    monkeypatch.setattr(homomorphisms, table, plant(getattr(homomorphisms, table)))
+    assert readers_pass() == (False, False)

@@ -22,11 +22,16 @@ from wittdiamond.operators import (
     commutator,
     integer_commutator,
     key_id,
+    pullback_rules,
+    scalar_factor,
+    shift_factor,
     tensor_bracket,
     ub_product,
+    weight_factor,
     weyl_product,
+    whittaker_factor,
 )
-from wittdiamond.poly import PolyRing, SparsePoly
+from wittdiamond.poly import PolyRing, act_by_rules
 from wittdiamond.scalars import clear_denominators
 
 
@@ -95,30 +100,71 @@ def test_associativity_random_monomials():
         assert (us[0] * us[1]) * us[2] == us[0] * (us[1] * us[2])
 
 
+def _act(factors, parts, u, p):
+    """u p, with the monomials of u split into one part per factor by ``parts``."""
+    return act_by_rules(p, *pullback_rules(((parts(k), c) for k, c in u.terms.items()), factors))
+
+
+def _weyl_parts(key):
+    return tuple(zip(*key))
+
+
+def _ub_parts(key):
+    return (key,)
+
+
+def _random_vector(ring, rng):
+    return ring.from_terms(
+        (tuple(rng.randint(-3, 3) if laurent else rng.randint(0, 3) for laurent in ring.laurent),
+         F(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+        for _ in range(3))
+
+
 def test_weyl_mul_agrees_with_action_on_laurent_polynomials():
+    # act(u v) = act(u) o act(v) for R2 on M(w0) (x) M(w1) (Laurent, w != 0), on
+    # Omega(l0) (x) M(w1) and on Omega(l0) (x) Omega(l1); the products reach dx^4.
     rng = random.Random(6)
-    ring = R2.poly_ring()
-    for _ in range(20):
-        u = weyl(R2, (rng.randint(-2, 2), rng.randint(-2, 2)), (rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-3, 3) or 1)
-        v = weyl(R2, (rng.randint(-2, 2), rng.randint(-2, 2)), (rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-3, 3) or 1)
-        p = SparsePoly(
-            ring,
-            {
-                (rng.randint(-3, 3), rng.randint(-3, 3)): F(rng.randint(-3, 3) or 1)
-                for _ in range(3)
-            },
-        )
-        assert (u * v).act(p) == u.act(v.act(p))
+    kinds = {
+        "M": lambda j: (weight_factor(j, F(rng.randint(1, 5), rng.randint(2, 3))), True),
+        "Omega": lambda j: (shift_factor(j, F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 2))),
+                            False),
+    }
+    for kind0, kind1 in (("M", "M"), ("Omega", "M"), ("Omega", "Omega")):
+        (f0, flag0), (f1, flag1) = kinds[kind0](0), kinds[kind1](1)
+        ring = PolyRing(("y0", "y1"), (flag0, flag1))
+        for _ in range(12):
+            u, v = [weyl(R2, (rng.randint(-2, 2), rng.randint(-2, 2)),
+                         (rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-3, 3) or 1)
+                    for _ in range(2)]
+            p = _random_vector(ring, rng)
+            assert _act((f0, f1), _weyl_parts, u * v, p) == _act(
+                (f0, f1), _weyl_parts, u, _act((f0, f1), _weyl_parts, v, p)), (kind0, kind1, u, v)
+
+
+def test_diffop_mul_agrees_with_action_on_c_t():
+    rng = random.Random(8)
+    ring = PolyRing(("t",), (False,))
+    factors = (weight_factor(0, 0),)
+    for _ in range(25):
+        u, v = [weyl(DIFFOP, (rng.randint(0, 3),), (rng.randint(0, 3),), rng.randint(-3, 3) or 1)
+                for _ in range(2)]
+        p = _random_vector(ring, rng)
+        assert _act(factors, _weyl_parts, u * v, p) == _act(
+            factors, _weyl_parts, u, _act(factors, _weyl_parts, v, p)), (u, v, p)
 
 
 def test_ub_mul_agrees_with_whittaker_action():
+    # On C[h] (h multiplies, e shifts h -> h - 1) and on C_eps (h = eps, e = 0).
     rng = random.Random(7)
-    hring = PolyRing(("h",), (False,))
-    for _ in range(25):
-        u = ub(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-3, 3) or 1)
-        v = ub(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-3, 3) or 1)
-        p = SparsePoly(hring, {(rng.randint(0, 3),): F(rng.randint(-3, 3) or 1)})
-        assert (u * v).act(p) == u.act(v.act(p))
+    for factor, ring in ((whittaker_factor(0), PolyRing(("h",), (False,))),
+                         (scalar_factor(F(-5, 3)), PolyRing((), ())),
+                         (scalar_factor(F(0)), PolyRing((), ()))):
+        for _ in range(25):
+            u = ub(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-3, 3) or 1)
+            v = ub(rng.randint(0, 3), rng.randint(0, 3), rng.randint(-3, 3) or 1)
+            p = _random_vector(ring, rng)
+            assert _act((factor,), _ub_parts, u * v, p) == _act(
+                (factor,), _ub_parts, u, _act((factor,), _ub_parts, v, p)), (u, v, p)
 
 
 def test_tensor_product_componentwise():

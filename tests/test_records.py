@@ -106,7 +106,6 @@ def test_result_records_compare_by_fields_and_do_not_hash(name):
 def test_equality_checks_the_class():
     assert PhiAB(1, 2) != CorruptedPhiAB(1, 2) and CorruptedPhiAB(1, 2) != PhiAB(1, 2)
     assert R0 != PolyRing(("x0",), (True,))
-    assert R0.poly_ring() == PolyRing(("x0",), (True,))
     assert UbAlgebra() == UbAlgebra() == UB and UbAlgebra() != () and bool(UbAlgebra())
     assert Whittaker() != UbAlgebra() and MFactor(2) != OneDim(2) != OmegaFactor(2)
     # The algebra pairs of the bracket tables are dict keys.
@@ -118,8 +117,6 @@ def test_constructors_keep_their_defaults_and_normalization():
     assert TruncationPolicy(max_steps=65).max_steps == 65
     par = OmegaParams(alpha=F(1, 2), beta=F(3), gamma=F(0), lam=F(2), g=(F(1), F(0), F(1)))
     assert par == FROZEN["OmegaParams"]() and par.g == (1, 0, 1)
-    # (D, alpha D, beta D, gamma D, g_0 D, ...) over D = 2; ints takes no part in repr.
-    assert par.ints == (2, 1, 6, 0, 2, 0, 2)
     assert repr(par) == ("OmegaParams(alpha=Fraction(1, 2), beta=Fraction(3, 1), "
                          "gamma=Fraction(0, 1), lam=Fraction(2, 1), "
                          "g=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)))")
