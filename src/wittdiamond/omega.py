@@ -65,14 +65,13 @@ class OmegaParams(Frozen):
 
 
 def omega_factor_act(par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: Generator,
-                     f: SparsePoly, rules: dict | None = None) -> SparsePoly:
+                     f: SparsePoly, rules: dict) -> SparsePoly:
     """g f on the factor (svar, tvar) of ring (shared with tensor products).
 
     The abgg table's image of g at PhiABGG(alpha + 1, beta, gamma, g) acts on
     Omega(lam) (x) C[t], with s = svar and t = tvar (module docstring).  Its
     ``poly.act_by_rules`` rules are compiled on the first call for (svar, g)
-    and kept in ``rules``, the calling module's ``act_rules``; without one
-    they are compiled for this call alone.
+    and kept in ``rules``, the calling module's ``act_rules``.
 
     Operator form.  Every image is x0^n times an operator first order in d/dt
     whose x0-part is d0 or 1, so on C[s, t]
@@ -85,14 +84,12 @@ def omega_factor_act(par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: 
     A_b = lam^n g(t), B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a
     and c.  In a tensor product factor k acts in this form on (s_k, t_k) alone.
     """
-    rules = {} if rules is None else rules
     compiled = rules.get((svar, g))
     if compiled is None:
         table = homomorphisms.abgg_table(g.family, g.index, par.alpha + 1, par.beta, par.gamma,
                                          par.g)
         factors = (shift_factor(ring.index(svar), par.lam), weight_factor(ring.index(tvar), 0))
-        compiled = rules[svar, g] = pullback_rules(
-            (((*zip(*kl), *zip(*kr)), c) for (kl, kr), c in table.items()), factors)
+        compiled = rules[svar, g] = pullback_rules(table.items(), factors)
     return act_by_rules(f, *compiled)
 
 

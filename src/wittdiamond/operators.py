@@ -415,20 +415,31 @@ def scalar_factor(eps):
     return lambda a, b: [] if b else [(u**a, q**a, (), ())]
 
 
+def monomial_parts(key) -> tuple:
+    """The parts (a, b) of a monomial key, one per coordinate: x^a dx^b for each Weyl
+    coordinate, h^a e^b for U(b), and a tensor key's left parts before its right ones."""
+    left, right = key
+    if type(left) is int:
+        return (key,)
+    if type(left[0]) is int:
+        return tuple(zip(left, right))
+    return monomial_parts(left) + monomial_parts(right)
+
+
 def pullback_rules(terms, factors) -> tuple[list, int]:
     """``(rules, den)`` for ``poly.act_by_rules``: the sum of c m over ``terms``, factor by factor.
 
-    ``terms`` yields (parts, c), the monomial m as one part (a, b) per factor
-    action in ``factors``: the exponents of x^a dx^b on a Weyl coordinate or
-    of h^a e^b in U(b).  An action maps its part to terms (u, q, polys, ops)
-    on its variable: u/q times the polys and ops of ``act_by_rules``.  One
-    term per factor makes a rule, and the coefficients are cleared to ints
-    over one denominator.
+    ``terms`` yields (key, c), as the items of a table of ``homomorphisms``
+    or of an element's terms; ``factors`` holds one action per part of the
+    key (``monomial_parts``).  An action maps its part to terms (u, q, polys,
+    ops) on its variable: u/q times the polys and ops of ``act_by_rules``.
+    One term per factor makes a rule, and the coefficients are cleared to
+    ints over one denominator.
     """
     rules = []
-    for parts, c in terms:
+    for key, c in terms:
         choices = [(c.numerator, c.denominator, (), ())]
-        for act, part in zip(factors, parts):
+        for act, part in zip(factors, monomial_parts(key)):
             choices = [(n * u, d * q, ps + p, os + o)
                        for n, d, ps, os in choices for u, q, p, o in act(*part)]
         rules += [rule for rule in choices if rule[0]]

@@ -153,8 +153,6 @@ ORDER_MAPS = [
 _ORDER_SCRIPT = """
 import json, sys
 from wittdiamond import homomorphisms
-from wittdiamond.axioms import module_axiom_check, sample_vectors
-from wittdiamond.fock import FModule, MFactor, Whittaker
 from wittdiamond.operators import KEYS, key_id
 maps = json.loads(sys.argv[1])
 runs = [homomorphisms.verify_hom(getattr(homomorphisms, name)(*params), 2).violations

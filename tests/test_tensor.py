@@ -162,7 +162,7 @@ def test_leibniz_action_matches_single_factor():
                     parts = [docstring_action(par, T.ring, f"s{k}", f"t{k}", x, v)
                              for k, par in enumerate(factors, start=1)]
                     for k, (par, part) in enumerate(zip(factors, parts), start=1):
-                        assert omega_factor_act(par, T.ring, f"s{k}", f"t{k}", x, v) == part
+                        assert omega_factor_act(par, T.ring, f"s{k}", f"t{k}", x, v, {}) == part
                     assert T.act(x, v) == sum(parts, T.ring.zero()), (x, v)
 
 
@@ -683,7 +683,7 @@ def test_factor_action_is_the_rank_one_symbol():
                 assert all(k <= 1 and (c.var_degree("L0") or 0) <= 1
                            for (_, k), c in op.terms.items())
                 for f in vectors:
-                    assert (omega_factor_act(par, M.ring, "s", "t", gen(fam, n), f)
+                    assert (omega_factor_act(par, M.ring, "s", "t", gen(fam, n), f, {})
                             == _apply_symbol(op, M, f)), (par, fam, n, f)
                 assert operator_form(M, gen(fam, n)) == (
                     _symbol_part(op, (n, 0), M), _symbol_part(op, (n, 1), M)), (fam, n)
