@@ -99,7 +99,7 @@ class FModule:
         rules = self.act_rules.get(g)
         if rules is None:
             table = homomorphisms.ab_table(g.family, g.index, self._table_alpha, self.beta)
-            rules = self.act_rules[g] = pullback_rules(table.items(), self._factor_actions)
+            rules = self.act_rules[g] = pullback_rules([(table.items(), self._factor_actions)])
         return act_by_rules(v, *rules)
 
     def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:

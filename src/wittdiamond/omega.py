@@ -64,14 +64,16 @@ class OmegaParams(Frozen):
         return (self.lam, self.alpha, self.beta, self.gamma, self.g, len(self.g))
 
 
-def omega_factor_act(par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: Generator,
-                     f: SparsePoly, rules: dict) -> SparsePoly:
-    """g f on the factor (svar, tvar) of ring (shared with tensor products).
+def omega_factor_act(factors: Sequence[tuple[OmegaParams, str, str]], ring: PolyRing,
+                     g: Generator, f: SparsePoly, rules: dict) -> SparsePoly:
+    """g f on ring for the rank-one factors (par, svar, tvar) (shared with tensor products).
 
-    The abgg table's image of g at PhiABGG(alpha + 1, beta, gamma, g) acts on
-    Omega(lam) (x) C[t], with s = svar and t = tvar (module docstring).  Its
-    ``poly.act_by_rules`` rules are compiled on the first call for (svar, g)
-    and kept in ``rules``, the calling module's ``act_rules``.
+    Each factor's abgg table image of g at PhiABGG(alpha + 1, beta, gamma, g)
+    acts on Omega(lam) (x) C[t], with s = svar and t = tvar (module
+    docstring), and g f is the sum of these.  The ``poly.act_by_rules`` rules
+    of all factors are compiled on the first call for g, over one denominator,
+    and kept in ``rules``, the calling module's ``act_rules``; each call is one
+    pass over the terms of f.
 
     Operator form.  Every image is x0^n times an operator first order in d/dt
     whose x0-part is d0 or 1, so on C[s, t]
@@ -84,12 +86,15 @@ def omega_factor_act(par: OmegaParams, ring: PolyRing, svar: str, tvar: str, g: 
     A_b = lam^n g(t), B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a
     and c.  In a tensor product factor k acts in this form on (s_k, t_k) alone.
     """
-    compiled = rules.get((svar, g))
+    compiled = rules.get(g)
     if compiled is None:
-        table = homomorphisms.abgg_table(g.family, g.index, par.alpha + 1, par.beta, par.gamma,
-                                         par.g)
-        factors = (shift_factor(ring.index(svar), par.lam), weight_factor(ring.index(tvar), 0))
-        compiled = rules[svar, g] = pullback_rules(table.items(), factors)
+        pullbacks = []
+        for par, svar, tvar in factors:
+            table = homomorphisms.abgg_table(g.family, g.index, par.alpha + 1, par.beta,
+                                             par.gamma, par.g)
+            pullbacks.append((table.items(), (shift_factor(ring.index(svar), par.lam),
+                                              weight_factor(ring.index(tvar), 0))))
+        compiled = rules[g] = pullback_rules(pullbacks)
     return act_by_rules(f, *compiled)
 
 
@@ -108,7 +113,7 @@ class RankOneProduct:
         self.ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
         self._factor_vars = tuple(zip(self.factors, svars, tvars))
         self.orbit_weights: dict = {}  # ``orbit_component``'s weights, by (degrees, lam, x)
-        self.act_rules: dict = {}  # ``omega_factor_act``'s compiled rules, by (svar, generator)
+        self.act_rules: dict = {}  # ``omega_factor_act``'s compiled rules, by generator
 
     @property
     def m(self) -> int:
@@ -158,7 +163,7 @@ class OmegaModule(RankOneProduct):
         self.params = params
 
     def act(self, g: Generator, f: SparsePoly) -> SparsePoly:
-        return omega_factor_act(self.params, self.ring, "s", "t", g, f, self.act_rules)
+        return omega_factor_act(self._factor_vars, self.ring, g, f, self.act_rules)
 
 
 def orbit_points(degrees: dict[Fraction, int]) -> int:

@@ -426,22 +426,28 @@ def monomial_parts(key) -> tuple:
     return monomial_parts(left) + monomial_parts(right)
 
 
-def pullback_rules(terms, factors) -> tuple[list, int]:
-    """``(rules, den)`` for ``poly.act_by_rules``: the sum of c m over ``terms``, factor by factor.
+def pullback_rules(pullbacks) -> tuple[list, int]:
+    """``(rules, den)`` for ``poly.act_by_rules``: the sum of c m over the terms of each
+    (terms, factors) in ``pullbacks``, factor by factor.
 
     ``terms`` yields (key, c), as the items of a table of ``homomorphisms``
     or of an element's terms; ``factors`` holds one action per part of the
     key (``monomial_parts``).  An action maps its part to terms (u, q, polys,
-    ops) on its variable: u/q times the polys and ops of ``act_by_rules``.
-    One term per factor makes a rule, and the coefficients are cleared to
-    ints over one denominator.
+    ops) on its variable: u/q times the polys of ``act_by_rules`` and an op (j, d, n),
+    x_j^e -> (x_j - n)^(e + d).  One term per factor makes a rule, whose ops become the
+    raises (j, d) and shifts (j, n) of ``act_by_rules``; every action is bound to its
+    own variable, so a rule names each variable once.  A product module passes one
+    pullback per factor, on that factor's variables, and every rule is cleared to ints
+    over one denominator.
     """
     rules = []
-    for key, c in terms:
-        choices = [(c.numerator, c.denominator, (), ())]
-        for act, part in zip(factors, monomial_parts(key)):
-            choices = [(n * u, d * q, ps + p, os + o)
-                       for n, d, ps, os in choices for u, q, p, o in act(*part)]
-        rules += [rule for rule in choices if rule[0]]
+    for terms, factors in pullbacks:
+        for key, c in terms:
+            choices = [(c.numerator, c.denominator, (), ())]
+            for act, part in zip(factors, monomial_parts(key)):
+                choices = [(n * u, d * q, ps + p, os + o)
+                           for n, d, ps, os in choices for u, q, p, o in act(*part)]
+            rules += [rule for rule in choices if rule[0]]
     den = math.lcm(*(d for _, d, _, _ in rules))
-    return [(n * (den // d), polys, ops) for n, d, polys, ops in rules], den
+    return [(n * (den // d), polys, tuple((j, e) for j, e, _ in ops if e),
+             tuple((j, s) for j, _, s in ops if s)) for n, d, polys, ops in rules], den

@@ -90,28 +90,49 @@ def _shift_row(k: int, off: int | Fraction) -> tuple[tuple[int, int | Fraction],
 
 
 def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
-    """The sum over the rules (k, polys, ops) and the terms c x^e of f of k c prod p(e_j) over
-    (j, p) in polys, times x^e with x_j^e_j -> (x_j - n)^(e_j + d) for each (j, d, n) in ops, over
-    den.  k and the coefficients of each p (highest degree first) are ints, as
-    ``operators.pullback_rules`` gives them: the sum is in ints, one Fraction per key.
+    """The sum over the rules (k, polys, raises, shifts) and the terms c x^e of f of k c prod
+    p(e_j) over (j, p) in polys, times x^e with x_j^e_j -> x_j^(e_j + d) for each (j, d) in
+    raises and then x_j -> x_j - n for each (j, n) in shifts, over den.  k and the
+    coefficients of each p (highest degree first) are ints, as ``operators.pullback_rules``
+    gives them: the sum is in ints, one Fraction per key.
+
+    A rule names each variable at most once in its raises and at most once in its
+    shifts, as ``pullback_rules`` makes them (each factor action is bound to its own
+    variable), so the raises are applied to one exponent list in place.  A rule with no
+    shift writes one key, and one with a single shift walks its ``_shift_row`` in place;
+    only a rule with two or more shifts builds its keys by slicing.
     """
     nums, f_den = clear_denominators(f.terms)
     acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
     for e, c in nums.items():
-        for k, polys, ops in rules:
+        for k, polys, raises, shifts in rules:
             k *= c
             for j, p in polys:
                 x, v = e[j], 0
                 for a in p:
                     v = v * x + a
                 k *= v
-            if k:
-                part = [(e, k)]
-                for j, d, n in ops:
-                    row = _shift_row(e[j] + d, n) if n else ((e[j] + d, 1),)
-                    part = [(y[:j] + (x,) + y[j + 1 :], a * b) for y, a in part for x, b in row]
-                for y, a in part:
-                    acc[y] = acc.get(y, 0) + a
+            if not k:
+                continue
+            y = list(e)
+            for j, d in raises:
+                y[j] += d
+            if not shifts:
+                y = tuple(y)
+                acc[y] = get(y, 0) + k
+            elif len(shifts) == 1:
+                ((j, n),) = shifts
+                for y[j], b in _shift_row(y[j], n):
+                    key = tuple(y)
+                    acc[key] = get(key, 0) + k * b
+            else:
+                part = [(tuple(y), k)]
+                for j, n in shifts:
+                    part = [(z[:j] + (x,) + z[j + 1 :], a * b)
+                            for z, a in part for x, b in _shift_row(z[j], n)]
+                for z, a in part:
+                    acc[z] = get(z, 0) + a
     den *= f_den
     return f._like({y: Fraction(a, den) for y, a in acc.items() if a})
 

@@ -1,8 +1,9 @@
 """Tensor products of rank-one free modules on C[s_1, t_1, ..., s_m, t_m].
 
 ``TensorModule`` is the m-factor ``omega.RankOneProduct``: generators act by
-the Leibniz rule through the one-factor actions, and the k-th factor
-touches only (s_k, t_k).  The reduction chain ``tensor_reduce_to_bottom``
+the Leibniz rule, the sum of the one-factor actions, whose rules
+``omega.omega_factor_act`` compiles into one list per generator; the k-th
+factor touches only (s_k, t_k).  The reduction chain ``tensor_reduce_to_bottom``
 lives in ``omega`` beside its step primitives and serves ``OmegaModule``
 (m = 1) too; generation, extraction, orbit ranks, the repeated-lambda
 witness subspace and isomorphism live here.  All span extractions rest on
@@ -32,7 +33,7 @@ from .omega import (
     invariance_check, omega_factor_act, orbit, tensor_reduce_to_bottom
 )
 from .poly import SparsePoly
-from .scalars import ONE, Frozen, Record, add_scaled, scalar, superfactorial
+from .scalars import ONE, Frozen, Record, scalar, superfactorial
 
 
 class TensorModule(RankOneProduct):
@@ -44,11 +45,7 @@ class TensorModule(RankOneProduct):
                          [f"t{k}" for k in range(1, m + 1)])
 
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
-        out: dict = {}
-        for par, svar, tvar in self._factor_vars:
-            image = omega_factor_act(par, self.ring, svar, tvar, g, v, self.act_rules)
-            add_scaled(out, image.terms)
-        return v._like(out)
+        return omega_factor_act(self._factor_vars, self.ring, g, v, self.act_rules)
 
 
 # -- the generalized Vandermonde determinant --------------------------------

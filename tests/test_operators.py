@@ -8,8 +8,10 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond.exceptions import AlgebraMismatch
+from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.homomorphisms import PhiAB, PhiABGG, verify_hom
-from wittdiamond.lie import FAMILIES
+from wittdiamond.lie import FAMILIES, generators_in_window
+from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.operators import (
     DIFFOP,
     KEYS,
@@ -33,6 +35,7 @@ from wittdiamond.operators import (
 )
 from wittdiamond.poly import PolyRing, act_by_rules
 from wittdiamond.scalars import clear_denominators
+from wittdiamond.tensor import TensorModule
 
 
 def weyl(alg, xexp, dexp, coef=1):
@@ -102,7 +105,7 @@ def test_associativity_random_monomials():
 
 def _act(factors, u, p):
     """u p, one factor action per part of u's monomials."""
-    return act_by_rules(p, *pullback_rules(u.terms.items(), factors))
+    return act_by_rules(p, *pullback_rules([(u.terms.items(), factors)]))
 
 
 def _random_vector(ring, rng):
@@ -399,3 +402,26 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
         assert commutator(u, v).terms == {}
         tables = bracket_tables(left, right)
         assert integer_commutator(tables, _id_numerators(u)[0], _id_numerators(v)[0]) == {}
+
+
+def test_compiled_rules_name_each_variable_once():
+    """``act_by_rules`` raises exponents in place, so each compiled rule names a variable at
+    most once among its raises and once among its shifts: every F kind, Omega and T(m=3)."""
+    pairs = [(MFactor(F(1, 3)), MFactor(F(-1, 2))), (OmegaFactor(F(2)), OmegaFactor(F(-1, 3))),
+             (OmegaFactor(F(-2)), MFactor(F(1, 2)))]
+    modules = [FModule(F(1, 2), F(-3), p0, p1, v) for p0, p1 in pairs
+               for v in (OneDim(F(2)), OneDim(F(0)), Whittaker())]
+    factors = [OmegaParams(F(1, 2), F(3), F(-1), F(2), (F(1), F(0), F(-2))),
+               OmegaParams(F(1), F(-2, 3), F(1), F(-1, 2), (F(2),)),
+               OmegaParams(F(-1), F(2), F(2, 3), F(3), (F(0), F(1)))]
+    modules += [OmegaModule(factors[0]), TensorModule(factors)]
+    for module in modules:
+        variables = set()
+        for g in generators_in_window(2):
+            module.act(g, module.one())
+            for _, _, raises, shifts in module.act_rules[g][0]:
+                for ops in (raises, shifts):
+                    names = [j for j, _ in ops]
+                    assert len(names) == len(set(names)), (module.ring.names, g, ops)
+                    variables.update(names)
+        assert variables == set(range(module.ring.nvars)), module.ring.names

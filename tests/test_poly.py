@@ -7,8 +7,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittdiamond.axioms import random_vector
 from wittdiamond.exceptions import UnsupportedVariable, VariableMismatch
-from wittdiamond.poly import PolyRing, SparsePoly, monomials_within, parse_poly
+from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
+from wittdiamond.lie import generators_in_window
+from wittdiamond.omega import OmegaModule, OmegaParams
+from wittdiamond.poly import (
+    PolyRing, SparsePoly, _shift_row, act_by_rules, monomials_within, parse_poly
+)
+from wittdiamond.scalars import clear_denominators
+from wittdiamond.tensor import TensorModule
 
 RING = PolyRing(("s", "t"), (False, False))
 LRING = PolyRing(("x0", "x1"), (True, True))
@@ -156,3 +164,95 @@ def test_monomials_within_counts():
     assert len(list(monomials_within(RING, 2))) == 6
     assert len(list(monomials_within(LRING, 1))) == 5
     assert len(list(monomials_within(MIXED, 1))) == 4
+
+
+# -- act_by_rules against the former kernel -----------------------------------
+
+
+def _former_act_by_rules(f, rules, den):
+    """The former ``act_by_rules``, kept as an oracle: every output key built by slicing.
+
+    Its rules are (k, polys, ops), with one op (j, d, n) per variable:
+    x_j^e_j -> (x_j - n)^(e_j + d).
+    """
+    nums, f_den = clear_denominators(f.terms)
+    acc = {}
+    for e, c in nums.items():
+        for k, polys, ops in rules:
+            k *= c
+            for j, p in polys:
+                x, v = e[j], 0
+                for a in p:
+                    v = v * x + a
+                k *= v
+            if k:
+                part = [(e, k)]
+                for j, d, n in ops:
+                    row = _shift_row(e[j] + d, n) if n else ((e[j] + d, 1),)
+                    part = [(y[:j] + (x,) + y[j + 1 :], a * b) for y, a in part for x, b in row]
+                for y, a in part:
+                    acc[y] = acc.get(y, 0) + a
+    den *= f_den
+    return f._like({y: F(a, den) for y, a in acc.items() if a})
+
+
+def _former_rule(k, polys, raises, shifts):
+    """A rule's raises (j, d) and shifts (j, n) as the former ops (j, d, n)."""
+    ops = {j: [d, 0] for j, d in raises}
+    for j, n in shifts:
+        ops.setdefault(j, [0, 0])[1] = n
+    return k, polys, tuple((j, d, n) for j, (d, n) in ops.items())
+
+
+def _agrees_with_former_kernel(f, rules, den):
+    got = act_by_rules(f, rules, den)
+    assert got.terms == _former_act_by_rules(f, [_former_rule(*r) for r in rules], den).terms
+    assert all(got.terms.values())
+
+
+def test_act_by_rules_matches_the_former_kernel_on_every_rule_kind():
+    """Omega (a shift and a raise), merged T(m=3) rules, F on M x M with C_eps (raises
+    only, on Laurent exponents of both signs) and F on Omega x M with the Whittaker V
+    (two shifts in one rule), on random vectors and the 25 window-2 generators."""
+    factors = [OmegaParams(F(1, 2), F(3), F(-1), F(2), (F(1), F(0), F(-2))),
+               OmegaParams(F(1), F(-2, 3), F(1), F(-1, 2), (F(2),)),
+               OmegaParams(F(-1), F(2), F(2, 3), F(3), (F(0), F(1)))]
+    modules = [OmegaModule(factors[0]), TensorModule(factors),
+               FModule(F(1, 2), F(-3), MFactor(F(1, 3)), MFactor(F(-1, 2)), OneDim(F(2))),
+               FModule(F(2), F(1, 3), OmegaFactor(F(-2)), MFactor(F(1, 2)), Whittaker())]
+    rng = random.Random(34)
+    shift_counts = set()
+    for module in modules:
+        vectors = [random_vector(module.ring, rng, max_total_degree=3, terms=5) for _ in range(3)]
+        for g in generators_in_window(2):
+            module.act(g, module.one())
+            rules, den = module.act_rules[g]
+            shift_counts.update(len(shifts) for *_, shifts in rules)
+            for v in vectors:
+                _agrees_with_former_kernel(v, rules, den)
+    assert shift_counts == {0, 1, 2}
+
+
+def test_act_by_rules_skips_a_vanishing_polynomial_and_drops_cancelled_keys():
+    ring = PolyRing(("x", "y"), (True, False))
+    v = ring.from_terms([((2, 1), F(3, 2)), ((-1, 0), F(-1))])
+    # (x - 2) vanishes on x^2 y and (x + 1) on x^-1; the second and third rules
+    # cancel on x^4 y, and the third and fourth, which shifts y, on x.
+    rules = [(4, ((0, (1, -2)),), ((1, 1),), ()),
+             (2, ((0, (1, 1)),), ((0, 2),), ()),
+             (-6, (), ((0, 2),), ()),
+             (2, (), ((0, -1),), ((1, 2),))]
+    got = act_by_rules(v, rules, 5)
+    _agrees_with_former_kernel(v, rules, 5)
+    assert got == ring.from_terms([((-1, 1), F(12, 5)), ((1, 1), F(3, 5)), ((-2, 0), F(-2, 5))])
+    assert (4, 1) not in got.terms and (1, 0) not in got.terms
+
+
+def test_act_by_rules_raises_before_it_shifts_in_a_two_shift_rule():
+    # One rule: times y z^2 / 4, then y -> y - 1 and z -> z + 3, each on the raised exponent.
+    ring = PolyRing(("x", "y", "z"), (True, False, False))
+    v = ring.from_terms([((1, 1, 2), F(3, 2)), ((0, 2, 0), F(-1, 2))])
+    rules = [(1, (), ((1, 1), (2, 2)), ((1, 1), (2, -3)))]
+    _agrees_with_former_kernel(v, rules, 4)
+    want = (v * ring.monomial({"y": 1, "z": 2}) * F(1, 4)).shift("y", 1).shift("z", -3)
+    assert act_by_rules(v, rules, 4) == want

@@ -13,7 +13,7 @@ from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.certificates import CertStep
 from wittdiamond.exceptions import InvalidSpec, NotApplicable, RequiresSimple
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
-from wittdiamond.lie import FAMILIES, gen
+from wittdiamond.lie import FAMILIES, gen, generators_in_window
 from wittdiamond.linalg import SpanBasis, combination
 from wittdiamond.omega import (
     OmegaModule,
@@ -162,8 +162,21 @@ def test_leibniz_action_matches_single_factor():
                     parts = [docstring_action(par, T.ring, f"s{k}", f"t{k}", x, v)
                              for k, par in enumerate(factors, start=1)]
                     for k, (par, part) in enumerate(zip(factors, parts), start=1):
-                        assert omega_factor_act(par, T.ring, f"s{k}", f"t{k}", x, v, {}) == part
+                        factor = ((par, f"s{k}", f"t{k}"),)
+                        assert omega_factor_act(factor, T.ring, x, v, {}) == part
                     assert T.act(x, v) == sum(parts, T.ring.zero()), (x, v)
+
+
+def test_rules_are_compiled_once_per_generator_over_all_factors():
+    # One (rules, den) entry per generator, shared by every factor of the product.
+    gens = generators_in_window(2)
+    for module in (TensorModule([A, B, C]), OmegaModule(A)):
+        v = module.one() + module.ring.var(module.svar(1)) * module.ring.var(module.tvar(module.m))
+        for g in gens:
+            module.act(g, v)
+            module.act(g, module.act(g, v))
+        assert len(module.act_rules) == len(gens) == 25
+        assert set(module.act_rules) == set(gens)
 
 
 def test_action_examples_m2():
@@ -683,7 +696,7 @@ def test_factor_action_is_the_rank_one_symbol():
                 assert all(k <= 1 and (c.var_degree("L0") or 0) <= 1
                            for (_, k), c in op.terms.items())
                 for f in vectors:
-                    assert (omega_factor_act(par, M.ring, "s", "t", gen(fam, n), f, {})
+                    assert (omega_factor_act(((par, "s", "t"),), M.ring, gen(fam, n), f, {})
                             == _apply_symbol(op, M, f)), (par, fam, n, f)
                 assert operator_form(M, gen(fam, n)) == (
                     _symbol_part(op, (n, 0), M), _symbol_part(op, (n, 1), M)), (fam, n)
