@@ -300,14 +300,14 @@ def cmd_act(args) -> int:
     rep = Report("act")
     module = module_from_spec(_load_spec(args.spec))
     expr_text = Q_EXPRESSION if args.expr.strip() == "Q" else args.expr
-    for m in re.finditer(r"[Labcd]\[(-?\d+)\]", expr_text):
-        if abs(int(m.group(1))) > MAX_INPUT_POWER:
-            raise InvalidSpec(f"--expr: the index of {m.group(0)} is above the bound "
-                              f"{MAX_INPUT_POWER} on its size")
     try:
         words = parse_words(expr_text)
     except (ValueError, AlgebraError) as exc:
         raise InvalidSpec(f"--expr: {exc}") from None
+    for g in (g for _, letters in words for g in letters):
+        if abs(g.index) > MAX_INPUT_POWER:
+            raise InvalidSpec(f"--expr: the index of {g} is above the bound "
+                              f"{MAX_INPUT_POWER} on its size")
     v = _parse_vector(module.ring, args.vector)
     result = _bounded_action(module, words, v)
     rep.add(

@@ -4,11 +4,13 @@
 ``PhiABGG`` sends it onto (degree-1 Laurent Weyl algebra) (x) (polynomial
 differential operators).  Both are defined on generators, by the tables
 ``ab_table`` and ``abgg_table``, and extended to PBW words
-multiplicatively; ``verify_hom`` checks that the tables respect every
-bracket, on an index window that a degree bound proves complete, and the
-witness lists exhibit preimages of the standard generating operators, each
-replayable exactly.  The module actions of ``fock`` and ``omega`` are
-pullbacks of the same two tables.
+multiplicatively, in the ``operators.TensorAlgebra`` each map holds as
+``algebra``; ``verify_hom`` checks that the tables respect every bracket, on
+an index window that a degree bound proves complete, and the witness lists
+exhibit preimages of the standard generating operators, each replayable
+exactly.  The witness targets and the ``CorruptedPhiAB`` control are keys of
+the same tables, and the module actions of ``fock`` and ``omega`` are their
+pullbacks.
 """
 
 from __future__ import annotations
@@ -24,21 +26,13 @@ from .operators import (
     R0,
     R2,
     UB,
-    OperatorElement,
     TensorElement,
     bracket_tables,
     integer_commutator,
     key_id,
+    tensor_algebra,
 )
 from .scalars import ONE, Frozen, Record, add_scaled, clear_denominators, scalar
-
-
-def _weyl(algebra, xexp, dexp) -> OperatorElement:
-    return OperatorElement.monomial(algebra, (tuple(xexp), tuple(dexp)))
-
-
-def _ub(i: int, j: int) -> OperatorElement:
-    return OperatorElement.monomial(UB, (i, j))
 
 
 def ab_table(family: str, n: int, alpha: Fraction, beta: Fraction) -> dict:
@@ -114,6 +108,8 @@ class PhiAB(Frozen):
     """
 
     _fields = ("alpha", "beta")
+    left_algebra, right_algebra = R2, UB
+    algebra = tensor_algebra(R2, UB)
 
     def __init__(self, alpha: Fraction, beta: Fraction):
         alpha, beta = scalar(alpha), scalar(beta)
@@ -121,19 +117,11 @@ class PhiAB(Frozen):
             raise InvalidSpec("beta must be nonzero")
         self._set(alpha=alpha, beta=beta)
 
-    @property
-    def left_algebra(self):
-        return R2
-
-    @property
-    def right_algebra(self):
-        return UB
-
     def one(self) -> TensorElement:
-        return TensorElement.one(R2, UB)
+        return TensorElement.one(self.algebra)
 
     def image(self, g: Generator) -> TensorElement:
-        return TensorElement(R2, UB, ab_table(g.family, g.index, self.alpha, self.beta))
+        return TensorElement(self.algebra, ab_table(g.family, g.index, self.alpha, self.beta))
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -143,9 +131,10 @@ class CorruptedPhiAB(PhiAB):
     """Negative control: the image of d[n] is missing its n x0^n (x) e term."""
 
     def image(self, g: Generator) -> TensorElement:
+        table = ab_table(g.family, g.index, self.alpha, self.beta)
         if g.family == "d":
-            return TensorElement(R2, UB, {(((g.index, 1), (0, 1)), (0, 0)): ONE})
-        return super().image(g)
+            del table[((g.index, 0), (0, 0)), (0, 1)]
+        return TensorElement(self.algebra, table)
 
 
 class PhiABGG(Frozen):
@@ -162,6 +151,8 @@ class PhiABGG(Frozen):
     """
 
     _fields = ("alpha", "beta", "gamma", "g")
+    left_algebra, right_algebra = R0, DIFFOP
+    algebra = tensor_algebra(R0, DIFFOP)
 
     def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, g: tuple[Fraction, ...]):
         alpha, beta, gamma = scalar(alpha), scalar(beta), scalar(gamma)
@@ -170,27 +161,15 @@ class PhiABGG(Frozen):
             raise InvalidSpec("beta must be nonzero")
         self._set(alpha=alpha, beta=beta, gamma=gamma, g=g)
 
-    @property
-    def left_algebra(self):
-        return R0
-
-    @property
-    def right_algebra(self):
-        return DIFFOP
-
     def one(self) -> TensorElement:
-        return TensorElement.one(R0, DIFFOP)
+        return TensorElement.one(self.algebra)
 
     def image(self, g: Generator) -> TensorElement:
-        return TensorElement(R0, DIFFOP, abgg_table(g.family, g.index, self.alpha, self.beta,
-                                                     self.gamma, self.g))
+        return TensorElement(self.algebra, abgg_table(g.family, g.index, self.alpha, self.beta,
+                                                      self.gamma, self.g))
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
-
-    def g_of_a0(self) -> UEnvElement:
-        """The polynomial g evaluated at a[0] inside the enveloping algebra."""
-        return UEnvElement({(gen("a", 0),) * k: c for k, c in enumerate(self.g)})
 
 
 def _apply(phi, u: UEnvElement) -> TensorElement:
@@ -200,7 +179,7 @@ def _apply(phi, u: UEnvElement) -> TensorElement:
         for letter in word:
             acc = acc * phi.image(letter)
         add_scaled(total, acc.terms, c)
-    return TensorElement(phi.left_algebra, phi.right_algebra)._like(total)
+    return TensorElement(phi.algebra)._like(total)
 
 
 class HomReport(Record):
@@ -306,6 +285,16 @@ def _word(*gens: Generator) -> UEnvElement:
     return UEnvElement.from_word(gens)
 
 
+def _witnesses(phi, rows) -> list[Witness]:
+    """``Witness`` records from rows (name, [(target key, preimage), ...]).
+
+    Each target is one key of the table format of ``phi`` (``ab_table`` or
+    ``abgg_table``), with coefficient 1.
+    """
+    return [Witness(name, [(TensorElement(phi.algebra, {key: ONE}), pre) for key, pre in pairs])
+            for name, pairs in rows]
+
+
 def image_witnesses(phi: PhiAB) -> list[Witness]:
     """The seven operators exhibited inside the image of the degree-2 map.
 
@@ -315,93 +304,33 @@ def image_witnesses(phi: PhiAB) -> list[Witness]:
     binv = 1 / phi.beta
     c1, cm1, c0 = gen("c", 1), gen("c", -1), gen("c", 0)
     a0, a1, b0, d0, L0 = gen("a", 0), gen("a", 1), gen("b", 0), gen("d", 0), gen("L", 0)
-    ub1 = _ub(0, 0)
+    one, h, e, zero = (0, 0), (1, 0), (0, 1), (0, 0)
     x1e_pre = (_word(cm1, a1) - _word(c0, a0)).scaled(-binv * binv)
-    return [
-        Witness(
-            "x0^{+1,-1} (x) 1",
-            [
-                (TensorElement.pure(_weyl(R2, (1, 0), (0, 0)), ub1), _word(c1).scaled(-binv)),
-                (TensorElement.pure(_weyl(R2, (-1, 0), (0, 0)), ub1), _word(cm1).scaled(-binv)),
-            ],
-        ),
-        Witness(
-            "dx0 (x) 1",
-            [(TensorElement.pure(_weyl(R2, (0, 0), (1, 0)), ub1), _word(cm1, L0).scaled(-binv))],
-        ),
-        Witness(
-            "x1 (x) e",
-            [(TensorElement.pure(_weyl(R2, (0, 1), (0, 0)), _ub(0, 1)), x1e_pre)],
-        ),
-        Witness(
-            "x1^-1 (x) 1",
-            [(TensorElement.pure(_weyl(R2, (0, -1), (0, 0)), ub1), _word(b0))],
-        ),
-        Witness(
-            "1 (x) e",
-            [(TensorElement.pure(_weyl(R2, (0, 0), (0, 0)), _ub(0, 1)), x1e_pre * _word(b0))],
-        ),
-        Witness(
-            "1 (x) h",
-            [
-                (
-                    TensorElement.pure(_weyl(R2, (0, 0), (0, 0)), _ub(1, 0)),
-                    _word(d0) - _word(b0, a0).scaled(binv),
-                )
-            ],
-        ),
-        Witness(
-            "dx1 (x) 1",
-            [(TensorElement.pure(_weyl(R2, (0, 0), (0, 1)), ub1), _word(b0, d0))],
-        ),
-    ]
+    return _witnesses(phi, [
+        ("x0^{+1,-1} (x) 1", [((((1, 0), zero), one), _word(c1).scaled(-binv)),
+                              ((((-1, 0), zero), one), _word(cm1).scaled(-binv))]),
+        ("dx0 (x) 1", [(((zero, (1, 0)), one), _word(cm1, L0).scaled(-binv))]),
+        ("x1 (x) e", [((((0, 1), zero), e), x1e_pre)]),
+        ("x1^-1 (x) 1", [((((0, -1), zero), one), _word(b0))]),
+        ("1 (x) e", [(((zero, zero), e), x1e_pre * _word(b0))]),
+        ("1 (x) h", [(((zero, zero), h), _word(d0) - _word(b0, a0).scaled(binv))]),
+        ("dx1 (x) 1", [(((zero, (0, 1)), one), _word(b0, d0))]),
+    ])
 
 
 def surjectivity_witnesses(phi: PhiABGG) -> list[Witness]:
     """Preimages of the four generators of the target tensor algebra."""
     binv = 1 / phi.beta
-    one_d = OperatorElement.one(DIFFOP)
-    return [
-        Witness(
-            "x0^{+1,-1} (x) 1",
-            [
-                (
-                    TensorElement.pure(_weyl(R0, (1,), (0,)), one_d),
-                    _word(gen("c", 1)).scaled(-binv),
-                ),
-                (
-                    TensorElement.pure(_weyl(R0, (-1,), (0,)), one_d),
-                    _word(gen("c", -1)).scaled(-binv),
-                ),
-            ],
-        ),
-        Witness(
-            "d0 (x) 1",
-            [(TensorElement.pure(_weyl(R0, (1,), (1,)), one_d), _word(gen("L", 0)))],
-        ),
-        Witness(
-            "1 (x) t",
-            [
-                (
-                    TensorElement.pure(
-                        OperatorElement.one(R0), OperatorElement.monomial(DIFFOP, ((1,), (0,)))
-                    ),
-                    _word(gen("a", 0)),
-                )
-            ],
-        ),
-        Witness(
-            "1 (x) dt",
-            [
-                (
-                    TensorElement.pure(
-                        OperatorElement.one(R0), OperatorElement.monomial(DIFFOP, ((0,), (1,)))
-                    ),
-                    (_word(gen("b", 0)) - phi.g_of_a0()).scaled(binv),
-                )
-            ],
-        ),
-    ]
+    a0 = gen("a", 0)
+    one, zero = ((0,), (0,)), (0,)
+    g_of_a0 = UEnvElement({(a0,) * k: c for k, c in enumerate(phi.g)})
+    return _witnesses(phi, [
+        ("x0^{+1,-1} (x) 1", [((((1,), zero), one), _word(gen("c", 1)).scaled(-binv)),
+                              ((((-1,), zero), one), _word(gen("c", -1)).scaled(-binv))]),
+        ("d0 (x) 1", [((((1,), (1,)), one), _word(gen("L", 0)))]),
+        ("1 (x) t", [((one, ((1,), zero)), _word(a0))]),
+        ("1 (x) dt", [((one, (zero, (1,))), (_word(gen("b", 0)) - g_of_a0).scaled(binv))]),
+    ])
 
 
 def check_all_witnesses(phi, witnesses: Sequence[Witness]) -> list[str]:

@@ -1,6 +1,6 @@
 """Normal-ordered exact computation in the target operator algebras.
 
-Three kinds of algebra share one element class:
+Three kinds of algebra share one element class, ``OperatorElement``:
 
 * Weyl-type algebras with a per-variable Laurent flag.  Monomial keys are
   (xexp, dexp) pairs of exponent tuples, normal order has all coordinate
@@ -11,21 +11,24 @@ Three kinds of algebra share one element class:
 * The enveloping algebra of the solvable 2-dimensional algebra with
   bracket [h, e] = e; keys are (h-exponent, e-exponent) with h left of e,
   and reordering uses e h = (h - 1) e.
-* Tensor products of a Weyl-type algebra with a second algebra, stored as
-  sums of pure tensors with both sides normal-ordered eagerly.
+* The tensor product of two such algebras, ``TensorAlgebra(left, right)``,
+  with (left key, right key) pairs as keys; ``tensor_algebra`` gives the
+  one instance of each pair, whose elements are ``TensorElement``s.
 
-The product of two monomials has integer coefficients in both kinds of
-algebra, whatever the parameters of the maps into them.  ``weyl_product``
-and ``ub_product`` compute it as a tuple of (key, int) pairs and cache it
-per key pair, so each structure constant is worked out once per process.
-Element products scale a table entry by one rational per pair of terms and
-skip the multiplication where the constant is 1, as most of them are.
+Every algebra gives ``one_key``, ``format_key`` and ``mul_keys``, the
+product of two monomials, with integer coefficients whatever the parameters
+of the maps into it.  ``weyl_product`` and ``ub_product`` compute it as a
+tuple of (key, int) pairs and cache it per key pair, and a tensor algebra
+multiplies the two side tables.  Element products scale a table entry by
+one rational per pair of terms and skip the multiplication where the
+constant is 1, as most of them are.
 Each pure-tensor key gets a process-wide int id (``key_id``; ``KEYS`` maps
-it back).  ``integer_commutator`` sums the commutator of two tensor elements
-over integer numerators keyed by those ids, from the integer tables of one
-``BracketTables`` per pair of algebras (``bracket_tables``), which
-``tensor_bracket`` fills on first use by pair of ids; a bracket check fetches
-that dict once, needs no rational arithmetic and hashes no nested key tuple.
+it back).  Each tensor algebra owns one ``BracketTables`` as ``brackets``
+(``bracket_tables(left, right)``): the integer bracket tables of its keys by
+pair of ids, which ``tensor_bracket`` fills on first use.
+``integer_commutator`` sums the commutator of two tensor elements over
+integer numerators from those tables; a bracket check fetches that dict
+once, needs no rational arithmetic and hashes no nested key tuple.
 The generator images of ``homomorphisms`` are literal tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
 The last section acts with monomials on the factors of the modules, and
@@ -144,8 +147,45 @@ DIFFOP = WeylAlgebra(("t",), (False,))
 UB = UbAlgebra()
 
 
+class TensorAlgebra(Frozen):
+    """The tensor product of two algebras: keys are (left key, right key) pairs.
+
+    ``tensor_algebra`` gives the one instance of each pair, which owns the
+    pair's ``BracketTables`` as ``brackets``.
+    """
+
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        self._set(left=left, right=right, brackets=BracketTables(self))
+
+    @property
+    def one_key(self):
+        return (self.left.one_key, self.right.one_key)
+
+    def mul_keys(self, k1, k2) -> list:
+        """(l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, from the two side tables."""
+        (l1, r1), (l2, r2) = k1, k2
+        rf = self.right.mul_keys(r1, r2)
+        return [((kl, kr), cl * cr) for kl, cl in self.left.mul_keys(l1, l2) for kr, cr in rf]
+
+    def format_key(self, key) -> str:
+        kl, kr = key
+        return f"({self.left.format_key(kl)})(x)({self.right.format_key(kr)})"
+
+
+@functools.cache
+def tensor_algebra(left, right) -> TensorAlgebra:
+    """The one ``TensorAlgebra`` of a pair of algebras in this process."""
+    return TensorAlgebra(left, right)
+
+
 class OperatorElement(LinComb):
-    """Normal-ordered element of a single operator algebra."""
+    """Normal-ordered element of an operator algebra or of a tensor product of two.
+
+    The constructor drops zero coefficients, so a literal table of terms may
+    hold them.
+    """
 
     __slots__ = ("algebra",)
 
@@ -154,7 +194,7 @@ class OperatorElement(LinComb):
         self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     def _like(self, terms):
-        new = object.__new__(OperatorElement)
+        new = object.__new__(type(self))
         new.algebra = self.algebra
         new.terms = terms
         return new
@@ -193,76 +233,35 @@ class OperatorElement(LinComb):
         return self._like(out)
 
 
-class TensorElement(LinComb):
-    """Sum of pure tensors A (x) B with both sides normal-ordered.
+class TensorElement(OperatorElement):
+    """An element of a ``TensorAlgebra``: a sum of pure tensors A (x) B."""
 
-    The constructor drops zero coefficients, so a literal table of terms may
-    hold them.
-    """
+    __slots__ = ()
 
-    __slots__ = ("left_algebra", "right_algebra")
+    @property
+    def left_algebra(self):
+        return self.algebra.left
 
-    def __init__(self, left_algebra, right_algebra, terms=None):
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def _like(self, terms):
-        new = object.__new__(TensorElement)
-        new.left_algebra = self.left_algebra
-        new.right_algebra = self.right_algebra
-        new.terms = terms
-        return new
-
-    def _space(self):
-        return (self.left_algebra, self.right_algebra)
-
-    def _format_key(self, key) -> str:
-        kl, kr = key
-        return f"({self.left_algebra.format_key(kl)})(x)({self.right_algebra.format_key(kr)})"
-
-    @classmethod
-    def one(cls, left_algebra, right_algebra) -> "TensorElement":
-        return cls(
-            left_algebra,
-            right_algebra,
-            {(left_algebra.one_key, right_algebra.one_key): ONE},
-        )
+    @property
+    def right_algebra(self):
+        return self.algebra.right
 
     @classmethod
     def pure(cls, left: OperatorElement, right: OperatorElement) -> "TensorElement":
         terms = {
             (kl, kr): cl * cr for kl, cl in left.terms.items() for kr, cr in right.terms.items()
         }
-        return cls(left.algebra, right.algebra, terms)
+        return cls(tensor_algebra(left.algebra, right.algebra), terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        self._check(other)
-        out: dict = {}
-        left_mul, right_mul = self.left_algebra.mul_keys, self.right_algebra.mul_keys
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                c12 = c1 * c2
-                rf = right_mul(r1, r2)
-                for kl, cl in left_mul(l1, l2):
-                    for kr, cr in rf:
-                        key = (kl, kr)
-                        n = cl * cr
-                        term = c12 if n == 1 else c12 * n
-                        prev = out.get(key)
-                        nv = term if prev is None else prev + term
-                        if nv:
-                            out[key] = nv
-                        else:
-                            del out[key]
-        return self._like(out)
+        # Only so that the operators.tensor_mul span of perfbench/tracer.py has a
+        # function of this class to wrap.
+        return OperatorElement.__mul__(self, other)
 
 
 # Process-wide ids of pure-tensor keys: KEYS[key_id(k)] == k.  An id names a
 # key alone, whatever its algebras; the tables that read ids are kept per
-# pair of algebras (``integer_commutator``).
+# tensor algebra (``integer_commutator``).
 _KEY_IDS: dict = {}
 KEYS: list = []
 
@@ -276,50 +275,40 @@ def key_id(key) -> int:
     return i
 
 
-def tensor_bracket(left_algebra, right_algebra, k1, k2) -> tuple:
+def tensor_bracket(algebra: TensorAlgebra, k1, k2) -> tuple:
     """[k1, k2] of two pure-tensor monomials, as (key, int) pairs with zeros dropped.
 
-    (l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, so the table is the difference
-    of the two products of integer tables; it is empty when the monomials
-    commute.  Nothing is cached here: ``BracketTables`` keeps each table
-    that ``integer_commutator`` asks for, by key ids.
+    The difference of ``algebra.mul_keys(k1, k2)`` and ``algebra.mul_keys(k2,
+    k1)``; it is empty when the monomials commute.  Nothing is cached here:
+    ``BracketTables`` keeps each table that ``integer_commutator`` asks for,
+    by key ids.
     """
-    out: dict = {}
-    for sign, (a, b), (c, d) in ((1, k1, k2), (-1, k2, k1)):
-        rf = right_algebra.mul_keys(b, d)
-        for kl, cl in left_algebra.mul_keys(a, c):
-            for kr, cr in rf:
-                key = (kl, kr)
-                out[key] = out.get(key, 0) + sign * cl * cr
+    out = dict(algebra.mul_keys(k1, k2))
+    for key, n in algebra.mul_keys(k2, k1):
+        out[key] = out.get(key, 0) - n
     return tuple((key, n) for key, n in out.items() if n)
 
 
 class BracketTables(dict):
-    """The integer bracket tables of one pair of algebras, by pair of key ids.
+    """The integer bracket tables of one tensor algebra, by pair of key ids.
 
-    ``tables[i1, i2]`` is ``tensor_bracket(KEYS[i1], KEYS[i2])`` with its keys
-    replaced by their ids; a pair not seen before is worked out on first use
-    and kept.
+    ``tables[i1, i2]`` is ``tensor_bracket(algebra, KEYS[i1], KEYS[i2])``
+    with its keys replaced by their ids; a pair not seen before is worked out
+    on first use and kept.
     """
 
-    __slots__ = ("left_algebra", "right_algebra")
+    __slots__ = ("algebra",)
 
-    def __init__(self, left_algebra, right_algebra):
+    def __init__(self, algebra: TensorAlgebra):
         super().__init__()
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
+        self.algebra = algebra
 
     def __missing__(self, ids):
         i1, i2 = ids
         table = self[ids] = tuple(
-            (key_id(key), n)
-            for key, n in tensor_bracket(self.left_algebra, self.right_algebra, KEYS[i1], KEYS[i2])
+            (key_id(key), n) for key, n in tensor_bracket(self.algebra, KEYS[i1], KEYS[i2])
         )
         return table
-
-
-# (left algebra, right algebra) -> its BracketTables, one per process.
-_ID_TABLES: dict = {}
 
 
 def bracket_tables(left_algebra, right_algebra) -> BracketTables:
@@ -328,12 +317,7 @@ def bracket_tables(left_algebra, right_algebra) -> BracketTables:
     Looking it up hashes both algebras, so a caller that takes many
     commutators in one pair of algebras fetches it once.
     """
-    tables = _ID_TABLES.get((left_algebra, right_algebra))
-    if tables is None:
-        tables = _ID_TABLES[left_algebra, right_algebra] = BracketTables(
-            left_algebra, right_algebra
-        )
-    return tables
+    return tensor_algebra(left_algebra, right_algebra).brackets
 
 
 def integer_commutator(tables: BracketTables, u: Mapping, v: Mapping) -> dict:
@@ -341,7 +325,7 @@ def integer_commutator(tables: BracketTables, u: Mapping, v: Mapping) -> dict:
 
     ``u`` and ``v`` map the ids of pure-tensor keys (``key_id``) to ints, as
     ``scalars.clear_denominators`` gives them, and ``tables`` is the
-    ``bracket_tables`` of their pair of algebras.  The result is a fresh dict
+    ``brackets`` of their tensor algebra.  The result is a fresh dict
     from ids to the ints of ``sum n1 n2 tensor_bracket(k1, k2)``, the
     commutator over the product of the two denominators; terms that cancel
     stay as zeros, so ``[u, v]`` is zero exactly when no value is nonzero.

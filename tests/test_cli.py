@@ -247,6 +247,20 @@ def test_f_simple_report_is_the_epsilon_criterion_with_its_crossing(write_json, 
         "simple": True, "witness": None, "submodule": None, "crossing": "-1/2"}}]
 
 
+@pytest.mark.parametrize("P, V, kind", [
+    ({"kind": "M", "w": ["0", "1/2"]}, {"kind": "Whittaker"}, "Whittaker V"),
+    ({"kind": "Omega", "lambda": ["2", "-1/3"]}, {"kind": "C_eps", "eps": "1"}, "shift-type x1"),
+], ids=["whittaker", "omega-x1"])
+def test_f_outside_the_epsilon_criterion_reports_its_closure(P, V, kind, write_json, tmp_path):
+    out = str(tmp_path / "r.json")
+    spec = write_json("f.json", dict(F_SPEC, P=P, V=V))
+    assert main(["simplicity", "--spec", spec, "--out", out]) == 0
+    [check] = _check_report(out)["checks"]
+    assert check["check"] == "closure-oracle" and check["status"] == "pass"
+    assert check["detail"]["verdict"] == check["detail"]["expected"] == "fills-truncation"
+    assert check["detail"]["note"].startswith(f"{kind}: simple for every parameter choice")
+
+
 def _plant_x1_raise(act, family):
     """FModule.act plus x0^m x1 p on the images of family[m]."""
     def planted(self, g, v):
@@ -509,6 +523,19 @@ def test_classify_commands(write_json, tmp_path):
     assert main(["classify", "--data", write_json("bad.json", bad)]) == 1
 
 
+def test_classify_reports_degenerate_data(write_json, tmp_path):
+    # B0 = C0 = 0 and D0 = 5: the degenerate branch of the classification.
+    out = str(tmp_path / "r.json")
+    data = dict(ACTION_DATA, B0=[], C0=[], D0=[[[0, 0], "5"]])
+    assert main(["classify", "--data", write_json("d.json", data), "--out", out]) == 0
+    [check] = _check_report(out)["checks"]
+    assert check["status"] == "pass"
+    assert check["detail"] == {
+        "degenerate": True, "submodule": "span{ L0^i a0^n v : i >= 0, n >= 1 }",
+        "complete": True, "commutators_checked": 57,
+    }
+
+
 @pytest.mark.parametrize("data, pointer", [
     (dict(ACTION_DATA, p=[[[0], "1"]]), "/p/0/0"),
     (dict(ACTION_DATA, p=[[[0, -1], "1"]]), "/p/0/0/1"),
@@ -728,6 +755,16 @@ def test_number_above_the_digit_limit_exits_2(argv, text, pointer, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and "more digits than Python converts" in err
     assert "Traceback" not in err and (pointer is None or f"(at {pointer})" in err)
+
+
+def test_expr_index_above_the_digit_limit_exits_2(write_json, capsys):
+    # The index is an input, read once by the expression parser.
+    argv = ["act", "--spec", write_json("omega.json", OMEGA_SPEC), "--expr", f"L[{HUGE}]",
+            "--vector", "1"]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: --expr: ") and "report number" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_report_number_above_the_digit_limit_exits_2(write_json, tmp_path, capsys):

@@ -21,7 +21,8 @@ from wittdiamond.fock import (
 from wittdiamond.homomorphisms import PhiAB, PhiABGG
 from wittdiamond.lie import Generator, gen, parse_uenv
 from wittdiamond.omega import OmegaModule, OmegaParams
-from wittdiamond.operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement
+from wittdiamond.operators import (DIFFOP, R0, R2, UB, OperatorElement, TensorElement,
+                                   tensor_algebra)
 from wittdiamond.oracle import ClosureReport, TruncationPolicy, truncated_closure
 from wittdiamond.poly import PolyRing
 from wittdiamond.tensor import TensorModule
@@ -204,7 +205,8 @@ def test_q_acts_as_beta_minus_gamma_on_omega():
     for par in (OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1))),
                 OmegaParams(F(2), F(-2, 3), F(5), F(-1, 2), (F(0), F(2)))):
         phi = PhiABGG(par.alpha + 1, par.beta, par.gamma, par.g)
-        assert phi.apply(Q) == TensorElement.one(R0, DIFFOP).scaled(par.beta - par.gamma)
+        one = TensorElement.one(tensor_algebra(R0, DIFFOP))
+        assert phi.apply(Q) == one.scaled(par.beta - par.gamma)
         module = OmegaModule(par)
         for v in sample_vectors(module.ring, rng, count=3, max_total_degree=3):
             assert q_action(module, v) == apply_uenv(module, Q, v) == v * (par.beta - par.gamma)

@@ -114,6 +114,17 @@ def test_literal_images_agree_with_operator_arithmetic(phi):
             assert all(type(c) is F and c for c in got.terms.values()), (family, n)
 
 
+def test_corrupted_image_lacks_exactly_the_e_term_of_d():
+    for alpha, beta in ((F(1, 2), F(3)), (F(0), F(-5, 3))):
+        good, bad = PhiAB(alpha, beta), CorruptedPhiAB(alpha, beta)
+        for g in generators_in_window(2):
+            want = dict(good.image(g).terms)
+            if g.family == "d":
+                # n x0^n (x) e, which the image drops as a zero at n = 0.
+                assert want.pop((((g.index, 0), (0, 0)), (0, 1)), 0) == g.index, g
+            assert bad.image(g).terms == want, g
+
+
 def test_phi_ab_is_homomorphism_random_tuples():
     rng = random.Random(1)
     for _ in range(5):

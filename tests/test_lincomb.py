@@ -7,9 +7,11 @@ import pytest
 from wittdiamond.exceptions import AlgebraMismatch, VariableMismatch
 from wittdiamond.lie import LElement, UEnvElement, gen
 from wittdiamond.omega import RANK1_RING, ShiftDiffOp
-from wittdiamond.operators import DIFFOP, R0, UB, OperatorElement, TensorElement
+from wittdiamond.operators import DIFFOP, R0, UB, OperatorElement, TensorElement, tensor_algebra
 from wittdiamond.poly import PolyRing
 from wittdiamond.scalars import add_scaled, clear_denominators, integer_combination
+
+R0_UB = tensor_algebra(R0, UB)
 
 
 def test_clear_denominators_round_trips_coprime_denominators():
@@ -57,8 +59,8 @@ def _samples():
         (UEnvElement({(a0, b0): F(3), (): F(1)}), UEnvElement({(a0, b0): F(-3)})),
         (OperatorElement(DIFFOP, {((1,), (0,)): F(1), ((0,), (1,)): F(2)}),
          OperatorElement(DIFFOP, {((1,), (0,)): F(4)})),
-        (TensorElement(R0, UB, {(((1,), (0,)), (0, 1)): F(1)}),
-         TensorElement(R0, UB, {(((1,), (0,)), (0, 1)): F(-1), (((0,), (0,)), (1, 0)): F(2)})),
+        (TensorElement(R0_UB, {(((1,), (0,)), (0, 1)): F(1)}),
+         TensorElement(R0_UB, {(((1,), (0,)), (0, 1)): F(-1), (((0,), (0,)), (1, 0)): F(2)})),
         (ShiftDiffOp({(1, 0): RANK1_RING.var("L0"), (0, 1): RANK1_RING.one()}),
          ShiftDiffOp({(1, 0): -RANK1_RING.var("L0")})),
     ]
@@ -85,7 +87,7 @@ def test_operands_of_another_class_or_space_are_rejected():
     with pytest.raises(AlgebraMismatch):
         OperatorElement.one(R0) - OperatorElement.one(DIFFOP)
     with pytest.raises(AlgebraMismatch):
-        TensorElement.one(R0, UB) + TensorElement.one(R0, DIFFOP)
+        TensorElement.one(R0_UB) + TensorElement.one(tensor_algebra(R0, DIFFOP))
     with pytest.raises(TypeError):
         OperatorElement.one(R0) + 1
     with pytest.raises(TypeError):

@@ -27,6 +27,7 @@ from wittdiamond.operators import (
     pullback_rules,
     scalar_factor,
     shift_factor,
+    tensor_algebra,
     tensor_bracket,
     ub_product,
     weight_factor,
@@ -190,8 +191,8 @@ def test_algebra_mismatch():
         )
     a = TensorElement.pure(weyl(R2, (1, -1), (1, 0)), ub(1, 1))
     b = TensorElement.pure(weyl(R0, (-2,), (1,)), weyl(DIFFOP, (1,), (1,)))
-    for u, v in ((a, b), (b, a), (TensorElement(R2, UB), TensorElement(R0, DIFFOP)),
-                 (a, weyl(R2, (0, 0), (0, 0)))):
+    zeros = (TensorElement(tensor_algebra(R2, UB)), TensorElement(tensor_algebra(R0, DIFFOP)))
+    for u, v in ((a, b), (b, a), zeros, (a, weyl(R2, (0, 0), (0, 0)))):
         with pytest.raises(AlgebraMismatch):
             commutator(u, v)
 
@@ -266,7 +267,7 @@ def test_integer_tables_match_fraction_formula():
 
 
 def _random_tensor(rng):
-    out = TensorElement(R2, UB)
+    out = TensorElement(tensor_algebra(R2, UB))
     for _ in range(4):
         left = OperatorElement.monomial(R2, _random_weyl_key(rng, R2),
                                         F(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
@@ -332,7 +333,39 @@ def _seeded_tensor(rng, left, right):
         kl = _random_weyl_key(rng, left)
         kr = (rng.randint(0, 2), rng.randint(0, 2)) if right is UB else _random_weyl_key(rng, right)
         out[(kl, kr)] = F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
-    return TensorElement(left, right, out)
+    return TensorElement(tensor_algebra(left, right), out)
+
+
+def _reference_tensor_product(u, v):
+    """uv summed pair of pure tensors by pair, from the products of the two side tables:
+    a reference for the one product loop of ``OperatorElement``."""
+    out = {}
+    left_mul, right_mul = u.left_algebra.mul_keys, u.right_algebra.mul_keys
+    for (l1, r1), c1 in u.terms.items():
+        for (l2, r2), c2 in v.terms.items():
+            for kl, cl in left_mul(l1, l2):
+                for kr, cr in right_mul(r1, r2):
+                    out[kl, kr] = out.get((kl, kr), 0) + c1 * c2 * cl * cr
+    return out
+
+
+@pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
+def test_tensor_product_agrees_with_the_side_by_side_reference(left, right):
+    algebra = tensor_algebra(left, right)
+    assert bracket_tables(left, right) is algebra.brackets
+    assert algebra.one_key == (left.one_key, right.one_key)
+    rng = random.Random(16)
+    pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
+             for _ in range(40)]
+    # A derivation on the left meets a negative Laurent power on the right.
+    assert any(max(lu[1]) > 0 and min(lv[0]) < 0 for u, v in pairs
+               for lu, _ in u.terms for lv, _ in v.terms)
+    for u, v in pairs:
+        uv = u * v
+        assert type(uv) is TensorElement and uv.algebra is algebra
+        assert uv == TensorElement(algebra, _reference_tensor_product(u, v)), (u, v)
+        assert all(c for c in uv.terms.values())
+        assert u * TensorElement.one(algebra) == u == TensorElement.one(algebra) * u
 
 
 def _id_numerators(element):
@@ -362,9 +395,9 @@ def test_tensor_commutator_equals_uv_minus_vu(left, right):
              for _ in range(40)]
     assert any(min(kl[0]) < 0 for u, _ in pairs for kl, _ in u.terms)
     assert bracket_tables(left, right) is tables
-    assert (tables.left_algebra, tables.right_algebra) == (left, right)
+    assert (tables.algebra.left, tables.algebra.right) == (left, right)
     for u, v in pairs:
-        tensor_tables = [tensor_bracket(left, right, k1, k2) for k1 in u.terms for k2 in v.terms]
+        tensor_tables = [tensor_bracket(tables.algebra, k1, k2) for k1 in u.terms for k2 in v.terms]
         assert all(type(n) is int and n for table in tensor_tables for _, n in table)
         (u_nums, u_den), (v_nums, v_den) = _id_numerators(u), _id_numerators(v)
         raw = integer_commutator(tables, u_nums, v_nums)
@@ -374,7 +407,7 @@ def test_tensor_commutator_equals_uv_minus_vu(left, right):
         want = u * v - v * u
         # The kernel's numerators over the product of the denominators are uv - vu.
         assert TensorElement(
-            left, right, {k: F(n, u_den * v_den) for k, n in _by_key(got).items()}
+            tensor_algebra(left, right), {k: F(n, u_den * v_den) for k, n in _by_key(got).items()}
         ) == want
         assert commutator(u, v) == want
         assert bracket_nums(u, u) == {}
@@ -387,10 +420,11 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
     rng = random.Random(15)
     one_right = right.one_key
     n = len(left.names)
+    algebra = tensor_algebra(left, right)
 
     def coordinates():
         # Coordinate powers alone commute, negative exponents included.
-        return TensorElement(left, right, {
+        return TensorElement(algebra, {
             ((tuple(rng.randint(-3, 3) for _ in range(n)), (0,) * n), one_right):
                 F(rng.randint(-5, 5) or 1, rng.randint(1, 4))
             for _ in range(4)
@@ -398,7 +432,7 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
 
     for _ in range(20):
         u, v = coordinates(), coordinates()
-        assert all(tensor_bracket(left, right, k1, k2) == () for k1 in u.terms for k2 in v.terms)
+        assert all(tensor_bracket(algebra, k1, k2) == () for k1 in u.terms for k2 in v.terms)
         assert commutator(u, v).terms == {}
         tables = bracket_tables(left, right)
         assert integer_commutator(tables, _id_numerators(u)[0], _id_numerators(v)[0]) == {}
