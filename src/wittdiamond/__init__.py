@@ -13,7 +13,6 @@ from .exceptions import (
     InvalidSpec,
     NotAModule,
     NotApplicable,
-    NotWeight,
     RequiresSimple,
     UnsupportedOperation,
     UnsupportedVariable,
@@ -30,7 +29,6 @@ __all__ = [
     "InvalidSpec",
     "NotAModule",
     "NotApplicable",
-    "NotWeight",
     "RequiresSimple",
     "UnsupportedOperation",
     "UnsupportedVariable",

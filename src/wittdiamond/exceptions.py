@@ -21,10 +21,6 @@ class InvalidGenerator(AlgebraError):
     """Generator family outside {L, a, b, c, d}."""
 
 
-class NotWeight(AlgebraError):
-    """The chosen basis truncation is not simultaneously diagonal for L[0], d[0]."""
-
-
 class ZeroVector(AlgebraError):
     """The zero vector was passed where a nonzero one is required."""
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import homomorphisms
-from .exceptions import InvalidSpec, NotWeight, UnsupportedOperation
+from .exceptions import InvalidSpec, UnsupportedOperation
 from .lie import Generator, gen
 from .omega import InvarianceReport, invariance_check
 from .operators import pullback_rules, scalar_factor, shift_factor, weight_factor, whittaker_factor
-from .poly import PolyRing, SparsePoly, act_by_rules, monomials_within
-from .scalars import ONE, ZERO, Frozen, Record, scalar
+from .poly import PolyRing, SparsePoly, act_by_rules
+from .scalars import ONE, Frozen, Record, scalar
 
 
 class MFactor(Frozen):
@@ -202,24 +202,3 @@ def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     probes = [module.ring.monomial({var0: e, "x1": n}) for e in (0, 1)]
     return invariance_check(module, probes, lambda f: all(exps[x1] <= n for exps in f.terms),
                             module.ring.monomial({"x1": n}), module.ring.monomial({"x1": n + 1}))
-
-
-def weight_decomposition(
-    module: FModule, max_total_degree: int
-) -> dict[tuple[Fraction, Fraction], list[tuple[int, ...]]]:
-    """Group a truncated monomial basis by joint (L[0], d[0]) eigenvalue."""
-    L0, d0 = gen("L", 0), gen("d", 0)
-    out: dict[tuple[Fraction, Fraction], list[tuple[int, ...]]] = {}
-    for exps in monomials_within(module.ring, max_total_degree):
-        mono = SparsePoly(module.ring, {exps: scalar(1)})
-        evs = []
-        for op in (L0, d0):
-            image = module.act(op, mono)
-            if image.is_zero:
-                evs.append(ZERO)
-            elif set(image.terms) == {exps}:
-                evs.append(image.terms[exps])
-            else:
-                raise NotWeight(f"{op} does not act diagonally on {mono}")
-        out.setdefault((evs[0], evs[1]), []).append(exps)
-    return out

@@ -5,12 +5,13 @@
 differential operators).  Both are defined on generators, by the tables
 ``ab_table`` and ``abgg_table``, and extended to PBW words
 multiplicatively, in the ``operators.TensorAlgebra`` each map holds as
-``algebra``; ``verify_hom`` checks that the tables respect every bracket, on
-an index window that a degree bound proves complete, and the witness lists
-exhibit preimages of the standard generating operators, each replayable
-exactly.  The witness targets and the ``CorruptedPhiAB`` control are keys of
-the same tables, and the module actions of ``fock`` and ``omega`` are their
-pullbacks.
+``algebra``.  ``verify_hom`` checks that the tables respect every bracket, on
+an index window that a degree bound proves complete, in integers from the
+key ids and bracket tables that the algebra owns as ``brackets``.  The
+witness lists exhibit preimages of the standard generating operators, each
+replayable exactly.  The witness targets and the ``CorruptedPhiAB`` control
+are keys of the same tables, and the module actions of ``fock`` and
+``omega`` are their pullbacks.
 """
 
 from __future__ import annotations
@@ -27,12 +28,10 @@ from .operators import (
     R2,
     UB,
     TensorElement,
-    bracket_tables,
     integer_commutator,
-    key_id,
     tensor_algebra,
 )
-from .scalars import ONE, Frozen, Record, add_scaled, clear_denominators, scalar
+from .scalars import ONE, Frozen, Record, add_scaled, scalar
 
 
 def ab_table(family: str, n: int, alpha: Fraction, beta: Fraction) -> dict:
@@ -108,7 +107,6 @@ class PhiAB(Frozen):
     """
 
     _fields = ("alpha", "beta")
-    left_algebra, right_algebra = R2, UB
     algebra = tensor_algebra(R2, UB)
 
     def __init__(self, alpha: Fraction, beta: Fraction):
@@ -151,7 +149,6 @@ class PhiABGG(Frozen):
     """
 
     _fields = ("alpha", "beta", "gamma", "g")
-    left_algebra, right_algebra = R0, DIFFOP
     algebra = tensor_algebra(R0, DIFFOP)
 
     def __init__(self, alpha: Fraction, beta: Fraction, gamma: Fraction, g: tuple[Fraction, ...]):
@@ -201,21 +198,18 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     For every generator pair with indices in [-window, window], the
     commutator of the images must equal the image of the bracket.  The
     bracket is a linear combination of generators and the map is linear,
-    so its image is the same combination of generator images; images of
-    bracket indices outside the window are added to the table on demand.
+    so its image is the same combination of generator images, whose indices
+    lie in [-2 window, 2 window].
 
-    The check does no rational arithmetic per pair.  Each image is cleared
-    once to integer numerators over one denominator
-    (``scalars.clear_denominators``), keyed by the int ids of
-    ``operators.key_id``, and the ``operators.bracket_tables`` of the two
-    target algebras are fetched once per call.  For each pair the commutator
-    of the two images is summed in Python ints by
-    ``operators.integer_commutator``, over the product ``den`` of their
-    denominators; then each bracket term ``c_g g`` is subtracted into that
-    same dict, over ``lcm(den, c_g.denominator * den_g)`` (the dict is
-    rescaled only when the lcm exceeds ``den``).  ``[phi(x), phi(y)] -
-    sum_g c_g phi(g)`` is zero, and the pair passes, exactly when every
-    value left is zero.
+    The check does no rational arithmetic per pair.  Every image of that
+    doubled window is cleared once to integer numerators over one
+    denominator ``den``, the lcm of all their coefficients' denominators,
+    keyed by the ids of ``phi.algebra.brackets``.  For each pair the
+    commutator of the two images is summed in Python ints by
+    ``operators.integer_commutator``, over ``den**2``; then each bracket term
+    ``c_g g`` is subtracted into that same dict as ``c_g den`` times the
+    numerators of ``phi(g)``.  ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is
+    zero, and the pair passes, exactly when every value left is zero.
 
     The default window 1 settles every index pair in Z for the tables of
     this module.  Each image of ``x[n]`` is ``x0^n`` times an operator whose
@@ -232,40 +226,24 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     if window < 1:
         raise ValueError("window must be at least 1")
     gens = generators_in_window(window)
-    tables = bracket_tables(phi.left_algebra, phi.right_algebra)
-
-    def cleared(g):
-        return clear_denominators({key_id(k): c for k, c in phi.image(g).terms.items()})
-
-    images = {g: cleared(g) for g in gens}
+    tables = phi.algebra.brackets
+    images = {g: phi.image(g).terms for g in generators_in_window(2 * window)}
+    den = math.lcm(*(c.denominator for terms in images.values() for c in terms.values()))
+    nums = {g: {tables.id(k): c.numerator * (den // c.denominator) for k, c in terms.items()}
+            for g, terms in images.items()}
     violations = []
-    checked = 0
     for i, x in enumerate(gens):
-        x_nums, x_den = images[x]
         for y in gens[i:]:
-            checked += 1
-            y_nums, y_den = images[y]
-            out = integer_commutator(tables, x_nums, y_nums)
-            den = x_den * y_den
+            out = integer_commutator(tables, nums[x], nums[y])
+            get = out.get
             for g, c in bracket(x, y).terms.items():
-                image = images.get(g)
-                if image is None:
-                    image = images[g] = cleared(g)
-                g_nums, g_den = image
-                g_den *= c.denominator
-                common = math.lcm(den, g_den)
-                if common != den:
-                    up = common // den
-                    for k in out:
-                        out[k] *= up
-                    den = common
-                s = c.numerator * (common // g_den)
-                get = out.get
-                for k, n in g_nums.items():
+                s = c * den
+                for k, n in nums[g].items():
                     out[k] = get(k, 0) - s * n
             if any(out.values()):
                 violations.append((str(x), str(y)))
-    return HomReport(window=window, pairs_checked=checked, violations=violations)
+    pairs = len(gens) * (len(gens) + 1) // 2
+    return HomReport(window=window, pairs_checked=pairs, violations=violations)
 
 
 class Witness(Record):

@@ -13,7 +13,10 @@ Three kinds of algebra share one element class, ``OperatorElement``:
   and reordering uses e h = (h - 1) e.
 * The tensor product of two such algebras, ``TensorAlgebra(left, right)``,
   with (left key, right key) pairs as keys; ``tensor_algebra`` gives the
-  one instance of each pair, whose elements are ``TensorElement``s.
+  one instance of each pair.  Its elements are ``TensorElement``s, a
+  subclass that adds only ``pure`` and stays only so that the
+  ``operators.tensor_mul`` span of ``perfbench/tracer.py`` has a method to
+  wrap.
 
 Every algebra gives ``one_key``, ``format_key`` and ``mul_keys``, the
 product of two monomials, with integer coefficients whatever the parameters
@@ -22,13 +25,12 @@ tuple of (key, int) pairs and cache it per key pair, and a tensor algebra
 multiplies the two side tables.  Element products scale a table entry by
 one rational per pair of terms and skip the multiplication where the
 constant is 1, as most of them are.
-Each pure-tensor key gets a process-wide int id (``key_id``; ``KEYS`` maps
-it back).  Each tensor algebra owns one ``BracketTables`` as ``brackets``
-(``bracket_tables(left, right)``): the integer bracket tables of its keys by
-pair of ids, which ``tensor_bracket`` fills on first use.
+Each tensor algebra owns one ``BracketTables`` as ``brackets``: int ids for
+its keys (``brackets.id(key)``, with ``brackets.keys`` mapping them back)
+and the integer bracket table of each pair of ids, worked out on first use.
 ``integer_commutator`` sums the commutator of two tensor elements over
-integer numerators from those tables; a bracket check fetches that dict
-once, needs no rational arithmetic and hashes no nested key tuple.
+integer numerators from those tables; a bracket check needs no rational
+arithmetic and hashes no nested key tuple.
 The generator images of ``homomorphisms`` are literal tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
 The last section acts with monomials on the factors of the modules, and
@@ -238,14 +240,6 @@ class TensorElement(OperatorElement):
 
     __slots__ = ()
 
-    @property
-    def left_algebra(self):
-        return self.algebra.left
-
-    @property
-    def right_algebra(self):
-        return self.algebra.right
-
     @classmethod
     def pure(cls, left: OperatorElement, right: OperatorElement) -> "TensorElement":
         terms = {
@@ -259,74 +253,46 @@ class TensorElement(OperatorElement):
         return OperatorElement.__mul__(self, other)
 
 
-# Process-wide ids of pure-tensor keys: KEYS[key_id(k)] == k.  An id names a
-# key alone, whatever its algebras; the tables that read ids are kept per
-# tensor algebra (``integer_commutator``).
-_KEY_IDS: dict = {}
-KEYS: list = []
-
-
-def key_id(key) -> int:
-    """The process-wide int id of a pure-tensor key, given on first sight."""
-    i = _KEY_IDS.get(key)
-    if i is None:
-        i = _KEY_IDS[key] = len(KEYS)
-        KEYS.append(key)
-    return i
-
-
-def tensor_bracket(algebra: TensorAlgebra, k1, k2) -> tuple:
-    """[k1, k2] of two pure-tensor monomials, as (key, int) pairs with zeros dropped.
-
-    The difference of ``algebra.mul_keys(k1, k2)`` and ``algebra.mul_keys(k2,
-    k1)``; it is empty when the monomials commute.  Nothing is cached here:
-    ``BracketTables`` keeps each table that ``integer_commutator`` asks for,
-    by key ids.
-    """
-    out = dict(algebra.mul_keys(k1, k2))
-    for key, n in algebra.mul_keys(k2, k1):
-        out[key] = out.get(key, 0) - n
-    return tuple((key, n) for key, n in out.items() if n)
-
-
 class BracketTables(dict):
     """The integer bracket tables of one tensor algebra, by pair of key ids.
 
-    ``tables[i1, i2]`` is ``tensor_bracket(algebra, KEYS[i1], KEYS[i2])``
-    with its keys replaced by their ids; a pair not seen before is worked out
-    on first use and kept.
+    ``id(key)`` gives a key of the algebra its int id on first sight, and
+    ``keys[i]`` maps the id back.  ``tables[i1, i2]`` is [keys[i1], keys[i2]],
+    ``mul_keys(k1, k2)`` minus ``mul_keys(k2, k1)``, as (id, int) pairs with
+    zeros dropped; it is empty when the monomials commute, and a pair not
+    seen before is worked out on first use and kept.
     """
 
-    __slots__ = ("algebra",)
+    __slots__ = ("algebra", "_ids", "keys")
 
     def __init__(self, algebra: TensorAlgebra):
         super().__init__()
         self.algebra = algebra
+        self._ids: dict = {}
+        self.keys: list = []
+
+    def id(self, key) -> int:
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return i
 
     def __missing__(self, ids):
-        i1, i2 = ids
-        table = self[ids] = tuple(
-            (key_id(key), n) for key, n in tensor_bracket(self.algebra, KEYS[i1], KEYS[i2])
-        )
+        k1, k2 = self.keys[ids[0]], self.keys[ids[1]]
+        out = dict(self.algebra.mul_keys(k1, k2))
+        for key, n in self.algebra.mul_keys(k2, k1):
+            out[key] = out.get(key, 0) - n
+        table = self[ids] = tuple((self.id(key), n) for key, n in out.items() if n)
         return table
-
-
-def bracket_tables(left_algebra, right_algebra) -> BracketTables:
-    """The one ``BracketTables`` of a pair of algebras in this process.
-
-    Looking it up hashes both algebras, so a caller that takes many
-    commutators in one pair of algebras fetches it once.
-    """
-    return tensor_algebra(left_algebra, right_algebra).brackets
 
 
 def integer_commutator(tables: BracketTables, u: Mapping, v: Mapping) -> dict:
     """[u, v] of two tensor elements given as integer numerators on key ids.
 
-    ``u`` and ``v`` map the ids of pure-tensor keys (``key_id``) to ints, as
-    ``scalars.clear_denominators`` gives them, and ``tables`` is the
-    ``brackets`` of their tensor algebra.  The result is a fresh dict
-    from ids to the ints of ``sum n1 n2 tensor_bracket(k1, k2)``, the
+    ``tables`` is the ``brackets`` of their tensor algebra, and ``u`` and
+    ``v`` map the ids it gives their keys (``tables.id``) to ints.  The result
+    is a fresh dict from ids to the ints of ``sum n1 n2 tables[i1, i2]``, the
     commutator over the product of the two denominators; terms that cancel
     stay as zeros, so ``[u, v]`` is zero exactly when no value is nonzero.
     Each lookup hashes two ints, and a pair of commuting monomials has an

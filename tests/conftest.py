@@ -9,7 +9,7 @@ import pytest
 
 from wittdiamond.lie import LElement, bracket, gen, generators_in_window
 from wittdiamond.omega import RANK1_RING, OmegaModule, OmegaParams, Rank1ActionData
-from wittdiamond.operators import TensorElement, tensor_algebra
+from wittdiamond.operators import TensorElement
 
 
 def load_schema(name: str) -> dict:
@@ -24,7 +24,7 @@ def _reference_violations(phi, window):
     for i, x in enumerate(gens):
         for y in gens[i:]:
             u, v = phi.image(x), phi.image(y)
-            rhs = TensorElement(tensor_algebra(phi.left_algebra, phi.right_algebra))
+            rhs = TensorElement(phi.algebra)
             for g, c in bracket(x, y).terms.items():
                 rhs = rhs + phi.image(g).scaled(c)
             if u * v - v * u != rhs:

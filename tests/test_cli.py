@@ -126,14 +126,13 @@ class _PlantedPhi:
 
     def __init__(self, alpha, beta, gamma, g):
         self.phi = PhiABGG(alpha, beta, gamma, g)
-        self.left_algebra, self.right_algebra = self.phi.left_algebra, self.phi.right_algebra
 
     def image(self, g):
         out = self.phi.image(g)
         if g.family != "L" or not g.index:
             return out
-        x0m = OperatorElement.monomial(self.left_algebra, ((g.index,), (0,)), g.index**2)
-        return out + TensorElement.pure(x0m, OperatorElement.one(self.right_algebra))
+        x0m = OperatorElement.monomial(self.algebra.left, ((g.index,), (0,)), g.index**2)
+        return out + TensorElement.pure(x0m, OperatorElement.one(self.algebra.right))
 
     def __getattr__(self, name):
         return getattr(self.phi, name)

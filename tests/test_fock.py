@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond.axioms import apply_uenv, module_axiom_check, sample_vectors
-from wittdiamond.exceptions import InvalidGenerator, NotWeight, UnsupportedOperation
+from wittdiamond.exceptions import InvalidGenerator, UnsupportedOperation
 from wittdiamond.fock import (
     FModule,
     MFactor,
@@ -16,7 +16,6 @@ from wittdiamond.fock import (
     barrier_invariance_check,
     epsilon_simplicity,
     q_action,
-    weight_decomposition,
 )
 from wittdiamond.homomorphisms import PhiAB, PhiABGG
 from wittdiamond.lie import Generator, gen, parse_uenv
@@ -292,31 +291,6 @@ def test_epsilon_simplicity_reports_its_crossing():
     module = FModule(F(0), F(3), MFactor(F(0)), MFactor(F(1, 2)), OneDim(F(1)))
     verdict = epsilon_simplicity(module)
     assert verdict.crossing == F(-1, 3) - F(1, 2) and verdict.simple and verdict.witness is None
-
-
-def test_weight_decomposition_eigenvalues():
-    module = weight_module(w0=F(1, 3), w1=F(1, 5))
-    decomp = weight_decomposition(module, 1)
-    x0_idx = module.ring.index("x0")
-    for (ev0, ev1), monos in decomp.items():
-        for exps in monos:
-            assert ev0 == F(1, 3) + exps[0]
-            assert ev1 == F(1, 5) + exps[1]
-    # vectors with equal exponent offsets share a weight space
-    assert all(len(m) == 1 for m in decomp.values())
-
-
-def test_weight_decomposition_whittaker_has_infinite_dim_spaces():
-    module = FModule(F(0), F(1), MFactor(F(0)), MFactor(F(0)), Whittaker())
-    decomp = weight_decomposition(module, 2)
-    sizes = sorted(len(m) for m in decomp.values())
-    assert sizes[-1] > 1  # h-powers pile into the same weight
-
-
-def test_weight_decomposition_rejects_shift_type():
-    module = FModule(F(0), F(1), OmegaFactor(F(2)), OmegaFactor(F(3)), OneDim(F(0)))
-    with pytest.raises(NotWeight):
-        weight_decomposition(module, 1)
 
 
 @pytest.mark.parametrize("build", [

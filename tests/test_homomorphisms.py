@@ -110,7 +110,7 @@ def test_literal_images_agree_with_operator_arithmetic(phi):
         for n in range(-6, 7):
             got, want = phi.image(gen(family, n)), operator_image(phi, gen(family, n))
             assert got.terms == want.terms, (family, n)
-            assert (got.left_algebra, got.right_algebra) == (want.left_algebra, want.right_algebra)
+            assert got.algebra == want.algebra
             assert all(type(c) is F and c for c in got.terms.values()), (family, n)
 
 
@@ -164,11 +164,13 @@ ORDER_MAPS = [
 _ORDER_SCRIPT = """
 import json, sys
 from wittdiamond import homomorphisms
-from wittdiamond.operators import KEYS, key_id
 maps = json.loads(sys.argv[1])
 runs = [homomorphisms.verify_hom(getattr(homomorphisms, name)(*params), 2).violations
         for name, params in maps + maps[::-1]]
-print(json.dumps({"runs": runs, "round_trip": all(key_id(k) == i for i, k in enumerate(KEYS))}))
+ab, abgg = homomorphisms.PhiAB.algebra.brackets, homomorphisms.PhiABGG.algebra.brackets
+round_trip = all(t.id(k) == i for t in (ab, abgg) for i, k in enumerate(t.keys))
+print(json.dumps({"runs": runs, "sizes": [len(ab.keys), len(abgg.keys)],
+                  "round_trip": round_trip, "shared": len(set(ab.keys) & set(abgg.keys))}))
 """
 
 
@@ -176,13 +178,14 @@ print(json.dumps({"runs": runs, "round_trip": all(key_id(k) == i for i, k in enu
 def test_key_ids_do_not_leak_between_algebra_pairs(order, reference_violations):
     # One fresh process starts from empty id tables and checks the maps in one
     # order and then in the other, so each map meets tables that the others filled.
+    # Each algebra gives ids to its own keys alone.
     src = os.path.dirname(os.path.dirname(homomorphisms.__file__))
     proc = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT, json.dumps(order)],
                           env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
                           text=True, timeout=120)
     assert proc.returncode == 0
     got = json.loads(proc.stdout)
-    assert got["round_trip"]
+    assert got["round_trip"] and all(got["sizes"]) and got["shared"] == 0
     want = []
     for name, params in order + order[::-1]:
         phi = getattr(homomorphisms, name)(*params)
@@ -195,8 +198,7 @@ class _Scaled:
     """A generator table whose image of one generator is divided by p."""
 
     def __init__(self, phi, target, p):
-        self.phi, self.target, self.p = phi, target, p
-        self.left_algebra, self.right_algebra = phi.left_algebra, phi.right_algebra
+        self.phi, self.target, self.p, self.algebra = phi, target, p, phi.algebra
 
     def image(self, g):
         out = self.phi.image(g)
@@ -220,6 +222,25 @@ def test_an_image_scaled_by_1_over_p_is_caught(phi, reference_violations):
         assert after == (before[0], 13 * before[1]), family
         violations = verify_hom(scaled, 2).violations
         assert violations and violations == reference_violations(scaled, 2), family
+
+
+class _PlantedC2(PhiAB):
+    """PhiAB with 1 (x) 1 added to the image of c[2] alone."""
+
+    def image(self, g):
+        out = super().image(g)
+        return out + self.one() if g == gen("c", 2) else out
+
+
+def test_the_bracket_side_reads_the_images_of_the_doubled_window(reference_violations):
+    # At window 1, c[2] lies outside the generator pairs and is read only as the
+    # bracket [L[1], c[1]] = [a[1], b[1]] = c[2].
+    phi = _PlantedC2(F(1, 2), F(3))
+    assert verify_hom(phi, 1).violations == [("L[1]", "c[1]"), ("a[1]", "b[1]")]
+    # At window 2, the pairs whose bracket has a c[2] term: [L[m], c[n]] = n c[m+n].
+    want = [("L[0]", "c[2]"), ("L[1]", "c[1]"), ("a[0]", "b[2]"), ("a[1]", "b[1]"),
+            ("a[2]", "b[0]")]
+    assert verify_hom(phi, 2).violations == want == reference_violations(phi, 2)
 
 
 def test_image_witnesses_round_trip():
@@ -271,7 +292,7 @@ def _half_lb(bracket):
 
 
 # alpha = 1/3 gives the L-images denominator 3, so the constant's denominator 2
-# raises the common denominator and the commutator's numerators are rescaled.
+# divides no image denominator, and c times the common denominator is no int.
 @pytest.mark.parametrize("phi", [PhiAB(F(1, 3), F(3)), COPRIME_ABGG], ids=["ab", "abgg"])
 def test_a_fractional_bracket_constant_is_subtracted_over_the_lcm(phi, monkeypatch,
                                                                   reference_violations):

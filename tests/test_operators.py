@@ -14,21 +14,17 @@ from wittdiamond.lie import FAMILIES, generators_in_window
 from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.operators import (
     DIFFOP,
-    KEYS,
     R0,
     R2,
     UB,
     OperatorElement,
     TensorElement,
-    bracket_tables,
     commutator,
     integer_commutator,
-    key_id,
     pullback_rules,
     scalar_factor,
     shift_factor,
     tensor_algebra,
-    tensor_bracket,
     ub_product,
     weight_factor,
     weyl_product,
@@ -300,8 +296,7 @@ class _Perturbed:
     """A generator table whose images of one family carry an extra 1 (x) 1."""
 
     def __init__(self, phi, family):
-        self.phi, self.family = phi, family
-        self.left_algebra, self.right_algebra = phi.left_algebra, phi.right_algebra
+        self.phi, self.family, self.algebra = phi, family, phi.algebra
 
     def image(self, g):
         out = self.phi.image(g)
@@ -340,7 +335,7 @@ def _reference_tensor_product(u, v):
     """uv summed pair of pure tensors by pair, from the products of the two side tables:
     a reference for the one product loop of ``OperatorElement``."""
     out = {}
-    left_mul, right_mul = u.left_algebra.mul_keys, u.right_algebra.mul_keys
+    left_mul, right_mul = u.algebra.left.mul_keys, u.algebra.right.mul_keys
     for (l1, r1), c1 in u.terms.items():
         for (l2, r2), c2 in v.terms.items():
             for kl, cl in left_mul(l1, l2):
@@ -352,7 +347,7 @@ def _reference_tensor_product(u, v):
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
 def test_tensor_product_agrees_with_the_side_by_side_reference(left, right):
     algebra = tensor_algebra(left, right)
-    assert bracket_tables(left, right) is algebra.brackets
+    assert algebra.brackets.algebra is algebra
     assert algebra.one_key == (left.one_key, right.one_key)
     rng = random.Random(16)
     pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
@@ -368,14 +363,14 @@ def test_tensor_product_agrees_with_the_side_by_side_reference(left, right):
         assert u * TensorElement.one(algebra) == u == TensorElement.one(algebra) * u
 
 
-def _id_numerators(element):
-    """``clear_denominators`` of a tensor element's terms, keyed by ``key_id``."""
-    return clear_denominators({key_id(k): c for k, c in element.terms.items()})
+def _id_numerators(tables, element):
+    """``clear_denominators`` of a tensor element's terms, keyed by ``tables.id``."""
+    return clear_denominators({tables.id(k): c for k, c in element.terms.items()})
 
 
-def _by_key(id_nums):
-    """Numerators keyed by ids, mapped back to their keys through ``KEYS``."""
-    return {KEYS[i]: n for i, n in id_nums.items()}
+def _by_key(tables, id_nums):
+    """Numerators keyed by ids, mapped back to their keys through ``tables.keys``."""
+    return {tables.keys[i]: n for i, n in id_nums.items()}
 
 
 def _nonzero(id_nums):
@@ -385,30 +380,31 @@ def _nonzero(id_nums):
 
 @pytest.mark.parametrize("left, right", [(R2, UB), (R0, DIFFOP)], ids=["R2xUB", "R0xDIFFOP"])
 def test_tensor_commutator_equals_uv_minus_vu(left, right):
-    tables = bracket_tables(left, right)
+    tables = tensor_algebra(left, right).brackets
 
     def bracket_nums(a, b):
-        return _nonzero(integer_commutator(tables, _id_numerators(a)[0], _id_numerators(b)[0]))
+        return _nonzero(integer_commutator(tables, _id_numerators(tables, a)[0],
+                                           _id_numerators(tables, b)[0]))
 
     rng = random.Random(14)
     pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
              for _ in range(40)]
     assert any(min(kl[0]) < 0 for u, _ in pairs for kl, _ in u.terms)
-    assert bracket_tables(left, right) is tables
+    assert tensor_algebra(left, right).brackets is tables
     assert (tables.algebra.left, tables.algebra.right) == (left, right)
     for u, v in pairs:
-        tensor_tables = [tensor_bracket(tables.algebra, k1, k2) for k1 in u.terms for k2 in v.terms]
-        assert all(type(n) is int and n for table in tensor_tables for _, n in table)
-        (u_nums, u_den), (v_nums, v_den) = _id_numerators(u), _id_numerators(v)
+        (u_nums, u_den), (v_nums, v_den) = _id_numerators(tables, u), _id_numerators(tables, v)
+        pair_tables = [tables[i1, i2] for i1 in u_nums for i2 in v_nums]
+        assert all(type(n) is int and n for table in pair_tables for _, n in table)
         raw = integer_commutator(tables, u_nums, v_nums)
-        assert all(type(i) is int and key_id(KEYS[i]) == i for i in raw)
+        assert all(type(i) is int and tables.id(tables.keys[i]) == i for i in raw)
         assert all(type(n) is int for n in raw.values())
         got = _nonzero(raw)
         want = u * v - v * u
         # The kernel's numerators over the product of the denominators are uv - vu.
-        assert TensorElement(
-            tensor_algebra(left, right), {k: F(n, u_den * v_den) for k, n in _by_key(got).items()}
-        ) == want
+        assert TensorElement(tables.algebra, {
+            k: F(n, u_den * v_den) for k, n in _by_key(tables, got).items()
+        }) == want
         assert commutator(u, v) == want
         assert bracket_nums(u, u) == {}
         assert bracket_nums(u, u.scaled(F(-3, 2))) == {}
@@ -421,6 +417,7 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
     one_right = right.one_key
     n = len(left.names)
     algebra = tensor_algebra(left, right)
+    tables = algebra.brackets
 
     def coordinates():
         # Coordinate powers alone commute, negative exponents included.
@@ -432,10 +429,10 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
 
     for _ in range(20):
         u, v = coordinates(), coordinates()
-        assert all(tensor_bracket(algebra, k1, k2) == () for k1 in u.terms for k2 in v.terms)
+        u_nums, v_nums = _id_numerators(tables, u)[0], _id_numerators(tables, v)[0]
+        assert all(tables[i1, i2] == () for i1 in u_nums for i2 in v_nums)
         assert commutator(u, v).terms == {}
-        tables = bracket_tables(left, right)
-        assert integer_commutator(tables, _id_numerators(u)[0], _id_numerators(v)[0]) == {}
+        assert integer_commutator(tables, u_nums, v_nums) == {}
 
 
 def test_compiled_rules_name_each_variable_once():
