@@ -25,6 +25,7 @@ recompute.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -34,8 +35,8 @@ from .exceptions import InvalidSpec, NotAModule, NotApplicable, UnsupportedOpera
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
 from .operators import pullback_rules, shift_factor, weight_factor
-from .poly import PolyRing, SparsePoly, act_by_rules
-from .scalars import ONE, ZERO, Frozen, LinComb, Record, add_scaled, binomial, scalar
+from .poly import PolyRing, SparsePoly, _shift_row, act_by_rules
+from .scalars import ONE, ZERO, Frozen, LinComb, Record, add_scaled, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -507,62 +508,56 @@ class Degenerate(Frozen):
 
 
 class ShiftDiffOp(LinComb):
-    """Exact operators f |-> sum G_{n,k}(L0,a0) (da0^k f)(L0 - n, a0).
-
-    Keys are (n, k) and coefficients the polynomials G_{n,k}.  Composition
-    stays in this class, so bracket relations can be checked as coefficient
-    identities rather than on sample vectors.
-    """
+    """Exact operators on C[L0, a0], flat: c at key (n, k, i, j) is f |-> c L0^i a0^j
+    (da0^k f)(L0 - n, a0), c a Fraction or, in a symbol cleared to one denominator, an
+    int.  Bracket relations are checked as identities of these coefficients."""
 
     __slots__ = ()
 
-    def __init__(self, terms: dict[tuple[int, int], SparsePoly] | None = None):
-        self.terms = {k: p for k, p in (terms or {}).items() if p}
+    def __init__(self, terms: dict[tuple[int, int, int, int], Fraction | int] | None = None):
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
-    __str__ = __repr__ = object.__repr__
-
-    def compose(self, other: "ShiftDiffOp") -> "ShiftDiffOp":
-        out: dict[tuple[int, int], SparsePoly] = {}
-        for (n1, k1), g1 in self.terms.items():
-            for (n2, k2), g2 in other.terms.items():
-                for r in range(k1 + 1):
-                    g2r = g2
-                    for _ in range(r):
-                        g2r = g2r.derive("a0")
-                    if g2r.is_zero:
-                        continue
-                    piece = g1 * g2r.shift("L0", n1)
-                    if r:
-                        piece = piece * binomial(k1, r)
-                    key = (n1 + n2, k1 + k2 - r)
-                    q = out.get(key)
-                    np = piece if q is None else q + piece
-                    if np.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = np
-        return self._like(out)
+    def compose(self, other: "ShiftDiffOp", out: dict | None = None, sign: int = 1):
+        """self o other, or with ``out`` the nonzero part of ``out`` + sign (self o other), in
+        one pass: da0^k1 (a0^j2 h) = sum_{r <= min(k1, j2)} C(k1, r) j2!/(j2 - r)! a0^(j2 - r)
+        da0^(k1 - r) h, and (L0 - n1)^i2 is the cached row ``poly._shift_row(i2, n1)``."""
+        out = {} if out is None else out
+        get = out.get
+        for (n1, k1, i1, j1), c1 in self.terms.items():
+            c1 *= sign
+            for (n2, k2, i2, j2), c2 in other.terms.items():
+                row = _shift_row(i2, n1) if n1 else ((i2, 1),)
+                c, w = c1 * c2, 1  # w = C(k1, r) j2!/(j2 - r)!, an int
+                for r in range(min(k1, j2) + 1):
+                    n, k, j, cw = n1 + n2, k1 + k2 - r, j1 + j2 - r, c * w
+                    for i, b in row:
+                        key = (n, k, i1 + i, j)
+                        out[key] = get(key, 0) + cw * b
+                    w = w * (k1 - r) * (j2 - r) // (r + 1)
+        return self._like({key: c for key, c in out.items() if c})
 
     def commutator(self, other: "ShiftDiffOp") -> "ShiftDiffOp":
-        return self.compose(other) - other.compose(self)
+        out: dict = {}
+        self.compose(other, out)  # both orders are summed in one dict
+        return other.compose(self, out, -1)
+
+
+def _symbol(family: str, n: int, polys: Sequence[dict], one, scale=1) -> ShiftDiffOp:
+    """scale times the symbol of family[n] over the terms {(i, j): c} of (p, B0, C0, D0), with
+    unit ``one``: L0 + n p, a0, B0 - C0 da0, C0 or D0 + a0 da0, then L0 -> L0 - n."""
+    p, b0, c0, d0 = polys
+    parts = {"L": (({(1, 0): one}, 0, 1), (p, 0, n)), "a": (({(0, 1): one}, 0, 1),),
+             "b": ((b0, 0, 1), (c0, 1, -1)), "c": ((c0, 0, 1),),
+             "d": ((d0, 0, 1), ({(0, 1): one}, 1, 1))}[family]
+    out: dict = {}
+    for terms, k, c in parts:
+        add_scaled(out, {(n, k, *e): v for e, v in terms.items()}, c * scale)
+    return ShiftDiffOp()._like(out)
 
 
 def _candidate_operator(data: Rank1ActionData, g: Generator) -> ShiftDiffOp:
-    n = g.index
-    lam_n = data.lam**n
-    L0 = RANK1_RING.var("L0")
-    a0 = RANK1_RING.var("a0")
-    if g.family == "L":
-        return ShiftDiffOp({(n, 0): (L0 + data.p * n) * lam_n})
-    if g.family == "a":
-        return ShiftDiffOp({(n, 0): a0 * lam_n})
-    if g.family == "b":
-        return ShiftDiffOp({(n, 0): data.B0 * lam_n, (n, 1): -data.C0 * lam_n})
-    if g.family == "c":
-        return ShiftDiffOp({(n, 0): data.C0 * lam_n})
-    if g.family == "d":
-        return ShiftDiffOp({(n, 0): data.D0 * lam_n, (n, 1): a0 * lam_n})
-    raise ValueError(f"unknown generator family {g.family!r}")
+    polys = [f.terms for f in (data.p, data.B0, data.C0, data.D0)]
+    return _symbol(g.family, g.index, polys, ONE, data.lam**g.index)
 
 
 def rank1_data_from_action(module: OmegaModule) -> Rank1ActionData:
@@ -625,18 +620,24 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     identity on the minimal grid of ``rank1_grid``, which proves it for all
     (m, n) in Z^2.  The named checks (1) [b,c] = 0, (2) [L,b] = n b and
     (3) [b,d] = b run first so corruptions are reported at the relation
-    that pins them down.  Consistent data with c[0]-image zero presents a
-    module with an obvious proper submodule and is reported Degenerate;
-    otherwise the five parameters are extracted, and both parts of the
-    ``operator_form`` of L[1] and of a, b, c, d, L at index 0 in their
-    module must equal the (n, 0) and (n, 1) coefficients of the data's
-    symbol.
+    that pins them down.  Both sides of [x_m, y_n] = sum c z_{m+n} carry
+    lam^(m+n), so the grid drops it: p, B0, C0, D0 are cleared once to ints
+    over den, the lcm of their denominators, and den^2 [x_m, y_n] must equal
+    den sum c z_{m+n}, one integer pass per pair.  Consistent data with
+    c[0]-image zero presents a module with an obvious proper submodule and
+    is reported Degenerate; otherwise the five parameters are extracted,
+    and the ``operator_form`` of L[1] and of a, b, c, d, L at index 0 in
+    their module must give the terms of ``_candidate_operator``.
     """
+    fields = (data.p, data.B0, data.C0, data.D0)
+    den = math.lcm(*(c.denominator for f in fields for c in f.terms.values()))
+    cleared = [{e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+               for f in fields]
     ops: dict[Generator, ShiftDiffOp] = {}
 
     def op(g: Generator) -> ShiftDiffOp:
         if g not in ops:
-            ops[g] = _candidate_operator(data, g)
+            ops[g] = _symbol(g.family, g.index, cleared, den)
         return ops[g]
 
     commutators: dict[tuple[Generator, Generator], ShiftDiffOp] = {}
@@ -649,17 +650,14 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
         commutators[x, y] = c = op(x).commutator(op(y))
         return c
 
-    def bracket_op(x: Generator, y: Generator) -> ShiftDiffOp:
-        out: dict = {}
-        for g2, c in bracket(x, y).terms.items():
-            add_scaled(out, op(g2).terms, c)
-        return ShiftDiffOp()._like(out)
-
     for name, fx, fy, d_m, d_n in rank1_grid(data):
         for m in range(d_m + 1):
             for n in range(d_n + 1):
                 x, y = gen(fx, m), gen(fy, n)
-                if not (commutator(x, y) - bracket_op(x, y)).is_zero:
+                side: dict = {}  # den sum c z_{m+n}, zero-free like the commutator
+                for z, c in bracket(x, y).terms.items():
+                    add_scaled(side, op(z).terms, c * den)
+                if commutator(x, y).terms != side:
                     raise NotAModule(name, f"at (m, n) = ({m}, {n})")
 
     c0 = _constant_value(data.C0, "C0")
@@ -674,8 +672,9 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     params = OmegaParams(alpha=alpha, beta=beta, gamma=gamma, lam=data.lam, g=g_coeffs)
     module = OmegaModule(params)
     for g in (gen("L", 1), *(gen(f, 0) for f in FAMILIES)):
-        a, b = (SparsePoly(RANK1_RING, dict(x.terms)) for x in operator_form(module, g))
-        if ShiftDiffOp({(g.index, 0): a, (g.index, 1): b}) != op(g):
+        flat = {(g.index, k, *e): c for k, part in enumerate(operator_form(module, g))
+                for e, c in part.terms.items()}
+        if flat != _candidate_operator(data, g).terms:
             raise NotAModule("round-trip", "extracted parameters do not reproduce the data")
     return params
 

@@ -3,8 +3,10 @@
 Each directory next to this file is one case: ``argv.json`` holds the command
 line (without ``--out``), and ``report.json``, ``stdout.txt`` and
 ``exit_code.txt`` hold what ``wittdiamond.cli.main`` wrote, printed and
-returned for it.  The report goes to a temporary file, whose path reads as
-``REPORT_PATH`` in the stored stdout.  ``tests/test_golden.py`` runs every
+returned for it.  An input file is stored in the case directory and named in
+``argv.json`` through ``CASE_PATH``, as ``<case>/data.json``, so no absolute
+path reaches a stored file.  The report goes to a temporary file, whose path
+reads as ``REPORT_PATH`` in the stored stdout.  ``tests/test_golden.py`` runs every
 case and compares bytes; this script is the only way an expected file
 changes.  It prints the path of each file it changed.
 
@@ -22,6 +24,7 @@ from pathlib import Path
 
 CASES_DIR = Path(__file__).resolve().parent
 REPORT_PATH = "<report>"
+CASE_PATH = "<case>"
 
 
 def case_dirs() -> list[Path]:
@@ -32,7 +35,8 @@ def run_case(case: Path) -> dict[str, bytes]:
     """The expected files of one case, by file name, as this tree produces them."""
     from wittdiamond.cli import main
 
-    argv = json.loads((case / "argv.json").read_text())
+    argv = [arg.replace(CASE_PATH, str(case))
+            for arg in json.loads((case / "argv.json").read_text())]
     with tempfile.TemporaryDirectory() as tmp:
         out_path = str(Path(tmp) / "report.json")
         stdout = io.StringIO()

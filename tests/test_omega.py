@@ -14,7 +14,7 @@ from conftest import (
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.exceptions import NotAModule, UnsupportedOperation, ZeroVector
-from wittdiamond.lie import FAMILIES, bracket, gen
+from wittdiamond.lie import FAMILIES, bracket, gen, generators_in_window
 from wittdiamond.linalg import exact_nullspace
 from wittdiamond.omega import (
     Degenerate,
@@ -31,9 +31,9 @@ from wittdiamond.omega import (
     rank1_grid,
     uh_rank,
 )
-from wittdiamond.poly import PolyRing
+from wittdiamond.poly import PolyRing, SparsePoly
 from wittdiamond.tensor import tensor_generate
-from wittdiamond.scalars import add_scaled
+from wittdiamond.scalars import add_scaled, binomial
 
 
 def _action_data(*params):
@@ -433,6 +433,9 @@ def _with(data, **changes):
 
 
 def _agreement_cases():
+    """The ten named cases, then 20 seeded Omega tables (lambda with denominators up to 7,
+    among them -22/7, and g of degree up to 5), each with four single-monomial
+    perturbations, one of each of p, B0, C0 and D0."""
     rng = random.Random(23)
     for _ in range(6):
         yield rank1_data_from_action(OmegaModule(_seeded_params(rng)))
@@ -444,17 +447,96 @@ def _agreement_cases():
     yield _with(base, C0=RANK1_RING.var("L0"))
     base = _action_data(F(1, 2), F(3), F(1), F(2), (F(1),))
     yield _with(base, D0=base.D0 + RANK1_RING.var("L0"))
+    rng = random.Random(29)
+    for k in range(20):
+        lam = F(-22, 7) if k == 0 else F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+        data = _action_data(F(rng.randint(-4, 4), rng.randint(1, 5)),
+                             F(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4)),
+                             F(rng.randint(-4, 4), rng.randint(1, 3)), lam,
+                             tuple(F(rng.randint(-3, 3), rng.randint(1, 4))
+                                   for _ in range(rng.randint(0, 6))))
+        yield data
+        for field in ("p", "B0", "C0", "D0"):
+            c = F(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 5))
+            term = RANK1_RING.monomial({"L0": rng.randint(0, 2), "a0": rng.randint(0, 3)}, c)
+            yield _with(data, **{field: getattr(data, field) + term})
 
 
 def test_classify_grid_agrees_with_window_oracle():
     verdicts = []
     for data in _agreement_cases():
         verdict = _verdict(classify_rank1, data)
-        assert verdict == _verdict(_window_classify, data)
+        assert verdict == _verdict(_window_classify, data), data
         verdicts.append(verdict)
+    assert len(verdicts) >= 100
     assert all(isinstance(v, OmegaParams) for v in verdicts[:6])
     assert isinstance(verdicts[6], Degenerate)
-    assert [v[1][:3] for v in verdicts[7:]] == ["(2)", "(1)", "(3)"]
+    assert [v[1][:3] for v in verdicts[7:10]] == ["(2)", "(1)", "(3)"]
+    # The 20 seeded tables classify, and their perturbations reach every named relation.
+    assert sum(isinstance(v, OmegaParams) for v in verdicts[10::5]) == 20
+    assert {v[1][:3] for v in verdicts[10:] if isinstance(v, tuple)} >= {"(1)", "(2)", "(3)"}
+
+
+def test_bracket_terms_sit_at_the_sum_of_the_indices():
+    """[x_m, y_n] = sum c z_{m+n}: the fact that lets classify_rank1 drop lam^(m+n)."""
+    window = generators_in_window(3)
+    for x in window:
+        for y in window:
+            assert all(z.index == x.index + y.index for z in bracket(x, y).terms), (x, y)
+
+
+def _nested(op):
+    """A flat symbol as {(n, k): G_{n,k}(L0, a0)}, the former key format."""
+    out = {}
+    for (n, k, i, j), c in op.terms.items():
+        out.setdefault((n, k), {})[i, j] = c
+    return {key: SparsePoly(RANK1_RING, terms) for key, terms in out.items()}
+
+
+def _reference_compose(u, v):
+    """The former SparsePoly-based ShiftDiffOp.compose, on the keys of ``_nested``, flattened."""
+    out = {}
+    for (n1, k1), g1 in _nested(u).items():
+        for (n2, k2), g2 in _nested(v).items():
+            for r in range(k1 + 1):
+                g2r = g2
+                for _ in range(r):
+                    g2r = g2r.derive("a0")
+                if g2r.is_zero:
+                    continue
+                piece = g1 * g2r.shift("L0", n1)
+                if r:
+                    piece = piece * binomial(k1, r)
+                key = (n1 + n2, k1 + k2 - r)
+                q = out.get(key)
+                np = piece if q is None else q + piece
+                if np.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = np
+    return ShiftDiffOp({(n, k, *e): c for (n, k), g in out.items() for e, c in g.terms.items()})
+
+
+@pytest.mark.parametrize("cleared", [False, True], ids=["fraction", "int"])
+def test_compose_agrees_with_reference_compose(cleared):
+    rng = random.Random(37 + cleared)
+
+    def symbol():
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randint(0, 3)
+            key = (rng.randint(-3, 3), rng.randint(0, 2), i, rng.randint(0, 3 - i))
+            terms[key] = (rng.randint(-9, 9) if cleared
+                          else F(rng.randint(-9, 9), rng.randint(1, 7)))
+        return ShiftDiffOp(terms)
+
+    for _ in range(300):
+        u, v = symbol(), symbol()
+        got = u.compose(v)
+        assert got == _reference_compose(u, v), (u, v)
+        assert u.commutator(v) == got - _reference_compose(v, u), (u, v)
+        if cleared:
+            assert all(type(c) is int for c in got.terms.values())
 
 
 def test_rank1_grid_degrees_on_omega_data():
