@@ -7,6 +7,14 @@ so pure rescaling is a one-term step).  Replaying a certificate from its
 start vector must reproduce the claimed result exactly; nothing about a
 certificate is trusted until it has been replayed.
 
+A step is applied in Python ints, on the compiled rules that every module
+kind hands out as ``module.rules(g)``: v is cleared to integer numerators
+over one denominator once, the image of each distinct word suffix is made
+once from the one before it by ``poly.act_numerators`` (so words that share
+a suffix, as the a-power words of ``omega.dt_step`` do, share its images),
+and the words are summed with integer scales over the lcm of their
+denominators, with one Fraction per output key.
+
 A builder records, with each step, the target that step must reach and the
 message of its check, without applying the step; one ``replay`` with those
 checks then applies every step exactly once and checks each image as it is
@@ -17,12 +25,13 @@ erase its error.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exceptions import CertificateError
 from .lie import Generator, gen
-from .poly import SparsePoly
-from .scalars import Frozen, Record, add_scaled, scalar
+from .poly import SparsePoly, act_numerators
+from .scalars import Frozen, Record, clear_denominators, scalar
 
 Word = tuple[Generator, ...]
 
@@ -43,13 +52,25 @@ class CertStep(Frozen):
         self._set(combo=combo)
 
     def apply(self, module, v: SparsePoly) -> SparsePoly:
-        out: dict = {}
-        for coef, word in self.combo:
-            w = v
-            for g in reversed(word):
-                w = module.act(g, w)
-            add_scaled(out, w.terms, coef)
-        return v._like(out)
+        """sum_j c_j (w_j . v), in ints over one denominator (module docstring)."""
+        images = {(): clear_denominators(v.terms)}  # word suffix -> (numerators, den)
+        for _, word in self.combo:
+            for i in range(len(word) - 1, -1, -1):
+                suffix = word[i:]
+                if suffix not in images:
+                    nums, den = images[suffix[1:]]
+                    rules, rules_den = module.rules(suffix[0])
+                    images[suffix] = (act_numerators(nums, rules), den * rules_den)
+        # c_j / den_j as the unreduced pair (numerator, denominator)
+        scales = [(coef.numerator, coef.denominator * images[word][1]) for coef, word in self.combo]
+        lcd = lcm(*(q for _, q in scales))
+        acc: dict = {}
+        get = acc.get
+        for (p, q), (_, word) in zip(scales, self.combo):
+            p *= lcd // q
+            for y, a in images[word][0].items():
+                acc[y] = get(y, 0) + p * a
+        return v._like({y: Fraction(a, lcd) for y, a in acc.items() if a})
 
     def to_jsonable(self):
         return [

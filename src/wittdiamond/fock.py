@@ -89,18 +89,23 @@ class FModule:
         if isinstance(v_space, OneDim):
             self._table_alpha += v_space.eps / self.beta
             self._factor_actions.append(scalar_factor(self.alpha - self._table_alpha))
-        self.act_rules: dict = {}  # ``act``'s compiled rules, by generator
+        self.act_rules: dict = {}  # ``rules``'s compiled rules, by generator
 
     def one(self) -> SparsePoly:
         return self.ring.one()
 
-    def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
-        """g v by the pullback of the ab table (module docstring); rules kept in ``act_rules``."""
+    def rules(self, g: Generator) -> tuple[list, int]:
+        """``(rules, den)`` of g for ``poly.act_by_rules``: the pullback of the ab table
+        (module docstring), compiled on the first call for g and kept in ``act_rules``."""
         rules = self.act_rules.get(g)
         if rules is None:
             table = homomorphisms.ab_table(g.family, g.index, self._table_alpha, self.beta)
             rules = self.act_rules[g] = pullback_rules([(table.items(), self._factor_actions)])
-        return act_by_rules(v, *rules)
+        return rules
+
+    def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
+        """g v: one ``poly.act_by_rules`` pass with the rules of ``rules(g)``."""
+        return act_by_rules(v, *self.rules(g))
 
     def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
         """{scale: D}: X[n] v is scale^n times a polynomial in n of degree at most D.

@@ -36,7 +36,7 @@ from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
 from .operators import pullback_rules, shift_factor, weight_factor
 from .poly import PolyRing, SparsePoly, _shift_row, act_by_rules
-from .scalars import ONE, ZERO, Frozen, LinComb, Record, add_scaled, scalar
+from .scalars import ONE, Frozen, LinComb, Record, add_scaled, scalar
 
 
 def _normalize_coeffs(coeffs) -> tuple[Fraction, ...]:
@@ -71,10 +71,8 @@ def omega_factor_act(factors: Sequence[tuple[OmegaParams, str, str]], ring: Poly
 
     Each factor's abgg table image of g at PhiABGG(alpha + 1, beta, gamma, g)
     acts on Omega(lam) (x) C[t], with s = svar and t = tvar (module
-    docstring), and g f is the sum of these.  The ``poly.act_by_rules`` rules
-    of all factors are compiled on the first call for g, over one denominator,
-    and kept in ``rules``, the calling module's ``act_rules``; each call is one
-    pass over the terms of f.
+    docstring), and g f is the sum of these: one pass over the terms of f
+    with the rules of ``omega_factor_rules``.
 
     Operator form.  Every image is x0^n times an operator first order in d/dt
     whose x0-part is d0 or 1, so on C[s, t]
@@ -87,6 +85,16 @@ def omega_factor_act(factors: Sequence[tuple[OmegaParams, str, str]], ring: Poly
     A_b = lam^n g(t), B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a
     and c.  In a tensor product factor k acts in this form on (s_k, t_k) alone.
     """
+    return act_by_rules(f, *omega_factor_rules(factors, ring, g, rules))
+
+
+def omega_factor_rules(factors: Sequence[tuple[OmegaParams, str, str]], ring: PolyRing,
+                       g: Generator, rules: dict) -> tuple[list, int]:
+    """``(rules, den)`` of g for ``poly.act_by_rules`` on the factors of ``omega_factor_act``.
+
+    The rules of all factors are compiled on the first call for g, over one
+    denominator, and kept in ``rules``, the calling module's ``act_rules``.
+    """
     compiled = rules.get(g)
     if compiled is None:
         pullbacks = []
@@ -96,7 +104,7 @@ def omega_factor_act(factors: Sequence[tuple[OmegaParams, str, str]], ring: Poly
             pullbacks.append((table.items(), (shift_factor(ring.index(svar), par.lam),
                                               weight_factor(ring.index(tvar), 0))))
         compiled = rules[g] = pullback_rules(pullbacks)
-    return act_by_rules(f, *compiled)
+    return compiled
 
 
 class RankOneProduct:
@@ -114,7 +122,7 @@ class RankOneProduct:
         self.ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
         self._factor_vars = tuple(zip(self.factors, svars, tvars))
         self.orbit_weights: dict = {}  # ``orbit_component``'s weights, by (degrees, lam, x)
-        self.act_rules: dict = {}  # ``omega_factor_act``'s compiled rules, by generator
+        self.act_rules: dict = {}  # ``omega_factor_rules``'s compiled rules, by generator
 
     @property
     def m(self) -> int:
@@ -122,6 +130,10 @@ class RankOneProduct:
 
     def one(self) -> SparsePoly:
         return self.ring.one()
+
+    def rules(self, g: Generator) -> tuple[list, int]:
+        """``(rules, den)`` of g for ``poly.act_by_rules``, as ``act`` applies them."""
+        return omega_factor_rules(self._factor_vars, self.ring, g, self.act_rules)
 
     def svar(self, k: int) -> str:
         return self.ring.names[k - 1]
@@ -252,30 +264,40 @@ def orbit_component(module, family: str, v: SparsePoly, lam: Fraction, x: int,
     ``orbit_points``): sum_n w_n n^y mu^n is 1 at (mu, y) = (lam, x) and 0
     elsewhere.  With Q(z) = sum_n w_n z^n and theta = z d/dz that sum is
     (theta^y Q)(mu), so Q vanishes to order D_mu + 1 at each mu != lam:
-    Q = P R with P = prod_{mu != lam} (z - mu)^(D_mu + 1), and the
-    D_lam + 1 coefficients of R solve the conditions at lam, one small
-    solve.  w depends on v and the family only through the index degrees, so
-    the nonzero (n, w_n) are kept in ``module.orbit_weights`` under the key
-    (index-degree items, lam, x): one solve serves every vector of one
-    s-profile, in every family, for the life of the module instance.
+    Q = P R with P = prod_{mu != lam} (den(mu) z - num(mu))^(D_mu + 1), of
+    integer coefficients and degree J, and the D_lam + 1 coefficients of R
+    solve the conditions at lam, one small solve.  At lam = a/b the column
+    of z^i, (theta^y (P z^i))(lam) = sum_j P_j (i + j)^y lam^(i + j), is
+    b^-(i + J) times the integer column sum_j P_j (i + j)^y a^(i + j) b^(J - j);
+    the solve runs on the integer columns, and its r_i times b^(i + J) are
+    the coefficients of R.  So no Fraction is made before the solve, and
+    after it each weight is one Fraction over the lcm of the r_i's
+    denominators.  w depends on v and the family only through the index
+    degrees, so the nonzero (n, w_n) are kept in ``module.orbit_weights``
+    under the key (index-degree items, lam, x): one solve serves every
+    vector of one s-profile, in every family, for the life of the module
+    instance.
     """
     degrees = module.index_degrees(family, v)
     key = (tuple(degrees.items()), lam, x)
     weights = module.orbit_weights.get(key)
     if weights is None:
-        p = [ONE]  # the coefficients of P, constant term first
+        p = [1]  # the coefficients of P, constant term first
         for mu, d in degrees.items():
             for _ in range(d + 1 if mu != lam else 0):
-                p = [a - mu * b for a, b in zip([ZERO, *p], [*p, ZERO])]
-        top = degrees[lam] + 1  # the number of coefficients of R
-        # (theta^y (P z^i))(lam) = sum_j p_j (i + j)^y lam^(i + j)
-        parts = [[(i + j, c * lam ** (i + j)) for j, c in enumerate(p)] for i in range(top)]
+                p = [mu.denominator * c - mu.numerator * b for c, b in zip([0, *p], [*p, 0])]
+        top, big_j = degrees[lam] + 1, len(p) - 1  # the number of coefficients of R, deg P
+        a, b = lam.numerator, lam.denominator
+        parts = [[(i + j, c * a ** (i + j) * b ** (big_j - j)) for j, c in enumerate(p)]
+                 for i in range(top)]
         r = combination([{y: sum(k**y * c for k, c in part) for y in range(top)}
-                         for part in parts], {x: ONE})
+                         for part in parts], {x: 1})
         require(r is not None, f"no {family}-orbit combination isolates n^{x} ({lam})^n")
+        den = math.lcm(*(c.denominator for c in r))
+        r = [c.numerator * (den // c.denominator) * b ** (i + big_j) for i, c in enumerate(r)]
         w = [sum(r[i] * p[n - i] for i in range(top) if 0 <= n - i < len(p))
              for n in range(len(p) + top - 1)]
-        weights = module.orbit_weights[key] = [(n, c) for n, c in enumerate(w) if c]
+        weights = module.orbit_weights[key] = [(n, Fraction(c, den)) for n, c in enumerate(w) if c]
     return CertStep(tuple((scale * w, (gen(family, n),)) for n, w in weights))
 
 

@@ -94,7 +94,17 @@ def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
     p(e_j) over (j, p) in polys, times x^e with x_j^e_j -> x_j^(e_j + d) for each (j, d) in
     raises and then x_j -> x_j - n for each (j, n) in shifts, over den.  k and the
     coefficients of each p (highest degree first) are ints, as ``operators.pullback_rules``
-    gives them: the sum is in ints, one Fraction per key.
+    gives them: f is cleared to ints once, ``act_numerators`` sums in ints, and each key
+    gets one Fraction.
+    """
+    nums, f_den = clear_denominators(f.terms)
+    den *= f_den
+    return f._like({y: Fraction(a, den) for y, a in act_numerators(nums, rules).items() if a})
+
+
+def act_numerators(nums: dict, rules) -> dict:
+    """The integer kernel of ``act_by_rules``: the image of the numerators ``nums`` under
+    ``rules``, by key, with no denominator applied; a key whose sum cancels keeps a zero.
 
     A rule names each variable at most once in its raises and at most once in its
     shifts, as ``pullback_rules`` makes them (each factor action is bound to its own
@@ -102,7 +112,6 @@ def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
     shift writes one key, and one with a single shift walks its ``_shift_row`` in place;
     only a rule with two or more shifts builds its keys by slicing.
     """
-    nums, f_den = clear_denominators(f.terms)
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
     for e, c in nums.items():
@@ -133,8 +142,7 @@ def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
                             for z, a in part for x, b in _shift_row(z[j], n)]
                 for z, a in part:
                     acc[z] = get(z, 0) + a
-    den *= f_den
-    return f._like({y: Fraction(a, den) for y, a in acc.items() if a})
+    return acc
 
 
 class SparsePoly(LinComb):

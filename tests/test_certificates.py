@@ -1,5 +1,6 @@
 """Certificate replay and JSON serialization."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,8 +10,10 @@ from wittdiamond import omega, tensor
 from wittdiamond.axioms import random_vector, simplicity_samples
 from wittdiamond.certificates import CertStep, Certificate
 from wittdiamond.exceptions import CertificateError
-from wittdiamond.lie import gen
+from wittdiamond.lie import FAMILIES, gen
+from wittdiamond.linalg import combination
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
+from wittdiamond.scalars import add_scaled
 
 
 def test_step_apply_rescale_and_word():
@@ -172,3 +175,147 @@ def test_each_step_is_applied_once_and_weights_are_built_once_per_module(monkeyp
             assert solved and len(solved) == len(set(solved)) == len(module.orbit_weights)
             builds.append(len(solved))
         assert builds[0] == builds[1]
+
+
+# -- the integer apply and weight build against their former Fraction bodies --
+
+
+def _reference_apply(step, module, v):
+    """The former ``CertStep.apply``, kept as an oracle: each word letter by letter
+    through ``module.act``, summed in Fractions."""
+    out: dict = {}
+    for coef, word in step.combo:
+        w = v
+        for g in reversed(word):
+            w = module.act(g, w)
+        add_scaled(out, w.terms, coef)
+    return v._like(out)
+
+
+def _g(degree):
+    """A g of the given degree with fractional and zero coefficients."""
+    return tuple([F(2, 3), F(0), F(-1), F(1, 2)][: degree] + [F(-3, 2)])
+
+
+def _oracle_modules():
+    """Omega, T(m=2) and T(m=3) with a negative and a fractional lambda, once for each
+    degree 0..3 of the first factor's g."""
+    for degree in range(4):
+        first = OmegaParams(F(1, 2), F(-2, 3), F(1, 3), F(-3, 2), _g(degree))
+        second = OmegaParams(F(-1), F(5), F(0), F(1, 3), (F(1), F(2)))
+        third = OmegaParams(F(2), F(3, 4), F(-1), F(4), (F(0), F(0), F(1, 5)))
+        yield OmegaModule(first)
+        yield tensor.TensorModule([first, second])
+        yield tensor.TensorModule([first, second, third])
+
+
+def _steps(module, v):
+    """Every step kind: the orbit steps of each family at each scale and n-power, the
+    derivative step of each factor, and a rescale by the empty word."""
+    for family in FAMILIES:
+        for lam, top in module.index_degrees(family, v).items():
+            for x in range(top + 1):
+                yield omega.orbit_component(module, family, v, lam, x, F((-1) ** x, 7))
+    for par in module.factors:
+        yield omega.dt_step(module, par)
+    yield CertStep(((F(-5, 3), ()),))
+
+
+def test_apply_matches_the_former_word_by_word_body_on_every_step_kind():
+    rng = random.Random(38)
+    longest = set()
+    for module in _oracle_modules():
+        for _ in range(2):
+            v = random_vector(module.ring, rng, max_total_degree=2, terms=4)
+            for step in _steps(module, v):
+                assert step.apply(module, v) == _reference_apply(step, module, v)
+                longest.add(max(len(word) for _, word in step.combo))
+    assert longest == {0, 1, 2, 3}  # dt_step at g of degree 3 applies a^(lam) three times
+
+
+def test_a_dropped_word_denominator_fails_the_reference(monkeypatch):
+    """A word image that loses its generator's denominator gives another vector."""
+    module = tensor.TensorModule([OmegaParams(F(1, 2), F(-2, 3), F(1, 3), F(-3, 2), _g(2)),
+                                  OmegaParams(F(-1), F(5), F(0), F(1, 3), (F(1), F(2)))])
+    v = random_vector(module.ring, random.Random(5), max_total_degree=2, terms=4)
+    step = omega.dt_step(module, module.factors[0])
+    want = _reference_apply(step, module, v)
+    assert step.apply(module, v) == want
+    g = step.combo[-1][1][0]  # a letter of the two-letter word a^(lam) a^(lam)
+    rules = module.rules
+    assert rules(g)[1] != 1
+    monkeypatch.setattr(module, "rules", lambda h: (rules(h)[0], 1) if h == g else rules(h))
+    assert step.apply(module, v) != want
+
+
+class _Profile:
+    """A module stub whose every vector has the index degrees ``degrees``."""
+
+    def __init__(self, degrees):
+        self.degrees, self.orbit_weights = degrees, {}
+
+    def index_degrees(self, family, v):
+        return self.degrees
+
+
+def _weights(degrees, lam, x):
+    """``orbit_component``'s nonzero (n, w_n) for the profile ``degrees``."""
+    step = omega.orbit_component(_Profile(degrees), "a", None, lam, x)
+    return [(g.index, w) for w, (g,) in step.combo]
+
+
+def _reference_weights(degrees, lam, x):
+    """The former Fraction build of ``orbit_component``'s weights, kept as an oracle."""
+    p = [F(1)]
+    for mu, d in degrees.items():
+        for _ in range(d + 1 if mu != lam else 0):
+            p = [a - mu * b for a, b in zip([F(0), *p], [*p, F(0)])]
+    top = degrees[lam] + 1
+    parts = [[(i + j, c * lam ** (i + j)) for j, c in enumerate(p)] for i in range(top)]
+    r = combination([{y: sum(k**y * c for k, c in part) for y in range(top)}
+                     for part in parts], {x: F(1)})
+    w = [sum(r[i] * p[n - i] for i in range(top) if 0 <= n - i < len(p))
+         for n in range(len(p) + top - 1)]
+    return [(n, c) for n, c in enumerate(w) if c]
+
+
+def _isolates(weights, degrees, lam, x):
+    """sum_n w_n n^y mu^n is 1 at (mu, y) = (lam, x) and 0 at every other (mu, y <= D_mu)."""
+    return all(sum(w * n**y * mu**n for n, w in weights) == ((mu, y) == (lam, x))
+               for mu, top in degrees.items() for y in range(top + 1))
+
+
+SCALE_SETS = [(F(-2),), (F(1, 3), F(-2)), (F(1), F(-1, 2)), (F(-3, 2), F(5, 4), F(3)),
+              (F(2, 3), F(-3), F(1, 5))]
+
+
+def _profiles():
+    for scales in SCALE_SETS:
+        for tops in itertools.product(range(3), repeat=len(scales)):
+            yield dict(zip(scales, tops))
+
+
+def test_weights_match_the_former_fraction_build_and_isolate_their_part():
+    built = 0
+    for degrees in _profiles():
+        for lam, top in degrees.items():
+            for x in range(top + 1):
+                weights = _weights(degrees, lam, x)
+                assert weights == _reference_weights(degrees, lam, x), (degrees, lam, x)
+                assert _isolates(weights, degrees, lam, x), (degrees, lam, x)
+                built += 1
+    assert built == 402
+
+
+@pytest.mark.parametrize("exponent", ["b^J", "b^(i+J+1)"])
+def test_a_wrong_rescale_exponent_fails_both_oracles(monkeypatch, exponent):
+    """r_i rescaled by b^J or by b^(i+J+1) instead of b^(i+J): planted by scaling the
+    solve's r_i by b^-i or by b."""
+    degrees, lam, x = {F(-3, 2): 2, F(5, 4): 1, F(3): 0}, F(5, 4), 0
+    b = lam.denominator
+    solve = omega.combination
+    monkeypatch.setattr(omega, "combination", lambda columns, target: [
+        c * (F(1, b**i) if exponent == "b^J" else b) for i, c in enumerate(solve(columns, target))])
+    weights = _weights(degrees, lam, x)
+    assert weights != _reference_weights(degrees, lam, x)
+    assert not _isolates(weights, degrees, lam, x)

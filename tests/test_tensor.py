@@ -30,7 +30,7 @@ from wittdiamond.omega import (
     rank1_data_from_action,
 )
 from wittdiamond.oracle import naive_det
-from wittdiamond.poly import SparsePoly
+from wittdiamond.poly import SparsePoly, act_by_rules
 from wittdiamond import omega
 from wittdiamond.tensor import (
     DetSpec,
@@ -168,15 +168,39 @@ def test_leibniz_action_matches_single_factor():
 
 
 def test_rules_are_compiled_once_per_generator_over_all_factors():
-    # One (rules, den) entry per generator, shared by every factor of the product.
+    # One (rules, den) entry per generator, shared by every factor of the product;
+    # ``rules(g)`` hands out that entry, whether it or ``act`` compiled it first.
     gens = generators_in_window(2)
     for module in (TensorModule([A, B, C]), OmegaModule(A)):
         v = module.one() + module.ring.var(module.svar(1)) * module.ring.var(module.tvar(module.m))
+        for g in gens[::2]:
+            module.rules(g)
         for g in gens:
             module.act(g, v)
             module.act(g, module.act(g, v))
+            assert module.rules(g) is module.act_rules[g]
         assert len(module.act_rules) == len(gens) == 25
         assert set(module.act_rules) == set(gens)
+
+
+def _module_kinds():
+    """F with C_eps, with C_0, with a Whittaker V and with an Omega-type P0; Omega; T(m=3)."""
+    yield FModule(F(1, 2), F(3), MFactor(F(1, 3)), MFactor(F(-1, 2)), OneDim(F(-2, 5)))
+    yield FModule(F(-1), F(2, 3), MFactor(F(0)), MFactor(F(1, 2)), OneDim(F(0)))
+    yield FModule(F(1, 2), F(-3), MFactor(F(0)), MFactor(F(1, 2)), Whittaker())
+    yield FModule(F(1), F(1, 2), OmegaFactor(F(-3, 2)), MFactor(F(1, 4)), OneDim(F(1)))
+    yield OmegaModule(A)
+    yield TensorModule([A, B, C])
+
+
+@pytest.mark.parametrize("module", _module_kinds(), ids=lambda m: type(m).__name__)
+def test_act_is_act_by_rules_on_the_modules_rules(module):
+    # CertStep.apply applies ``rules(g)`` to integer numerators; ``act`` must agree.
+    rng = random.Random(17)
+    vectors = [random_vector(module.ring, rng, max_total_degree=2, terms=4) for _ in range(3)]
+    for g in generators_in_window(2):
+        for v in vectors:
+            assert module.act(g, v) == act_by_rules(v, *module.rules(g)), (g, v)
 
 
 def test_action_examples_m2():
