@@ -5,9 +5,10 @@ line (without ``--out``), and ``report.json``, ``stdout.txt``, ``stderr.txt``
 and ``exit_code.txt`` hold what ``wittdiamond.cli.main`` wrote, printed and
 returned for it; a case that exits before it writes a report (exit code 2) has
 no ``report.json``.  An input file is stored in the case directory and named
-in ``argv.json`` through ``CASE_PATH``, as ``<case>/spec.json`` or
-``<case>/data.json``, and the case path reads as ``CASE_PATH`` in the stored
-stdout and stderr too, so no absolute path reaches a stored file.  The report
+in ``argv.json`` through ``CASE_PATH``, as ``<case>/spec.json``,
+``<case>/data.json`` or ``<case>/left.json`` and ``<case>/right.json``, and
+the case path reads as ``CASE_PATH`` in the stored stdout and stderr too, so
+no absolute path reaches a stored file.  The report
 goes to a temporary file, whose path reads as ``REPORT_PATH`` in the stored
 stdout.  ``tests/test_golden.py`` runs every case and compares bytes; this
 script is the only way an expected file changes.  It prints the path of each
