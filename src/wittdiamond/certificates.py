@@ -12,8 +12,8 @@ kind hands out as ``module.rules(g)``: v is cleared to integer numerators
 over one denominator once, the image of each distinct word suffix is made
 once from the one before it by ``poly.act_numerators`` (so words that share
 a suffix, as the a-power words of ``omega.dt_step`` do, share its images),
-and the words are summed with integer scales over the lcm of their
-denominators, with one Fraction per output key.
+and the words are summed by ``scalars.integer_combination``, with integer
+scales over the lcm of their denominators and one Fraction per output key.
 
 A builder records, with each step, the target that step must reach and the
 message of its check, without applying the step; one ``replay`` with those
@@ -25,13 +25,12 @@ erase its error.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .exceptions import CertificateError
 from .lie import Generator, gen
 from .poly import SparsePoly, act_numerators
-from .scalars import Frozen, Record, clear_denominators, scalar
+from .scalars import Frozen, Record, clear_denominators, integer_combination, scalar
 
 Word = tuple[Generator, ...]
 
@@ -61,16 +60,9 @@ class CertStep(Frozen):
                     nums, den = images[suffix[1:]]
                     rules, rules_den = module.rules(suffix[0])
                     images[suffix] = (act_numerators(nums, rules), den * rules_den)
-        # c_j / den_j as the unreduced pair (numerator, denominator)
-        scales = [(coef.numerator, coef.denominator * images[word][1]) for coef, word in self.combo]
-        lcd = lcm(*(q for _, q in scales))
-        acc: dict = {}
-        get = acc.get
-        for (p, q), (_, word) in zip(scales, self.combo):
-            p *= lcd // q
-            for y, a in images[word][0].items():
-                acc[y] = get(y, 0) + p * a
-        return v._like({y: Fraction(a, lcd) for y, a in acc.items() if a})
+        sums, common = integer_combination([(coef.numerator, coef.denominator * images[word][1],
+                                             images[word][0]) for coef, word in self.combo])
+        return v._like({y: Fraction(a, common) for y, a in sums.items()})
 
     def to_jsonable(self):
         return [

@@ -688,7 +688,7 @@ _RATIONAL_OPTIONS = ("--alpha", "--beta", "--gamma", "--alphas")
 def _join_negative_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for word in argv:
-        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[0-9.]", word):
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[0-9]", word):
             out[-1] += "=" + word
         else:
             out.append(word)

@@ -9,10 +9,12 @@ algebra (families a, b, c, d).  The nonzero brackets are
     [d[m], a[n]] = a[m+n]
     [d[m], b[n]] = -b[m+n]
 
-and every pair not obtained from these by antisymmetry vanishes.  The
-module also provides PBW-normalized computation in the enveloping
-algebra: words are straightened into non-decreasing order under the
-total order (family L < a < b < c < d, then index ascending).
+and every pair not obtained from these by antisymmetry vanishes.
+``BRACKET_TABLE`` holds these five relations, family by family, and
+``bracket`` reads its constants from it.  The module also provides
+PBW-normalized computation in the enveloping algebra: words are
+straightened into non-decreasing order under the total order (family
+L < a < b < c < d, then index ascending).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exceptions import InvalidGenerator
-from .scalars import ONE, LinComb, add_scaled, scalar
+from .scalars import ONE, LinComb, add_scaled, signed_terms
 
 FAMILIES = ("L", "a", "b", "c", "d")
 _RANK = {f: i for i, f in enumerate(FAMILIES)}
@@ -83,32 +85,35 @@ def bracket(x: Generator, y: Generator) -> LElement:
     return new
 
 
+# The relations of the module docstring, family by family:
+# (x, y) -> (z, (k, k_m, k_n)) means [x_m, y_n] = (k + k_m m + k_n n) z_{m+n}.
+BRACKET_TABLE = {
+    ("L", "L"): ("L", (0, -1, 1)),
+    **{("L", f): (f, (0, 0, 1)) for f in "abcd"},
+    ("a", "b"): ("c", (1, 0, 0)),
+    ("d", "a"): ("a", (1, 0, 0)),
+    ("d", "b"): ("b", (-1, 0, 0)),
+}
+
+
 @functools.cache
 def _structure_constants(x: Generator, y: Generator) -> LElement:
+    """[x, y] read from ``BRACKET_TABLE``: a pair given in reverse order is
+    negated, and every pair in neither order commutes."""
     fx, m = x.family, x.index
     fy, n = y.family, y.index
     for f in (fx, fy):
         if f not in _RANK:
             raise InvalidGenerator(f"unknown generator family {f!r}")
-    if fx == "L" and fy == "L":
-        return LElement({gen("L", m + n): n - m})
-    if fx == "L":
-        return LElement({gen(fy, m + n): n})
-    if fy == "L":
-        return -_structure_constants(y, x)
-    if fx == "a" and fy == "b":
-        return LElement({gen("c", m + n): 1})
-    if fx == "b" and fy == "a":
-        return LElement({gen("c", m + n): -1})
-    if fx == "d" and fy == "a":
-        return LElement({gen("a", m + n): 1})
-    if fx == "a" and fy == "d":
-        return LElement({gen("a", m + n): -1})
-    if fx == "d" and fy == "b":
-        return LElement({gen("b", m + n): -1})
-    if fx == "b" and fy == "d":
-        return LElement({gen("b", m + n): 1})
-    return LElement()
+    if (fx, fy) in BRACKET_TABLE:
+        z, (k, k_m, k_n) = BRACKET_TABLE[fx, fy]
+        c = k + k_m * m + k_n * n
+    elif (fy, fx) in BRACKET_TABLE:
+        z, (k, k_m, k_n) = BRACKET_TABLE[fy, fx]
+        c = -(k + k_m * n + k_n * m)
+    else:
+        return LElement()
+    return LElement({Generator(z, m + n): c})
 
 
 def jacobi_residual(x: Generator, y: Generator, z: Generator) -> LElement:
@@ -199,34 +204,10 @@ def uenv_mul(u: UEnvElement, v: UEnvElement) -> UEnvElement:
     return u._like(out)
 
 
-# A sign starts a term unless it sits inside a bracketed index, as in d[-1].
-_UENV_TERM_SPLIT = re.compile(r"(?=[+-](?![^\[\]]*\]))")
-
-
 def parse_words(text: str) -> list[tuple[Fraction, Word]]:
     """The terms of "b[0] a[0] - 3/2 c[-1] d[1] + 2" as (coefficient, letters), as written."""
-    text = text.strip()
-    if not text or text == "0":
-        return []
-    words = []
-    for raw in _UENV_TERM_SPLIT.split(text.replace("*", " ")):
-        raw = raw.strip()
-        if not raw:
-            continue
-        sign = ONE
-        while raw and raw[0] in "+-":
-            if raw[0] == "-":
-                sign = -sign
-            raw = raw[1:].strip()
-        coef = sign
-        letters: list[Generator] = []
-        for tok in raw.split():
-            if _GEN_RE.match(tok):
-                letters.append(parse_generator(tok))
-            else:
-                coef *= scalar(tok)
-        words.append((coef, tuple(letters)))
-    return words
+    return [(coef, tuple(Generator(m[1], int(m[2])) for m in letters))
+            for coef, letters in signed_terms(text, _GEN_RE)]
 
 
 def parse_uenv(text: str) -> UEnvElement:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exceptions import ZeroVector
-from .lie import FAMILIES, Generator, UEnvElement, bracket, gen
+from .lie import Generator, UEnvElement, bracket, generators_in_window
 from .linalg import SpanBasis
 from .poly import SparsePoly, monomials_within
 from .scalars import ONE, ZERO, Frozen, Record
@@ -74,11 +74,7 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
     if any(sum(abs(e) for e in exps) > policy.max_total_degree for exps in start.terms):
         raise ValueError("start vector lies outside the truncation")
     ambient = sum(1 for _ in monomials_within(module.ring, policy.max_total_degree))
-    ops = [
-        gen(f, n)
-        for f in FAMILIES
-        for n in range(-policy.generator_window, policy.generator_window + 1)
-    ]
+    ops = generators_in_window(policy.generator_window)
     basis = SpanBasis()
     basis.add(start.terms)
     frontier = [start]

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .exceptions import UnsupportedVariable, VariableMismatch
-from .scalars import ONE, ZERO, Frozen, LinComb, add_scaled, binomial, clear_denominators, scalar
+from .scalars import (ONE, ZERO, Frozen, LinComb, add_scaled, binomial, clear_denominators,
+                      scalar, signed_terms)
 
 
 class PolyRing(Frozen):
@@ -81,9 +82,9 @@ def _shift_row(k: int, off: int | Fraction) -> tuple[tuple[int, int | Fraction],
     """The expansion of x^k under x -> x - off: pairs (j, binomial(k, j) (-off)^(k-j)).
 
     ``off`` is nonzero, so every coefficient is; an integer offset is passed
-    as an int, so its row holds ints and a term costs one Fraction-by-int
-    multiply.  The row is a tuple, so no caller can change what the cache
-    hands to the next.
+    as an int, so its row holds ints, and a rational one (``SparsePoly.shift``)
+    gives a row of Fractions.  The row is a tuple, so no caller can change
+    what the cache hands to the next.
     """
     m = -off
     return tuple((j, binomial(k, j) * m ** (k - j)) for j in range(k + 1))
@@ -95,7 +96,8 @@ def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
     raises and then x_j -> x_j - n for each (j, n) in shifts, over den.  k and the
     coefficients of each p (highest degree first) are ints, as ``operators.pullback_rules``
     gives them: f is cleared to ints once, ``act_numerators`` sums in ints, and each key
-    gets one Fraction.
+    gets one Fraction.  A shift n may also be a Fraction, as in ``SparsePoly.shift``:
+    then the sums hold Fraction terms, and the final division keeps them exact.
     """
     nums, f_den = clear_denominators(f.terms)
     den *= f_den
@@ -105,6 +107,7 @@ def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":
 def act_numerators(nums: dict, rules) -> dict:
     """The integer kernel of ``act_by_rules``: the image of the numerators ``nums`` under
     ``rules``, by key, with no denominator applied; a key whose sum cancels keeps a zero.
+    The sums are ints when every shift is, and may be Fractions otherwise.
 
     A rule names each variable at most once in its raises and at most once in its
     shifts, as ``pullback_rules`` makes them (each factor action is bound to its own
@@ -237,7 +240,8 @@ class SparsePoly(LinComb):
         return max(sum(abs(x) for x in e) for e in self.terms)
 
     def shift(self, name: str, offset) -> "SparsePoly":
-        """Substitute ``name`` by ``name - offset`` (binomial expansion)."""
+        """Substitute ``name`` by ``name - offset``: one ``act_by_rules`` rule whose only
+        op is that shift, so ``_shift_row`` expands every power."""
         i = self.ring.index(name)
         if self.ring.laurent[i]:
             raise UnsupportedVariable(f"cannot shift Laurent variable {name!r}")
@@ -246,23 +250,7 @@ class SparsePoly(LinComb):
             return self
         if off.denominator == 1:
             off = off.numerator
-        out: dict[tuple[int, ...], Fraction] = {}
-        get = out.get
-        for e, c in self.terms.items():
-            head, tail = e[:i], e[i + 1 :]
-            for j, b in _shift_row(e[i], off):
-                key = head + (j,) + tail
-                v = c * b
-                prev = get(key)
-                if prev is None:
-                    out[key] = v
-                else:
-                    v = prev + v
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-        return self._like(out)
+        return act_by_rules(self, [(1, (), (), ((i, off),))], 1)
 
     def derive(self, name: str) -> "SparsePoly":
         """Formal derivative: x^n -> n x^(n-1), for every integer n on a Laurent variable."""
@@ -299,34 +287,17 @@ class SparsePoly(LinComb):
         return f"SparsePoly({str(self)!r})"
 
 
-_TERM_SPLIT = re.compile(r"(?<!\^)(?=[+-])")
-_FACTOR = re.compile(r"^([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
+_FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?")
 
 
 def parse_poly(ring: PolyRing, text: str) -> SparsePoly:
     """Parse "2 x0^2 x1^-1 - 1/3 h" style monomial sums in ``ring``."""
-    text = text.strip()
-    if not text or text == "0":
-        return ring.zero()
     total = ring.zero()
-    for raw in _TERM_SPLIT.split(text.replace("*", " ")):
-        raw = raw.strip()
-        if not raw:
-            continue
-        sign = ONE
-        while raw and raw[0] in "+-":
-            if raw[0] == "-":
-                sign = -sign
-            raw = raw[1:].strip()
-        coef = sign
+    for coef, factors in signed_terms(text, _FACTOR):
         powers: dict[str, int] = {}
-        for tok in raw.split():
-            m = _FACTOR.match(tok)
-            if m:
-                name, e = m.group(1), int(m.group(2) or 1)
-                powers[name] = powers.get(name, 0) + e
-            else:
-                coef *= scalar(tok)
+        for m in factors:
+            name, e = m[1], int(m[2] or 1)
+            powers[name] = powers.get(name, 0) + e
         total = total + ring.monomial(powers, coef)
     return total
 

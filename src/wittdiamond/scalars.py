@@ -2,8 +2,8 @@
 
 Everything in this package computes over arbitrary-precision rationals;
 no floating point appears anywhere in the core.  Rationals serialize as
-"p/q" (or "p" when the denominator is 1), which is exactly what
-``fractions.Fraction`` parses and prints.
+"p/q" (or "p" when the denominator is 1), as ``fractions.Fraction`` prints
+them, and ``RATIONAL`` is the one text form every reader takes.
 
 Every element class of the package is a finite linear combination of
 basis keys, and :class:`LinComb` holds their shared linear structure.
@@ -15,6 +15,7 @@ frozen, a hash and blocked assignment) without generating any code.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -24,18 +25,65 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The one text form of a rational: "p" or "p/q", with q positive and no sign,
+# space, point or exponent.  Spec fields, data fields, options and the
+# coefficients of written sums all take exactly this form.
+RATIONAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
 def scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction or ``RATIONAL`` string to an exact rational."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        m = RATIONAL.fullmatch(value)
+        if m is None:
+            raise ValueError(f'{value!r} is not a rational "p" or "p/q"')
+        num, den = m.groups()
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            return Fraction(int(num), int(den) if den else 1)
+        except ValueError:  # above Python's limit on the digits of an int string
+            raise ValueError("a rational with more digits than Python converts") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+# A sign starts a term unless it follows "^" (as in x^-1) or sits inside
+# brackets (as in d[-1]).
+_TERM_SPLIT = re.compile(r"(?<!\^)(?=[+-](?![^\[\]]*\]))")
+
+
+def signed_terms(text: str, atom: re.Pattern) -> list[tuple[Fraction, list[re.Match]]]:
+    """The terms of a written sum such as "2 x^2 y - 3/2 z + 1" as (coefficient, atoms).
+
+    A term is split into words at spaces and "*".  A word that ``atom``
+    matches in full is an atom, kept as its match, in order; every other word
+    is a ``RATIONAL`` factor of the coefficient, with the term's leading
+    signs.  "" and "0" have no terms.
+    """
+    text = text.strip()
+    if not text or text == "0":
+        return []
+    terms = []
+    for raw in _TERM_SPLIT.split(text.replace("*", " ")):
+        raw = raw.strip()
+        if not raw:
+            continue
+        coef = ONE
+        while raw and raw[0] in "+-":
+            if raw[0] == "-":
+                coef = -coef
+            raw = raw[1:].strip()
+        atoms = []
+        for word in raw.split():
+            m = atom.fullmatch(word)
+            if m:
+                atoms.append(m)
+            else:
+                coef *= scalar(word)
+        terms.append((coef, atoms))
+    return terms
 
 
 def add_scaled(out: dict, terms: Mapping, c=None) -> dict:

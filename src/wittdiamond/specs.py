@@ -15,21 +15,21 @@ rational must match its pattern in full, so ``"1\\n"`` is rejected.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .exceptions import InvalidSpec
 from .fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from .omega import RANK1_RING, OmegaModule, OmegaParams, Rank1ActionData
 from .poly import SparsePoly
-from .scalars import ZERO
+from .scalars import ZERO, scalar
 from .tensor import TensorModule
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
-_NONZERO_RATIONAL = re.compile(r"-?0*[1-9][0-9]*(/[1-9][0-9]*)?")
 _OMEGA_KEYS = ("alpha", "beta", "gamma", "lambda", "g")
 # The largest power of t in g; g is stored densely, so this bounds its size.
 MAX_G_POWER = 1000
+# The largest exponent in action data.  classify reads g densely from B0, and
+# D0 = (a0 g + gamma) / beta is one a0-degree above g.
+MAX_DATA_POWER = MAX_G_POWER + 1
 _ACTION_POLYS = ("p", "B0", "C0", "D0")
 
 
@@ -84,14 +84,16 @@ def _items(value, pointer: str, size: int | None = None, min_size: int = 0) -> l
 
 
 def _rational(value, pointer: str, nonzero: bool = False) -> Fraction:
-    pattern = _NONZERO_RATIONAL if nonzero else _RATIONAL
-    if not isinstance(value, str) or not pattern.fullmatch(value):
-        what = "a nonzero rational" if nonzero else "a rational"
-        raise InvalidSpec(f'{value!r} is not {what} "p" or "p/q"', pointer)
+    """A rational in the one text form ``scalars.RATIONAL``, and nonzero if ``nonzero``."""
+    if not isinstance(value, str):
+        raise InvalidSpec(f'{value!r} is not a rational "p" or "p/q"', pointer)
     try:
-        return Fraction(value)
-    except ValueError:  # above Python's limit on the digits of an int string
-        raise InvalidSpec("a rational with more digits than Python converts", pointer) from None
+        q = scalar(value)
+    except ValueError as exc:
+        raise InvalidSpec(str(exc), pointer) from None
+    if nonzero and not q:
+        raise InvalidSpec(f'{value!r} is not a nonzero rational "p" or "p/q"', pointer)
+    return q
 
 
 def _integer(value, pointer: str, minimum: int | None = 0, maximum: int | None = None) -> int:
@@ -199,13 +201,14 @@ def poly_to_json(p: SparsePoly):
 def poly_from_json(ring, data, pointer: str = "") -> SparsePoly:
     """Read [[exponents, "coef"], ...] terms, one exponent per variable of ``ring``.
 
-    A polynomial-flagged variable takes a non-negative exponent only.
+    A polynomial-flagged variable takes a non-negative exponent only, and no
+    exponent is above ``MAX_DATA_POWER``.
     """
     terms = []
     for term, at in _items(data, pointer):
         (exps, exps_at), (coef, coef_at) = _items(term, at, 2)
         powers = tuple(
-            _integer(e, e_at, minimum=None if laurent else 0)
+            _integer(e, e_at, minimum=None if laurent else 0, maximum=MAX_DATA_POWER)
             for (e, e_at), laurent in zip(_items(exps, exps_at, ring.nvars), ring.laurent)
         )
         terms.append((powers, _rational(coef, coef_at)))

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction as F
 from importlib import resources
 
@@ -43,6 +44,39 @@ def planted_bracket(x, y):
     if y.family == "L" and x.family != "L":
         return planted_bracket(y, x).scaled(-1)
     return bracket(x, y)
+
+
+# The two term splitters that ``scalars.signed_terms`` replaced: a sign starts a
+# term of a polynomial unless it follows "^", and a term of a word sum unless it
+# sits inside a bracketed index.
+FORMER_POLY_SPLIT = re.compile(r"(?<!\^)(?=[+-])")
+FORMER_WORD_SPLIT = re.compile(r"(?=[+-](?![^\[\]]*\]))")
+
+
+def former_terms(text, split):
+    """(coefficient, words) per term, as the former parsers read them: each word
+    that ``F`` reads is a coefficient factor, and every other word is kept."""
+    text = text.strip()
+    if not text or text == "0":
+        return []
+    out = []
+    for raw in split.split(text.replace("*", " ")):
+        raw = raw.strip()
+        if not raw:
+            continue
+        sign = F(1)
+        while raw and raw[0] in "+-":
+            if raw[0] == "-":
+                sign = -sign
+            raw = raw[1:].strip()
+        coef, words = sign, []
+        for tok in raw.split():
+            try:
+                coef *= F(tok)
+            except ValueError:
+                words.append(tok)
+        out.append((coef, words))
+    return out
 
 
 @pytest.fixture

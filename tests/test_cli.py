@@ -17,7 +17,8 @@ from wittdiamond.homomorphisms import PhiABGG
 from wittdiamond.lie import gen
 from wittdiamond.operators import OperatorElement, TensorElement
 from wittdiamond.omega import OmegaModule
-from wittdiamond.specs import MAX_G_POWER, module_from_spec, poly_from_json, vector_report
+from wittdiamond.specs import (MAX_DATA_POWER, MAX_G_POWER, module_from_spec, poly_from_json,
+                               vector_report)
 
 F_SPEC = {
     "family": "F",
@@ -535,10 +536,23 @@ def test_classify_reports_degenerate_data(write_json, tmp_path):
     }
 
 
+def _data_with_a0_power(power):
+    """Omega data (alpha 1/2, beta 3, gamma 0, lambda 2) with g = 1 + t^(power - 1):
+    B0 = g(a0) and D0 = (a0 g(a0) + gamma) / beta, one a0-degree above g."""
+    return {**ACTION_DATA, "B0": [[[0, 0], "1"], [[0, power - 1], "1"]],
+            "D0": [[[0, 1], "1/3"], [[0, power], "1/3"]]}
+
+
 @pytest.mark.parametrize("data, pointer", [
     (dict(ACTION_DATA, p=[[[0], "1"]]), "/p/0/0"),
     (dict(ACTION_DATA, p=[[[0, -1], "1"]]), "/p/0/0/1"),
-], ids=["exponent-arity", "negative-exponent"])
+    # Exponents above MAX_DATA_POWER = MAX_G_POWER + 1, in each variable.
+    (_data_with_a0_power(MAX_G_POWER + 2), "/D0/1/0/1"),
+    (dict(ACTION_DATA, B0=[[[0, 10**6], "1"]]), "/B0/0/0/1"),
+    (dict(ACTION_DATA, B0=[[[0, 1e15], "1"]]), "/B0/0/0/1"),
+    (dict(ACTION_DATA, p=[[[MAX_G_POWER + 2, 0], "1"]]), "/p/0/0/0"),
+], ids=["exponent-arity", "negative-exponent", "D0-one-above", "a0-million", "a0-float",
+        "L0-one-above"])
 def test_malformed_action_data_exits_2_with_pointer(data, pointer, write_json, capsys):
     assert main(["classify", "--data", write_json("bad.json", data)]) == 2
     err = capsys.readouterr().err
@@ -852,3 +866,77 @@ def test_certificate_error_exits_1(write_json, monkeypatch, capsys):
     spec = write_json("omega.json", OMEGA_SPEC)
     assert main(["simplicity", "--spec", spec]) == 1
     assert "does not reach its target" in capsys.readouterr().err
+
+
+# Every entry point that reads a rational from text, as the argv around the text q.
+# Options and the spec and data fields hold one rational; --g, --vector and --expr
+# hold written sums, whose coefficients are rationals.
+RATIONAL_OPTIONS = {
+    "--alpha": lambda q: ["verify-hom", "--map", "ab", "--alpha", q, "--beta", "1"],
+    "--beta": lambda q: ["verify-hom", "--map", "ab", "--alpha", "1", "--beta", q],
+    "--gamma": lambda q: ABGG + ["--gamma", q],
+    "--alphas": lambda q: DET + ["--alphas", q],
+    "spec-field": lambda q: ["rank", "--spec", ("omega.json", {**OMEGA_SPEC, "alpha": q})],
+    "data-field": lambda q: ["classify", "--data", ("data.json", {**ACTION_DATA,
+                                                                  "p": [[[0, 0], q]]})],
+}
+RATIONAL_SUMS = {
+    "--g": lambda q: ABGG + ["--g", f"{q} t"],
+    "--vector": lambda q: ["act", "--spec", ("omega.json", OMEGA_SPEC), "--expr", "L[1]",
+                           "--vector", f"{q} s"],
+    "--expr": lambda q: ["act", "--spec", ("omega.json", OMEGA_SPEC), "--expr", f"{q} L[1]",
+                         "--vector", "s"],
+}
+# Forms that Fraction reads and the one text form "p" or "p/q" does not.
+NOT_RATIONALS = ["0.5", "1e3", "1_000", "1/0", "1e9999999"]
+# In a written sum a leading sign and spaces belong to the sum: "+1 t" is t.
+NOT_RATIONALS_ALONE = ["+1", " 1/2"]
+
+
+def _run_text_entry_point(build, q, write_json):
+    argv = [write_json(*a) if isinstance(a, tuple) else a for a in build(q)]
+    start = time.perf_counter()
+    code = _exit_code(argv)
+    return code, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("entry, q", [
+    *((entry, q) for entry in RATIONAL_OPTIONS for q in NOT_RATIONALS + NOT_RATIONALS_ALONE),
+    *((entry, q) for entry in RATIONAL_SUMS for q in NOT_RATIONALS),
+])
+def test_rational_text_outside_the_spec_form_exits_2(entry, q, write_json, capsys):
+    build = RATIONAL_OPTIONS.get(entry) or RATIONAL_SUMS[entry]
+    code, seconds = _run_text_entry_point(build, q, write_json)
+    err = capsys.readouterr().err
+    assert code == 2 and seconds < 1, (code, seconds)
+    assert err.startswith("spec error:") and err.count("\n") == 1, err
+    assert f'{q!r} is not a rational "p" or "p/q"' in err, err
+
+
+@pytest.mark.parametrize("q", ["-2/3", "0", "-0", "3/1"])
+@pytest.mark.parametrize("entry", list(RATIONAL_OPTIONS) + list(RATIONAL_SUMS))
+def test_rational_text_in_the_spec_form_is_read(entry, q, write_json, capsys):
+    build = RATIONAL_OPTIONS.get(entry) or RATIONAL_SUMS[entry]
+    code, _ = _run_text_entry_point(build, q, write_json)
+    err = capsys.readouterr().err
+    if entry in ("--beta", "--alphas") and q in ("0", "-0"):
+        # Read as the rational zero, which these options refuse as a value.
+        assert code == 2 and "must be nonzero" in err, err
+    else:
+        assert code == 0, err
+
+
+def test_a_sign_or_space_before_a_coefficient_is_part_of_a_written_sum(write_json, tmp_path):
+    spec, out = write_json("omega.json", OMEGA_SPEC), str(tmp_path / "r.json")
+    for text, want in (("+1 s", "s"), (" 1/2 s", "1/2 s"), ("-0 s +1", "1")):
+        assert main(["act", "--spec", spec, "--expr", "1", "--vector", text, "--out", out]) == 0
+        assert _check_report(out)["checks"][0]["detail"]["vector"]["text"] == want
+
+
+def test_data_exponents_at_the_bound_are_read(write_json, tmp_path):
+    assert MAX_DATA_POWER == MAX_G_POWER + 1
+    out = str(tmp_path / "r.json")
+    data = write_json("d.json", _data_with_a0_power(MAX_DATA_POWER))
+    assert main(["classify", "--data", data, "--out", out]) == 0
+    detail = _check_report(out)["checks"][0]["detail"]
+    assert len(detail["g"]) == MAX_G_POWER + 1 and detail["g"][-1] == "1"

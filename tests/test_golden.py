@@ -32,3 +32,25 @@ def test_golden_cases_in_one_process_in_either_order(order):
     whichever ran before it in the same process."""
     for name in order:
         _check_case(CASES_DIR / name)
+
+
+def test_a_sign_flip_in_the_reversed_pair_branch_fails_verify_brackets(monkeypatch):
+    """``lie._structure_constants`` negates a pair that ``BRACKET_TABLE`` lists in the
+    other order; without that negation verify-brackets fails, and so does its case."""
+    from wittdiamond import lie
+
+    table, read = lie.BRACKET_TABLE, lie._structure_constants.__wrapped__
+
+    def unnegated(x, y):
+        out = read(x, y)
+        if (x.family, y.family) not in table and (y.family, x.family) in table:
+            return -out
+        return out
+
+    monkeypatch.setattr(lie, "_structure_constants", unnegated)
+    case = CASES_DIR / "verify-brackets"
+    got = run_case(case)
+    assert got["exit_code.txt"] == b"1\n"
+    assert got["report.json"] != (case / "report.json").read_bytes()
+    with pytest.raises(AssertionError):
+        _check_case(case)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import planted_bracket
+from conftest import FORMER_WORD_SPLIT, former_terms, planted_bracket
 
 from wittdiamond import lie
 from wittdiamond.exceptions import InvalidGenerator
@@ -19,6 +19,7 @@ from wittdiamond.lie import (
     jacobi_residual,
     parse_generator,
     parse_uenv,
+    parse_words,
     pbw_normalize,
     uenv_mul,
 )
@@ -101,6 +102,43 @@ def test_jacobi_residual_follows_a_patched_table(monkeypatch):
     # l = -1, m = 1, n = 1: l m n (m - l) = -2.
     assert jacobi_residual(gen("L", -1), gen("L", 1), gen("a", 1)) == LElement({gen("a", 1): F(-2)})
     assert nonzero
+
+
+def _reference_structure_constants(x, y):
+    """The structure constants as one branch per ordered pair of families, as the
+    table was written before ``lie.BRACKET_TABLE``."""
+    fx, m = x.family, x.index
+    fy, n = y.family, y.index
+    if fx == "L" and fy == "L":
+        return LElement({gen("L", m + n): n - m})
+    if fx == "L":
+        return LElement({gen(fy, m + n): n})
+    if fy == "L":
+        return -_reference_structure_constants(y, x)
+    if fx == "a" and fy == "b":
+        return LElement({gen("c", m + n): 1})
+    if fx == "b" and fy == "a":
+        return LElement({gen("c", m + n): -1})
+    if fx == "d" and fy == "a":
+        return LElement({gen("a", m + n): 1})
+    if fx == "a" and fy == "d":
+        return LElement({gen("a", m + n): -1})
+    if fx == "d" and fy == "b":
+        return LElement({gen("b", m + n): -1})
+    if fx == "b" and fy == "d":
+        return LElement({gen("b", m + n): 1})
+    return LElement()
+
+
+def test_bracket_table_matches_the_reference_branches_on_every_family_pair():
+    gens = generators_in_window(5)
+    for x, y in itertools.product(gens, repeat=2):
+        want = _reference_structure_constants(x, y)
+        assert bracket(x, y).terms == want.terms, (x, y)
+    # Each relation is listed once, in one order, and names known families.
+    pairs = set(lie.BRACKET_TABLE)
+    assert not {(fy, fx) for fx, fy in pairs if fx != fy} & pairs
+    assert all({fx, fy, z} <= set(lie.FAMILIES) for (fx, fy), (z, _) in lie.BRACKET_TABLE.items())
 
 
 def test_structure_constants_are_ints():
@@ -196,3 +234,28 @@ def test_parse_uenv_negative_indices_are_not_term_signs():
         - UEnvElement.from_word([gen("L", 2)])
         + UEnvElement.from_word([gen("c", -1)])
     )
+
+
+def _seeded_word_sum(rng):
+    """A sum of words with negative indices and rational coefficients, signs and
+    spacing varied, as "1/2 d[-1] L[2] - 3 c[0] + 2"."""
+    pieces = []
+    for i in range(rng.randint(1, 4)):
+        letters = [f"{rng.choice(lie.FAMILIES)}[{rng.randint(-12, 12)}]"
+                   for _ in range(rng.randint(0, 3))]
+        coef = rng.choice(["", "2", "-3", "1/2", "-7/3", "0"])
+        words = ([coef] if coef else []) + letters
+        if not words:
+            words = ["1"]
+        sign = rng.choice(["+", "-"]) if i else rng.choice(["", "-", "+"])
+        pieces.append(sign + rng.choice(["", " "]) + rng.choice([" ", "*"]).join(words))
+    return rng.choice([" ", ""]).join(pieces)
+
+
+def test_parse_words_matches_the_former_splitter_on_seeded_sums():
+    rng = random.Random(39)
+    for _ in range(300):
+        text = _seeded_word_sum(rng)
+        want = [(coef, tuple(parse_generator(w) for w in words))
+                for coef, words in former_terms(text, FORMER_WORD_SPLIT)]
+        assert parse_words(text) == want, text

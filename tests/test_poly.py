@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import FORMER_POLY_SPLIT, former_terms
 from hypothesis import given, settings, strategies as st
 
 from wittdiamond.axioms import random_vector
@@ -158,6 +159,35 @@ def test_parse_and_format_round_trip():
     for text in ["2 x0^2 x1^-1 - 1/3 x1 + 4", "x0", "-x1^-2", "0"]:
         p = parse_poly(LRING, text)
         assert parse_poly(LRING, str(p)) == p
+
+
+def _seeded_poly_text(rng):
+    """A sum of monomials of MIXED with negative exponents and rational
+    coefficients, signs and spacing varied, as "2 x0^2 h^3 - 1/3 x0^-1 + 4"."""
+    pieces = []
+    for i in range(rng.randint(1, 5)):
+        factors = [f"{name}^{rng.randint(-4 if name == 'x0' else 0, 4)}"
+                   if rng.random() < 0.7 else name
+                   for name in rng.sample(["x0", "h"], rng.randint(0, 2))]
+        coef = rng.choice(["", "3", "-2", "1/3", "-5/4", "0"])
+        words = ([coef] if coef else []) + factors or ["1"]
+        sign = rng.choice(["+", "-"]) if i else rng.choice(["", "-"])
+        pieces.append(sign + rng.choice(["", " "]) + rng.choice([" ", "*"]).join(words))
+    return rng.choice([" ", ""]).join(pieces)
+
+
+def test_parse_poly_matches_the_former_splitter_on_seeded_texts():
+    rng = random.Random(39)
+    for _ in range(300):
+        text = _seeded_poly_text(rng)
+        want = MIXED.zero()
+        for coef, words in former_terms(text, FORMER_POLY_SPLIT):
+            powers = {}
+            for word in words:
+                name, _, e = word.partition("^")
+                powers[name] = powers.get(name, 0) + int(e or 1)
+            want = want + MIXED.monomial(powers, coef)
+        assert parse_poly(MIXED, text) == want, text
 
 
 def test_monomials_within_counts():
