@@ -13,11 +13,8 @@ from .exceptions import (
     InvalidSpec,
     NotAModule,
     NotApplicable,
-    RequiresSimple,
-    UnsupportedOperation,
     UnsupportedVariable,
     VariableMismatch,
-    ZeroVector,
 )
 from .scalars import scalar
 
@@ -29,11 +26,8 @@ __all__ = [
     "InvalidSpec",
     "NotAModule",
     "NotApplicable",
-    "RequiresSimple",
-    "UnsupportedOperation",
     "UnsupportedVariable",
     "VariableMismatch",
-    "ZeroVector",
     "scalar",
 ]
 

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Every subcommand runs a named list of checks, prints one PASS/FAIL line
-per check, optionally writes a JSON report, and exits 0 only if all
-checks passed (1 on mathematical failure, 2 on usage or spec errors).
+Every subcommand runs a named list of checks and prints one PASS/FAIL line
+per check.  ``main`` owns the run's report: it hands each subcommand an
+empty ``Report``, writes the ``--out`` file and returns the exit code, 0
+only if all checks passed (1 on mathematical failure, 2 on usage or spec
+errors, or on input outside a result's hypotheses).
 The commands take inputs only: every bound on the sampled or truncated
 evidence is fixed, so each report reproduces byte for byte.
 """
@@ -15,11 +17,10 @@ import itertools
 import json
 import re
 import sys
-from fractions import Fraction
 from math import perm, prod
 
 from .axioms import simplicity_samples
-from .exceptions import AlgebraError, InvalidSpec, NotAModule, RequiresSimple
+from .exceptions import AlgebraError, InvalidSpec, NotAModule, NotApplicable
 from .fock import (
     FModule,
     MFactor,
@@ -133,16 +134,15 @@ def _load_spec(path: str) -> dict:
             raise InvalidSpec(f"{path}: a number with more digits than Python converts") from None
 
 
-def _rational(text: str, option: str) -> Fraction:
-    try:
-        return scalar(text)
-    except ValueError as exc:
-        raise InvalidSpec(f"{option}: {exc}") from None
+def _module(path: str):
+    """The module of a spec file (``--spec``, ``--left``, ``--right``)."""
+    return module_from_spec(_load_spec(path))
 
 
-def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
+def _option(option: str, parse, *args):
+    """``parse(*args)``, with its ValueError or AlgebraError made a spec error of ``option``."""
     try:
-        return parse_poly(ring, text)
+        return parse(*args)
     except (ValueError, AlgebraError) as exc:
         raise InvalidSpec(f"{option}: {exc}") from None
 
@@ -155,7 +155,7 @@ def _parse_poly_option(ring: PolyRing, text: str, option: str) -> SparsePoly:
 MAX_INPUT_POWER = 1000
 
 def _parse_vector(ring: PolyRing, text: str) -> SparsePoly:
-    v = _parse_poly_option(ring, text, "--vector")
+    v = _option("--vector", parse_poly, ring, text)
     for exps in v.terms:
         for name, e in zip(ring.names, exps):
             if abs(e) > MAX_INPUT_POWER:
@@ -196,7 +196,7 @@ def _bounded_action(module, words, v: SparsePoly) -> SparsePoly:
 
 
 def _parse_g_poly(text: str) -> tuple:
-    p = _parse_poly_option(PolyRing(("t",), (False,)), text, "--g")
+    p = _option("--g", parse_poly, PolyRing(("t",), (False,)), text)
     deg = p.var_degree("t")
     if deg is None:
         return ()
@@ -213,7 +213,7 @@ def _parse_g_poly(text: str) -> tuple:
 BRACKET_WINDOW = 1
 
 
-def cmd_verify_brackets(args) -> int:
+def cmd_verify_brackets(args, rep: Report) -> None:
     """Antisymmetry and the Jacobi identity, for every index in Z.
 
     The bracket table has no index-specific case: ``[x_l, y_m]`` is
@@ -226,7 +226,6 @@ def cmd_verify_brackets(args) -> int:
     (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1), so the three
     indices {-1, 0, 1} settle both identities on Z.
     """
-    rep = Report("verify-brackets")
     gens = generators_in_window(BRACKET_WINDOW)
     grid = {"complete": True, "indices": list(range(-BRACKET_WINDOW, BRACKET_WINDOW + 1))}
     anti = [
@@ -248,7 +247,6 @@ def cmd_verify_brackets(args) -> int:
         not jac,
         {**grid, "max_index_degree": 2, "triples": len(gens) ** 3, "violations": jac[:10]},
     )
-    return rep.finish(args.out)
 
 
 def _build_phi(args):
@@ -257,19 +255,18 @@ def _build_phi(args):
             if value is not None:
                 raise InvalidSpec(f"{option} is a parameter of the abgg map; the ab map has none")
         cls = CorruptedPhiAB if args.corrupted else PhiAB
-        return cls(_rational(args.alpha, "--alpha"), _rational(args.beta, "--beta"))
+        return cls(_option("--alpha", scalar, args.alpha), _option("--beta", scalar, args.beta))
     if args.corrupted:
         raise InvalidSpec("the negative control exists for the ab map only")
     return PhiABGG(
-        _rational(args.alpha, "--alpha"),
-        _rational(args.beta, "--beta"),
-        _rational(args.gamma if args.gamma is not None else "0", "--gamma"),
+        _option("--alpha", scalar, args.alpha),
+        _option("--beta", scalar, args.beta),
+        _option("--gamma", scalar, args.gamma if args.gamma is not None else "0"),
         _parse_g_poly(args.g if args.g is not None else "0"),
     )
 
 
-def cmd_verify_hom(args) -> int:
-    rep = Report("verify-hom")
+def cmd_verify_hom(args, rep: Report) -> None:
     phi = _build_phi(args)
     hom = verify_hom(phi)
     rep.add(
@@ -293,17 +290,12 @@ def cmd_verify_hom(args) -> int:
             not failures,
             {"count": len(wit), "names": [w.name for w in wit], "failures": failures},
         )
-    return rep.finish(args.out)
 
 
-def cmd_act(args) -> int:
-    rep = Report("act")
-    module = module_from_spec(_load_spec(args.spec))
+def cmd_act(args, rep: Report) -> None:
+    module = _module(args.spec)
     expr_text = Q_EXPRESSION if args.expr.strip() == "Q" else args.expr
-    try:
-        words = parse_words(expr_text)
-    except (ValueError, AlgebraError) as exc:
-        raise InvalidSpec(f"--expr: {exc}") from None
+    words = _option("--expr", parse_words, expr_text)
     for g in (g for _, letters in words for g in letters):
         if abs(g.index) > MAX_INPUT_POWER:
             raise InvalidSpec(f"--expr: the index of {g} is above the bound "
@@ -319,18 +311,17 @@ def cmd_act(args) -> int:
             "result": vector_report(result),
         },
     )
-    return rep.finish(args.out)
 
 
-def _closure_check(rep: Report, module, start: SparsePoly, expected: str, **note) -> None:
-    """Add the ``closure-oracle`` check: the truncated closure of start ends as expected.
+def _closure_check(rep: Report, module, **note) -> None:
+    """Add the ``closure-oracle`` check: the truncated closure of 1 fills the truncation.
 
     A ``note`` keyword, if given, leads the detail.
     """
-    closure = truncated_closure(module, start, TruncationPolicy())
-    rep.add("closure-oracle", closure.verdict == expected, {
+    closure = truncated_closure(module, module.one(), TruncationPolicy())
+    rep.add("closure-oracle", closure.verdict == ClosureReport.FILLS, {
         **note,
-        "expected": expected,
+        "expected": ClosureReport.FILLS,
         "verdict": closure.verdict,
         "reached": closure.reached_dim,
         "ambient": closure.ambient_dim,
@@ -353,9 +344,8 @@ def _invariance_detail(inv: InvarianceReport, in_w: str, not_in_w: str, **lead) 
     }
 
 
-def cmd_simplicity(args) -> int:
-    rep = Report("simplicity")
-    module = module_from_spec(_load_spec(args.spec))
+def cmd_simplicity(args, rep: Report) -> None:
+    module = _module(args.spec)
 
     if isinstance(module, FModule):
         one_dim = isinstance(module.v_space, OneDim)
@@ -374,8 +364,7 @@ def cmd_simplicity(args) -> int:
                         _invariance_detail(inv, f"x1^{n}", f"x1^{n + 1}"))
         else:
             kind = "Whittaker V" if isinstance(module.v_space, Whittaker) else "shift-type x1"
-            _closure_check(rep, module, module.one(), ClosureReport.FILLS,
-                           note=f"{kind}: simple for every parameter choice; "
+            _closure_check(rep, module, note=f"{kind}: simple for every parameter choice; "
                            "closure gives desk-scale evidence")
     elif isinstance(module, OmegaModule):
         vectors = simplicity_samples(module.ring, max_total_degree=3)
@@ -386,7 +375,7 @@ def cmd_simplicity(args) -> int:
             replays == len(vectors),
             {"replayed": replays, "samples": len(vectors)},
         )
-        _closure_check(rep, module, module.one(), ClosureReport.FILLS)
+        _closure_check(rep, module)
     else:
         decision = simplicity_decision(module)
         if decision.simple:
@@ -405,7 +394,6 @@ def cmd_simplicity(args) -> int:
             rep.add("simplicity", inv.ok, _invariance_detail(
                 inv, "1", f"s{decision.witness_pair[0]}", simple=False,
                 witness_pair=decision.witness_pair, note=decision.note))
-    return rep.finish(args.out)
 
 
 # Blocks of at most this many rows are also expanded by cofactors (``naive_det``).
@@ -420,10 +408,9 @@ MAX_DET_ROWS = 24
 MAX_DET_SPECS = 10_000
 
 
-def cmd_det_lemma(args) -> int:
+def cmd_det_lemma(args, rep: Report) -> None:
     """The closed form of ``det_r`` at r = 0, which settles every r >= 0 (see ``det_r``)."""
-    rep = Report("det-lemma")
-    alphas = tuple(_rational(a, "--alphas") for a in args.alphas.split(","))
+    alphas = tuple(_option("--alphas", scalar, a) for a in args.alphas.split(","))
     if args.max_m > len(alphas):
         raise InvalidSpec(f"--max-m {args.max_m} exceeds the {len(alphas)} values of --alphas")
     rows = args.max_m * args.max_s
@@ -462,17 +449,13 @@ def cmd_det_lemma(args) -> int:
         {"checked": naive_checked, "limit": NAIVE_LIMIT,
          "mismatches": naive_mismatches[:5]},
     )
-    return rep.finish(args.out)
 
 
-def cmd_rank(args) -> int:
-    rep = Report("rank")
-    module = module_from_spec(_load_spec(args.spec))
+def cmd_rank(args, rep: Report) -> None:
+    module = _module(args.spec)
     if isinstance(module, OmegaModule):
         if args.vector is not None:
             raise InvalidSpec("--vector applies to rank on a T spec, not an Omega spec")
-        if not module.params.g:
-            raise InvalidSpec("rank on an Omega spec needs a nonzero g")
         result = uh_rank(module)
         rep.add(
             "uh-rank",
@@ -494,10 +477,8 @@ def cmd_rank(args) -> int:
         v = module.one()
         if args.vector:
             v = _parse_vector(module.ring, args.vector)
-        if v.is_zero:
-            raise InvalidSpec("--vector: the zero vector has no orbit rank")
         value = r_g(module, v)
-        in_bottom = all(not any(e[: module.m]) for e in v.terms)
+        in_bottom = not any(module.s_profile(v))
         expected_equality = value == module.m + 1
         rep.add(
             "r-g",
@@ -513,18 +494,16 @@ def cmd_rank(args) -> int:
         )
     else:
         raise InvalidSpec("rank applies to Omega and T specs")
-    return rep.finish(args.out)
 
 
-def cmd_classify(args) -> int:
-    rep = Report("classify")
+def cmd_classify(args, rep: Report) -> None:
     data = rank1_data_from_json(_load_spec(args.data))
     try:
         result = classify_rank1(data)
     except NotAModule as exc:
         rep.add("classify", False, {"rejected": True, "relation": exc.relation,
                                     "detail": exc.detail})
-        return rep.finish(args.out)
+        return
     grid = {
         "complete": True,
         "commutators_checked": sum((d_m + 1) * (d_n + 1) for *_, d_m, d_n in rank1_grid(data)),
@@ -545,26 +524,20 @@ def cmd_classify(args) -> int:
                 "g": [str(c) for c in result.g],
             },
         )
-    return rep.finish(args.out)
 
 
 def _iso_module(path: str) -> RankOneProduct:
     """The module of an Omega or T spec; an Omega module is its own one-factor product."""
-    module = module_from_spec(_load_spec(path))
+    module = _module(path)
     if not isinstance(module, RankOneProduct):
         raise InvalidSpec("isomorphism classification applies to Omega and T specs")
     return module
 
 
-def cmd_iso(args) -> int:
-    rep = Report("iso")
+def cmd_iso(args, rep: Report) -> None:
     left = _iso_module(args.left)
     right = _iso_module(args.right)
-    try:
-        result = iso_check(left, right)
-    except RequiresSimple as exc:
-        # As for rank: a repeated lambda is outside the command's domain, not a failed check.
-        raise InvalidSpec(f"iso needs pairwise distinct lambdas: {exc}") from None
+    result = iso_check(left, right)
 
     def form(module):
         return [
@@ -589,25 +562,20 @@ def cmd_iso(args) -> int:
             "canonical_right": form(right),
         },
     )
-    return rep.finish(args.out)
 
 
 # -- argument parsing ---------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer >= low, so that no sweep can be empty."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    return parse
+def _positive_int(text: str) -> int:
+    """argparse type for an integer >= 1, so that no sweep can be empty."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @functools.cache
@@ -627,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-brackets", help="antisymmetry and Jacobi sweep")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_brackets)
 
     p = sub.add_parser("verify-hom", help="bracket compatibility of a generator table")
@@ -638,45 +605,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", help="polynomial in t, e.g. 't^2 + 1'")
     p.add_argument("--corrupted", action="store_true",
                    help="negative control: drop the index-linear term of d[n]")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify_hom)
 
     p = sub.add_parser("act", help="apply an enveloping-algebra expression to a vector")
     p.add_argument("--spec", required=True)
     p.add_argument("--expr", required=True, help="e.g. 'Q' or 'b[0] a[0] - 2 c[1]'")
     p.add_argument("--vector", required=True, help="e.g. 'x0^2 x1^-1' or 's t^2'")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("simplicity", help="simplicity verdict and the evidence behind it")
     p.add_argument("--spec", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_simplicity)
 
     p = sub.add_parser("det-lemma", help="generalized Vandermonde determinant sweep")
-    p.add_argument("--max-m", type=_int_at_least(1), default=3)
-    p.add_argument("--max-s", type=_int_at_least(1), default=3)
+    p.add_argument("--max-m", type=_positive_int, default=3)
+    p.add_argument("--max-s", type=_positive_int, default=3)
     p.add_argument("--alphas", default="1,2,3,5,7,-2")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_det_lemma)
 
     p = sub.add_parser("rank", help="free rank over the Cartan pair, or orbit rank")
     p.add_argument("--spec", required=True)
     p.add_argument("--vector", help="start vector of the orbit rank (T specs only)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("classify", help="identify rank-one action data")
     p.add_argument("--data", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("iso", help="canonical forms and isomorphism verdict")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_iso)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -699,8 +661,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
-    except InvalidSpec as exc:
+        rep = Report(args.command)
+        args.func(args, rep)
+        return rep.finish(args.out)
+    except (InvalidSpec, NotApplicable) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as exc:

@@ -21,14 +21,6 @@ class InvalidGenerator(AlgebraError):
     """Generator family outside {L, a, b, c, d}."""
 
 
-class ZeroVector(AlgebraError):
-    """The zero vector was passed where a nonzero one is required."""
-
-
-class UnsupportedOperation(AlgebraError):
-    """Input outside the supported parameter range (e.g. g = 0)."""
-
-
 class NotAModule(AlgebraError):
     """Candidate rank-one action data violates a bracket relation."""
 
@@ -45,10 +37,6 @@ class CertificateError(AlgebraError):
     """A certificate step or replay did not reproduce the vector it claims."""
 
 
-class RequiresSimple(AlgebraError):
-    """Operation defined only for simple modules."""
-
-
 class InvalidSpec(AlgebraError):
     """Malformed parameter record or JSON module spec."""
 
@@ -58,4 +46,4 @@ class InvalidSpec(AlgebraError):
 
 
 class NotApplicable(AlgebraError):
-    """Hypotheses of the requested extraction fail (e.g. repeated lambda)."""
+    """A result's hypotheses fail (e.g. a repeated lambda, g = 0, the zero vector)."""

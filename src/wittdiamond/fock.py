@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import homomorphisms
-from .exceptions import InvalidSpec, UnsupportedOperation
+from .exceptions import InvalidSpec, NotApplicable
 from .lie import Generator, gen
 from .omega import InvarianceReport, invariance_check
 from .operators import pullback_rules, scalar_factor, shift_factor, weight_factor, whittaker_factor
@@ -138,9 +138,9 @@ def q_action(module: FModule, v: SparsePoly) -> SparsePoly:
 def _require_epsilon_branch(module: FModule) -> None:
     """The one-dimensional V and the M-type x1 that the epsilon-criterion needs."""
     if not isinstance(module.v_space, OneDim):
-        raise UnsupportedOperation("criterion applies to the one-dimensional V only")
+        raise NotApplicable("criterion applies to the one-dimensional V only")
     if not isinstance(module.factors[1], MFactor):
-        raise UnsupportedOperation("criterion needs an M-type factor on x1")
+        raise NotApplicable("criterion needs an M-type factor on x1")
 
 
 class EpsilonSimplicity(Record):

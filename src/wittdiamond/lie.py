@@ -48,7 +48,7 @@ def gen(family: str, index: int) -> Generator:
     return Generator(family, int(index))
 
 
-_GEN_RE = re.compile(r"^([Labcd])\[(-?\d+)\]$")
+_GEN_RE = re.compile(r"^([Labcd])\[(-?[0-9]+)\]$")
 
 
 def parse_generator(text: str) -> Generator:

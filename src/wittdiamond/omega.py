@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import homomorphisms
 from .certificates import CertStep, Certificate, require
-from .exceptions import InvalidSpec, NotAModule, NotApplicable, UnsupportedOperation, ZeroVector
+from .exceptions import InvalidSpec, NotAModule, NotApplicable
 from .lie import FAMILIES, Generator, bracket, gen
 from .linalg import combination
 from .operators import pullback_rules, shift_factor, weight_factor
@@ -367,7 +367,7 @@ def _reduction_chain(module: RankOneProduct, g: SparsePoly):
     if not module.distinct_lambdas():
         raise NotApplicable("requires pairwise distinct lambdas")
     if g.is_zero:
-        raise ZeroVector("cannot reduce the zero vector")
+        raise NotApplicable("cannot reduce the zero vector")
     m = module.m
     steps: list[CertStep] = []
     checks: list[tuple[SparsePoly, str]] = []
@@ -478,7 +478,7 @@ def uh_rank(module: OmegaModule) -> UhRankReport:
     finitely generated over C[L0, d0], so the module is rejected up front.
     """
     if not module.params.g:
-        raise UnsupportedOperation("free-rank computation needs g != 0")
+        raise NotApplicable("rank on an Omega spec needs a nonzero g")
     one, t = module.one(), module.ring.var("t")
     operators = {name: operator_form(module, gen(name[0], 0)) for name in ("L[0]", "d[0]")}
     # The image of t is rebuilt as t A + B, one product and sum spent on the shared reader.

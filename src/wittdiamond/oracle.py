@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exceptions import ZeroVector
+from .exceptions import NotApplicable
 from .lie import Generator, UEnvElement, bracket, generators_in_window
 from .linalg import SpanBasis
 from .poly import SparsePoly, monomials_within
@@ -70,7 +70,7 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
     overflow count is zero, which the report exposes separately.
     """
     if start.is_zero:
-        raise ZeroVector("closure of the zero vector")
+        raise NotApplicable("closure of the zero vector")
     if any(sum(abs(e) for e in exps) > policy.max_total_degree for exps in start.terms):
         raise ValueError("start vector lies outside the truncation")
     ambient = sum(1 for _ in monomials_within(module.ring, policy.max_total_degree))

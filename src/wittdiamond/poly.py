@@ -287,7 +287,7 @@ class SparsePoly(LinComb):
         return f"SparsePoly({str(self)!r})"
 
 
-_FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?")
+_FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?[0-9]+))?")
 
 
 def parse_poly(ring: PolyRing, text: str) -> SparsePoly:

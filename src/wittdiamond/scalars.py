@@ -60,7 +60,8 @@ def signed_terms(text: str, atom: re.Pattern) -> list[tuple[Fraction, list[re.Ma
     A term is split into words at spaces and "*".  A word that ``atom``
     matches in full is an atom, kept as its match, in order; every other word
     is a ``RATIONAL`` factor of the coefficient, with the term's leading
-    signs.  "" and "0" have no terms.
+    sign.  "" and "0" have no terms; a sign followed by nothing, or by
+    another sign (as in "s - -3 t"), is a ValueError.
     """
     text = text.strip()
     if not text or text == "0":
@@ -70,11 +71,11 @@ def signed_terms(text: str, atom: re.Pattern) -> list[tuple[Fraction, list[re.Ma
         raw = raw.strip()
         if not raw:
             continue
-        coef = ONE
-        while raw and raw[0] in "+-":
-            if raw[0] == "-":
-                coef = -coef
-            raw = raw[1:].strip()
+        coef = -ONE if raw[0] == "-" else ONE
+        if raw[0] in "+-":
+            raw = raw[1:].lstrip()
+            if not raw:
+                raise ValueError(f"a sign with no term after it in {text!r}")
         atoms = []
         for word in raw.split():
             m = atom.fullmatch(word)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .axioms import simplicity_samples
 from .certificates import CertStep, Certificate, require
-from .exceptions import InvalidSpec, NotApplicable, RequiresSimple, ZeroVector
+from .exceptions import InvalidSpec, NotApplicable
 from .lie import Generator
 from .linalg import SpanBasis, exact_det
 # Not called here; perfbench/selftest.py checks that its tracer rebinds this binding.
@@ -178,7 +178,7 @@ def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[Spa
     if family not in ("L", "a"):
         raise ValueError("the span is defined for the L and a families")
     if g.is_zero:
-        raise ZeroVector("span of the zero vector")
+        raise NotApplicable("span of the zero vector")
     basis = _orbit_span(module, g, (family,))
     vectors = [SparsePoly(module.ring, dict(v)) for v in basis.vectors()]
     return vectors, basis.dim
@@ -197,7 +197,7 @@ def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
     if not module.distinct_lambdas():
         raise NotApplicable("requires pairwise distinct lambdas")
     if g.is_zero:
-        raise ZeroVector("extraction from the zero vector")
+        raise NotApplicable("extraction from the zero vector")
     if not 1 <= k <= module.m:
         raise ValueError("factor index out of range")
     step, target = _extraction(module, g, which, k)
@@ -240,7 +240,7 @@ def tensor_generate(module: RankOneProduct, exponents: Sequence[int]) -> Certifi
 def r_g(module: TensorModule, g: SparsePoly) -> int:
     """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g, from ``_orbit_span``."""
     if g.is_zero:
-        raise ZeroVector("rank of the zero vector")
+        raise NotApplicable("the zero vector has no orbit rank")
     return _orbit_span(module, g, ("a", "c")).dim
 
 
@@ -369,7 +369,7 @@ def iso_check(left: RankOneProduct, right: RankOneProduct) -> IsoResult:
     (1-based).  Requires both modules simple, i.e. distinct lambdas.
     """
     if not left.distinct_lambdas() or not right.distinct_lambdas():
-        raise RequiresSimple("isomorphism classification needs simple modules")
+        raise NotApplicable("iso needs pairwise distinct lambdas, so that both modules are simple")
     if left.m != right.m:
         return IsoResult(isomorphic=False, invariant="factor count")
     lam_left = {f.lam: f for f in left.factors}

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, reports, schema validation."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,13 +11,16 @@ import jsonschema
 import pytest
 from conftest import RANK_DEFECTS, load_schema, planted_bracket, planted_rank_defect
 
+from wittdiamond import fock, omega, oracle, tensor
 from wittdiamond.cli import (MAX_ACT_WORK, MAX_DET_ROWS, MAX_DET_SPECS, MAX_INPUT_POWER,
                              build_parser, main)
+from wittdiamond.exceptions import CertificateError, InvalidSpec, NotApplicable
 from wittdiamond.fock import FModule
 from wittdiamond.homomorphisms import PhiABGG
-from wittdiamond.lie import gen
+from wittdiamond.lie import gen, parse_words
 from wittdiamond.operators import OperatorElement, TensorElement
 from wittdiamond.omega import OmegaModule
+from wittdiamond.poly import PolyRing, parse_poly
 from wittdiamond.specs import (MAX_DATA_POWER, MAX_G_POWER, module_from_spec, poly_from_json,
                                vector_report)
 
@@ -940,3 +944,184 @@ def test_data_exponents_at_the_bound_are_read(write_json, tmp_path):
     assert main(["classify", "--data", data, "--out", out]) == 0
     detail = _check_report(out)["checks"][0]["detail"]
     assert len(detail["g"]) == MAX_G_POWER + 1 and detail["g"][-1] == "1"
+
+
+# The written sums as whole texts w: --g, --vector and --expr.
+WRITTEN_SUMS = {
+    "--g": lambda w: ABGG + ["--g", w],
+    "--vector": lambda w: ["act", "--spec", ("omega.json", OMEGA_SPEC), "--expr", "L[1]",
+                           "--vector", w],
+    "--expr": lambda w: ["act", "--spec", ("omega.json", OMEGA_SPEC), "--expr", w,
+                         "--vector", "s"],
+}
+# A sign with nothing after it: at the end, before another sign, and at the start.
+EMPTY_TERM_TEXTS = ["s -", "s - -3 t", "+ -2 x0", "L[1] -"]
+# The same three places in each option's own letters, so nothing else is wrong.
+EMPTY_TERMS = {
+    "--g": ["t -", "t - -3 t^2", "+ -2 t"],
+    "--vector": ["s -", "s - -3 t", "+ -2 s"],
+    "--expr": ["L[1] -", "L[1] - -3 a[0]", "+ -2 b[1]"],
+}
+EMPTY_TERM = "a sign with no term after it"
+
+
+def test_a_sign_with_no_term_after_it_is_refused_by_both_parsers():
+    ring = PolyRing(("s", "t", "x0"), (False, False, True))
+    for text in EMPTY_TERM_TEXTS:
+        with pytest.raises(ValueError):
+            parse_poly(ring, text)
+        with pytest.raises(ValueError):
+            parse_words(text)
+    for text in EMPTY_TERMS["--vector"] + ["+ -2 x0"]:
+        with pytest.raises(ValueError, match=EMPTY_TERM):
+            parse_poly(ring, text)
+    for text in EMPTY_TERMS["--expr"]:
+        with pytest.raises(ValueError, match=EMPTY_TERM):
+            parse_words(text)
+    # One sign per term, wherever it stands, is read as before.
+    assert parse_poly(ring, "s - 3 t") == parse_poly(ring, "s -3 t") == parse_poly(ring, "s-3*t^1")
+    assert parse_words("- 2 b[1] - a[0]") == parse_words("-2 b[1]-a[0]")
+
+
+@pytest.mark.parametrize("option", list(WRITTEN_SUMS))
+def test_a_sign_with_no_term_after_it_exits_2(option, write_json, capsys):
+    for text in EMPTY_TERM_TEXTS + EMPTY_TERMS[option]:
+        code, _ = _run_text_entry_point(WRITTEN_SUMS[option], text, write_json)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"spec error: {option}: "), (text, err)
+        if text in EMPTY_TERMS[option]:
+            assert EMPTY_TERM in err, (text, err)
+
+
+# Arabic-Indic digits: str.isdigit and the regex class \d take them, int reads them.
+NON_ASCII_DIGITS = {"--g": "t^\u0662", "--vector": "s^\u0662", "--expr": "L[\u0661]"}
+
+
+def test_indices_and_exponents_take_ascii_digits_only():
+    ring = PolyRing(("s", "x0"), (False, True))
+    for text in ("L[\u0661\u0662]", "L[-\u0661]", "2 L[1] a[\u0660]"):
+        with pytest.raises(ValueError):
+            parse_words(text)
+    for text in ("s^\u0663", "x0^-\u0663", "s + x0^\u0661"):
+        with pytest.raises(ValueError):
+            parse_poly(ring, text)
+    assert parse_words("L[12]") == [(1, (gen("L", 12),))]
+    assert parse_poly(ring, "x0^-3") == ring.monomial({"x0": -3})
+
+
+def test_non_ascii_digits_exit_2(write_json, capsys):
+    for option, build in WRITTEN_SUMS.items():
+        code, _ = _run_text_entry_point(build, NON_ASCII_DIGITS[option], write_json)
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"spec error: {option}: "), err
+    argv = ["act", "--spec", write_json("omega.json", OMEGA_SPEC),
+            "--expr", NON_ASCII_DIGITS["--expr"], "--vector", NON_ASCII_DIGITS["--vector"]]
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (NotApplicable, 2, "spec error"),
+    (InvalidSpec, 2, "spec error"),
+    (CertificateError, 1, "error"),
+])
+def test_a_raise_after_a_check_writes_no_report_and_no_summary(error, code, prefix, monkeypatch,
+                                                               tmp_path, capsys):
+    """main owns the report: a command that raises after it adds a check leaves
+    its PASS line, but no report file and no summary line."""
+    from wittdiamond import cli
+
+    def planted(phi, witnesses):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "check_all_witnesses", planted)
+    out = tmp_path / "r.json"
+    assert main(["verify-hom", "--map", "ab", "--alpha", "1/2", "--beta", "3",
+                 "--out", str(out)]) == code
+    assert capsys.readouterr() == ("PASS homomorphism\n", f"{prefix}: planted\n")
+    assert not out.exists()
+
+
+def test_main_alone_builds_the_report_and_writes_it():
+    """No subcommand constructs a Report or calls finish, and --out is declared once."""
+    import ast
+
+    from wittdiamond import cli
+
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    def called(fn):
+        return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+    owners = {fn.name for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and {"Report", "finish"} & called(fn)}
+    assert owners == {"main"}
+    outs = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and node.value == "--out"]
+    assert len(outs) == 1
+
+
+def test_out_is_the_last_option_of_every_subcommand():
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 8
+    for name, parser in sub.choices.items():
+        assert parser._actions[-1].option_strings == ["--out"], name
+        assert sum("--out" in a.option_strings for a in parser._actions) == 1, name
+
+
+def _omega(**fields):
+    return module_from_spec({**OMEGA_SPEC, **fields})
+
+
+# Every library check of a paper hypothesis, by the call that fails it.
+HYPOTHESIS_FAILURES = {
+    "epsilon criterion on a shift-type x1": lambda: fock.epsilon_simplicity(
+        module_from_spec({**F_SPEC, "P": {"kind": "Omega", "lambda": ["2", "3"]}})),
+    "epsilon criterion on a Whittaker V": lambda: fock.epsilon_simplicity(
+        module_from_spec({**F_SPEC, "V": {"kind": "Whittaker"}})),
+    "barrier on a Whittaker V": lambda: fock.barrier_invariance_check(
+        module_from_spec({**F_SPEC, "V": {"kind": "Whittaker"}}), 0),
+    "closure of 0": lambda: oracle.truncated_closure(
+        _omega(), _omega().ring.zero(), oracle.TruncationPolicy()),
+    "reduction of 0": lambda: omega.omega_reduce_to_one(_omega(), _omega().ring.zero()),
+    "reduction with a repeated lambda": lambda: omega.tensor_reduce_to_bottom(
+        module_from_spec(T_EQUAL), module_from_spec(T_EQUAL).one()),
+    "free rank at g = 0": lambda: omega.uh_rank(_omega(g=[])),
+    "span of 0": lambda: tensor.span_NXg(
+        module_from_spec(T_SPEC), "L", module_from_spec(T_SPEC).ring.zero()),
+    "extraction from 0": lambda: tensor.lemma42_extract(
+        module_from_spec(T_SPEC), module_from_spec(T_SPEC).ring.zero(), 1, 9),
+    "extraction with a repeated lambda": lambda: tensor.lemma42_extract(
+        module_from_spec(T_EQUAL), module_from_spec(T_EQUAL).one(), 1, 9),
+    "generation with a repeated lambda": lambda: tensor.tensor_generate(
+        module_from_spec(T_EQUAL), (0, 0, 0, 0)),
+    "orbit rank of 0": lambda: tensor.r_g(
+        module_from_spec(T_SPEC), module_from_spec(T_SPEC).ring.zero()),
+    "iso with a repeated lambda": lambda: tensor.iso_check(
+        module_from_spec(T_EQUAL), module_from_spec(T_SPEC)),
+}
+
+
+@pytest.mark.parametrize("call", list(HYPOTHESIS_FAILURES.values()),
+                         ids=list(HYPOTHESIS_FAILURES))
+def test_each_failed_hypothesis_raises_not_applicable(call):
+    with pytest.raises(NotApplicable):
+        call()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--spec", "omega-g0.json"], "rank on an Omega spec needs a nonzero g"),
+    (["rank", "--spec", "t.json", "--vector", "0"], "the zero vector has no orbit rank"),
+    (["iso", "--left", "t-equal.json", "--right", "t.json"], "iso needs pairwise distinct lambdas"),
+    (["iso", "--left", "t.json", "--right", "t-equal.json"], "iso needs pairwise distinct lambdas"),
+], ids=["omega-g-zero", "t-zero-vector", "iso-equal-left", "iso-equal-right"])
+def test_a_failed_hypothesis_the_cli_reaches_exits_2(argv, message, write_json, monkeypatch,
+                                                     capsys):
+    """The library raises NotApplicable first thing, before any work, and main maps
+    it to exit 2; the command has no check of its own."""
+    for module, name in ((omega, "operator_form"), (tensor, "_orbit_span")):
+        monkeypatch.setattr(module, name, lambda *a: pytest.fail(f"{name} ran"))
+    argv = [write_json(a, BAD_USAGE_SPECS[a]) if a in BAD_USAGE_SPECS else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: {message}") and err.count("\n") == 1, err

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond.axioms import apply_uenv, module_axiom_check, sample_vectors
-from wittdiamond.exceptions import InvalidGenerator, UnsupportedOperation
+from wittdiamond.exceptions import InvalidGenerator, NotApplicable
 from wittdiamond.fock import (
     FModule,
     MFactor,
@@ -230,9 +230,9 @@ def test_epsilon_simplicity_examples():
 
 
 def test_epsilon_simplicity_requires_m_type_and_one_dim():
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(NotApplicable):
         epsilon_simplicity(FModule(F(0), F(1), MFactor(F(0)), OmegaFactor(F(2)), OneDim(F(0))))
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(NotApplicable):
         epsilon_simplicity(FModule(F(0), F(1), MFactor(F(0)), MFactor(F(0)), Whittaker()))
 
 
@@ -280,10 +280,10 @@ def test_barrier_invariance_holds_exactly_at_the_witness(p0, images, a_images, d
 
 
 def test_barrier_invariance_requires_the_epsilon_branch():
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(NotApplicable):
         barrier_invariance_check(
             FModule(F(0), F(1), MFactor(F(0)), OmegaFactor(F(2)), OneDim(F(0))), 0)
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(NotApplicable):
         barrier_invariance_check(FModule(F(0), F(1), MFactor(F(0)), MFactor(F(0)), Whittaker()), 0)
 
 

@@ -238,12 +238,15 @@ def test_parse_uenv_negative_indices_are_not_term_signs():
 
 def _seeded_word_sum(rng):
     """A sum of words with negative indices and rational coefficients, signs and
-    spacing varied, as "1/2 d[-1] L[2] - 3 c[0] + 2"."""
+    spacing varied, as "1/2 d[-1] L[2] - 3 c[0] + 2".
+
+    Each term has one sign, before its coefficient (the first term may have
+    none): a second sign, as in "- -3 c[0]", is refused by ``parse_words``."""
     pieces = []
     for i in range(rng.randint(1, 4)):
         letters = [f"{rng.choice(lie.FAMILIES)}[{rng.randint(-12, 12)}]"
                    for _ in range(rng.randint(0, 3))]
-        coef = rng.choice(["", "2", "-3", "1/2", "-7/3", "0"])
+        coef = rng.choice(["", "2", "3", "1/2", "7/3", "0"])
         words = ([coef] if coef else []) + letters
         if not words:
             words = ["1"]

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from wittdiamond import oracle
-from wittdiamond.exceptions import ZeroVector
+from wittdiamond.exceptions import NotApplicable
 from wittdiamond.fock import FModule, MFactor, OneDim
 from wittdiamond.lie import gen, generators_in_window, pbw_normalize
 from wittdiamond.linalg import SpanBasis, exact_det
@@ -111,7 +111,7 @@ def test_closure_consistent_with_reduction_certificates():
 def test_closure_input_validation():
     M = OmegaModule(OmegaParams(F(1), F(2), F(0), F(3), (F(1),)))
     policy = TruncationPolicy(max_total_degree=2, generator_window=1, max_steps=8)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(NotApplicable):
         truncated_closure(M, M.ring.zero(), policy)
     with pytest.raises(ValueError):
         truncated_closure(M, M.ring.monomial({"s": 5}), policy)

@@ -163,13 +163,16 @@ def test_parse_and_format_round_trip():
 
 def _seeded_poly_text(rng):
     """A sum of monomials of MIXED with negative exponents and rational
-    coefficients, signs and spacing varied, as "2 x0^2 h^3 - 1/3 x0^-1 + 4"."""
+    coefficients, signs and spacing varied, as "2 x0^2 h^3 - 1/3 x0^-1 + 4".
+
+    Each term has one sign, before its coefficient (the first term may have
+    none): a second sign, as in "- -2 x0", is refused by ``parse_poly``."""
     pieces = []
     for i in range(rng.randint(1, 5)):
         factors = [f"{name}^{rng.randint(-4 if name == 'x0' else 0, 4)}"
                    if rng.random() < 0.7 else name
                    for name in rng.sample(["x0", "h"], rng.randint(0, 2))]
-        coef = rng.choice(["", "3", "-2", "1/3", "-5/4", "0"])
+        coef = rng.choice(["", "3", "2", "1/3", "5/4", "0"])
         words = ([coef] if coef else []) + factors or ["1"]
         sign = rng.choice(["+", "-"]) if i else rng.choice(["", "-"])
         pieces.append(sign + rng.choice(["", " "]) + rng.choice([" ", "*"]).join(words))

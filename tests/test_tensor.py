@@ -11,7 +11,7 @@ from conftest import docstring_action
 
 from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
 from wittdiamond.certificates import CertStep
-from wittdiamond.exceptions import InvalidSpec, NotApplicable, RequiresSimple
+from wittdiamond.exceptions import InvalidSpec, NotApplicable
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import FAMILIES, gen, generators_in_window
 from wittdiamond.linalg import SpanBasis, combination
@@ -399,7 +399,7 @@ def test_iso_checks():
 
 def test_iso_requires_simple():
     T = TensorModule([A, OmegaParams(F(1), F(1), F(0), A.lam, (F(1),))])
-    with pytest.raises(RequiresSimple):
+    with pytest.raises(NotApplicable):
         iso_check(T, T)
 
 
