@@ -568,11 +568,10 @@ def cmd_iso(args, rep: Report) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for an integer >= 1, so that no sweep can be empty."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    """argparse type for an integer >= 1 in ASCII digits, so that no sweep can be empty."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer in the digits 0-9: {text!r}")
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

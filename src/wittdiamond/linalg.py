@@ -1,22 +1,24 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in Python ints.
 
 Everything here is deterministic and exact.  One sparse eliminator,
 :class:`SpanBasis`, answers every span question: membership, dimension,
-solutions (``combination``) and relations (``exact_nullspace``).  The two
-queries insert the coordinate rows of the matrix whose columns are the input
-vectors, so the reduced rows are its reduced row echelon form.  Determinants
-are a separate operation: a fraction-free Bareiss elimination over Python
-ints.  Its entries may be ints or Fractions; each row is cleared to ints by
-reading the entries' numerators and denominators, with no per-entry coercion.
+solutions (``combination``) and relations (``exact_nullspace``).  Its rows
+are integer numerators over a positive denominator, so elimination builds no
+Fraction; one is made only for a value returned.  The two queries insert the
+coordinate rows of the matrix whose columns are the input vectors, so the
+reduced rows are its reduced row echelon form.  Determinants are a separate
+operation: a fraction-free Bareiss elimination over Python ints.  Inputs may
+be ints or Fractions, read through their numerators and denominators, with no
+per-entry coercion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Hashable, Mapping, Sequence
 
-from .scalars import ONE, ZERO, add_scaled, scalar
+from .scalars import ONE, ZERO, clear_denominators
 
 Row = Sequence[int | Fraction]
 
@@ -67,65 +69,97 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
 class SpanBasis:
     """Incremental exact span of sparse vectors keyed by sortable coordinates.
 
-    Rows are kept fully reduced (each stored row is the unique representative
-    with its pivot coefficient 1 and no other row's pivot in its support), so
-    membership tests are a single elimination pass.
+    Each row is integer numerators over one positive denominator, with no
+    common factor: the pivot (largest key) has numerator equal to the
+    denominator, so the row read as Fractions has pivot coefficient 1.  Rows
+    are fully reduced (no row holds another's pivot), so membership is a
+    single elimination pass, and all of it runs in Python ints.
     """
 
     def __init__(self):
-        self._rows: dict[Hashable, dict[Hashable, Fraction]] = {}
+        self._rows: dict[Hashable, dict[Hashable, int]] = {}  # pivot -> numerators
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: Mapping[Hashable, Fraction]) -> dict[Hashable, Fraction]:
-        v = {k: c for k, c in vec.items() if c}
-        for pk in [k for k in v if k in self._rows]:
+    def _reduce(self, vec: Mapping[Hashable, int | Fraction]) -> dict[Hashable, int]:
+        """Numerators of a nonzero multiple of vec minus its part in the span."""
+        v, _ = clear_denominators({k: c for k, c in vec.items() if c})
+        rows = self._rows
+        for pk in [k for k in v if k in rows]:
             c = v.get(pk)
             if c:
-                add_scaled(v, self._rows[pk], -c)
+                _eliminate(v, rows[pk], pk, c)
         return v
 
-    def contains(self, vec: Mapping[Hashable, Fraction]) -> bool:
-        return not self.reduce(vec)
+    def contains(self, vec: Mapping[Hashable, int | Fraction]) -> bool:
+        return not self._reduce(vec)
 
-    def add(self, vec: Mapping[Hashable, Fraction]) -> bool:
+    def add(self, vec: Mapping[Hashable, int | Fraction]) -> bool:
         """Insert the vector; True if the dimension grew."""
-        v = self.reduce(vec)
+        v = self._reduce(vec)
         if not v:
             return False
         pk = max(v)
-        pc = v[pk]
-        row = {k: c / pc for k, c in v.items()}
-        for orow in self._rows.values():
+        row = _primitive(v, pk)
+        rows = self._rows
+        for ok, orow in rows.items():
             c = orow.get(pk)
             if c:
-                add_scaled(orow, row, -c)
-        self._rows[pk] = row
+                _eliminate(orow, row, pk, c)
+                rows[ok] = _primitive(orow, ok)
+        rows[pk] = row
         return True
 
     def vectors(self) -> list[dict[Hashable, Fraction]]:
-        return [dict(row) for _, row in sorted(self._rows.items())]
+        return [{k: Fraction(c, row[pk]) for k, c in row.items()}
+                for pk, row in sorted(self._rows.items())]
+
+
+def _eliminate(v: dict, row: dict, pk: Hashable, c: int) -> None:
+    """v <- (d/g) v - (c/g) row in place, with d = row[pk] and g = gcd(c, d): v[pk] becomes 0."""
+    d = row[pk]
+    g = gcd(c, d)
+    a, b = d // g, c // g
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    get = v.get
+    for k, x in row.items():
+        y = get(k, 0) - b * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
+def _primitive(v: dict, pk: Hashable) -> dict:
+    """v over the gcd of its values, signed so that v[pk] > 0."""
+    g = gcd(*v.values())
+    if v[pk] < 0:
+        g = -g
+    return v if g == 1 else {k: c // g for k, c in v.items()}
 
 
 def _coordinate_span(
-    vectors: Sequence[Mapping[Hashable, Fraction]],
-    target: Mapping[Hashable, Fraction],
-) -> dict[int, dict[int, Fraction]]:
+    vectors: Sequence[Mapping[Hashable, int | Fraction]],
+    target: Mapping[Hashable, int | Fraction],
+) -> dict[int, dict[int, int]]:
     """Reduced rows of the matrix [v_0 .. v_{n-1} | target], keyed by pivot.
 
     Each coordinate k gives the row {-j: v_j[k]} plus {-n: target[k]}.
     SpanBasis pivots on the largest key, so columns are taken in index order
-    and the result is the reduced row echelon form of the augmented matrix.
+    and the result is the reduced row echelon form of the augmented matrix,
+    as numerators over each row's row[pivot].
     """
     n = len(vectors)
-    rows: dict[Hashable, dict[int, Fraction]] = {}
+    rows: dict[Hashable, dict[int, int | Fraction]] = {}
     for j, v in enumerate(vectors):
         for k, c in v.items():
-            rows.setdefault(k, {})[-j] = scalar(c)
+            rows.setdefault(k, {})[-j] = c
     for k, c in target.items():
-        rows.setdefault(k, {})[-n] = scalar(c)
+        rows.setdefault(k, {})[-n] = c
     basis = SpanBasis()
     for row in rows.values():
         basis.add(row)
@@ -133,8 +167,8 @@ def _coordinate_span(
 
 
 def combination(
-    vectors: Sequence[Mapping[Hashable, Fraction]],
-    target: Mapping[Hashable, Fraction],
+    vectors: Sequence[Mapping[Hashable, int | Fraction]],
+    target: Mapping[Hashable, int | Fraction],
 ) -> list[Fraction] | None:
     """Coefficients expressing target as a combination of vectors, or None.
 
@@ -147,11 +181,11 @@ def combination(
         return None
     x = [ZERO] * n
     for pivot, row in reduced.items():
-        x[-pivot] = row.get(-n, ZERO)
+        x[-pivot] = Fraction(row.get(-n, 0), row[pivot])
     return x
 
 
-def exact_nullspace(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[list[Fraction]]:
+def exact_nullspace(vectors: Sequence[Mapping[Hashable, int | Fraction]]) -> list[list[Fraction]]:
     """Basis of the relations x with sum_j x_j vectors[j] = 0, as dense lists.
 
     One basis vector per vector that depends on the earlier ones (a free
@@ -168,6 +202,6 @@ def exact_nullspace(vectors: Sequence[Mapping[Hashable, Fraction]]) -> list[list
         for pivot, row in reduced.items():
             c = row.get(-free)
             if c:
-                x[-pivot] = -c
+                x[-pivot] = Fraction(-c, row[pivot])
         basis.append(x)
     return basis

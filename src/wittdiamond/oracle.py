@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 These deliberately re-derive results through naive routes: truncated
-submodule closure (a desk-scale stand-in for simplicity statements),
+submodule closure (a desk-scale stand-in for simplicity statements, on
+integer numerator vectors, exact as no answer depends on a vector's scale),
 free-word rewriting (cross-check for the PBW straightener), and cofactor
 determinants (cross-check for elimination).  Constructive results are
 only trusted once an oracle here agrees.
@@ -10,13 +11,13 @@ only trusted once an oracle here agrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exceptions import NotApplicable
 from .lie import Generator, UEnvElement, bracket, generators_in_window
 from .linalg import SpanBasis
-from .poly import SparsePoly, monomials_within
-from .scalars import ONE, ZERO, Frozen, Record
+from .poly import SparsePoly, act_numerators, monomials_within
+from .scalars import ONE, ZERO, Frozen, Record, clear_denominators
 
 
 class TruncationPolicy(Frozen):
@@ -48,17 +49,6 @@ class ClosureReport(Record):
         self.exact_invariant = exact_invariant
 
 
-def _truncate(p: SparsePoly, max_degree: int) -> tuple[SparsePoly, bool]:
-    inside = {}
-    spilled = False
-    for exps, c in p.terms.items():
-        if sum(abs(e) for e in exps) <= max_degree:
-            inside[exps] = c
-        else:
-            spilled = True
-    return SparsePoly(p.ring, inside), spilled
-
-
 def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> ClosureReport:
     """Exact span closure of the truncated generator action.
 
@@ -68,30 +58,44 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
     truncated dimension is a proper invariant subspace of the truncated
     action; it is an exact submodule of the full action only when the
     overflow count is zero, which the report exposes separately.
+
+    Vectors are int numerator dicts acted on by ``poly.act_numerators`` with
+    ``module.rules(g)``, and no denominator is applied: a vector's scale
+    changes neither its span, nor which images spill, nor whether the basis
+    grows.  A kept vector is divided by its gcd, so numerators stay bounded.
     """
     if start.is_zero:
         raise NotApplicable("closure of the zero vector")
-    if any(sum(abs(e) for e in exps) > policy.max_total_degree for exps in start.terms):
+    top = policy.max_total_degree
+    if any(sum(map(abs, exps)) > top for exps in start.terms):
         raise ValueError("start vector lies outside the truncation")
-    ambient = sum(1 for _ in monomials_within(module.ring, policy.max_total_degree))
-    ops = generators_in_window(policy.generator_window)
+    ambient = sum(1 for _ in monomials_within(module.ring, top))
+    rules = [module.rules(g)[0] for g in generators_in_window(policy.generator_window)]
     basis = SpanBasis()
-    basis.add(start.terms)
-    frontier = [start]
+    frontier = [clear_denominators(start.terms)[0]]
+    basis.add(frontier[0])
     overflow = 0
     rounds = 0
     while frontier and rounds < policy.max_steps and basis.dim < ambient:
         rounds += 1
         new = []
         for vec in frontier:
-            for g in ops:
-                image = module.act(g, vec)
-                inside, spilled = _truncate(image, policy.max_total_degree)
+            for rule in rules:
+                inside = {}
+                spilled = False
+                for exps, c in act_numerators(vec, rule).items():
+                    if not c:
+                        continue
+                    if sum(map(abs, exps)) <= top:
+                        inside[exps] = c
+                    else:
+                        spilled = True
                 if spilled:
                     overflow += 1
                 # A full basis cannot grow, but overflow still counts every pair.
-                if inside.terms and basis.dim < ambient and basis.add(inside.terms):
-                    new.append(inside)
+                if inside and basis.dim < ambient and basis.add(inside):
+                    g = gcd(*inside.values())
+                    new.append({exps: c // g for exps, c in inside.items()})
         frontier = new
     if basis.dim >= ambient:
         verdict = ClosureReport.FILLS

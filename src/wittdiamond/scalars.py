@@ -52,6 +52,7 @@ def scalar(value: int | str | Fraction) -> Fraction:
 # A sign starts a term unless it follows "^" (as in x^-1) or sits inside
 # brackets (as in d[-1]).
 _TERM_SPLIT = re.compile(r"(?<!\^)(?=[+-](?![^\[\]]*\]))")
+_SIGN_AFTER_STAR = re.compile(r"\*\s*[+-]")
 
 
 def signed_terms(text: str, atom: re.Pattern) -> list[tuple[Fraction, list[re.Match]]]:
@@ -61,11 +62,14 @@ def signed_terms(text: str, atom: re.Pattern) -> list[tuple[Fraction, list[re.Ma
     matches in full is an atom, kept as its match, in order; every other word
     is a ``RATIONAL`` factor of the coefficient, with the term's leading
     sign.  "" and "0" have no terms; a sign followed by nothing, or by
-    another sign (as in "s - -3 t"), is a ValueError.
+    another sign (as in "s - -3 t"), and a sign right after "*" (as in
+    "2*-3 s"), are a ValueError.
     """
     text = text.strip()
     if not text or text == "0":
         return []
+    if _SIGN_AFTER_STAR.search(text):
+        raise ValueError(f'a sign right after "*" in {text!r}')
     terms = []
     for raw in _TERM_SPLIT.split(text.replace("*", " ")):
         raw = raw.strip()

@@ -1,0 +1,152 @@
+"""Agreement oracles: earlier, simpler versions of engines that ``src`` now runs in ints.
+
+``FractionSpanBasis`` is the sparse eliminator with every row held as
+Fractions with pivot coefficient 1, and ``fraction_closure`` is the truncated
+closure that acts through ``module.act`` on ``SparsePoly`` vectors and
+truncates each image as a polynomial.  The tests check that ``linalg`` and
+``oracle`` give the same answers.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from wittdiamond.exceptions import NotApplicable
+from wittdiamond.lie import generators_in_window
+from wittdiamond.oracle import ClosureReport
+from wittdiamond.poly import SparsePoly, monomials_within
+from wittdiamond.scalars import ONE, ZERO, add_scaled, scalar
+
+
+class FractionSpanBasis:
+    """Incremental exact span over Fractions, rows fully reduced with pivot (largest key) 1."""
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec) -> dict:
+        v = {k: scalar(c) for k, c in vec.items() if c}
+        for pk in [k for k in v if k in self.rows]:
+            c = v.get(pk)
+            if c:
+                add_scaled(v, self.rows[pk], -c)
+        return v
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(vec)
+
+    def add(self, vec) -> bool:
+        v = self.reduce(vec)
+        if not v:
+            return False
+        pk = max(v)
+        pc = v[pk]
+        row = {k: c / pc for k, c in v.items()}
+        for orow in self.rows.values():
+            c = orow.get(pk)
+            if c:
+                add_scaled(orow, row, -c)
+        self.rows[pk] = row
+        return True
+
+    def vectors(self) -> list[dict]:
+        return [dict(row) for _, row in sorted(self.rows.items())]
+
+
+def _coordinate_rows(vectors, target) -> dict:
+    """Reduced rows of [v_0 .. v_{n-1} | target], column j keyed -j and the target -n."""
+    n = len(vectors)
+    rows: dict = {}
+    for j, v in enumerate(vectors):
+        for k, c in v.items():
+            rows.setdefault(k, {})[-j] = c
+    for k, c in target.items():
+        rows.setdefault(k, {})[-n] = c
+    basis = FractionSpanBasis()
+    for row in rows.values():
+        basis.add(row)
+    return basis.rows
+
+
+def fraction_combination(vectors, target) -> list[Fraction] | None:
+    n = len(vectors)
+    reduced = _coordinate_rows(vectors, target)
+    if -n in reduced:
+        return None
+    x = [ZERO] * n
+    for pivot, row in reduced.items():
+        x[-pivot] = row.get(-n, ZERO)
+    return x
+
+
+def fraction_nullspace(vectors) -> list[list[Fraction]]:
+    n = len(vectors)
+    reduced = _coordinate_rows(vectors, {})
+    basis = []
+    for free in range(n):
+        if -free in reduced:
+            continue
+        x = [ZERO] * n
+        x[free] = ONE
+        for pivot, row in reduced.items():
+            c = row.get(-free)
+            if c:
+                x[-pivot] = -c
+        basis.append(x)
+    return basis
+
+
+def _truncate(p: SparsePoly, max_degree: int) -> tuple[SparsePoly, bool]:
+    inside = {}
+    spilled = False
+    for exps, c in p.terms.items():
+        if sum(abs(e) for e in exps) <= max_degree:
+            inside[exps] = c
+        else:
+            spilled = True
+    return SparsePoly(p.ring, inside), spilled
+
+
+def fraction_closure(module, start: SparsePoly, policy) -> ClosureReport:
+    """``oracle.truncated_closure`` through ``module.act`` and a ``FractionSpanBasis``."""
+    if start.is_zero:
+        raise NotApplicable("closure of the zero vector")
+    if any(sum(abs(e) for e in exps) > policy.max_total_degree for exps in start.terms):
+        raise ValueError("start vector lies outside the truncation")
+    ambient = sum(1 for _ in monomials_within(module.ring, policy.max_total_degree))
+    ops = generators_in_window(policy.generator_window)
+    basis = FractionSpanBasis()
+    basis.add(start.terms)
+    frontier = [start]
+    overflow = 0
+    rounds = 0
+    while frontier and rounds < policy.max_steps and basis.dim < ambient:
+        rounds += 1
+        new = []
+        for vec in frontier:
+            for g in ops:
+                inside, spilled = _truncate(module.act(g, vec), policy.max_total_degree)
+                if spilled:
+                    overflow += 1
+                if inside.terms and basis.dim < ambient and basis.add(inside.terms):
+                    new.append(inside)
+        frontier = new
+    if basis.dim >= ambient:
+        verdict = ClosureReport.FILLS
+    elif not frontier:
+        verdict = ClosureReport.PROPER
+    else:
+        verdict = ClosureReport.INCONCLUSIVE
+    return ClosureReport(
+        start=str(start),
+        reached_dim=basis.dim,
+        ambient_dim=ambient,
+        verdict=verdict,
+        overflow_count=overflow,
+        rounds=rounds,
+        exact_invariant=(verdict == ClosureReport.PROPER and overflow == 0),
+    )

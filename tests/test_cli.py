@@ -993,6 +993,51 @@ def test_a_sign_with_no_term_after_it_exits_2(option, write_json, capsys):
             assert EMPTY_TERM in err, (text, err)
 
 
+# A sign right after "*", with or without a space, in each option's own letters.
+SIGN_AFTER_STAR = {
+    "--g": ["2*-3 t", "t*-2", "t^2 * + 1"],
+    "--vector": ["2*-3 s", "s*-2", "s * - 1"],
+    "--expr": ["2*-3 L[1]", "L[1]*-2", "a[0] * +b[1]"],
+}
+
+
+def test_a_sign_right_after_a_star_is_refused_by_both_parsers():
+    ring = PolyRing(("s", "t"), (False, False))
+    for text in SIGN_AFTER_STAR["--vector"] + SIGN_AFTER_STAR["--g"]:
+        with pytest.raises(ValueError, match='a sign right after "\\*"'):
+            parse_poly(ring, text)
+    for text in SIGN_AFTER_STAR["--expr"]:
+        with pytest.raises(ValueError, match='a sign right after "\\*"'):
+            parse_words(text)
+    # A "*" between factors, and a sign inside brackets or after "^", are read as before.
+    assert parse_poly(ring, "2*3 s - t") == parse_poly(ring, "6 s - t")
+    assert parse_words("2*L[-1] - 3*a[0]") == parse_words("2 L[-1] - 3 a[0]")
+
+
+@pytest.mark.parametrize("option", list(WRITTEN_SUMS))
+def test_a_sign_right_after_a_star_exits_2(option, write_json, capsys):
+    for text in SIGN_AFTER_STAR[option]:
+        code, _ = _run_text_entry_point(WRITTEN_SUMS[option], text, write_json)
+        err = capsys.readouterr().err
+        assert code == 2, (text, err)
+        assert err.startswith(f"spec error: {option}: a sign right after"), (text, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-m", "\u0661", "--max-s", "1_0"],
+    ["--max-m", "\u0661"],
+    ["--max-s", "1_0"],
+    ["--max-s", "+2"],
+    ["--max-m", " 2"],
+], ids=" ".join)
+def test_det_lemma_sizes_take_ascii_digits_only(argv, capsys):
+    """argparse refuses the size through ``_positive_int`` with SystemExit(2), before main runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["det-lemma", "--alphas", "1,2", *argv])
+    assert exc.value.code == 2
+    assert "not an integer in the digits 0-9" in capsys.readouterr().err
+
+
 # Arabic-Indic digits: str.isdigit and the regex class \d take them, int reads them.
 NON_ASCII_DIGITS = {"--g": "t^\u0662", "--vector": "s^\u0662", "--expr": "L[\u0661]"}
 

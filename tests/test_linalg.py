@@ -3,10 +3,12 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from oracles import FractionSpanBasis, fraction_combination, fraction_nullspace
 
-from wittdiamond import omega, tensor
+from wittdiamond import linalg, omega, tensor
 from wittdiamond.linalg import SpanBasis, combination, exact_det, exact_nullspace
 from wittdiamond.lie import gen
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
@@ -301,3 +303,105 @@ def test_combination_and_span_basis():
     assert SpanBasis().dim == 0
     assert sb.contains({(0,): F(5)})
     assert not sb.contains({(2,): F(1)})
+
+
+# -- agreement with the Fraction eliminator ------------------------------------
+
+
+def _random_value(rng):
+    """A nonzero int, or a Fraction whose numerator and denominator reach 10^15."""
+    if rng.random() < 0.3:
+        return rng.choice([-1, 1]) * rng.randint(1, 10**6)
+    return F(rng.randint(-10**15, 10**15) or 1, rng.randint(1, 10**15))
+
+
+def _random_batch(rng):
+    """Sparse vectors over tuple keys, about a third of them combinations of earlier ones.
+
+    Values are ints or Fractions, some vectors are all ints, and an explicit zero
+    entry now and then must read as absent.
+    """
+    keys = [(i, j) for i in range(3) for j in range(-2, 3)]
+    vectors = []
+    for _ in range(rng.randint(1, 12)):
+        if vectors and rng.random() < 0.35:
+            v: dict = {}
+            for w in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+                c = _random_value(rng)
+                for k, x in w.items():
+                    v[k] = v.get(k, 0) + c * x
+        else:
+            v = {k: _random_value(rng) for k in rng.sample(keys, rng.randint(1, 6))}
+            if rng.random() < 0.3:
+                v = {k: int(x * 7) or 1 for k, x in v.items()}
+        if rng.random() < 0.2:
+            v[rng.choice(keys)] = 0
+        vectors.append(v)
+    return vectors
+
+
+def _disagreements(vectors, rng) -> list[str]:
+    """Where linalg's SpanBasis, combination and exact_nullspace differ from the oracles."""
+    out = []
+    new, old = linalg.SpanBasis(), FractionSpanBasis()
+    for i, v in enumerate(vectors):
+        if new.add(v) != old.add(v) or new.dim != old.dim:
+            out.append(f"add {i}")
+    in_span = {}
+    for w in vectors[:3]:
+        c = _random_value(rng)
+        for k, x in w.items():
+            in_span[k] = in_span.get(k, 0) + c * x
+    probes = [in_span, {(0, 0): F(1)}, {(2, 2): F(-3, 7), (1, -1): 5}, *vectors]
+    if [new.contains(p) for p in probes] != [old.contains(p) for p in probes]:
+        out.append("contains")
+    got = new.vectors()
+    if got != old.vectors() or any(type(c) is not F for row in got for c in row.values()):
+        out.append("vectors")
+    for target in probes[:3]:
+        x = combination(vectors, target)
+        if x != fraction_combination(vectors, target) or (x and any(type(c) is not F for c in x)):
+            out.append(f"combination {target}")
+    if exact_nullspace(vectors) != fraction_nullspace(vectors):
+        out.append("exact_nullspace")
+    return out
+
+
+def test_integer_span_basis_agrees_with_the_fraction_eliminator():
+    """Seeded sparse batches with large denominators, negative pivots, dependent sets and
+    int inputs: dim, contains, vectors, combination and exact_nullspace all agree."""
+    rng = random.Random(41)
+    for _ in range(150):
+        vectors = _random_batch(rng)
+        assert _disagreements(vectors, rng) == [], vectors
+
+
+def test_integer_span_rows_are_primitive_with_the_pivot_numerator_as_denominator():
+    rng = random.Random(7)
+    for _ in range(40):
+        basis = SpanBasis()
+        for v in _random_batch(rng):
+            basis.add(v)
+        for pk, row in basis._rows.items():
+            assert pk == max(row) and row[pk] > 0
+            assert all(type(c) is int for c in row.values()) and gcd(*row.values()) == 1
+            assert not any(k in basis._rows for k in row if k != pk)
+
+
+def test_a_basis_that_skips_back_substitution_fails_the_agreement(monkeypatch):
+    """Without back-substitution the rows stop being reduced, and the agreement sees it."""
+
+    class NoBackSubstitution(SpanBasis):
+        def add(self, vec):
+            v = self._reduce(vec)
+            if not v:
+                return False
+            pk = max(v)
+            g = gcd(*v.values()) * (1 if v[pk] > 0 else -1)
+            self._rows[pk] = {k: c // g for k, c in v.items()}
+            return True
+
+    monkeypatch.setattr(linalg, "SpanBasis", NoBackSubstitution)
+    rng = random.Random(41)
+    failed = sum(1 for _ in range(40) if _disagreements(_random_batch(rng), rng))
+    assert failed > 0

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from oracles import fraction_closure
 
 from wittdiamond import oracle
 from wittdiamond.exceptions import NotApplicable
-from wittdiamond.fock import FModule, MFactor, OneDim
+from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import gen, generators_in_window, pbw_normalize
 from wittdiamond.linalg import SpanBasis, exact_det
+from wittdiamond.poly import SparsePoly
 from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
 from wittdiamond.oracle import (
     ClosureReport,
@@ -65,16 +67,22 @@ def test_full_closure_basis_is_not_grown_but_every_pair_is_still_acted_on(monkey
                 full_at.append(len(acts))
             return grew
 
-    act = FModule.act
-    monkeypatch.setattr(FModule, "act", lambda self, g, v: acts.append((g, v)) or act(self, g, v))
+    # The closure acts through the integer kernel, one call per (vector, generator) pair.
+    kernel = oracle.act_numerators
+    monkeypatch.setattr(oracle, "act_numerators",
+                        lambda nums, rules: acts.append((nums, rules)) or kernel(nums, rules))
     monkeypatch.setattr(oracle, "SpanBasis", CountingBasis)
     report = truncated_closure(module, module.one(), policy)
     assert report.verdict == ClosureReport.FILLS and report.reached_dim == ambient
     assert not any(adds_when_full)
     # The round that fills the box still acts on its remaining pairs, and counts their overflow.
     assert len(acts) > full_at[0]
+    generator_of = {id(module.rules(g)[0]): g for g in generators_in_window(2)}
     assert report.overflow_count == sum(
-        1 for g, v in acts if any(sum(map(abs, e)) > 3 for e in act(module, g, v).terms))
+        1 for nums, rules in acts
+        if any(sum(map(abs, e)) > 3 for e in module.act(
+            generator_of[id(rules)], SparsePoly(module.ring, {e: F(c) for e, c in nums.items()})
+        ).terms))
 
 
 def test_closure_fills_for_omega_from_one():
@@ -115,6 +123,56 @@ def test_closure_input_validation():
         truncated_closure(M, M.ring.zero(), policy)
     with pytest.raises(ValueError):
         truncated_closure(M, M.ring.monomial({"s": 5}), policy)
+
+
+def _omega():
+    return OmegaModule(OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1))))
+
+
+def _t2():
+    return TensorModule([OmegaParams(F(1, 2), F(3), F(0), F(-1, 2), (F(1), F(0), F(1))),
+                         OmegaParams(F(1), F(-2), F(1), F(2), (F(0), F(2), F(-1, 3)))])
+
+
+CLOSURE_CASES = {
+    "Omega": (_omega, lambda M: M.one(), TruncationPolicy()),
+    "T(m=2)": (_t2, lambda T: T.one(), TruncationPolicy(max_total_degree=3)),
+    "F Whittaker V": (lambda: FModule(F(1, 2), F(3), MFactor(F(0)), MFactor(F(1, 2)), Whittaker()),
+                      lambda M: M.one(), TruncationPolicy()),
+    "F shift-type x1": (
+        lambda: FModule(F(1, 2), F(3), OmegaFactor(F(2)), OmegaFactor(F(-1, 3)), OneDim(F(1))),
+        lambda M: M.one(), TruncationPolicy()),
+    "F proper": (lambda: FModule(F(0), F(1), MFactor(F(1, 5)), MFactor(F(2)), OneDim(F(-3))),
+                 lambda M: M.ring.var("x1"), TruncationPolicy(3, 2, 32)),
+    "Omega from 2/3 s t - 5/7 t^2": (
+        _omega, lambda M: M.ring.from_terms([((1, 1), F(2, 3)), ((0, 2), F(-5, 7))]),
+        TruncationPolicy()),
+}
+
+
+@pytest.mark.parametrize("case", CLOSURE_CASES)
+def test_integer_closure_report_equals_the_fraction_closure(case):
+    """The closure on the integer kernel and the one through ``module.act`` report alike."""
+    build, start, policy = CLOSURE_CASES[case]
+    report = truncated_closure(build(), start(build()), policy)
+    assert report == fraction_closure(build(), start(build()), policy)
+    if case == "F proper":
+        assert report.verdict == ClosureReport.PROPER
+
+
+def test_integer_closure_agrees_on_seeded_start_vectors():
+    """Random rational start vectors in the box, on an Omega, a T(m=2) and an F module."""
+    rng = random.Random(41)
+    policy = TruncationPolicy(max_total_degree=3, generator_window=1, max_steps=16)
+    modules = [_omega(), _t2(),
+               FModule(F(1, 3), F(-2), MFactor(F(1, 5)), OmegaFactor(F(3)), OneDim(F(1, 2)))]
+    for _ in range(12):
+        module = rng.choice(modules)
+        box = list(oracle.monomials_within(module.ring, 2))
+        start = module.ring.from_terms(
+            (exps, F(rng.randint(-99, 99) or 1, rng.randint(1, 10**9)))
+            for exps in rng.sample(box, rng.randint(1, 4)))
+        assert truncated_closure(module, start, policy) == fraction_closure(module, start, policy)
 
 
 def test_free_word_oracle_matches_pbw_all_short_words():
