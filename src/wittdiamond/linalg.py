@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals, computed in Python ints.
 
-Everything here is deterministic and exact.  One sparse eliminator,
-:class:`SpanBasis`, answers every span question: membership, dimension,
-solutions (``combination``) and relations (``exact_nullspace``).  Its rows
-are integer numerators over a positive denominator, so elimination builds no
-Fraction; one is made only for a value returned.  The two queries insert the
-coordinate rows of the matrix whose columns are the input vectors, so the
-reduced rows are its reduced row echelon form.  Determinants are a separate
-operation: a fraction-free Bareiss elimination over Python ints.  Inputs may
-be ints or Fractions, read through their numerators and denominators, with no
-per-entry coercion.
+One sparse eliminator, :class:`SpanBasis`, answers every span question:
+membership, dimension, solutions (``combination``) and relations
+(``exact_nullspace``).  Its rows are integer numerators over a positive
+denominator; a Fraction is built only for a value returned.  The two queries
+insert the coordinate rows of the matrix whose columns are the input vectors,
+so the reduced rows are its reduced row echelon form.  Determinants are a
+separate operation: a fraction-free Bareiss elimination over Python ints.
+Inputs may be ints or Fractions, read through their numerators and
+denominators, with no per-entry coercion.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from typing import Hashable, Mapping, Sequence
 from .scalars import ONE, ZERO, clear_denominators
 
 Row = Sequence[int | Fraction]
+Vector = Mapping[Hashable, int | Fraction]
 
 
 def exact_det(matrix: Sequence[Row]) -> Fraction:
@@ -83,7 +83,7 @@ class SpanBasis:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Mapping[Hashable, int | Fraction]) -> dict[Hashable, int]:
+    def _reduce(self, vec: Vector) -> dict[Hashable, int]:
         """Numerators of a nonzero multiple of vec minus its part in the span."""
         v, _ = clear_denominators({k: c for k, c in vec.items() if c})
         rows = self._rows
@@ -93,10 +93,10 @@ class SpanBasis:
                 _eliminate(v, rows[pk], pk, c)
         return v
 
-    def contains(self, vec: Mapping[Hashable, int | Fraction]) -> bool:
+    def contains(self, vec: Vector) -> bool:
         return not self._reduce(vec)
 
-    def add(self, vec: Mapping[Hashable, int | Fraction]) -> bool:
+    def add(self, vec: Vector) -> bool:
         """Insert the vector; True if the dimension grew."""
         v = self._reduce(vec)
         if not v:
@@ -142,10 +142,7 @@ def _primitive(v: dict, pk: Hashable) -> dict:
     return v if g == 1 else {k: c // g for k, c in v.items()}
 
 
-def _coordinate_span(
-    vectors: Sequence[Mapping[Hashable, int | Fraction]],
-    target: Mapping[Hashable, int | Fraction],
-) -> dict[int, dict[int, int]]:
+def _coordinate_span(vectors: Sequence[Vector], target: Vector) -> dict[int, dict[int, int]]:
     """Reduced rows of the matrix [v_0 .. v_{n-1} | target], keyed by pivot.
 
     Each coordinate k gives the row {-j: v_j[k]} plus {-n: target[k]}.
@@ -166,10 +163,7 @@ def _coordinate_span(
     return basis._rows
 
 
-def combination(
-    vectors: Sequence[Mapping[Hashable, int | Fraction]],
-    target: Mapping[Hashable, int | Fraction],
-) -> list[Fraction] | None:
+def combination(vectors: Sequence[Vector], target: Vector) -> list[Fraction] | None:
     """Coefficients expressing target as a combination of vectors, or None.
 
     Only vectors independent of the earlier ones (the pivot columns) get
@@ -185,7 +179,7 @@ def combination(
     return x
 
 
-def exact_nullspace(vectors: Sequence[Mapping[Hashable, int | Fraction]]) -> list[list[Fraction]]:
+def exact_nullspace(vectors: Sequence[Vector]) -> list[list[Fraction]]:
     """Basis of the relations x with sum_j x_j vectors[j] = 0, as dense lists.
 
     One basis vector per vector that depends on the earlier ones (a free

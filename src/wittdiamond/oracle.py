@@ -94,8 +94,8 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
                     overflow += 1
                 # A full basis cannot grow, but overflow still counts every pair.
                 if inside and basis.dim < ambient and basis.add(inside):
-                    g = gcd(*inside.values())
-                    new.append({exps: c // g for exps, c in inside.items()})
+                    common = gcd(*inside.values())
+                    new.append({exps: c // common for exps, c in inside.items()})
         frontier = new
     if basis.dim >= ambient:
         verdict = ClosureReport.FILLS
