@@ -558,7 +558,10 @@ def _data_with_a0_power(power):
 ], ids=["exponent-arity", "negative-exponent", "D0-one-above", "a0-million", "a0-float",
         "L0-one-above"])
 def test_malformed_action_data_exits_2_with_pointer(data, pointer, write_json, capsys):
+    # The reader refuses each one before any work is done.
+    start = time.perf_counter()
     assert main(["classify", "--data", write_json("bad.json", data)]) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and f"(at {pointer})" in err
 
