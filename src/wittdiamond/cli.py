@@ -408,6 +408,11 @@ MAX_DET_ROWS = 24
 MAX_DET_SPECS = 10_000
 
 
+def _det_case(alphas, sizes) -> dict:
+    """The report record of one spec of the ``det-lemma`` sweep; built for a mismatch only."""
+    return {"alphas": [str(a) for a in alphas], "sizes": sizes}
+
+
 def cmd_det_lemma(args, rep: Report) -> None:
     """The closed form of ``det_r`` at r = 0, which settles every r >= 0 (see ``det_r``)."""
     alphas = tuple(_option("--alphas", scalar, a) for a in args.alphas.split(","))
@@ -430,14 +435,13 @@ def cmd_det_lemma(args, rep: Report) -> None:
             for sizes in itertools.product(range(1, args.max_s + 1), repeat=m):
                 result = det_r(DetSpec(subset, sizes, 0))
                 specs += 1
-                case = {"alphas": [str(a) for a in subset], "sizes": sizes}
                 if not result.ok:
-                    mismatches.append(case)
+                    mismatches.append(_det_case(subset, sizes))
                 if sum(sizes) <= NAIVE_LIMIT:
                     naive_checked += 1
                     # The rows are scaled by their denominators, and so is the determinant.
                     if naive_det(result.rows) != result.computed * prod(result.denominators):
-                        naive_mismatches.append(case)
+                        naive_mismatches.append(_det_case(subset, sizes))
     rep.add(
         "determinant-closed-form",
         not mismatches,

@@ -28,7 +28,6 @@ from .operators import (
     R2,
     UB,
     TensorElement,
-    integer_commutator,
     tensor_algebra,
 )
 from .scalars import ONE, Frozen, Record, add_scaled, scalar
@@ -202,14 +201,18 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     lie in [-2 window, 2 window].
 
     The check does no rational arithmetic per pair.  Every image of that
-    doubled window is cleared once to integer numerators over one
-    denominator ``den``, the lcm of all their coefficients' denominators,
-    keyed by the ids of ``phi.algebra.brackets``.  For each pair the
-    commutator of the two images is summed in Python ints by
-    ``operators.integer_commutator``, over ``den**2``; then each bracket term
-    ``c_g g`` is subtracted into that same dict as ``c_g den`` times the
-    numerators of ``phi(g)``.  ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is
-    zero, and the pair passes, exactly when every value left is zero.
+    doubled window is cleared once to a list of (id, int) pairs: the ids
+    that ``phi.algebra.brackets`` gives its keys, and integer numerators
+    over one denominator ``den``, the lcm of all their coefficients'
+    denominators.  Each left generator looks up the bracket-table row of
+    each of its terms once; for each pair, every term of the right image
+    finds its table in that row by hashing one int (a pair of commuting
+    monomials has an empty table and costs nothing), and the commutator of
+    the two images is summed from the tables into one int dict, over
+    ``den**2``.  Each term ``c_g g`` of ``bracket(x, y)`` is then subtracted
+    into the same dict as ``c_g den`` times the numerators of ``phi(g)``.
+    ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is zero, and the pair passes,
+    exactly when every value left is zero.
 
     The default window 1 settles every index pair in Z for the tables of
     this module.  Each image of ``x[n]`` is ``x0^n`` times an operator whose
@@ -227,18 +230,30 @@ def verify_hom(phi, window: int = 1) -> HomReport:
         raise ValueError("window must be at least 1")
     gens = generators_in_window(window)
     tables = phi.algebra.brackets
+    rows = tables.rows
     images = {g: phi.image(g).terms for g in generators_in_window(2 * window)}
     den = math.lcm(*(c.denominator for terms in images.values() for c in terms.values()))
-    nums = {g: {tables.id(k): c.numerator * (den // c.denominator) for k, c in terms.items()}
+    nums = {g: [(tables.id(k), c.numerator * (den // c.denominator)) for k, c in terms.items()]
             for g, terms in images.items()}
     violations = []
     for i, x in enumerate(gens):
+        left = [(i1, n1, rows[i1]) for i1, n1 in nums[x]]
         for y in gens[i:]:
-            out = integer_commutator(tables, nums[x], nums[y])
+            right = nums[y]
+            out: dict = {}
             get = out.get
+            for i1, n1, row in left:
+                for i2, n2 in right:
+                    table = row.get(i2)
+                    if table is None:
+                        table = tables[i1, i2]
+                    if table:
+                        n12 = n1 * n2
+                        for k, n in table:
+                            out[k] = get(k, 0) + n12 * n
             for g, c in bracket(x, y).terms.items():
                 s = c * den
-                for k, n in nums[g].items():
+                for k, n in nums[g]:
                     out[k] = get(k, 0) - s * n
             if any(out.values()):
                 violations.append((str(x), str(y)))

@@ -27,10 +27,11 @@ one rational per pair of terms and skip the multiplication where the
 constant is 1, as most of them are.
 Each tensor algebra owns one ``BracketTables`` as ``brackets``: int ids for
 its keys (``brackets.id(key)``, with ``brackets.keys`` mapping them back)
-and the integer bracket table of each pair of ids, worked out on first use.
-``integer_commutator`` sums the commutator of two tensor elements over
-integer numerators from those tables; a bracket check needs no rational
-arithmetic and hashes no nested key tuple.
+and one row per id, ``brackets.rows[i1]``, from a second id to the integer
+bracket table of the pair, worked out on first use.  A caller that holds a
+row finds a table by hashing one int, so the bracket check of
+``homomorphisms.verify_hom`` needs no rational arithmetic and hashes no
+nested key tuple.
 The generator images of ``homomorphisms`` are literal tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
 The last section acts with monomials on the factors of the modules, and
@@ -253,66 +254,45 @@ class TensorElement(OperatorElement):
         return OperatorElement.__mul__(self, other)
 
 
-class BracketTables(dict):
-    """The integer bracket tables of one tensor algebra, by pair of key ids.
+class BracketTables:
+    """The integer bracket tables of one tensor algebra, one row per key id.
 
     ``id(key)`` gives a key of the algebra its int id on first sight, and
-    ``keys[i]`` maps the id back.  ``tables[i1, i2]`` is [keys[i1], keys[i2]],
-    ``mul_keys(k1, k2)`` minus ``mul_keys(k2, k1)``, as (id, int) pairs with
-    zeros dropped; it is empty when the monomials commute, and a pair not
-    seen before is worked out on first use and kept.
+    ``keys[i]`` maps the id back.  ``rows[i1]`` is a dict from a second id
+    ``i2`` to the table of [keys[i1], keys[i2]], ``mul_keys(k1, k2)`` minus
+    ``mul_keys(k2, k1)``, as (id, int) pairs with zeros dropped; it is empty
+    when the monomials commute.  ``tables[i1, i2]`` reads that table and
+    works out a pair not seen before, which its row then keeps, so a caller
+    that holds a row finds a table by hashing one int.
     """
 
-    __slots__ = ("algebra", "_ids", "keys")
+    __slots__ = ("algebra", "_ids", "keys", "rows")
 
     def __init__(self, algebra: TensorAlgebra):
-        super().__init__()
         self.algebra = algebra
         self._ids: dict = {}
         self.keys: list = []
+        self.rows: list[dict] = []
 
     def id(self, key) -> int:
         i = self._ids.get(key)
         if i is None:
             i = self._ids[key] = len(self.keys)
             self.keys.append(key)
+            self.rows.append({})
         return i
 
-    def __missing__(self, ids):
-        k1, k2 = self.keys[ids[0]], self.keys[ids[1]]
-        out = dict(self.algebra.mul_keys(k1, k2))
-        for key, n in self.algebra.mul_keys(k2, k1):
-            out[key] = out.get(key, 0) - n
-        table = self[ids] = tuple((self.id(key), n) for key, n in out.items() if n)
+    def __getitem__(self, ids) -> tuple:
+        i1, i2 = ids
+        row = self.rows[i1]
+        table = row.get(i2)
+        if table is None:
+            k1, k2 = self.keys[i1], self.keys[i2]
+            out = dict(self.algebra.mul_keys(k1, k2))
+            for key, n in self.algebra.mul_keys(k2, k1):
+                out[key] = out.get(key, 0) - n
+            table = row[i2] = tuple((self.id(key), n) for key, n in out.items() if n)
         return table
-
-
-def integer_commutator(tables: BracketTables, u: Mapping, v: Mapping) -> dict:
-    """[u, v] of two tensor elements given as integer numerators on key ids.
-
-    ``tables`` is the ``brackets`` of their tensor algebra, and ``u`` and
-    ``v`` map the ids it gives their keys (``tables.id``) to ints.  The result
-    is a fresh dict from ids to the ints of ``sum n1 n2 tables[i1, i2]``, the
-    commutator over the product of the two denominators; terms that cancel
-    stay as zeros, so ``[u, v]`` is zero exactly when no value is nonzero.
-    Each lookup hashes two ints, and a pair of commuting monomials has an
-    empty table and costs nothing.
-    """
-    out: dict = {}
-    get = out.get
-    get_table = tables.get
-    for i1, n1 in u.items():
-        for i2, n2 in v.items():
-            # ``get`` is the fast lookup on a dict subclass; a miss goes
-            # through ``__missing__``, which works the table out.
-            table = get_table((i1, i2))
-            if table is None:
-                table = tables[i1, i2]
-            if table:
-                n12 = n1 * n2
-                for i, n in table:
-                    out[i] = get(i, 0) + n12 * n
-    return out
 
 
 def commutator(u, v):

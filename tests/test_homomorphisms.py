@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +24,15 @@ from wittdiamond.homomorphisms import (
 )
 from wittdiamond.lie import FAMILIES, UEnvElement, gen, generators_in_window, uenv_mul
 from wittdiamond.omega import OmegaModule, OmegaParams
-from wittdiamond.operators import DIFFOP, R0, R2, UB, OperatorElement, TensorElement
+from wittdiamond.operators import (
+    DIFFOP,
+    R0,
+    R2,
+    UB,
+    BracketTables,
+    OperatorElement,
+    TensorElement,
+)
 from wittdiamond.scalars import clear_denominators
 
 
@@ -192,6 +201,81 @@ def test_key_ids_do_not_leak_between_algebra_pairs(order, reference_violations):
         want.append([list(pair) for pair in reference_violations(phi, 2)])
     assert got["runs"] == want
     assert any(want)  # the control fails, so the comparison is not of empty lists alone
+
+
+# PhiAB, the control and PhiABGG with g of degree 0 to 3, over both algebra pairs.
+ROW_MAPS = [PhiAB(F(1, 2), F(3)), CorruptedPhiAB(F(-2, 3), F(5, 4))] + [
+    PhiABGG(F(1, 3), F(-3, 5), F(2, 7), tuple(F(k + 1, k + 2) for k in range(degree + 1)))
+    for degree in range(4)]
+
+
+def _misfiled(tables):
+    """The (i1, i2) of each stored table that is not [keys[i1], keys[i2]], that is
+    ``mul_keys(k1, k2) - mul_keys(k2, k1)`` with zeros dropped, as (id, int) pairs."""
+    mul_keys, keys = tables.algebra.mul_keys, tables.keys
+    bad = []
+    for i1, row in enumerate(tables.rows):
+        for i2, table in row.items():
+            want = dict(mul_keys(keys[i1], keys[i2]))
+            for key, n in mul_keys(keys[i2], keys[i1]):
+                want[key] = want.get(key, 0) - n
+            got = {keys[i]: n for i, n in table}
+            if len(got) != len(table) or got != {k: n for k, n in want.items() if n}:
+                bad.append((i1, i2))
+    return bad
+
+
+class _SwappedFill(BracketTables):
+    """A planted fill that files the table of [keys[i1], keys[i2]] in row i2, under i1."""
+
+    __slots__ = ()
+
+    def __getitem__(self, ids):
+        i1, i2 = ids
+        table = super().__getitem__(ids)
+        del self.rows[i1][i2]
+        self.rows[i2][i1] = table
+        return table
+
+
+class _OwnTables:
+    """``phi`` read through ``tables`` in place of its algebra's ``brackets``."""
+
+    def __init__(self, phi, tables):
+        self.image, self.algebra = phi.image, SimpleNamespace(brackets=tables)
+
+
+def test_every_stored_bracket_table_is_filed_under_its_pair_of_ids():
+    for phi in ROW_MAPS:
+        assert verify_hom(phi, 2).ok is not isinstance(phi, CorruptedPhiAB)
+    for tables in (PhiAB.algebra.brackets, PhiABGG.algebra.brackets):
+        assert len(tables.rows) == len(tables.keys)
+        stored = [table for row in tables.rows for table in row.values()]
+        # Both commuting and non-commuting pairs were met.
+        assert () in stored and any(stored)
+        assert _misfiled(tables) == []
+    # A fresh set of tables through the same route reads the same; a swapped fill fails.
+    phi = ROW_MAPS[1]
+    fresh, planted = BracketTables(phi.algebra), _SwappedFill(phi.algebra)
+    assert verify_hom(_OwnTables(phi, fresh), 2) == verify_hom(phi, 2)
+    assert _misfiled(fresh) == []
+    verify_hom(_OwnTables(phi, planted), 2)
+    assert _misfiled(planted)
+
+
+def test_window_3_verdicts_on_rows_that_other_maps_filled(reference_violations):
+    # The benchmark's window, after other maps of both algebra pairs have filled the rows.
+    for phi in (PhiAB(F(2, 3), F(-5, 2)), PhiABGG(F(1, 2), F(3), F(-1), (F(1), F(2, 3)))):
+        assert verify_hom(phi, 3).ok
+    corrupted = CorruptedPhiAB(F(-3, 4), F(5, 3))
+    abgg = PhiABGG(F(-1, 3), F(4, 3), F(1, 2), (F(1, 2), F(0), F(-3), F(2, 5)))
+    reports = [verify_hom(phi, 3) for phi in (corrupted, abgg)]
+    for phi, report in zip((corrupted, abgg), reports):
+        assert report.pairs_checked == 630
+        assert report.violations == reference_violations(phi, 3)
+    violations = reports[0].violations
+    assert len(violations) == 42
+    assert all(x[0] == "a" and y[0] == "d" for x, y in violations)
 
 
 class _Scaled:

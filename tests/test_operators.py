@@ -20,7 +20,6 @@ from wittdiamond.operators import (
     OperatorElement,
     TensorElement,
     commutator,
-    integer_commutator,
     pullback_rules,
     scalar_factor,
     shift_factor,
@@ -373,8 +372,19 @@ def _by_key(tables, id_nums):
     return {tables.keys[i]: n for i, n in id_nums.items()}
 
 
+def _summed_tables(tables, u_nums, v_nums):
+    """``sum n1 n2 tables[i1, i2]`` over two numerator dicts keyed by ids: the commutator
+    over the product of the two denominators, with cancelled terms left as zeros."""
+    out = {}
+    for i1, n1 in u_nums.items():
+        for i2, n2 in v_nums.items():
+            for i, n in tables[i1, i2]:
+                out[i] = out.get(i, 0) + n1 * n2 * n
+    return out
+
+
 def _nonzero(id_nums):
-    """The nonzero values of an ``integer_commutator`` result, which keeps cancelled zeros."""
+    """The nonzero values of a ``_summed_tables`` result, which keeps cancelled zeros."""
     return {i: n for i, n in id_nums.items() if n}
 
 
@@ -383,8 +393,8 @@ def test_tensor_commutator_equals_uv_minus_vu(left, right):
     tables = tensor_algebra(left, right).brackets
 
     def bracket_nums(a, b):
-        return _nonzero(integer_commutator(tables, _id_numerators(tables, a)[0],
-                                           _id_numerators(tables, b)[0]))
+        return _nonzero(_summed_tables(tables, _id_numerators(tables, a)[0],
+                                       _id_numerators(tables, b)[0]))
 
     rng = random.Random(14)
     pairs = [(_seeded_tensor(rng, left, right), _seeded_tensor(rng, left, right))
@@ -396,12 +406,14 @@ def test_tensor_commutator_equals_uv_minus_vu(left, right):
         (u_nums, u_den), (v_nums, v_den) = _id_numerators(tables, u), _id_numerators(tables, v)
         pair_tables = [tables[i1, i2] for i1 in u_nums for i2 in v_nums]
         assert all(type(n) is int and n for table in pair_tables for _, n in table)
-        raw = integer_commutator(tables, u_nums, v_nums)
+        # Each table is kept in the row of its first id, under its second.
+        assert all(tables.rows[i1][i2] is tables[i1, i2] for i1 in u_nums for i2 in v_nums)
+        raw = _summed_tables(tables, u_nums, v_nums)
         assert all(type(i) is int and tables.id(tables.keys[i]) == i for i in raw)
         assert all(type(n) is int for n in raw.values())
         got = _nonzero(raw)
         want = u * v - v * u
-        # The kernel's numerators over the product of the denominators are uv - vu.
+        # The summed numerators over the product of the denominators are uv - vu.
         assert TensorElement(tables.algebra, {
             k: F(n, u_den * v_den) for k, n in _by_key(tables, got).items()
         }) == want
@@ -432,7 +444,7 @@ def test_commuting_monomials_have_empty_bracket_tables(left, right):
         u_nums, v_nums = _id_numerators(tables, u)[0], _id_numerators(tables, v)[0]
         assert all(tables[i1, i2] == () for i1 in u_nums for i2 in v_nums)
         assert commutator(u, v).terms == {}
-        assert integer_commutator(tables, u_nums, v_nums) == {}
+        assert _summed_tables(tables, u_nums, v_nums) == {}
 
 
 def test_compiled_rules_name_each_variable_once():
