@@ -148,14 +148,3 @@ def simplicity_samples(ring: PolyRing, max_total_degree: int) -> list[SparsePoly
     rng = random.Random(0)
     return [random_vector(ring, rng, max_total_degree) for _ in range(5)]
 
-
-def sample_vectors(ring: PolyRing, rng: random.Random, count: int = 4,
-                   max_total_degree: int = 3) -> list[SparsePoly]:
-    """A spread of test vectors: the unit, a few monomials, random mixes."""
-    vecs = [ring.one()]
-    pool = [e for e in monomials_within(ring, max_total_degree) if any(e)]
-    for exps in rng.sample(pool, min(2, len(pool))):
-        vecs.append(SparsePoly(ring, {exps: ONE}))
-    while len(vecs) < count + 1:
-        vecs.append(random_vector(ring, rng, max_total_degree))
-    return vecs

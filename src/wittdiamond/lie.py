@@ -51,13 +51,6 @@ def gen(family: str, index: int) -> Generator:
 _GEN_RE = re.compile(r"^([Labcd])\[(-?[0-9]+)\]$")
 
 
-def parse_generator(text: str) -> Generator:
-    m = _GEN_RE.match(text.strip())
-    if not m:
-        raise InvalidGenerator(f"cannot parse generator {text!r}")
-    return Generator(m.group(1), int(m.group(2)))
-
-
 class LElement(LinComb):
     """Finite rational linear combination of generators."""
 

@@ -17,8 +17,10 @@ here is certificate-producing, and one reduction chain serves every m:
 and ``omega_reduce_to_one`` is that chain with one rescale step to 1.  Every
 orbit step of a certificate is an ``orbit_component``: the n^x lam^n part
 of an X-orbit, taken by one fixed combination of N images whose weights
-invert a generalized Vandermonde matrix; ``dt_step`` builds d/dt from the
-lam-parts of the b- and a-orbits.  The free rank over the Cartan pair
+invert a generalized Vandermonde matrix.  ``_times_s`` multiplies by s_k,
+from the L-orbit; ``_top_slice`` trades the top s_k-slice for t_k, from the
+a-orbit, and is t_k itself on an s_k-free vector; ``dt_step`` builds d/dt
+from the lam-parts of the b- and a-orbits.  The free rank over the Cartan pair
 (L[0], d[0]) is proved from four probe images that a checker can
 recompute.
 """
@@ -320,42 +322,35 @@ def dt_step(module, par: OmegaParams) -> CertStep:
     return CertStep(tuple(combo))
 
 
-def _shifted_target(module: RankOneProduct, g: SparsePoly, which: int, k: int) -> SparsePoly:
-    m = module.m
-    if which == 9:
-        return g.mul_var(module.svar(k))
-    if which == 10:
-        return g.mul_var(module.tvar(k))
-    if which == 11:
-        pk = module.s_profile(g)[k - 1]
-        out = {}
-        for exps, c in g.terms.items():
-            if exps[k - 1] == pk:
-                e = list(exps)
-                e[k - 1] = 0
-                e[m + k - 1] += 1
-                out[tuple(e)] = c
-        return SparsePoly(module.ring, out)
-    raise ValueError("which must be one of 9, 10, 11")
+def _times_s(module: RankOneProduct, v: SparsePoly, k: int) -> tuple[CertStep, SparsePoly]:
+    """The step to s_k v, the (lam_k, 0) part of the L-orbit, and its target (not yet checked).
 
-
-def _extraction(module: RankOneProduct, v: SparsePoly, which: int,
-                k: int) -> tuple[CertStep, SparsePoly]:
-    """The step of ``tensor.lemma42_extract`` from v, and its target (not yet checked).
-
-    which = 9 multiplies by s_k, 10 by t_k, and 11 strips the top s_k-power
-    and bumps t_k.  With distinct scales the lam_k-part of X[n] v comes from
-    factor k alone, where L[n] and a[n] act as lam_k^n (s_k + n alpha_k)
-    tau_k^n and lam_k^n t_k tau_k^n.  So s_k v and t_k v are the n^0 lam_k^n
-    parts of the L- and a-orbits, and t_k times the top s_k-slice is
-    (-1)^p_k times the n^p_k lam_k^n part of the a-orbit, p_k the
-    s_k-degree of v.
+    With distinct scales the lam_k-part of L[n] v comes from factor k alone,
+    where L[n] acts as lam_k^n (s_k + n alpha_k) tau_k^n; its n^0 part is s_k v.
     """
-    target = _shifted_target(module, v, which, k)
-    x = module.s_profile(v)[k - 1] if which == 11 else 0
-    step = orbit_component(module, "L" if which == 9 else "a", v, module.factors[k - 1].lam,
-                           x, (-1) ** x)
-    return step, target
+    step = orbit_component(module, "L", v, module.factors[k - 1].lam, 0)
+    return step, v.mul_var(module.svar(k))
+
+
+def _top_slice(module: RankOneProduct, v: SparsePoly, k: int) -> tuple[CertStep, SparsePoly]:
+    """The step to t_k times the top s_k-slice of v with s_k stripped, and its target.
+
+    With distinct scales the lam_k-part of a[n] v comes from factor k alone,
+    where a[n] acts as lam_k^n t_k tau_k^n, and the n^p coefficient of
+    tau_k^n s_k^q = (s_k - n)^q is (-1)^p at q = p and 0 below it.  So with p
+    the s_k-degree of v the target is (-1)^p times the (lam_k, p) part of the
+    a-orbit; on an s_k-free v (p = 0) it is t_k v.
+    """
+    m, p = module.m, module.s_profile(v)[k - 1]
+    target = {}
+    for exps, c in v.terms.items():
+        if exps[k - 1] == p:
+            e = list(exps)
+            e[k - 1] = 0
+            e[m + k - 1] += 1
+            target[tuple(e)] = c
+    step = orbit_component(module, "a", v, module.factors[k - 1].lam, p, (-1) ** p)
+    return step, SparsePoly(module.ring, target)
 
 
 def _reduction_chain(module: RankOneProduct, g: SparsePoly):
@@ -378,7 +373,7 @@ def _reduction_chain(module: RankOneProduct, g: SparsePoly):
         p_part, q_part = deg[:m], deg[m:]
         if any(p_part):
             k = next(i for i, p in enumerate(p_part) if p) + 1
-            step, v = _extraction(module, v, 11, k)
+            step, v = _top_slice(module, v, k)
             checks.append((v, EXTRACTION_MISSED))
         elif any(q_part):
             k = next(i for i, q in enumerate(q_part) if q) + 1
@@ -398,10 +393,10 @@ def tensor_reduce_to_bottom(module: RankOneProduct,
     """Certificate chain from g to a nonzero multiple of 1.
 
     The s-part of the leading exponent (lexicographic on (p_1..p_m,
-    q_1..q_m)) is peeled off by top-slice extractions (strictly
+    q_1..q_m)) is peeled off by the steps of ``_top_slice`` (strictly
     degree-decreasing); once the vector lies in C[t_1..t_m], the derivative
     steps of ``dt_step``, built once per factor, reduce the t-part to a
-    constant.  Each step's target (the extraction's shifted slice, the
+    constant.  Each step's target (the shifted top slice, the
     t_k-derivative) is computed directly while the chain is built; one
     checked ``Certificate.replay`` then applies every step once and compares
     each image with its target.
@@ -415,8 +410,8 @@ def tensor_reduce_to_bottom(module: RankOneProduct,
 def omega_reduce_to_one(module: OmegaModule, f: SparsePoly) -> Certificate:
     """Certificate carrying a nonzero vector to exactly 1.
 
-    The chain of ``tensor_reduce_to_bottom`` with m = 1: a-orbit top-slice
-    extractions take f into C[t], ``dt_step`` (d/dt on C[t]) takes it to a
+    The chain of ``tensor_reduce_to_bottom`` with m = 1: the a-orbit steps
+    of ``_top_slice`` take f into C[t], ``dt_step`` (d/dt on C[t]) takes it to a
     nonzero constant, and one rescale step, if needed, takes that to 1.  One
     checked ``Certificate.replay`` applies every step, the rescale included,
     once and compares each image with its target.

@@ -241,13 +241,6 @@ class TensorElement(OperatorElement):
 
     __slots__ = ()
 
-    @classmethod
-    def pure(cls, left: OperatorElement, right: OperatorElement) -> "TensorElement":
-        terms = {
-            (kl, kr): cl * cr for kl, cl in left.terms.items() for kr, cr in right.terms.items()
-        }
-        return cls(tensor_algebra(left.algebra, right.algebra), terms)
-
     def __mul__(self, other):
         # Only so that the operators.tensor_mul span of perfbench/tracer.py has a
         # function of this class to wrap.

@@ -3,9 +3,8 @@
 These deliberately re-derive results through naive routes: truncated
 submodule closure (a desk-scale stand-in for simplicity statements, on
 integer numerator vectors, exact as no answer depends on a vector's scale),
-free-word rewriting (cross-check for the PBW straightener), and cofactor
-determinants (cross-check for elimination).  Constructive results are
-only trusted once an oracle here agrees.
+and cofactor determinants (cross-check for elimination).  Constructive
+results are only trusted once an oracle here agrees.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exceptions import NotApplicable
-from .lie import Generator, UEnvElement, bracket, generators_in_window
+from .lie import generators_in_window
 from .linalg import SpanBasis
 from .poly import SparsePoly, act_numerators, monomials_within
-from .scalars import ONE, ZERO, Frozen, Record, clear_denominators
+from .scalars import ONE, Frozen, Record, clear_denominators
 
 
 class TruncationPolicy(Frozen):
@@ -112,41 +111,6 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
         rounds=rounds,
         exact_invariant=(verdict == ClosureReport.PROPER and overflow == 0),
     )
-
-
-def free_word_oracle(word) -> UEnvElement:
-    """Naive straightening by repeated single-inversion rewriting.
-
-    Independent of the production straightener: scans the whole term dict
-    each round and rewrites one inversion at a time.
-    """
-    terms: dict[tuple[Generator, ...], Fraction] = {tuple(word): ONE}
-    while True:
-        found = None
-        for w in sorted(terms, key=lambda w: (-len(w), [g.sort_key() for g in w])):
-            for i in range(len(w) - 1):
-                if w[i].sort_key() > w[i + 1].sort_key():
-                    found = (w, i)
-                    break
-            if found:
-                break
-        if not found:
-            return UEnvElement(terms)
-        w, i = found
-        c = terms.pop(w)
-        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-        nv = terms.get(swapped, ZERO) + c
-        if nv:
-            terms[swapped] = nv
-        else:
-            terms.pop(swapped, None)
-        for g2, bc in bracket(w[i], w[i + 1]).terms.items():
-            short = w[:i] + (g2,) + w[i + 2 :]
-            nv = terms.get(short, ZERO) + c * bc
-            if nv:
-                terms[short] = nv
-            else:
-                terms.pop(short, None)
 
 
 def naive_det(matrix) -> Fraction:

@@ -13,12 +13,13 @@ order, so extracting the degree of a vector is a single max() scan.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .exceptions import UnsupportedVariable, VariableMismatch
-from .scalars import (ONE, ZERO, Frozen, LinComb, add_scaled, binomial, clear_denominators,
+from .scalars import (ONE, ZERO, Frozen, LinComb, add_scaled, clear_denominators,
                       scalar, signed_terms)
 
 
@@ -79,7 +80,7 @@ class PolyRing(Frozen):
 
 @functools.cache
 def _shift_row(k: int, off: int | Fraction) -> tuple[tuple[int, int | Fraction], ...]:
-    """The expansion of x^k under x -> x - off: pairs (j, binomial(k, j) (-off)^(k-j)).
+    """The expansion of x^k under x -> x - off: pairs (j, C(k, j) (-off)^(k-j)).
 
     ``off`` is nonzero, so every coefficient is; an integer offset is passed
     as an int, so its row holds ints, and a rational one (``SparsePoly.shift``)
@@ -87,7 +88,7 @@ def _shift_row(k: int, off: int | Fraction) -> tuple[tuple[int, int | Fraction],
     what the cache hands to the next.
     """
     m = -off
-    return tuple((j, binomial(k, j) * m ** (k - j)) for j in range(k + 1))
+    return tuple((j, math.comb(k, j) * m ** (k - j)) for j in range(k + 1))
 
 
 def act_by_rules(f: "SparsePoly", rules, den: int) -> "SparsePoly":

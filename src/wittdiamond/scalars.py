@@ -284,12 +284,6 @@ class LinComb:
         return str(self)
 
 
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def superfactorial(n: int) -> int:
     """1! * 2! * ... * n!, with the empty product for n <= 0."""
     out = 1

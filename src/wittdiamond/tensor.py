@@ -4,15 +4,15 @@
 the Leibniz rule, the sum of the one-factor actions, whose rules
 ``omega.omega_factor_act`` compiles into one list per generator; the k-th
 factor touches only (s_k, t_k).  The reduction chain ``tensor_reduce_to_bottom``
-lives in ``omega`` beside its step primitives and serves ``OmegaModule``
-(m = 1) too; generation, extraction, orbit ranks, the repeated-lambda
-witness subspace and isomorphism live here.  All span extractions rest on
-the invertibility of generalized Vandermonde matrices with rows n^x lam_k^n
-over consecutive integers n, which is certified by the closed-form
-determinant of ``det_r``: with distinct scales every certificate step is an
-``omega.orbit_component``, the n^x lam_k^n part of an orbit as one fixed
-combination of its images, or the derivative step ``omega.dt_step`` built
-from two such parts.
+lives in ``omega`` beside its step builders and serves ``OmegaModule``
+(m = 1) too; generation, orbit ranks, the simplicity certificates, the
+repeated-lambda witness subspace and isomorphism live here.  Every orbit span
+and certificate step rests on the invertibility of generalized Vandermonde
+matrices with rows n^x lam_k^n over consecutive integers n, which is
+certified by the closed-form determinant of ``det_r``: with distinct scales
+every certificate step is an ``omega.orbit_component``, the n^x lam_k^n part
+of an orbit as one fixed combination of its images, or the derivative step
+``omega.dt_step`` built from two such parts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .linalg import SpanBasis, exact_det
 # Not called here; perfbench/selftest.py checks that its tracer rebinds this binding.
 from .linalg import combination  # noqa: F401
 from .omega import (
-    EXTRACTION_MISSED, InvarianceReport, OmegaParams, RankOneProduct, _extraction,
+    EXTRACTION_MISSED, InvarianceReport, OmegaParams, RankOneProduct, _times_s, _top_slice,
     invariance_check, omega_factor_act, orbit, tensor_reduce_to_bottom
 )
 from .poly import SparsePoly
@@ -160,58 +160,17 @@ def det_r(spec: DetSpec) -> DetResult:
                      rows=rows, denominators=denominators)
 
 
-# -- spans and extractions ---------------------------------------------------
-
-
-def _orbit_span(module: TensorModule, g: SparsePoly, families: Sequence[str]) -> SpanBasis:
-    """span{g, X[n] g : X in families, n in Z}: the ``omega.orbit`` images span every X[n] g."""
-    basis = SpanBasis()
-    basis.add(g.terms)
-    for family in families:
-        for _, image in orbit(module, family, g):
-            basis.add(image.terms)
-    return basis
-
-
-def span_NXg(module: TensorModule, family: str, g: SparsePoly) -> tuple[list[SparsePoly], int]:
-    """Basis and dimension of span{g, X_n g : n in Z} for X in {L, a}, from ``_orbit_span``."""
-    if family not in ("L", "a"):
-        raise ValueError("the span is defined for the L and a families")
-    if g.is_zero:
-        raise NotApplicable("span of the zero vector")
-    basis = _orbit_span(module, g, (family,))
-    vectors = [SparsePoly(module.ring, dict(v)) for v in basis.vectors()]
-    return vectors, basis.dim
-
-
-def lemma42_extract(module: TensorModule, g: SparsePoly, k: int,
-                    which: int) -> tuple[SparsePoly, Certificate]:
-    """One of the three basic span members, with its explicit combination.
-
-    which = 9:  multiply by s_k, extracted from the L-orbit;
-    which = 10: multiply by t_k, extracted from the a-orbit;
-    which = 11: strip the top s_k-power and bump t_k, from the a-orbit.
-
-    The one step is checked against the target by one replay.
-    """
-    if not module.distinct_lambdas():
-        raise NotApplicable("requires pairwise distinct lambdas")
-    if g.is_zero:
-        raise NotApplicable("extraction from the zero vector")
-    if not 1 <= k <= module.m:
-        raise ValueError("factor index out of range")
-    step, target = _extraction(module, g, which, k)
-    cert = Certificate([step])
-    cert.replay(module, g, [(target, EXTRACTION_MISSED)])
-    return target, cert
+# -- generation and orbit rank ------------------------------------------------
 
 
 def tensor_generate(module: RankOneProduct, exponents: Sequence[int]) -> Certificate:
     """Certificate from 1 to the monomial with the given exponent vector.
 
-    The extraction steps are built with their targets and checked by one
-    ``Certificate.replay``, as in ``tensor_reduce_to_bottom``.  On an
-    ``OmegaModule`` the exponent vector is (p, q), for s^p t^q.
+    The t-powers come first, from 1, by steps of ``omega._top_slice`` on
+    s-free vectors, where each multiplies by t_k; then ``omega._times_s``
+    multiplies by the s-powers.  The steps are built with their targets and
+    checked by one ``Certificate.replay``, as in ``tensor_reduce_to_bottom``.
+    On an ``OmegaModule`` the exponent vector is (p, q), for s^p t^q.
     """
     if not module.distinct_lambdas():
         raise NotApplicable("requires pairwise distinct lambdas")
@@ -222,11 +181,10 @@ def tensor_generate(module: RankOneProduct, exponents: Sequence[int]) -> Certifi
     steps: list[CertStep] = []
     checks: list[tuple[SparsePoly, str]] = []
     v = module.one()
-    # s-powers from the L-orbit first, then t-powers from the a-orbit.
-    for which, offset in ((9, 0), (10, m)):
+    for build, offset in ((_top_slice, m), (_times_s, 0)):
         for k in range(1, m + 1):
             for _ in range(exps[offset + k - 1]):
-                step, v = _extraction(module, v, which, k)
+                step, v = build(module, v, k)
                 steps.append(step)
                 checks.append((v, EXTRACTION_MISSED))
     cert = Certificate(steps)
@@ -238,10 +196,18 @@ def tensor_generate(module: RankOneProduct, exponents: Sequence[int]) -> Certifi
 
 
 def r_g(module: TensorModule, g: SparsePoly) -> int:
-    """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g, from ``_orbit_span``."""
+    """dim span{g, a_n g, c_n g : n in Z}, at least m + 1 for nonzero g.
+
+    The ``omega.orbit`` images of each family span its whole orbit.
+    """
     if g.is_zero:
         raise NotApplicable("the zero vector has no orbit rank")
-    return _orbit_span(module, g, ("a", "c")).dim
+    basis = SpanBasis()
+    basis.add(g.terms)
+    for family in ("a", "c"):
+        for _, image in orbit(module, family, g):
+            basis.add(image.terms)
+    return basis.dim
 
 
 # -- simplicity and isomorphism ----------------------------------------------
@@ -276,74 +242,22 @@ def w_invariance_check(module: TensorModule, i: int, j: int) -> InvarianceReport
                             module.one(), module.ring.var(si))
 
 
-class SimplicityEvidence(Record):
-    _fields = ("start_terms", "reduction", "bottom_coefficient", "generation_target", "generation")
+def simplicity_certificates(module: TensorModule) -> list[Certificate]:
+    """The reduction certificates of the five sample vectors, for pairwise distinct lambdas.
 
-    def __init__(self, start_terms: dict, reduction: Certificate, bottom_coefficient: Fraction,
-                 generation_target: tuple[int, ...], generation: Certificate):
-        self.start_terms = start_terms
-        self.reduction = reduction
-        self.bottom_coefficient = bottom_coefficient
-        self.generation_target = generation_target
-        self.generation = generation
-
-
-class SimplicityResult(Record):
-    _fields = ("simple", "evidence", "witness_pair", "invariance", "note")
-
-    def __init__(self, simple: bool, evidence: list[SimplicityEvidence] | None = None,
-                 witness_pair: tuple[int, int] | None = None,
-                 invariance: InvarianceReport | None = None, note: str = ""):
-        self.simple = simple
-        self.evidence = [] if evidence is None else evidence
-        self.witness_pair = witness_pair
-        self.invariance = invariance
-        self.note = note
-
-
-def simplicity_decision(module: TensorModule) -> SimplicityResult:
-    """Certificate-based simplicity evidence, or an exact invariant subspace.
-
-    With pairwise distinct lambdas the decision is backed by replayable
-    reduction and generation certificates from the five fixed sample vectors
-    of degree at most 2 (desk-scale evidence for the universal statement, not
-    an exhaustive proof); with a repeated lambda the witness subspace is
-    proved invariant under every X[n], n in Z, in every degree, and proper
-    (see ``w_invariance_check``).  Each certificate is replayed once, with a
-    check of every step against its target; the samples share the module's
-    ``orbit_weights``, so each weight system is solved once per module.
+    Each sample vector of degree at most 2 is reduced to a nonzero constant,
+    and its leading monomial is generated from 1; both certificates are
+    replayed once with a check of every step against its target.  This is
+    desk-scale evidence for the universal statement, not an exhaustive
+    proof; with a repeated lambda ``w_invariance_check`` proves the module
+    not simple.  The samples share the module's ``orbit_weights``, so each
+    weight system is solved once per module.
     """
-    if module.distinct_lambdas():
-        evidence = []
-        for v in simplicity_samples(module.ring, max_total_degree=2):
-            cert, bottom = tensor_reduce_to_bottom(module, v)
-            target = max(v.terms)
-            up = tensor_generate(module, target)
-            evidence.append(
-                SimplicityEvidence(
-                    start_terms={k: c for k, c in v.terms.items()},
-                    reduction=cert,
-                    bottom_coefficient=bottom.coefficient((0,) * (2 * module.m)),
-                    generation_target=target,
-                    generation=up,
-                )
-            )
-        return SimplicityResult(
-            simple=True,
-            evidence=evidence,
-            note="certificate evidence at desk scale; the universal statement "
-            "is the distinct-lambda criterion",
-        )
-    i, j = module.equal_lambda_pair()
-    report = w_invariance_check(module, i, j)
-    return SimplicityResult(
-        simple=False,
-        witness_pair=(i, j),
-        invariance=report,
-        note=f"witness subspace C[t{i},t{j}](s{i}+s{j})^p (x) rest is invariant "
-        "under X[n] for every n in Z, by three probe vectors on index-complete "
-        f"grids, and proper: 1 lies in it and s{i} does not",
-    )
+    certificates = []
+    for v in simplicity_samples(module.ring, max_total_degree=2):
+        certificates.append(tensor_reduce_to_bottom(module, v)[0])
+        tensor_generate(module, max(v.terms))
+    return certificates
 
 
 def canonical_form(module: RankOneProduct) -> tuple:

@@ -8,9 +8,11 @@ from importlib import resources
 
 import pytest
 
+from wittdiamond.axioms import random_vector
 from wittdiamond.lie import LElement, bracket, gen, generators_in_window
 from wittdiamond.omega import RANK1_RING, OmegaModule, OmegaParams, Rank1ActionData
-from wittdiamond.operators import TensorElement
+from wittdiamond.operators import TensorElement, tensor_algebra
+from wittdiamond.poly import SparsePoly, monomials_within
 
 
 def load_schema(name: str) -> dict:
@@ -187,3 +189,20 @@ def docstring_action(par, ring, svar, tvar, g, f):
     if g.family == "b":
         return g_t * fs * lam_n + dt_fs * (lam_n * par.beta)
     return fs * (-lam_n * par.beta)
+
+
+def sample_vectors(ring, rng, count=4, max_total_degree=3):
+    """A spread of test vectors: the unit, a few monomials, random mixes."""
+    vecs = [ring.one()]
+    pool = [e for e in monomials_within(ring, max_total_degree) if any(e)]
+    for exps in rng.sample(pool, min(2, len(pool))):
+        vecs.append(SparsePoly(ring, {exps: F(1)}))
+    while len(vecs) < count + 1:
+        vecs.append(random_vector(ring, rng, max_total_degree))
+    return vecs
+
+
+def pure(left, right):
+    """The pure tensor left (x) right of two ``OperatorElement``s."""
+    terms = {(kl, kr): cl * cr for kl, cl in left.terms.items() for kr, cr in right.terms.items()}
+    return TensorElement(tensor_algebra(left.algebra, right.algebra), terms)

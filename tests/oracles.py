@@ -1,10 +1,11 @@
-"""Agreement oracles: earlier, simpler versions of engines that ``src`` now runs in ints.
+"""Agreement oracles: earlier or naive versions of engines that ``src`` runs another way.
 
 ``FractionSpanBasis`` is the sparse eliminator with every row held as
 Fractions with pivot coefficient 1, and ``fraction_closure`` is the truncated
 closure that acts through ``module.act`` on ``SparsePoly`` vectors and
 truncates each image as a polynomial.  The tests check that ``linalg`` and
-``oracle`` give the same answers.
+``oracle`` give the same answers.  ``free_word_oracle`` straightens a word by
+naive single-inversion rewriting, a cross-check for ``lie.pbw_normalize``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from wittdiamond.exceptions import NotApplicable
-from wittdiamond.lie import generators_in_window
+from wittdiamond.lie import Generator, UEnvElement, bracket, generators_in_window
 from wittdiamond.oracle import ClosureReport
 from wittdiamond.poly import SparsePoly, monomials_within
 from wittdiamond.scalars import ONE, ZERO, add_scaled, scalar
@@ -150,3 +151,38 @@ def fraction_closure(module, start: SparsePoly, policy) -> ClosureReport:
         rounds=rounds,
         exact_invariant=(verdict == ClosureReport.PROPER and overflow == 0),
     )
+
+
+def free_word_oracle(word) -> UEnvElement:
+    """Naive straightening by repeated single-inversion rewriting.
+
+    Independent of the production straightener: scans the whole term dict
+    each round and rewrites one inversion at a time.
+    """
+    terms: dict[tuple[Generator, ...], Fraction] = {tuple(word): ONE}
+    while True:
+        found = None
+        for w in sorted(terms, key=lambda w: (-len(w), [g.sort_key() for g in w])):
+            for i in range(len(w) - 1):
+                if w[i].sort_key() > w[i + 1].sort_key():
+                    found = (w, i)
+                    break
+            if found:
+                break
+        if not found:
+            return UEnvElement(terms)
+        w, i = found
+        c = terms.pop(w)
+        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+        nv = terms.get(swapped, ZERO) + c
+        if nv:
+            terms[swapped] = nv
+        else:
+            terms.pop(swapped, None)
+        for g2, bc in bracket(w[i], w[i + 1]).terms.items():
+            short = w[:i] + (g2,) + w[i + 2 :]
+            nv = terms.get(short, ZERO) + c * bc
+            if nv:
+                terms[short] = nv
+            else:
+                terms.pop(short, None)

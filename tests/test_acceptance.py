@@ -9,9 +9,9 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from conftest import criterion_08_modules
+from conftest import criterion_08_modules, sample_vectors
 
-from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
+from wittdiamond.axioms import module_axiom_check, random_vector
 from wittdiamond.exceptions import NotAModule
 from wittdiamond.fock import (
     FModule,

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import sample_vectors
 
-from wittdiamond.axioms import AxiomReport, _integer_action, module_axiom_check, sample_vectors
+from wittdiamond.axioms import AxiomReport, _integer_action, module_axiom_check
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import FAMILIES, bracket, gen, generators_in_window
 from wittdiamond.omega import OmegaModule, OmegaParams

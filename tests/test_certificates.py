@@ -85,15 +85,23 @@ def test_corrupted_step_raises_certificate_error(monkeypatch, reduce, replay_err
         reduce()
 
 
-@pytest.mark.parametrize("which", [9, 10, 11])
-def test_lemma42_extract_rejects_corrupted_weights(monkeypatch, which):
-    """The one-step check of ``lemma42_extract`` catches weights off by one."""
-    g = _tensor().ring.monomial({"s1": 1, "t2": 1})
-    target, cert = tensor.lemma42_extract(_tensor(), g, 1, which)
-    assert len(cert) == 1
+@pytest.mark.parametrize("builder, start", [
+    ("_times_s", {"s1": 1, "t2": 1}),
+    ("_top_slice", {"s1": 1, "t2": 1}),
+    ("_top_slice", {"t1": 1, "t2": 1}),
+], ids=["times_s", "top_slice", "top_slice-s-free"])
+def test_step_builders_reject_corrupted_weights(monkeypatch, builder, start):
+    """The check of one step of either kind, on a fresh module, catches weights off by one."""
+    def one_step():
+        T = _tensor()
+        g = T.ring.monomial(start)
+        step, target = getattr(omega, builder)(T, g, 1)
+        return Certificate([step]).replay(T, g, [(target, omega.EXTRACTION_MISSED)])
+
+    one_step()
     monkeypatch.setattr(omega, "combination", _off_by_one(omega.combination))
     with pytest.raises(CertificateError, match="extraction step does not reach its target"):
-        tensor.lemma42_extract(_tensor(), g, 1, which)
+        one_step()
 
 
 def _plus_second_derivative(build):
@@ -157,7 +165,6 @@ def test_each_step_is_applied_once_and_weights_are_built_once_per_module(monkeyp
     for v in [random_vector(T.ring, rng, max_total_degree=2, terms=3) for _ in range(4)]:
         costs(lambda: tensor.tensor_reduce_to_bottom(T, v)[0])
         costs(lambda: tensor.tensor_generate(T, max(v.terms)))
-        costs(lambda: tensor.lemma42_extract(T, v, 2, 10)[1])
     M = OmegaModule(OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(2))))
     for v in [random_vector(M.ring, rng, max_total_degree=3, terms=3) for _ in range(4)]:
         costs(lambda: omega_reduce_to_one(M, v))
@@ -171,7 +178,7 @@ def test_each_step_is_applied_once_and_weights_are_built_once_per_module(monkeyp
                     for v in simplicity_samples(module.ring, max_total_degree=3):
                         omega_reduce_to_one(module, v)
                 else:
-                    tensor.simplicity_decision(module)
+                    tensor.simplicity_certificates(module)
             assert solved and len(solved) == len(set(solved)) == len(module.orbit_weights)
             builds.append(len(solved))
         assert builds[0] == builds[1]

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import pure, sample_vectors
 
-from wittdiamond.axioms import apply_uenv, module_axiom_check, sample_vectors
+from wittdiamond.axioms import apply_uenv, module_axiom_check
 from wittdiamond.exceptions import InvalidGenerator, NotApplicable
 from wittdiamond.fock import (
     FModule,
@@ -193,7 +194,7 @@ def test_q_non_scalar_on_whittaker():
     assert not any(qv == v * c for c in (F(0), F(1), F(-3), qv.coefficient((0, 0, 0))))
     # Through the map itself: PhiAB(alpha, beta) sends Q to -beta (1 (x) h).
     for alpha, beta in ((F(1, 2), F(3)), (F(-2), F(5, 3))):
-        assert PhiAB(alpha, beta).apply(Q) == TensorElement.pure(
+        assert PhiAB(alpha, beta).apply(Q) == pure(
             OperatorElement.one(R2), OperatorElement.monomial(UB, (1, 0), -beta))
 
 

@@ -9,9 +9,10 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from conftest import pure, sample_vectors
 
 from wittdiamond import homomorphisms
-from wittdiamond.axioms import module_axiom_check, sample_vectors
+from wittdiamond.axioms import module_axiom_check
 from wittdiamond.fock import FModule, MFactor, Whittaker
 from wittdiamond.homomorphisms import (
     CorruptedPhiAB,
@@ -31,7 +32,6 @@ from wittdiamond.operators import (
     UB,
     BracketTables,
     OperatorElement,
-    TensorElement,
 )
 from wittdiamond.scalars import clear_denominators
 
@@ -43,15 +43,15 @@ def weyl2(xexp, dexp, coef=1):
 def test_phi_ab_generator_images():
     phi = PhiAB(F(1, 2), F(3))
     # c_n -> -beta x0^n (x) 1
-    assert phi.image(gen("c", 4)) == TensorElement.pure(
+    assert phi.image(gen("c", 4)) == pure(
         weyl2((4, 0), (0, 0), -3), OperatorElement.one(UB)
     )
     # L_0 -> Euler operator on x0, no index-linear term
-    assert phi.image(gen("L", 0)) == TensorElement.pure(
+    assert phi.image(gen("L", 0)) == pure(
         weyl2((1, 0), (1, 0)), OperatorElement.one(UB)
     )
     # b_n -> x0^n x1^-1 (x) 1
-    assert phi.image(gen("b", -2)) == TensorElement.pure(
+    assert phi.image(gen("b", -2)) == pure(
         weyl2((-2, -1), (0, 0)), OperatorElement.one(UB)
     )
 
@@ -67,7 +67,7 @@ def _ub(i, j, coef=1):
 def operator_image(phi, g):
     """The generator image built by operator arithmetic from the class docstrings' tables.
 
-    Sums of ``OperatorElement`` monomials and ``TensorElement.pure``; no code
+    Sums of ``OperatorElement`` monomials and ``pure`` tensors; no code
     of ``image`` is reused.
     """
     n, f = g.index, g.family
@@ -79,31 +79,31 @@ def operator_image(phi, g):
             g_t = g_t + _weyl(DIFFOP, (k,), (0,), c)
         if f == "L":
             left = _weyl(R0, (n + 1,), (1,)) + _weyl(R0, (n,), (0,), n * phi.alpha)
-            return TensorElement.pure(left, one_d)
+            return pure(left, one_d)
         if f == "d":
             right = (t * g_t + one_d.scaled(phi.gamma)).scaled(1 / phi.beta) + t * dt
-            return TensorElement.pure(x0n, right)
+            return pure(x0n, right)
         if f == "a":
-            return TensorElement.pure(x0n, t)
+            return pure(x0n, t)
         if f == "b":
-            return TensorElement.pure(x0n, g_t + dt.scaled(phi.beta))
-        return TensorElement.pure(_weyl(R0, (n,), (0,), -phi.beta), one_d)
+            return pure(x0n, g_t + dt.scaled(phi.beta))
+        return pure(_weyl(R0, (n,), (0,), -phi.beta), one_d)
     ub1, h, e = _ub(0, 0), _ub(1, 0), _ub(0, 1)
     if f == "L":
         left = _weyl(R2, (n + 1, 0), (1, 0)) + _weyl(R2, (n, 0), (0, 0), n * phi.alpha)
-        return TensorElement.pure(left, ub1) + TensorElement.pure(_weyl(R2, (n, 0), (0, 0), n), h)
+        return pure(left, ub1) + pure(_weyl(R2, (n, 0), (0, 0), n), h)
     if f == "d":
-        out = TensorElement.pure(_weyl(R2, (n, 1), (0, 1)), ub1)
+        out = pure(_weyl(R2, (n, 1), (0, 1)), ub1)
         if isinstance(phi, CorruptedPhiAB):
             return out
-        return out + TensorElement.pure(_weyl(R2, (n, 0), (0, 0), n), e)
+        return out + pure(_weyl(R2, (n, 0), (0, 0), n), e)
     if f == "a":
         x0n_x1 = _weyl(R2, (n, 1), (0, 0), phi.beta)
-        return (TensorElement.pure(_weyl(R2, (n, 2), (0, 1), phi.beta), ub1)
-                - TensorElement.pure(x0n_x1, h - e.scaled(n)))
+        return (pure(_weyl(R2, (n, 2), (0, 1), phi.beta), ub1)
+                - pure(x0n_x1, h - e.scaled(n)))
     if f == "b":
-        return TensorElement.pure(_weyl(R2, (n, -1), (0, 0)), ub1)
-    return TensorElement.pure(_weyl(R2, (n, 0), (0, 0), -phi.beta), ub1)
+        return pure(_weyl(R2, (n, -1), (0, 0)), ub1)
+    return pure(_weyl(R2, (n, 0), (0, 0), -phi.beta), ub1)
 
 
 @pytest.mark.parametrize("phi", [
@@ -348,7 +348,7 @@ def test_specific_witness_targets():
     wit = {w.name: w for w in surjectivity_witnesses(phi)}
     d0_target, d0_pre = wit["d0 (x) 1"].pairs[0]
     assert d0_pre == UEnvElement.from_word([gen("L", 0)])
-    assert d0_target == TensorElement.pure(
+    assert d0_target == pure(
         OperatorElement.monomial(R0, ((1,), (1,))), OperatorElement.one(DIFFOP)
     )
     t_target, t_pre = wit["1 (x) t"].pairs[0]

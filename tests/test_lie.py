@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import FORMER_WORD_SPLIT, former_terms, planted_bracket
+from oracles import free_word_oracle
 
 from wittdiamond import lie
 from wittdiamond.exceptions import InvalidGenerator
@@ -17,13 +18,11 @@ from wittdiamond.lie import (
     gen,
     generators_in_window,
     jacobi_residual,
-    parse_generator,
     parse_uenv,
     parse_words,
     pbw_normalize,
     uenv_mul,
 )
-from wittdiamond.oracle import free_word_oracle
 
 
 def test_bracket_table_examples():
@@ -196,11 +195,8 @@ def test_pbw_matches_free_word_oracle():
 
 
 def test_generator_parsing():
-    assert parse_generator("L[3]") == gen("L", 3)
-    assert parse_generator("c[-14]") == gen("c", -14)
+    assert parse_words("L[3] c[-14]") == [(F(1), (gen("L", 3), gen("c", -14)))]
     assert str(gen("a", -2)) == "a[-2]"
-    with pytest.raises(InvalidGenerator):
-        parse_generator("q[0]")
     with pytest.raises(InvalidGenerator):
         gen("x", 0)
 
@@ -259,6 +255,6 @@ def test_parse_words_matches_the_former_splitter_on_seeded_sums():
     rng = random.Random(39)
     for _ in range(300):
         text = _seeded_word_sum(rng)
-        want = [(coef, tuple(parse_generator(w) for w in words))
+        want = [(coef, tuple(gen(w[0], int(w[2:-1])) for w in words))
                 for coef, words in former_terms(text, FORMER_WORD_SPLIT)]
         assert parse_words(text) == want, text

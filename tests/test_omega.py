@@ -1,5 +1,6 @@
 """Rank-one free modules: actions, certificates, free rank, classification."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,9 +11,10 @@ from conftest import (
     docstring_action,
     formula_rank1_data,
     planted_rank_defect,
+    sample_vectors,
 )
 
-from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
+from wittdiamond.axioms import module_axiom_check, random_vector
 from wittdiamond.exceptions import NotAModule, NotApplicable
 from wittdiamond.lie import FAMILIES, bracket, gen, generators_in_window
 from wittdiamond.linalg import exact_nullspace
@@ -33,7 +35,7 @@ from wittdiamond.omega import (
 )
 from wittdiamond.poly import PolyRing, SparsePoly
 from wittdiamond.tensor import tensor_generate
-from wittdiamond.scalars import add_scaled, binomial
+from wittdiamond.scalars import add_scaled
 
 
 def _action_data(*params):
@@ -506,7 +508,7 @@ def _reference_compose(u, v):
                     continue
                 piece = g1 * g2r.shift("L0", n1)
                 if r:
-                    piece = piece * binomial(k1, r)
+                    piece = piece * math.comb(k1, r)
                 key = (n1 + n2, k1 + k2 - r)
                 q = out.get(key)
                 np = piece if q is None else q + piece

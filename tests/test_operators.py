@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import pure
 
 from wittdiamond.exceptions import AlgebraMismatch
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
@@ -157,23 +158,23 @@ def test_ub_mul_agrees_with_whittaker_action():
 
 
 def test_tensor_product_componentwise():
-    x0 = TensorElement.pure(weyl(R2, (1, 0), (0, 0)), ub(0, 0))
-    e = TensorElement.pure(OperatorElement.one(R2), ub(0, 1))
-    assert x0 * e == TensorElement.pure(weyl(R2, (1, 0), (0, 0)), ub(0, 1))
+    x0 = pure(weyl(R2, (1, 0), (0, 0)), ub(0, 0))
+    e = pure(OperatorElement.one(R2), ub(0, 1))
+    assert x0 * e == pure(weyl(R2, (1, 0), (0, 0)), ub(0, 1))
 
 
 def test_tensor_commutator_example():
     # [x0^n d1 (x) 1, x0^m x1 (x) h] = x0^(n+m) x1 (x) h
     n, m = 2, -1
     lhs = commutator(
-        TensorElement.pure(weyl(R2, (n, 1), (0, 1)), ub(0, 0)),
-        TensorElement.pure(weyl(R2, (m, 1), (0, 0)), ub(1, 0)),
+        pure(weyl(R2, (n, 1), (0, 1)), ub(0, 0)),
+        pure(weyl(R2, (m, 1), (0, 0)), ub(1, 0)),
     )
-    assert lhs == TensorElement.pure(weyl(R2, (n + m, 1), (0, 0)), ub(1, 0))
+    assert lhs == pure(weyl(R2, (n + m, 1), (0, 0)), ub(1, 0))
 
 
 def test_commutator_self_is_zero():
-    u = TensorElement.pure(weyl(R2, (1, 2), (1, 0), 3), ub(1, 1))
+    u = pure(weyl(R2, (1, 2), (1, 0), 3), ub(1, 1))
     assert commutator(u, u).is_zero
 
 
@@ -181,11 +182,11 @@ def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
         weyl(R2, (0, 0), (0, 0)) * weyl(R0, (0,), (0,))
     with pytest.raises(AlgebraMismatch):
-        TensorElement.pure(weyl(R2, (0, 0), (0, 0)), ub(0, 0)) + TensorElement.pure(
+        pure(weyl(R2, (0, 0), (0, 0)), ub(0, 0)) + pure(
             weyl(R0, (0,), (0,)), ub(0, 0)
         )
-    a = TensorElement.pure(weyl(R2, (1, -1), (1, 0)), ub(1, 1))
-    b = TensorElement.pure(weyl(R0, (-2,), (1,)), weyl(DIFFOP, (1,), (1,)))
+    a = pure(weyl(R2, (1, -1), (1, 0)), ub(1, 1))
+    b = pure(weyl(R0, (-2,), (1,)), weyl(DIFFOP, (1,), (1,)))
     zeros = (TensorElement(tensor_algebra(R2, UB)), TensorElement(tensor_algebra(R0, DIFFOP)))
     for u, v in ((a, b), (b, a), zeros, (a, weyl(R2, (0, 0), (0, 0)))):
         with pytest.raises(AlgebraMismatch):
@@ -196,7 +197,7 @@ def test_operator_text_format():
     assert str(weyl(R2, (2, -1), (1, 0))) == "x0^2 x1^-1 dx0"
     assert str(weyl(DIFFOP, (1,), (2,))) == "t dt^2"
     assert str(ub(2, 1)) == "h^2 e"
-    elem = TensorElement.pure(weyl(R2, (0, 1), (0, 0)), ub(0, 1))
+    elem = pure(weyl(R2, (0, 1), (0, 0)), ub(0, 1))
     assert str(elem) == "(x1)(x)(e)"
 
 
@@ -266,7 +267,7 @@ def _random_tensor(rng):
     for _ in range(4):
         left = OperatorElement.monomial(R2, _random_weyl_key(rng, R2),
                                         F(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
-        out = out + TensorElement.pure(left, ub(rng.randint(0, 2), rng.randint(0, 2)))
+        out = out + pure(left, ub(rng.randint(0, 2), rng.randint(0, 2)))
     return out
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from oracles import fraction_closure
+from oracles import fraction_closure, free_word_oracle
 
 from wittdiamond import oracle
 from wittdiamond.exceptions import NotApplicable
@@ -16,7 +16,6 @@ from wittdiamond.omega import OmegaModule, OmegaParams, omega_reduce_to_one
 from wittdiamond.oracle import (
     ClosureReport,
     TruncationPolicy,
-    free_word_oracle,
     naive_det,
     truncated_closure,
 )

@@ -25,7 +25,7 @@ from wittdiamond.omega import (
 from wittdiamond.operators import R0, UB, UbAlgebra, WeylAlgebra
 from wittdiamond.oracle import ClosureReport, TruncationPolicy
 from wittdiamond.poly import PolyRing
-from wittdiamond.tensor import DetResult, DetSpec, IsoResult, SimplicityEvidence, SimplicityResult
+from wittdiamond.tensor import DetResult, DetSpec, IsoResult
 
 
 def _rank1_data():
@@ -60,9 +60,6 @@ RECORDS = {
     "InvarianceReport": lambda: InvarianceReport(probes=3),
     "UhRankReport": lambda: UhRankReport(images=[], operators={}, facts={"d[0] A": True}),
     "DetResult": lambda: DetResult(computed=F(2), closed_form=F(2), rows=[[1]], denominators=[1]),
-    "SimplicityResult": lambda: SimplicityResult(simple=True),
-    "SimplicityEvidence": lambda: SimplicityEvidence({(0, 1): F(1)}, Certificate([]), F(1),
-                                                     (0, 0), Certificate([])),
     "IsoResult": lambda: IsoResult(isomorphic=False, invariant="lambda"),
     "HomReport": lambda: HomReport(window=1, pairs_checked=120, violations=[]),
     "Witness": lambda: Witness("L[0]", []),
@@ -126,7 +123,6 @@ def test_constructors_keep_their_defaults_and_normalization():
     report = AxiomReport(1, 2)
     assert report.pairs_checked == 0 and report.violations == []
     assert report.violations is not AxiomReport(1, 2).violations
-    assert SimplicityResult(True).evidence is not SimplicityResult(True).evidence
     assert InvarianceReport() == InvarianceReport(0, 0, 0, [], False)
     assert IsoResult(True) == IsoResult(True, None, None)
     # DetResult equality ignores the rows and their denominators.

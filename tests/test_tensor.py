@@ -7,11 +7,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 import pytest
-from conftest import docstring_action
+from conftest import docstring_action, sample_vectors
 
-from wittdiamond.axioms import module_axiom_check, random_vector, sample_vectors
-from wittdiamond.certificates import CertStep
-from wittdiamond.exceptions import InvalidSpec, NotApplicable
+from wittdiamond import omega, tensor
+from wittdiamond.axioms import module_axiom_check, random_vector, simplicity_samples
+from wittdiamond.certificates import Certificate, CertStep
+from wittdiamond.exceptions import CertificateError, InvalidSpec, NotApplicable
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import FAMILIES, gen, generators_in_window
 from wittdiamond.linalg import SpanBasis, combination
@@ -20,18 +21,19 @@ from wittdiamond.omega import (
     OmegaParams,
     RankOneProduct,
     _candidate_operator,
-    _shifted_target,
+    _times_s,
+    _top_slice,
     omega_factor_act,
     omega_reduce_to_one,
     dt_step,
     operator_form,
+    orbit,
     orbit_component,
     orbit_points,
     rank1_data_from_action,
 )
 from wittdiamond.oracle import naive_det
 from wittdiamond.poly import SparsePoly, act_by_rules
-from wittdiamond import omega
 from wittdiamond.tensor import (
     DetSpec,
     TensorModule,
@@ -40,10 +42,8 @@ from wittdiamond.tensor import (
     det_r,
     det_rows,
     iso_check,
-    lemma42_extract,
     r_g,
-    simplicity_decision,
-    span_NXg,
+    simplicity_certificates,
     tensor_generate,
     tensor_reduce_to_bottom,
     w_invariance_check,
@@ -230,35 +230,53 @@ def test_axioms_m2_random():
         assert report.ok, report.violations[:3]
 
 
+def _exact_span(module, families, g):
+    """span{g, X[n] g : X in families, n in Z}, from the ``omega.orbit`` images."""
+    basis = SpanBasis()
+    basis.add(g.terms)
+    for family in families:
+        for _, image in orbit(module, family, g):
+            basis.add(image.terms)
+    return basis
+
+
 def test_span_examples():
     T = TensorModule([A, B])
-    _, dim = span_NXg(T, "a", T.one())
-    assert dim == 3  # 1, t1, t2
-    _, dim = span_NXg(T, "L", T.one())
-    assert dim == 3  # 1, s1, s2
+    assert _exact_span(T, ["a"], T.one()).dim == 3  # 1, t1, t2
+    assert _exact_span(T, ["L"], T.one()).dim == 3  # 1, s1, s2
     T1 = TensorModule([A])
-    _, dim = span_NXg(T1, "a", T1.ring.var("t1"))
-    assert dim == 2  # t, t^2
+    assert _exact_span(T1, ["a"], T1.ring.var("t1")).dim == 2  # t, t^2
 
 
 def test_lemma42_extractions():
+    """The two orbit step kinds: s_k v from the L-orbit, and t_k times the top
+    s_k-slice from the a-orbit, which is t_k v on an s_k-free v."""
     T1 = TensorModule([A])
-    target, cert = lemma42_extract(T1, T1.one(), 1, 10)
-    assert target == T1.ring.var("t1")
-    assert cert.replay(T1, T1.one()) == target
-    target, cert = lemma42_extract(T1, T1.one(), 1, 9)
-    assert target == T1.ring.var("s1")
+    one = T1.one()
+    step, target = _top_slice(T1, one, 1)
+    assert target == T1.ring.var("t1") == step.apply(T1, one)
+    step, target = _times_s(T1, one, 1)
+    assert target == T1.ring.var("s1") == step.apply(T1, one)
     T2 = TensorModule([A, B])
     g = T2.ring.var("s1")
-    target, cert = lemma42_extract(T2, g, 1, 11)
-    assert target == T2.ring.var("t1")
-    assert cert.replay(T2, g) == target
+    step, target = _top_slice(T2, g, 1)
+    assert target == T2.ring.var("t1") == step.apply(T2, g)
+    g = T2.ring.monomial({"s1": 2, "t2": 1}) * 3 + T2.ring.monomial({"s1": 1, "s2": 2})
+    step, target = _top_slice(T2, g, 1)
+    assert target == T2.ring.monomial({"t1": 1, "t2": 1}) * 3 == step.apply(T2, g)
+    step, target = _top_slice(T2, g, 2)
+    assert target == T2.ring.monomial({"s1": 1, "t2": 1}) == step.apply(T2, g)
 
 
 def test_lemma42_requires_distinct_lambdas():
+    """Generation, reduction and the simplicity certificates refuse a repeated lambda."""
     T = TensorModule([A, OmegaParams(F(1), F(1), F(0), A.lam, (F(1),))])
     with pytest.raises(NotApplicable):
-        lemma42_extract(T, T.one(), 1, 10)
+        tensor_generate(T, (0, 0, 1, 0))
+    with pytest.raises(NotApplicable):
+        tensor_reduce_to_bottom(T, T.ring.var("t1"))
+    with pytest.raises(NotApplicable):
+        simplicity_certificates(T)
 
 
 def test_reduce_to_bottom_m1_matches_single_module_route():
@@ -296,6 +314,62 @@ def test_generate_examples():
         assert cert.replay(T, T.one()) == SparsePoly(T.ring, {exps: F(1)})
 
 
+@pytest.mark.parametrize("factors", [[A, B], [A, B, C]], ids=["m2", "m3"])
+def test_generation_takes_top_slices_of_s_free_vectors_only(monkeypatch, factors):
+    """The t-powers come first, from 1, so every top-slice step of a generation
+    starts from an s-free vector and weighs m images of the a-orbit."""
+    T = TensorModule(factors)
+    m = T.m
+    starts = []
+    top_slice = tensor._top_slice
+    monkeypatch.setattr(tensor, "_top_slice", lambda module, v, k: starts.append(v)
+                        or top_slice(module, v, k))
+    rng = random.Random(44)
+    for _ in range(4):
+        exps = tuple(rng.randint(0, 2) for _ in range(2 * m))
+        starts.clear()
+        cert = tensor_generate(T, exps)
+        assert cert.replay(T, T.one()) == SparsePoly(T.ring, {exps: F(1)})
+        assert len(starts) == sum(exps[m:])
+        assert all(not any(T.s_profile(v)) for v in starts)
+        for step in cert.steps[:len(starts)]:
+            assert {g.family for _, (g,) in step.combo} == {"a"}
+            assert max(g.index for _, (g,) in step.combo) < m
+
+
+def _doubled_on_call(build, planted_call):
+    """``build`` with the target of its ``planted_call``-th call doubled."""
+    calls = []
+
+    def planted(module, v, k):
+        step, target = build(module, v, k)
+        calls.append(k)
+        return step, target * 2 if len(calls) == planted_call else target
+    return planted
+
+
+@pytest.mark.parametrize("owner, builder, run, before", [
+    (tensor, "_times_s", lambda T: tensor_generate(T, (1, 2, 1, 1)), 2),
+    (tensor, "_top_slice", lambda T: tensor_generate(T, (1, 0, 2, 1)), 0),
+    (omega, "_top_slice", lambda T: tensor_reduce_to_bottom(T, T.ring.monomial(
+        {"s1": 1, "s2": 1}) + T.ring.var("t2")), 0),
+], ids=["generate-times_s", "generate-top_slice", "reduce-top_slice"])
+def test_a_planted_wrong_target_fails_at_its_own_step_check(monkeypatch, owner, builder, run,
+                                                            before):
+    """A builder whose second target is doubled fails the check of that step: the
+    replay stops after ``before`` steps of other kinds and two of its own."""
+    T = TensorModule([A, B])
+    run(T)
+    applied = []
+    apply = CertStep.apply
+    monkeypatch.setattr(CertStep, "apply", lambda step, module, v: applied.append(step)
+                        or apply(step, module, v))
+    monkeypatch.setattr(owner, builder, _doubled_on_call(getattr(owner, builder), 2))
+    with pytest.raises(CertificateError, match="extraction step does not reach its target"):
+        run(T)
+    assert len(applied) == before + 2
+
+
 def test_r_g_examples():
     for factors in ([A], [A, B], [A, B, C]):
         T = TensorModule(factors)
@@ -320,22 +394,22 @@ def test_r_g_dichotomy_random():
 
 
 def test_simplicity_distinct_lambdas():
+    """Each certificate carries its sample vector to a nonzero constant."""
     T = TensorModule([A, B])
-    result = simplicity_decision(T)
-    assert result.simple
-    assert len(result.evidence) == 5
-    for ev in result.evidence:
-        assert ev.bottom_coefficient != 0
+    certificates = simplicity_certificates(T)
+    samples = simplicity_samples(T.ring, max_total_degree=2)
+    assert len(certificates) == len(samples) == 5
+    for cert, v in zip(certificates, samples):
+        assert set(cert.replay(T, v).terms) == {(0, 0, 0, 0)}
 
 
 def test_simplicity_repeated_lambda_witness():
     lamA = A.lam
     T = TensorModule([A, OmegaParams(F(1), F(1), F(1), lamA, (F(2),))])
-    result = simplicity_decision(T)
-    assert not result.simple
-    assert result.witness_pair == (1, 2)
-    assert result.invariance.ok
-    assert result.invariance.escapes == []
+    assert T.equal_lambda_pair() == (1, 2)
+    report = w_invariance_check(T, 1, 2)
+    assert report.ok and report.proper
+    assert report.escapes == []
 
 
 def test_w_invariance_explicit_action():
@@ -354,9 +428,7 @@ def test_w_invariance_explicit_action():
 
 
 def test_m1_always_simple():
-    result = simplicity_decision(TensorModule([A]))
-    assert result.simple
-    assert len(result.evidence) == 5
+    assert len(simplicity_certificates(TensorModule([A]))) == 5
 
 
 def test_canonical_form_permutation_invariant():
@@ -729,7 +801,7 @@ def test_factor_action_is_the_rank_one_symbol():
 
 
 def _grown_span(module, families, g, window):
-    """The former loop of span_NXg and r_g: add X[n] g for n < window, then
+    """The former window-growth loop of the orbit spans: add X[n] g for n < window, then
     one index at a time until the dimension is stable for max(2, m) growths."""
     basis = SpanBasis()
     basis.add(g.terms)
@@ -784,30 +856,36 @@ def test_exact_orbit_spans_agree_with_growth_oracle(repeated):
             g = random_vector(module.ring, rng, max_total_degree=2, terms=3)
             profile = module.s_profile(g)
             for family, per_factor in (("L", 2), ("a", 1)):
-                vectors, dim = span_NXg(module, family, g)
+                basis = _exact_span(module, [family], g)
                 oracle = _grown_span(module, [family], g, sum(p + per_factor for p in profile) + 1)
-                assert dim == oracle.dim
-                assert [dict(v.terms) for v in vectors] == oracle.vectors()
+                assert basis.dim == oracle.dim
+                assert basis.vectors() == oracle.vectors()
             oracle = _grown_span(module, ["a", "c"], g, max(sum(p + 1 for p in profile), 1))
             assert r_g(module, g) == oracle.dim
 
 
 def test_orbit_components_agree_with_growth_oracle():
-    """Each extraction's component step and the former grown solve reach one target."""
+    """Each step builder, its closed-form target and the former grown solve reach one
+    vector: s_k v, and (-1)^p times the n^p lam_k^n part of the a-orbit, p the
+    s_k-degree, on s_k-free vectors (p = 0) and on others."""
     for module, rng in _seeded_modules(43, repeated=False):
         for _ in range(3):
             v = random_vector(module.ring, rng, max_total_degree=2, terms=3)
             profile = module.s_profile(v)
             k = rng.randint(1, module.m)
-            cases = [("L", 9, sum(p + 2 for p in profile)), ("a", 10, sum(p + 1 for p in profile))]
-            if profile[k - 1]:
-                cases.append(("a", 11, sum(p + 1 for p in profile)))
-            for family, which, base in cases:
-                target = _shifted_target(module, v, which, k)
-                got, cert = lemma42_extract(module, v, k, which)
-                assert got == target and cert.replay(module, v) == target
-                assert _grown_solve(module, family, v, target, base, module.m + 6).apply(
-                    module, v) == target
+            p = profile[k - 1]
+            s_free = SparsePoly(module.ring, {e: c for e, c in v.terms.items() if not e[k - 1]})
+            cases = [("L", _times_s, v, v.mul_var(module.svar(k)), sum(q + 2 for q in profile)),
+                     ("a", _top_slice, v, _component_target(module, "a", v, k, p) * (-1) ** p,
+                      sum(q + 1 for q in profile))]
+            if p and not s_free.is_zero:
+                cases.append(("a", _top_slice, s_free, s_free.mul_var(module.tvar(k)),
+                              sum(q + 1 for q in module.s_profile(s_free))))
+            for family, build, w, target, base in cases:
+                step, got = build(module, w, k)
+                assert got == target and step.apply(module, w) == target
+                assert _grown_solve(module, family, w, target, base, module.m + 6).apply(
+                    module, w) == target
     M = OmegaModule(A)
     for p in (1, 2, 4):
         v = M.ring.monomial({"s": p, "t": 1}) + M.ring.monomial({"s": 1})
