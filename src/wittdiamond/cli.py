@@ -656,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
 _VALUE_OPTIONS = ("--alpha", "--beta", "--gamma", "--alphas", "--g", "--vector", "--expr")
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
+def _join_signed_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for word in argv:
         if out and out[-1] in _VALUE_OPTIONS and re.match(r"-(?!-)", word):
@@ -668,7 +668,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         rep = Report(args.command)
         args.func(args, rep)

@@ -197,6 +197,8 @@ def test_pbw_matches_free_word_oracle():
 def test_generator_parsing():
     assert parse_words("L[3] c[-14]") == [(F(1), (gen("L", 3), gen("c", -14)))]
     assert str(gen("a", -2)) == "a[-2]"
+    with pytest.raises(ValueError):
+        parse_words("q[0]")
     with pytest.raises(InvalidGenerator):
         gen("x", 0)
 
