@@ -408,8 +408,9 @@ NAIVE_LIMIT = 6
 # Bounds on the work of the det-lemma sweep, checked before any determinant:
 # the rows of its largest block, max_m * max_s, and its spec count, the sum
 # over m of P(len(alphas), m) * max_s^m.  The default sweep has blocks of at
-# most 9 rows and 3528 specs (about 0.5 s).  A sweep at both bounds takes a
-# few seconds; blocks of 80 rows ran for minutes.
+# most 9 rows and 3528 specs (0.28-0.45 s in process on a shared 2-vCPU x86_64
+# host, Python 3.11).  A sweep at both bounds takes a few seconds; blocks of
+# 80 rows ran for minutes.
 MAX_DET_ROWS = 24
 MAX_DET_SPECS = 10_000
 
@@ -598,15 +599,20 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="wittdiamond",
+        allow_abbrev=False,
         description="Exact verification suites for the Witt/loop-Diamond "
         "operator algebra and its module families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-brackets", help="antisymmetry and Jacobi sweep")
+    def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
+        # No abbreviated options: ``_join_signed_values`` knows the full names only.
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p = add_parser("verify-brackets", help="antisymmetry and Jacobi sweep")
     p.set_defaults(func=cmd_verify_brackets)
 
-    p = sub.add_parser("verify-hom", help="bracket compatibility of a generator table")
+    p = add_parser("verify-hom", help="bracket compatibility of a generator table")
     p.add_argument("--map", choices=["ab", "abgg"], required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
@@ -616,32 +622,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative control: drop the index-linear term of d[n]")
     p.set_defaults(func=cmd_verify_hom)
 
-    p = sub.add_parser("act", help="apply an enveloping-algebra expression to a vector")
+    p = add_parser("act", help="apply an enveloping-algebra expression to a vector")
     p.add_argument("--spec", required=True)
     p.add_argument("--expr", required=True, help="e.g. 'Q' or 'b[0] a[0] - 2 c[1]'")
     p.add_argument("--vector", required=True, help="e.g. 'x0^2 x1^-1' or 's t^2'")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("simplicity", help="simplicity verdict and the evidence behind it")
+    p = add_parser("simplicity", help="simplicity verdict and the evidence behind it")
     p.add_argument("--spec", required=True)
     p.set_defaults(func=cmd_simplicity)
 
-    p = sub.add_parser("det-lemma", help="generalized Vandermonde determinant sweep")
+    p = add_parser("det-lemma", help="generalized Vandermonde determinant sweep")
     p.add_argument("--max-m", type=_positive_int, default=3)
     p.add_argument("--max-s", type=_positive_int, default=3)
     p.add_argument("--alphas", default="1,2,3,5,7,-2")
     p.set_defaults(func=cmd_det_lemma)
 
-    p = sub.add_parser("rank", help="free rank over the Cartan pair, or orbit rank")
+    p = add_parser("rank", help="free rank over the Cartan pair, or orbit rank")
     p.add_argument("--spec", required=True)
     p.add_argument("--vector", help="start vector of the orbit rank (T specs only)")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("classify", help="identify rank-one action data")
+    p = add_parser("classify", help="identify rank-one action data")
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("iso", help="canonical forms and isomorphism verdict")
+    p = add_parser("iso", help="canonical forms and isomorphism verdict")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.set_defaults(func=cmd_iso)

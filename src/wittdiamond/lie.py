@@ -48,7 +48,8 @@ def gen(family: str, index: int) -> Generator:
     return Generator(family, int(index))
 
 
-_GEN_RE = re.compile(r"^([Labcd])\[(-?[0-9]+)\]$")
+# Any letters take an index here, so that an unknown family is refused by name.
+_GEN_RE = re.compile(r"^([A-Za-z]+)\[(-?[0-9]+)\]$")
 
 
 class LElement(LinComb):
@@ -198,9 +199,19 @@ def uenv_mul(u: UEnvElement, v: UEnvElement) -> UEnvElement:
 
 
 def parse_words(text: str) -> list[tuple[Fraction, Word]]:
-    """The terms of "b[0] a[0] - 3/2 c[-1] d[1] + 2" as (coefficient, letters), as written."""
-    return [(coef, tuple(Generator(m[1], int(m[2])) for m in letters))
+    """The terms of "b[0] a[0] - 3/2 c[-1] d[1] + 2" as (coefficient, letters), as written.
+
+    Like every other parse error, a word ``<letters>[<int>]`` whose letters are
+    not one of the ``FAMILIES`` is a ValueError, and its message names them.
+    """
+    return [(coef, tuple(_generator(m) for m in letters))
             for coef, letters in signed_terms(text, _GEN_RE)]
+
+
+def _generator(m: re.Match) -> Generator:
+    if m[1] not in _RANK:
+        raise ValueError(f"unknown generator family {m[1]!r} in {m[0]!r}")
+    return Generator(m[1], int(m[2]))
 
 
 def parse_uenv(text: str) -> UEnvElement:

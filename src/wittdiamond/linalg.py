@@ -6,9 +6,10 @@ membership, dimension, solutions (``combination``) and relations
 denominator; a Fraction is built only for a value returned.  The two queries
 insert the coordinate rows of the matrix whose columns are the input vectors,
 so the reduced rows are its reduced row echelon form.  Determinants are a
-separate operation: a fraction-free Bareiss elimination over Python ints.
-Inputs may be ints or Fractions, read through their numerators and
-denominators, with no per-entry coercion.
+separate operation: a fraction-free Bareiss elimination over Python ints,
+which copies a row of ints as it is.  Inputs may be ints or Fractions; any
+other row is read through its entries' numerators and denominators, with no
+per-entry coercion.
 """
 
 from __future__ import annotations
@@ -24,12 +25,17 @@ Vector = Mapping[Hashable, int | Fraction]
 
 
 def exact_det(matrix: Sequence[Row]) -> Fraction:
-    """Determinant via fraction-free Bareiss after clearing row denominators.
+    """Determinant via fraction-free Bareiss elimination over Python ints.
 
-    Entries may be ints or Fractions: each is read through its
-    ``numerator`` and ``denominator``, with no per-entry coercion, so a
-    matrix of ints is eliminated as it is.  The input rows are not modified.
-    Any other entry type raises ``TypeError``.
+    A row whose entries are all ``int`` is copied as it is.  Any other row is
+    cleared to integers: each entry is read through its ``numerator`` and
+    ``denominator``, with no per-entry coercion, and the row is multiplied by
+    the lcm of its denominators, which divides the result once at the end.
+    So a ``bool`` or ``Fraction`` entry is eliminated as its integer value,
+    and an entry of any other type raises ``TypeError``.  The elimination
+    runs on the copies; the input rows are not modified.  A row whose entry
+    under the pivot is 0 is only rescaled by ``pivot / prev``, and not even
+    that when the two are equal.
     """
     n = len(matrix)
     if n == 0:
@@ -39,6 +45,9 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
     m: list[list[int]] = []
     scale = 1
     for row in matrix:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            continue
         try:
             mult = lcm(*[x.denominator for x in row])
             m.append([x.numerator * (mult // x.denominator) for x in row])
@@ -60,8 +69,12 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
         for i in range(k + 1, n):
             row = m[i]
             f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+            if f:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+            elif pivot != prev:
+                for j in range(k + 1, n):
+                    row[j] = row[j] * pivot // prev
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1], scale)
 

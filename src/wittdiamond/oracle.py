@@ -116,40 +116,45 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
 def naive_det(matrix) -> Fraction:
     """Cofactor expansion with minor memoization; oracle for small sizes.
 
-    Entries are ints or Fractions (any other type raises ``TypeError``); the
-    input is not modified.  Each row is multiplied by the lcm of its entries'
-    denominators, so the expansion runs over Python ints with an integer sign;
-    the result is divided by the product of those row scales once, at the end.
+    A row whose entries are all ``int`` is read as it is.  Any other row is
+    multiplied by the lcm of its entries' denominators, read through each
+    entry's ``numerator`` and ``denominator`` (a ``bool`` or ``Fraction`` is
+    read as its value; any other type raises ``TypeError``), and the result
+    is divided by the product of those row scales once, at the end.  The
+    expansion runs over Python ints with an integer sign, along the first
+    remaining row and over that row's nonzero entries only; the minor of the
+    rows below is memoized on the bitmask of its columns, which also fixes
+    its first row.  The input is not modified.
     """
     n = len(matrix)
     if n == 0:
         return ONE
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    rows: list[list[int]] = []
+    rows: list[list[tuple[int, int]]] = []  # (column bit, entry) of each nonzero entry
     scale = 1
     for row in matrix:
-        try:
-            row_scale = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * row_scale // x.denominator for x in row])
-        except AttributeError:
-            raise TypeError("determinant entries must be ints or Fractions") from None
-        scale *= row_scale
-    cache: dict[tuple[int, ...], int] = {}
+        if not all(type(x) is int for x in row):
+            try:
+                row_scale = lcm(*(x.denominator for x in row))
+                row = [x.numerator * row_scale // x.denominator for x in row]
+            except AttributeError:
+                raise TypeError("determinant entries must be ints or Fractions") from None
+            scale *= row_scale
+        rows.append([(1 << col, x) for col, x in enumerate(row) if x])
+    cache = {0: 1}  # column bitmask -> minor; the minor on no columns is 1
 
-    def minor(row: int, cols: tuple[int, ...]) -> int:
-        if not cols:
-            return 1
-        if cols in cache:
-            return cache[cols]
+    def minor(row: int, cols: int) -> int:
         total = 0
-        sign = 1
-        for idx, col in enumerate(cols):
-            entry = rows[row][col]
-            if entry:
-                total += sign * entry * minor(row + 1, cols[:idx] + cols[idx + 1 :])
-            sign = -sign
+        for bit, entry in rows[row]:
+            if cols & bit:
+                rest = cols ^ bit
+                sub = cache.get(rest)
+                if sub is None:
+                    sub = minor(row + 1, rest)
+                # The sign is that of the column's place among the remaining ones.
+                total += -entry * sub if (cols & (bit - 1)).bit_count() & 1 else entry * sub
         cache[cols] = total
         return total
 
-    return Fraction(minor(0, tuple(range(n))), scale)
+    return Fraction(minor(0, (1 << n) - 1), scale)

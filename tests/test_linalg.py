@@ -267,6 +267,52 @@ def test_exact_det_on_int_rows_equals_fraction_rows_and_naive():
     assert exact_det([[1, F(1, 2)], [F(2, 3), 4]]) == F(11, 3)
 
 
+def test_exact_det_on_mixed_int_bool_and_fraction_rows_equals_naive():
+    """Int rows are copied as they are; bool and Fraction rows are cleared to ints."""
+    rng = random.Random(17)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = []
+        for _ in range(n):
+            kind = rng.choice(("int", "bool", "fraction", "mixed"))
+            if kind == "int":
+                row = [rng.randint(-6, 6) for _ in range(n)]
+            elif kind == "bool":
+                row = [rng.random() < 0.5 for _ in range(n)]
+            elif kind == "fraction":
+                row = [F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            else:
+                row = [rng.choice([rng.randint(-3, 3), rng.random() < 0.5,
+                                   F(rng.randint(-3, 3), rng.randint(1, 4))]) for _ in range(n)]
+            m.append(row)
+        assert exact_det(m) == naive_det(m)
+    assert exact_det([[True, False], [2, 3]]) == naive_det([[True, False], [2, 3]]) == 3
+    assert exact_det([[F(1, 2), True], [4, 2]]) == -3
+
+
+def test_exact_det_rescales_a_row_with_a_zero_under_the_pivot():
+    """Row 1 has 0 under the first pivot 2, so it is only multiplied by 2 / 1.
+
+    Skipping that rescale would leave row 1 one step behind, and the next
+    exact division would give 5 // 2 = 2 instead of 5.
+    """
+    m = [[2, 1, 0], [0, 3, 1], [1, 1, 1]]
+    assert exact_det(m) == naive_det(m) == 5
+    # The first pivot 1 equals the starting prev, so no rescale is due.
+    m = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
+    assert exact_det(m) == naive_det(m) == 1
+
+
+def test_exact_det_agrees_with_naive_on_random_int_matrices_with_zeros():
+    rng = random.Random(19)
+    for n in range(1, 8):
+        for _ in range(12 if n < 7 else 4):
+            density = rng.choice((0.3, 0.6, 0.9))
+            m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(n)]
+            assert exact_det(m) == naive_det(m)
+
+
 def test_exact_det_leaves_its_input_rows_unchanged():
     rng = random.Random(12)
     for _ in range(40):

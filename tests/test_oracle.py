@@ -1,5 +1,6 @@
 """Brute-force oracles: truncated closure, free rewriting, naive determinants."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -213,6 +214,14 @@ def test_naive_det_reads_ints_as_fractions_and_keeps_its_input():
     for bad in (1.5, "1/2"):
         with pytest.raises(TypeError):
             naive_det([[1, 2], [bad, 3]])
+
+
+def test_naive_det_of_every_permutation_matrix_is_its_parity():
+    for n in range(1, 7):
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            m = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+            assert naive_det(m) == (-1) ** inversions
 
 
 def test_naive_det_hand_computed_3x3_with_row_denominators():
