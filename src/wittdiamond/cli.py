@@ -408,7 +408,7 @@ NAIVE_LIMIT = 6
 # Bounds on the work of the det-lemma sweep, checked before any determinant:
 # the rows of its largest block, max_m * max_s, and its spec count, the sum
 # over m of P(len(alphas), m) * max_s^m.  The default sweep has blocks of at
-# most 9 rows and 3528 specs (0.28-0.45 s in process on a shared 2-vCPU x86_64
+# most 9 rows and 3528 specs (about 0.3 s in process on a shared 2-vCPU x86_64
 # host, Python 3.11).  A sweep at both bounds takes a few seconds; blocks of
 # 80 rows ran for minutes.
 MAX_DET_ROWS = 24

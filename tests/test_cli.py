@@ -1129,28 +1129,19 @@ def test_out_is_the_last_option_of_every_subcommand():
 
 def test_no_parser_takes_an_abbreviated_option(capsys):
     """A sign-leading value is joined only after a full option name, so no
-    parser may read an abbreviation either: "--alp 1/2" and "--alp -2/3" fail alike."""
+    parser may read an abbreviation either (golden verify-hom-alpha-abbreviated*)."""
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert build_parser().allow_abbrev is False
     assert all(parser.allow_abbrev is False for parser in sub.choices.values())
-    for value in ("1/2", "-2/3"):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-hom", "--map", "ab", "--alp", value, "--beta", "5"])
-        assert exc.value.code == 2
-        assert "required: --alpha" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["det-lemma", "--max", "1", "--alphas", "1,2"])
     assert exc.value.code == 2 and "unrecognized arguments: --max" in capsys.readouterr().err
 
 
-def test_an_unknown_generator_family_is_named(write_json, capsys):
+def test_an_unknown_generator_family_is_named():
     for text, family in (("q[0]", "q"), ("2 L[1] xy[-3]", "xy"), ("Q[2] - a[0]", "Q")):
         with pytest.raises(ValueError, match=f"unknown generator family '{family}'"):
             parse_words(text)
-    argv = ["act", "--spec", write_json("omega.json", OMEGA_SPEC), "--expr", "q[0]",
-            "--vector", "s"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "spec error: --expr: unknown generator family 'q' in 'q[0]'\n"
 
 
 def _omega(**fields):
