@@ -33,9 +33,7 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
     the lcm of its denominators, which divides the result once at the end.
     So a ``bool`` or ``Fraction`` entry is eliminated as its integer value,
     and an entry of any other type raises ``TypeError``.  The elimination
-    runs on the copies; the input rows are not modified.  A row whose entry
-    under the pivot is 0 is only rescaled by ``pivot / prev``, and not even
-    that when the two are equal.
+    runs on the copies; the input rows are not modified.
     """
     n = len(matrix)
     if n == 0:
@@ -69,12 +67,8 @@ def exact_det(matrix: Sequence[Row]) -> Fraction:
         for i in range(k + 1, n):
             row = m[i]
             f = row[k]
-            if f:
-                for j in range(k + 1, n):
-                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
-            elif pivot != prev:
-                for j in range(k + 1, n):
-                    row[j] = row[j] * pivot // prev
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
         prev = pivot
     return Fraction(sign * m[n - 1][n - 1], scale)
 

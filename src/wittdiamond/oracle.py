@@ -116,15 +116,13 @@ def truncated_closure(module, start: SparsePoly, policy: TruncationPolicy) -> Cl
 def naive_det(matrix) -> Fraction:
     """Cofactor expansion with minor memoization; oracle for small sizes.
 
-    A row whose entries are all ``int`` is read as it is.  Any other row is
-    multiplied by the lcm of its entries' denominators, read through each
-    entry's ``numerator`` and ``denominator`` (a ``bool`` or ``Fraction`` is
-    read as its value; any other type raises ``TypeError``), and the result
-    is divided by the product of those row scales once, at the end.  The
-    expansion runs over Python ints with an integer sign, along the first
-    remaining row and over that row's nonzero entries only; the minor of the
-    rows below is memoized on the bitmask of its columns, which also fixes
-    its first row.  The input is not modified.
+    Entries are ints or Fractions (any other type raises ``TypeError``); the
+    input is not modified.  Each row is multiplied by the lcm of its entries'
+    denominators, so the expansion runs over Python ints with an integer sign;
+    the result is divided by the product of those row scales once, at the end.
+    The expansion runs along the first remaining row, over that row's nonzero
+    entries only; the minor of the rows below is memoized on the bitmask of
+    its columns, which also fixes its first row.
     """
     n = len(matrix)
     if n == 0:
@@ -134,13 +132,12 @@ def naive_det(matrix) -> Fraction:
     rows: list[list[tuple[int, int]]] = []  # (column bit, entry) of each nonzero entry
     scale = 1
     for row in matrix:
-        if not all(type(x) is int for x in row):
-            try:
-                row_scale = lcm(*(x.denominator for x in row))
-                row = [x.numerator * row_scale // x.denominator for x in row]
-            except AttributeError:
-                raise TypeError("determinant entries must be ints or Fractions") from None
-            scale *= row_scale
+        try:
+            row_scale = lcm(*(x.denominator for x in row))
+            row = [x.numerator * row_scale // x.denominator for x in row]
+        except AttributeError:
+            raise TypeError("determinant entries must be ints or Fractions") from None
+        scale *= row_scale
         rows.append([(1 << col, x) for col, x in enumerate(row) if x])
     cache = {0: 1}  # column bitmask -> minor; the minor on no columns is 1
 

@@ -1138,12 +1138,6 @@ def test_no_parser_takes_an_abbreviated_option(capsys):
     assert exc.value.code == 2 and "unrecognized arguments: --max" in capsys.readouterr().err
 
 
-def test_an_unknown_generator_family_is_named():
-    for text, family in (("q[0]", "q"), ("2 L[1] xy[-3]", "xy"), ("Q[2] - a[0]", "Q")):
-        with pytest.raises(ValueError, match=f"unknown generator family '{family}'"):
-            parse_words(text)
-
-
 def _omega(**fields):
     return module_from_spec({**OMEGA_SPEC, **fields})
 

@@ -197,8 +197,9 @@ def test_pbw_matches_free_word_oracle():
 def test_generator_parsing():
     assert parse_words("L[3] c[-14]") == [(F(1), (gen("L", 3), gen("c", -14)))]
     assert str(gen("a", -2)) == "a[-2]"
-    with pytest.raises(ValueError):
-        parse_words("q[0]")
+    for text, family in (("q[0]", "q"), ("2 L[1] xy[-3]", "xy"), ("Q[2] - a[0]", "Q")):
+        with pytest.raises(ValueError, match=f"unknown generator family '{family}'"):
+            parse_words(text)
     with pytest.raises(InvalidGenerator):
         gen("x", 0)
 

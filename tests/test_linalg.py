@@ -290,14 +290,14 @@ def test_exact_det_on_mixed_int_bool_and_fraction_rows_equals_naive():
 
 
 def test_exact_det_rescales_a_row_with_a_zero_under_the_pivot():
-    """Row 1 has 0 under the first pivot 2, so it is only multiplied by 2 / 1.
+    """Row 1 has 0 under the first pivot 2, so its update only multiplies it by 2 / 1.
 
-    Skipping that rescale would leave row 1 one step behind, and the next
-    exact division would give 5 // 2 = 2 instead of 5.
+    An elimination that skipped such a row would leave it one step behind,
+    and the next exact division would give 5 // 2 = 2 instead of 5.
     """
     m = [[2, 1, 0], [0, 3, 1], [1, 1, 1]]
     assert exact_det(m) == naive_det(m) == 5
-    # The first pivot 1 equals the starting prev, so no rescale is due.
+    # The first pivot 1 equals the starting prev, so the update leaves row 1 as it is.
     m = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
     assert exact_det(m) == naive_det(m) == 1
 
