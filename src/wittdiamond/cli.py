@@ -222,32 +222,20 @@ def cmd_verify_brackets(args, rep: Report) -> None:
     antisymmetry defect has degree at most 1 in each index, and each
     coefficient of the Jacobi residual at ``l+m+n``, a sum of products
     ``c(m, n) c'(l, m+n)``, has degree at most 2 in each of l, m and n (as in
-    ``[L_l, [L_m, L_n]] = (n-m)(m+n-l) L_{l+m+n}``).  A polynomial of degree at
-    most d in each variable that vanishes on d+1 points per variable is zero
-    (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1), so the three
-    indices {-1, 0, 1} settle both identities on Z.
+    ``[L_l, [L_m, L_n]] = (n-m)(m+n-l) L_{l+m+n}``).  So the three indices
+    {-1, 0, 1} settle both identities on Z (the grid lemma of
+    ``homomorphisms.index_degree``).
     """
     gens = generators_in_window(BRACKET_WINDOW)
     grid = {"complete": True, "indices": list(range(-BRACKET_WINDOW, BRACKET_WINDOW + 1))}
-    anti = [
-        (str(x), str(y))
-        for x in gens
-        for y in gens
-        if not (bracket(x, y) + bracket(y, x)).is_zero
-    ]
+    anti = [(str(x), str(y)) for x, y in itertools.product(gens, repeat=2)
+            if not (bracket(x, y) + bracket(y, x)).is_zero]
     rep.add("antisymmetry", not anti, {**grid, "max_index_degree": 1,
                                        "pairs": len(gens) ** 2, "violations": anti[:10]})
-    jac = []
-    for x in gens:
-        for y in gens:
-            for z in gens:
-                if not jacobi_residual(x, y, z).is_zero:
-                    jac.append((str(x), str(y), str(z)))
-    rep.add(
-        "jacobi",
-        not jac,
-        {**grid, "max_index_degree": 2, "triples": len(gens) ** 3, "violations": jac[:10]},
-    )
+    jac = [tuple(map(str, xyz)) for xyz in itertools.product(gens, repeat=3)
+           if not jacobi_residual(*xyz).is_zero]
+    rep.add("jacobi", not jac, {**grid, "max_index_degree": 2, "triples": len(gens) ** 3,
+                                "violations": jac[:10]})
 
 
 def _build_phi(args):
@@ -277,7 +265,7 @@ def cmd_verify_hom(args, rep: Report) -> None:
             "map": args.map,
             "complete": True,
             "window": hom.window,
-            "max_index_degree": 2,
+            "max_index_degree": hom.max_index_degree,
             "pairs": hom.pairs_checked,
             "violations": hom.violations[:10],
             "corrupted": bool(args.corrupted),
@@ -588,16 +576,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that names the unknown options when it reports missing required ones, which
+    argparse does first: a mistyped ``--alp`` would read only as a missing ``--alpha``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._unknown = [w for w in args or () if w.startswith("--") and w != "--"
+                         and w.split("=", 1)[0] not in self._option_string_actions]
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        if getattr(self, "_unknown", None) and message.startswith("the following arguments"):
+            message += "; unrecognized arguments: " + " ".join(self._unknown)
+        super().error(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one.
 
     Building the eight subparsers costs far more than parsing with them, and
-    a parser keeps no state between ``parse_args`` calls, so repeated
-    ``main`` calls in one process reuse it.  It is not built at import, which
-    every importer of ``cli`` would pay for.
+    a parse reads nothing that an earlier one left, so repeated ``main``
+    calls in one process reuse it.  It is not built at import, which every
+    importer of ``cli`` would pay for.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wittdiamond",
         allow_abbrev=False,
         description="Exact verification suites for the Witt/loop-Diamond "

@@ -11,7 +11,7 @@ The U(b)-factor V is either the one-dimensional module C_eps (e acts as
 zero, h as the scalar eps) or the Whittaker-type module C[h] (h acts by
 multiplication, e by the unit shift f(h) -> f(h-1); e is injective).
 
-Every action is a pullback of the ab table (``homomorphisms.ab_table``, the
+Every action is a pullback of the ab table (``homomorphisms.ab_terms``, the
 generator images of ``PhiAB``) to P0 (x) P1 (x) V, each monomial acting
 factor by factor (``operators.pullback_rules``).  On the Whittaker V the map
 is PhiAB(alpha, beta).  On C_eps it is PhiAB(alpha + eps/beta, beta), with h
@@ -84,11 +84,15 @@ class FModule:
             raise InvalidSpec(f"unknown V kind {type(v_space).__name__}")
         names, flags, self._factor_actions = map(list, zip(*kinds))
         self.ring = PolyRing(tuple(names), tuple(flags))
-        # On C_eps the ab table is read at alpha + eps/beta, and h acts as -eps/beta.
-        self._table_alpha = self.alpha
-        if isinstance(v_space, OneDim):
-            self._table_alpha += v_space.eps / self.beta
-            self._factor_actions.append(scalar_factor(self.alpha - self._table_alpha))
+        # On C_eps the ab table is read at alpha + eps/beta, h acts as -eps/beta, and e acts
+        # as 0, so the table leaves out the e terms.
+        on_eps = isinstance(v_space, OneDim)
+        shift = v_space.eps / self.beta if on_eps else 0
+        if on_eps:
+            self._factor_actions.append(scalar_factor(-shift))
+        table = homomorphisms.ab_terms(self.alpha + shift, self.beta)
+        self._table = {family: tuple((x, (h, e), c) for x, (h, e), c in terms if not (on_eps and e))
+                       for family, terms in table.items()}
         self.act_rules: dict = {}  # ``rules``'s compiled rules, by generator
 
     def one(self) -> SparsePoly:
@@ -99,7 +103,7 @@ class FModule:
         (module docstring), compiled on the first call for g and kept in ``act_rules``."""
         rules = self.act_rules.get(g)
         if rules is None:
-            table = homomorphisms.ab_table(g.family, g.index, self._table_alpha, self.beta)
+            table = homomorphisms.evaluate(self._table, g.family, g.index)
             rules = self.act_rules[g] = pullback_rules([(table.items(), self._factor_actions)])
         return rules
 
@@ -108,22 +112,14 @@ class FModule:
         return act_by_rules(v, *self.rules(g))
 
     def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
-        """{scale: D}: X[n] v is scale^n times a polynomial in n of degree at most D.
-
-        Every term of the ab table (``homomorphisms.ab_table``) carries x0^n:
-        l^n times d0 -> d0 - n on an Omega(l)-type P0 (scale l), a raise of
-        x0 by n on an M-type one (scale 1; the bound is on x0^-n X[n] v).
-        D = [X = L] (L's n alpha, and its n h on the Whittaker V) + [V
-        Whittaker and X in {a, d}] (their n e) + the d0-degree p of v
-        ((d0 - n)^p); x1 moves by a power fixed by the family.  Grid lemma
-        (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1): a polynomial of
-        degree at most D that vanishes at D + 1 points is zero.  So modulo a
-        subspace W stable under powers of x0, the D + 1 images of
-        ``omega.orbit`` settle X[n] v for every n in Z.
-        """
+        """{scale: D}: X[n] v is scale^n times a polynomial in n of degree at most D, the
+        family's ``homomorphisms.index_degree`` in the module's table plus the d0-degree of v
+        on an Omega(l)-type P0 (scale l); on an M-type P0 the scale is 1 and the bound is on
+        x0^-n X[n] v.  Modulo a subspace W stable under powers of x0, the D + 1 images of
+        ``omega.orbit`` then settle X[n] v for every n in Z."""
         p0 = self.factors[0]
         omega_p0 = isinstance(p0, OmegaFactor)
-        degree = ((family == "L") + (isinstance(self.v_space, Whittaker) and family in ("a", "d"))
+        degree = (homomorphisms.index_degree(self._table[family])
                   + (omega_p0 and (v.var_degree("d0") or 0)))
         return {p0.lam if omega_p0 else ONE: degree}
 
@@ -183,13 +179,13 @@ def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     """Exact invariance of W_n = span{ x0^e x1^k : k <= n } under every X[m], m in Z.
 
     Here x0^e stands for d0^e (e >= 0) when P0 is of Omega type.  With V =
-    C_eps and an M-type x1, every term of the ab table (``FModule.act``
-    reads it with h = -eps/beta and e = 0) sends x0^e x1^k to
-    (k0 + k1 e_i) times x0^(e + m) x1^(k + delta), or, on an
-    Omega(l)-type P0, times l^m (d0 - m)^(e + r) x1^(k + delta) with r <= 1,
-    where k0 and k1 have degree [X = L] in m and delta is a constant of the
-    family: +1 for a, -1 for b and 0 for L, c and d.  So no family but a
-    raises the x1-degree, a raises it by one, and W_n is invariant exactly
+    C_eps and an M-type x1, every term of the ab table (``FModule.act`` reads
+    it with h = -eps/beta and e = 0) sends x0^e x1^k to (k0 + k1 e_i) times
+    x0^(e + m) x1^(k + delta), or, on an Omega(l)-type P0, times l^m (d0 -
+    m)^(e + r) x1^(k + delta) with r <= 1, where k0 and k1 have degree at
+    most the family's ``FModule.index_degrees`` in m and delta is a constant
+    of the family: +1 for a, -1 for b and 0 for L, c and d.  So no family but
+    a raises the x1-degree, a raises it by one, and W_n is invariant exactly
     when a[m] kills every x0^e x1^n.  The a-coefficient there is
     beta (w + n) + eps, zero when n is the epsilon-witness.
 
@@ -197,8 +193,8 @@ def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     the part of X[m] x0^e x1^n outside W_n is P(m, e) x0^(e + m)
     x1^(n + 1) with P affine in e; on an Omega(l)-type P0, X[m] acts on
     C[d0] as l^m tau^m (tau: d0 -> d0 - m) after a first-order operator
-    P + Q d/dd0.  W_n is stable under powers of x0, so the grid lemma of
-    ``FModule.index_degrees`` settles every m from ``omega.orbit`` images.
+    P + Q d/dd0.  W_n is stable under powers of x0, so by ``FModule.index_degrees``
+    the ``omega.orbit`` images settle every m.
     W_n is proper: x1^n lies in it and x1^(n + 1) does not.
     """
     _require_epsilon_branch(module)

@@ -2,16 +2,18 @@
 
 ``PhiAB`` sends the algebra into (degree-2 Laurent Weyl algebra) (x) U(b);
 ``PhiABGG`` sends it onto (degree-1 Laurent Weyl algebra) (x) (polynomial
-differential operators).  Both are defined on generators, by the tables
-``ab_table`` and ``abgg_table``, and extended to PBW words
-multiplicatively, in the ``operators.TensorAlgebra`` each map holds as
-``algebra``.  ``verify_hom`` checks that the tables respect every bracket, on
-an index window that a degree bound proves complete, in integers from the
-key ids and bracket tables that the algebra owns as ``brackets``.  The
-witness lists exhibit preimages of the standard generating operators, each
-replayable exactly.  The witness targets and the ``CorruptedPhiAB`` control
-are keys of the same tables, and the module actions of ``fock`` and
-``omega`` are their pullbacks.
+differential operators).  Both are defined on generators, by data that each
+map builds once as ``table`` (``ab_terms``, ``abgg_terms``) and ``evaluate``
+reads at an index; ``index_degree`` reads each family's degree in the index,
+the premise of every index grid here.  Each map is extended to PBW words
+multiplicatively, in the ``operators.TensorAlgebra`` it holds as ``algebra``.
+``verify_hom`` checks that the table respects every bracket, on an index
+window that the table's degrees prove complete, in integers from the key ids
+and bracket tables that the algebra owns as ``brackets``.  The witness lists
+exhibit preimages of the standard generating operators, each replayable
+exactly.  The witness targets and the ``CorruptedPhiAB`` control are keys of
+the same tables, and the module actions of ``fock`` and ``omega`` are their
+pullbacks.
 """
 
 from __future__ import annotations
@@ -30,63 +32,69 @@ from .operators import (
     TensorElement,
     tensor_algebra,
 )
-from .scalars import ONE, Frozen, Record, add_scaled, scalar
+from .scalars import ONE, ZERO, Frozen, Record, add_scaled, scalar
 
 
-def ab_table(family: str, n: int, alpha: Fraction, beta: Fraction) -> dict:
-    """family[n]'s image under ``PhiAB(alpha, beta)`` as {key: coefficient}, zeros kept.
-
-    Keys are ((x0, x1 exponents), (dx0, dx1 exponents)) (x) (h, e exponents).
-    """
+def ab_terms(alpha: Fraction, beta: Fraction) -> dict[str, tuple]:
+    """The generator table of ``PhiAB(alpha, beta)``: each family's terms (x, right, coefficient),
+    x = ((x0, x1 exponents), (dx0, dx1 exponents)) with the x0 exponent an offset from the index
+    n, right = (h, e exponents), and the coefficient a polynomial in n, constant term first."""
     one, h, e, no_d = (0, 0), (1, 0), (0, 1), (0, 0)
-    if family == "L":
-        return {
-            (((n + 1, 0), (1, 0)), one): ONE,
-            (((n, 0), no_d), one): n * alpha,
-            (((n, 0), no_d), h): Fraction(n),
-        }
-    if family == "d":
-        return {(((n, 1), (0, 1)), one): ONE, (((n, 0), no_d), e): Fraction(n)}
-    if family == "a":
-        return {
-            (((n, 2), (0, 1)), one): beta,
-            (((n, 1), no_d), h): -beta,
-            (((n, 1), no_d), e): beta * n,
-        }
-    if family == "b":
-        return {(((n, -1), no_d), one): ONE}
-    if family == "c":
-        return {(((n, 0), no_d), one): -beta}
-    raise InvalidGenerator(f"unknown generator family {family!r}")
+    return {
+        "L": ((((1, 0), (1, 0)), one, (ONE,)), (((0, 0), no_d), one, (ZERO, alpha)),
+              (((0, 0), no_d), h, (ZERO, ONE))),
+        "d": ((((0, 1), (0, 1)), one, (ONE,)), (((0, 0), no_d), e, (ZERO, ONE))),
+        "a": ((((0, 2), (0, 1)), one, (beta,)), (((0, 1), no_d), h, (-beta,)),
+              (((0, 1), no_d), e, (ZERO, beta))),
+        "b": ((((0, -1), no_d), one, (ONE,)),),
+        "c": ((((0, 0), no_d), one, (-beta,)),),
+    }
 
 
-def abgg_table(family: str, n: int, alpha: Fraction, beta: Fraction, gamma: Fraction,
-               g: tuple[Fraction, ...]) -> dict:
-    """family[n]'s image under ``PhiABGG(alpha, beta, gamma, g)`` as {key: coefficient}, zeros kept.
+def abgg_terms(alpha: Fraction, beta: Fraction, gamma: Fraction,
+               g: tuple[Fraction, ...]) -> dict[str, tuple]:
+    """The generator table of ``PhiABGG(alpha, beta, gamma, g)`` in the form of ``ab_terms``, with
+    x = (x0 exponent, dx0 exponent) and right = (t exponent, dt exponent), each a one-tuple."""
+    x0n = one = ((0,), (0,))
+    return {
+        "L": ((((1,), (1,)), one, (ONE,)), (x0n, one, (ZERO, alpha))),
+        "d": (*((x0n, ((k + 1,), (0,)), (c / beta,)) for k, c in enumerate(g)),
+              (x0n, one, (gamma / beta,)), (x0n, ((1,), (1,)), (ONE,))),
+        "a": ((x0n, ((1,), (0,)), (ONE,)),),
+        "b": (*((x0n, ((k,), (0,)), (c,)) for k, c in enumerate(g)), (x0n, ((0,), (1,)), (beta,))),
+        "c": ((x0n, one, (-beta,)),),
+    }
 
-    Keys are (x0 exponent, dx0 exponent) (x) (t exponent, dt exponent), each a one-tuple.
+
+def evaluate(table: dict[str, tuple], family: str, n: int) -> dict:
+    """family[n]'s image as {key: coefficient}, zeros kept, from ``ab_terms`` or ``abgg_terms``."""
+    if family not in table:
+        raise InvalidGenerator(f"unknown generator family {family!r}")
+    out = {}
+    for (xs, ds), right, coef in table[family]:
+        c = coef[-1]
+        for a in coef[-2::-1]:  # Horner's rule
+            c = c * n + a if a else c * n
+        out[((xs[0] + n,) + xs[1:], ds), right] = c
+    return out
+
+
+def index_degree(terms) -> int:
+    """The n-degree of a family: the largest coefficient degree plus d/dx0-order over its terms.
+
+    Moving x0^n past dx0^o costs a falling factorial of degree o in n, in the
+    target algebra and where x0^n acts as l^n (d0 -> d0 - n): there a term
+    c(n) x0^(n + k) dx0^o takes a vector of d0-degree p to l^n times a
+    polynomial in n of degree at most deg c + o + p (deg c where x0 acts by
+    a weight).  Grid lemma (Alon 1999, Combinatorial Nullstellensatz, Lemma
+    2.1): a polynomial of degree at most D in each variable that vanishes
+    on D + 1 points per variable is zero.
     """
-    x0n, one = ((n,), (0,)), ((0,), (0,))
-    if family == "L":
-        return {(((n + 1,), (1,)), one): ONE, (x0n, one): n * alpha}
-    if family == "d":
-        terms = {(x0n, ((k + 1,), (0,))): c / beta for k, c in enumerate(g)}
-        terms[x0n, one] = gamma / beta
-        terms[x0n, ((1,), (1,))] = ONE
-        return terms
-    if family == "a":
-        return {(x0n, ((1,), (0,))): ONE}
-    if family == "b":
-        terms = {(x0n, ((k,), (0,))): c for k, c in enumerate(g)}
-        terms[x0n, ((0,), (1,))] = beta
-        return terms
-    if family == "c":
-        return {(x0n, one): -beta}
-    raise InvalidGenerator(f"unknown generator family {family!r}")
+    return max(len(coef) - 1 + ds[0] for (_, ds), _, coef in terms)
 
 
 class PhiAB(Frozen):
-    """The map into (Weyl degree 2) (x) U(b); its generator table is ``ab_table``.
+    """The map into (Weyl degree 2) (x) U(b); its generator table is ``ab_terms``.
 
     With d0 and d1 denoting the Euler operators x_i d/dx_i:
 
@@ -112,13 +120,13 @@ class PhiAB(Frozen):
         alpha, beta = scalar(alpha), scalar(beta)
         if beta == 0:
             raise InvalidSpec("beta must be nonzero")
-        self._set(alpha=alpha, beta=beta)
+        self._set(alpha=alpha, beta=beta, table=ab_terms(alpha, beta))
 
     def one(self) -> TensorElement:
         return TensorElement.one(self.algebra)
 
     def image(self, g: Generator) -> TensorElement:
-        return TensorElement(self.algebra, ab_table(g.family, g.index, self.alpha, self.beta))
+        return TensorElement(self.algebra, evaluate(self.table, g.family, g.index))
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -128,14 +136,14 @@ class CorruptedPhiAB(PhiAB):
     """Negative control: the image of d[n] is missing its n x0^n (x) e term."""
 
     def image(self, g: Generator) -> TensorElement:
-        table = ab_table(g.family, g.index, self.alpha, self.beta)
+        table = evaluate(self.table, g.family, g.index)
         if g.family == "d":
             del table[((g.index, 0), (0, 0)), (0, 1)]
         return TensorElement(self.algebra, table)
 
 
 class PhiABGG(Frozen):
-    """The surjection onto (Weyl degree 1) (x) diff ops; its generator table is ``abgg_table``.
+    """The surjection onto (Weyl degree 1) (x) diff ops; its generator table is ``abgg_terms``.
 
     ``g`` is the coefficient tuple of a polynomial g(t) in the differential
     variable, constant term first.  With d0 = x0 d/dx0 and dt = d/dt:
@@ -155,14 +163,13 @@ class PhiABGG(Frozen):
         g = tuple(scalar(c) for c in g)
         if beta == 0:
             raise InvalidSpec("beta must be nonzero")
-        self._set(alpha=alpha, beta=beta, gamma=gamma, g=g)
+        self._set(alpha=alpha, beta=beta, gamma=gamma, g=g, table=abgg_terms(alpha, beta, gamma, g))
 
     def one(self) -> TensorElement:
         return TensorElement.one(self.algebra)
 
     def image(self, g: Generator) -> TensorElement:
-        return TensorElement(self.algebra, abgg_table(g.family, g.index, self.alpha, self.beta,
-                                                      self.gamma, self.g))
+        return TensorElement(self.algebra, evaluate(self.table, g.family, g.index))
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -179,10 +186,12 @@ def _apply(phi, u: UEnvElement) -> TensorElement:
 
 
 class HomReport(Record):
-    _fields = ("window", "pairs_checked", "violations")
+    _fields = ("window", "max_index_degree", "pairs_checked", "violations")
 
-    def __init__(self, window: int, pairs_checked: int, violations: list[tuple[str, str]]):
+    def __init__(self, window: int, max_index_degree: int, pairs_checked: int,
+                 violations: list[tuple[str, str]]):
         self.window = window
+        self.max_index_degree = max_index_degree
         self.pairs_checked = pairs_checked
         self.violations = violations
 
@@ -192,13 +201,12 @@ class HomReport(Record):
 
 
 def verify_hom(phi, window: int = 1) -> HomReport:
-    """Check the bracket compatibility of the generator table.
+    """Check the bracket compatibility of the generator table ``phi.table``.
 
-    For every generator pair with indices in [-window, window], the
-    commutator of the images must equal the image of the bracket.  The
-    bracket is a linear combination of generators and the map is linear,
-    so its image is the same combination of generator images, whose indices
-    lie in [-2 window, 2 window].
+    For every generator pair with indices in [-w, w], the commutator of the
+    images must equal the image of the bracket.  The bracket is a linear
+    combination of generators and the map is linear, so its image is the
+    same combination of generator images, whose indices lie in [-2 w, 2 w].
 
     The check does no rational arithmetic per pair.  Every image of that
     doubled window is cleared once to a list of (id, int) pairs: the ids
@@ -214,20 +222,18 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     ``[phi(x), phi(y)] - sum_g c_g phi(g)`` is zero, and the pair passes,
     exactly when every value left is zero.
 
-    The default window 1 settles every index pair in Z for the tables of
-    this module.  Each image of ``x[n]`` is ``x0^n`` times an operator whose
-    coefficients have degree at most 1 in n, and each of its terms has
-    ``d/dx0``-order at most 1 (only ``L`` carries ``x0^(n+1) dx0``).  Moving
-    ``x0^n`` past ``d/dx0`` adds one factor linear in n, and the integer
-    structure constants of both target algebras do not depend on the index.
-    So ``[phi(x_m), phi(y_n)] - phi([x_m, y_n])``, divided by ``x0^(m+n)``,
-    has coefficients of degree at most 2 in m and in n, and three indices
-    per variable decide whether it vanishes on Z (a polynomial of degree at
-    most d in each variable that vanishes on d+1 points per variable is
-    zero; Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1).
+    The window w = max(window, ceil(D / 2)) settles every pair in Z.  With c
+    the table's largest coefficient degree and o its largest d/dx0-order,
+    ``[phi(x_m), phi(y_n)] / x0^(m+n)`` has degree at most c + o in each
+    index (``index_degree``) and each bracket constant at most 1, so the
+    defect has degree at most D = c + max(o, 1) and 2 w + 1 points decide it.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
+    all_terms = [term for family in phi.table.values() for term in family]
+    c, o = max(len(coef) - 1 for *_, coef in all_terms), max(ds[0] for (_, ds), _, _ in all_terms)
+    degree = c + max(o, 1)
+    window = max(window, -(-degree // 2))
     gens = generators_in_window(window)
     tables = phi.algebra.brackets
     rows = tables.rows
@@ -258,7 +264,8 @@ def verify_hom(phi, window: int = 1) -> HomReport:
             if any(out.values()):
                 violations.append((str(x), str(y)))
     pairs = len(gens) * (len(gens) + 1) // 2
-    return HomReport(window=window, pairs_checked=pairs, violations=violations)
+    return HomReport(window=window, max_index_degree=degree, pairs_checked=pairs,
+                     violations=violations)
 
 
 class Witness(Record):
@@ -279,11 +286,8 @@ def _word(*gens: Generator) -> UEnvElement:
 
 
 def _witnesses(phi, rows) -> list[Witness]:
-    """``Witness`` records from rows (name, [(target key, preimage), ...]).
-
-    Each target is one key of the table format of ``phi`` (``ab_table`` or
-    ``abgg_table``), with coefficient 1.
-    """
+    """``Witness`` records from rows (name, [(target key, preimage), ...]); each target is
+    one key of the images of ``phi.table``, with coefficient 1."""
     return [Witness(name, [(TensorElement(phi.algebra, {key: ONE}), pre) for key, pre in pairs])
             for name, pairs in rows]
 

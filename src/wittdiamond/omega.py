@@ -2,7 +2,7 @@
 
 An instance is determined by parameters (alpha, beta, gamma, lambda, g)
 with beta, lambda nonzero and g a polynomial in t.  Its action is the
-pullback of the abgg table (``homomorphisms.abgg_table``, the generator
+pullback of the abgg table (``homomorphisms.abgg_terms``, the generator
 images of ``PhiABGG``) at PhiABGG(alpha + 1, beta, gamma, g) to
 Omega(lam) (x) C[t] on C[s, t]: x0^k acts as lam^k times s -> s - k, x0 d/dx0
 multiplies by s (``operators.shift_factor``), and t and d/dt act on C[t] as
@@ -67,14 +67,18 @@ class OmegaParams(Frozen):
         return (self.lam, self.alpha, self.beta, self.gamma, self.g, len(self.g))
 
 
-def omega_factor_act(factors: Sequence[tuple[OmegaParams, str, str]], ring: PolyRing,
-                     g: Generator, f: SparsePoly, rules: dict) -> SparsePoly:
-    """g f on ring for the rank-one factors (par, svar, tvar) (shared with tensor products).
+def omega_factor(par: OmegaParams, svar: str, tvar: str) -> tuple:
+    """A factor of ``omega_factor_act``: (par, svar, tvar, the abgg table at alpha + 1)."""
+    return par, svar, tvar, homomorphisms.abgg_terms(par.alpha + 1, par.beta, par.gamma, par.g)
 
-    Each factor's abgg table image of g at PhiABGG(alpha + 1, beta, gamma, g)
-    acts on Omega(lam) (x) C[t], with s = svar and t = tvar (module
-    docstring), and g f is the sum of these: one pass over the terms of f
-    with the rules of ``omega_factor_rules``.
+
+def omega_factor_act(factors: Sequence[tuple], ring: PolyRing, g: Generator, f: SparsePoly,
+                     rules: dict) -> SparsePoly:
+    """g f on ring for the rank-one factors of ``omega_factor`` (shared with tensor products).
+
+    Each factor's table image of g acts on Omega(lam) (x) C[t], with s = svar
+    and t = tvar (module docstring), and g f is the sum of these: one pass
+    over the terms of f with the rules of ``omega_factor_rules``.
 
     Operator form.  Every image is x0^n times an operator first order in d/dt
     whose x0-part is d0 or 1, so on C[s, t]
@@ -90,8 +94,8 @@ def omega_factor_act(factors: Sequence[tuple[OmegaParams, str, str]], ring: Poly
     return act_by_rules(f, *omega_factor_rules(factors, ring, g, rules))
 
 
-def omega_factor_rules(factors: Sequence[tuple[OmegaParams, str, str]], ring: PolyRing,
-                       g: Generator, rules: dict) -> tuple[list, int]:
+def omega_factor_rules(factors: Sequence[tuple], ring: PolyRing, g: Generator,
+                       rules: dict) -> tuple[list, int]:
     """``(rules, den)`` of g for ``poly.act_by_rules`` on the factors of ``omega_factor_act``.
 
     The rules of all factors are compiled on the first call for g, over one
@@ -99,13 +103,10 @@ def omega_factor_rules(factors: Sequence[tuple[OmegaParams, str, str]], ring: Po
     """
     compiled = rules.get(g)
     if compiled is None:
-        pullbacks = []
-        for par, svar, tvar in factors:
-            table = homomorphisms.abgg_table(g.family, g.index, par.alpha + 1, par.beta,
-                                             par.gamma, par.g)
-            pullbacks.append((table.items(), (shift_factor(ring.index(svar), par.lam),
-                                              weight_factor(ring.index(tvar), 0))))
-        compiled = rules[g] = pullback_rules(pullbacks)
+        compiled = rules[g] = pullback_rules([
+            (homomorphisms.evaluate(table, g.family, g.index).items(),
+             (shift_factor(ring.index(svar), par.lam), weight_factor(ring.index(tvar), 0)))
+            for par, svar, tvar, table in factors])
     return compiled
 
 
@@ -122,7 +123,7 @@ class RankOneProduct:
                  tvars: Sequence[str]):
         self.factors = tuple(factors)
         self.ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
-        self._factor_vars = tuple(zip(self.factors, svars, tvars))
+        self._factor_vars = tuple(map(omega_factor, self.factors, svars, tvars))
         self.orbit_weights: dict = {}  # ``orbit_component``'s weights, by (degrees, lam, x)
         self.act_rules: dict = {}  # ``omega_factor_rules``'s compiled rules, by generator
 
@@ -159,16 +160,13 @@ class RankOneProduct:
         return None
 
     def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
-        """Bounds D_lam on the n-degree of X[n] v = sum_lam lam^n P_lam(n).
-
-        X[n] shifts s_k -> s_k - n, which contributes n^p_k with p_k the
-        s_k-degree of v, and L's n alpha adds one more, so
-        D_lam = max{p_k + [X = L] : lam_k = lam}.
-        """
-        e = 1 if family == "L" else 0
+        """Bounds D_lam = max{p_k + d_k : lam_k = lam} on the n-degree of X[n] v = sum_lam
+        lam^n P_lam(n), with p_k the s_k-degree of v and d_k the family's
+        ``homomorphisms.index_degree`` in factor k's table."""
         degrees: dict[Fraction, int] = {}
-        for par, p in zip(self.factors, self.s_profile(v)):
-            degrees[par.lam] = max(degrees.get(par.lam, 0), p + e)
+        for (par, _, _, table), p in zip(self._factor_vars, self.s_profile(v)):
+            degrees[par.lam] = max(degrees.get(par.lam, 0),
+                                   p + homomorphisms.index_degree(table[family]))
         return degrees
 
 
@@ -235,7 +233,7 @@ def invariance_check(module, probes: list[SparsePoly], in_w: Callable[[SparsePol
     Each caller proves that its W, tested by ``in_w``, is invariant once
     every X[n] maps each probe into W; the probe's ``orbit`` images settle
     every n (the Vandermonde span of ``orbit``, or for an F module's
-    x0-shift the grid lemma of ``FModule.index_degrees``).  W is proper
+    x0-shift the grid lemma of ``homomorphisms.index_degree``).  W is proper
     when ``inside`` lies in it and ``outside`` does not.
     """
     report = InvarianceReport(probes=len(probes))

@@ -32,7 +32,7 @@ bracket table of the pair, worked out on first use.  A caller that holds a
 row finds a table by hashing one int, so the bracket check of
 ``homomorphisms.verify_hom`` needs no rational arithmetic and hashes no
 nested key tuple.
-The generator images of ``homomorphisms`` are literal tables of such keys.
+The generator images of ``homomorphisms`` are read from tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
 The last section acts with monomials on the factors of the modules, and
 ``pullback_rules`` compiles a table of ``homomorphisms`` into the rules of
@@ -186,8 +186,7 @@ def tensor_algebra(left, right) -> TensorAlgebra:
 class OperatorElement(LinComb):
     """Normal-ordered element of an operator algebra or of a tensor product of two.
 
-    The constructor drops zero coefficients, so a literal table of terms may
-    hold them.
+    The constructor drops zero coefficients, so a table of terms may hold them.
     """
 
     __slots__ = ("algebra",)

@@ -230,8 +230,8 @@ def w_invariance_check(module: TensorModule, i: int, j: int) -> InvarianceReport
 
     W is a ring holding 1, t_i and t_j, so W is invariant under X[n] exactly
     when the probe images X[n] 1, X[n] t_i and X[n] t_j lie in W, and the
-    ``omega.orbit`` of each probe (s-profile zero, so D_lam = [X = L])
-    spans its X-orbit by the generalized Vandermonde lemma.  Membership is
+    ``omega.orbit`` of each probe (s-profile zero, so D_lam is the family's
+    index degree) spans its X-orbit by the generalized Vandermonde lemma.  Membership is
     exact: in the coordinates u and v = s_j, d/dv = d/ds_j - d/ds_i, so over
     Q a polynomial f lies in W exactly when df/ds_i = df/ds_j.  W is proper:
     1 lies in W and s_i does not.

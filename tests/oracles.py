@@ -6,13 +6,16 @@ closure that acts through ``module.act`` on ``SparsePoly`` vectors and
 truncates each image as a polynomial.  The tests check that ``linalg`` and
 ``oracle`` give the same answers.  ``free_word_oracle`` straightens a word by
 naive single-inversion rewriting, a cross-check for ``lie.pbw_normalize``.
+``ab_table`` and ``abgg_table`` are the generator tables of the two maps of
+``homomorphisms`` written out as literal dicts, the reference for the tables
+that the maps build as data (``ab_terms``, ``abgg_terms``, read by ``evaluate``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from wittdiamond.exceptions import NotApplicable
+from wittdiamond.exceptions import InvalidGenerator, NotApplicable
 from wittdiamond.lie import Generator, UEnvElement, bracket, generators_in_window
 from wittdiamond.oracle import ClosureReport
 from wittdiamond.poly import SparsePoly, monomials_within
@@ -186,3 +189,55 @@ def free_word_oracle(word) -> UEnvElement:
                 terms[short] = nv
             else:
                 terms.pop(short, None)
+
+
+def ab_table(family: str, n: int, alpha: Fraction, beta: Fraction) -> dict:
+    """family[n]'s image under ``PhiAB(alpha, beta)`` as {key: coefficient}, zeros kept.
+
+    Keys are ((x0, x1 exponents), (dx0, dx1 exponents)) (x) (h, e exponents).
+    """
+    one, h, e, no_d = (0, 0), (1, 0), (0, 1), (0, 0)
+    if family == "L":
+        return {
+            (((n + 1, 0), (1, 0)), one): ONE,
+            (((n, 0), no_d), one): n * alpha,
+            (((n, 0), no_d), h): Fraction(n),
+        }
+    if family == "d":
+        return {(((n, 1), (0, 1)), one): ONE, (((n, 0), no_d), e): Fraction(n)}
+    if family == "a":
+        return {
+            (((n, 2), (0, 1)), one): beta,
+            (((n, 1), no_d), h): -beta,
+            (((n, 1), no_d), e): beta * n,
+        }
+    if family == "b":
+        return {(((n, -1), no_d), one): ONE}
+    if family == "c":
+        return {(((n, 0), no_d), one): -beta}
+    raise InvalidGenerator(f"unknown generator family {family!r}")
+
+
+def abgg_table(family: str, n: int, alpha: Fraction, beta: Fraction, gamma: Fraction,
+               g: tuple[Fraction, ...]) -> dict:
+    """family[n]'s image under ``PhiABGG(alpha, beta, gamma, g)`` as {key: coefficient}, zeros kept.
+
+    Keys are (x0 exponent, dx0 exponent) (x) (t exponent, dt exponent), each a one-tuple.
+    """
+    x0n, one = ((n,), (0,)), ((0,), (0,))
+    if family == "L":
+        return {(((n + 1,), (1,)), one): ONE, (x0n, one): n * alpha}
+    if family == "d":
+        terms = {(x0n, ((k + 1,), (0,))): c / beta for k, c in enumerate(g)}
+        terms[x0n, one] = gamma / beta
+        terms[x0n, ((1,), (1,))] = ONE
+        return terms
+    if family == "a":
+        return {(x0n, ((1,), (0,))): ONE}
+    if family == "b":
+        terms = {(x0n, ((k,), (0,))): c for k, c in enumerate(g)}
+        terms[x0n, ((0,), (1,))] = beta
+        return terms
+    if family == "c":
+        return {(x0n, one): -beta}
+    raise InvalidGenerator(f"unknown generator family {family!r}")

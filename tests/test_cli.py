@@ -1138,6 +1138,23 @@ def test_no_parser_takes_an_abbreviated_option(capsys):
     assert exc.value.code == 2 and "unrecognized arguments: --max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["verify-hom", "--map", "ab", "--alp", "-2/3", "--beta", "5"], "--alp"),
+    (["verify-hom", "--map", "ab", "--alp=1/2", "--bet", "5"], "--alp=1/2 --bet"),
+    (["act", "--spec", "s.json", "--exp", "Q", "--vector", "1"], "--exp"),
+])
+def test_a_missing_required_option_names_the_unknown_ones_too(argv, named, capsys):
+    # argparse reports missing required options first; the unknown words are named with them.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert exc.value.code == 2 and "the following arguments are required" in last
+    assert last.endswith(f"; unrecognized arguments: {named}")
+    with pytest.raises(SystemExit):
+        main(["verify-hom", "--map", "ab"])
+    assert capsys.readouterr().err.splitlines()[-1].endswith("required: --alpha, --beta")
+
+
 def _omega(**fields):
     return module_from_spec({**OMEGA_SPEC, **fields})
 

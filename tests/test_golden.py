@@ -78,9 +78,9 @@ def test_a_sign_flip_in_the_reversed_pair_branch_fails_verify_brackets(monkeypat
         _check_case(case)
 
 
-# The ``d`` family's ``e`` coefficient of ``ab_table``, and the same entry off by one.
-AB_ENTRY = "(((n, 0), no_d), e): Fraction(n)}"
-PLANTED_AB_ENTRY = "(((n, 0), no_d), e): Fraction(n + 1)}"
+# The ``d`` family's ``e`` term of ``ab_terms``, coefficient n, and the same term at n + 1.
+AB_ENTRY = "(((0, 0), no_d), e, (ZERO, ONE))"
+PLANTED_AB_ENTRY = "(((0, 0), no_d), e, (ONE, ONE))"
 
 
 def test_a_planted_ab_table_coefficient_fails_verify_hom_ab_in_both_producers(
@@ -99,15 +99,15 @@ def test_a_planted_ab_table_coefficient_fails_verify_hom_ab_in_both_producers(
     (copy / "homomorphisms.py").write_text(source.replace(AB_ENTRY, PLANTED_AB_ENTRY))
     fresh = run_case_fresh(case, tmp_path)
 
-    table = homomorphisms.ab_table
+    terms = homomorphisms.ab_terms
 
-    def planted(family, n, alpha, beta):
-        out = table(family, n, alpha, beta)
-        if family == "d":
-            out[((n, 0), (0, 0)), (0, 1)] = Fraction(n + 1)
+    def planted(alpha, beta):
+        out = terms(alpha, beta)
+        out["d"] = tuple((x, right, (Fraction(1), Fraction(1)) if right == (0, 1) else coef)
+                         for x, right, coef in out["d"])
         return out
 
-    monkeypatch.setattr(homomorphisms, "ab_table", planted)
+    monkeypatch.setattr(homomorphisms, "ab_terms", planted)
     for got in (fresh, run_case(case)):
         assert got["exit_code.txt"] == b"1\n"
         with pytest.raises(AssertionError):

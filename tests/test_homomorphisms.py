@@ -10,16 +10,22 @@ from types import SimpleNamespace
 
 import pytest
 from conftest import pure, sample_vectors
+from oracles import ab_table, abgg_table
 
 from wittdiamond import homomorphisms
 from wittdiamond.axioms import module_axiom_check
+from wittdiamond.exceptions import InvalidGenerator
 from wittdiamond.fock import FModule, MFactor, Whittaker
 from wittdiamond.homomorphisms import (
     CorruptedPhiAB,
     PhiAB,
     PhiABGG,
+    ab_terms,
+    abgg_terms,
     check_all_witnesses,
+    evaluate,
     image_witnesses,
+    index_degree,
     surjectivity_witnesses,
     verify_hom,
 )
@@ -32,6 +38,7 @@ from wittdiamond.operators import (
     UB,
     BracketTables,
     OperatorElement,
+    TensorElement,
 )
 from wittdiamond.scalars import clear_denominators
 
@@ -54,6 +61,62 @@ def test_phi_ab_generator_images():
     assert phi.image(gen("b", -2)) == pure(
         weyl2((-2, -1), (0, 0)), OperatorElement.one(UB)
     )
+
+
+# Three (alpha, beta) points, alpha = 0 among them, and g of degree 0 to 3 with a zero
+# coefficient inside, for the maps' tables against the literal ones of ``oracles``.
+TABLE_POINTS = ((F(1, 2), F(3)), (F(0), F(-5, 2)), (F(-7, 3), F(1, 4)))
+TABLE_GS = ((F(2),), (F(-1, 3), F(1)), (F(1), F(0), F(5, 2)), (F(0), F(2, 7), F(0), F(-3)))
+
+
+def _same_table(got, want):
+    """Equal items in the same order, zeros kept, every coefficient a Fraction."""
+    return list(got.items()) == list(want.items()) and all(type(c) is F for c in got.values())
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_POINTS)
+def test_the_ab_data_reads_as_the_literal_table(alpha, beta):
+    phi, table = PhiAB(alpha, beta), ab_terms(alpha, beta)
+    for family in FAMILIES:
+        for n in range(-4, 5):
+            want = ab_table(family, n, alpha, beta)
+            assert _same_table(evaluate(table, family, n), want), (family, n)
+            assert phi.image(gen(family, n)) == TensorElement(phi.algebra, want), (family, n)
+
+
+@pytest.mark.parametrize("alpha, beta", TABLE_POINTS)
+@pytest.mark.parametrize("gamma", [F(0), F(-4, 3)])
+@pytest.mark.parametrize("g", TABLE_GS, ids=lambda g: f"deg{len(g) - 1}")
+def test_the_abgg_data_reads_as_the_literal_table(alpha, beta, gamma, g):
+    phi, table = PhiABGG(alpha, beta, gamma, g), abgg_terms(alpha, beta, gamma, g)
+    for family in FAMILIES:
+        for n in range(-4, 5):
+            want = abgg_table(family, n, alpha, beta, gamma, g)
+            assert _same_table(evaluate(table, family, n), want), (family, n)
+            assert phi.image(gen(family, n)) == TensorElement(phi.algebra, want), (family, n)
+
+
+def test_an_unknown_family_is_refused_by_the_evaluator_as_by_the_literal_tables():
+    for read in (lambda: evaluate(ab_terms(F(1), F(2)), "z", 1),
+                 lambda: ab_table("z", 1, F(1), F(2)),
+                 lambda: evaluate(abgg_terms(F(1), F(2), F(0), ()), "z", 1),
+                 lambda: abgg_table("z", 1, F(1), F(2), F(0), ())):
+        with pytest.raises(InvalidGenerator):
+            read()
+
+
+def test_the_reader_gives_each_family_its_degree_and_verify_hom_its_window():
+    # ab: L by n alpha and n h (and x0^(n+1) dx0), d and a by n e; abgg: L alone.
+    ab, abgg = PhiAB(F(1, 2), F(3)), PhiABGG(F(1, 2), F(3), F(1), (F(1), F(2)))
+    assert {f: index_degree(terms) for f, terms in ab.table.items()} == {
+        "L": 1, "d": 1, "a": 1, "b": 0, "c": 0}
+    assert {f: index_degree(terms) for f, terms in abgg.table.items()} == {
+        "L": 1, "d": 0, "a": 0, "b": 0, "c": 0}
+    # Coefficient degree 1 and d/dx0-order 1: D = 2, settled by the window {-1, 0, 1}.
+    for phi in (ab, abgg, CorruptedPhiAB(F(1, 2), F(3))):
+        report = verify_hom(phi)
+        assert (report.window, report.max_index_degree, report.pairs_checked) == (1, 2, 120)
+        assert (verify_hom(phi, 3).window, verify_hom(phi, 3).max_index_degree) == (3, 2)
 
 
 def _weyl(algebra, xexp, dexp, coef=1):
@@ -242,7 +305,8 @@ class _OwnTables:
     """``phi`` read through ``tables`` in place of its algebra's ``brackets``."""
 
     def __init__(self, phi, tables):
-        self.image, self.algebra = phi.image, SimpleNamespace(brackets=tables)
+        self.image, self.table = phi.image, phi.table
+        self.algebra = SimpleNamespace(brackets=tables)
 
 
 def test_every_stored_bracket_table_is_filed_under_its_pair_of_ids():
@@ -279,10 +343,11 @@ def test_window_3_verdicts_on_rows_that_other_maps_filled(reference_violations):
 
 
 class _Scaled:
-    """A generator table whose image of one generator is divided by p."""
+    """A generator table whose image of one generator is divided by p (same index degrees)."""
 
     def __init__(self, phi, target, p):
         self.phi, self.target, self.p, self.algebra = phi, target, p, phi.algebra
+        self.table = phi.table
 
     def image(self, g):
         out = self.phi.image(g)
@@ -392,22 +457,21 @@ def test_a_fractional_bracket_constant_is_subtracted_over_the_lcm(phi, monkeypat
     assert violations == reference_violations(phi, 2)
 
 
-def _drop_d_e_term(ab_table):
+def _drop_d_e_term(ab_terms):
     """The ab table without d[n]'s n x0^n (x) e term, the defect of ``CorruptedPhiAB``."""
-    def planted(family, n, alpha, beta):
-        table = ab_table(family, n, alpha, beta)
-        if family == "d":
-            del table[((n, 0), (0, 0)), (0, 1)]
+    def planted(alpha, beta):
+        table = ab_terms(alpha, beta)
+        table["d"] = tuple(term for term in table["d"] if term[1] != (0, 1))
         return table
     return planted
 
 
-def _double_b_dt(abgg_table):
+def _double_b_dt(abgg_terms):
     """The abgg table with b[n]'s beta x0^n (x) dt doubled."""
-    def planted(family, n, alpha, beta, gamma, g):
-        table = abgg_table(family, n, alpha, beta, gamma, g)
-        if family == "b":
-            table[((n,), (0,)), ((0,), (1,))] *= 2
+    def planted(alpha, beta, gamma, g):
+        table = abgg_terms(alpha, beta, gamma, g)
+        table["b"] = tuple((x, right, tuple(2 * c for c in coef) if right == ((0,), (1,)) else coef)
+                           for x, right, coef in table["b"])
         return table
     return planted
 
@@ -418,18 +482,18 @@ _PAR = OmegaParams(F(1, 2), F(3), F(1), F(2), (F(1), F(0), F(1)))
 
 
 @pytest.mark.parametrize("table, plant, phi, module", [
-    ("ab_table", _drop_d_e_term, PhiAB(F(1, 2), F(3)),
+    ("ab_terms", _drop_d_e_term, lambda: PhiAB(F(1, 2), F(3)),
      lambda: FModule(F(1, 2), F(3), MFactor(F(1, 3)), MFactor(F(1, 2)), Whittaker())),
-    ("abgg_table", _double_b_dt, PhiABGG(_PAR.alpha + 1, _PAR.beta, _PAR.gamma, _PAR.g),
+    ("abgg_terms", _double_b_dt, lambda: PhiABGG(_PAR.alpha + 1, _PAR.beta, _PAR.gamma, _PAR.g),
      lambda: OmegaModule(_PAR)),
 ], ids=["ab", "abgg"])
 def test_one_table_feeds_verify_hom_and_the_module_action(table, plant, phi, module, monkeypatch):
-    # One planted defect must reach both readers of the table.  The module built after
-    # the plant compiles its rules afresh: the memo lives in the module instance.
+    # One planted defect must reach both readers of the table.  The map and the module
+    # built after the plant build their tables afresh: each instance holds its own.
     def readers_pass():
         m = module()
         vectors = sample_vectors(m.ring, random.Random(1), count=2, max_total_degree=2)
-        return verify_hom(phi).ok, module_axiom_check(m, 1, vectors).ok
+        return verify_hom(phi()).ok, module_axiom_check(m, 1, vectors).ok
 
     assert readers_pass() == (True, True)
     monkeypatch.setattr(homomorphisms, table, plant(getattr(homomorphisms, table)))

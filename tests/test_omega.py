@@ -27,6 +27,7 @@ from wittdiamond.omega import (
     ShiftDiffOp,
     _candidate_operator,
     classify_rank1,
+    omega_factor,
     omega_factor_act,
     omega_reduce_to_one,
     rank1_data_from_action,
@@ -81,7 +82,7 @@ def test_factor_action_matches_docstring_formulas_all_families():
                 for n in range(-3, 4):
                     x = gen(family, n)
                     assert M.act(x, f) == docstring_action(par, M.ring, "s", "t", x, f), (x, par)
-                    got = omega_factor_act(((par, "s2", "t2"),), ambient, x, v, {})
+                    got = omega_factor_act((omega_factor(par, "s2", "t2"),), ambient, x, v, {})
                     assert got == docstring_action(par, ambient, "s2", "t2", x, v), (x, par)
 
 

@@ -293,10 +293,10 @@ def test_repeated_products_agree_and_leave_tables_unchanged():
 
 
 class _Perturbed:
-    """A generator table whose images of one family carry an extra 1 (x) 1."""
+    """A generator table whose images of one family carry an extra 1 (x) 1 (same index degrees)."""
 
     def __init__(self, phi, family):
-        self.phi, self.family, self.algebra = phi, family, phi.algebra
+        self.phi, self.family, self.algebra, self.table = phi, family, phi.algebra, phi.table
 
     def image(self, g):
         out = self.phi.image(g)

@@ -61,7 +61,7 @@ RECORDS = {
     "UhRankReport": lambda: UhRankReport(images=[], operators={}, facts={"d[0] A": True}),
     "DetResult": lambda: DetResult(computed=F(2), closed_form=F(2), rows=[[1]], denominators=[1]),
     "IsoResult": lambda: IsoResult(isomorphic=False, invariant="lambda"),
-    "HomReport": lambda: HomReport(window=1, pairs_checked=120, violations=[]),
+    "HomReport": lambda: HomReport(window=1, max_index_degree=2, pairs_checked=120, violations=[]),
     "Witness": lambda: Witness("L[0]", []),
     "EpsilonSimplicity": lambda: EpsilonSimplicity(F(-31)),
     "Certificate": lambda: Certificate([CertStep(((F(1, 2), ()),))]),

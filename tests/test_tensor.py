@@ -14,6 +14,7 @@ from wittdiamond.axioms import module_axiom_check, random_vector, simplicity_sam
 from wittdiamond.certificates import Certificate, CertStep
 from wittdiamond.exceptions import CertificateError, InvalidSpec, NotApplicable
 from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
+from wittdiamond.homomorphisms import ab_terms, abgg_terms, index_degree
 from wittdiamond.lie import FAMILIES, gen, generators_in_window
 from wittdiamond.linalg import SpanBasis, combination
 from wittdiamond.omega import (
@@ -23,6 +24,7 @@ from wittdiamond.omega import (
     _candidate_operator,
     _times_s,
     _top_slice,
+    omega_factor,
     omega_factor_act,
     omega_reduce_to_one,
     dt_step,
@@ -164,7 +166,7 @@ def test_leibniz_action_matches_single_factor():
                     parts = [docstring_action(par, T.ring, f"s{k}", f"t{k}", x, v)
                              for k, par in enumerate(factors, start=1)]
                     for k, (par, part) in enumerate(zip(factors, parts), start=1):
-                        factor = ((par, f"s{k}", f"t{k}"),)
+                        factor = (omega_factor(par, f"s{k}", f"t{k}"),)
                         assert omega_factor_act(factor, T.ring, x, v, {}) == part
                     assert T.act(x, v) == sum(parts, T.ring.zero()), (x, v)
 
@@ -793,7 +795,8 @@ def test_factor_action_is_the_rank_one_symbol():
                 assert {key[0] for key in op.terms} == {n}
                 assert all(k <= 1 and i <= 1 for _, k, i, _ in op.terms)
                 for f in vectors:
-                    assert (omega_factor_act(((par, "s", "t"),), M.ring, gen(fam, n), f, {})
+                    factor = (omega_factor(par, "s", "t"),)
+                    assert (omega_factor_act(factor, M.ring, gen(fam, n), f, {})
                             == _apply_symbol(op, M, f)), (par, fam, n, f)
                 assert operator_form(M, gen(fam, n)) == (
                     _symbol_part(op, n, 0, M), _symbol_part(op, n, 1, M)), (fam, n)
@@ -1050,6 +1053,35 @@ def test_index_degrees_bound_every_orbit():
                 module.factors[0].lam if omega_p0 else F(1): p if omega_p0 else 0}
             for family in FAMILIES:
                 _check_index_bound(module, family, v, normalize)
+
+
+def test_index_degrees_are_the_family_degree_plus_the_vector_part():
+    """Both ``index_degrees`` add only their vector's part to the reader's family degree."""
+    for module in _f_modules():
+        table = ab_terms(module.alpha, module.beta)
+        on_eps, omega_p0 = isinstance(module.v_space, OneDim), module.ring.names[0] == "d0"
+        scale = module.factors[0].lam if omega_p0 else F(1)
+        for p in (0, 1, 3):
+            v = module.ring.monomial({module.ring.names[0]: p}) + module.ring.one()
+            for family in FAMILIES:
+                # e acts as 0 on C_eps, so its terms take no part there.
+                degree = index_degree([t for t in table[family] if not (on_eps and t[1][1])])
+                assert degree == (family == "L") + (not on_eps and family in ("a", "d"))
+                assert module.index_degrees(family, v) == {scale: degree + omega_p0 * p}
+    repeated = OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))
+    for factors in ((A,), (B,), (A, B), (A, repeated), (A, repeated, B)):
+        module = OmegaModule(factors[0]) if len(factors) == 1 else TensorModule(factors)
+        tables = [abgg_terms(par.alpha + 1, par.beta, par.gamma, par.g) for par in factors]
+        for profile in itertools.product((0, 1, 2), repeat=module.m):
+            v = module.ring.monomial(
+                {module.svar(k): p for k, p in enumerate(profile, 1)}) + module.ring.one()
+            for family in FAMILIES:
+                want: dict = {}
+                for par, table, p in zip(factors, tables, profile):
+                    degree = index_degree(table[family])
+                    assert degree == (family == "L")
+                    want[par.lam] = max(want.get(par.lam, 0), p + degree)
+                assert module.index_degrees(family, v) == want, (factors, profile, family)
 
 
 def test_reduction_builds_one_derivative_step_per_factor(monkeypatch):
