@@ -10,11 +10,13 @@ algebra (families a, b, c, d).  The nonzero brackets are
     [d[m], b[n]] = -b[m+n]
 
 and every pair not obtained from these by antisymmetry vanishes.
-``BRACKET_TABLE`` holds these five relations, family by family, and
-``bracket`` reads its constants from it.  The module also provides
-PBW-normalized computation in the enveloping algebra: words are
-straightened into non-decreasing order under the total order (family
-L < a < b < c < d, then index ascending).
+``BRACKET_TABLE`` holds these five relations, family by family.
+``bracket_terms`` reads the constants of a pair from it once per process,
+as an immutable tuple that the checks here and in ``homomorphisms`` and
+``omega`` iterate directly; ``bracket`` builds a fresh element from it.
+The module also provides PBW-normalized computation in the enveloping
+algebra: words are straightened into non-decreasing order under the total
+order (family L < a < b < c < d, then index ascending).
 """
 
 from __future__ import annotations
@@ -64,18 +66,22 @@ class LElement(LinComb):
         return g.sort_key()
 
 
-def bracket(x: Generator, y: Generator) -> LElement:
-    """Structure constants of the algebra; see the module docstring.
+# Bound once, as ``bracket`` is called per pair by the checks that build elements.
+_new = object.__new__
 
-    The constants are Python ints that depend on the two generators alone,
-    so ``_structure_constants`` works each pair out once per process, like
-    the product tables of ``operators``.  Every call returns a fresh
-    element, built in one step around a copy of the cached terms, so a
-    caller that changes it reaches no cache; an unknown family raises
-    ``InvalidGenerator`` on every call, as exceptions are not cached.
+
+def bracket(x: Generator, y: Generator) -> LElement:
+    """[x, y] as a fresh element, built from the terms of ``bracket_terms``.
+
+    A caller may change what it gets: the element's dict is its own, and
+    the cached terms are an immutable tuple, of at most one term.
     """
-    new = object.__new__(LElement)
-    new.terms = _structure_constants(x, y).terms.copy()
+    new = _new(LElement)
+    if terms := bracket_terms(x, y):
+        (g, c), = terms
+        new.terms = {g: c}
+    else:
+        new.terms = {}
     return new
 
 
@@ -91,9 +97,17 @@ BRACKET_TABLE = {
 
 
 @functools.cache
-def _structure_constants(x: Generator, y: Generator) -> LElement:
-    """[x, y] read from ``BRACKET_TABLE``: a pair given in reverse order is
-    negated, and every pair in neither order commutes."""
+def bracket_terms(x: Generator, y: Generator) -> tuple[tuple[Generator, int], ...]:
+    """The terms of [x, y] read from ``BRACKET_TABLE``: ``((z, c),)`` with c a
+    nonzero int, or ``()`` when the pair commutes.
+
+    A pair given in reverse order is negated, and every pair in neither order
+    commutes.  The constants depend on the two generators alone, so each pair
+    is worked out once per process, like the product tables of ``operators``;
+    the tuple is immutable, so a caller that only iterates the terms reads the
+    cache directly.  An unknown family raises ``InvalidGenerator`` on every
+    call, as exceptions are not cached.
+    """
     fx, m = x.family, x.index
     fy, n = y.family, y.index
     for f in (fx, fy):
@@ -106,22 +120,23 @@ def _structure_constants(x: Generator, y: Generator) -> LElement:
         z, (k, k_m, k_n) = BRACKET_TABLE[fy, fx]
         c = -(k + k_m * n + k_n * m)
     else:
-        return LElement()
-    return LElement({Generator(z, m + n): c})
+        return ()
+    return ((Generator(z, m + n), c),) if c else ()
 
 
 def jacobi_residual(x: Generator, y: Generator, z: Generator) -> LElement:
     """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero when the table is consistent.
 
     The three cyclic terms are summed into one dict in one pass, each
-    ``[a, sum_g k_g g]`` as ``sum_g k_g [a, g]``; under the real table every
-    constant is an int, so the sum is integer arithmetic.
+    ``[a, sum_g k_g g]`` as ``sum_g k_g [a, g]``, from the cached terms of
+    ``bracket_terms`` with no element built per bracket; under the real table
+    every constant is an int, so the sum is integer arithmetic.
     """
     out: dict = {}
     get = out.get
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        for g, k in bracket(b, c).terms.items():
-            for h, n in bracket(a, g).terms.items():
+        for g, k in bracket_terms(b, c):
+            for h, n in bracket_terms(a, g):
                 out[h] = get(h, 0) + k * n
     return LElement(out)
 
@@ -185,7 +200,7 @@ def pbw_normalize(word: Sequence[Generator]) -> UEnvElement:
             continue
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
         stack.append((swapped, c))
-        for g2, bc in bracket(w[i], w[i + 1]).terms.items():
+        for g2, bc in bracket_terms(w[i], w[i + 1]):
             stack.append((w[:i] + (g2,) + w[i + 2 :], c * bc))
     return UEnvElement(acc)
 

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 from . import homomorphisms
 from .certificates import CertStep, Certificate, require
 from .exceptions import InvalidSpec, NotAModule, NotApplicable
-from .lie import FAMILIES, Generator, bracket, gen
+from .lie import FAMILIES, Generator, bracket_terms, gen
 from .linalg import combination
 from .operators import pullback_rules, shift_factor, weight_factor
 from .poly import PolyRing, SparsePoly, _shift_row, act_by_rules
@@ -670,7 +670,7 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
             for n in range(d_n + 1):
                 x, y = gen(fx, m), gen(fy, n)
                 side: dict = {}  # den sum c z_{m+n}, zero-free like the commutator
-                for z, c in bracket(x, y).terms.items():
+                for z, c in bracket_terms(x, y):
                     add_scaled(side, op(z).terms, c * den)
                 if commutator(x, y).terms != side:
                     raise NotAModule(name, f"at (m, n) = ({m}, {n})")

@@ -9,7 +9,7 @@ import time
 
 import jsonschema
 import pytest
-from conftest import RANK_DEFECTS, load_schema, planted_bracket, planted_rank_defect, pure
+from conftest import RANK_DEFECTS, load_schema, planted_bracket_terms, planted_rank_defect, pure
 
 from wittdiamond import fock, omega, oracle, tensor
 from wittdiamond.cli import (MAX_ACT_WORK, MAX_DET_ROWS, MAX_DET_SPECS, MAX_INPUT_POWER,
@@ -88,10 +88,11 @@ def test_verify_brackets(tmp_path):
 
 
 def test_verify_brackets_grid_catches_a_degree_2_residual(monkeypatch, tmp_path):
-    from wittdiamond import cli, lie
+    from wittdiamond import lie
 
-    for module in (lie, cli):
-        monkeypatch.setattr(module, "bracket", planted_bracket)
+    # The Jacobi sweep reads ``lie.bracket_terms``, and the antisymmetry check reads
+    # ``cli.bracket``, which is ``lie.bracket`` and reads it too.
+    monkeypatch.setattr(lie, "bracket_terms", planted_bracket_terms)
     out = str(tmp_path / "r.json")
     assert main(["verify-brackets", "--out", out]) == 1
     checks = {c["check"]: c for c in _check_report(out)["checks"]}

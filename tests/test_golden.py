@@ -57,19 +57,19 @@ def test_golden_cases_in_one_process_in_either_order(order):
 
 
 def test_a_sign_flip_in_the_reversed_pair_branch_fails_verify_brackets(monkeypatch):
-    """``lie._structure_constants`` negates a pair that ``BRACKET_TABLE`` lists in the
+    """``lie.bracket_terms`` negates a pair that ``BRACKET_TABLE`` lists in the
     other order; without that negation verify-brackets fails, and so does its case."""
     from wittdiamond import lie
 
-    table, read = lie.BRACKET_TABLE, lie._structure_constants.__wrapped__
+    table, read = lie.BRACKET_TABLE, lie.bracket_terms.__wrapped__
 
     def unnegated(x, y):
         out = read(x, y)
         if (x.family, y.family) not in table and (y.family, x.family) in table:
-            return -out
+            return tuple((g, -c) for g, c in out)
         return out
 
-    monkeypatch.setattr(lie, "_structure_constants", unnegated)
+    monkeypatch.setattr(lie, "bracket_terms", unnegated)
     case = CASES_DIR / "verify-brackets"
     got = run_case(case)
     assert got["exit_code.txt"] == b"1\n"

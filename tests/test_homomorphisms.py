@@ -432,11 +432,13 @@ def test_multiplicativity_on_random_words():
             assert which.apply(uenv_mul(u, v)) == which.apply(u) * which.apply(v)
 
 
-def _half_lb(bracket):
-    """``bracket`` with [L_m, b_n] and [b_n, L_m] scaled by 1/2: a fractional constant."""
+def _half_lb(bracket_terms):
+    """``bracket_terms`` with [L_m, b_n] and [b_n, L_m] scaled by 1/2: a fractional constant."""
     def planted(x, y):
-        out = bracket(x, y)
-        return out.scaled(F(1, 2)) if {x.family, y.family} == {"L", "b"} else out
+        out = bracket_terms(x, y)
+        if {x.family, y.family} == {"L", "b"}:
+            return tuple((g, c * F(1, 2)) for g, c in out)
+        return out
     return planted
 
 
@@ -447,9 +449,9 @@ def test_a_fractional_bracket_constant_is_subtracted_over_the_lcm(phi, monkeypat
                                                                   reference_violations):
     import conftest
 
-    planted = _half_lb(homomorphisms.bracket)
-    monkeypatch.setattr(homomorphisms, "bracket", planted)
-    monkeypatch.setattr(conftest, "bracket", planted)
+    planted = _half_lb(homomorphisms.bracket_terms)
+    monkeypatch.setattr(homomorphisms, "bracket_terms", planted)
+    monkeypatch.setattr(conftest, "bracket_terms", planted)
     violations = verify_hom(phi, 2).violations
     # [phi(L_m), phi(b_n)] = n phi(b_{m+n}) differs from n/2 phi(b_{m+n}) for n != 0.
     assert len(violations) == 20

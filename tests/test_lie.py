@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import FORMER_WORD_SPLIT, former_terms, planted_bracket
+from conftest import FORMER_WORD_SPLIT, former_terms, planted_bracket_terms
 from oracles import free_word_oracle
 
 from wittdiamond import lie
@@ -15,6 +15,7 @@ from wittdiamond.lie import (
     LElement,
     UEnvElement,
     bracket,
+    bracket_terms,
     gen,
     generators_in_window,
     jacobi_residual,
@@ -38,9 +39,10 @@ def test_bracket_table_examples():
 def test_brackets_do_not_leak_into_the_cache():
     pairs = [(gen("L", 1), gen("L", 2)), (gen("a", -1), gen("L", 2)), (gen("b", 0), gen("d", 3))]
     for x, y in pairs:
+        terms = bracket_terms(x, y)
         first = bracket(x, y)
         want = LElement(dict(first.terms))
-        assert want
+        assert want and tuple(want.terms.items()) == terms
         # A caller changing the returned element must not reach the cached table.
         first.terms.clear()
         second = bracket(x, y)
@@ -48,6 +50,7 @@ def test_brackets_do_not_leak_into_the_cache():
         second.terms[gen("c", 9)] = F(5)
         assert bracket(x, y) == want
         assert bracket(y, x) == want.scaled(-1)
+        assert bracket_terms(x, y) == terms
 
 
 def test_unknown_family_raises_on_every_call():
@@ -55,8 +58,9 @@ def test_unknown_family_raises_on_every_call():
     bad = Generator("z", 0)
     for _ in range(3):
         for x, y in ((bad, gen("L", 1)), (gen("L", 1), bad), (bad, bad)):
-            with pytest.raises(InvalidGenerator):
-                bracket(x, y)
+            for read in (bracket, bracket_terms):
+                with pytest.raises(InvalidGenerator):
+                    read(x, y)
 
 
 def test_antisymmetry_window3():
@@ -91,7 +95,9 @@ def test_jacobi_residual_is_the_sum_of_the_three_nested_brackets():
 def test_jacobi_residual_follows_a_patched_table(monkeypatch):
     # Under the planted table [L_m, z_n] = n (1 + m) z_{m+n} the residual on
     # (L_l, L_m, z_n) is l m n (m - l) z_{l+m+n}; the values must match the sum.
-    monkeypatch.setattr(lie, "bracket", planted_bracket)
+    # ``jacobi_residual`` and ``lie.bracket``, which the sum reads, both read
+    # ``lie.bracket_terms``.
+    monkeypatch.setattr(lie, "bracket_terms", planted_bracket_terms)
     gens = generators_in_window(1)
     nonzero = 0
     for x, y, z in itertools.product(gens, repeat=3):
@@ -134,6 +140,7 @@ def test_bracket_table_matches_the_reference_branches_on_every_family_pair():
     for x, y in itertools.product(gens, repeat=2):
         want = _reference_structure_constants(x, y)
         assert bracket(x, y).terms == want.terms, (x, y)
+        assert bracket_terms(x, y) == tuple(want.terms.items()), (x, y)
     # Each relation is listed once, in one order, and names known families.
     pairs = set(lie.BRACKET_TABLE)
     assert not {(fy, fx) for fx, fy in pairs if fx != fy} & pairs

@@ -11,9 +11,10 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from golden.regen import CASES_DIR, run_case
+from golden.regen import CASES_DIR, case_dirs, run_case
 
-from wittdiamond import homomorphisms
+from wittdiamond import homomorphisms, lie
+from wittdiamond.lie import gen
 
 # n (n^2 - 1) = n^3 - n, constant first: zero at n = -1, 0, 1, so the window {-1, 0, 1}
 # alone does not see it.
@@ -72,3 +73,46 @@ def test_each_mutant_flips_its_cases(mutant, builder, family, term, flips, monke
         detail = json.loads(got["report.json"])["checks"][0]["detail"]
         assert int(got["exit_code.txt"]) == code, (mutant, name)
         assert {key: detail[key] for key in fields} == fields, (mutant, name)
+
+
+# One changed constant of ``lie.BRACKET_TABLE``: [d_m, a_n] = 2 a_{m+n} in place of a_{m+n}.
+# The Jacobi sweep fails on the triples (a, b, d), the image of [a_m, d_n] under either map
+# is off by phi(a_{m+n}), and classify rejects the relation [a_m, d_n] at its first point.
+TABLE_KEY, TABLE_PLANT = ("d", "a"), ("a", (2, 0, 0))
+A_D_PAIRS = [[f"a[{m}]", f"d[{n}]"] for m in (-1, 0, 1) for n in (-1, 0, 1)]
+HOM_FLIP = (1, "homomorphism", {**WINDOW_1, "violations": A_D_PAIRS})
+CLASSIFY_FLIP = (1, "classify", {"relation": "[a_m, d_n]", "detail": "at (m, n) = (0, 0)"})
+# case -> (exit code, the check that fails, fields it must report).
+TABLE_FLIPS = {
+    "verify-brackets": (1, "jacobi", {"complete": True, "triples": 3375}),
+    "verify-hom-ab": HOM_FLIP,
+    "verify-hom-ab-negative-alpha": HOM_FLIP,
+    "verify-hom-abgg": HOM_FLIP,
+    "verify-hom-abgg-t2": HOM_FLIP,
+    "verify-hom-g-leading-sign": HOM_FLIP,
+    "classify-degenerate": CLASSIFY_FLIP,
+    "classify-round-trip": CLASSIFY_FLIP,
+}
+
+
+def test_a_changed_bracket_table_constant_flips_exactly_its_cases():
+    """The cache of ``lie.bracket_terms`` lives for the process, so it is cleared
+    before the plant, or it would hide it, and after, or it would keep it."""
+    stored = {case.name: int((case / "exit_code.txt").read_text()) for case in case_dirs()}
+    assert all(stored[name] == 0 for name in TABLE_FLIPS)
+    original = lie.BRACKET_TABLE[TABLE_KEY]
+    lie.bracket_terms.cache_clear()
+    lie.BRACKET_TABLE[TABLE_KEY] = TABLE_PLANT
+    try:
+        got = {case.name: run_case(case) for case in case_dirs()}
+    finally:
+        lie.BRACKET_TABLE[TABLE_KEY] = original
+        lie.bracket_terms.cache_clear()
+    assert lie.bracket_terms(gen("d", 0), gen("a", 0)) == ((gen("a", 0), 1),)
+    codes = {name: int(files["exit_code.txt"]) for name, files in got.items()}
+    assert {name for name in codes if codes[name] != stored[name]} == set(TABLE_FLIPS)
+    for name, (code, check, fields) in TABLE_FLIPS.items():
+        checks = {c["check"]: c for c in json.loads(got[name]["report.json"])["checks"]}
+        detail = checks[check]["detail"]
+        assert codes[name] == code and checks[check]["status"] == "fail", name
+        assert {key: detail[key] for key in fields} == fields, name

@@ -339,10 +339,11 @@ def test_classify_composes_each_unordered_pair_once_and_brackets_both_orders(mon
 
     data = _action_data(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1)))
     composed, bracketed = [], []
-    commutator, bracket_ = ShiftDiffOp.commutator, omega.bracket
+    commutator, bracket_terms = ShiftDiffOp.commutator, omega.bracket_terms
     monkeypatch.setattr(ShiftDiffOp, "commutator",
                         lambda self, other: composed.append(1) or commutator(self, other))
-    monkeypatch.setattr(omega, "bracket", lambda x, y: bracketed.append((x, y)) or bracket_(x, y))
+    monkeypatch.setattr(omega, "bracket_terms",
+                        lambda x, y: bracketed.append((x, y)) or bracket_terms(x, y))
     assert classify_rank1(data) == OmegaParams(F(1, 2), F(3), F(0), F(2), (F(1), F(0), F(1)))
     # Every grid point of every ordered family pair is bracketed, in its own order.
     assert len(bracketed) == sum((d_m + 1) * (d_n + 1) for *_, d_m, d_n in rank1_grid(data))
