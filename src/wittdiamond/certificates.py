@@ -100,9 +100,6 @@ class Certificate(Record):
                 require(v == checks[i][0], checks[i][1])
         return v
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def to_jsonable(self):
         return [s.to_jsonable() for s in self.steps]
 

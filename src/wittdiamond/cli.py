@@ -606,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for the Witt/loop-Diamond "
         "operator algebra and its module families.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add_parser(name: str, **kwargs) -> argparse.ArgumentParser:
         # No abbreviated options: ``_join_signed_values`` knows the full names only.

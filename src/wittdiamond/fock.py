@@ -13,7 +13,9 @@ multiplication, e by the unit shift f(h) -> f(h-1); e is injective).
 
 Every action is a pullback of the ab table (``homomorphisms.ab_terms``, the
 generator images of ``PhiAB``) to P0 (x) P1 (x) V, each monomial acting
-factor by factor (``operators.pullback_rules``).  On the Whittaker V the map
+factor by factor: ``FModule`` is a ``homomorphisms.PullbackModule`` with this
+one pullback, of P0's scale (l on Omega(l), 1 on M(w)) and, on an
+Omega-type P0, index variable d0.  On the Whittaker V the map
 is PhiAB(alpha, beta).  On C_eps it is PhiAB(alpha + eps/beta, beta), with h
 acting as -eps/beta and e as 0: the classical index-linear table, where a[n]
 gains eps x0^n x1 and every index-linear defect is a multiple of e v = 0.
@@ -27,7 +29,7 @@ from . import homomorphisms
 from .exceptions import InvalidSpec, NotApplicable
 from .lie import Generator, gen
 from .omega import InvarianceReport, invariance_check
-from .operators import pullback_rules, scalar_factor, shift_factor, weight_factor, whittaker_factor
+from .operators import scalar_factor, shift_factor, weight_factor, whittaker_factor
 from .poly import PolyRing, SparsePoly, act_by_rules
 from .scalars import ONE, Frozen, Record, scalar
 
@@ -60,8 +62,8 @@ class Whittaker(Frozen):
     pass
 
 
-class FModule:
-    """P (x) V for P a product of two rank-one factors, V a U(b)-module."""
+class FModule(homomorphisms.PullbackModule):
+    """P (x) V for P a product of two rank-one factors, V a U(b)-module (module docstring)."""
 
     def __init__(self, alpha, beta, factor0, factor1, v_space):
         self.alpha = scalar(alpha)
@@ -82,46 +84,23 @@ class FModule:
             kinds.append(("h", False, whittaker_factor(2)))
         elif not isinstance(v_space, OneDim):
             raise InvalidSpec(f"unknown V kind {type(v_space).__name__}")
-        names, flags, self._factor_actions = map(list, zip(*kinds))
-        self.ring = PolyRing(tuple(names), tuple(flags))
+        names, flags, actions = zip(*kinds)
         # On C_eps the ab table is read at alpha + eps/beta, h acts as -eps/beta, and e acts
         # as 0, so the table leaves out the e terms.
         on_eps = isinstance(v_space, OneDim)
         shift = v_space.eps / self.beta if on_eps else 0
         if on_eps:
-            self._factor_actions.append(scalar_factor(-shift))
+            actions += (scalar_factor(-shift),)
         table = homomorphisms.ab_terms(self.alpha + shift, self.beta)
-        self._table = {family: tuple((x, (h, e), c) for x, (h, e), c in terms if not (on_eps and e))
-                       for family, terms in table.items()}
-        self.act_rules: dict = {}  # ``rules``'s compiled rules, by generator
-
-    def one(self) -> SparsePoly:
-        return self.ring.one()
-
-    def rules(self, g: Generator) -> tuple[list, int]:
-        """``(rules, den)`` of g for ``poly.act_by_rules``: the pullback of the ab table
-        (module docstring), compiled on the first call for g and kept in ``act_rules``."""
-        rules = self.act_rules.get(g)
-        if rules is None:
-            table = homomorphisms.evaluate(self._table, g.family, g.index)
-            rules = self.act_rules[g] = pullback_rules([(table.items(), self._factor_actions)])
-        return rules
+        table = {family: tuple((x, (h, e), c) for x, (h, e), c in terms if not (on_eps and e))
+                 for family, terms in table.items()}
+        omega_p0 = isinstance(factor0, OmegaFactor)
+        super().__init__(PolyRing(names, flags), [
+            (table, actions, factor0.lam if omega_p0 else ONE, "d0" if omega_p0 else None)])
 
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
         """g v: one ``poly.act_by_rules`` pass with the rules of ``rules(g)``."""
         return act_by_rules(v, *self.rules(g))
-
-    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
-        """{scale: D}: X[n] v is scale^n times a polynomial in n of degree at most D, the
-        family's ``homomorphisms.index_degree`` in the module's table plus the d0-degree of v
-        on an Omega(l)-type P0 (scale l); on an M-type P0 the scale is 1 and the bound is on
-        x0^-n X[n] v.  Modulo a subspace W stable under powers of x0, the D + 1 images of
-        ``omega.orbit`` then settle X[n] v for every n in Z."""
-        p0 = self.factors[0]
-        omega_p0 = isinstance(p0, OmegaFactor)
-        degree = (homomorphisms.index_degree(self._table[family])
-                  + (omega_p0 and (v.var_degree("d0") or 0)))
-        return {p0.lam if omega_p0 else ONE: degree}
 
 
 def q_action(module: FModule, v: SparsePoly) -> SparsePoly:
@@ -183,7 +162,7 @@ def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     it with h = -eps/beta and e = 0) sends x0^e x1^k to (k0 + k1 e_i) times
     x0^(e + m) x1^(k + delta), or, on an Omega(l)-type P0, times l^m (d0 -
     m)^(e + r) x1^(k + delta) with r <= 1, where k0 and k1 have degree at
-    most the family's ``FModule.index_degrees`` in m and delta is a constant
+    most the family's ``index_degrees`` in m and delta is a constant
     of the family: +1 for a, -1 for b and 0 for L, c and d.  So no family but
     a raises the x1-degree, a raises it by one, and W_n is invariant exactly
     when a[m] kills every x0^e x1^n.  The a-coefficient there is
@@ -193,8 +172,8 @@ def barrier_invariance_check(module: FModule, n: int) -> InvarianceReport:
     the part of X[m] x0^e x1^n outside W_n is P(m, e) x0^(e + m)
     x1^(n + 1) with P affine in e; on an Omega(l)-type P0, X[m] acts on
     C[d0] as l^m tau^m (tau: d0 -> d0 - m) after a first-order operator
-    P + Q d/dd0.  W_n is stable under powers of x0, so by ``FModule.index_degrees``
-    the ``omega.orbit`` images settle every m.
+    P + Q d/dd0.  W_n is stable under powers of x0, so by the module's
+    ``index_degrees`` the ``omega.orbit`` images settle every m.
     W_n is proper: x1^n lies in it and x1^(n + 1) does not.
     """
     _require_epsilon_branch(module)

@@ -12,8 +12,9 @@ window that the table's degrees prove complete, in integers from the key ids
 and bracket tables that the algebra owns as ``brackets``.  The witness lists
 exhibit preimages of the standard generating operators, each replayable
 exactly.  The witness targets and the ``CorruptedPhiAB`` control are keys of
-the same tables, and the module actions of ``fock`` and ``omega`` are their
-pullbacks.
+the same tables.  The module actions of ``fock`` and ``omega`` are their
+pullbacks: each module is a ``PullbackModule``, which compiles a generator's
+action from its tables and reads its index degrees with ``index_degree``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from .operators import (
     R2,
     UB,
     TensorElement,
+    pullback_rules,
     tensor_algebra,
 )
+from .poly import PolyRing, SparsePoly
 from .scalars import ONE, ZERO, Frozen, Record, add_scaled, scalar
 
 
@@ -94,6 +97,47 @@ def index_degree(terms) -> int:
     on D + 1 points per variable is zero.
     """
     return max(len(coef) - 1 + ds[0] for (_, ds), _, coef in terms)
+
+
+class PullbackModule:
+    """A module on ``ring`` whose generators act as a sum of pullbacks of generator tables.
+
+    A pullback is (table, factor actions, scale, index variable or None): g
+    acts as ``evaluate(table, g.family, g.index)``, each monomial factor by
+    factor (``operators.pullback_rules``), and x0^n as scale^n times n shifts
+    of the index variable, or by a weight (scale 1, no index variable).
+    ``fock.FModule`` has one pullback of the ab table, ``omega.RankOneProduct``
+    one of the abgg table per factor.
+    """
+
+    def __init__(self, ring: PolyRing, pullbacks: Sequence[tuple]):
+        self.ring = ring
+        self.pullbacks = tuple(pullbacks)
+        self.act_rules: dict = {}  # ``rules``'s compiled rules, by generator
+
+    def one(self) -> SparsePoly:
+        return self.ring.one()
+
+    def rules(self, g: Generator) -> tuple[list, int]:
+        """``(rules, den)`` of g for ``poly.act_by_rules``: every pullback's image of g,
+        compiled over one denominator on the first call for g and kept in ``act_rules``."""
+        rules = self.act_rules.get(g)
+        if rules is None:
+            rules = self.act_rules[g] = pullback_rules([
+                (evaluate(table, g.family, g.index).items(), actions)
+                for table, actions, _, _ in self.pullbacks])
+        return rules
+
+    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
+        """{scale: D}: X[n] v = sum_scale scale^n P(n), deg P <= D, the largest over the
+        pullbacks of that scale of the family's ``index_degree`` plus v's degree in the
+        index variable (0 without one, where the bound is on x0^-n X[n] v); the
+        ``omega.orbit`` images then settle X[n] v for every n in Z."""
+        degrees: dict[Fraction, int] = {}
+        for table, _, scale, var in self.pullbacks:
+            d = index_degree(table[family]) + ((v.var_degree(var) or 0) if var else 0)
+            degrees[scale] = max(degrees.get(scale, 0), d)
+        return degrees
 
 
 class PhiAB(Frozen):

@@ -10,7 +10,9 @@ themselves (``operators.weight_factor`` at weight 0).  So L[n] f =
 lam^n (s + n alpha) f(s - n, t), c[n] f = -lam^n beta f(s - n, t), and so on.
 
 ``RankOneProduct`` is a product of such factors on C[s_1, t_1, ..., s_m,
-t_m], factor k acting on (s_k, t_k) alone; ``OmegaModule`` is its one-factor
+t_m], factor k acting on (s_k, t_k) alone: a ``homomorphisms.PullbackModule``
+with one pullback per factor, of scale lam_k and index variable s_k, whose
+rules ``omega_factor_act`` applies.  ``OmegaModule`` is its one-factor
 case on C[s, t], and ``tensor.TensorModule`` the general one.  Everything
 here is certificate-producing, and one reduction chain serves every m:
 ``tensor_reduce_to_bottom`` carries a nonzero vector to a nonzero constant,
@@ -36,7 +38,7 @@ from .certificates import CertStep, Certificate, require
 from .exceptions import InvalidSpec, NotAModule, NotApplicable
 from .lie import FAMILIES, Generator, bracket_terms, gen
 from .linalg import combination
-from .operators import pullback_rules, shift_factor, weight_factor
+from .operators import shift_factor, weight_factor
 from .poly import PolyRing, SparsePoly, _shift_row, act_by_rules
 from .scalars import ONE, Frozen, LinComb, Record, add_scaled, scalar
 
@@ -59,26 +61,17 @@ class OmegaParams(Frozen):
             raise InvalidSpec("beta and lambda must be nonzero")
         self._set(alpha=alpha, beta=beta, gamma=gamma, lam=lam, g=g)
 
-    @property
-    def g_degree(self) -> int | None:
-        return len(self.g) - 1 if self.g else None
-
     def sort_key(self):
         return (self.lam, self.alpha, self.beta, self.gamma, self.g, len(self.g))
 
 
-def omega_factor(par: OmegaParams, svar: str, tvar: str) -> tuple:
-    """A factor of ``omega_factor_act``: (par, svar, tvar, the abgg table at alpha + 1)."""
-    return par, svar, tvar, homomorphisms.abgg_terms(par.alpha + 1, par.beta, par.gamma, par.g)
-
-
-def omega_factor_act(factors: Sequence[tuple], ring: PolyRing, g: Generator, f: SparsePoly,
-                     rules: dict) -> SparsePoly:
-    """g f on ring for the rank-one factors of ``omega_factor`` (shared with tensor products).
+def omega_factor_act(module: homomorphisms.PullbackModule, g: Generator,
+                     f: SparsePoly) -> SparsePoly:
+    """g f on a product of rank-one factors (shared with tensor products).
 
     Each factor's table image of g acts on Omega(lam) (x) C[t], with s = svar
     and t = tvar (module docstring), and g f is the sum of these: one pass
-    over the terms of f with the rules of ``omega_factor_rules``.
+    over the terms of f with the rules of ``module.rules(g)``.
 
     Operator form.  Every image is x0^n times an operator first order in d/dt
     whose x0-part is d0 or 1, so on C[s, t]
@@ -91,52 +84,31 @@ def omega_factor_act(factors: Sequence[tuple], ring: PolyRing, g: Generator, f: 
     A_b = lam^n g(t), B_b = lam^n beta, A_c = -lam^n beta, and B = 0 for L, a
     and c.  In a tensor product factor k acts in this form on (s_k, t_k) alone.
     """
-    return act_by_rules(f, *omega_factor_rules(factors, ring, g, rules))
+    return act_by_rules(f, *module.rules(g))
 
 
-def omega_factor_rules(factors: Sequence[tuple], ring: PolyRing, g: Generator,
-                       rules: dict) -> tuple[list, int]:
-    """``(rules, den)`` of g for ``poly.act_by_rules`` on the factors of ``omega_factor_act``.
-
-    The rules of all factors are compiled on the first call for g, over one
-    denominator, and kept in ``rules``, the calling module's ``act_rules``.
-    """
-    compiled = rules.get(g)
-    if compiled is None:
-        compiled = rules[g] = pullback_rules([
-            (homomorphisms.evaluate(table, g.family, g.index).items(),
-             (shift_factor(ring.index(svar), par.lam), weight_factor(ring.index(tvar), 0)))
-            for par, svar, tvar, table in factors])
-    return compiled
-
-
-class RankOneProduct:
+class RankOneProduct(homomorphisms.PullbackModule):
     """A product of rank-one factors on C[s_1..s_m, t_1..t_m].
 
-    Factor k acts on (svar(k), tvar(k)) alone.  ``OmegaModule`` is the case
-    m = 1, on C[s, t], and ``tensor.TensorModule`` the general one; each
-    gives its variable names and its own ``act``.  The reduction chain, the
+    Factor k acts on (svar(k), tvar(k)) alone (module docstring).  ``OmegaModule``
+    is the case m = 1, on C[s, t], and ``tensor.TensorModule`` the general one;
+    each gives its variable names and its own ``act``.  The reduction chain, the
     orbit steps and the weight memo below serve both.
     """
 
     def __init__(self, factors: Sequence[OmegaParams], svars: Sequence[str],
                  tvars: Sequence[str]):
         self.factors = tuple(factors)
-        self.ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
-        self._factor_vars = tuple(map(omega_factor, self.factors, svars, tvars))
+        ring = PolyRing((*svars, *tvars), (False,) * (2 * len(svars)))
+        super().__init__(ring, [
+            (homomorphisms.abgg_terms(par.alpha + 1, par.beta, par.gamma, par.g),
+             (shift_factor(ring.index(s), par.lam), weight_factor(ring.index(t), 0)), par.lam, s)
+            for par, s, t in zip(self.factors, svars, tvars)])
         self.orbit_weights: dict = {}  # ``orbit_component``'s weights, by (degrees, lam, x)
-        self.act_rules: dict = {}  # ``omega_factor_rules``'s compiled rules, by generator
 
     @property
     def m(self) -> int:
         return len(self.factors)
-
-    def one(self) -> SparsePoly:
-        return self.ring.one()
-
-    def rules(self, g: Generator) -> tuple[list, int]:
-        """``(rules, den)`` of g for ``poly.act_by_rules``, as ``act`` applies them."""
-        return omega_factor_rules(self._factor_vars, self.ring, g, self.act_rules)
 
     def svar(self, k: int) -> str:
         return self.ring.names[k - 1]
@@ -159,16 +131,6 @@ class RankOneProduct:
             seen[f.lam] = k
         return None
 
-    def index_degrees(self, family: str, v: SparsePoly) -> dict[Fraction, int]:
-        """Bounds D_lam = max{p_k + d_k : lam_k = lam} on the n-degree of X[n] v = sum_lam
-        lam^n P_lam(n), with p_k the s_k-degree of v and d_k the family's
-        ``homomorphisms.index_degree`` in factor k's table."""
-        degrees: dict[Fraction, int] = {}
-        for (par, _, _, table), p in zip(self._factor_vars, self.s_profile(v)):
-            degrees[par.lam] = max(degrees.get(par.lam, 0),
-                                   p + homomorphisms.index_degree(table[family]))
-        return degrees
-
 
 class OmegaModule(RankOneProduct):
     def __init__(self, params: OmegaParams):
@@ -176,11 +138,11 @@ class OmegaModule(RankOneProduct):
         self.params = params
 
     def act(self, g: Generator, f: SparsePoly) -> SparsePoly:
-        return omega_factor_act(self._factor_vars, self.ring, g, f, self.act_rules)
+        return omega_factor_act(self, g, f)
 
 
 def orbit_points(degrees: dict[Fraction, int]) -> int:
-    """N = sum_lam (D_lam + 1) for the bounds of ``RankOneProduct.index_degrees``.
+    """N = sum_lam (D_lam + 1) for the bounds of ``PullbackModule.index_degrees``.
 
     The rows n = 0..N-1 of the functions n^x lam^n (x <= D_lam) form the
     generalized Vandermonde matrix of ``tensor.det_r`` at r = 0, which is
@@ -202,7 +164,7 @@ def orbit(module, family: str, v: SparsePoly) -> list[tuple[Generator, SparsePol
     With X[n] v = sum_lam lam^n P_lam(n), deg P_lam <= D_lam, the
     generalized Vandermonde lemma of ``orbit_points`` makes these N images
     span the X-orbit of v over every n in Z (for an F module's x0-shift,
-    see ``FModule.index_degrees``).
+    see ``homomorphisms.PullbackModule.index_degrees``).
     """
     gens = [gen(family, n) for n in range(orbit_points(module.index_degrees(family, v)))]
     return [(g, module.act(g, v)) for g in gens]

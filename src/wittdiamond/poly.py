@@ -205,18 +205,6 @@ class SparsePoly(LinComb):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only natural powers are supported")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure ------------------------------------------------------
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
@@ -233,12 +221,6 @@ class SparsePoly(LinComb):
             return None
         i = self.ring.index(name)
         return max(e[i] for e in self.terms)
-
-    def total_degree(self) -> int | None:
-        """Max over terms of the sum of absolute exponents."""
-        if not self.terms:
-            return None
-        return max(sum(abs(x) for x in e) for e in self.terms)
 
     def shift(self, name: str, offset) -> "SparsePoly":
         """Substitute ``name`` by ``name - offset``: one ``act_by_rules`` rule whose only

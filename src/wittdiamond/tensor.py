@@ -1,9 +1,10 @@
 """Tensor products of rank-one free modules on C[s_1, t_1, ..., s_m, t_m].
 
 ``TensorModule`` is the m-factor ``omega.RankOneProduct``: generators act by
-the Leibniz rule, the sum of the one-factor actions, whose rules
-``omega.omega_factor_act`` compiles into one list per generator; the k-th
-factor touches only (s_k, t_k).  The reduction chain ``tensor_reduce_to_bottom``
+the Leibniz rule, the sum of its pullbacks, one per factor, whose rules
+``homomorphisms.PullbackModule.rules`` compiles into one list per generator
+and ``omega.omega_factor_act`` applies; the k-th factor touches only (s_k,
+t_k).  The reduction chain ``tensor_reduce_to_bottom``
 lives in ``omega`` beside its step builders and serves ``OmegaModule``
 (m = 1) too; generation, orbit ranks, the simplicity certificates, the
 repeated-lambda witness subspace and isomorphism live here.  Every orbit span
@@ -45,7 +46,7 @@ class TensorModule(RankOneProduct):
                          [f"t{k}" for k in range(1, m + 1)])
 
     def act(self, g: Generator, v: SparsePoly) -> SparsePoly:
-        return omega_factor_act(self._factor_vars, self.ring, g, v, self.act_rules)
+        return omega_factor_act(self, g, v)
 
 
 # -- the generalized Vandermonde determinant --------------------------------

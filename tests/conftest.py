@@ -170,6 +170,14 @@ def formula_rank1_data(par):
                            D0=(RANK1_RING.var("a0") * g + par.gamma) * (1 / par.beta))
 
 
+def poly_power(p, k):
+    """p^k for a natural number k, as k plain products."""
+    out = p.ring.one()
+    for _ in range(k):
+        out = out * p
+    return out
+
+
 def docstring_action(par, ring, svar, tvar, g, f):
     """The omega module docstring's formula for g f on the factor (svar, tvar) of ring.
 
@@ -180,14 +188,14 @@ def docstring_action(par, ring, svar, tvar, g, f):
     i = ring.index(svar)
     fs = ring.zero()
     for e, c in f.terms.items():
-        fs = fs + ring.from_terms([(e[:i] + (0,) + e[i + 1 :], c)]) * (s - n) ** e[i]
+        fs = fs + ring.from_terms([(e[:i] + (0,) + e[i + 1 :], c)]) * poly_power(s - n, e[i])
     j = ring.index(tvar)
     dt_fs = ring.from_terms(
         (e[:j] + (e[j] - 1,) + e[j + 1 :], c * e[j]) for e, c in fs.terms.items() if e[j]
     )
     g_t = ring.zero()
     for k, c in enumerate(par.g):
-        g_t = g_t + t**k * c
+        g_t = g_t + ring.var(tvar, k) * c
     if g.family == "L":
         return (s + n * par.alpha) * fs * lam_n
     if g.family == "d":

@@ -861,7 +861,7 @@ def test_act_work_above_the_bound_exits_2_before_it_runs(write_json, tmp_path, c
     assert main(["act", "--spec", spec, "--expr", "L[1] L[1]", "--vector", "s1^100 s2^100",
                  "--out", out]) == 0
     module = module_from_spec(T_SPEC)
-    v = module.ring.var("s1") ** 100 * module.ring.var("s2") ** 100
+    v = module.ring.monomial({"s1": 100, "s2": 100})
     want = module.act(gen("L", 1), module.act(gen("L", 1), v))
     assert _check_report(out)["checks"][0]["detail"]["result"] == vector_report(want)
 

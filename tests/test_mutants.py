@@ -2,7 +2,8 @@
 golden cases named with it must change their exit code.
 
 A mutant is one monkeypatch, in this process, on a builder of the data that the
-commands read; a map or module built after the patch reads the planted data.  Each
+commands read or on the one reader of a premise; a map or module built after the
+patch reads the planted data.  Each
 case is replayed through ``regen.run_case``, as ``tests/test_golden.py`` replays it,
 and its stored ``exit_code.txt`` is the verdict without the defect.
 """
@@ -116,3 +117,27 @@ def test_a_changed_bracket_table_constant_flips_exactly_its_cases():
         detail = checks[check]["detail"]
         assert codes[name] == code and checks[check]["status"] == "fail", name
         assert {key: detail[key] for key in fields} == fields, name
+
+
+# The simplicity certificates whose orbit steps read every bound of
+# ``PullbackModule.index_degrees``; each exits 0 without the defect.
+INDEX_DEGREE_FLIPS = ["simplicity-omega", "simplicity-t-one", "simplicity-t-three",
+                      "simplicity-t-two"]
+
+
+def test_lowered_index_degrees_flip_exactly_the_certificate_cases(monkeypatch):
+    """F, Omega and T modules read one index-degree reader, so one patch plants the defect
+    in all three: every bound one lower, with a floor of 0.  A reduction step then asks
+    for a part n^x lam^n above its lowered bound, and ``omega.orbit_component`` finds
+    no combination of the orbit's images that isolates it."""
+    stored = {case.name: int((case / "exit_code.txt").read_text()) for case in case_dirs()}
+    assert all(stored[name] == 0 for name in INDEX_DEGREE_FLIPS)
+    reader = homomorphisms.PullbackModule.index_degrees
+    monkeypatch.setattr(homomorphisms.PullbackModule, "index_degrees", lambda module, family, v: {
+        scale: max(d - 1, 0) for scale, d in reader(module, family, v).items()})
+    got = {case.name: run_case(case) for case in case_dirs()}
+    codes = {name: int(files["exit_code.txt"]) for name, files in got.items()}
+    assert sorted(name for name in codes if codes[name] != stored[name]) == INDEX_DEGREE_FLIPS
+    for name in INDEX_DEGREE_FLIPS:
+        assert codes[name] == 1, name
+        assert b"-orbit combination isolates" in got[name]["stderr.txt"], name

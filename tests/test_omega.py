@@ -16,6 +16,7 @@ from conftest import (
 
 from wittdiamond.axioms import module_axiom_check, random_vector
 from wittdiamond.exceptions import NotAModule, NotApplicable
+from wittdiamond.homomorphisms import PullbackModule
 from wittdiamond.lie import FAMILIES, bracket, gen, generators_in_window
 from wittdiamond.linalg import exact_nullspace
 from wittdiamond.omega import (
@@ -27,15 +28,14 @@ from wittdiamond.omega import (
     ShiftDiffOp,
     _candidate_operator,
     classify_rank1,
-    omega_factor,
     omega_factor_act,
     omega_reduce_to_one,
     rank1_data_from_action,
     rank1_grid,
     uh_rank,
 )
-from wittdiamond.poly import PolyRing, SparsePoly
-from wittdiamond.tensor import tensor_generate
+from wittdiamond.poly import SparsePoly
+from wittdiamond.tensor import TensorModule, tensor_generate
 from wittdiamond.scalars import add_scaled
 
 
@@ -62,9 +62,9 @@ def test_action_examples():
 
 def test_factor_action_matches_docstring_formulas_all_families():
     # Every family at n in -3..3 with g of degree 0, 1 and 2, on the module's
-    # own ring and on the second factor of a two-factor ambient ring.
+    # own ring and, as the one-factor module of the second pullback, on the
+    # ring (s1, s2, t1, t2) of a two-factor product.
     rng = random.Random(61)
-    ambient = PolyRing(("s1", "s2", "t1", "t2"), (False,) * 4)
     for g_degree in range(3):
         for lam in (F(2), F(-1), F(1, 2), F(-2, 3)):
             g_coeffs = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(g_degree))
@@ -76,14 +76,16 @@ def test_factor_action_matches_docstring_formulas_all_families():
                 g_coeffs + (F(rng.choice([1, -2, 3])),),
             )
             M = OmegaModule(par)
+            T = TensorModule([par, par])
+            second = PullbackModule(T.ring, T.pullbacks[1:2])
             f = random_vector(M.ring, rng, max_total_degree=3, terms=3)
-            v = random_vector(ambient, rng, max_total_degree=3, terms=4)
+            v = random_vector(T.ring, rng, max_total_degree=3, terms=4)
             for family in FAMILIES:
                 for n in range(-3, 4):
                     x = gen(family, n)
                     assert M.act(x, f) == docstring_action(par, M.ring, "s", "t", x, f), (x, par)
-                    got = omega_factor_act((omega_factor(par, "s2", "t2"),), ambient, x, v, {})
-                    assert got == docstring_action(par, ambient, "s2", "t2", x, v), (x, par)
+                    got = omega_factor_act(second, x, v)
+                    assert got == docstring_action(par, T.ring, "s2", "t2", x, v), (x, par)
 
 
 def test_axioms_random_parameters():
@@ -184,7 +186,7 @@ def generation_replays(M):
     for its top term, g_N t^(N+1+s) = (beta d0 - beta s - gamma) t^s - ...
     """
     par = M.params
-    N = par.g_degree
+    N = len(par.g) - 1
     top = 3 * (N + 1)
     exprs = [[{0: F(1)} if i == j else {} for i in range(N + 1)] for j in range(N + 1)]
     gN = par.g[-1]
@@ -213,7 +215,7 @@ def generation_replays(M):
 def independent_to_degree_3(M):
     """No C[L0, d0]-relation among t^0 .. t^N with coefficients of degree <= 3."""
     columns = []
-    for k in range(M.params.g_degree + 1):
+    for k in range(len(M.params.g)):
         for i in range(4):
             for j in range(4):
                 vec = M.ring.monomial({"t": k})
