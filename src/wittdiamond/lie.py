@@ -157,10 +157,6 @@ class UEnvElement(LinComb):
         self.terms = {w: c for w, c in (terms or {}).items() if c}
 
     @classmethod
-    def one(cls) -> "UEnvElement":
-        return cls({(): ONE})
-
-    @classmethod
     def from_word(cls, word: Sequence[Generator], coef=ONE) -> "UEnvElement":
         return pbw_normalize(word).scaled(coef)
 

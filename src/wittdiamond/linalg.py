@@ -119,10 +119,6 @@ class SpanBasis:
         rows[pk] = row
         return True
 
-    def vectors(self) -> list[dict[Hashable, Fraction]]:
-        return [{k: Fraction(c, row[pk]) for k, c in row.items()}
-                for pk, row in sorted(self._rows.items())]
-
 
 def _eliminate(v: dict, row: dict, pk: Hashable, c: int) -> None:
     """v <- (d/g) v - (c/g) row in place, with d = row[pk] and g = gcd(c, d): v[pk] becomes 0."""

@@ -457,12 +457,9 @@ RANK1_RING = PolyRing(("L0", "a0"), (False, False))
 
 
 class Rank1ActionData(Frozen):
-    """Candidate structure functions of a rank-one free module on basis v.
-
-    lam scales the index ladder; p gives L[n] v = lam^n (L0 + n p(a0)) v;
-    B0, C0, D0 are the images of b[0], c[0], d[0] on v, as polynomials in
-    (L0, a0).  Higher-index data is generated by the lam^n scaling law.
-    """
+    """Candidate structure functions of a rank-one free module on basis v: lam and the
+    polynomials p, B0, C0, D0 in (L0, a0), with X[n] acting on v as lam^n times the
+    ``RANK1_SYMBOL`` of X[n] (so B0, C0, D0 are the images of b[0], c[0], d[0])."""
 
     _fields = ("lam", "p", "B0", "C0", "D0")
 
@@ -519,22 +516,40 @@ class ShiftDiffOp(LinComb):
         return other.compose(self, out, -1)
 
 
-def _symbol(family: str, n: int, polys: Sequence[dict], one, scale=1) -> ShiftDiffOp:
-    """scale times the symbol of family[n] over the terms {(i, j): c} of (p, B0, C0, D0), with
-    unit ``one``: L0 + n p, a0, B0 - C0 da0, C0 or D0 + a0 da0, then L0 -> L0 - n."""
-    p, b0, c0, d0 = polys
-    parts = {"L": (({(1, 0): one}, 0, 1), (p, 0, n)), "a": (({(0, 1): one}, 0, 1),),
-             "b": ((b0, 0, 1), (c0, 1, -1)), "c": ((c0, 0, 1),),
-             "d": ((d0, 0, 1), ({(0, 1): one}, 1, 1))}[family]
+# Each family's rank-one symbol, in the form of ``homomorphisms.ab_terms``: terms (part,
+# da0-order, coefficient in n, constant term first), a part being the unit L0 or a0 or a data
+# polynomial named in ``Rank1ActionData._fields``; family[n] is their sum, then L0 -> L0 - n.
+RANK1_SYMBOL = {
+    "L": (("L0", 0, (1,)), ("p", 0, (0, 1))),
+    "a": (("a0", 0, (1,)),),
+    "b": (("B0", 0, (1,)), ("C0", 1, (-1,))),
+    "c": (("C0", 0, (1,)),),
+    "d": (("D0", 0, (1,)), ("a0", 1, (1,))),
+}
+_UNITS = {name: RANK1_RING.var(name).terms for name in RANK1_RING.names}  # the parts L0 and a0
+
+
+def _parts(data: Rank1ActionData) -> dict[str, dict]:
+    """The terms {(i, j): c} of each part of ``RANK1_SYMBOL``, by name."""
+    return _UNITS | {name: getattr(data, name).terms for name in Rank1ActionData._fields[1:]}
+
+
+def _index_degree(family: str) -> int:
+    """A family's degree in the index n: its longest ``RANK1_SYMBOL`` coefficient."""
+    return max(len(coef) - 1 for *_, coef in RANK1_SYMBOL[family])
+
+
+def _symbol(family: str, n: int, parts: dict[str, dict], scale=1) -> ShiftDiffOp:
+    """scale times the ``RANK1_SYMBOL`` of family[n] over ``parts``, as in ``_parts``."""
     out: dict = {}
-    for terms, k, c in parts:
-        add_scaled(out, {(n, k, *e): v for e, v in terms.items()}, c * scale)
+    for part, k, coef in RANK1_SYMBOL[family]:
+        c = sum(a * n**i for i, a in enumerate(coef))
+        add_scaled(out, {(n, k, *e): v for e, v in parts[part].items()}, c * scale)
     return ShiftDiffOp()._like(out)
 
 
 def _candidate_operator(data: Rank1ActionData, g: Generator) -> ShiftDiffOp:
-    polys = [f.terms for f in (data.p, data.B0, data.C0, data.D0)]
-    return _symbol(g.family, g.index, polys, ONE, data.lam**g.index)
+    return _symbol(g.family, g.index, _parts(data), data.lam**g.index)
 
 
 def rank1_data_from_action(module: OmegaModule) -> Rank1ActionData:
@@ -562,27 +577,19 @@ _NAMED_RELATIONS = (
 def rank1_grid(data: Rank1ActionData) -> list[tuple[str, str, str, int, int]]:
     """(relation, x, y, D_m, D_n) per family pair, the named relations first.
 
-    The defect of [x_m, y_n] is lam^(m+n) times one operator with shift
-    m + n whose coefficients are polynomials in (m, n).  In x_m y_n the
-    coefficients of y are shifted by L0 -> L0 - m, so the m-degree is at
-    most D_m = e_x + l_y, where e is a family's index degree (1 for the
-    n p of L, else 0) and l the L0-degree of its coefficients; likewise
-    D_n = e_y + l_x.  The bracket side c(m, n) op_z(m+n) needs no more:
-    c has degree 1 in m only when y = L and in n only when x = L, e_z = 1
-    only for [L, L], and l_L >= 1.  A polynomial of these degrees that
-    vanishes on {0..D_m} x {0..D_n} vanishes on all of Z^2.
+    The defect of [x_m, y_n] is lam^(m+n) times one operator with shift m + n
+    whose coefficients are polynomials in (m, n).  In x_m y_n the coefficients
+    of y are shifted by L0 -> L0 - m, so the m-degree is at most D_m = e_x +
+    l_y, with e a family's index degree and l the largest L0-degree of its
+    parts in ``RANK1_SYMBOL``; likewise D_n = e_y + l_x.  The bracket side
+    c(m, n) op_z(m+n) needs no more while e_z = 0 off L: c has degree 1 in m
+    only when y = L and in n only when x = L, and L has the part L0.  A
+    polynomial of these degrees that vanishes on {0..D_m} x {0..D_n}
+    vanishes on all of Z^2.
     """
-    def l0_degree(*polys: SparsePoly) -> int:
-        return max(p.var_degree("L0") or 0 for p in polys)
-
-    ell = {
-        "L": max(1, l0_degree(data.p)),
-        "a": 0,
-        "b": l0_degree(data.B0, data.C0),
-        "c": l0_degree(data.C0),
-        "d": l0_degree(data.D0),
-    }
-    e = {"L": 1, "a": 0, "b": 0, "c": 0, "d": 0}
+    l0 = {name: max((i for i, _ in terms), default=0) for name, terms in _parts(data).items()}
+    e = {f: _index_degree(f) for f in FAMILIES}
+    ell = {f: max(l0[part] for part, _, _ in RANK1_SYMBOL[f]) for f in FAMILIES}
     named = {(fx, fy): name for name, fx, fy in _NAMED_RELATIONS}
     pairs = list(named) + [(fx, fy) for fx in FAMILIES for fy in FAMILIES
                            if (fx, fy) not in named]
@@ -593,28 +600,29 @@ def rank1_grid(data: Rank1ActionData) -> list[tuple[str, str, str, int, int]]:
 def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     """Decide which concrete module a candidate action table presents.
 
-    Every bracket relation [x_m, y_n] is checked as an exact operator
-    identity on the minimal grid of ``rank1_grid``, which proves it for all
-    (m, n) in Z^2.  The named checks (1) [b,c] = 0, (2) [L,b] = n b and
-    (3) [b,d] = b run first so corruptions are reported at the relation
-    that pins them down.  Both sides of [x_m, y_n] = sum c z_{m+n} carry
-    lam^(m+n), so the grid drops it: p, B0, C0, D0 are cleared once to ints
-    over den, the lcm of their denominators, and den^2 [x_m, y_n] must equal
-    den sum c z_{m+n}, one integer pass per pair.  Consistent data with
-    c[0]-image zero presents a module with an obvious proper submodule and
-    is reported Degenerate; otherwise the five parameters are extracted,
-    and the ``operator_form`` of L[1] and of a, b, c, d, L at index 0 in
-    their module must give the terms of ``_candidate_operator``.
+    Every bracket relation [x_m, y_n] is checked as an exact operator identity
+    on the grid of ``rank1_grid``, which proves it for all (m, n) in Z^2; the
+    named checks (1) [b,c] = 0, (2) [L,b] = n b and (3) [b,d] = b run first, so
+    corruptions are reported at the relation that pins them down.  Both sides
+    of [x_m, y_n] = sum c z_{m+n} carry lam^(m+n), so the grid drops it: the
+    parts of ``RANK1_SYMBOL`` are cleared once to ints over den, the lcm of
+    their denominators, and den^2 [x_m, y_n] must equal den sum c z_{m+n}.
+    Consistent data with c[0]-image zero has an obvious proper submodule and
+    is reported Degenerate; otherwise the five parameters are extracted, and
+    in their module the ``operator_form`` of f[n] must give the terms of
+    ``_candidate_operator`` for n = 0..max(e_f, D_f), as both are lam^n times
+    polynomials in n of degree at most e_f (``rank1_grid``) and D_f
+    (``PullbackModule.index_degrees``).
     """
-    fields = (data.p, data.B0, data.C0, data.D0)
-    den = math.lcm(*(c.denominator for f in fields for c in f.terms.values()))
-    cleared = [{e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
-               for f in fields]
+    parts = _parts(data)
+    den = math.lcm(*(c.denominator for terms in parts.values() for c in terms.values()))
+    cleared = {name: {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+               for name, terms in parts.items()}
     ops: dict[Generator, ShiftDiffOp] = {}
 
     def op(g: Generator) -> ShiftDiffOp:
         if g not in ops:
-            ops[g] = _symbol(g.family, g.index, cleared, den)
+            ops[g] = _symbol(g.family, g.index, cleared)
         return ops[g]
 
     commutators: dict[tuple[Generator, Generator], ShiftDiffOp] = {}
@@ -643,16 +651,16 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     beta = -c0
     alpha = _constant_value(data.p, "p")
     g_coeffs = _a0_coefficients(data.B0, "B0")
-    a0 = RANK1_RING.var("a0")
-    gamma_poly = -(a0 * data.B0 - data.D0 * beta)
-    gamma = _constant_value(gamma_poly, "a0 B0 - beta D0")
+    gamma = _constant_value(data.D0 * beta - RANK1_RING.var("a0") * data.B0, "a0 B0 - beta D0")
     params = OmegaParams(alpha=alpha, beta=beta, gamma=gamma, lam=data.lam, g=g_coeffs)
     module = OmegaModule(params)
-    for g in (gen("L", 1), *(gen(f, 0) for f in FAMILIES)):
-        flat = {(g.index, k, *e): c for k, part in enumerate(operator_form(module, g))
-                for e, c in part.terms.items()}
-        if flat != _candidate_operator(data, g).terms:
-            raise NotAModule("round-trip", "extracted parameters do not reproduce the data")
+    for f in FAMILIES:
+        for n in range(max(_index_degree(f), *module.index_degrees(f, module.one()).values()) + 1):
+            g = gen(f, n)
+            flat = {(n, k, *e): c for k, part in enumerate(operator_form(module, g))
+                    for e, c in part.terms.items()}
+            if flat != _candidate_operator(data, g).terms:
+                raise NotAModule("round-trip", "extracted parameters do not reproduce the data")
     return params
 
 

@@ -14,9 +14,8 @@ Three kinds of algebra share one element class, ``OperatorElement``:
 * The tensor product of two such algebras, ``TensorAlgebra(left, right)``,
   with (left key, right key) pairs as keys; ``tensor_algebra`` gives the
   one instance of each pair.  Its elements are ``TensorElement``s, a
-  subclass that adds only ``pure`` and stays only so that the
-  ``operators.tensor_mul`` span of ``perfbench/tracer.py`` has a method to
-  wrap.
+  subclass whose only method, ``__mul__``, gives the ``operators.tensor_mul``
+  span of ``perfbench/tracer.py`` a method to wrap.
 
 Every algebra gives ``one_key``, ``format_key`` and ``mul_keys``, the
 product of two monomials, with integer coefficients whatever the parameters

@@ -30,7 +30,7 @@ MAX_G_POWER = 1000
 # The largest exponent in action data.  classify reads g densely from B0, and
 # D0 = (a0 g + gamma) / beta is one a0-degree above g.
 MAX_DATA_POWER = MAX_G_POWER + 1
-_ACTION_POLYS = ("p", "B0", "C0", "D0")
+_ACTION_POLYS = Rank1ActionData._fields[1:]  # the four structure polynomials
 
 
 def _at(pointer: str, key) -> str:

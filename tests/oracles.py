@@ -3,8 +3,9 @@
 ``FractionSpanBasis`` is the sparse eliminator with every row held as
 Fractions with pivot coefficient 1, and ``fraction_closure`` is the truncated
 closure that acts through ``module.act`` on ``SparsePoly`` vectors and
-truncates each image as a polynomial.  The tests check that ``linalg`` and
-``oracle`` give the same answers.  ``free_word_oracle`` straightens a word by
+truncates each image as a polynomial; ``span_vectors`` reads the rows of a
+``linalg.SpanBasis`` in the first one's form.  The tests check that ``linalg``
+and ``oracle`` give the same answers.  ``free_word_oracle`` straightens a word by
 naive single-inversion rewriting, a cross-check for ``lie.pbw_normalize``.
 ``ab_table`` and ``abgg_table`` are the generator tables of the two maps of
 ``homomorphisms`` written out as literal dicts, the reference for the tables
@@ -59,6 +60,13 @@ class FractionSpanBasis:
 
     def vectors(self) -> list[dict]:
         return [dict(row) for _, row in sorted(self.rows.items())]
+
+
+def span_vectors(basis) -> list[dict]:
+    """The rows of a ``linalg.SpanBasis`` as Fractions, pivot coefficient 1, by pivot: the
+    same list as ``FractionSpanBasis.vectors`` for the same span."""
+    return [{k: Fraction(c, row[pk]) for k, c in row.items()}
+            for pk, row in sorted(basis._rows.items())]
 
 
 def _coordinate_rows(vectors, target) -> dict:

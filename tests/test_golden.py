@@ -4,12 +4,15 @@ from ``cli.main`` in this process and from ``python -m wittdiamond.cli`` in a ne
 An expected file changes only through ``tests/golden/regen.py``.
 """
 
+import json
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import pytest
+from conftest import load_schema
 from golden.regen import CASES_DIR, OUTPUTS, case_dirs, run_case, run_case_fresh
 
 
@@ -36,6 +39,17 @@ def fresh_outputs():
 @pytest.mark.parametrize("case", case_dirs(), ids=lambda p: p.name)
 def test_golden_case_in_a_fresh_process(case, fresh_outputs):
     _check_case(case, fresh_outputs.__getitem__)
+
+
+def test_every_stored_report_validates_against_the_report_schema():
+    """A case writes a report exactly when it exits 0 or 1, and each stored one is valid."""
+    validator = jsonschema.Draft202012Validator(load_schema("report.schema.json"))
+    reported = [case for case in case_dirs() if (case / "report.json").is_file()]
+    assert reported == [case for case in case_dirs()
+                        if int((case / "exit_code.txt").read_text()) in (0, 1)]
+    for case in reported:
+        errors = validator.iter_errors(json.loads((case / "report.json").read_bytes()))
+        assert [e.message for e in errors] == [], case.name
 
 
 # Three commands whose modules keep per-instance memos (``act_rules``,

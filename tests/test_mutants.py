@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from golden.regen import CASES_DIR, case_dirs, run_case
 
-from wittdiamond import homomorphisms, lie
+from wittdiamond import homomorphisms, lie, omega
 from wittdiamond.lie import gen
 
 # n (n^2 - 1) = n^3 - n, constant first: zero at n = -1, 0, 1, so the window {-1, 0, 1}
@@ -59,6 +59,10 @@ KNOWN_SURVIVORS = [
     # ``det-lemma-small`` still exit 0 with "complete": true (``det-lemma-rational``,
     # whose alphas differ, exits 1).
     ("det-closed-form-off-grid", "tensor.det_r", {"det-lemma-small": 0}),
+    # ROADMAP item 12: with every bound of ``PullbackModule.index_degrees`` one lower, the
+    # r-g orbit rank of ``rank-t-mixed`` reads 8 in place of 11 (``INDEX_DEGREE_MOVES``),
+    # and a wrong rank still passes its only check, value >= m + 1.
+    ("index-degrees-lowered", "homomorphisms.PullbackModule.index_degrees", {"rank-t-mixed": 0}),
 ]
 
 
@@ -123,6 +127,23 @@ def test_a_changed_bracket_table_constant_flips_exactly_its_cases():
 # ``PullbackModule.index_degrees``; each exits 0 without the defect.
 INDEX_DEGREE_FLIPS = ["simplicity-omega", "simplicity-t-one", "simplicity-t-three",
                       "simplicity-t-two"]
+# The cases that keep exit 0 under the same defect, with the check whose fields move:
+# {field: (value without the defect, value with it)}.  Each invariance grid shrinks, and
+# the r-g orbit of ``rank-t-mixed`` takes fewer points and reads a lower rank.
+INVARIANCE_GRID = {"images_checked": (12, 10), "max_index_degree": (1, 0)}
+INDEX_DEGREE_MOVES = {
+    "rank-t-mixed": ("r-g", {"value": (11, 8), "orbit_points": (7, 4)}),
+    "simplicity-f-m-p0": ("barrier-invariance", INVARIANCE_GRID),
+    "simplicity-f-omega-p0": ("barrier-invariance",
+                              {"images_checked": (17, 11), "max_index_degree": (2, 1)}),
+    "simplicity-f-witness31": ("barrier-invariance", INVARIANCE_GRID),
+    "simplicity-f-witness65": ("barrier-invariance", INVARIANCE_GRID),
+    "simplicity-t-equal": ("simplicity", {"images_checked": (18, 15), "max_index_degree": (1, 0)}),
+}
+
+
+def _detail(report: bytes, check: str) -> dict:
+    return next(c["detail"] for c in json.loads(report)["checks"] if c["check"] == check)
 
 
 def test_lowered_index_degrees_flip_exactly_the_certificate_cases(monkeypatch):
@@ -141,3 +162,35 @@ def test_lowered_index_degrees_flip_exactly_the_certificate_cases(monkeypatch):
     for name in INDEX_DEGREE_FLIPS:
         assert codes[name] == 1, name
         assert b"-orbit combination isolates" in got[name]["stderr.txt"], name
+    moved = {case.name for case in case_dirs() if codes[case.name] == stored[case.name]
+             and (case / "report.json").exists()
+             and got[case.name].get("report.json") != (case / "report.json").read_bytes()}
+    assert sorted(moved) == sorted(INDEX_DEGREE_MOVES)
+    for name, (check, fields) in INDEX_DEGREE_MOVES.items():
+        before = _detail((CASES_DIR / name / "report.json").read_bytes(), check)
+        after = _detail(got[name]["report.json"], check)
+        assert codes[name] == 0 and after["complete"] is True, name
+        assert {key: (before[key], after[key]) for key in fields} == fields, name
+
+
+# n + n(n-1)(n-2)(n-3)(n-4) in place of n on the p part of L's rank-one symbol, constant
+# first: the quintic term vanishes at n = 0..4, so an index-degree premise of 1 for L would
+# grid [L_m, L_n] on {0, 1, 2}^2 and round-trip L[1] only, and never see it.
+RANK1_L_QUINTIC = (("L0", 0, (1,)), ("p", 0, (0, 25, -50, 35, -10, 1)))
+RANK1_FLIPS = ["classify-degenerate", "classify-round-trip"]
+RANK1_REJECTION = {"rejected": True, "relation": "[L_m, L_n]", "detail": "at (m, n) = (1, 4)"}
+
+
+def test_a_planted_rank_one_symbol_term_flips_exactly_the_classify_cases(monkeypatch):
+    """``rank1_grid`` reads L's index degree 5 from ``omega.RANK1_SYMBOL``, so [L_m, L_n]
+    is gridded on {0..6}^2 and fails at the first point where the term shows."""
+    stored = {case.name: int((case / "exit_code.txt").read_text()) for case in case_dirs()}
+    assert all(stored[name] == 0 for name in RANK1_FLIPS)
+    monkeypatch.setitem(omega.RANK1_SYMBOL, "L", RANK1_L_QUINTIC)
+    got = {case.name: run_case(case) for case in case_dirs()}
+    codes = {name: int(files["exit_code.txt"]) for name, files in got.items()}
+    assert sorted(name for name in codes if codes[name] != stored[name]) == RANK1_FLIPS
+    for name in RANK1_FLIPS:
+        check = json.loads(got[name]["report.json"])["checks"][0]
+        assert codes[name] == 1 and check["status"] == "fail", name
+        assert check["detail"] == RANK1_REJECTION, name

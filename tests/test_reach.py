@@ -48,10 +48,8 @@ NEVER_ENTERED = {
     "lie:LElement._sort_key": DUNDER,
     "lie:UEnvElement._format_key": DUNDER,
     "lie:UEnvElement._sort_key": DUNDER,
-    "lie:UEnvElement.one": TEST_ONLY,
     "lie:parse_uenv": PERFBENCH,
     "linalg:SpanBasis.contains": PERFBENCH,
-    "linalg:SpanBasis.vectors": TEST_ONLY,
     "linalg:exact_nullspace": PERFBENCH,
     "omega:rank1_data_from_action": "kept for ROADMAP item 5",
     "operators:OperatorElement._format_key": DUNDER,
