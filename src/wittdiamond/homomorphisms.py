@@ -85,18 +85,22 @@ def evaluate(table: dict[str, tuple], family: str, n: int) -> dict:
     return out
 
 
-def index_degree(terms) -> int:
-    """The n-degree of a family: the largest coefficient degree plus d/dx0-order over its terms.
+def index_degree(terms, order=lambda term: 0) -> int:
+    """The n-degree of a family's ``terms`` in the form of ``ab_terms``, coefficient last: the
+    largest over the terms of the coefficient's degree plus ``order(term)``.
 
-    Moving x0^n past dx0^o costs a falling factorial of degree o in n, in the
-    target algebra and where x0^n acts as l^n (d0 -> d0 - n): there a term
-    c(n) x0^(n + k) dx0^o takes a vector of d0-degree p to l^n times a
-    polynomial in n of degree at most deg c + o + p (deg c where x0 acts by
-    a weight).  Grid lemma (Alon 1999, Combinatorial Nullstellensatz, Lemma
-    2.1): a polynomial of degree at most D in each variable that vanishes
-    on D + 1 points per variable is zero.
+    A family of ``ab_terms`` or ``abgg_terms`` acting on a module adds each term's
+    ``dx0_order``: moving x0^n past dx0^o costs a falling factorial of degree o in n, in the
+    target algebra and where x0^n acts as l^n (d0 -> d0 - n), so there a term c(n) x0^(n + k)
+    dx0^o takes a vector of d0-degree p to l^n times a polynomial in n of degree at most
+    deg c + o + p (deg c where x0 acts by a weight).  ``poly.vanishes`` states the grid lemma.
     """
-    return max(len(coef) - 1 + ds[0] for (_, ds), _, coef in terms)
+    return max(len(term[-1]) - 1 + order(term) for term in terms)
+
+
+def dx0_order(term) -> int:
+    """The d/dx0-order of a term of ``ab_terms`` or ``abgg_terms``."""
+    return term[0][1][0]
 
 
 class PullbackModule:
@@ -135,7 +139,7 @@ class PullbackModule:
         ``omega.orbit`` images then settle X[n] v for every n in Z."""
         degrees: dict[Fraction, int] = {}
         for table, _, scale, var in self.pullbacks:
-            d = index_degree(table[family]) + ((v.var_degree(var) or 0) if var else 0)
+            d = index_degree(table[family], dx0_order) + ((v.var_degree(var) or 0) if var else 0)
             degrees[scale] = max(degrees.get(scale, 0), d)
         return degrees
 
@@ -271,16 +275,16 @@ def verify_hom(phi, window: int = 1) -> HomReport:
     exactly when every value left is zero.
 
     The window w = max(window, ceil(D / 2)) settles every pair in Z.  With c
-    the table's largest coefficient degree and o its largest d/dx0-order,
-    ``[phi(x_m), phi(y_n)] / x0^(m+n)`` has degree at most c + o in each
-    index (``index_degree``) and each bracket constant at most 1, so the
-    defect has degree at most D = c + max(o, 1) and 2 w + 1 points decide it.
+    the table's largest coefficient degree (``index_degree``) and o its
+    largest ``dx0_order``, ``[phi(x_m), phi(y_n)] / x0^(m+n)`` has degree at
+    most c + o in each index and each bracket constant at most 1, so the
+    defect has degree at most D = c + max(o, 1), and 2 w + 1 points decide it
+    (``poly.vanishes``).
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     all_terms = [term for family in phi.table.values() for term in family]
-    c, o = max(len(coef) - 1 for *_, coef in all_terms), max(ds[0] for (_, ds), _, _ in all_terms)
-    degree = c + max(o, 1)
+    degree = index_degree(all_terms) + max(1, *map(dx0_order, all_terms))
     window = max(window, -(-degree // 2))
     gens = generators_in_window(window)
     tables = phi.algebra.brackets

@@ -10,10 +10,12 @@ algebra (families a, b, c, d).  The nonzero brackets are
     [d[m], b[n]] = -b[m+n]
 
 and every pair not obtained from these by antisymmetry vanishes.
-``BRACKET_TABLE`` holds these five relations, family by family.
-``bracket_terms`` reads the constants of a pair from it once per process,
-as an immutable tuple that the checks here and in ``homomorphisms`` and
-``omega`` iterate directly; ``bracket`` builds a fresh element from it.
+``BRACKET_TABLE`` holds these five relations, family by family, and
+``family_bracket`` reads it.  ``bracket_terms`` reads the constants of a pair
+from it once per process, as an immutable tuple that the checks here and in
+``homomorphisms`` and ``omega`` iterate directly; ``bracket`` builds a fresh
+element from it.  ``identity_violations`` proves antisymmetry and the Jacobi
+identity from it, as identities in the indices.
 The module also provides PBW-normalized computation in the enveloping
 algebra: words are straightened into non-decreasing order under the total
 order (family L < a < b < c < d, then index ascending).
@@ -22,11 +24,13 @@ order (family L < a < b < c < d, then index ascending).
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exceptions import InvalidGenerator
+from .poly import PolyRing, vanishes
 from .scalars import ONE, LinComb, add_scaled, signed_terms
 
 FAMILIES = ("L", "a", "b", "c", "d")
@@ -96,32 +100,73 @@ BRACKET_TABLE = {
 }
 
 
-@functools.cache
-def bracket_terms(x: Generator, y: Generator) -> tuple[tuple[Generator, int], ...]:
-    """The terms of [x, y] read from ``BRACKET_TABLE``: ``((z, c),)`` with c a
-    nonzero int, or ``()`` when the pair commutes.
-
-    A pair given in reverse order is negated, and every pair in neither order
-    commutes.  The constants depend on the two generators alone, so each pair
-    is worked out once per process, like the product tables of ``operators``;
-    the tuple is immutable, so a caller that only iterates the terms reads the
-    cache directly.  An unknown family raises ``InvalidGenerator`` on every
-    call, as exceptions are not cached.
-    """
-    fx, m = x.family, x.index
-    fy, n = y.family, y.index
+def family_bracket(fx: str, fy: str) -> tuple[str, tuple[int, int, int]] | None:
+    """``(z, (k, k_m, k_n))`` with [x_m, y_n] = (k + k_m m + k_n n) z_{m+n}, read from
+    ``BRACKET_TABLE`` at each call: a pair listed in reverse order is negated, and a pair in
+    neither order commutes (None).  An unknown family raises ``InvalidGenerator``."""
     for f in (fx, fy):
         if f not in _RANK:
             raise InvalidGenerator(f"unknown generator family {f!r}")
     if (fx, fy) in BRACKET_TABLE:
-        z, (k, k_m, k_n) = BRACKET_TABLE[fx, fy]
-        c = k + k_m * m + k_n * n
-    elif (fy, fx) in BRACKET_TABLE:
+        return BRACKET_TABLE[fx, fy]
+    if (fy, fx) in BRACKET_TABLE:
         z, (k, k_m, k_n) = BRACKET_TABLE[fy, fx]
-        c = -(k + k_m * n + k_n * m)
-    else:
+        return z, (-k, -k_n, -k_m)
+    return None
+
+
+@functools.cache
+def bracket_terms(x: Generator, y: Generator) -> tuple[tuple[Generator, int], ...]:
+    """The terms of [x, y] read by ``family_bracket``: ``((z, c),)`` with c a
+    nonzero int, or ``()`` when the pair commutes.
+
+    The constants depend on the two generators alone, so each pair is worked
+    out once per process, like the product tables of ``operators``; the tuple
+    is immutable, so a caller that only iterates the terms reads the cache
+    directly.  An unknown family raises ``InvalidGenerator`` on every call, as
+    exceptions are not cached.
+    """
+    if (entry := family_bracket(x.family, y.family)) is None:
         return ()
-    return ((Generator(z, m + n), c),) if c else ()
+    z, (k, k_m, k_n) = entry
+    c = k + k_m * x.index + k_n * y.index
+    return ((Generator(z, x.index + y.index), c),) if c else ()
+
+
+def identity_violations() -> dict[str, tuple[str, int, list[list[str]]]]:
+    """``{identity: (ring, family tuples checked, violations)}``: antisymmetry on the 25
+    ordered family pairs in Q[m, n], and the Jacobi identity on the 35 family multisets in
+    Q[l, m, n], each proved for every index in Z as a polynomial identity in the indices.
+
+    A tuple's residual is the sum of [g_1, [g_2, ... g_k]] over its cyclic orders, per result
+    family.  One order per multiset is enough once antisymmetry holds: the residual is then
+    alternating, so another order gives it with its variables permuted and its sign changed.
+    A violation is the tuple at a point of ``poly.vanishes``, as generator names.
+    """
+    out = {}
+    for name, names, tuples in (
+            ("antisymmetry", "mn", itertools.product(FAMILIES, repeat=2)),
+            ("jacobi", "lmn", itertools.combinations_with_replacement(FAMILIES, 3))):
+        ring = PolyRing(tuple(names), (False,) * len(names))
+        count, violations = 0, []
+        for families in tuples:
+            count += 1
+            gens, residual = list(zip(families, map(ring.var, names))), {}
+            for i in range(len(gens)):
+                *outer, (z, index) = gens[i:] + gens[:i]
+                c = ring.one()
+                for f, m in reversed(outer):  # c z_index becomes [f_m, c z_index]
+                    if (entry := family_bracket(f, z)) is None:
+                        break
+                    z, (k, k_m, k_n) = entry
+                    c, index = c * (m * k_m + index * k_n + k), m + index
+                else:
+                    residual[z] = residual.get(z, ring.zero()) + c
+            point = next(filter(None, map(vanishes, residual.values())), None)
+            if point is not None:
+                violations.append([str(Generator(*g)) for g in zip(families, point)])
+        out[name] = (f"Q[{', '.join(names)}]", count, violations)
+    return out
 
 
 def jacobi_residual(x: Generator, y: Generator, z: Generator) -> LElement:

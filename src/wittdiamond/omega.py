@@ -195,8 +195,8 @@ def invariance_check(module, probes: list[SparsePoly], in_w: Callable[[SparsePol
     Each caller proves that its W, tested by ``in_w``, is invariant once
     every X[n] maps each probe into W; the probe's ``orbit`` images settle
     every n (the Vandermonde span of ``orbit``, or for an F module's
-    x0-shift the grid lemma of ``homomorphisms.index_degree``).  W is proper
-    when ``inside`` lies in it and ``outside`` does not.
+    x0-shift the grid lemma at ``poly.vanishes``).  W is proper when
+    ``inside`` lies in it and ``outside`` does not.
     """
     report = InvarianceReport(probes=len(probes))
     for fam in FAMILIES:
@@ -534,11 +534,6 @@ def _parts(data: Rank1ActionData) -> dict[str, dict]:
     return _UNITS | {name: getattr(data, name).terms for name in Rank1ActionData._fields[1:]}
 
 
-def _index_degree(family: str) -> int:
-    """A family's degree in the index n: its longest ``RANK1_SYMBOL`` coefficient."""
-    return max(len(coef) - 1 for *_, coef in RANK1_SYMBOL[family])
-
-
 def _symbol(family: str, n: int, parts: dict[str, dict], scale=1) -> ShiftDiffOp:
     """scale times the ``RANK1_SYMBOL`` of family[n] over ``parts``, as in ``_parts``."""
     out: dict = {}
@@ -583,12 +578,11 @@ def rank1_grid(data: Rank1ActionData) -> list[tuple[str, str, str, int, int]]:
     l_y, with e a family's index degree and l the largest L0-degree of its
     parts in ``RANK1_SYMBOL``; likewise D_n = e_y + l_x.  The bracket side
     c(m, n) op_z(m+n) needs no more while e_z = 0 off L: c has degree 1 in m
-    only when y = L and in n only when x = L, and L has the part L0.  A
-    polynomial of these degrees that vanishes on {0..D_m} x {0..D_n}
-    vanishes on all of Z^2.
+    only when y = L and in n only when x = L, and L has the part L0.  So the
+    grid {0..D_m} x {0..D_n} proves the relation on Z^2 (``poly.vanishes``).
     """
     l0 = {name: max((i for i, _ in terms), default=0) for name, terms in _parts(data).items()}
-    e = {f: _index_degree(f) for f in FAMILIES}
+    e = {f: homomorphisms.index_degree(RANK1_SYMBOL[f]) for f in FAMILIES}
     ell = {f: max(l0[part] for part, _, _ in RANK1_SYMBOL[f]) for f in FAMILIES}
     named = {(fx, fy): name for name, fx, fy in _NAMED_RELATIONS}
     pairs = list(named) + [(fx, fy) for fx in FAMILIES for fy in FAMILIES
@@ -611,8 +605,8 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     is reported Degenerate; otherwise the five parameters are extracted, and
     in their module the ``operator_form`` of f[n] must give the terms of
     ``_candidate_operator`` for n = 0..max(e_f, D_f), as both are lam^n times
-    polynomials in n of degree at most e_f (``rank1_grid``) and D_f
-    (``PullbackModule.index_degrees``).
+    polynomials in n of degree at most e_f and D_f, the ``index_degree`` of f
+    in ``RANK1_SYMBOL`` (``rank1_grid``) and in the module's table.
     """
     parts = _parts(data)
     den = math.lcm(*(c.denominator for terms in parts.values() for c in terms.values()))
@@ -655,7 +649,9 @@ def classify_rank1(data: Rank1ActionData) -> OmegaParams | Degenerate:
     params = OmegaParams(alpha=alpha, beta=beta, gamma=gamma, lam=data.lam, g=g_coeffs)
     module = OmegaModule(params)
     for f in FAMILIES:
-        for n in range(max(_index_degree(f), *module.index_degrees(f, module.one()).values()) + 1):
+        top = max(homomorphisms.index_degree(table[f], homomorphisms.dx0_order)
+                  for table, *_ in module.pullbacks)
+        for n in range(max(homomorphisms.index_degree(RANK1_SYMBOL[f]), top) + 1):
             g = gen(f, n)
             flat = {(n, k, *e): c for k, part in enumerate(operator_form(module, g))
                     for e, c in part.terms.items()}

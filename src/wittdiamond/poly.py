@@ -13,6 +13,7 @@ order, so extracting the degree of a vector is a single max() scan.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -268,6 +269,17 @@ class SparsePoly(LinComb):
 
     def __repr__(self):
         return f"SparsePoly({str(self)!r})"
+
+
+def vanishes(p: SparsePoly) -> tuple[int, ...] | None:
+    """None when the polynomial p is zero, else a point of {0..D_1} x ... x {0..D_k}, D_i
+    the degree of p in its i-th variable, where p is nonzero.  It exists by the grid lemma
+    (Alon 1999, Combinatorial Nullstellensatz, Lemma 2.1): a polynomial of degree at most
+    D_i in each variable i that vanishes on D_i + 1 points per variable is zero.
+    """
+    grid = itertools.product(*(range((p.var_degree(v) or 0) + 1) for v in p.ring.names))
+    return next((x for x in grid
+                 if sum(c * math.prod(map(pow, x, e)) for e, c in p.terms.items())), None)
 
 
 _FACTOR = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?[0-9]+))?")

@@ -81,28 +81,37 @@ def test_verify_brackets(tmp_path):
     assert doc["status"] == "pass"
     detail = {c["check"]: c["detail"] for c in doc["checks"]}
     assert set(detail) == {"antisymmetry", "jacobi"}
-    assert detail["jacobi"]["complete"] is True and detail["jacobi"]["triples"] == 3375
-    assert detail["jacobi"]["indices"] == [-1, 0, 1]
-    assert detail["jacobi"]["max_index_degree"] == 2
-    assert detail["antisymmetry"]["max_index_degree"] == 1
+    # Identities in the indices: 25 ordered family pairs, 35 family multisets, no window.
+    assert detail["antisymmetry"] == {"complete": True, "for": "all indices", "ring": "Q[m, n]",
+                                      "family_tuples": 25, "violations": []}
+    assert detail["jacobi"] == {"complete": True, "for": "all indices", "ring": "Q[l, m, n]",
+                                "family_tuples": 35, "violations": []}
 
 
-def test_verify_brackets_grid_catches_a_degree_2_residual(monkeypatch, tmp_path):
+def test_verify_brackets_counts_the_family_tuples_it_checks(monkeypatch, tmp_path):
     from wittdiamond import lie
 
-    # The Jacobi sweep reads ``lie.bracket_terms``, and the antisymmetry check reads
-    # ``cli.bracket``, which is ``lie.bracket`` and reads it too.
-    monkeypatch.setattr(lie, "bracket_terms", planted_bracket_terms)
+    # Four families: 16 ordered pairs and 20 multisets, as the check's loop counts them.
+    monkeypatch.setattr(lie, "FAMILIES", ("L", "a", "b", "c"))
     out = str(tmp_path / "r.json")
-    assert main(["verify-brackets", "--out", out]) == 1
-    checks = {c["check"]: c for c in _check_report(out)["checks"]}
-    assert checks["antisymmetry"]["status"] == "pass"
-    assert checks["jacobi"]["status"] == "fail"
-    # l m n (m - l) is nonzero only for L indices {-1, 1} and a nonzero third index.
-    for triple in checks["jacobi"]["detail"]["violations"]:
-        indices = {name: int(name[2:-1]) for name in triple}
-        assert sorted(i for name, i in indices.items() if name[0] == "L") == [-1, 1], triple
-        assert all(i for name, i in indices.items() if name[0] != "L"), triple
+    assert main(["verify-brackets", "--out", out]) == 0
+    assert [c["detail"]["family_tuples"] for c in _check_report(out)["checks"]] == [16, 20]
+
+
+def test_a_degree_2_bracket_plant_fails_verify_hom_and_classify(monkeypatch):
+    from golden.regen import CASES_DIR, run_case
+
+    from wittdiamond import homomorphisms
+
+    # verify-brackets reads ``lie.BRACKET_TABLE`` with the indices as variables, so a
+    # plant in the per-index cache is caught by the two checks that read the cache,
+    # each on its grid: verify_hom's window {-1, 0, 1} and classify's rank-one grid.
+    for module in (homomorphisms, omega):
+        monkeypatch.setattr(module, "bracket_terms", planted_bracket_terms)
+    for name in ("verify-hom-ab", "classify-round-trip"):
+        got = run_case(CASES_DIR / name)
+        assert got["exit_code.txt"] == b"1\n", name
+        assert json.loads(got["report.json"])["checks"][0]["status"] == "fail", name
 
 
 def test_verify_hom_both_maps(tmp_path):

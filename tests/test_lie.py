@@ -1,5 +1,6 @@
 """Structure constants, PBW straightening and the enveloping algebra."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -16,8 +17,10 @@ from wittdiamond.lie import (
     UEnvElement,
     bracket,
     bracket_terms,
+    family_bracket,
     gen,
     generators_in_window,
+    identity_violations,
     jacobi_residual,
     parse_uenv,
     parse_words,
@@ -108,6 +111,92 @@ def test_jacobi_residual_follows_a_patched_table(monkeypatch):
     # l = -1, m = 1, n = 1: l m n (m - l) = -2.
     assert jacobi_residual(gen("L", -1), gen("L", 1), gen("a", 1)) == LElement({gen("a", 1): F(-2)})
     assert nonzero
+
+
+def test_family_bracket_orients_a_pair_against_the_table():
+    assert family_bracket("L", "L") == ("L", (0, -1, 1))
+    assert family_bracket("L", "b") == ("b", (0, 0, 1))
+    # [b_m, L_n] = -[L_n, b_m] = -m b_{m+n}, and [a_m, d_n] = -a_{m+n}.
+    assert family_bracket("b", "L") == ("b", (0, -1, 0))
+    assert family_bracket("a", "d") == ("a", (-1, 0, 0))
+    assert family_bracket("b", "c") is None and family_bracket("c", "c") is None
+    for pair in (("z", "L"), ("L", "z")):
+        with pytest.raises(InvalidGenerator):
+            family_bracket(*pair)
+
+
+@contextlib.contextmanager
+def _table_plant(key, entry):
+    """``BRACKET_TABLE[key] = entry`` inside the block, with the per-index cache cleared
+    before and after, so neither the plant nor the true table hides the other."""
+    original = lie.BRACKET_TABLE[key]
+    lie.bracket_terms.cache_clear()
+    lie.BRACKET_TABLE[key] = entry
+    try:
+        yield
+    finally:
+        lie.BRACKET_TABLE[key] = original
+        lie.bracket_terms.cache_clear()
+
+
+# The per-index residuals of the window sweep that ``identity_violations`` replaced, kept
+# as its oracle: identity -> (arity, residual).
+_WINDOWED = {"antisymmetry": (2, lambda x, y: bracket(x, y) + bracket(y, x)),
+             "jacobi": (3, jacobi_residual)}
+
+
+def _swept_families(name):
+    """The family tuples with a nonzero residual on the window {-1, 0, 1}: ordered pairs,
+    and multisets in ``FAMILIES`` order, as ``identity_violations`` names them."""
+    arity, residual = _WINDOWED[name]
+    bad = {tuple(g.family for g in gs)
+           for gs in itertools.product(generators_in_window(1), repeat=arity)
+           if not residual(*gs).is_zero}
+    return bad if arity == 2 else {tuple(sorted(f, key=lie.FAMILIES.index)) for f in bad}
+
+
+def _reported(violations):
+    return [parse_words(" ".join(names))[0][1] for names in violations]
+
+
+def test_the_table_is_consistent_as_identities_in_the_indices():
+    assert identity_violations() == {"antisymmetry": ("Q[m, n]", 25, []),
+                                     "jacobi": ("Q[l, m, n]", 35, [])}
+
+
+def test_a_table_plant_fails_jacobi_at_a_b_d_where_the_windowed_residual_is_nonzero():
+    with _table_plant(("d", "a"), ("a", (2, 0, 0))):
+        found = identity_violations()
+        (triple,) = _reported(found["jacobi"][2])
+        assert jacobi_residual(*triple) == LElement({gen("c", 0): F(-1)})
+        assert _swept_families("jacobi") == {("a", "b", "d")}
+        assert not _swept_families("antisymmetry")
+    assert found["antisymmetry"][2] == []
+    assert triple == (gen("a", 0), gen("b", 0), gen("d", 0))
+
+
+def test_an_unnegated_reversed_pair_fails_where_the_windowed_sweep_does(monkeypatch):
+    read = lie.family_bracket
+
+    def unnegated(fx, fy):
+        out = read(fx, fy)
+        if (fx, fy) not in lie.BRACKET_TABLE and out is not None:
+            z, (k, k_m, k_n) = out
+            return z, (-k, -k_m, -k_n)
+        return out
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(lie, "family_bracket", unnegated)
+            lie.bracket_terms.cache_clear()
+            found = identity_violations()
+            for name, (_, residual) in _WINDOWED.items():
+                reported = _reported(found[name][2])
+                assert {tuple(g.family for g in gs) for gs in reported} == _swept_families(name)
+                # Each reported point is one where the per-index reading fails too.
+                assert all(not residual(*gs).is_zero for gs in reported), name
+    finally:
+        lie.bracket_terms.cache_clear()
 
 
 def _reference_structure_constants(x, y):

@@ -81,15 +81,17 @@ def test_each_mutant_flips_its_cases(mutant, builder, family, term, flips, monke
 
 
 # One changed constant of ``lie.BRACKET_TABLE``: [d_m, a_n] = 2 a_{m+n} in place of a_{m+n}.
-# The Jacobi sweep fails on the triples (a, b, d), the image of [a_m, d_n] under either map
-# is off by phi(a_{m+n}), and classify rejects the relation [a_m, d_n] at its first point.
+# The Jacobi identity fails on the family multiset (a, b, d) only, with residual -c_{l+m+n},
+# the image of [a_m, d_n] under either map is off by phi(a_{m+n}), and classify rejects the
+# relation [a_m, d_n] at its first point.
 TABLE_KEY, TABLE_PLANT = ("d", "a"), ("a", (2, 0, 0))
 A_D_PAIRS = [[f"a[{m}]", f"d[{n}]"] for m in (-1, 0, 1) for n in (-1, 0, 1)]
 HOM_FLIP = (1, "homomorphism", {**WINDOW_1, "violations": A_D_PAIRS})
 CLASSIFY_FLIP = (1, "classify", {"relation": "[a_m, d_n]", "detail": "at (m, n) = (0, 0)"})
 # case -> (exit code, the check that fails, fields it must report).
 TABLE_FLIPS = {
-    "verify-brackets": (1, "jacobi", {"complete": True, "triples": 3375}),
+    "verify-brackets": (1, "jacobi", {"complete": True, "for": "all indices", "family_tuples": 35,
+                                      "violations": [["a[0]", "b[0]", "d[0]"]]}),
     "verify-hom-ab": HOM_FLIP,
     "verify-hom-ab-negative-alpha": HOM_FLIP,
     "verify-hom-abgg": HOM_FLIP,

@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic: ring axioms, shift, derive, parsing."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -14,7 +15,7 @@ from wittdiamond.fock import FModule, MFactor, OmegaFactor, OneDim, Whittaker
 from wittdiamond.lie import generators_in_window
 from wittdiamond.omega import OmegaModule, OmegaParams
 from wittdiamond.poly import (
-    PolyRing, SparsePoly, _shift_row, act_by_rules, monomials_within, parse_poly
+    PolyRing, SparsePoly, _shift_row, act_by_rules, monomials_within, parse_poly, vanishes
 )
 from wittdiamond.scalars import clear_denominators
 from wittdiamond.tensor import TensorModule
@@ -289,3 +290,34 @@ def test_act_by_rules_raises_before_it_shifts_in_a_two_shift_rule():
     _agrees_with_former_kernel(v, rules, 4)
     want = (v * ring.monomial({"y": 1, "z": 2}) * F(1, 4)).shift("y", 1).shift("z", -3)
     assert act_by_rules(v, rules, 4) == want
+
+
+def _value(p, point):
+    return sum(c * math.prod(x**e for x, e in zip(point, exps)) for exps, c in p.terms.items())
+
+
+def test_vanishes_is_none_on_zero_and_finds_the_one_grid_point_off_the_zeros():
+    ring = PolyRing(("l", "m"), (False, False))
+    l, m = ring.var("l"), ring.var("m")
+    assert vanishes(ring.zero()) is None
+    assert vanishes(l * (m - 1) - (m * l - l)) is None
+    # Degree 2 in l and 1 in m: zero on {0, 1, 2} x {0, 1} except at (2, 0).
+    p = l * (l - 1) * (m - 1)
+    assert [x for x in itertools.product(range(3), range(2)) if _value(p, x)] == [(2, 0)]
+    assert vanishes(p) == (2, 0) and _value(p, (2, 0)) == -2
+    assert vanishes(ring.const(F(-1, 3))) == (0, 0)
+
+
+def test_vanishes_finds_a_nonzero_point_inside_the_degree_grid():
+    rng = random.Random(51)
+    ring = PolyRing(("l", "m", "n"), (False, False, False))
+    for _ in range(200):
+        # Products of linear factors vanish on much of the grid.
+        p = ring.const(rng.choice([1, -2, F(1, 3)]))
+        for _ in range(rng.randint(0, 4)):
+            p = p * (ring.var(rng.choice("lmn")) - rng.randint(0, 3))
+        point = vanishes(p)
+        degrees = [p.var_degree(name) for name in ring.names]
+        assert all(0 <= x <= d for x, d in zip(point, degrees)), (p, point)
+        assert _value(p, point) != 0, (p, point)
+        assert vanishes(p - p) is None

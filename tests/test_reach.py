@@ -48,6 +48,9 @@ NEVER_ENTERED = {
     "lie:LElement._sort_key": DUNDER,
     "lie:UEnvElement._format_key": DUNDER,
     "lie:UEnvElement._sort_key": DUNDER,
+    "lie:LElement.__init__": PERFBENCH,
+    "lie:bracket": PERFBENCH,
+    "lie:jacobi_residual": PERFBENCH,
     "lie:parse_uenv": PERFBENCH,
     "linalg:SpanBasis.contains": PERFBENCH,
     "linalg:exact_nullspace": PERFBENCH,
@@ -59,7 +62,6 @@ NEVER_ENTERED = {
     "operators:WeylAlgebra.format_key": DUNDER,
     "operators:commutator": PERFBENCH,
     "poly:SparsePoly.__repr__": DUNDER,
-    "poly:SparsePoly._coerce": DUNDER,
     "poly:SparsePoly.shift": PERFBENCH,
     "scalars:Frozen.__delattr__": DUNDER,
     "scalars:Frozen.__setattr__": DUNDER,
