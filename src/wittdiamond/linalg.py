@@ -6,10 +6,12 @@ membership, dimension, solutions (``combination``) and relations
 denominator; a Fraction is built only for a value returned.  The two queries
 insert the coordinate rows of the matrix whose columns are the input vectors,
 so the reduced rows are its reduced row echelon form.  Determinants are a
-separate operation: a fraction-free Bareiss elimination over Python ints,
-which copies a row of ints as it is.  Inputs may be ints or Fractions; any
-other row is read through its entries' numerators and denominators, with no
-per-entry coercion.
+separate, dense operation, ``exact_det``: the adjacent-row elimination of the
+generalized Vandermonde lemma's proof, over Python ints, which reads a row of
+ints as it is.  Only ``tensor.det_r`` calls it, on rows where every step's
+multiplier is 1.  Inputs may be ints or Fractions; any other row is read
+through its entries' numerators and denominators, with no per-entry
+coercion.
 """
 
 from __future__ import annotations
@@ -25,52 +27,90 @@ Vector = Mapping[Hashable, int | Fraction]
 
 
 def exact_det(matrix: Sequence[Row]) -> Fraction:
-    """Determinant via fraction-free Bareiss elimination over Python ints.
+    """Determinant by adjacent-row elimination over Python ints.
 
-    A row whose entries are all ``int`` is copied as it is.  Any other row is
+    A row whose entries are all ``int`` is used as it is.  Any other row is
     cleared to integers: each entry is read through its ``numerator`` and
     ``denominator``, with no per-entry coercion, and the row is multiplied by
     the lcm of its denominators, which divides the result once at the end.
     So a ``bool`` or ``Fraction`` entry is eliminated as its integer value,
-    and an entry of any other type raises ``TypeError``.  The elimination
-    runs on the copies; the input rows are not modified.
+    and an entry of any other type raises ``TypeError``.
+
+    Each column is cleared bottom-up, row i with row i - 1 above it, as in
+    the proof of the generalized Vandermonde lemma:
+    ``R_i <- a R_i - b R_{i-1}`` with ``g = gcd(x, y)``, ``a = y / g`` and
+    ``b = x / g`` for the lower entry x and the upper entry y.  That step
+    multiplies the determinant by a, which the denominator collects.  When
+    the upper entry divides the lower one, as on every column of
+    ``tensor.det_rows`` (each column below the pivot is geometric with an
+    integer ratio), a is 1 and the step is one big-by-small multiply and one
+    subtraction per entry, with no division.  A row built with a != 1 is
+    divided by the gcd of its entries, which the numerator collects; there is
+    no exact division, so unstructured dense input still grows faster than
+    under an elimination that has one.  An upper entry 0 swaps the two rows
+    and negates the sign.  The cleared column is dropped as the rows are
+    rebuilt, so the pivots (the top entries) and the last 2 x 2 block give
+    the determinant.  New rows are built each step; the input rows are not
+    modified.
     """
     n = len(matrix)
     if n == 0:
         return ONE
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant requires a square matrix")
-    m: list[list[int]] = []
+    rows: list[Row] = []  # bottom row first
     scale = 1
-    for row in matrix:
+    for row in reversed(matrix):
         if all(type(x) is int for x in row):
-            m.append(list(row))
+            rows.append(row)
             continue
         try:
             mult = lcm(*[x.denominator for x in row])
-            m.append([x.numerator * (mult // x.denominator) for x in row])
+            rows.append([x.numerator * (mult // x.denominator) for x in row])
         except AttributeError as exc:
             raise TypeError(f"determinant entries must be ints or Fractions: {exc}") from None
         scale *= mult
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = m[k]
-        if pivot_row[k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return ZERO
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-            pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    if n == 1:
+        return Fraction(rows[0][0], scale)
+    det = 1
+    for _ in range(n - 2):
+        lower = rows[0]
+        cleared = []
+        for upper in rows[1:]:
+            x = lower[0]
+            if not x:
+                cleared.append(lower[1:])
+                lower = upper
+                continue
+            y = upper[0]
+            if not y:
+                cleared.append(upper[1:])
+                det = -det
+                continue
+            pairs = zip(lower, upper)
+            next(pairs)
+            b = x // y
+            if b * y == x:
+                # A loop, not a comprehension: before Python 3.12 a comprehension
+                # builds a function per row, a tenth of a small block's time.
+                row = []
+                for u, v in pairs:
+                    row.append(u - b * v)
+            else:
+                g = gcd(x, y)
+                a, b = y // g, x // g
+                scale *= a
+                row = [a * u - b * v for u, v in pairs]
+                content = gcd(*row)
+                if content > 1:
+                    row = [u // content for u in row]
+                    det *= content
+            cleared.append(row)
+            lower = upper
+        det *= lower[0]
+        rows = cleared
+    (a, b), (c, d) = rows[1], rows[0]
+    return Fraction(det * (a * d - b * c), scale)
 
 
 class SpanBasis:

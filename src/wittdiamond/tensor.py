@@ -131,7 +131,11 @@ def det_r(spec: DetSpec) -> DetResult:
     """Exact determinant against its closed-form product.
 
     The determinant is taken on the integer rows of ``det_rows`` and divided
-    by the product of their scales.  The closed form
+    by the product of their scales.  ``exact_det`` clears each column with
+    the row above, the row step of the lemma's proof; on these rows every
+    column is geometric below its pivot, with an integer ratio, so every
+    step subtracts an integer multiple of the row above and nothing is
+    divided.  The closed form
     ``prod_t sf(s_t - 1) alpha_t^(s_t(s_t-1)/2 + r s_t)
     * prod_{i<j} (alpha_j - alpha_i)^(s_i s_j)`` is accumulated as an integer
     numerator and denominator and becomes one Fraction at the end.

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -267,7 +268,7 @@ def test_exact_det_on_int_rows_equals_fraction_rows_and_naive():
 
 
 def test_exact_det_on_mixed_int_bool_and_fraction_rows_equals_naive():
-    """Int rows are copied as they are; bool and Fraction rows are cleared to ints."""
+    """Int rows are read as they are; bool and Fraction rows are cleared to ints."""
     rng = random.Random(17)
     for _ in range(80):
         n = rng.randint(1, 6)
@@ -290,14 +291,15 @@ def test_exact_det_on_mixed_int_bool_and_fraction_rows_equals_naive():
 
 
 def test_exact_det_rescales_a_row_with_a_zero_under_the_pivot():
-    """Row 1 has 0 under the first pivot 2, so its update only multiplies it by 2 / 1.
+    """Row 1 has 0 under the first pivot 2 and above a nonzero entry.
 
-    An elimination that skipped such a row would leave it one step behind,
-    and the next exact division would give 5 // 2 = 2 instead of 5.
+    An elimination that skipped such a row would leave it one step behind:
+    under Bareiss the next exact division would give 5 // 2 = 2 instead of
+    5.  The adjacent-row elimination swaps it with the row below.
     """
     m = [[2, 1, 0], [0, 3, 1], [1, 1, 1]]
     assert exact_det(m) == naive_det(m) == 5
-    # The first pivot 1 equals the starting prev, so the update leaves row 1 as it is.
+    # The same zero above a nonzero entry, under a first pivot 1.
     m = [[1, 2, 3], [0, 1, 4], [5, 6, 0]]
     assert exact_det(m) == naive_det(m) == 1
 
@@ -323,6 +325,83 @@ def test_exact_det_rejects_non_rational_entries():
             exact_det([[1, 2], [bad, 3]])
         with pytest.raises(TypeError):
             exact_det([[bad]])
+
+
+def test_exact_det_scales_a_step_whose_upper_entry_does_not_divide_the_lower():
+    """No entry of the first column divides the one below it: each of its steps has a != 1."""
+    rng = random.Random(23)
+    m = [[2, 1, 1, 4], [3, 1, 2, -1], [5, 7, 1, 2], [7, -2, 3, 3]]
+    assert all(m[i][0] % m[i - 1][0] for i in range(1, 4))
+    assert exact_det(m) == naive_det(m) != 0
+    for _ in range(60):
+        n = rng.randint(3, 8)
+        m = [[rng.randint(2, 40) for _ in range(n)] for _ in range(n)]
+        assert exact_det(m) == naive_det(m)
+
+
+def test_exact_det_swaps_a_zero_upper_entry_with_the_nonzero_one_below():
+    m = [[1, 2, 3, 4], [0, 1, 5, 2], [7, 3, 1, 1], [2, 0, 3, 5]]
+    assert exact_det(m) == naive_det(m) != 0
+    # Zeros above zeros above a nonzero entry: the nonzero row rises to the top.
+    m = [[0, 1, 2, 3], [0, 4, 1, 1], [0, 2, 7, 1], [5, 1, 1, 2]]
+    assert exact_det(m) == naive_det(m) != 0
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(3, 7)
+        m = [[rng.randint(-4, 4) if rng.random() < 0.4 else 0 for _ in range(n)]
+             for _ in range(n)]
+        assert exact_det(m) == naive_det(m)
+
+
+def test_exact_det_on_negative_entries():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        m = [[rng.choice([rng.randint(-30, -1), F(rng.randint(-9, -1), rng.randint(1, 5))])
+              for _ in range(n)] for _ in range(n)]
+        assert exact_det(m) == naive_det(m)
+    assert exact_det([[-2, -3, -1], [-4, -1, -5], [-6, -7, -2]]) == naive_det(
+        [[-2, -3, -1], [-4, -1, -5], [-6, -7, -2]])
+
+
+def test_exact_det_of_an_all_zero_column_is_zero():
+    for j in range(4):
+        m = [[0 if col == j else 3 * row + col + row * col for col in range(4)]
+             for row in range(4)]
+        assert exact_det(m) == naive_det(m) == 0
+    # A column that is zero only once the column before it is cleared.
+    m = [[1, 2, 3], [2, 4, 7], [3, 6, 1]]
+    assert exact_det(m) == naive_det(m) == 0
+
+
+def test_exact_det_of_det_rows_of_every_profile_up_to_eight_rows():
+    """Every size profile (ordered) with N <= 8 at r = 0, 1, 2, on rational alphas."""
+    alphas = (F(1, 2), F(-2, 3), F(3), F(-5, 4), F(2), F(3, 7), F(-1), F(7, 5))
+    checked = 0
+    for total in range(1, 9):
+        for cuts in itertools.product((False, True), repeat=total - 1):
+            sizes, size = [], 1
+            for cut in cuts:
+                if cut:
+                    sizes.append(size)
+                    size = 1
+                else:
+                    size += 1
+            sizes = (*sizes, size)
+            for r in range(3):
+                spec = tensor.DetSpec(alphas[:len(sizes)], sizes, r)
+                rows, _ = tensor.det_rows(spec)
+                assert exact_det(rows) == naive_det(rows) != 0, (sizes, r)
+                assert tensor.det_r(spec).ok
+                checked += 1
+    assert checked == 3 * (2**8 - 1)
+
+
+def test_det_r_on_a_forty_row_block_within_a_second():
+    spec = tensor.DetSpec((F(1, 2), F(-2, 3), F(3), F(-5, 4), F(7)), (8,) * 5, 1)
+    start = time.perf_counter()
+    assert tensor.det_r(spec).ok
+    assert time.perf_counter() - start < 1.0
 
 
 def test_combination_and_span_basis():
