@@ -28,9 +28,10 @@ Each tensor algebra owns one ``BracketTables`` as ``brackets``: int ids for
 its keys (``brackets.id(key)``, with ``brackets.keys`` mapping them back)
 and one row per id, ``brackets.rows[i1]``, from a second id to the integer
 bracket table of the pair, worked out on first use.  A caller that holds a
-row finds a table by hashing one int, so the bracket check of
-``homomorphisms.verify_hom`` needs no rational arithmetic and hashes no
-nested key tuple.
+row finds a table by hashing one int, and ``brackets.id_rows`` keeps the
+ids of each generator-table term's keys by index, so the bracket check of
+``homomorphisms.verify_hom`` needs no rational arithmetic and, after first
+sight, hashes no nested key tuple.
 The generator images of ``homomorphisms`` are read from tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
 The last section acts with monomials on the factors of the modules, and
@@ -254,16 +255,20 @@ class BracketTables:
     ``mul_keys(k2, k1)``, as (id, int) pairs with zeros dropped; it is empty
     when the monomials commute.  ``tables[i1, i2]`` reads that table and
     works out a pair not seen before, which its row then keeps, so a caller
-    that holds a row finds a table by hashing one int.
+    that holds a row finds a table by hashing one int.  ``id_rows`` holds
+    one id row per term (x, right) of a generator table of
+    ``homomorphisms``, from an index n to the id of the term's key at n,
+    which ``homomorphisms.int_images`` fills.
     """
 
-    __slots__ = ("algebra", "_ids", "keys", "rows")
+    __slots__ = ("algebra", "_ids", "keys", "rows", "id_rows")
 
     def __init__(self, algebra: TensorAlgebra):
         self.algebra = algebra
         self._ids: dict = {}
         self.keys: list = []
         self.rows: list[dict] = []
+        self.id_rows: dict = {}
 
     def id(self, key) -> int:
         i = self._ids.get(key)

@@ -1,6 +1,7 @@
 """Shared test oracles and the shipped JSON schemas."""
 
 import json
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -33,6 +34,18 @@ def _reference_violations(phi, window):
             if u * v - v * u != rhs:
                 out.append((str(x), str(y)))
     return out
+
+
+def reference_int_images(phi, gens):
+    """``homomorphisms.int_images`` read from the image elements: each ``phi.image(g)``
+    cleared to (key id, int) pairs over the lcm of all their denominators.  A test that
+    plants a defect in ``image`` patches ``int_images`` with it, so ``verify_hom`` reads
+    the plant."""
+    tables = phi.algebra.brackets
+    images = {g: phi.image(g).terms for g in gens}
+    den = math.lcm(*(c.denominator for terms in images.values() for c in terms.values()))
+    return den, {g: [(tables.id(k), c.numerator * (den // c.denominator)) for k, c in terms.items()]
+                 for g, terms in images.items()}
 
 
 # The uncached table reader, bound at import: no patch of a ``bracket_terms``
@@ -92,6 +105,15 @@ def former_terms(text, split):
 @pytest.fixture
 def reference_violations():
     return _reference_violations
+
+
+@pytest.fixture
+def verify_hom_reads_images(monkeypatch):
+    """``verify_hom`` reads each generator's image through ``phi.image``, where a test
+    plants its defect, in place of the generator table."""
+    from wittdiamond import homomorphisms
+
+    monkeypatch.setattr(homomorphisms, "int_images", reference_int_images)
 
 
 def criterion_08_modules():

@@ -153,6 +153,7 @@ class _PlantedPhi:
         return getattr(self.phi, name)
 
 
+@pytest.mark.usefixtures("verify_hom_reads_images")
 def test_verify_hom_grid_catches_a_degree_2_defect(monkeypatch, tmp_path):
     from wittdiamond import cli
 

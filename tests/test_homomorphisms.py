@@ -26,7 +26,9 @@ from wittdiamond.homomorphisms import (
     evaluate,
     image_witnesses,
     index_degree,
+    int_images,
     surjectivity_witnesses,
+    term_key,
     verify_hom,
 )
 from wittdiamond.lie import FAMILIES, UEnvElement, gen, generators_in_window, uenv_mul
@@ -327,6 +329,36 @@ def test_every_stored_bracket_table_is_filed_under_its_pair_of_ids():
     assert _misfiled(planted)
 
 
+# PhiAB (alpha 0 too), the control, PhiABGG with g of degree 0 to 3, with an inner zero
+# in g and with pairwise coprime denominators, and PhiAB read through a fresh set of
+# tables: the ids it reads must be that instance's own.
+READER_MAPS = [PhiAB(F(1, 2), F(3)), PhiAB(F(0), F(-5, 3)), CorruptedPhiAB(F(1, 2), F(3))] + [
+    PhiABGG(F(1, 3), F(-3, 5), F(2, 7), tuple(F(k + 1, k + 2) for k in range(degree + 1)))
+    for degree in range(4)] + [
+    PhiABGG(F(1, 2), F(3), F(0), (F(1), F(0), F(2, 3))),
+    PhiABGG(F(-2, 3), F(-3, 5), F(2, 7), (F(1, 11), F(0), F(1, 7))),
+    _OwnTables(PhiAB(F(2, 3), F(-5, 2)), BracketTables(PhiAB.algebra))]
+READER_IDS = ["ab", "ab-alpha0", "corrupted", *(f"abgg-deg{d}" for d in range(4)),
+              "abgg-zeros", "abgg-coprime", "own-tables"]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+@pytest.mark.parametrize("phi", READER_MAPS, ids=READER_IDS)
+def test_the_table_reader_agrees_with_the_images(phi, window):
+    tables = phi.algebra.brackets
+    gens = generators_in_window(2 * window)
+    den, nums = int_images(phi, gens)
+    assert list(nums) == gens and den > 0
+    for g, pairs in nums.items():
+        terms = {tables.keys[i]: F(c, den) for i, c in pairs if c}
+        assert len(terms) == len(pairs), g  # no zero and no key twice
+        assert terms == phi.image(g).terms, g
+    # Every id of an id row names the key of its term at its index.
+    assert tables.id_rows and all(tables.keys[i] == term_key(x, right, n)
+                                  for (x, right), row in tables.id_rows.items()
+                                  for n, i in row.items())
+
+
 def test_window_3_verdicts_on_rows_that_other_maps_filled(reference_violations):
     # The benchmark's window, after other maps of both algebra pairs have filled the rows.
     for phi in (PhiAB(F(2, 3), F(-5, 2)), PhiABGG(F(1, 2), F(3), F(-1), (F(1), F(2, 3)))):
@@ -359,6 +391,7 @@ COPRIME_ABGG = PhiABGG(F(1, 2), F(-3, 5), F(2, 7), (F(1, 11), F(0), F(1, 7)))
 
 
 @pytest.mark.parametrize("phi", [PhiAB(F(1, 2), F(3)), COPRIME_ABGG], ids=["ab", "abgg"])
+@pytest.mark.usefixtures("verify_hom_reads_images")
 def test_an_image_scaled_by_1_over_p_is_caught(phi, reference_violations):
     assert verify_hom(phi, 2).violations == reference_violations(phi, 2) == []
     for family in FAMILIES:
@@ -381,6 +414,7 @@ class _PlantedC2(PhiAB):
         return out + self.one() if g == gen("c", 2) else out
 
 
+@pytest.mark.usefixtures("verify_hom_reads_images")
 def test_the_bracket_side_reads_the_images_of_the_doubled_window(reference_violations):
     # At window 1, c[2] lies outside the generator pairs and is read only as the
     # bracket [L[1], c[1]] = [a[1], b[1]] = c[2].

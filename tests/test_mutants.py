@@ -5,16 +5,19 @@ A mutant is one monkeypatch, in this process, on a builder of the data that the
 commands read or on the one reader of a premise; a map or module built after the
 patch reads the planted data.  Each
 case is replayed through ``regen.run_case``, as ``tests/test_golden.py`` replays it,
-and its stored ``exit_code.txt`` is the verdict without the defect.
+and its stored ``exit_code.txt`` is the verdict without the defect.  One mutant is a
+function recompiled from its source with one slice changed; it changes no verdict, so
+the case must report a different count.
 """
 
+import inspect
 import json
 from fractions import Fraction as F
 
 import pytest
 from golden.regen import CASES_DIR, case_dirs, run_case
 
-from wittdiamond import homomorphisms, lie, omega
+from wittdiamond import cli, homomorphisms, lie, omega
 from wittdiamond.lie import gen
 
 # n (n^2 - 1) = n^3 - n, constant first: zero at n = -1, 0, 1, so the window {-1, 0, 1}
@@ -196,3 +199,27 @@ def test_a_planted_rank_one_symbol_term_flips_exactly_the_classify_cases(monkeyp
         check = json.loads(got[name]["report.json"])["checks"][0]
         assert codes[name] == 1 and check["status"] == "fail", name
         assert check["detail"] == RANK1_REJECTION, name
+
+
+def _source_mutant(module, name, old, new):
+    """``module.name`` compiled again from its source with the one ``old`` replaced by
+    ``new``, over a copy of the module's globals."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def test_a_narrowed_pair_loop_changes_the_reported_pair_count(monkeypatch):
+    """ROADMAP item 12: ``pairs_checked`` is counted where the loop runs.  The mutant skips
+    the diagonal pairs, which never fail, so only the count can show it: 120 - 15."""
+    stored = json.loads((CASES_DIR / "verify-hom-ab" / "report.json").read_text())
+    assert stored["checks"][0]["detail"]["pairs"] == 120
+    mutant = _source_mutant(homomorphisms, "verify_hom", "gens[i:]", "gens[i + 1:]")
+    for module in (homomorphisms, cli):
+        monkeypatch.setattr(module, "verify_hom", mutant)
+    got = run_case(CASES_DIR / "verify-hom-ab")
+    detail = json.loads(got["report.json"])["checks"][0]["detail"]
+    assert int(got["exit_code.txt"]) == 0
+    assert (detail["pairs"], detail["violations"]) == (105, [])

@@ -307,6 +307,7 @@ class _Perturbed:
     PhiAB(F(1, 2), F(3)),
     PhiABGG(F(1, 2), F(3), F(2), (F(1), F(0), F(1))),
 ], ids=["ab", "abgg"])
+@pytest.mark.usefixtures("verify_hom_reads_images")
 def test_verify_hom_flags_each_perturbed_family(phi, reference_violations):
     # The default window is the grid of the verify-hom subcommand.
     report = verify_hom(phi)
