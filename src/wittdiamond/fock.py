@@ -92,7 +92,7 @@ class FModule(homomorphisms.PullbackModule):
         if on_eps:
             actions += (scalar_factor(-shift),)
         table = homomorphisms.ab_terms(self.alpha + shift, self.beta)
-        table = {family: tuple((x, (h, e), c) for x, (h, e), c in terms if not (on_eps and e))
+        table = {family: tuple((parts, c) for parts, c in terms if not (on_eps and parts[2][1]))
                  for family, terms in table.items()}
         omega_p0 = isinstance(factor0, OmegaFactor)
         super().__init__(PolyRing(names, flags), [

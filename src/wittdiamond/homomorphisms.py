@@ -4,19 +4,21 @@
 ``PhiABGG`` sends it onto (degree-1 Laurent Weyl algebra) (x) (polynomial
 differential operators).  Both are defined on generators, by data that each
 map builds once as ``table`` (``ab_terms``, ``abgg_terms``) and ``evaluate``
-reads at an index; ``index_degree`` reads each family's degree in the index,
-the premise of every index grid here.  Each map is extended to PBW words
-multiplicatively, in the ``operators.TensorAlgebra`` it holds as ``algebra``.
-``verify_hom`` checks that the table respects every bracket, on an index
-window that the table's degrees prove complete, in integers from the key ids
-and bracket tables that the algebra owns as ``brackets``: ``int_images`` reads
-the images from the table in ints, with no image element built.  The witness
-lists exhibit preimages of the standard generating operators, each replayable
-exactly.  The witness targets are keys of the same tables, and the
-``CorruptedPhiAB`` control is the ab table with one term dropped.  The module
-actions of ``fock`` and ``omega`` are their pullbacks: each module is a
-``PullbackModule``, which compiles a generator's action from its tables and
-reads its index degrees with ``index_degree``.
+reads at an index, each monomial written as its parts, one (exponent,
+d-exponent) pair per coordinate; ``term_key`` alone makes parts a key of the
+``operators.TensorAlgebra`` a map holds as ``algebra``, where each map is
+extended to PBW words multiplicatively.  ``index_degree`` reads each family's
+degree in the index, the premise of every index grid here.  ``verify_hom``
+checks that the table respects every bracket, on an index window that the
+table's degrees prove complete, in integers from the key ids and bracket
+tables that the algebra owns as ``brackets``: ``int_images`` reads the images
+from the table in ints, with no image element built.  The witness lists
+exhibit preimages of the standard generating operators, each replayable
+exactly, their targets written as parts too, and the ``CorruptedPhiAB``
+control is the ab table with one term dropped.  The module actions of ``fock``
+and ``omega`` are their pullbacks: each module is a ``PullbackModule``, which
+compiles a generator's action from the parts and reads its index degrees with
+``index_degree``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .operators import (
     R2,
     UB,
     TensorElement,
+    WeylAlgebra,
     pullback_rules,
     tensor_algebra,
 )
@@ -44,54 +47,57 @@ from .scalars import ONE, ZERO, Frozen, Record, add_scaled, scalar
 
 
 def ab_terms(alpha: Fraction, beta: Fraction) -> dict[str, tuple]:
-    """The generator table of ``PhiAB(alpha, beta)``: each family's terms (x, right, coefficient),
-    x = ((x0, x1 exponents), (dx0, dx1 exponents)) with the x0 exponent an offset from the index
-    n, right = (h, e exponents), and the coefficient a polynomial in n, constant term first."""
-    one, h, e, no_d = (0, 0), (1, 0), (0, 1), (0, 0)
+    """The generator table of ``PhiAB(alpha, beta)``: each family's terms (parts, coefficient),
+    the parts being the exponent pairs ((x0, dx0), (x1, dx1), (h, e)) with x0's exponent an
+    offset from the index n, and the coefficient a polynomial in n, constant term first."""
+    one, h, e = (0, 0), (1, 0), (0, 1)
     return {
-        "L": ((((1, 0), (1, 0)), one, (ONE,)), (((0, 0), no_d), one, (ZERO, alpha)),
-              (((0, 0), no_d), h, (ZERO, ONE))),
-        "d": ((((0, 1), (0, 1)), one, (ONE,)), (((0, 0), no_d), e, (ZERO, ONE))),
-        "a": ((((0, 2), (0, 1)), one, (beta,)), (((0, 1), no_d), h, (-beta,)),
-              (((0, 1), no_d), e, (ZERO, beta))),
-        "b": ((((0, -1), no_d), one, (ONE,)),),
-        "c": ((((0, 0), no_d), one, (-beta,)),),
+        "L": ((((1, 1), one, one), (ONE,)), ((one, one, one), (ZERO, alpha)),
+              ((one, one, h), (ZERO, ONE))),
+        "d": (((one, (1, 1), one), (ONE,)), ((one, one, e), (ZERO, ONE))),
+        "a": (((one, (2, 1), one), (beta,)), ((one, (1, 0), h), (-beta,)),
+              ((one, (1, 0), e), (ZERO, beta))),
+        "b": (((one, (-1, 0), one), (ONE,)),),
+        "c": (((one, one, one), (-beta,)),),
     }
 
 
 def abgg_terms(alpha: Fraction, beta: Fraction, gamma: Fraction,
                g: tuple[Fraction, ...]) -> dict[str, tuple]:
     """The generator table of ``PhiABGG(alpha, beta, gamma, g)`` in the form of ``ab_terms``, with
-    x = (x0 exponent, dx0 exponent) and right = (t exponent, dt exponent), each a one-tuple."""
-    x0n = one = ((0,), (0,))
+    the parts ((x0, dx0), (t, dt))."""
+    one = (0, 0)
     return {
-        "L": ((((1,), (1,)), one, (ONE,)), (x0n, one, (ZERO, alpha))),
-        "d": (*((x0n, ((k + 1,), (0,)), (c / beta,)) for k, c in enumerate(g)),
-              (x0n, one, (gamma / beta,)), (x0n, ((1,), (1,)), (ONE,))),
-        "a": ((x0n, ((1,), (0,)), (ONE,)),),
-        "b": (*((x0n, ((k,), (0,)), (c,)) for k, c in enumerate(g)), (x0n, ((0,), (1,)), (beta,))),
-        "c": ((x0n, one, (-beta,)),),
+        "L": ((((1, 1), one), (ONE,)), ((one, one), (ZERO, alpha))),
+        "d": (*(((one, (k + 1, 0)), (c / beta,)) for k, c in enumerate(g)),
+              ((one, one), (gamma / beta,)), ((one, (1, 1)), (ONE,))),
+        "a": (((one, (1, 0)), (ONE,)),),
+        "b": (*(((one, (k, 0)), (c,)) for k, c in enumerate(g)), ((one, (0, 1)), (beta,))),
+        "c": (((one, one), (-beta,)),),
     }
 
 
-def evaluate(table: dict[str, tuple], family: str, n: int) -> dict:
-    """family[n]'s image as {key: coefficient}, zeros kept, from ``ab_terms`` or ``abgg_terms``."""
+def evaluate(table: dict[str, tuple], family: str, n: int) -> list:
+    """family[n]'s image as (parts at n, coefficient) pairs, in table order with zeros kept."""
     if family not in table:
         raise InvalidGenerator(f"unknown generator family {family!r}")
-    out = {}
-    for x, right, coef in table[family]:
+    out = []
+    for ((x0, d0), *rest), coef in table[family]:
         c = coef[-1]
         for a in coef[-2::-1]:  # Horner's rule
             c = c * n + a if a else c * n
-        out[term_key(x, right, n)] = c
+        out.append((((x0 + n, d0), *rest), c))
     return out
 
 
-def term_key(x, right, n: int):
-    """The key of a table term (x, right, coefficient) at index n: x0's exponent is an offset
-    from n."""
-    xs, ds = x
-    return ((xs[0] + n,) + xs[1:], ds), right
+def term_key(algebra, parts):
+    """The key of ``algebra``, a ``TensorAlgebra``, of the monomial with these parts: one
+    (exponent, d-exponent) part per coordinate of the left Weyl algebra, then one (h, e) part
+    on U(b) or one part per coordinate of a right Weyl algebra."""
+    k = len(algebra.left.names)
+    xs, ds = zip(*parts[:k])
+    right = tuple(zip(*parts[k:])) if isinstance(algebra.right, WeylAlgebra) else parts[k]
+    return (xs, ds), right
 
 
 def index_degree(terms, order=lambda term: 0) -> int:
@@ -109,16 +115,16 @@ def index_degree(terms, order=lambda term: 0) -> int:
 
 def dx0_order(term) -> int:
     """The d/dx0-order of a term of ``ab_terms`` or ``abgg_terms``."""
-    return term[0][1][0]
+    return term[0][0][1]
 
 
 class PullbackModule:
     """A module on ``ring`` whose generators act as a sum of pullbacks of generator tables.
 
-    A pullback is (table, factor actions, scale, index variable or None): g
-    acts as ``evaluate(table, g.family, g.index)``, each monomial factor by
-    factor (``operators.pullback_rules``), and x0^n as scale^n times n shifts
-    of the index variable, or by a weight (scale 1, no index variable).
+    A pullback is (table, factor actions, scale, index variable or None): g acts as
+    ``evaluate(table, g.family, g.index)``, each part of a monomial by its factor action
+    (``operators.pullback_rules``), and x0^n as scale^n times n shifts of the index
+    variable, or by a weight (scale 1, no index variable).
     ``fock.FModule`` has one pullback of the ab table, ``omega.RankOneProduct``
     one of the abgg table per factor.
     """
@@ -137,7 +143,7 @@ class PullbackModule:
         rules = self.act_rules.get(g)
         if rules is None:
             rules = self.act_rules[g] = pullback_rules([
-                (evaluate(table, g.family, g.index).items(), actions)
+                (evaluate(table, g.family, g.index), actions)
                 for table, actions, _, _ in self.pullbacks])
         return rules
 
@@ -186,7 +192,8 @@ class PhiAB(Frozen):
         return TensorElement.one(self.algebra)
 
     def image(self, g: Generator) -> TensorElement:
-        return TensorElement(self.algebra, evaluate(self.table, g.family, g.index))
+        return TensorElement(self.algebra, {term_key(self.algebra, parts): c for parts, c
+                                            in evaluate(self.table, g.family, g.index)})
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -198,7 +205,7 @@ class CorruptedPhiAB(PhiAB):
     def __init__(self, alpha: Fraction, beta: Fraction):
         super().__init__(alpha, beta)
         table = dict(self.table)
-        table["d"] = tuple(term for term in table["d"] if term[1] != (0, 1))
+        table["d"] = tuple(term for term in table["d"] if term[0][-1] != (0, 1))
         self._set(table=table)
 
     # The class's own binding, which the benchmark's tracer wraps by this name.
@@ -231,8 +238,8 @@ class PhiABGG(Frozen):
     def one(self) -> TensorElement:
         return TensorElement.one(self.algebra)
 
-    def image(self, g: Generator) -> TensorElement:
-        return TensorElement(self.algebra, evaluate(self.table, g.family, g.index))
+    # PhiAB's reader, as the class's own binding, which the benchmark's tracer wraps.
+    image = PhiAB.image
 
     def apply(self, u: UEnvElement) -> TensorElement:
         return _apply(self, u)
@@ -271,27 +278,28 @@ def int_images(phi, gens) -> tuple[int, dict]:
     ``den`` is the lcm of the denominators of the table's coefficients, so every family's
     coefficient polynomial is cleared to ints once and evaluated at each index by Horner's
     rule in ints.  A term's key at index n is looked up by n in the id row that the tables
-    keep for the term, and built and given its id on first sight only.
+    keep for the term's parts, and built (``term_key``) and given its id on first sight only.
     """
     tables = phi.algebra.brackets
     id_rows = tables.id_rows
     den = math.lcm(*(c.denominator for family in phi.table.values()
-                     for _, _, coef in family for c in coef))
-    cleared = {family: [(id_rows.setdefault((x, right), {}), x, right,
+                     for _, coef in family for c in coef))
+    cleared = {family: [(id_rows.setdefault(parts, {}), parts,
                          [c.numerator * (den // c.denominator) for c in reversed(coef)])
-                        for x, right, coef in terms]
+                        for parts, coef in terms]
                for family, terms in phi.table.items()}
     nums = {}
     for g in gens:
         n, out = g.index, []
-        for row, x, right, coef in cleared[g.family]:
+        for row, parts, coef in cleared[g.family]:
             c = 0
             for a in coef:  # Horner's rule, leading coefficient first
                 c = c * n + a
             if c:
                 i = row.get(n)
                 if i is None:
-                    i = row[n] = tables.id(term_key(x, right, n))
+                    (x0, d0), *rest = parts
+                    i = row[n] = tables.id(term_key(tables.algebra, ((x0 + n, d0), *rest)))
                 out.append((i, c))
         nums[g] = out
     return den, nums
@@ -384,9 +392,10 @@ def _word(*gens: Generator) -> UEnvElement:
 
 
 def _witnesses(phi, rows) -> list[Witness]:
-    """``Witness`` records from rows (name, [(target key, preimage), ...]); each target is
-    one key of the images of ``phi.table``, with coefficient 1."""
-    return [Witness(name, [(TensorElement(phi.algebra, {key: ONE}), pre) for key, pre in pairs])
+    """``Witness`` records from rows (name, [(target parts, preimage), ...]); each target is
+    one monomial with coefficient 1, its parts in the form of ``phi.table``'s."""
+    return [Witness(name, [(TensorElement(phi.algebra, {term_key(phi.algebra, parts): ONE}), pre)
+                           for parts, pre in pairs])
             for name, pairs in rows]
 
 
@@ -399,17 +408,17 @@ def image_witnesses(phi: PhiAB) -> list[Witness]:
     binv = 1 / phi.beta
     c1, cm1, c0 = gen("c", 1), gen("c", -1), gen("c", 0)
     a0, a1, b0, d0, L0 = gen("a", 0), gen("a", 1), gen("b", 0), gen("d", 0), gen("L", 0)
-    one, h, e, zero = (0, 0), (1, 0), (0, 1), (0, 0)
+    one, h, e = (0, 0), (1, 0), (0, 1)
     x1e_pre = (_word(cm1, a1) - _word(c0, a0)).scaled(-binv * binv)
     return _witnesses(phi, [
-        ("x0^{+1,-1} (x) 1", [((((1, 0), zero), one), _word(c1).scaled(-binv)),
-                              ((((-1, 0), zero), one), _word(cm1).scaled(-binv))]),
-        ("dx0 (x) 1", [(((zero, (1, 0)), one), _word(cm1, L0).scaled(-binv))]),
-        ("x1 (x) e", [((((0, 1), zero), e), x1e_pre)]),
-        ("x1^-1 (x) 1", [((((0, -1), zero), one), _word(b0))]),
-        ("1 (x) e", [(((zero, zero), e), x1e_pre * _word(b0))]),
-        ("1 (x) h", [(((zero, zero), h), _word(d0) - _word(b0, a0).scaled(binv))]),
-        ("dx1 (x) 1", [(((zero, (0, 1)), one), _word(b0, d0))]),
+        ("x0^{+1,-1} (x) 1", [(((1, 0), one, one), _word(c1).scaled(-binv)),
+                              (((-1, 0), one, one), _word(cm1).scaled(-binv))]),
+        ("dx0 (x) 1", [(((0, 1), one, one), _word(cm1, L0).scaled(-binv))]),
+        ("x1 (x) e", [((one, (1, 0), e), x1e_pre)]),
+        ("x1^-1 (x) 1", [((one, (-1, 0), one), _word(b0))]),
+        ("1 (x) e", [((one, one, e), x1e_pre * _word(b0))]),
+        ("1 (x) h", [((one, one, h), _word(d0) - _word(b0, a0).scaled(binv))]),
+        ("dx1 (x) 1", [((one, (0, 1), one), _word(b0, d0))]),
     ])
 
 
@@ -417,14 +426,14 @@ def surjectivity_witnesses(phi: PhiABGG) -> list[Witness]:
     """Preimages of the four generators of the target tensor algebra."""
     binv = 1 / phi.beta
     a0 = gen("a", 0)
-    one, zero = ((0,), (0,)), (0,)
+    one = (0, 0)
     g_of_a0 = UEnvElement({(a0,) * k: c for k, c in enumerate(phi.g)})
     return _witnesses(phi, [
-        ("x0^{+1,-1} (x) 1", [((((1,), zero), one), _word(gen("c", 1)).scaled(-binv)),
-                              ((((-1,), zero), one), _word(gen("c", -1)).scaled(-binv))]),
-        ("d0 (x) 1", [((((1,), (1,)), one), _word(gen("L", 0)))]),
-        ("1 (x) t", [((one, ((1,), zero)), _word(a0))]),
-        ("1 (x) dt", [((one, (zero, (1,))), (_word(gen("b", 0)) - g_of_a0).scaled(binv))]),
+        ("x0^{+1,-1} (x) 1", [(((1, 0), one), _word(gen("c", 1)).scaled(-binv)),
+                              (((-1, 0), one), _word(gen("c", -1)).scaled(-binv))]),
+        ("d0 (x) 1", [(((1, 1), one), _word(gen("L", 0)))]),
+        ("1 (x) t", [((one, (1, 0)), _word(a0))]),
+        ("1 (x) dt", [((one, (0, 1)), (_word(gen("b", 0)) - g_of_a0).scaled(binv))]),
     ])
 
 

@@ -516,7 +516,7 @@ class ShiftDiffOp(LinComb):
         return other.compose(self, out, -1)
 
 
-# Each family's rank-one symbol, in the form of ``homomorphisms.ab_terms``: terms (part,
+# Each family's rank-one symbol, coefficient last as in ``homomorphisms.ab_terms``: terms (part,
 # da0-order, coefficient in n, constant term first), a part being the unit L0 or a0 or a data
 # polynomial named in ``Rank1ActionData._fields``; family[n] is their sum, then L0 -> L0 - n.
 RANK1_SYMBOL = {

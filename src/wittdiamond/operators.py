@@ -32,10 +32,10 @@ row finds a table by hashing one int, and ``brackets.id_rows`` keeps the
 ids of each generator-table term's keys by index, so the bracket check of
 ``homomorphisms.verify_hom`` needs no rational arithmetic and, after first
 sight, hashes no nested key tuple.
-The generator images of ``homomorphisms`` are read from tables of such keys.
 ``commutator`` is ``uv - vu`` for every kind of element.
 The last section acts with monomials on the factors of the modules, and
-``pullback_rules`` compiles a table of ``homomorphisms`` into the rules of
+``pullback_rules`` compiles the terms of a table of ``homomorphisms``, each
+monomial written as its parts, one per coordinate, into the rules of
 ``poly.act_by_rules``: every module action is such a pullback.
 """
 
@@ -256,9 +256,9 @@ class BracketTables:
     when the monomials commute.  ``tables[i1, i2]`` reads that table and
     works out a pair not seen before, which its row then keeps, so a caller
     that holds a row finds a table by hashing one int.  ``id_rows`` holds
-    one id row per term (x, right) of a generator table of
-    ``homomorphisms``, from an index n to the id of the term's key at n,
-    which ``homomorphisms.int_images`` fills.
+    one id row per term of a generator table of ``homomorphisms``, keyed by
+    the term's unshifted parts, from an index n to the id of the term's key
+    at n, which ``homomorphisms.int_images`` fills.
     """
 
     __slots__ = ("algebra", "_ids", "keys", "rows", "id_rows")
@@ -341,24 +341,13 @@ def scalar_factor(eps):
     return lambda a, b: [] if b else [(u**a, q**a, (), ())]
 
 
-def monomial_parts(key) -> tuple:
-    """The parts (a, b) of a monomial key, one per coordinate: x^a dx^b for each Weyl
-    coordinate, h^a e^b for U(b), and a tensor key's left parts before its right ones."""
-    left, right = key
-    if type(left) is int:
-        return (key,)
-    if type(left[0]) is int:
-        return tuple(zip(left, right))
-    return monomial_parts(left) + monomial_parts(right)
-
-
 def pullback_rules(pullbacks) -> tuple[list, int]:
     """``(rules, den)`` for ``poly.act_by_rules``: the sum of c m over the terms of each
     (terms, factors) in ``pullbacks``, factor by factor.
 
-    ``terms`` yields (key, c), as the items of a table of ``homomorphisms``
-    or of an element's terms; ``factors`` holds one action per part of the
-    key (``monomial_parts``).  An action maps its part to terms (u, q, polys,
+    ``terms`` yields (parts, c), as ``homomorphisms.evaluate`` reads a table, the parts of a
+    monomial one (exponent, d-exponent) pair per coordinate, and (h, e) on U(b);
+    ``factors`` holds one action per part.  An action maps its part to terms (u, q, polys,
     ops) on its variable: u/q times the polys of ``act_by_rules`` and an op (j, d, n),
     x_j^e -> (x_j - n)^(e + d).  One term per factor makes a rule, whose ops become the
     raises (j, d) and shifts (j, n) of ``act_by_rules``; every action is bound to its
@@ -368,9 +357,9 @@ def pullback_rules(pullbacks) -> tuple[list, int]:
     """
     rules = []
     for terms, factors in pullbacks:
-        for key, c in terms:
+        for parts, c in terms:
             choices = [(c.numerator, c.denominator, (), ())]
-            for act, part in zip(factors, monomial_parts(key)):
+            for act, part in zip(factors, parts):
                 choices = [(n * u, d * q, ps + p, os + o)
                            for n, d, ps, os in choices for u, q, p, o in act(*part)]
             rules += [rule for rule in choices if rule[0]]

@@ -8,8 +8,10 @@ truncates each image as a polynomial; ``span_vectors`` reads the rows of a
 and ``oracle`` give the same answers.  ``free_word_oracle`` straightens a word by
 naive single-inversion rewriting, a cross-check for ``lie.pbw_normalize``.
 ``ab_table`` and ``abgg_table`` are the generator tables of the two maps of
-``homomorphisms`` written out as literal dicts, the reference for the tables
-that the maps build as data (``ab_terms``, ``abgg_terms``, read by ``evaluate``).
+``homomorphisms`` written out as literal dicts from operator key to
+coefficient, the reference for the data that the maps build (``ab_terms``,
+``abgg_terms``): ``evaluate`` reads a family there as (parts, coefficient)
+pairs, and ``term_key`` turns each term's parts into one of these keys.
 """
 
 from __future__ import annotations

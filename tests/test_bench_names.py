@@ -1,14 +1,17 @@
-"""The benchmark's traced names still resolve in the package under ``src``.
+"""The benchmark's traced names, and the names the docs cite, still resolve in the package
+under ``src``.
 
 ``perfbench/tracer.py`` wraps the callables named in ``TARGETS``, and
 ``perfbench/selftest.py`` checks that the names in ``IMPORTED_BINDINGS`` are
 traced.  Both are read here as literals, without importing the benchmark or
 running a workload, so a rename under ``src`` fails this test rather than only
-a benchmark run.
+a benchmark run.  A dotted ``module.name`` cited in a docstring under ``src``
+or in the README must name an object of that module, or a span of ``TARGETS``.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -78,3 +81,46 @@ def test_each_unused_import_under_src_is_an_imported_binding():
     unused = _unused_imports()
     assert unused
     assert [b for b in unused if b not in IMPORTED_BINDINGS] == []
+
+
+MODULES = {path.stem for path in SRC.glob("*.py")}
+# A module under ``src``, a dotted attribute path, and the arguments of a call, if any.
+CITATION = re.compile(r"([a-z_]+)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
+
+
+def _citations(text: str, tick: str) -> list[tuple[str, str]]:
+    """(module, attribute path) for each span between two ``tick`` marks of ``text`` that
+    cites a module under ``src``."""
+    out = []
+    for span in re.findall(f"{tick}([^`]+?){tick}", text):
+        match = CITATION.fullmatch(" ".join(span.split()))
+        if match and match[1] in MODULES:
+            out.append((match[1], match[2]))
+    return out
+
+
+def _doc_citations() -> list[tuple[str, str]]:
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                out += _citations(ast.get_docstring(node, clean=False) or "", "``")
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    return out + _citations(readme, "`")
+
+
+def _resolves(module_name: str, path: str) -> bool:
+    owner = importlib.import_module(f"wittdiamond.{module_name}")
+    for part in path.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_each_name_the_docs_cite_is_defined_under_src_or_traced():
+    citations = _doc_citations()
+    # One cited function, and one cited span that is no attribute of its module.
+    assert {("operators", "pullback_rules"), ("operators", "tensor_mul")} <= set(citations)
+    assert [f"{m}.{p}" for m, p in citations
+            if not _resolves(m, p) and f"{m}.{p}" not in TARGETS] == []

@@ -100,8 +100,8 @@ def test_a_sign_flip_in_the_reversed_pair_branch_fails_verify_brackets(monkeypat
 
 
 # The ``d`` family's ``e`` term of ``ab_terms``, coefficient n, and the same term at n + 1.
-AB_ENTRY = "(((0, 0), no_d), e, (ZERO, ONE))"
-PLANTED_AB_ENTRY = "(((0, 0), no_d), e, (ONE, ONE))"
+AB_ENTRY = "((one, one, e), (ZERO, ONE))"
+PLANTED_AB_ENTRY = "((one, one, e), (ONE, ONE))"
 
 
 def test_a_planted_ab_table_coefficient_fails_verify_hom_ab_in_both_producers(
@@ -124,8 +124,8 @@ def test_a_planted_ab_table_coefficient_fails_verify_hom_ab_in_both_producers(
 
     def planted(alpha, beta):
         out = terms(alpha, beta)
-        out["d"] = tuple((x, right, (Fraction(1), Fraction(1)) if right == (0, 1) else coef)
-                         for x, right, coef in out["d"])
+        out["d"] = tuple((parts, (Fraction(1), Fraction(1)) if parts[-1] == (0, 1) else coef)
+                         for parts, coef in out["d"])
         return out
 
     monkeypatch.setattr(homomorphisms, "ab_terms", planted)

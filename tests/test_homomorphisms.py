@@ -71,9 +71,11 @@ TABLE_POINTS = ((F(1, 2), F(3)), (F(0), F(-5, 2)), (F(-7, 3), F(1, 4)))
 TABLE_GS = ((F(2),), (F(-1, 3), F(1)), (F(1), F(0), F(5, 2)), (F(0), F(2, 7), F(0), F(-3)))
 
 
-def _same_table(got, want):
-    """Equal items in the same order, zeros kept, every coefficient a Fraction."""
-    return list(got.items()) == list(want.items()) and all(type(c) is F for c in got.values())
+def _same_table(algebra, got, want):
+    """The same terms in the same order, zeros kept, each part list read as its key of
+    ``algebra``, and every coefficient a Fraction."""
+    return ([(term_key(algebra, parts), c) for parts, c in got] == list(want.items())
+            and all(type(c) is F for _, c in got))
 
 
 @pytest.mark.parametrize("alpha, beta", TABLE_POINTS)
@@ -82,7 +84,7 @@ def test_the_ab_data_reads_as_the_literal_table(alpha, beta):
     for family in FAMILIES:
         for n in range(-4, 5):
             want = ab_table(family, n, alpha, beta)
-            assert _same_table(evaluate(table, family, n), want), (family, n)
+            assert _same_table(phi.algebra, evaluate(table, family, n), want), (family, n)
             assert phi.image(gen(family, n)) == TensorElement(phi.algebra, want), (family, n)
 
 
@@ -94,7 +96,7 @@ def test_the_abgg_data_reads_as_the_literal_table(alpha, beta, gamma, g):
     for family in FAMILIES:
         for n in range(-4, 5):
             want = abgg_table(family, n, alpha, beta, gamma, g)
-            assert _same_table(evaluate(table, family, n), want), (family, n)
+            assert _same_table(phi.algebra, evaluate(table, family, n), want), (family, n)
             assert phi.image(gen(family, n)) == TensorElement(phi.algebra, want), (family, n)
 
 
@@ -353,10 +355,10 @@ def test_the_table_reader_agrees_with_the_images(phi, window):
         terms = {tables.keys[i]: F(c, den) for i, c in pairs if c}
         assert len(terms) == len(pairs), g  # no zero and no key twice
         assert terms == phi.image(g).terms, g
-    # Every id of an id row names the key of its term at its index.
-    assert tables.id_rows and all(tables.keys[i] == term_key(x, right, n)
-                                  for (x, right), row in tables.id_rows.items()
-                                  for n, i in row.items())
+    # Every id of an id row names the key of its term's parts at its index.
+    assert tables.id_rows and all(
+        tables.keys[i] == term_key(tables.algebra, ((x0 + n, d0), *rest))
+        for ((x0, d0), *rest), row in tables.id_rows.items() for n, i in row.items())
 
 
 def test_window_3_verdicts_on_rows_that_other_maps_filled(reference_violations):
@@ -497,7 +499,7 @@ def _drop_d_e_term(ab_terms):
     """The ab table without d[n]'s n x0^n (x) e term, the defect of ``CorruptedPhiAB``."""
     def planted(alpha, beta):
         table = ab_terms(alpha, beta)
-        table["d"] = tuple(term for term in table["d"] if term[1] != (0, 1))
+        table["d"] = tuple(term for term in table["d"] if term[0][-1] != (0, 1))
         return table
     return planted
 
@@ -506,8 +508,8 @@ def _double_b_dt(abgg_terms):
     """The abgg table with b[n]'s beta x0^n (x) dt doubled."""
     def planted(alpha, beta, gamma, g):
         table = abgg_terms(alpha, beta, gamma, g)
-        table["b"] = tuple((x, right, tuple(2 * c for c in coef) if right == ((0,), (1,)) else coef)
-                           for x, right, coef in table["b"])
+        table["b"] = tuple((parts, tuple(2 * c for c in coef) if parts[-1] == (0, 1) else coef)
+                           for parts, coef in table["b"])
         return table
     return planted
 

@@ -38,18 +38,18 @@ def _with_term(builder, family, term):
 WINDOW_2 = {"complete": True, "window": 2, "max_index_degree": 4, "pairs": 325}
 WINDOW_1 = {"complete": True, "window": 1, "max_index_degree": 2, "pairs": 120}
 
-# (id, table builder, family, planted term (x, right, coefficient),
+# (id, table builder, family, planted term (parts, coefficient),
 #  {case: (exit code, fields the case's first check must report)}).
 MUTANTS = [
     # n (n^2 - 1) x0^n (x) 1 on the L image: coefficient degree 3, so D = 3 + 1 and the
     # window grows to 2, where [L_m, L_n] sees the term.
-    ("ab-L-cubic", "ab_terms", "L", (((0, 0), (0, 0)), (0, 0), CUBIC),
+    ("ab-L-cubic", "ab_terms", "L", (((0, 0), (0, 0), (0, 0)), CUBIC),
      {"verify-hom-ab": (1, WINDOW_2)}),
-    ("abgg-L-cubic", "abgg_terms", "L", (((0,), (0,)), ((0,), (0,)), CUBIC),
+    ("abgg-L-cubic", "abgg_terms", "L", (((0, 0), (0, 0)), CUBIC),
      {"verify-hom-abgg": (1, WINDOW_2)}),
     # n x0^n (x) 1 on the c image: degree 1 keeps D = 2 and the window {-1, 0, 1},
     # which decides it: [L_m, c_n] differs from n c_{m+n} by n m x0^(m+n).
-    ("ab-c-linear", "ab_terms", "c", (((0, 0), (0, 0)), (0, 0), (F(0), F(1))),
+    ("ab-c-linear", "ab_terms", "c", (((0, 0), (0, 0), (0, 0)), (F(0), F(1))),
      {"verify-hom-ab": (1, WINDOW_1)}),
 ]
 

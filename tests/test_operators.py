@@ -100,9 +100,21 @@ def test_associativity_random_monomials():
         assert (us[0] * us[1]) * us[2] == us[0] * (us[1] * us[2])
 
 
+def _parts(key) -> tuple:
+    """The parts (a, b) of a monomial key, one per coordinate: x^a dx^b for each Weyl
+    coordinate, h^a e^b for U(b), and a tensor key's left parts before its right ones."""
+    left, right = key
+    if type(left) is int:
+        return (key,)
+    if type(left[0]) is int:
+        return tuple(zip(left, right))
+    return _parts(left) + _parts(right)
+
+
 def _act(factors, u, p):
     """u p, one factor action per part of u's monomials."""
-    return act_by_rules(p, *pullback_rules([(u.terms.items(), factors)]))
+    terms = [(_parts(key), c) for key, c in u.terms.items()]
+    return act_by_rules(p, *pullback_rules([(terms, factors)]))
 
 
 def _random_vector(ring, rng):

@@ -12,12 +12,20 @@ from wittdiamond.axioms import AxiomReport
 from wittdiamond.certificates import Certificate, CertStep
 from wittdiamond.exceptions import InvalidSpec
 from wittdiamond.fock import EpsilonSimplicity, MFactor, OmegaFactor, OneDim, Whittaker
-from wittdiamond.homomorphisms import CorruptedPhiAB, HomReport, PhiAB, PhiABGG, Witness
+from wittdiamond.homomorphisms import (
+    CorruptedPhiAB,
+    HomReport,
+    PhiAB,
+    PhiABGG,
+    Witness,
+    verify_hom,
+)
 from wittdiamond.lie import gen
 from wittdiamond.omega import (
     RANK1_RING,
     Degenerate,
     InvarianceReport,
+    OmegaModule,
     OmegaParams,
     Rank1ActionData,
     UhRankReport,
@@ -25,7 +33,7 @@ from wittdiamond.omega import (
 from wittdiamond.operators import R0, UB, UbAlgebra, WeylAlgebra
 from wittdiamond.oracle import ClosureReport, TruncationPolicy
 from wittdiamond.poly import PolyRing
-from wittdiamond.tensor import DetResult, DetSpec, IsoResult
+from wittdiamond.tensor import DetResult, DetSpec, IsoResult, TensorModule, tensor_generate
 
 
 def _rank1_data():
@@ -150,9 +158,15 @@ def test_constructors_keep_their_defaults_and_normalization():
     (lambda: Rank1ActionData(1, PolyRing(("t",), (False,)).one(), *[RANK1_RING.one()] * 3),
      ValueError),
     (lambda: MFactor("foo"), ValueError),
+    (lambda: verify_hom(PhiAB(1, 2), 0), ValueError),
+    (lambda: tensor_generate(OmegaModule(OmegaParams(1, 1, 0, 2, ())), (1, 0, 1)), ValueError),
+    (lambda: tensor_generate(TensorModule([OmegaParams(1, 1, 0, 2, ()),
+                                           OmegaParams(1, 1, 0, 3, ())]), (1, 0, -1, 0)),
+     ValueError),
 ], ids=["det-zero-alpha", "det-repeated-alpha", "det-sizes", "det-size-0", "det-r",
         "ring-lengths", "ring-names", "policy-degree", "policy-steps", "ab-beta", "abgg-beta",
-        "omega-beta", "omega-lambda", "omega-factor", "rank1-lambda", "rank1-ring", "m-weight"])
+        "omega-beta", "omega-lambda", "omega-factor", "rank1-lambda", "rank1-ring", "m-weight",
+        "hom-window", "generate-length", "generate-negative"])
 def test_validation_errors_are_unchanged(build, error):
     with pytest.raises(error):
         build()

@@ -1065,7 +1065,7 @@ def test_index_degrees_are_the_family_degree_plus_the_vector_part():
             v = module.ring.monomial({module.ring.names[0]: p}) + module.ring.one()
             for family in FAMILIES:
                 # e acts as 0 on C_eps, so its terms take no part there.
-                degree = index_degree([t for t in table[family] if not (on_eps and t[1][1])])
+                degree = index_degree([t for t in table[family] if not (on_eps and t[0][2][1])])
                 assert degree == (family == "L") + (not on_eps and family in ("a", "d"))
                 assert module.index_degrees(family, v) == {scale: degree + omega_p0 * p}
     repeated = OmegaParams(F(1), F(1), F(1), A.lam, (F(2),))
